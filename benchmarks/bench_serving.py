@@ -97,7 +97,7 @@ def bench_offline_serial(store, queries, k=10) -> dict:
 def bench_service(service, queries, clients, per_client, k=10) -> dict:
     """`clients` threads, each issuing `per_client` distinct queries."""
     service.top_k(queries[0], k=k, use_cache=False)  # warmup
-    batches_before = service._batcher.stats()
+    batches_before = service.stats()["batcher"]
     latencies = [[] for _ in range(clients)]
     barrier = threading.Barrier(clients + 1)
 
@@ -118,7 +118,7 @@ def bench_service(service, queries, clients, per_client, k=10) -> dict:
     for thread in threads:
         thread.join()
     elapsed = time.perf_counter() - start
-    batches_after = service._batcher.stats()
+    batches_after = service.stats()["batcher"]
     dispatched_batches = batches_after["batches"] - batches_before["batches"]
     dispatched_items = batches_after["items"] - batches_before["items"]
     total = clients * per_client

@@ -22,6 +22,14 @@
 #      (interprocedural lockset races, tape shape/dtype abstract
 #      interpretation, resource-leak tracking) with an incremental
 #      content-hash cache and a 30 s wall-clock budget
+#   9. streaming gate   — zero acked-point loss, bit-identical
+#      incremental encoding and reopen, freshness/speedup floors
+#      (BENCH_streaming.json)
+#  10. system benchmark guard — the harness's own tests, then one quick
+#      traced run each of http_topk and sharded_mixed: every oracle
+#      check passes and every span target still resolves
+#      (trace.missing = 0), so a serving refactor cannot silently
+#      orphan what benchmarks/system measures. Not a timing gate.
 #
 # Usage: scripts/ci.sh [pytest args...]
 set -euo pipefail
@@ -66,5 +74,22 @@ python -m repro analyze src --cache .cache/analyze.json --max-seconds 30
 
 echo "==> streaming gate (acked-loss, incremental identity, freshness)"
 python scripts/check_bench_regression.py --only streaming
+
+echo "==> system benchmark guard (harness tests + quick traced runs)"
+python -m pytest -q benchmarks/system/tests
+for workload in http_topk sharded_mixed; do
+    python benchmarks/system/run.py --workload "$workload" --quick \
+        --trace 1 --seconds 3 | tail -n 1 | python -c '
+import json, sys
+workload = sys.argv[1]
+result = json.loads(sys.stdin.readline())
+correct = result["correct"]
+missing = result["metrics"]["trace.missing"]["value"]
+if correct is not True or missing != 0:
+    raise SystemExit(f"{workload}: correct={correct}, "
+                     f"trace.missing={missing}")
+print(f"{workload}: correct, every span target resolves")
+' "$workload"
+done
 
 echo "ci.sh: all gates passed"

@@ -147,9 +147,8 @@ def _self_test(server, service) -> int:
     print(f"topk:    {status} ids={answer.get('ids')}")
     if status != 200:
         return 1
-    store = getattr(service, "store", None)
-    if store is not None:
-        expected = [int(i) for i in store.query(probe, k=5)[0]]
+    if service.store is not None:
+        expected = [int(i) for i in service.store.query(probe, k=5)[0]]
     else:  # sharded tier: compare against the in-process scatter path
         expected = service.top_k(probe, k=5, use_cache=False).ids
     if answer["ids"] != expected:
@@ -185,7 +184,7 @@ def _split_bundle_store(bundle_dir, partition_dir, shards: int,
         metadata={"source_bundle": str(bundle_dir)})
 
 
-def _build_sharded_service(args):
+def _build_sharded_service(args, knobs: dict):
     from pathlib import Path
 
     from .core.partition import load_partition_manifest
@@ -204,11 +203,7 @@ def _build_sharded_service(args):
             f"{partition_dir} holds {manifest['num_shards']} partitions but "
             f"--shards {args.shards} was requested; re-split with "
             f"shard-tool split")
-    config = ShardedConfig(index=args.index, nlist=args.nlist,
-                           nprobe=args.nprobe,
-                           max_batch_size=args.max_batch,
-                           max_wait_ms=args.max_wait_ms,
-                           fsync_window_ms=args.fsync_window_ms,
+    config = ShardedConfig(**knobs, fsync_window_ms=args.fsync_window_ms,
                            replicas=args.replicas)
     return ShardedService(partition_dir, bundle_dir=args.bundle,
                           config=config, durable_dir=args.durable_dir)
@@ -219,20 +214,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serving import ServingConfig, SimilarityService, make_server
     from .serving.bundle import BundleError
 
+    # One config shape for both tiers; the sharded one adds its own fields.
+    knobs = dict(max_batch_size=args.max_batch, max_wait_ms=args.max_wait_ms,
+                 cache_capacity=args.cache_capacity, index=args.index,
+                 nlist=args.nlist, nprobe=args.nprobe)
     try:
         if args.shards and args.shards > 1:
-            service = _build_sharded_service(args)
+            service = _build_sharded_service(args, knobs)
         elif args.partitions:
             print("--partitions requires --shards > 1", file=sys.stderr)
             return 2
         else:
-            service = SimilarityService.from_bundle(
-                args.bundle,
-                ServingConfig(max_batch_size=args.max_batch,
-                              max_wait_ms=args.max_wait_ms,
-                              cache_capacity=args.cache_capacity,
-                              index=args.index, nlist=args.nlist,
-                              nprobe=args.nprobe))
+            service = SimilarityService.from_bundle(args.bundle,
+                                                    ServingConfig(**knobs))
     except (BundleError, ConfigurationError, OSError, ValueError) as exc:
         print(f"cannot load bundle {args.bundle!r}: {exc}", file=sys.stderr)
         return 2

@@ -41,12 +41,12 @@ POST        ``/admin/restart/<id>``  respawn one shard worker; on a durable
                                      tier only; 409 when unsupported)
 ==========  =======================  ==========================================
 
-Serves either tier: a single-process
-:class:`~repro.serving.service.SimilarityService` or the sharded
-:class:`~repro.serving.sharding.ShardedService` — the handler relies only
-on their shared surface (``top_k``/``insert``/``delete``/``size``/
-``stats``/``compact``/...). ``/admin/reload`` answers 409 on a service
-without zero-downtime reload.
+One service class serves both tiers:
+:class:`~repro.serving.service.SimilarityService` over its in-process
+store, or its subclass :class:`~repro.serving.sharding.ShardedService`
+over shard workers — every route but two calls the one shared pipeline.
+``/admin/reload`` and ``/admin/restart/<id>`` exist only on the sharded
+tier and answer 409 elsewhere.
 
 Errors come back as ``{"error": "..."}`` with 400 (bad request), 404
 (unknown route), 409 (empty store / unsupported admin op / failed
@@ -242,10 +242,7 @@ class _Handler(BaseHTTPRequestHandler):
         return 200
 
     def _get_stream(self) -> int:
-        stats_fn = getattr(self.service, "stream_stats", None)
-        if stats_fn is None:
-            raise ReloadError("this service has no streaming ingest tier")
-        self._send_json(200, stats_fn())
+        self._send_json(200, self.service.stream_stats())
         return 200
 
     def _post_topk(self) -> int:
@@ -317,10 +314,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(
                 400, "points must be a list of [source_id, seq, t, x, y]")
             return 400
-        ingest_fn = getattr(self.service, "stream_ingest", None)
-        if ingest_fn is None:
-            raise ReloadError("this service has no streaming ingest tier")
-        self._send_json(200, ingest_fn(points))
+        self._send_json(200, self.service.stream_ingest(points))
         return 200
 
     def _post_compact(self) -> int:

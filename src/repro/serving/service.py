@@ -1,16 +1,26 @@
-"""The similarity-query service: model + store behind an online API.
+"""The similarity-query service: one query pipeline over a search target.
 
 :class:`SimilarityService` is the long-lived object the paper's §VI-A
 deployment pattern implies but one-shot scripts never build: the trained
-encoder and the embedding store wrapped with a micro-batcher (so
-concurrent queries share padded encoder calls), an LRU result cache, and
-metrics. It is transport-agnostic — :mod:`repro.serving.http` exposes it
-over HTTP, tests and benchmarks drive it in-process.
+encoder wrapped with a micro-batcher (so concurrent queries share padded
+encoder calls), an LRU result cache, and metrics, in front of wherever
+the database embeddings live. It is the only implementation of the
+request path
 
-Consistency model: ``insert``/``delete`` take the store lock and bump a
-generation counter that is part of every cache key, so a top-k answer is
-always computed against a single store snapshot and stale cache entries
-die with their generation.
+    validate -> sanitize -> admit -> deadline -> cache -> batch-encode
+    (breaker-guarded) -> search -> shape result -> count
+
+and is parameterised by a :class:`SearchTarget`: the in-process
+:class:`~repro.core.store.EmbeddingStore` here, or scatter-gather over
+shard worker processes in :mod:`repro.serving.sharding` (whose
+``ShardedService`` is this class over that target). It is
+transport-agnostic — :mod:`repro.serving.http` exposes it over HTTP,
+tests and benchmarks drive it in-process.
+
+Consistency model: every mutation (``insert``/``delete``, a sharded
+``reload``) lands on the target first and then bumps a generation
+counter that is part of every cache key, so stale cache entries die with
+their generation; partial and degraded answers are never cached.
 
 Robustness model (DESIGN.md "Operational robustness"): requests are
 validated at the boundary (:class:`InvalidTrajectoryError` — never deep
@@ -19,9 +29,10 @@ inside the encoder), admitted through a bounded
 :class:`ServiceOverloadedError`, the HTTP 429/load-shedding path), carry
 a deadline through the micro-batcher, and encode behind a
 :class:`~repro.resilience.CircuitBreaker`. When the encoder trips the
-breaker, ``top_k`` degrades to the grid-index approximate path (cell
-overlap counts via :class:`~repro.index.GridInvertedIndex`) instead of
-failing — answers are marked ``degraded`` and counted.
+breaker, ``top_k`` degrades to the target's approximate path (grid-cell
+overlap counts via :class:`~repro.index.GridInvertedIndex` on the
+in-process target) instead of failing — answers are marked ``degraded``
+and counted.
 """
 
 from __future__ import annotations
@@ -29,9 +40,10 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,9 +52,9 @@ from ..core.store import EmbeddingStore
 from ..dataquality import QualityReport, SanitizeConfig, sanitize
 from ..datasets.trajectory import Trajectory
 from ..exceptions import (ConfigurationError, DeadlineExceededError,
-                          InvalidTrajectoryError, ReloadError,
-                          ServiceClosedError, ServiceOverloadedError,
-                          ServiceUnavailableError)
+                          InvalidTrajectoryError, NotFittedError,
+                          PartialWriteError, ReloadError, ServiceClosedError,
+                          ServiceOverloadedError, ServiceUnavailableError)
 from ..index.grid_index import GridInvertedIndex
 from ..resilience.admission import AdmissionGate
 from ..resilience.breaker import CircuitBreaker
@@ -53,7 +65,8 @@ from .metrics import (DEFAULT_SIZE_BUCKETS, MetricsRegistry)
 
 PathLike = Union[str, Path]
 
-__all__ = ["ServingConfig", "SimilarityService", "TopKResult"]
+__all__ = ["SearchTarget", "ServingConfig", "SimilarityService",
+           "TopKResult"]
 
 _DEFAULT = object()  # sentinel: timeout=None means "no deadline"
 
@@ -193,16 +206,190 @@ class TopKResult:
                 "quality": self.quality, "partial": self.partial}
 
 
+class SearchTarget:
+    """Where the database embeddings live, as the query pipeline sees it.
+
+    Two implementations exist: the in-process store (``_LocalTarget``
+    below) and scatter-gather over shard worker processes
+    (``repro.serving.sharding._ShardTarget``). A target owns its rows,
+    its id space and its own locking; :class:`SimilarityService` owns
+    everything in front of it. A mutation must be visible to ``search``
+    by the time it returns — the service bumps the cache generation
+    right after.
+    """
+
+    dim: int  #: width of the embeddings the target stores and searches
+    #: Where the target counts its own work; the service registers the
+    #: shared request metrics on the same registry.
+    registry: MetricsRegistry
+
+    def search(self, embedding: np.ndarray, k: int,
+               deadline: Optional[float]
+               ) -> Tuple[Sequence[int], Sequence[float], bool]:
+        """``(ids, distances, partial)`` of the k nearest rows.
+
+        ``partial`` is true when some rows could not be considered.
+        """
+        raise NotImplementedError
+
+    def degraded_search(self, query: Trajectory, k: int
+                        ) -> Optional[Tuple[List[int], List[float]]]:
+        """Approximate ``(ids, pseudo-distances)`` computed without the
+        encoder, or ``None`` when the target has no such path."""
+        return None
+
+    def insert_embeddings(self, embeddings: np.ndarray,
+                          trajectories: Optional[Sequence[Trajectory]],
+                          deadline: Optional[float]) -> List[int]:
+        """Insert ``(n, dim)`` rows; returns the ids the target assigned.
+
+        ``trajectories`` are the rows' sources when the caller has them
+        (an encoder-free fallback index needs the raw points).
+        """
+        raise NotImplementedError
+
+    def delete(self, ids: List[int]) -> int:
+        """Remove rows by id; returns how many were present."""
+        raise NotImplementedError
+
+    def compact(self) -> Dict[int, bool]:
+        """Fold deferred index state; ``{shard: did anything}``."""
+        raise NotImplementedError
+
+    def size(self) -> int:
+        raise NotImplementedError
+
+    def stats(self) -> Dict:
+        """The target's sections of ``stats()``; must include ``store``."""
+        raise NotImplementedError
+
+    def readiness_checks(self) -> Dict[str, bool]:
+        """Target-specific ``/readyz`` checks, added to the shared ones."""
+        return {}
+
+    def refresh_gauges(self) -> None:
+        """Bring pull-style gauges up to date before a metrics render."""
+
+    def close(self) -> None:
+        """Release what the target owns (worker processes, pools)."""
+
+
+class _LocalTarget(SearchTarget):
+    """The in-process target: one :class:`EmbeddingStore`, one lock.
+
+    ``fallback_index`` (a :class:`GridInvertedIndex` over the same ids)
+    is the encoder-free degraded path; inserts that come with their
+    trajectories and every delete keep it in sync with the store.
+    """
+
+    def __init__(self, store: EmbeddingStore,
+                 fallback_index: Optional[GridInvertedIndex],
+                 config: ServingConfig):
+        self.store = store
+        self.fallback_index = fallback_index
+        self.dim = int(store.embeddings.shape[1])
+        self.registry = MetricsRegistry()
+        self._lock = threading.Lock()
+        # Install the configured search backend before the first query;
+        # "keep" preserves a backend attached out-of-band (e.g. a
+        # memory-mapped IVF index built offline).
+        if config.index == "ivf":
+            store.use_backend("ivf", nlist=config.nlist,
+                              nprobe=config.nprobe)
+        elif config.index == "exact" and store.backend.name != "exact":
+            store.use_backend("exact")
+        self._m_candidates = self.registry.counter(
+            "repro_search_candidates_total",
+            "Store rows scanned across all top-k searches.")
+        self._h_candidates = self.registry.histogram(
+            "repro_topk_candidates",
+            "Store rows scanned per top-k query (ANN probes a fraction "
+            "of the database; exact scans all of it).",
+            buckets=(10.0, 100.0, 1000.0, 10000.0, 100000.0, 1000000.0))
+
+    def search(self, embedding, k, deadline):
+        with self._lock:
+            before = self.store.search_stats().get("candidates_scanned", 0)
+            ids, distances = self.store.query_embedding(embedding, k)
+            scanned = (self.store.search_stats().get("candidates_scanned", 0)
+                       - before)
+        if scanned > 0:
+            self._m_candidates.inc(scanned)
+            self._h_candidates.observe(scanned)
+        return ids, distances, False
+
+    def degraded_search(self, query, k):
+        """Rank by grid-cell overlap (no encoder involved).
+
+        Candidates are ranked by how many of the query's (ring-expanded)
+        cells they share; ties break on id for determinism. The
+        pseudo-distance ``1 / (1 + overlap)`` preserves that ranking.
+        """
+        with self._lock:
+            index = self.fallback_index
+            if index is None:
+                return None
+            cells = index.grid.to_cells(np.asarray(query.points))
+            expanded = {(x + dx, y + dy)
+                        for x, y in {(int(cx), int(cy)) for cx, cy in cells}
+                        for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+            counts = index.match_counts(sorted(expanded))
+        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+        return ([int(i) for i, _ in ranked],
+                [1.0 / (1.0 + c) for _, c in ranked])
+
+    def insert_embeddings(self, embeddings, trajectories, deadline):
+        with self._lock:
+            assigned = self.store.add_embeddings(embeddings)
+            if self.fallback_index is not None and trajectories is not None:
+                for traj, traj_id in zip(trajectories, assigned):
+                    self.fallback_index.insert(traj_id,
+                                               np.asarray(traj.points))
+        return assigned
+
+    def delete(self, ids):
+        with self._lock:
+            removed = self.store.remove(ids)
+            if self.fallback_index is not None:
+                for traj_id in ids:
+                    self.fallback_index.remove(traj_id)
+        return removed
+
+    def compact(self):
+        """Shard 0 = this process's whole store; ``False`` means the
+        active backend has no deferred state (the exact scan)."""
+        with self._lock:
+            compact = getattr(self.store.backend, "compact", None)
+            if compact is None:
+                return {0: False}
+            compact()
+            return {0: True}
+
+    def size(self):
+        with self._lock:
+            return len(self.store)
+
+    def stats(self):
+        with self._lock:
+            return {"store": {"size": len(self.store),
+                              "next_id": self.store.next_id,
+                              "search_backend": self.store.search_stats()}}
+
+
 class SimilarityService:
-    """Online trajectory-similarity queries over a model + store.
+    """Online trajectory-similarity queries: encoder + search target.
 
     Parameters
     ----------
     model:
-        Fitted :class:`MetricModel` (the O(L) encoder).
+        Fitted :class:`MetricModel` (the O(L) encoder). ``None`` builds
+        a *search-only* service: ``query_embedding``/``insert_embeddings``
+        work, trajectory entry points raise
+        :class:`~repro.exceptions.NotFittedError`.
     store:
         :class:`EmbeddingStore` holding the database embeddings (the
-        O(N·d) search side). Mutated in place by ``insert``/``delete``.
+        O(N·d) search side; mutated in place by ``insert``/``delete``),
+        or any other :class:`SearchTarget`.
     config:
         :class:`ServingConfig`; defaults are sensible for tests.
     probes:
@@ -214,38 +401,23 @@ class SimilarityService:
         it, breaker-open queries raise :class:`ServiceUnavailableError`.
     """
 
-    def __init__(self, model: MetricModel, store: EmbeddingStore,
+    def __init__(self, model: Optional[MetricModel],
+                 store: Union[EmbeddingStore, SearchTarget],
                  config: Optional[ServingConfig] = None,
                  probes: Optional[Sequence[Trajectory]] = None,
                  fallback_index: Optional[GridInvertedIndex] = None):
-        encoder = model._require_fitted()
-        self.model = model
-        self.store = store
         self.config = config or ServingConfig()
-        self._sanitize_config: Optional[SanitizeConfig] = None
-        if self.config.sanitize:
-            sanitize_cfg = self.config.sanitize_config
-            if sanitize_cfg is None:
-                sanitize_cfg = SanitizeConfig(
-                    max_jump=100.0 * encoder.grid.cell_size)
-            if sanitize_cfg.bbox is None:
-                sanitize_cfg = sanitize_cfg.with_bbox(encoder.grid.bbox)
-            self._sanitize_config = sanitize_cfg
+        self._adopt_model(model)
+        self.target = (store if isinstance(store, SearchTarget) else
+                       _LocalTarget(store, fallback_index, self.config))
+        # The in-process target's pieces, for callers that hold them.
+        self.store = getattr(self.target, "store", None)
+        self.fallback_index = getattr(self.target, "fallback_index", None)
         self.probes: List[Trajectory] = list(probes or [])
-        self.fallback_index = fallback_index
         self.stream = None  # optional StreamIngestor; see attach_stream()
-        # Install the configured search backend before the first query;
-        # "keep" preserves a backend attached out-of-band (e.g. a
-        # memory-mapped IVF index built offline).
-        if self.config.index == "ivf":
-            store.use_backend("ivf", nlist=self.config.nlist,
-                              nprobe=self.config.nprobe)
-        elif (self.config.index == "exact"
-              and store.backend.name != "exact"):
-            store.use_backend("exact")
-        self.registry = MetricsRegistry()
+        self.registry = self.target.registry
         self._started = time.monotonic()
-        self._store_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._generation = 0
         self._cache = LRUCache(self.config.cache_capacity)
         self._closed = False
@@ -271,7 +443,7 @@ class SimilarityService:
             "Requests refused by the admission gate (HTTP 429).")
         self._m_degraded = reg.counter(
             "repro_degraded_answers_total",
-            "Top-k answers served by the grid-index fallback.")
+            "Top-k answers served by the encoder-free fallback.")
         self._m_validation = reg.counter(
             "repro_validation_errors_total",
             "Requests rejected at input validation.")
@@ -289,14 +461,6 @@ class SimilarityService:
         self._m_breaker_transitions = reg.counter(
             "repro_breaker_transitions_total",
             "Encoder circuit-breaker state transitions.")
-        self._m_candidates = reg.counter(
-            "repro_search_candidates_total",
-            "Store rows scanned across all top-k searches.")
-        self._h_candidates = reg.histogram(
-            "repro_topk_candidates",
-            "Store rows scanned per top-k query (ANN probes a fraction "
-            "of the database; exact scans all of it).",
-            buckets=(10.0, 100.0, 1000.0, 10000.0, 100000.0, 1000000.0))
         self._h_latency = reg.histogram(
             "repro_topk_latency_seconds", "End-to-end top-k latency.")
         self._h_encode = reg.histogram(
@@ -311,12 +475,16 @@ class SimilarityService:
             reset_timeout_s=self.config.breaker_reset_s,
             on_transition=lambda old, new: self._m_breaker_transitions.inc())
 
-        self._batcher = MicroBatcher(
-            self._encode_batch,
-            max_batch_size=self.config.max_batch_size,
-            max_wait_s=self.config.max_wait_ms / 1000.0,
-            on_batch=self._record_batch,
-            name="repro-encode-batcher")
+        # The batcher's worker is the first thread this object starts: a
+        # target that forks processes has done so before it got here.
+        self._batcher: Optional[MicroBatcher] = None
+        if model is not None:
+            self._batcher = MicroBatcher(
+                self._encode_batch,
+                max_batch_size=self.config.max_batch_size,
+                max_wait_s=self.config.max_wait_ms / 1000.0,
+                on_batch=self._record_batch,
+                name="repro-encode-batcher")
 
     # ------------------------------------------------------------ constructors
 
@@ -331,6 +499,27 @@ class SimilarityService:
             bundle = load_bundle(bundle, verify=verify)
         return cls(bundle.model, bundle.store, config=config,
                    probes=bundle.probes, fallback_index=fallback_index)
+
+    def _adopt_model(self, model: Optional[MetricModel]) -> None:
+        """Install the encoder and what derives from it.
+
+        Sanitize mode defaults to the encoder's grid: bbox = the grid's,
+        ``max_jump`` = 100 cells. A search-only service has no grid and
+        admits no trajectories, so it has no sanitize config either.
+        """
+        sanitize_cfg: Optional[SanitizeConfig] = None
+        if model is not None:
+            grid = model._require_fitted().grid
+            if self.config.sanitize:
+                sanitize_cfg = (self.config.sanitize_config or SanitizeConfig(
+                    max_jump=100.0 * grid.cell_size))
+                if sanitize_cfg.bbox is None:
+                    sanitize_cfg = sanitize_cfg.with_bbox(grid.bbox)
+        self.model = model
+        # Like `model`, a single reference swapped whole (by __init__ and
+        # a sharded reload); a request admits under whichever is current.
+        # repro: disable=lock-discipline
+        self._sanitize_config = sanitize_cfg
 
     # ------------------------------------------------------------ encoder path
 
@@ -351,6 +540,13 @@ class SimilarityService:
         self._h_batch_size.observe(batch_size)
         self._h_encode.observe(seconds)
 
+    def _require_batcher(self) -> MicroBatcher:
+        if self._batcher is None:
+            raise NotFittedError(
+                "this service has no encoder (search-only); use "
+                "query_embedding/insert_embeddings")
+        return self._batcher
+
     def _resolve_deadline(self, timeout):
         """Map a caller timeout to (timeout_s, monotonic deadline)."""
         if timeout is _DEFAULT:
@@ -359,78 +555,63 @@ class SimilarityService:
             return None, None
         return timeout, time.monotonic() + timeout
 
-    def embed(self, trajectory: Trajectory,
-              timeout: Optional[float] = _DEFAULT) -> np.ndarray:
-        """Embedding of one trajectory via the micro-batcher."""
-        self._m_embeds.inc()
+    @contextmanager
+    def _counting_errors(self, timeout: Optional[float] = None):
+        """Count what a request raises, by kind, on its way out.
+
+        A future that outlives ``timeout`` becomes the same typed
+        :class:`DeadlineExceededError` the batcher raises for an item it
+        never got to.
+        """
         try:
-            query, _ = self._admit_trajectory(trajectory)
-            timeout, deadline = self._resolve_deadline(timeout)
-            with self._gate.admit("embed"):
-                try:
-                    return self._batcher(query, timeout=timeout,
-                                         deadline=deadline)
-                except FuturesTimeoutError as exc:
-                    self._m_deadline.inc()
-                    raise DeadlineExceededError(
-                        f"no embedding within {timeout}s") from exc
-                except DeadlineExceededError:
-                    self._m_deadline.inc()
-                    raise
+            yield
         except ServiceOverloadedError:
             self._m_shed.inc()
+            self._m_errors.inc()
+            raise
+        except FuturesTimeoutError as exc:
+            self._m_deadline.inc()
+            self._m_errors.inc()
+            raise DeadlineExceededError(
+                f"no answer within {timeout}s") from exc
+        except DeadlineExceededError:
+            self._m_deadline.inc()
             self._m_errors.inc()
             raise
         except Exception:
             self._m_errors.inc()
             raise
 
-    def _as_trajectory(self, trajectory) -> Trajectory:
-        """Boundary validation: anything malformed raises the typed error."""
-        try:
-            traj = (trajectory if isinstance(trajectory, Trajectory)
-                    else Trajectory(trajectory))
-        except InvalidTrajectoryError:
-            self._m_validation.inc()
-            raise
-        except (TypeError, ValueError) as exc:
-            self._m_validation.inc()
-            raise InvalidTrajectoryError(
-                f"not a valid trajectory: {exc}") from exc
-        limit = self.config.max_points
-        if limit and len(traj.points) > limit:
-            self._m_validation.inc()
-            raise InvalidTrajectoryError(
-                f"trajectory has {len(traj.points)} points "
-                f"(limit {limit})")
-        return traj
-
     def _admit_trajectory(self, trajectory
-                          ) -> "tuple[Trajectory, Optional[QualityReport]]":
+                          ) -> "Tuple[Trajectory, Optional[QualityReport]]":
         """Boundary admission under the configured mode.
 
-        Strict mode (default): validate-or-raise via
-        :meth:`_as_trajectory`, no report. Sanitize mode: repair the
-        input with a :class:`~repro.dataquality.QualityReport`; only
-        unrepairable input still raises (and counts as rejected).
+        Strict mode (default): validate-or-raise, no report. Sanitize
+        mode: repair the input with a
+        :class:`~repro.dataquality.QualityReport`; only unrepairable
+        input still raises (and counts as rejected). Anything malformed
+        raises the typed :class:`InvalidTrajectoryError`.
         """
-        if self._sanitize_config is None:
-            return self._as_trajectory(trajectory), None
-        points = getattr(trajectory, "points", trajectory)
-        traj_id = getattr(trajectory, "traj_id", None)
+        sanitizing = self._sanitize_config is not None
+        report = None
         try:
-            traj, report = sanitize(points, self._sanitize_config,
-                                    traj_id=traj_id)
-        except InvalidTrajectoryError:
-            self._m_sanitize_rejected.inc()
+            if sanitizing:
+                traj, report = sanitize(
+                    getattr(trajectory, "points", trajectory),
+                    self._sanitize_config,
+                    traj_id=getattr(trajectory, "traj_id", None))
+            else:
+                traj = (trajectory if isinstance(trajectory, Trajectory)
+                        else Trajectory(trajectory))
+        except (InvalidTrajectoryError, TypeError, ValueError) as exc:
+            if sanitizing:
+                self._m_sanitize_rejected.inc()
             self._m_validation.inc()
-            raise
-        except (TypeError, ValueError) as exc:
-            self._m_sanitize_rejected.inc()
-            self._m_validation.inc()
+            if isinstance(exc, InvalidTrajectoryError):
+                raise
             raise InvalidTrajectoryError(
                 f"not a valid trajectory: {exc}") from exc
-        if report.modified:
+        if report is not None and report.modified:
             self._m_sanitize_repaired.inc()
         limit = self.config.max_points
         if limit and len(traj.points) > limit:
@@ -439,6 +620,25 @@ class SimilarityService:
                 f"trajectory has {len(traj.points)} points "
                 f"(limit {limit})")
         return traj, report
+
+    def _check_k(self, k: Optional[int]) -> int:
+        if k is None:
+            k = self.config.default_k
+        if (not isinstance(k, (int, np.integer)) or isinstance(k, bool)
+                or k < 1):
+            raise ValueError(f"k must be a positive integer, got {k!r}")
+        return int(k)
+
+    def embed(self, trajectory: Trajectory,
+              timeout: Optional[float] = _DEFAULT) -> np.ndarray:
+        """Embedding of one trajectory via the micro-batcher."""
+        self._m_embeds.inc()
+        timeout, deadline = self._resolve_deadline(timeout)
+        with self._counting_errors(timeout):
+            batcher = self._require_batcher()
+            query, _ = self._admit_trajectory(trajectory)
+            with self._gate.admit("embed"):
+                return batcher(query, timeout=timeout, deadline=deadline)
 
     # ------------------------------------------------------------- query path
 
@@ -451,42 +651,59 @@ class SimilarityService:
         :meth:`EmbeddingStore.query` path when the request runs alone;
         under concurrency, padded-batch reduction order may differ by
         float rounding (~1 ulp), never enough to reorder non-tied
-        neighbours. While the encoder breaker is open, answers come from
-        the grid-index fallback (marked ``degraded=True``) when one is
-        configured.
+        neighbours. Over a sharded target the answer is id-identical to
+        a single-store exact scan while every shard is healthy, and
+        covers the survivors (``partial=True``) when some are not.
+        While the encoder breaker is open, answers come from the
+        target's encoder-free fallback (marked ``degraded=True``) when
+        it has one.
         """
         start = time.monotonic()
+        timeout, deadline = self._resolve_deadline(timeout)
         try:
-            query, report = self._admit_trajectory(trajectory)
-            if k is None:
-                k = self.config.default_k
-            if k < 1:
-                raise ValueError("k must be >= 1")
-            timeout, deadline = self._resolve_deadline(timeout)
-            quality = None if report is None else report.to_json()
-            with self._gate.admit("top_k"):
-                return self._answer_top_k(query, k, use_cache, timeout,
-                                          deadline, quality=quality)
-        except ServiceOverloadedError:
-            self._m_shed.inc()
-            self._m_errors.inc()
-            raise
-        except Exception:
-            self._m_errors.inc()
-            raise
+            with self._counting_errors(timeout):
+                batcher = self._require_batcher()
+                k = self._check_k(k)
+                query, report = self._admit_trajectory(trajectory)
+                quality = None if report is None else report.to_json()
+                with self._gate.admit("top_k"):
+                    return self._answer_top_k(batcher, query, k, use_cache,
+                                              timeout, deadline, quality)
         finally:
             self._h_latency.observe(time.monotonic() - start)
 
-    def _answer_top_k(self, query: Trajectory, k: int, use_cache: bool,
-                      timeout: Optional[float], deadline: Optional[float],
-                      quality: Optional[Dict] = None) -> TopKResult:
+    def query_embedding(self, embedding: np.ndarray,
+                        k: Optional[int] = None,
+                        timeout: Optional[float] = _DEFAULT) -> TopKResult:
+        """Top-k for an already-computed query embedding (never cached)."""
+        timeout, deadline = self._resolve_deadline(timeout)
+        with self._counting_errors(timeout):
+            k = self._check_k(k)
+            embedding = np.asarray(embedding, dtype=np.float64)
+            if embedding.shape != (self.target.dim,):
+                raise ValueError(
+                    f"expected embedding of shape ({self.target.dim},), "
+                    f"got {embedding.shape}")
+            self._open_generation()
+            with self._gate.admit("query_embedding"):
+                return self._search(embedding, k, deadline)
+
+    def _open_generation(self) -> int:
+        """The current cache generation; refuses work once closed."""
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError("service is closed")
+            return self._generation
+
+    def _answer_top_k(self, batcher: MicroBatcher, query: Trajectory, k: int,
+                      use_cache: bool, timeout: Optional[float],
+                      deadline: Optional[float],
+                      quality: Optional[Dict]) -> TopKResult:
         # The cache key is built from the *sanitized* points, so distinct
         # dirty requests that repair to the same clean trajectory share an
         # entry; `quality` is re-derived per request even on hits.
-        with self._store_lock:
-            generation = self._generation
         key = result_key(query.points, k, self.model.config.measure,
-                         generation)
+                         self._open_generation())
         if use_cache:
             hit = self._cache.get(key)
             if hit is not None:
@@ -497,137 +714,126 @@ class SimilarityService:
                                   quality=quality)
             self._m_cache_misses.inc()
         try:
-            embedding = self._batcher(query, timeout=timeout,
-                                      deadline=deadline)
-        except FuturesTimeoutError as exc:
-            self._m_deadline.inc()
-            raise DeadlineExceededError(
-                f"no answer within {timeout}s") from exc
-        except DeadlineExceededError:
-            self._m_deadline.inc()
-            raise
-        except (ServiceClosedError, ServiceOverloadedError):
+            embedding = batcher(query, timeout=timeout, deadline=deadline)
+        except (FuturesTimeoutError, DeadlineExceededError,
+                ServiceClosedError, ServiceOverloadedError):
             raise
         except Exception as exc:
-            # The fallback_index *reference* is assigned once in __init__
-            # and never rebound; _store_lock guards the object's contents
-            # (insert/match_counts), both of which are locked at their
-            # sites. Reading the reference itself needs no lock.
-            # repro: disable=lockset
-            if (self.fallback_index is not None
-                    and (isinstance(exc, ServiceUnavailableError)
-                         or self.breaker.state == "open")):
-                result = self._degraded_top_k(query, k, quality=quality)
-                self._m_queries.inc()
-                return result
+            if (isinstance(exc, ServiceUnavailableError)
+                    or self.breaker.state == "open"):
+                degraded = self.target.degraded_search(query, k)
+                if degraded is not None:
+                    self._m_queries.inc()
+                    self._m_degraded.inc()
+                    return TopKResult(ids=degraded[0],
+                                      distances=degraded[1], degraded=True,
+                                      quality=quality)
             raise
         if deadline is not None and time.monotonic() > deadline:
-            self._m_deadline.inc()
             raise DeadlineExceededError(
                 "deadline expired before the store search")
-        with self._store_lock:
-            before = self.store.search_stats().get("candidates_scanned", 0)
-            ids, distances = self.store.query_embedding(embedding, k)
-            scanned = (self.store.search_stats().get("candidates_scanned", 0)
-                       - before)
-        if scanned > 0:
-            self._m_candidates.inc(scanned)
-            self._h_candidates.observe(scanned)
-        result = TopKResult(ids=[int(i) for i in ids],
-                            distances=[float(d) for d in distances],
-                            quality=quality)
-        if use_cache:
+        result = self._search(embedding, k, deadline, quality)
+        if use_cache and not result.partial:
             self._cache.put(key, (result.ids, result.distances))
-        self._m_queries.inc()
         return result
 
-    def _degraded_top_k(self, query: Trajectory, k: int,
-                        quality: Optional[Dict] = None) -> TopKResult:
-        """Approximate answer from grid-cell overlap (no encoder involved).
-
-        Candidates are ranked by how many of the query's (ring-expanded)
-        cells they share; ties break on id for determinism. The
-        pseudo-distance ``1 / (1 + overlap)`` preserves that ranking.
-        """
-        index = self.fallback_index
-        if index is None:
-            raise ServiceUnavailableError(
-                "encoder unavailable and no fallback index is configured")
-        cells = index.grid.to_cells(np.asarray(query.points))
-        expanded = {(x + dx, y + dy)
-                    for x, y in {(int(cx), int(cy)) for cx, cy in cells}
-                    for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
-        with self._store_lock:
-            counts = index.match_counts(sorted(expanded))
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-        self._m_degraded.inc()
-        return TopKResult(ids=[int(i) for i, _ in ranked],
-                          distances=[1.0 / (1.0 + c) for _, c in ranked],
-                          degraded=True, quality=quality)
+    def _search(self, embedding: np.ndarray, k: int,
+                deadline: Optional[float],
+                quality: Optional[Dict] = None) -> TopKResult:
+        ids, distances, partial = self.target.search(embedding, k, deadline)
+        self._m_queries.inc()
+        return TopKResult(ids=[int(i) for i in ids],
+                          distances=[float(d) for d in distances],
+                          quality=quality, partial=partial)
 
     # --------------------------------------------------------------- mutation
+
+    def _bump_generation(self) -> int:
+        """Retire every cached answer; call after the target changed."""
+        with self._lock:
+            self._generation += 1
+            generation = self._generation
+        self._cache.clear()
+        return generation
 
     def insert(self, trajectories: Sequence[Trajectory]) -> List[int]:
         """Embed + insert trajectories; returns their assigned ids.
 
-        In sanitize mode, inserted trajectories are repaired the same
-        way queries are, so the store only ever holds clean data.
+        Embeddings are computed through the micro-batcher — on its
+        thread, behind the encoder breaker, never under a target lock —
+        so a bulk insert coalesces with concurrent queries instead of
+        stalling them. In sanitize mode, inserted trajectories are
+        repaired the same way queries are, so the target only ever
+        holds clean data.
         """
-        items = [self._admit_trajectory(t)[0] for t in trajectories]
-        if not items:
-            return []
+        timeout, deadline = self._resolve_deadline(_DEFAULT)
+        with self._counting_errors(timeout):
+            items = [self._admit_trajectory(t)[0] for t in trajectories]
+            if not items:
+                return []
+            batcher = self._require_batcher()
+            futures = [batcher.submit(t, deadline=deadline) for t in items]
+            embeddings = np.stack([f.result(timeout=timeout)
+                                   for f in futures])
+            return self._insert_rows(embeddings, items, deadline)
+
+    def insert_embeddings(self, embeddings: np.ndarray,
+                          deadline: Optional[float] = None) -> List[int]:
+        """Insert precomputed embedding rows; returns their assigned ids."""
+        with self._counting_errors():
+            embeddings = np.asarray(embeddings, dtype=np.float64)
+            if embeddings.ndim != 2 or embeddings.shape[1] != self.target.dim:
+                raise ValueError(
+                    f"expected embeddings of shape (n, {self.target.dim}), "
+                    f"got {embeddings.shape}")
+            if embeddings.shape[0] == 0:
+                return []
+            return self._insert_rows(embeddings, None, deadline)
+
+    def _insert_rows(self, embeddings: np.ndarray,
+                     trajectories: Optional[List[Trajectory]],
+                     deadline: Optional[float]) -> List[int]:
         try:
-            with self._store_lock:
-                assigned = self.store.add(items)
-                if self.fallback_index is not None:
-                    for traj, traj_id in zip(items, assigned):
-                        self.fallback_index.insert(traj_id,
-                                                   np.asarray(traj.points))
-                self._generation += 1
-            self._cache.clear()
-            self._m_inserts.inc(len(assigned))
-            return assigned
-        except Exception:
-            self._m_errors.inc()
+            assigned = self.target.insert_embeddings(embeddings, trajectories,
+                                                     deadline)
+        except PartialWriteError as exc:
+            self._m_inserts.inc(len(exc.applied_ids))
             raise
+        finally:
+            self._bump_generation()  # rows that landed are searchable
+        self._m_inserts.inc(len(assigned))
+        return assigned
 
     def delete(self, ids: Sequence[int]) -> int:
         """Remove entries by id; returns how many were removed."""
-        try:
-            with self._store_lock:
-                removed = self.store.remove([int(i) for i in ids])
-                if self.fallback_index is not None:
-                    for traj_id in ids:
-                        self.fallback_index.remove(int(traj_id))
-                self._generation += 1
-            self._cache.clear()
+        with self._counting_errors():
+            id_list = [int(i) for i in ids]
+            if not id_list:
+                return 0
+            try:
+                removed = self.target.delete(id_list)
+            except PartialWriteError as exc:
+                self._m_deletes.inc(len(exc.applied_ids))
+                raise
+            finally:
+                self._bump_generation()
             self._m_deletes.inc(removed)
             return removed
-        except Exception:
-            self._m_errors.inc()
-            raise
 
     # ----------------------------------------------------------- maintenance
 
     def compact(self) -> Dict[int, bool]:
-        """Fold pending inserts/tombstones on the store's index.
+        """Fold pending inserts/tombstones on the target's index(es).
 
-        Mirrors :meth:`ShardedService.compact` (shard 0 = this process's
-        whole store) so ``/admin/compact`` works against either tier.
-        ``False`` means the active backend has nothing to compact (the
+        Returns ``{shard: compacted}`` (the in-process store is shard
+        0); ``False`` means that backend has nothing to compact (the
         exact scan has no deferred state).
         """
-        with self._store_lock:
-            compact = getattr(self.store.backend, "compact", None)
-            if compact is None:
-                return {0: False}
-            compact()
-            return {0: True}
+        return self.target.compact()
 
     def size(self) -> int:
-        """Rows in the store (transport-facing; see ShardedService.size)."""
-        with self._store_lock:
-            return len(self.store)
+        """Rows the target holds (the ``/healthz`` store size)."""
+        return self.target.size()
 
     # -------------------------------------------------------- streaming ingest
 
@@ -663,12 +869,7 @@ class SimilarityService:
             source_id, seq, t, x, y = row
             points.append(StreamPoint(source_id=int(source_id), seq=int(seq),
                                       t=float(t), x=float(x), y=float(y)))
-        result = self.stream.ingest(points)
-        return {"accepted": result.accepted, "applied": result.applied,
-                "buffered": result.buffered,
-                "duplicates": result.duplicates, "late": result.late,
-                "evicted_segments": result.evicted_segments,
-                "lsn": result.lsn, "degraded": result.degraded}
+        return asdict(self.stream.ingest(points))
 
     def stream_stats(self) -> Dict:
         """Operational snapshot of the attached stream ingester."""
@@ -681,28 +882,35 @@ class SimilarityService:
     def warmup(self, queries: int = 4) -> int:
         """Run a few probe queries through the full path; returns how many.
 
-        Exercises the encoder, the batcher and the store search so the
+        Exercises the encoder, the batcher and the target's search so the
         first real request does not pay first-touch allocation costs.
         Uses the bundle's probes when present, otherwise a synthetic
-        two-point trajectory inside the model's grid. A completed warmup
-        flips the service to ready (see :meth:`readiness`).
+        trajectory inside the model's grid; a search-only service sends
+        seeded random embeddings instead. A completed warmup flips the
+        service to ready (see :meth:`readiness`).
         """
-        probes = self.probes[:queries] or [self.synthetic_probe()]
-        served = 0
-        for probe in probes:
-            with self._store_lock:
-                store_nonempty = len(self.store) > 0
-            if store_nonempty:
-                self.top_k(probe, k=1, use_cache=False)
-            else:
-                self.embed(probe)
-            served += 1
-        with self._store_lock:
+        if self.model is None:
+            rng = np.random.default_rng(0)
+            served = max(1, queries)
+            for _ in range(served):
+                self.query_embedding(rng.standard_normal(self.target.dim),
+                                     k=1)
+        else:
+            probes = self.probes[:queries] or [self.synthetic_probe()]
+            served = len(probes)
+            for probe in probes:
+                if self.size() > 0:
+                    self.top_k(probe, k=1, use_cache=False)
+                else:
+                    self.embed(probe)
+        with self._lock:
             self._warmed = True
         return served
 
     def synthetic_probe(self) -> Trajectory:
         """A short trajectory through the centre of the model's grid."""
+        if self.model is None:
+            raise NotFittedError("a search-only service has no encoder grid")
         encoder = self.model._require_fitted()
         xmin, ymin, xmax, ymax = encoder.grid.bbox
         cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
@@ -712,37 +920,36 @@ class SimilarityService:
     def readiness(self) -> Dict:
         """Readiness checks for ``/readyz`` (distinct from liveness).
 
-        Ready means: the store has data, :meth:`warmup` completed, the
-        encoder breaker is not open, and the service is accepting work.
+        Ready means: the target has data, :meth:`warmup` completed, the
+        encoder breaker is not open, the service is accepting work, and
+        whatever the target adds (every shard alive) holds too.
         """
-        with self._store_lock:
-            store_nonempty = len(self.store) > 0
+        with self._lock:
             warmed = self._warmed
             closed = self._closed
         checks = {
-            "store_nonempty": store_nonempty,
+            "store_nonempty": self.size() > 0,
             "warmed": warmed,
             "encoder_breaker_closed": self.breaker.state != "open",
             "accepting_requests": not closed,
+            **self.target.readiness_checks(),
         }
         return {"ready": all(checks.values()), "checks": checks}
 
     def stats(self) -> Dict:
         """JSON-friendly operational snapshot (also the ``/v1/stats`` body)."""
-        with self._store_lock:
-            size = len(self.store)
-            next_id = self.store.next_id
+        with self._lock:
             generation = self._generation
-            search_backend = self.store.search_stats()
-        return {
-            "store": {"size": size, "next_id": next_id,
-                      "generation": generation,
-                      "embedding_dim": self.model.config.embedding_dim,
-                      "measure": self.model.config.measure,
-                      "search_backend": search_backend},
+        stats = self.target.stats()
+        stats["store"].update(
+            generation=generation, embedding_dim=self.target.dim,
+            measure=(None if self.model is None
+                     else self.model.config.measure))
+        stats.update({
             "sanitize_mode": self._sanitize_config is not None,
             "cache": self._cache.stats(),
-            "batcher": self._batcher.stats(),
+            "batcher": (None if self._batcher is None
+                        else self._batcher.stats()),
             "resilience": {
                 "breaker": self.breaker.stats(),
                 "admission": self._gate.stats(),
@@ -753,24 +960,29 @@ class SimilarityService:
             "stream": None if self.stream is None else self.stream.stats(),
             "uptime_seconds": time.monotonic() - self._started,
             "metrics": self.registry.snapshot(),
-        }
+        })
+        return stats
 
     def render_metrics(self) -> str:
         """Prometheus text exposition (the ``/metrics`` body)."""
+        self.target.refresh_gauges()
         return self.registry.render()
 
     @property
     def closed(self) -> bool:
-        with self._store_lock:
+        with self._lock:
             return self._closed
 
     def close(self, drain: bool = True) -> None:
-        """Shut down; pending batcher futures never hang (see batcher docs)."""
-        with self._store_lock:
+        """Shut down: the batcher first (pending futures never hang — see
+        its docs), then whatever the target owns."""
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-        self._batcher.close(drain=drain)
+        if self._batcher is not None:
+            self._batcher.close(drain=drain)
+        self.target.close()
 
     def __enter__(self) -> "SimilarityService":
         return self

@@ -1,17 +1,21 @@
 """Sharded scatter-gather serving tier.
 
-Scales the single-process :class:`~repro.serving.service.SimilarityService`
-past one GIL by splitting the embedding store across N worker
-*processes*, each owning one consistent-hash partition (see
-:mod:`repro.core.partition`) with its own
-:class:`~repro.core.backends.SearchBackend` and an optional encoder
-replica. The parent-side :class:`ShardedService` is the coordinator:
+Scales :class:`~repro.serving.service.SimilarityService` past one GIL by
+splitting the embedding store across N worker *processes*, each owning
+one consistent-hash partition (see :mod:`repro.core.partition`) with its
+own :class:`~repro.core.backends.SearchBackend` and an optional encoder
+replica. The parent side is the same query pipeline over a different
+:class:`~repro.serving.service.SearchTarget`: :class:`ShardedService`
+*is* a ``SimilarityService`` (validation, sanitize mode, admission,
+deadlines, result cache, breaker-guarded micro-batched encoding, metrics
+are inherited, not re-implemented) whose target, ``_ShardTarget``, is
+the coordinator:
 
-* **Queries** encode once (through the same micro-batcher the
-  single-process service uses), fan the query *embedding* out to every
-  shard in parallel, and merge per-shard top-k with the deterministic
-  ``(distance, id)`` order (:func:`~repro.serving.router.merge_top_k`)
-  — so a sharded answer is id-identical to the single-store exact scan.
+* **Queries** arrive as the *embedding* the pipeline already encoded,
+  fan out to every shard in parallel, and merge per-shard top-k with the
+  deterministic ``(distance, id)`` order
+  (:func:`~repro.serving.router.merge_top_k`) — so a sharded answer is
+  id-identical to the single-store exact scan.
 * **Mutations** route to exactly one shard by hashing the trajectory id
   on the ring; the coordinator owns the global id space.
 * **Failures** are per-shard: each worker sits behind its own
@@ -23,7 +27,9 @@ replica. The parent-side :class:`ShardedService` is the coordinator:
   partition/bundle generation in every worker *alongside* the old one
   (requests keep answering from the old), then ``activate`` flips each
   worker and the coordinator's encoder atomically; any prepare failure
-  aborts the whole reload and the old generation keeps serving.
+  aborts the whole reload and the old generation keeps serving. A flip
+  retires the result cache through the same generation bump a mutation
+  does.
 
 Worker protocol (one ``multiprocessing`` pipe per shard, request serial
 per worker): requests are ``(req_id, op, payload)`` tuples, replies are
@@ -33,8 +39,10 @@ throughput model in ``benchmarks/bench_sharded_serving.py``. The parent
 matches replies by ``req_id`` and silently drains stale replies left by
 timed-out calls, so one slow request can never mis-pair a later one.
 Workers are spawned with the ``fork`` start method **before** the
-coordinator starts any threads (micro-batcher, scatter pool) — forking a
-threaded process is undefined behaviour.
+coordinator starts any threads — ``ShardedService`` builds the target
+(which forks) first and only then runs the pipeline's constructor, which
+starts the micro-batcher; forking a threaded process is undefined
+behaviour.
 
 Fault injection: ``request_hooks={shard_id: hook}`` installs an object
 whose ``trigger()`` runs in the worker before each request —
@@ -66,7 +74,6 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _mp_wait
 from pathlib import Path
@@ -77,21 +84,16 @@ import numpy as np
 from ..core.partition import (HashRing, load_partition,
                               load_partition_manifest)
 from ..core.store import EmbeddingStore
-from ..datasets.trajectory import Trajectory
 from ..exceptions import (ConfigurationError, CorruptArtifactError,
-                          DeadlineExceededError, InvalidTrajectoryError,
-                          NotFittedError, PartialWriteError, ReloadError,
+                          PartialWriteError, ReloadError,
                           ReproError, ServiceClosedError,
-                          ServiceOverloadedError, ServiceUnavailableError,
                           ShardUnavailableError)
-from ..resilience.admission import AdmissionGate
 from ..resilience.breaker import CLOSED as _BREAKER_CLOSED
 from ..resilience.breaker import CircuitBreaker
-from .batching import MicroBatcher
 from .bundle import load_bundle_model
-from .metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
+from .metrics import MetricsRegistry
 from .router import group_by_shard, merge_top_k
-from .service import TopKResult
+from .service import SearchTarget, ServingConfig, SimilarityService
 from .wal import (OP_DELETE, OP_INSERT, ShardDurability, ShardWAL,
                   WALGapError, WALTailer)
 
@@ -100,8 +102,6 @@ PathLike = Union[str, Path]
 __all__ = ["ShardedConfig", "ShardedService", "ShardRequestError"]
 
 _LOG = logging.getLogger(__name__)
-
-_DEFAULT = object()  # sentinel: timeout=None means "no deadline"
 
 _BOOT_REQ_ID = 0  # the worker's unsolicited "I'm up" message
 
@@ -117,26 +117,19 @@ class ShardRequestError(ReproError):
 
 
 @dataclass
-class ShardedConfig:
-    """Tunables of the sharded serving tier.
+class ShardedConfig(ServingConfig):
+    """:class:`ServingConfig` plus the sharded tier's own tunables.
+
+    Every inherited field keeps its meaning on the coordinator
+    (``index``/``nlist``/``nprobe`` configure each shard's local
+    backend, and ``index="keep"`` has nothing to keep here); the
+    breaker pair also configures every per-shard transport breaker, and
+    defaults tighter than the single-process service's because a dead
+    worker should drop out of the scatter after a few requests, not
+    thirty seconds.
 
     Attributes
     ----------
-    index:
-        Per-shard search backend: ``"exact"`` or ``"ivf"``.
-    nlist / nprobe:
-        IVF parameters for each shard's local index (``index="ivf"``
-        only). ``nlist=0`` auto-sizes per shard (~sqrt of the shard's
-        row count).
-    max_batch_size / max_wait_ms:
-        Coordinator encoder micro-batcher settings (same semantics as
-        :class:`~repro.serving.service.ServingConfig`).
-    default_k:
-        ``k`` used when a query does not specify one.
-    max_points:
-        Longest trajectory accepted at the boundary (0 disables).
-    max_inflight:
-        Concurrent requests admitted; 0 disables shedding.
     request_timeout_s:
         Per-shard call timeout: a shard that does not answer within this
         window is treated as unavailable for that request (and the
@@ -144,13 +137,6 @@ class ShardedConfig:
     boot_timeout_s:
         How long to wait for a worker to load its partition at startup,
         restart, and reload-prepare.
-    breaker_failure_threshold / breaker_reset_s:
-        Per-shard circuit breaker: consecutive transport failures that
-        open it, and how long it stays open before probing the shard
-        again.
-    default_timeout_s:
-        Per-request deadline when the caller does not pass one
-        (``None`` disables deadlines by default).
     fsync_window_ms:
         Group-commit window for durable tiers: 0 fsyncs on every ack;
         a positive window batches fsyncs, trading up to that much ack
@@ -162,53 +148,24 @@ class ShardedConfig:
         requires ``durable_dir`` on the service. 0 disables replication.
     """
 
-    index: str = "exact"
-    nlist: int = 0
-    nprobe: int = 8
-    max_batch_size: int = 16
-    max_wait_ms: float = 2.0
-    default_k: int = 10
-    max_points: int = 100_000
-    max_inflight: int = 0
-    request_timeout_s: float = 30.0
-    boot_timeout_s: float = 120.0
     breaker_failure_threshold: int = 3
     breaker_reset_s: float = 5.0
-    default_timeout_s: Optional[float] = 30.0
+    request_timeout_s: float = 30.0
+    boot_timeout_s: float = 120.0
     fsync_window_ms: float = 0.0
     wal_segment_bytes: int = 64 << 20
     replicas: int = 0
 
     def __post_init__(self) -> None:
-        if self.index not in ("exact", "ivf"):
+        super().__post_init__()
+        if self.index == "keep":
             raise ConfigurationError(
-                f"index must be 'exact' or 'ivf', got {self.index!r}")
-        if self.nlist < 0:
-            raise ConfigurationError("nlist must be >= 0 (0 = auto)")
-        if self.nprobe < 1:
-            raise ConfigurationError("nprobe must be >= 1")
-        if self.max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ConfigurationError("max_wait_ms must be >= 0")
-        if self.default_k < 1:
-            raise ConfigurationError("default_k must be >= 1")
-        if self.max_points < 0:
-            raise ConfigurationError("max_points must be >= 0")
-        if self.max_inflight < 0:
-            raise ConfigurationError("max_inflight must be >= 0")
+                "index must be 'exact' or 'ivf' on the sharded tier, got "
+                "'keep'")
         if self.request_timeout_s <= 0:
             raise ConfigurationError("request_timeout_s must be positive")
         if self.boot_timeout_s <= 0:
             raise ConfigurationError("boot_timeout_s must be positive")
-        if self.breaker_failure_threshold < 1:
-            raise ConfigurationError("breaker_failure_threshold must be >= 1")
-        if self.breaker_reset_s < 0:
-            raise ConfigurationError("breaker_reset_s must be >= 0")
-        if (self.default_timeout_s is not None
-                and self.default_timeout_s <= 0):
-            raise ConfigurationError(
-                "default_timeout_s must be positive (or None)")
         if self.fsync_window_ms < 0:
             raise ConfigurationError("fsync_window_ms must be >= 0")
         if self.wal_segment_bytes < 4096:
@@ -260,7 +217,7 @@ def _apply_wal_record(store: EmbeddingStore, record) -> List[int]:
     return touched
 
 
-def _recover_durable(shard_id: int, boot: Dict, model, wal_hook,
+def _recover_durable(shard_id: int, boot: Dict, wal_hook,
                      prebuilt_store: Optional[EmbeddingStore] = None
                      ) -> Tuple[EmbeddingStore, Dict]:
     """Recover a durable shard: snapshot (or base partition) + WAL replay.
@@ -278,12 +235,12 @@ def _recover_durable(shard_id: int, boot: Dict, model, wal_hook,
     backend, options = _backend_spec(boot)
     snapshot = dur.snapshot_path()
     if snapshot is not None:
-        store = EmbeddingStore.load(snapshot, model=model, backend=backend,
+        store = EmbeddingStore.load(snapshot, model=None, backend=backend,
                                     **options)
     elif prebuilt_store is not None:
         store = prebuilt_store
     else:
-        store = load_partition(boot["partition_dir"], shard_id, model=model,
+        store = load_partition(boot["partition_dir"], shard_id,
                                backend=backend, **options)
     applied = dur.applied_lsn
     if role == "replica":
@@ -307,28 +264,25 @@ def _recover_durable(shard_id: int, boot: Dict, model, wal_hook,
 
 def _load_generation(shard_id: int, boot: Dict, wal_hook=None,
                      attach_durability: bool = True) -> Dict:
-    """Load one (partition, model) generation from a boot spec.
+    """Load one partition generation from a boot spec.
 
-    ``boot`` keys: ``partition_dir`` (required), ``bundle_dir``
-    (optional encoder replica — ``None`` gives a search-only worker),
+    ``boot`` keys: ``partition_dir`` (required),
     ``index``/``nlist``/``nprobe`` (per-shard backend), and for durable
     tiers ``durable_dir``/``fsync_window_ms``/``wal_segment_bytes``/
     ``role``. ``attach_durability=False`` loads the partition only —
     the reload *prepare* path, which must not touch the WAL the active
-    generation still appends to.
+    generation still appends to. Workers hold no encoder: every
+    embedding they store or search was computed by the coordinator's
+    one breaker-guarded micro-batcher.
     """
-    model = None
-    if boot.get("bundle_dir"):
-        model, _ = load_bundle_model(boot["bundle_dir"])
     if boot.get("durable_dir") and attach_durability:
-        store, dur_state = _recover_durable(shard_id, boot, model, wal_hook)
+        store, dur_state = _recover_durable(shard_id, boot, wal_hook)
     else:
         backend, options = _backend_spec(boot)
-        store = load_partition(boot["partition_dir"], shard_id, model=model,
+        store = load_partition(boot["partition_dir"], shard_id,
                                backend=backend, **options)
         dur_state = None
-    return {"store": store, "model": model, "boot": dict(boot),
-            "dur": dur_state}
+    return {"store": store, "boot": dict(boot), "dur": dur_state}
 
 
 def _shard_worker_main(conn, shard_id: int, boot: Dict, hook,
@@ -389,7 +343,7 @@ def _shard_worker_main(conn, shard_id: int, boot: Dict, hook,
             # The primary truncated past our cursor (snapshot+truncate
             # while we lagged): rebuild from the shared snapshot.
             store, dur_state = _recover_durable(
-                shard_id, active["boot"], active["model"], None)
+                shard_id, active["boot"], None)
             active = {**active, "store": store, "dur": dur_state}
             return {"applied_lsn": dur_state["applied_lsn"],
                     "count": len(store), "rebuilt": True}
@@ -420,8 +374,7 @@ def _shard_worker_main(conn, shard_id: int, boot: Dict, hook,
             applied = dur["tailer"].last_lsn
         except WALGapError:
             boot_p = {**active["boot"], "role": "primary"}
-            store, dur_state = _recover_durable(
-                shard_id, boot_p, active["model"], wal_hook)
+            store, dur_state = _recover_durable(shard_id, boot_p, wal_hook)
             active = {**active, "boot": boot_p, "store": store,
                       "dur": dur_state}
             return {"count": len(store), "next_id": store.next_id,
@@ -473,23 +426,12 @@ def _shard_worker_main(conn, shard_id: int, boot: Dict, hook,
             return [store.query_embedding(e, k) for e in embeddings]
         if op == "insert":
             require_primary(op)
-            ids, kind, data = payload
-            if kind == "embeddings":
-                vectors = np.asarray(data)
-            else:  # trajectories: encode on the worker's model replica
-                model = active["model"]
-                if model is None:
-                    raise NotFittedError(
-                        "shard has no encoder replica (search-only); "
-                        "send embeddings")
-                vectors = model.embed([Trajectory(p) for p in data])
+            ids, vectors = payload
             id_arr = np.asarray(ids, dtype=np.int64)
             fresh = ~store.contains(id_arr)  # idempotent retry: skip dupes
             if fresh.any():
-                log_mutation(OP_INSERT, id_arr[fresh],
-                             np.asarray(vectors)[fresh])
-                store.add_embeddings(np.asarray(vectors)[fresh],
-                                     ids=id_arr[fresh])
+                log_mutation(OP_INSERT, id_arr[fresh], vectors[fresh])
+                store.add_embeddings(vectors[fresh], ids=id_arr[fresh])
             return {"applied": [int(i) for i in id_arr],
                     "count": int(fresh.sum())}
         if op == "delete":
@@ -552,7 +494,7 @@ def _shard_worker_main(conn, shard_id: int, boot: Dict, hook,
             staged = None
             if new["boot"].get("durable_dir"):
                 store2, dur_state = _recover_durable(
-                    shard_id, new["boot"], new["model"], wal_hook,
+                    shard_id, new["boot"], wal_hook,
                     prebuilt_store=new["store"])
                 new = {**new, "store": store2, "dur": dur_state}
             active = new
@@ -800,44 +742,22 @@ class _ShardHandle:
             return self._busy_s
 
 
-class ShardedService:
-    """Scatter-gather coordinator over N shard worker processes.
+class _ShardTarget(SearchTarget):
+    """Scatter-gather :class:`SearchTarget` over N shard worker processes.
 
-    Parameters
-    ----------
-    partition_dir:
-        Directory written by :func:`repro.core.partition.save_partitions`
-        (or ``python -m repro shard-tool split``); fixes the shard count.
-    bundle_dir:
-        Serving bundle whose model becomes the coordinator's encoder and
-        every worker's encoder replica. ``None`` builds a *search-only*
-        tier: ``query_embedding``/``insert_embeddings`` work, trajectory
-        entry points raise :class:`~repro.exceptions.NotFittedError`.
-    config:
-        :class:`ShardedConfig`.
-    request_hooks:
-        ``{shard_id: hook}`` fault-injection hooks; each worker calls
-        ``hook.trigger()`` before every request (see
-        :class:`repro.testing.faults.KillWorkerOnce`).
-    durable_dir:
-        Root directory for per-shard WALs and snapshots. ``None`` keeps
-        the pre-durability behaviour: mutations live only in worker
-        memory and restarts rebuild from the partition files.
-    wal_hooks:
-        ``{shard_id: hook}`` crash-injection hooks fired inside the
-        primary's WAL append path (see
-        :class:`repro.testing.faults.KillAtWALPoint`).
+    Owns what only a sharded tier has: the forked workers and their
+    standbys, failover/promotion, partial answers,
+    :class:`PartialWriteError`, and the global id space. Constructing
+    it forks every worker, so it must happen before the owning process
+    starts a thread (see :class:`ShardedService`).
     """
 
-    def __init__(self, partition_dir: PathLike,
-                 bundle_dir: Optional[PathLike] = None,
-                 config: Optional[ShardedConfig] = None,
-                 request_hooks: Optional[Dict] = None,
-                 durable_dir: Optional[PathLike] = None,
-                 wal_hooks: Optional[Dict] = None):
-        self.config = config or ShardedConfig()
+    def __init__(self, partition_dir: PathLike, config: ShardedConfig,
+                 request_hooks: Optional[Dict],
+                 durable_dir: Optional[PathLike],
+                 wal_hooks: Optional[Dict]):
+        self.config = config
         self.partition_dir = Path(partition_dir)
-        self.bundle_dir = None if bundle_dir is None else Path(bundle_dir)
         self.durable_dir = None if durable_dir is None else Path(durable_dir)
         if self.config.replicas > 0 and self.durable_dir is None:
             raise ConfigurationError(
@@ -845,12 +765,12 @@ class ShardedService:
                 "primary's WAL, which only exists on a durable tier")
         manifest = load_partition_manifest(self.partition_dir)
         self.num_shards = int(manifest["num_shards"])
-        self._dim = int(manifest["embedding_dim"])
+        self.dim = int(manifest["embedding_dim"])
         self._ring = HashRing(self.num_shards,
                               vnodes=int(manifest["vnodes"]))
         hooks = dict(request_hooks or {})
         self._wal_hooks = dict(wal_hooks or {})
-        boot = self._boot_spec(self.partition_dir, self.bundle_dir)
+        boot = self._boot_spec(self.partition_dir)
         # Workers MUST fork before any coordinator thread exists
         # (micro-batcher, scatter pool): forking a threaded process can
         # deadlock the child on locks held by threads that don't exist
@@ -876,32 +796,18 @@ class ShardedService:
             for handle in self._all_handles():
                 handle.close()
             raise
-
-        self.model = None
-        self._batcher = None
-        self.probes: List[Trajectory] = []
-        if self.bundle_dir is not None:
-            self.model, _ = load_bundle_model(self.bundle_dir)
-            if self.model.config.embedding_dim != self._dim:
-                for handle in self._shards:
-                    handle.close()
-                raise ConfigurationError(
-                    f"bundle embedding_dim "
-                    f"{self.model.config.embedding_dim} != partition "
-                    f"manifest {self._dim}")
-        self.registry = MetricsRegistry()
-        self._started = time.monotonic()
         self._lock = threading.Lock()
         self._next_id = int(manifest["next_id"])
         self._count = int(manifest["total_count"])
-        self._generation = 0
-        self._closed = False
-        self._warmed = False
         self._failover_lock = threading.Lock()
-
-        reg = self.registry
-        self._m_queries = reg.counter(
-            "repro_topk_requests_total", "Top-k queries answered.")
+        self._pool = ThreadPoolExecutor(
+            max_workers=max(2, self.num_shards),
+            thread_name_prefix="repro-scatter")
+        if self.durable_dir is not None:
+            # WAL replay may have advanced shards past the partition
+            # manifest's id space; adopt the workers' recovered state.
+            self._resync_id_space()
+        self.registry = reg = MetricsRegistry()
         self._m_partial = reg.counter(
             "repro_partial_answers_total",
             "Top-k answers missing at least one shard.")
@@ -910,39 +816,14 @@ class ShardedService:
         self._m_shard_failures = reg.counter(
             "repro_shard_failures_total",
             "Per-shard transport failures (dead worker, timeout).")
-        self._m_inserts = reg.counter(
-            "repro_inserted_trajectories_total", "Trajectories inserted.")
-        self._m_deletes = reg.counter(
-            "repro_deleted_trajectories_total", "Trajectories deleted.")
-        self._m_errors = reg.counter(
-            "repro_request_errors_total", "Requests that raised.")
-        self._m_shed = reg.counter(
-            "repro_shed_requests_total",
-            "Requests refused by the admission gate (HTTP 429).")
-        self._m_deadline = reg.counter(
-            "repro_deadline_exceeded_total",
-            "Requests dropped because their deadline expired.")
-        self._m_encoder_failures = reg.counter(
-            "repro_encoder_failures_total",
-            "Batched encoder calls that raised.")
-        self._m_breaker_transitions = reg.counter(
-            "repro_breaker_transitions_total",
-            "Circuit-breaker state transitions (encoder + shards).")
         self._m_reloads = reg.counter(
             "repro_reloads_total", "Successful generation flips.")
-        self._h_latency = reg.histogram(
-            "repro_topk_latency_seconds", "End-to-end top-k latency.")
-        self._h_scatter = reg.histogram(
-            "repro_scatter_seconds",
-            "Fan-out + merge time per top-k (excludes encoding).")
-        self._h_encode = reg.histogram(
-            "repro_encode_batch_seconds", "Batched encoder call latency.")
-        self._h_batch_size = reg.histogram(
-            "repro_encode_batch_size", "Trajectories per encoder batch.",
-            buckets=DEFAULT_SIZE_BUCKETS)
         self._m_failovers = reg.counter(
             "repro_failovers_total",
             "Replica promotions after a primary failure.")
+        self._h_scatter = reg.histogram(
+            "repro_scatter_seconds",
+            "Fan-out + merge time per top-k (excludes encoding).")
         self._g_breaker = reg.gauge(
             "repro_shard_breaker_open",
             "1 when the shard's circuit breaker is open/half-open.")
@@ -950,34 +831,11 @@ class ShardedService:
             "repro_wal_fsync_seconds",
             "Duration of the shard's most recent WAL fsync.")
 
-        self._gate = AdmissionGate(self.config.max_inflight)
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            reset_timeout_s=self.config.breaker_reset_s,
-            on_transition=lambda old, new:
-                self._m_breaker_transitions.inc())
-        if self.model is not None:
-            self._batcher = MicroBatcher(
-                self._encode_batch,
-                max_batch_size=self.config.max_batch_size,
-                max_wait_s=self.config.max_wait_ms / 1000.0,
-                on_batch=self._record_batch,
-                name="repro-sharded-encode-batcher")
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(2, self.num_shards),
-            thread_name_prefix="repro-scatter")
-        if self.durable_dir is not None:
-            # WAL replay may have advanced shards past the partition
-            # manifest's id space; adopt the workers' recovered state.
-            self._resync_id_space()
-
     # ---------------------------------------------------- durability plumbing
 
-    def _boot_spec(self, partition_dir: Path,
-                   bundle_dir: Optional[Path]) -> Dict:
+    def _boot_spec(self, partition_dir: Path) -> Dict:
         """The boot dict every worker (primary and replica) forks with."""
         return {"partition_dir": str(partition_dir),
-                "bundle_dir": None if bundle_dir is None else str(bundle_dir),
                 "index": self.config.index, "nlist": self.config.nlist,
                 "nprobe": self.config.nprobe,
                 "durable_dir": (None if self.durable_dir is None
@@ -1006,8 +864,7 @@ class ShardedService:
         post-thread spawns reuse the same (fork) path the existing
         ``restart_shard`` admin action already exercises.
         """
-        boot = {**self._boot_spec(self.partition_dir, self.bundle_dir),
-                "role": "replica"}
+        boot = {**self._boot_spec(self.partition_dir), "role": "replica"}
         return _ShardHandle(
             shard_id, boot, None,
             self.config.breaker_failure_threshold,
@@ -1112,143 +969,7 @@ class ShardedService:
             self._promote(shard_id, handle)
             return self._shards[shard_id].call(op, payload, timeout)
 
-    # ------------------------------------------------------------ encoder path
-
-    def _encode_batch(self, trajectories: List[Trajectory]) -> np.ndarray:
-        if not self.breaker.allow():
-            raise ServiceUnavailableError("encoder circuit breaker is open")
-        try:
-            out = self.model.embed(trajectories,
-                                   batch_size=self.config.max_batch_size)
-        except Exception:
-            self._m_encoder_failures.inc()
-            self.breaker.record_failure()
-            raise
-        self.breaker.record_success()
-        return out
-
-    def _record_batch(self, batch_size: int, seconds: float) -> None:
-        self._h_batch_size.observe(batch_size)
-        self._h_encode.observe(seconds)
-
-    def _require_batcher(self) -> MicroBatcher:
-        if self._batcher is None:
-            raise NotFittedError(
-                "this sharded service has no encoder (no bundle_dir); "
-                "use query_embedding/insert_embeddings")
-        return self._batcher
-
-    def _resolve_deadline(self, timeout):
-        """Map a caller timeout to (timeout_s, monotonic deadline)."""
-        if timeout is _DEFAULT:
-            timeout = self.config.default_timeout_s
-        if timeout is None:
-            return None, None
-        return timeout, time.monotonic() + timeout
-
-    def _as_trajectory(self, trajectory) -> Trajectory:
-        """Boundary validation: anything malformed raises the typed error."""
-        try:
-            traj = (trajectory if isinstance(trajectory, Trajectory)
-                    else Trajectory(trajectory))
-        except InvalidTrajectoryError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise InvalidTrajectoryError(
-                f"not a valid trajectory: {exc}") from exc
-        limit = self.config.max_points
-        if limit and len(traj.points) > limit:
-            raise InvalidTrajectoryError(
-                f"trajectory has {len(traj.points)} points (limit {limit})")
-        return traj
-
-    def embed(self, trajectory, timeout=_DEFAULT) -> np.ndarray:
-        """Embedding of one trajectory via the coordinator's batcher."""
-        batcher = self._require_batcher()
-        try:
-            query = self._as_trajectory(trajectory)
-            timeout, deadline = self._resolve_deadline(timeout)
-            with self._gate.admit("embed"):
-                try:
-                    return batcher(query, timeout=timeout, deadline=deadline)
-                except FuturesTimeoutError as exc:
-                    self._m_deadline.inc()
-                    raise DeadlineExceededError(
-                        f"no embedding within {timeout}s") from exc
-        except ServiceOverloadedError:
-            self._m_shed.inc()
-            self._m_errors.inc()
-            raise
-        except Exception:
-            self._m_errors.inc()
-            raise
-
     # ------------------------------------------------------------- query path
-
-    def top_k(self, trajectory, k: Optional[int] = None,
-              use_cache: bool = True, timeout=_DEFAULT) -> TopKResult:
-        """Scatter-gather top-k for a query trajectory.
-
-        Encodes once, fans the embedding to every shard, merges with the
-        deterministic ``(distance, id)`` order. With all shards healthy
-        the answer is id-identical to a single-store exact scan; when
-        some (but not all) shards are unavailable the answer covers the
-        survivors and is flagged ``partial=True``.
-
-        ``use_cache`` is accepted for transport parity with
-        :class:`~repro.serving.service.SimilarityService` and currently
-        ignored — the coordinator keeps no result cache (per-shard
-        answers are already parallel, and a coordinator cache would need
-        cross-shard generation tracking to invalidate correctly).
-        """
-        start = time.monotonic()
-        try:
-            query = self._as_trajectory(trajectory)
-            if k is None:
-                k = self.config.default_k
-            timeout, deadline = self._resolve_deadline(timeout)
-            batcher = self._require_batcher()
-            with self._gate.admit("top_k"):
-                try:
-                    embedding = batcher(query, timeout=timeout,
-                                        deadline=deadline)
-                except FuturesTimeoutError as exc:
-                    self._m_deadline.inc()
-                    raise DeadlineExceededError(
-                        f"no answer within {timeout}s") from exc
-                return self._scatter_top_k(embedding, k, deadline)
-        except ServiceOverloadedError:
-            self._m_shed.inc()
-            self._m_errors.inc()
-            raise
-        except Exception:
-            self._m_errors.inc()
-            raise
-        finally:
-            self._h_latency.observe(time.monotonic() - start)
-
-    def query_embedding(self, embedding: np.ndarray,
-                        k: Optional[int] = None,
-                        timeout=_DEFAULT) -> TopKResult:
-        """Scatter-gather top-k for an already-computed query embedding."""
-        try:
-            if k is None:
-                k = self.config.default_k
-            embedding = np.asarray(embedding, dtype=np.float64)
-            if embedding.shape != (self._dim,):
-                raise ValueError(
-                    f"expected embedding of shape ({self._dim},), got "
-                    f"{embedding.shape}")
-            _, deadline = self._resolve_deadline(timeout)
-            with self._gate.admit("query_embedding"):
-                return self._scatter_top_k(embedding, k, deadline)
-        except ServiceOverloadedError:
-            self._m_shed.inc()
-            self._m_errors.inc()
-            raise
-        except Exception:
-            self._m_errors.inc()
-            raise
 
     def _call_timeout(self, deadline: Optional[float]) -> float:
         limit = self.config.request_timeout_s
@@ -1265,20 +986,15 @@ class ShardedService:
         answered; ``failed`` lists shards that were unavailable
         (transport failures only — a worker-side exception propagates as
         :class:`ShardRequestError`)."""
-        # Unlocked fast-fail: _closed flips once, under _lock, in close();
-        # a scatter racing the flip either errors here or fails on the
-        # closed worker pipes — both surface ServiceClosedError. Taking
-        # _lock on every scatter would serialise the hot path for a
-        # shutdown-only check.
-        # repro: disable=lockset
-        if self._closed:
-            raise ServiceClosedError("sharded service is closed")
         targets = (range(self.num_shards) if shard_ids is None
                    else list(shard_ids))
         timeout = self._call_timeout(deadline)
-        futures = {s: self._pool.submit(self._shard_call, s, op, payload,
-                                        timeout)
-                   for s in targets}
+        try:
+            futures = {s: self._pool.submit(self._shard_call, s, op, payload,
+                                            timeout)
+                       for s in targets}
+        except RuntimeError as exc:  # close() shut the pool down
+            raise ServiceClosedError("sharded service is closed") from exc
         results: Dict[int, object] = {}
         failed: List[int] = []
         error: Optional[ShardRequestError] = None
@@ -1295,136 +1011,95 @@ class ShardedService:
             raise error
         return results, failed
 
-    def _scatter_top_k(self, embedding: np.ndarray, k: int,
-                       deadline: Optional[float]) -> TopKResult:
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) \
-                or k < 1:
-            raise ValueError(f"k must be a positive integer, got {k!r}")
+    def search(self, embedding, k, deadline):
+        """Encode-free half of a top-k: fan out, merge by ``(distance,
+        id)``; shards that dropped out make the answer ``partial``."""
         start = time.monotonic()
-        results, failed = self._scatter("search", (embedding, int(k)),
-                                        deadline)
+        results, failed = self._scatter("search", (embedding, k), deadline)
         if not results:
             raise ShardUnavailableError(
                 f"all {self.num_shards} shards unavailable")
-        ids, distances = merge_top_k(list(results.values()), int(k))
+        ids, distances = merge_top_k(list(results.values()), k)
         self._h_scatter.observe(time.monotonic() - start)
-        partial = bool(failed)
-        if partial:
+        if failed:
             self._m_partial.inc()
             _LOG.warning("partial top-k: shards %s unavailable", failed)
-        self._m_queries.inc()
-        return TopKResult(ids=[int(i) for i in ids],
-                          distances=[float(d) for d in distances],
-                          partial=partial)
+        return ids, distances, bool(failed)
 
     # --------------------------------------------------------------- mutation
 
-    def insert(self, trajectories: Sequence) -> List[int]:
-        """Encode + insert trajectories; returns their assigned ids.
+    def _route(self, op: str, ids: List[int], payload_for,
+               timeout: float) -> "Tuple[List[Dict], List[int]]":
+        """Send each owning shard its slice of an id batch, serially.
 
-        Each trajectory routes to the single shard owning its id on the
-        hash ring. Embeddings are computed once on the coordinator (the
-        workers' replicas serve reloads and trajectory-payload inserts
-        from other clients)."""
-        items = [self._as_trajectory(t) for t in trajectories]
-        if not items:
-            return []
-        batcher = self._require_batcher()
-        timeout, deadline = self._resolve_deadline(_DEFAULT)
-        futures = [batcher.submit(t, deadline=deadline) for t in items]
-        embeddings = np.stack([f.result(timeout=timeout) for f in futures])
-        return self.insert_embeddings(embeddings, deadline=deadline)
-
-    def insert_embeddings(self, embeddings: np.ndarray,
-                          deadline: Optional[float] = None) -> List[int]:
-        """Insert precomputed embedding rows; returns their assigned ids."""
-        embeddings = np.asarray(embeddings, dtype=np.float64)
-        if embeddings.ndim != 2 or embeddings.shape[1] != self._dim:
-            raise ValueError(
-                f"expected embeddings of shape (n, {self._dim}), got "
-                f"{embeddings.shape}")
-        if embeddings.shape[0] == 0:
-            return []
-        with self._lock:
-            assigned = list(range(self._next_id,
-                                  self._next_id + embeddings.shape[0]))
-            self._next_id += embeddings.shape[0]
-        groups = group_by_shard(self._ring, assigned)
-        inserted = 0
-        applied: List[int] = []
+        ``payload_for(positions)`` builds one shard's payload from its
+        positions in ``ids``. Returns ``(worker results, unreachable
+        shards)``; shards that applied their slice have already nudged
+        their standbys.
+        """
+        results: List[Dict] = []
         failed: List[int] = []
-        for shard_id, positions in groups.items():
-            ids = [assigned[p] for p in positions]
-            payload = (ids, "embeddings", embeddings[positions])
+        for shard_id, positions in group_by_shard(self._ring, ids).items():
             try:
-                result = self._shard_call(shard_id, "insert", payload,
-                                          self._call_timeout(deadline))
+                results.append(self._shard_call(
+                    shard_id, op, payload_for(positions), timeout))
             except ShardUnavailableError:
                 self._m_shard_failures.inc()
                 failed.append(shard_id)
                 continue
-            inserted += int(result["count"])
-            applied.extend(int(i) for i in result["applied"])
             self._tail_replicas(shard_id)
+        return results, failed
+
+    def insert_embeddings(self, embeddings, trajectories, deadline):
+        """Each row routes to the single shard owning its (coordinator-
+        assigned) id on the hash ring."""
+        with self._lock:
+            assigned = list(range(self._next_id,
+                                  self._next_id + embeddings.shape[0]))
+            self._next_id += embeddings.shape[0]
+        results, failed = self._route(
+            "insert", assigned,
+            lambda positions: ([assigned[p] for p in positions],
+                               embeddings[positions]),
+            self._call_timeout(deadline))
+        inserted = sum(int(r["count"]) for r in results)
         with self._lock:
             self._count += inserted
-            self._generation += 1
-        self._m_inserts.inc(inserted)
         if failed:
             # Only count durably applied sub-batches; the caller can
             # retry the whole batch — re-sent ids no-op at the shard.
             raise PartialWriteError(
                 f"insert lost rows owned by unavailable shard(s) {failed} "
                 f"({inserted} of {len(assigned)} rows inserted)",
-                applied_ids=applied)
+                applied_ids=[int(i) for r in results for i in r["applied"]])
         return assigned
 
-    def delete(self, ids: Sequence[int]) -> int:
-        """Remove entries by id; returns how many were removed."""
-        id_list = [int(i) for i in ids]
-        if not id_list:
-            return 0
-        groups = group_by_shard(self._ring, id_list)
-        removed = 0
-        deleted_ids: List[int] = []
-        failed: List[int] = []
-        for shard_id, positions in groups.items():
-            owned = [id_list[p] for p in positions]
-            try:
-                result = self._shard_call(shard_id, "delete", owned,
-                                          self.config.request_timeout_s)
-            except ShardUnavailableError:
-                self._m_shard_failures.inc()
-                failed.append(shard_id)
-                continue
-            removed += int(result["removed"])
-            deleted_ids.extend(int(i) for i in result["ids"])
-            self._tail_replicas(shard_id)
+    def delete(self, ids):
+        results, failed = self._route(
+            "delete", ids, lambda positions: [ids[p] for p in positions],
+            self.config.request_timeout_s)
+        removed = sum(int(r["removed"]) for r in results)
         with self._lock:
             self._count -= removed
-            self._generation += 1
-        self._m_deletes.inc(removed)
         if failed:
             raise PartialWriteError(
                 f"delete could not reach shard(s) {failed} "
                 f"({removed} rows removed elsewhere)",
-                applied_ids=deleted_ids)
+                applied_ids=[int(i) for r in results for i in r["ids"]])
         return removed
 
     # ----------------------------------------------------------- maintenance
 
-    def compact(self) -> Dict[int, bool]:
+    def compact(self):
         """Fold pending inserts/tombstones on every shard's index.
 
-        Returns ``{shard: compacted}`` — ``False`` means the shard's
-        backend has nothing to compact (exact scan). Unavailable shards
-        are omitted (compaction is advisory; they compact on restart).
-
-        On a durable tier this also folds each shard's live store into a
-        fresh checksummed snapshot generation and truncates its WAL;
-        replicas are caught up *first* so truncation cannot strand them
-        mid-log (a lagging replica that still misses records rebuilds
-        from the new snapshot via the WAL-gap path).
+        Unavailable shards are omitted (compaction is advisory; they
+        compact on restart). On a durable tier this also folds each
+        shard's live store into a fresh checksummed snapshot generation
+        and truncates its WAL; replicas are caught up *first* so
+        truncation cannot strand them mid-log (a lagging replica that
+        still misses records rebuilds from the new snapshot via the
+        WAL-gap path).
         """
         if self.durable_dir is not None:
             for shard_id in range(self.num_shards):
@@ -1433,27 +1108,13 @@ class ShardedService:
         return {s: (bool(v["compacted"]) if isinstance(v, dict) else bool(v))
                 for s, v in results.items()}
 
-    def reload(self, partition_dir: Optional[PathLike] = None,
-               bundle_dir: Optional[PathLike] = None) -> Dict:
-        """Zero-downtime flip to a new partition/bundle generation.
-
-        Two phases: every worker *prepares* (loads the new generation
-        alongside the one still serving), then every worker *activates*
-        (atomic in-worker swap; the worker is serial, so no request ever
-        sees a half-flipped store) and the coordinator swaps its own
-        encoder and id state. Any prepare failure aborts everywhere and
-        the old generation keeps serving — :class:`ReloadError`.
-
-        The shard count is fixed for the life of the tier; resharding is
-        the offline ``shard-tool split`` + restart path.
-        """
+    def reload(self, partition_dir: Optional[PathLike]) -> Dict:
+        """Two-phase flip of every worker onto ``partition_dir`` (default:
+        re-read the current one); see :meth:`ShardedService.reload`."""
         with self._failover_lock:
-            current_partition, current_bundle = (self.partition_dir,
-                                                 self.bundle_dir)
+            current_partition = self.partition_dir
         new_partition = (current_partition if partition_dir is None
                          else Path(partition_dir))
-        new_bundle = (current_bundle if bundle_dir is None
-                      else Path(bundle_dir))
         try:
             manifest = load_partition_manifest(new_partition)
         except CorruptArtifactError as exc:
@@ -1463,17 +1124,11 @@ class ShardedService:
             raise ReloadError(
                 f"cannot reload across shard counts ({manifest['num_shards']}"
                 f" != {self.num_shards}); run shard-tool split + restart")
-        if int(manifest["embedding_dim"]) != self._dim:
+        if int(manifest["embedding_dim"]) != self.dim:
             raise ReloadError(
                 f"new partitions have embedding_dim "
-                f"{manifest['embedding_dim']}, serving {self._dim}")
-        new_model = None
-        if new_bundle is not None:
-            new_model, _ = load_bundle_model(new_bundle)
-            if new_model.config.embedding_dim != self._dim:
-                raise ReloadError(
-                    "new bundle's embedding_dim does not match the tier")
-        boot = self._boot_spec(new_partition, new_bundle)
+                f"{manifest['embedding_dim']}, serving {self.dim}")
+        boot = self._boot_spec(new_partition)
 
         prepared, failed = self._scatter("prepare", boot, None)
         if failed or len(prepared) < self.num_shards:
@@ -1512,29 +1167,17 @@ class ShardedService:
                                  "failed: %s", shard_id, exc)
         with self._failover_lock:
             # A failover racing the reload must spawn its standby from
-            # the *new* generation's boot spec, never a torn pair.
+            # the *new* generation's boot spec.
             self.partition_dir = new_partition
-            self.bundle_dir = new_bundle
-        if new_model is not None:
-            self.model = new_model
         with self._lock:
             self._next_id = max(self._next_id, int(manifest["next_id"]))
             self._count = int(manifest["total_count"])
-            self._generation += 1
-            generation = self._generation
         self._m_reloads.inc()
-        return {"generation": generation,
-                "partition_dir": str(new_partition),
+        return {"partition_dir": str(new_partition),
                 "activated": sorted(activated),
                 "total_count": int(manifest["total_count"])}
 
     def restart_shard(self, shard_id: int) -> Dict:
-        """Respawn one worker from its current boot spec (admin path).
-
-        On a durable tier the restarted worker recovers snapshot + WAL,
-        and the coordinator re-adopts its id space so recovered rows
-        survive the restart id-identically.
-        """
         if not 0 <= shard_id < self.num_shards:
             raise ValueError(f"no shard {shard_id}")
         self._shards[shard_id].restart()
@@ -1544,77 +1187,23 @@ class ShardedService:
 
     # ------------------------------------------------------------- lifecycle
 
-    def synthetic_probe(self) -> Trajectory:
-        """A short trajectory through the centre of the encoder's grid."""
-        if self.model is None:
-            raise NotFittedError(
-                "a search-only sharded service has no encoder grid")
-        encoder = self.model._require_fitted()
-        xmin, ymin, xmax, ymax = encoder.grid.bbox
-        cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
-        step = encoder.grid.cell_size
-        return Trajectory([[cx - step, cy], [cx, cy], [cx + step, cy]])
+    def readiness_checks(self):
+        """Every shard up and answering."""
+        shards = {f"shard_{h.shard_id}_alive": h.alive for h in self._shards}
+        return {"all_shards_alive": all(shards.values()), **shards}
 
-    def warmup(self, queries: int = 4) -> int:
-        """Touch every shard through the full scatter path; returns count."""
-        rng = np.random.default_rng(0)
-        served = 0
-        for _ in range(max(1, queries)):
-            self.query_embedding(rng.standard_normal(self._dim), k=1)
-            served += 1
-        with self._lock:
-            self._warmed = True
-        return served
-
-    def readiness(self) -> Dict:
-        """Readiness checks for ``/readyz``: every shard up and answering."""
-        shard_checks = {f"shard_{h.shard_id}_alive": h.alive
-                        for h in self._shards}
-        with self._lock:
-            warmed = self._warmed
-            closed = self._closed
-        checks = {
-            "store_nonempty": self.size() > 0,
-            "warmed": warmed,
-            "all_shards_alive": all(shard_checks.values()),
-            "accepting_requests": not closed,
-        }
-        checks.update(shard_checks)
-        ready = (checks["store_nonempty"] and checks["warmed"]
-                 and checks["all_shards_alive"]
-                 and checks["accepting_requests"])
-        return {"ready": ready, "checks": checks}
-
-    def size(self) -> int:
+    def size(self):
         """Total rows across all shards (coordinator-tracked)."""
         with self._lock:
             return self._count
 
-    @property
-    def ring(self) -> HashRing:
-        """The id-routing ring (identical to shard-tool split's)."""
-        return self._ring
-
-    @property
-    def shards(self) -> List[_ShardHandle]:
-        """Per-shard handles — a read-only diagnostics surface."""
-        return list(self._shards)
-
-    def shard_busy_seconds(self) -> List[float]:
-        """Cumulative worker-side busy time per shard (bench input)."""
-        return [h.busy_seconds() for h in self._shards]
-
-    def stats(self) -> Dict:
-        """JSON-friendly operational snapshot (also the ``/v1/stats`` body)."""
+    def stats(self):
         shard_stats = [h.stats() for h in self._shards]
         with self._lock:
             size, next_id = self._count, self._next_id
-            generation = self._generation
         worker_stats, _ = self._scatter("stats", None, None)
         return {
             "store": {"size": size, "next_id": next_id,
-                      "generation": generation,
-                      "embedding_dim": self._dim,
                       "sharding": {
                           "num_shards": self.num_shards,
                           "ring_vnodes": self._ring.vnodes,
@@ -1623,12 +1212,6 @@ class ShardedService:
                           "workers": {str(s): w for s, w in
                                       sorted(worker_stats.items())},
                       }},
-            "batcher": (None if self._batcher is None
-                        else self._batcher.stats()),
-            "resilience": {
-                "encoder_breaker": self.breaker.stats(),
-                "admission": self._gate.stats(),
-            },
             "durability": {
                 "durable_dir": (None if self.durable_dir is None
                                 else str(self.durable_dir)),
@@ -1640,48 +1223,153 @@ class ShardedService:
                     for s, standbys in sorted(self._replicas.items())
                     if standbys},
             },
-            "readiness": self.readiness(),
-            "uptime_seconds": time.monotonic() - self._started,
-            "metrics": self.registry.snapshot(),
         }
 
-    def render_metrics(self) -> str:
-        """Prometheus text exposition (the ``/metrics`` body)."""
+    def refresh_gauges(self):
         for handle in self._shards:
             is_open = handle.breaker.state != _BREAKER_CLOSED
             self._g_breaker.set(1.0 if is_open else 0.0,
                                 shard=str(handle.shard_id))
-        if self.durable_dir is not None and not self._closed:
-            try:
-                worker_stats, _ = self._scatter("stats", None, None)
-            except (ReproError, OSError) as exc:
-                _LOG.warning("metrics: worker stats scatter failed: %s", exc)
-                worker_stats = {}
-            for s, report in worker_stats.items():
-                wal = (report.get("durability") or {}).get("wal") or {}
-                if "last_fsync_seconds" in wal:
-                    self._g_fsync.set(float(wal["last_fsync_seconds"]),
-                                      shard=str(s))
-        return self.registry.render()
+        if self.durable_dir is None:
+            return
+        try:
+            worker_stats, _ = self._scatter("stats", None, None)
+        except (ReproError, OSError) as exc:
+            _LOG.warning("metrics: worker stats scatter failed: %s", exc)
+            return
+        for s, report in worker_stats.items():
+            wal = (report.get("durability") or {}).get("wal") or {}
+            if "last_fsync_seconds" in wal:
+                self._g_fsync.set(float(wal["last_fsync_seconds"]),
+                                  shard=str(s))
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self, drain: bool = True) -> None:
-        """Shut the tier down: batcher, scatter pool, then every worker."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        if self._batcher is not None:
-            self._batcher.close(drain=drain)
+    def close(self):
+        """Scatter pool first, then every worker (standbys included)."""
         self._pool.shutdown(wait=True)
         for handle in self._all_handles():
             handle.close()
 
-    def __enter__(self) -> "ShardedService":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+def _load_encoder(bundle_dir: Optional[Path], dim: int):
+    """The coordinator's encoder from ``bundle_dir`` (``None`` in, ``None``
+    out: a search-only tier), checked against the partitions' ``dim``."""
+    if bundle_dir is None:
+        return None
+    model, _ = load_bundle_model(bundle_dir)
+    if model.config.embedding_dim != dim:
+        raise ConfigurationError(
+            f"bundle embedding_dim {model.config.embedding_dim} != "
+            f"partition manifest {dim}")
+    return model
+
+
+class ShardedService(SimilarityService):
+    """:class:`SimilarityService` over N shard worker processes.
+
+    The whole request path — validation, sanitize mode, admission,
+    deadlines, the result cache, breaker-guarded micro-batched encoding,
+    ``stats``/``readiness``/metrics, ``close`` — is the inherited one;
+    this class only builds the scatter-gather target and adds the
+    operations a single store has no use for.
+
+    Parameters
+    ----------
+    partition_dir:
+        Directory written by :func:`repro.core.partition.save_partitions`
+        (or ``python -m repro shard-tool split``); fixes the shard count.
+    bundle_dir:
+        Serving bundle whose model becomes the coordinator's encoder
+        (workers only ever see embeddings). ``None`` builds a
+        *search-only* tier: ``query_embedding``/``insert_embeddings``
+        work, trajectory entry points raise
+        :class:`~repro.exceptions.NotFittedError`.
+    config:
+        :class:`ShardedConfig`.
+    request_hooks:
+        ``{shard_id: hook}`` fault-injection hooks; each worker calls
+        ``hook.trigger()`` before every request (see
+        :class:`repro.testing.faults.KillWorkerOnce`).
+    durable_dir:
+        Root directory for per-shard WALs and snapshots. ``None`` keeps
+        the pre-durability behaviour: mutations live only in worker
+        memory and restarts rebuild from the partition files.
+    wal_hooks:
+        ``{shard_id: hook}`` crash-injection hooks fired inside the
+        primary's WAL append path (see
+        :class:`repro.testing.faults.KillAtWALPoint`).
+    """
+
+    def __init__(self, partition_dir: PathLike,
+                 bundle_dir: Optional[PathLike] = None,
+                 config: Optional[ShardedConfig] = None,
+                 request_hooks: Optional[Dict] = None,
+                 durable_dir: Optional[PathLike] = None,
+                 wal_hooks: Optional[Dict] = None):
+        config = config or ShardedConfig()
+        # Fork-before-threads: the target forks every worker here; the
+        # first coordinator thread (the micro-batcher) only starts in
+        # super().__init__ below.
+        target = _ShardTarget(partition_dir, config, request_hooks,
+                              durable_dir, wal_hooks)
+        try:
+            self.bundle_dir = None if bundle_dir is None else Path(bundle_dir)
+            super().__init__(_load_encoder(self.bundle_dir, target.dim),
+                             target, config)
+        except Exception:
+            target.close()  # primaries *and* standbys: nothing survives
+            raise
+        self.num_shards = target.num_shards
+
+    def reload(self, partition_dir: Optional[PathLike] = None,
+               bundle_dir: Optional[PathLike] = None) -> Dict:
+        """Zero-downtime flip to a new partition/bundle generation.
+
+        Two phases: every worker *prepares* (loads the new generation
+        alongside the one still serving), then every worker *activates*
+        (atomic in-worker swap; the worker is serial, so no request ever
+        sees a half-flipped store) and the coordinator swaps its own
+        encoder and id state and retires the result cache. Any prepare
+        failure aborts everywhere and the old generation keeps serving —
+        :class:`ReloadError`.
+
+        The shard count is fixed for the life of the tier; resharding is
+        the offline ``shard-tool split`` + restart path.
+        """
+        bundle = self.bundle_dir if bundle_dir is None else Path(bundle_dir)
+        try:
+            new_model = _load_encoder(bundle, self.target.dim)
+        except ConfigurationError as exc:
+            raise ReloadError(str(exc)) from exc
+        report = self.target.reload(partition_dir)
+        self.bundle_dir = bundle
+        if new_model is not None:
+            self._adopt_model(new_model)
+        report["generation"] = self._bump_generation()
+        return report
+
+    def restart_shard(self, shard_id: int) -> Dict:
+        """Respawn one worker from its current boot spec (admin path).
+
+        On a durable tier the restarted worker recovers snapshot + WAL,
+        and the coordinator re-adopts its id space so recovered rows
+        survive the restart id-identically; without one the worker
+        rebuilds from its partition file, so cached answers are retired
+        either way.
+        """
+        stats = self.target.restart_shard(shard_id)
+        self._bump_generation()
+        return stats
+
+    @property
+    def ring(self) -> HashRing:
+        """The id-routing ring (identical to shard-tool split's)."""
+        return self.target._ring
+
+    @property
+    def shards(self) -> List[_ShardHandle]:
+        """Per-shard handles — a read-only diagnostics surface."""
+        return list(self.target._shards)
+
+    def shard_busy_seconds(self) -> List[float]:
+        """Cumulative worker-side busy time per shard (bench input)."""
+        return [h.busy_seconds() for h in self.target._shards]

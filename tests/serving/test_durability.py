@@ -72,7 +72,7 @@ class _Tracker:
         return self.acked_inserted - self.acked_deleted
 
     def record_insert(self, service, rows):
-        base = service._next_id
+        base = service.target._next_id
         intended = list(range(base, base + len(rows)))
         for offset, row_id in enumerate(intended):
             self.embedding[row_id] = rows[offset]
@@ -83,7 +83,7 @@ class _Tracker:
         except PartialWriteError as exc:
             applied = set(int(i) for i in exc.applied_ids)
             self.acked_inserted.update(applied)
-            groups = group_by_shard(service._ring, intended)
+            groups = group_by_shard(service.target._ring, intended)
             for positions in groups.values():
                 batch = frozenset(intended[p] for p in positions)
                 if not batch & applied:
@@ -97,7 +97,7 @@ class _Tracker:
         except PartialWriteError as exc:
             applied = set(int(i) for i in exc.applied_ids)
             self.acked_deleted.update(applied)
-            groups = group_by_shard(service._ring, ids)
+            groups = group_by_shard(service.target._ring, ids)
             for positions in groups.values():
                 batch = frozenset(ids[p] for p in positions)
                 if not batch & applied:
@@ -118,15 +118,15 @@ def _workload(service, tracker, rng, round_no=0):
 
 def _present_ids(service):
     present = set()
-    for handle in service._shards:
+    for handle in service.target._shards:
         present.update(handle.call("ids", None, TIMEOUT))
     return present
 
 
 def _restart_dead_shards(service):
     for shard_id in range(service.num_shards):
-        if not service._shards[shard_id].alive or \
-                service._shards[shard_id].breaker.state != "closed":
+        if not service.target._shards[shard_id].alive or \
+                service.target._shards[shard_id].breaker.state != "closed":
             service.restart_shard(shard_id)
 
 
@@ -258,7 +258,7 @@ def test_replica_failover_mid_stream_keeps_acked_writes(tmp_path):
         tracker.record_delete(service, sorted(tracker.live_acked())[:3])
         assert not tracker.pending
 
-        primary = service._shards[0]
+        primary = service.target._shards[0]
         pid = primary._proc.pid
         os.kill(pid, signal.SIGKILL)
 
@@ -268,7 +268,7 @@ def test_replica_failover_mid_stream_keeps_acked_writes(tmp_path):
         got = service.query_embedding(q, k=10)
         assert got.partial is False
         assert service.stats()["durability"]["failovers"] == 1
-        assert service._shards[0]._proc.pid != pid
+        assert service.target._shards[0]._proc.pid != pid
         _check_contract(service, tracker)
 
         # Writes keep flowing through the promoted primary, and a
@@ -276,10 +276,10 @@ def test_replica_failover_mid_stream_keeps_acked_writes(tmp_path):
         tracker.record_insert(service, make_embeddings(4, seed=301))
         assert not tracker.pending
         _check_contract(service, tracker)
-        assert len(service._replicas[0]) == 1
+        assert len(service.target._replicas[0]) == 1
 
         # Kill the promoted primary too: the replacement takes over.
-        os.kill(service._shards[0]._proc.pid, signal.SIGKILL)
+        os.kill(service.target._shards[0]._proc.pid, signal.SIGKILL)
         got = service.query_embedding(q, k=10)
         assert got.partial is False
         assert service.stats()["durability"]["failovers"] == 2
@@ -296,11 +296,11 @@ def test_partial_write_reports_exactly_the_applied_ids(tmp_path):
     service = ShardedService(part_dir, config=_config(),
                              durable_dir=tmp_path / "durable")
     try:
-        os.kill(service._shards[1]._proc.pid, signal.SIGKILL)
-        base = service._next_id
+        os.kill(service.target._shards[1]._proc.pid, signal.SIGKILL)
+        base = service.target._next_id
         rows = make_embeddings(8, seed=500)
         intended = list(range(base, base + len(rows)))
-        groups = group_by_shard(service._ring, intended)
+        groups = group_by_shard(service.target._ring, intended)
         with pytest.raises(PartialWriteError) as excinfo:
             service.insert_embeddings(rows)
         live_ids = sorted(intended[p] for p in groups.get(0, []))
@@ -319,7 +319,8 @@ def test_partial_write_reports_exactly_the_applied_ids(tmp_path):
 def _present_ids_live(service, shard_ids):
     present = set()
     for shard_id in shard_ids:
-        present.update(service._shards[shard_id].call("ids", None, TIMEOUT))
+        present.update(
+            service.target._shards[shard_id].call("ids", None, TIMEOUT))
     return present
 
 
@@ -337,14 +338,14 @@ def test_cold_restart_is_id_identical_including_id_space(tmp_path):
     compacted = service.compact()  # snapshot + WAL truncation path
     assert set(compacted) == {0, 1}
     tracker.record_insert(service, make_embeddings(5, seed=601))
-    next_id = service._next_id
+    next_id = service.target._next_id
     q = make_embeddings(1, seed=602)[0]
     want = service.query_embedding(q, k=12)
     service.close()
 
     revived = ShardedService(part_dir, config=config, durable_dir=durable)
     try:
-        assert revived._next_id == next_id
+        assert revived.target._next_id == next_id
         got = revived.query_embedding(q, k=12)
         assert got.ids == want.ids
         np.testing.assert_allclose(got.distances, want.distances, rtol=1e-6)
@@ -354,6 +355,26 @@ def test_cold_restart_is_id_identical_including_id_space(tmp_path):
         assert assigned == [next_id, next_id + 1]
     finally:
         revived.close()
+
+
+def test_failed_constructor_leaves_no_worker_behind(tmp_path, bundle_dir):
+    """A coordinator that fails after forking closes standbys too."""
+    import json
+    import multiprocessing
+
+    from repro.exceptions import ConfigurationError
+
+    part_dir, _, _ = _make_partitions(tmp_path)
+    manifest = part_dir / "PARTITIONS.json"
+    claimed = json.loads(manifest.read_text())
+    claimed["embedding_dim"] = DIM + 1  # workers boot; the bundle disagrees
+    manifest.write_text(json.dumps(claimed))
+    before = set(multiprocessing.active_children())
+    with pytest.raises(ConfigurationError, match="embedding_dim"):
+        ShardedService(part_dir, bundle_dir=bundle_dir,
+                       config=_config(replicas=1),
+                       durable_dir=tmp_path / "durable")
+    assert set(multiprocessing.active_children()) <= before
 
 
 # ------------------------------------------------------- HTTP admin restart
@@ -367,12 +388,12 @@ def test_http_admin_restart_recovers_a_killed_shard(tmp_path):
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     try:
-        os.kill(service._shards[0]._proc.pid, signal.SIGKILL)
+        os.kill(service.target._shards[0]._proc.pid, signal.SIGKILL)
         request = urllib.request.Request(srv.url + "/admin/restart/0",
                                          data=b"", method="POST")
         with urllib.request.urlopen(request, timeout=TIMEOUT) as response:
             assert response.status == 200
-        assert service._shards[0].alive
+        assert service.target._shards[0].alive
         got = service.query_embedding(make_embeddings(1, seed=700)[0], k=5)
         assert got.partial is False
 

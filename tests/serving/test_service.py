@@ -166,6 +166,49 @@ def test_concurrent_queries_match_serial_quick(service, serving_world,
         assert got == expected
 
 
+def test_insert_encodes_on_the_batcher_thread(serving_world, fresh_store,
+                                              monkeypatch):
+    """Every encoder call — for inserts too — runs on the one batcher
+    thread, so ``no_grad``'s process-global flag is never entered from
+    two threads at once (an interleaved enter/enter/exit/exit would
+    leave grad disabled) and no O(L) encode holds the store lock."""
+    from repro.nn.tensor import is_grad_enabled
+
+    model, items = serving_world
+    callers = []
+    real_embed = model.embed
+
+    def recording_embed(trajectories, batch_size=128):
+        callers.append(threading.current_thread().name)
+        return real_embed(trajectories, batch_size=batch_size)
+
+    # On the instance, so the store's own reference to the model sees it.
+    monkeypatch.setattr(model, "embed", recording_embed)
+    svc = SimilarityService(model, fresh_store,
+                            ServingConfig(max_wait_ms=0.5))
+    try:
+        def inserter():
+            for traj in items[16:20]:
+                svc.insert([traj])
+
+        def reader():
+            for traj in items[:8]:
+                svc.top_k(traj, k=3, use_cache=False)
+
+        threads = [threading.Thread(target=inserter),
+                   threading.Thread(target=reader)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        svc.close()
+    assert len(fresh_store) == 20
+    assert callers and set(callers) == {"repro-encode-batcher"}
+    assert is_grad_enabled()
+
+
 @pytest.mark.serving
 def test_concurrent_queries_match_serial_16_clients(serving_world,
                                                     fresh_store):
