@@ -26,10 +26,12 @@
 #      incremental encoding and reopen, freshness/speedup floors
 #      (BENCH_streaming.json)
 #  10. system benchmark guard — the harness's own tests, then one quick
-#      traced run each of http_topk and sharded_mixed: every oracle
-#      check passes and every span target still resolves
-#      (trace.missing = 0), so a serving refactor cannot silently
-#      orphan what benchmarks/system measures. Not a timing gate.
+#      traced run each of http_topk, sharded_mixed and stream_ingest
+#      (six of the tracer's targets are exercised by stream_ingest
+#      alone): every oracle check passes and every span target still
+#      resolves (trace.missing = 0), so a serving or streaming refactor
+#      cannot silently orphan what benchmarks/system measures. Not a
+#      timing gate.
 #
 # Usage: scripts/ci.sh [pytest args...]
 set -euo pipefail
@@ -77,7 +79,7 @@ python scripts/check_bench_regression.py --only streaming
 
 echo "==> system benchmark guard (harness tests + quick traced runs)"
 python -m pytest -q benchmarks/system/tests
-for workload in http_topk sharded_mixed; do
+for workload in http_topk sharded_mixed stream_ingest; do
     python benchmarks/system/run.py --workload "$workload" --quick \
         --trace 1 --seconds 3 | tail -n 1 | python -c '
 import json, sys

@@ -24,6 +24,7 @@ keep the default and only buy atomicity.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -34,7 +35,17 @@ import numpy as np
 PathLike = Union[str, Path]
 
 __all__ = ["atomic_replace", "atomic_write_bytes", "atomic_write_text",
-           "atomic_write_json", "atomic_savez", "fsync_file", "fsync_dir"]
+           "atomic_write_json", "atomic_savez", "fsync_file", "fsync_dir",
+           "sha256_file"]
+
+
+def sha256_file(path: PathLike, chunk_bytes: int = 1 << 20) -> str:
+    """Hex sha256 of a file's bytes — the digest every manifest records."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(chunk_bytes), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def fsync_file(path: PathLike) -> None:

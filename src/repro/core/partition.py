@@ -29,7 +29,6 @@ Layout::
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from pathlib import Path
@@ -38,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..exceptions import CorruptArtifactError
-from .atomicio import atomic_savez, atomic_write_text
+from .atomicio import atomic_savez, atomic_write_text, sha256_file
 from .store import EmbeddingStore
 
 PathLike = Union[str, Path]
@@ -141,24 +140,6 @@ def partition_file_name(shard_id: int) -> str:
     return f"partition-{shard_id:04d}.npz"
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _atomic_savez(path: Path, **arrays) -> None:
-    """Uncompressed ``np.savez`` via tmp-file + atomic rename.
-
-    Uncompressed on purpose: partition files at the 1M-row scale are
-    hundreds of MB of near-incompressible floats, and zlib would
-    dominate split/reload time for a few percent of size.
-    """
-    atomic_savez(path, compressed=False, **arrays)
-
-
 def save_partitions(out_dir: PathLike, ids: np.ndarray,
                     embeddings: np.ndarray, num_shards: int,
                     vnodes: int = 64, next_id: Optional[int] = None,
@@ -188,14 +169,17 @@ def save_partitions(out_dir: PathLike, ids: np.ndarray,
     shard_entries = []
     for shard_id, rows in enumerate(ring.partition(ids)):
         name = partition_file_name(shard_id)
-        _atomic_savez(out_dir / name,
-                      embeddings=embeddings[rows], ids=ids[rows],
-                      next_id=np.array(next_id))
+        # Uncompressed on purpose: partition files at the 1M-row scale
+        # are hundreds of MB of near-incompressible floats, and zlib
+        # would dominate split/reload time for a few percent of size.
+        atomic_savez(out_dir / name, compressed=False,
+                     embeddings=embeddings[rows], ids=ids[rows],
+                     next_id=np.array(next_id))
         shard_entries.append({
             "shard": shard_id,
             "file": name,
             "count": int(rows.shape[0]),
-            "sha256": _sha256(out_dir / name),
+            "sha256": sha256_file(out_dir / name),
             "bytes": (out_dir / name).stat().st_size,
         })
 
@@ -261,7 +245,7 @@ def load_partition(partition_dir: PathLike, shard_id: int,
     path = Path(partition_dir) / entry["file"]
     if not path.exists():
         raise CorruptArtifactError(f"partition file missing: {entry['file']}")
-    if verify and _sha256(path) != entry.get("sha256"):
+    if verify and sha256_file(path) != entry.get("sha256"):
         raise CorruptArtifactError(
             f"partition file corrupted (sha256 mismatch): {entry['file']}")
     store = EmbeddingStore.load(path, model, backend=backend,

@@ -27,7 +27,6 @@ same index and the same answers.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -36,7 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.atomicio import atomic_replace, atomic_write_text
+from ..core.atomicio import (atomic_replace, atomic_write_text,
+                             sha256_file)
 from ..exceptions import ConfigurationError, CorruptArtifactError
 
 PathLike = Union[str, Path]
@@ -165,14 +165,6 @@ def _as_vectors(vectors: np.ndarray, dim: Optional[int] = None
         raise ValueError(f"expected dimensionality {dim}, got "
                          f"{out.shape[1]}")
     return out
-
-
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 @dataclass
@@ -579,7 +571,7 @@ class IVFIndex:
                 "seed": self.config.seed,
             },
             "data": {"file": DATA_NAME, "bytes": offset,
-                     "sha256": _sha256_file(data_path)},
+                     "sha256": sha256_file(data_path)},
             "arrays": manifest_arrays,
         }
         atomic_write_text(path / MANIFEST_NAME,
@@ -617,7 +609,7 @@ class IVFIndex:
             raise CorruptArtifactError(
                 f"IVF data file truncated: {data_path.stat().st_size} "
                 f"bytes != manifest {manifest['data']['bytes']}")
-        if verify and _sha256_file(data_path) != manifest["data"]["sha256"]:
+        if verify and sha256_file(data_path) != manifest["data"]["sha256"]:
             raise CorruptArtifactError(
                 f"IVF data file corrupted (sha256 mismatch): {data_path}")
         config = IVFConfig(**manifest["config"])

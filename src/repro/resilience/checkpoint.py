@@ -29,7 +29,6 @@ RNG state, sampler position, loss history) is packed by
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -38,7 +37,8 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..core.atomicio import atomic_replace, atomic_write_text
+from ..core.atomicio import (atomic_replace, atomic_write_text,
+                             sha256_file)
 from ..exceptions import CheckpointError
 
 PathLike = Union[str, Path]
@@ -58,14 +58,6 @@ class Checkpoint:
     arrays: Dict[str, np.ndarray]
     meta: Dict
     path: Path = field(default=None)
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 class CheckpointManager:
@@ -149,7 +141,7 @@ class CheckpointManager:
         manifest["schema"] = CHECKPOINT_SCHEMA
         manifest["checkpoints"][path.name] = {
             "step": int(step),
-            "sha256": _sha256(path),
+            "sha256": sha256_file(path),
             "bytes": path.stat().st_size,
         }
         manifest["latest"] = path.name
@@ -199,7 +191,7 @@ class CheckpointManager:
         if not path.exists():
             raise CheckpointError(f"missing file {path.name}")
         expected = candidate.get("sha256")
-        if expected is not None and _sha256(path) != expected:
+        if expected is not None and sha256_file(path) != expected:
             raise CheckpointError(f"sha256 mismatch for {path.name}")
         try:
             with np.load(path, allow_pickle=False) as data:

@@ -20,7 +20,6 @@ Layout::
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -31,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from .. import __version__
-from ..core.atomicio import atomic_write_text
+from ..core.atomicio import atomic_write_text, sha256_file
 from ..core.model import MetricModel, NeuTraj
 from ..core.siamese import SiameseTraj
 from ..core.store import EmbeddingStore
@@ -75,14 +74,6 @@ class Bundle:
     @property
     def measure(self) -> str:
         return self.model.config.measure
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _save_probes(path: Path, probes: Sequence[Trajectory]) -> None:
@@ -167,7 +158,7 @@ def save_bundle(path: PathLike, model: MetricModel,
             "next_id": store.next_id,
         },
         "num_probes": 0 if not probes else len(list(probes)),
-        "files": {name: {"sha256": _sha256(path / name),
+        "files": {name: {"sha256": sha256_file(path / name),
                          "bytes": (path / name).stat().st_size}
                   for name in files},
         "user_metadata": metadata or {},
@@ -181,10 +172,11 @@ def load_bundle_model(path: PathLike, verify: bool = True
                       ) -> "tuple[MetricModel, Dict]":
     """Load only the model (+ manifest) from a bundle directory.
 
-    The shard workers of :mod:`repro.serving.sharding` use this for
-    their encoder replicas: each worker owns a store *partition* loaded
-    separately, so pulling the bundle's full ``store.npz`` through
-    :func:`load_bundle` would cost N× the table's memory for nothing.
+    The coordinator of :mod:`repro.serving.sharding` uses this for its
+    one encoder (shard workers hold none): the rows live in per-shard
+    *partitions* loaded separately, so pulling the bundle's full
+    ``store.npz`` through :func:`load_bundle` would cost the table's
+    memory a second time for nothing.
     Validation matches :func:`load_bundle` for the files actually read
     (manifest schema, model sha256, model/manifest compatibility).
     """
@@ -206,7 +198,7 @@ def load_bundle_model(path: PathLike, verify: bool = True
     model_meta = files.get(MODEL_FILE)
     if model_meta is None or not (path / MODEL_FILE).exists():
         raise BundleError(f"bundle file missing: {MODEL_FILE}")
-    if verify and _sha256(path / MODEL_FILE) != model_meta.get("sha256"):
+    if verify and sha256_file(path / MODEL_FILE) != model_meta.get("sha256"):
         raise BundleError(
             f"bundle file corrupted (sha256 mismatch): {MODEL_FILE}")
 
@@ -248,7 +240,7 @@ def load_bundle(path: PathLike, verify: bool = True) -> Bundle:
         if not file_path.exists():
             raise BundleError(f"bundle file missing: {name}")
         if verify and name != MODEL_FILE and \
-                _sha256(file_path) != meta.get("sha256"):
+                sha256_file(file_path) != meta.get("sha256"):
             raise BundleError(f"bundle file corrupted (sha256 mismatch): {name}")
 
     if STORE_FILE in files:

@@ -3,8 +3,9 @@
 Scales :class:`~repro.serving.service.SimilarityService` past one GIL by
 splitting the embedding store across N worker *processes*, each owning
 one consistent-hash partition (see :mod:`repro.core.partition`) with its
-own :class:`~repro.core.backends.SearchBackend` and an optional encoder
-replica. The parent side is the same query pipeline over a different
+own :class:`~repro.core.backends.SearchBackend` and no encoder. The
+worker half lives in :mod:`repro.serving.shard_worker`; this module is
+the parent side, which is the same query pipeline over a different
 :class:`~repro.serving.service.SearchTarget`: :class:`ShardedService`
 *is* a ``SimilarityService`` (validation, sanitize mode, admission,
 deadlines, result cache, breaker-guarded micro-batched encoding, metrics
@@ -24,7 +25,7 @@ the coordinator:
   surviving shards, flagged ``partial=True`` — until every shard is
   unavailable (:class:`~repro.exceptions.ShardUnavailableError`).
 * **Reload** is zero-downtime and two-phase: ``prepare`` loads the new
-  partition/bundle generation in every worker *alongside* the old one
+  partition generation in every worker *alongside* the old one
   (requests keep answering from the old), then ``activate`` flips each
   worker and the coordinator's encoder atomically; any prepare failure
   aborts the whole reload and the old generation keeps serving. A flip
@@ -34,7 +35,7 @@ the coordinator:
 Worker protocol (one ``multiprocessing`` pipe per shard, request serial
 per worker): requests are ``(req_id, op, payload)`` tuples, replies are
 ``(req_id, status, result, busy_s)`` where ``busy_s`` is the worker-side
-wall time spent on the request — the input to the critical-path
+CPU time spent on the request — the input to the critical-path
 throughput model in ``benchmarks/bench_sharded_serving.py``. The parent
 matches replies by ``req_id`` and silently drains stale replies left by
 timed-out calls, so one slow request can never mis-pair a later one.
@@ -70,7 +71,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -79,11 +79,7 @@ from multiprocessing.connection import wait as _mp_wait
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from ..core.partition import (HashRing, load_partition,
-                              load_partition_manifest)
-from ..core.store import EmbeddingStore
+from ..core.partition import HashRing, load_partition_manifest
 from ..exceptions import (ConfigurationError, CorruptArtifactError,
                           PartialWriteError, ReloadError,
                           ReproError, ServiceClosedError,
@@ -94,16 +90,13 @@ from .bundle import load_bundle_model
 from .metrics import MetricsRegistry
 from .router import group_by_shard, merge_top_k
 from .service import SearchTarget, ServingConfig, SimilarityService
-from .wal import (OP_DELETE, OP_INSERT, ShardDurability, ShardWAL,
-                  WALGapError, WALTailer)
+from .shard_worker import _BOOT_REQ_ID, _shard_worker_main
 
 PathLike = Union[str, Path]
 
 __all__ = ["ShardedConfig", "ShardedService", "ShardRequestError"]
 
 _LOG = logging.getLogger(__name__)
-
-_BOOT_REQ_ID = 0  # the worker's unsolicited "I'm up" message
 
 
 class ShardRequestError(ReproError):
@@ -174,374 +167,6 @@ class ShardedConfig(ServingConfig):
             raise ConfigurationError("replicas must be >= 0")
 
 
-# --------------------------------------------------------------------- worker
-
-
-def _backend_spec(boot: Dict) -> Tuple[str, Dict]:
-    """(backend name, backend options) from a boot spec."""
-    if boot.get("index") == "ivf":
-        return "ivf", {"nlist": boot.get("nlist", 0),
-                       "nprobe": boot.get("nprobe", 8)}
-    return boot.get("index", "exact"), {}
-
-
-def _shard_base_tag(boot: Dict, shard_id: int) -> str:
-    """sha256 of the shard's partition file — the durability base tag.
-
-    Snapshot + WAL state only composes with the exact partition bytes
-    it was recorded against; a reload (new bytes, new tag) resets it.
-    """
-    manifest = load_partition_manifest(boot["partition_dir"])
-    return str(manifest["shards"][shard_id]["sha256"])
-
-
-def _apply_wal_record(store: EmbeddingStore, record) -> List[int]:
-    """Idempotently apply one WAL record; returns the ids it touched.
-
-    Replay-safe by construction: inserts skip ids already present,
-    deletes skip ids already gone — so replaying a prefix that partially
-    overlaps the snapshot (or a coordinator retry after failover) never
-    double-applies.
-    """
-    if record.op == OP_INSERT:
-        fresh = ~store.contains(record.ids)
-        if not fresh.any():
-            return []
-        return store.add_embeddings(record.embeddings[fresh],
-                                    ids=record.ids[fresh])
-    present = store.contains(record.ids)
-    if not present.any():
-        return []
-    touched = [int(i) for i in record.ids[present]]
-    store.remove(touched)
-    return touched
-
-
-def _recover_durable(shard_id: int, boot: Dict, wal_hook,
-                     prebuilt_store: Optional[EmbeddingStore] = None
-                     ) -> Tuple[EmbeddingStore, Dict]:
-    """Recover a durable shard: snapshot (or base partition) + WAL replay.
-
-    Primaries open the WAL for append — repairing a torn tail — and
-    replay every record past the snapshot's ``applied_lsn``; replicas
-    attach a read-only tailer instead (they must never truncate or
-    append the shared log). Returns ``(store, dur_state)`` where
-    ``dur_state`` carries the durability handles the dispatch loop uses.
-    """
-    role = boot.get("role", "primary")
-    base = _shard_base_tag(boot, shard_id)
-    dur = ShardDurability(Path(boot["durable_dir"]) / f"shard-{shard_id:04d}",
-                          base, read_only=(role == "replica"))
-    backend, options = _backend_spec(boot)
-    snapshot = dur.snapshot_path()
-    if snapshot is not None:
-        store = EmbeddingStore.load(snapshot, model=None, backend=backend,
-                                    **options)
-    elif prebuilt_store is not None:
-        store = prebuilt_store
-    else:
-        store = load_partition(boot["partition_dir"], shard_id,
-                               backend=backend, **options)
-    applied = dur.applied_lsn
-    if role == "replica":
-        tailer = WALTailer(dur.directory, applied_lsn=applied)
-        for record in tailer.poll():
-            _apply_wal_record(store, record)
-        return store, {"dur": dur, "wal": None, "tailer": tailer,
-                       "applied_lsn": tailer.last_lsn, "role": role}
-    wal = ShardWAL(dur.directory,
-                   segment_bytes=boot.get("wal_segment_bytes", 64 << 20),
-                   fsync_window_ms=boot.get("fsync_window_ms", 0.0),
-                   hook=wal_hook)
-    for record in wal.drain_recovered():
-        if record.lsn <= applied:
-            continue
-        _apply_wal_record(store, record)
-        applied = record.lsn
-    return store, {"dur": dur, "wal": wal, "tailer": None,
-                   "applied_lsn": applied, "role": role}
-
-
-def _load_generation(shard_id: int, boot: Dict, wal_hook=None,
-                     attach_durability: bool = True) -> Dict:
-    """Load one partition generation from a boot spec.
-
-    ``boot`` keys: ``partition_dir`` (required),
-    ``index``/``nlist``/``nprobe`` (per-shard backend), and for durable
-    tiers ``durable_dir``/``fsync_window_ms``/``wal_segment_bytes``/
-    ``role``. ``attach_durability=False`` loads the partition only —
-    the reload *prepare* path, which must not touch the WAL the active
-    generation still appends to. Workers hold no encoder: every
-    embedding they store or search was computed by the coordinator's
-    one breaker-guarded micro-batcher.
-    """
-    if boot.get("durable_dir") and attach_durability:
-        store, dur_state = _recover_durable(shard_id, boot, wal_hook)
-    else:
-        backend, options = _backend_spec(boot)
-        store = load_partition(boot["partition_dir"], shard_id,
-                               backend=backend, **options)
-        dur_state = None
-    return {"store": store, "boot": dict(boot), "dur": dur_state}
-
-
-def _shard_worker_main(conn, shard_id: int, boot: Dict, hook,
-                       wal_hook=None) -> None:
-    """Entry point of one shard worker process.
-
-    Serial request loop over the pipe: recv ``(req_id, op, payload)``,
-    answer ``(req_id, status, result, busy_s)``. The first message is
-    unsolicited (req_id 0): a boot report, or the boot error if the
-    partition/bundle failed to load. ``hook`` (when given) is triggered
-    before each request — the fault-injection seam; ``wal_hook`` fires
-    inside the WAL append path (crash-chaos seam).
-    """
-    try:
-        active = _load_generation(shard_id, boot, wal_hook=wal_hook)
-    except Exception as exc:
-        try:
-            conn.send((_BOOT_REQ_ID, "error",
-                       f"{type(exc).__name__}: {exc}", 0.0))
-        finally:
-            conn.close()
-        return
-    staged: Optional[Dict] = None
-    generation = 0
-    boot_report = {"shard": shard_id, "pid": os.getpid(),
-                   "count": len(active["store"])}
-    if active["dur"] is not None:
-        boot_report.update({
-            "role": active["dur"]["role"],
-            "applied_lsn": active["dur"]["applied_lsn"],
-            "next_id": active["store"].next_id})
-    conn.send((_BOOT_REQ_ID, "ok", boot_report, 0.0))
-
-    def require_primary(op: str) -> None:
-        dur = active["dur"]
-        if dur is not None and dur["role"] != "primary":
-            raise ValueError(
-                f"shard {shard_id} replica refuses {op!r}: replicas are "
-                f"read-only tailers until promoted")
-
-    def log_mutation(opcode: int, ids, embeddings=None) -> None:
-        """WAL-first: the record is durable before the store mutates."""
-        dur = active["dur"]
-        if dur is None:
-            return
-        dur["applied_lsn"] = dur["wal"].append(opcode, ids,
-                                               embeddings=embeddings)
-
-    def catch_up() -> Dict:
-        """Replica: apply newly acked primary records; rebuild on gap."""
-        nonlocal active
-        dur = active["dur"]
-        if dur is None or dur["role"] != "replica":
-            raise ValueError(f"shard {shard_id} is not a replica")
-        try:
-            records = dur["tailer"].poll()
-        except WALGapError:
-            # The primary truncated past our cursor (snapshot+truncate
-            # while we lagged): rebuild from the shared snapshot.
-            store, dur_state = _recover_durable(
-                shard_id, active["boot"], None)
-            active = {**active, "store": store, "dur": dur_state}
-            return {"applied_lsn": dur_state["applied_lsn"],
-                    "count": len(store), "rebuilt": True}
-        for record in records:
-            _apply_wal_record(active["store"], record)
-        dur["applied_lsn"] = dur["tailer"].last_lsn
-        return {"applied_lsn": dur["applied_lsn"],
-                "count": len(active["store"]), "rebuilt": False}
-
-    def promote() -> Dict:
-        """Replica -> primary: drain the log tail, take over for append.
-
-        The coordinator guarantees the old primary is dead before this
-        runs, so opening the WAL for append (which repairs a torn tail)
-        is safe — there is exactly one appender per shard log.
-        """
-        nonlocal active
-        dur = active["dur"]
-        if dur is None:
-            raise ValueError(f"shard {shard_id} is not durable")
-        if dur["role"] == "primary":
-            return {"count": len(active["store"]),
-                    "next_id": active["store"].next_id,
-                    "applied_lsn": dur["applied_lsn"]}
-        try:
-            for record in dur["tailer"].poll():
-                _apply_wal_record(active["store"], record)
-            applied = dur["tailer"].last_lsn
-        except WALGapError:
-            boot_p = {**active["boot"], "role": "primary"}
-            store, dur_state = _recover_durable(shard_id, boot_p, wal_hook)
-            active = {**active, "boot": boot_p, "store": store,
-                      "dur": dur_state}
-            return {"count": len(store), "next_id": store.next_id,
-                    "applied_lsn": dur_state["applied_lsn"]}
-        boot_p = {**active["boot"], "role": "primary"}
-        wal = ShardWAL(dur["dur"].directory,
-                       segment_bytes=boot_p.get("wal_segment_bytes",
-                                                64 << 20),
-                       fsync_window_ms=boot_p.get("fsync_window_ms", 0.0),
-                       hook=wal_hook)
-        # Opening for append repaired any torn tail; replay whatever the
-        # tailer had not seen yet (normally nothing).
-        for record in wal.drain_recovered():
-            if record.lsn <= applied:
-                continue
-            _apply_wal_record(active["store"], record)
-            applied = record.lsn
-        base = dur["dur"]
-        base.read_only = False
-        active = {**active, "boot": boot_p,
-                  "dur": {"dur": base, "wal": wal, "tailer": None,
-                          "applied_lsn": applied, "role": "primary"}}
-        return {"count": len(active["store"]),
-                "next_id": active["store"].next_id,
-                "applied_lsn": applied}
-
-    def dispatch(op: str, payload):
-        nonlocal active, staged, generation
-        store = active["store"]
-        dur = active["dur"]
-        if op == "ping":
-            report = {"shard": shard_id, "pid": os.getpid(),
-                      "count": len(store), "generation": generation}
-            if dur is not None:
-                report.update({"role": dur["role"],
-                               "applied_lsn": dur["applied_lsn"],
-                               "next_id": store.next_id})
-            return report
-        if op == "search":
-            embedding, k = payload
-            if len(store) == 0:
-                return np.zeros(0, dtype=np.int64), np.zeros(0)
-            return store.query_embedding(embedding, k)
-        if op == "search_many":
-            embeddings, k = payload
-            if len(store) == 0:
-                empty = (np.zeros(0, dtype=np.int64), np.zeros(0))
-                return [empty for _ in range(len(embeddings))]
-            return [store.query_embedding(e, k) for e in embeddings]
-        if op == "insert":
-            require_primary(op)
-            ids, vectors = payload
-            id_arr = np.asarray(ids, dtype=np.int64)
-            fresh = ~store.contains(id_arr)  # idempotent retry: skip dupes
-            if fresh.any():
-                log_mutation(OP_INSERT, id_arr[fresh], vectors[fresh])
-                store.add_embeddings(vectors[fresh], ids=id_arr[fresh])
-            return {"applied": [int(i) for i in id_arr],
-                    "count": int(fresh.sum())}
-        if op == "delete":
-            require_primary(op)
-            id_arr = np.unique(np.asarray(list(payload), dtype=np.int64))
-            present = store.contains(id_arr)
-            touched = [int(i) for i in id_arr[present]]
-            if touched:
-                log_mutation(OP_DELETE, id_arr[present])
-                store.remove(touched)
-            return {"removed": len(touched), "ids": touched}
-        if op == "compact":
-            require_primary(op)
-            compact = getattr(store.backend, "compact", None)
-            compacted = False
-            if compact is not None:
-                compact()
-                compacted = True
-            if dur is None:
-                return compacted
-            dur["dur"].commit_snapshot(
-                store.save, count=len(store), next_id=store.next_id,
-                applied_lsn=dur["applied_lsn"], wal=dur["wal"])
-            return {"compacted": compacted,
-                    "snapshot_generation": dur["dur"].generation}
-        if op == "catch_up":
-            return catch_up()
-        if op == "promote":
-            return promote()
-        if op == "ids":
-            return sorted(int(i) for i in store.ids)
-        if op == "stats":
-            report = {"shard": shard_id, "pid": os.getpid(),
-                      "count": len(store), "generation": generation,
-                      "staged": None if staged is None
-                      else len(staged["store"]),
-                      "search": store.search_stats()}
-            if dur is not None:
-                report["durability"] = {
-                    "role": dur["role"],
-                    "applied_lsn": dur["applied_lsn"],
-                    "snapshot_generation": dur["dur"].generation,
-                    "wal": (None if dur["wal"] is None
-                            else dur["wal"].stats())}
-            return report
-        if op == "prepare":
-            # Load the new generation's partition only: the active
-            # generation still owns the WAL, and a second appender (or a
-            # premature base-tag reset) would corrupt it. Durability
-            # re-attaches at activation.
-            staged = _load_generation(shard_id, payload,
-                                      attach_durability=False)
-            return {"count": len(staged["store"])}
-        if op == "activate":
-            if staged is None:
-                raise ReloadError("activate without a prepared generation")
-            if dur is not None and dur["wal"] is not None:
-                dur["wal"].close()
-            new = staged
-            staged = None
-            if new["boot"].get("durable_dir"):
-                store2, dur_state = _recover_durable(
-                    shard_id, new["boot"], wal_hook,
-                    prebuilt_store=new["store"])
-                new = {**new, "store": store2, "dur": dur_state}
-            active = new
-            generation += 1
-            return {"generation": generation, "count": len(active["store"])}
-        if op == "abort":
-            had = staged is not None
-            staged = None
-            return had
-        if op == "shutdown":
-            return "bye"
-        raise ValueError(f"unknown op {op!r}")
-
-    while True:
-        try:
-            request = conn.recv()
-        except (EOFError, OSError):
-            break
-        req_id, op, payload = request
-        # CPU time, not wall: when shards outnumber cores the workers
-        # time-slice, and wall time would book a neighbour's quantum as
-        # this shard's work — poisoning the bench's critical-path
-        # projection. The worker is single-threaded, so process CPU
-        # time is exactly this request's compute.
-        start = time.process_time()
-        try:
-            if hook is not None:
-                hook.trigger()
-            status, result = "ok", dispatch(op, payload)
-        except Exception as exc:
-            status, result = "error", f"{type(exc).__name__}: {exc}"
-        busy = time.process_time() - start
-        try:
-            conn.send((req_id, status, result, busy))
-        except (BrokenPipeError, OSError):
-            break
-        if op == "shutdown" and status == "ok":
-            break
-    dur = active.get("dur")
-    if dur is not None and dur.get("wal") is not None:
-        try:
-            dur["wal"].close()
-        except OSError:
-            _LOG.exception("shard %d: WAL close failed on exit", shard_id)
-    conn.close()
-
-
 # --------------------------------------------------------------- parent side
 
 
@@ -556,23 +181,17 @@ class _ShardHandle:
     them against the shard's circuit breaker.
     """
 
-    def __init__(self, shard_id: int, boot: Dict, hook,
-                 failure_threshold: int, reset_timeout_s: float,
-                 boot_timeout_s: float,
-                 ctx: Optional[multiprocessing.context.BaseContext] = None,
-                 wal_hook=None):
+    def __init__(self, shard_id: int, boot: Dict, config: "ShardedConfig",
+                 ctx: multiprocessing.context.BaseContext,
+                 hook=None, wal_hook=None):
         self.shard_id = shard_id
         self._boot = dict(boot)
         self._hook = hook
         self._wal_hook = wal_hook
-        self.boot_info: Dict = {}
-        self._failure_threshold = failure_threshold
-        self._reset_timeout_s = reset_timeout_s
-        self._boot_timeout_s = boot_timeout_s
-        self._ctx = ctx or multiprocessing.get_context("fork")
+        self._config = config
+        self._ctx = ctx
         self._lock = threading.Lock()
-        self.breaker = CircuitBreaker(failure_threshold=failure_threshold,
-                                      reset_timeout_s=reset_timeout_s)
+        self.breaker = self._new_breaker()
         self._conn = None
         self._proc = None
         self._req_seq = _BOOT_REQ_ID
@@ -582,6 +201,11 @@ class _ShardHandle:
         self._spawn_locked()
 
     # -------------------------------------------------------------- lifecycle
+
+    def _new_breaker(self) -> CircuitBreaker:
+        return CircuitBreaker(
+            failure_threshold=self._config.breaker_failure_threshold,
+            reset_timeout_s=self._config.breaker_reset_s)
 
     def _spawn_locked(self) -> None:
         """Fork the worker and wait for its boot report.
@@ -600,12 +224,11 @@ class _ShardHandle:
         self._conn, self._proc = parent_conn, proc
         self._req_seq = _BOOT_REQ_ID
         reply = self._recv_locked(
-            time.monotonic() + self._boot_timeout_s, _BOOT_REQ_ID)
+            time.monotonic() + self._config.boot_timeout_s, _BOOT_REQ_ID)
         if reply[1] != "ok":
             self._teardown_locked()
             raise ShardUnavailableError(
                 f"shard {self.shard_id} failed to boot: {reply[2]}")
-        self.boot_info = reply[2] if isinstance(reply[2], dict) else {}
 
     def _teardown_locked(self) -> None:
         """Close the pipe and reap the process. Caller must hold
@@ -633,9 +256,7 @@ class _ShardHandle:
         with self._lock:
             self._teardown_locked()
             self._spawn_locked()
-            self.breaker = CircuitBreaker(
-                failure_threshold=self._failure_threshold,
-                reset_timeout_s=self._reset_timeout_s)
+            self.breaker = self._new_breaker()
 
     def close(self) -> None:
         """Best-effort graceful shutdown, then teardown."""
@@ -768,30 +389,24 @@ class _ShardTarget(SearchTarget):
         self.dim = int(manifest["embedding_dim"])
         self._ring = HashRing(self.num_shards,
                               vnodes=int(manifest["vnodes"]))
-        hooks = dict(request_hooks or {})
-        self._wal_hooks = dict(wal_hooks or {})
-        boot = self._boot_spec(self.partition_dir)
+        hooks, wal_hooks = request_hooks or {}, wal_hooks or {}
         # Workers MUST fork before any coordinator thread exists
         # (micro-batcher, scatter pool): forking a threaded process can
         # deadlock the child on locks held by threads that don't exist
         # there.
-        ctx = multiprocessing.get_context("fork")
-        self._ctx = ctx
+        self._ctx = multiprocessing.get_context("fork")
         self._shards: List[_ShardHandle] = []
         self._replicas: Dict[int, List[_ShardHandle]] = {
             s: [] for s in range(self.num_shards)}
         try:
             for shard_id in range(self.num_shards):
-                self._shards.append(_ShardHandle(
-                    shard_id, boot, hooks.get(shard_id),
-                    self.config.breaker_failure_threshold,
-                    self.config.breaker_reset_s,
-                    self.config.boot_timeout_s, ctx=ctx,
-                    wal_hook=self._wal_hooks.get(shard_id)))
+                self._shards.append(self._spawn_handle(
+                    shard_id, "primary", hooks.get(shard_id),
+                    wal_hooks.get(shard_id)))
             for shard_id in range(self.num_shards):
                 for _ in range(self.config.replicas):
                     self._replicas[shard_id].append(
-                        self._spawn_replica_handle(shard_id))
+                        self._spawn_handle(shard_id, "replica"))
         except Exception:
             for handle in self._all_handles():
                 handle.close()
@@ -833,16 +448,15 @@ class _ShardTarget(SearchTarget):
 
     # ---------------------------------------------------- durability plumbing
 
-    def _boot_spec(self, partition_dir: Path) -> Dict:
+    def _boot_spec(self, partition_dir: Path, role: str = "primary") -> Dict:
         """The boot dict every worker (primary and replica) forks with."""
-        return {"partition_dir": str(partition_dir),
+        return {"partition_dir": str(partition_dir), "role": role,
                 "index": self.config.index, "nlist": self.config.nlist,
                 "nprobe": self.config.nprobe,
                 "durable_dir": (None if self.durable_dir is None
                                 else str(self.durable_dir)),
                 "fsync_window_ms": self.config.fsync_window_ms,
-                "wal_segment_bytes": self.config.wal_segment_bytes,
-                "role": "primary"}
+                "wal_segment_bytes": self.config.wal_segment_bytes}
 
     def _all_handles(self) -> List[_ShardHandle]:
         # Runs without _failover_lock on purpose: it is also the cleanup
@@ -855,21 +469,19 @@ class _ShardTarget(SearchTarget):
             handles.extend(standby)
         return handles
 
-    def _spawn_replica_handle(self, shard_id: int) -> _ShardHandle:
-        """Fork one warm-standby worker for ``shard_id``.
+    def _spawn_handle(self, shard_id: int, role: str, hook=None,
+                      wal_hook=None) -> _ShardHandle:
+        """Fork one worker for ``shard_id``.
 
-        Safe to call after coordinator threads exist *only* because
-        replica workers re-exec nothing and take no coordinator locks —
-        but the initial fleet is still forked before any thread starts;
-        post-thread spawns reuse the same (fork) path the existing
-        ``restart_shard`` admin action already exercises.
+        Replacement standbys are forked after coordinator threads
+        exist; that is safe *only* because a worker re-execs nothing and
+        takes no coordinator locks — the initial fleet is still forked
+        before any thread starts, and post-thread spawns reuse the same
+        (fork) path the ``restart_shard`` admin action already exercises.
         """
-        boot = {**self._boot_spec(self.partition_dir), "role": "replica"}
-        return _ShardHandle(
-            shard_id, boot, None,
-            self.config.breaker_failure_threshold,
-            self.config.breaker_reset_s,
-            self.config.boot_timeout_s, ctx=self._ctx)
+        return _ShardHandle(shard_id,
+                            self._boot_spec(self.partition_dir, role),
+                            self.config, self._ctx, hook, wal_hook)
 
     def _resync_id_space(self) -> None:
         """Adopt recovered per-shard state into the coordinator's counters.
@@ -879,22 +491,19 @@ class _ShardTarget(SearchTarget):
         global id space must start past every shard's recovered ids or a
         fresh insert would collide with a recovered one.
         """
-        counts: List[int] = []
-        next_ids: List[int] = []
+        infos: List[Dict] = []
         for handle in self._shards:
             try:
-                info = handle.call("ping", None, self.config.boot_timeout_s)
+                infos.append(handle.call("ping", None,
+                                         self.config.boot_timeout_s))
             except (ShardUnavailableError, ShardRequestError) as exc:
                 _LOG.warning("id-space resync skipped shard %d: %s",
                              handle.shard_id, exc)
-                continue
-            counts.append(int(info.get("count", 0)))
-            if "next_id" in info:
-                next_ids.append(int(info["next_id"]))
         with self._lock:
-            self._next_id = max([self._next_id] + next_ids)
-            if len(counts) == self.num_shards:
-                self._count = sum(counts)
+            self._next_id = max([self._next_id]
+                                + [int(i["next_id"]) for i in infos])
+            if len(infos) == self.num_shards:
+                self._count = sum(int(i["count"]) for i in infos)
 
     def _tail_replicas(self, shard_id: int) -> None:
         """Nudge the shard's standbys to apply newly acked WAL records."""
@@ -940,13 +549,12 @@ class _ShardTarget(SearchTarget):
             self._shards[shard_id] = replica
             self._m_failovers.inc()
             with self._lock:
-                self._next_id = max(self._next_id,
-                                    int(info.get("next_id", 0)))
+                self._next_id = max(self._next_id, int(info["next_id"]))
             _LOG.warning(
                 "shard %d: promoted replica (count=%d, applied_lsn=%d)",
-                shard_id, info.get("count", -1), info.get("applied_lsn", -1))
+                shard_id, info["count"], info["durability"]["applied_lsn"])
             try:
-                standbys.append(self._spawn_replica_handle(shard_id))
+                standbys.append(self._spawn_handle(shard_id, "replica"))
             except (ShardUnavailableError, OSError) as exc:
                 _LOG.warning("shard %d: could not respawn a replacement "
                              "replica: %s", shard_id, exc)
@@ -1105,8 +713,7 @@ class _ShardTarget(SearchTarget):
             for shard_id in range(self.num_shards):
                 self._tail_replicas(shard_id)
         results, _ = self._scatter("compact", None, None)
-        return {s: (bool(v["compacted"]) if isinstance(v, dict) else bool(v))
-                for s, v in results.items()}
+        return {s: bool(v["compacted"]) for s, v in results.items()}
 
     def reload(self, partition_dir: Optional[PathLike]) -> Dict:
         """Two-phase flip of every worker onto ``partition_dir`` (default:

@@ -46,13 +46,14 @@ import os
 import struct
 import threading
 import time
-from hashlib import sha256
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Tuple)
 
 import numpy as np
 
-from ..core.atomicio import atomic_write_json, fsync_dir, fsync_file
+from ..core.atomicio import (atomic_write_json, fsync_dir, fsync_file,
+                             sha256_file)
 from ..exceptions import (CorruptArtifactError, ServiceClosedError,
                           WALCorruptionError)
 
@@ -60,7 +61,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["crc32c", "encode_record", "decode_payload", "scan_buffer",
            "WALRecord", "ShardWAL", "WALTailer", "WALGapError",
-           "ShardDurability", "sha256_file",
+           "ShardDurability", "DurableLog", "sha256_file",
            "OP_INSERT", "OP_DELETE", "WAL_MAGIC"]
 
 
@@ -270,17 +271,6 @@ def _segment_first_lsn(path: Path) -> int:
 
 def list_segments(directory: Path) -> List[Path]:
     return sorted(directory.glob(_SEG_PREFIX + "*" + _SEG_SUFFIX))
-
-
-def sha256_file(path, chunk_bytes: int = 1 << 20) -> str:
-    digest = sha256()
-    with open(path, "rb") as handle:
-        while True:
-            block = handle.read(chunk_bytes)
-            if not block:
-                break
-            digest.update(block)
-    return digest.hexdigest()
 
 
 class ShardWAL:
@@ -615,11 +605,17 @@ class WALTailer:
         for segment in segments:
             offset = self._offsets.get(segment.name, 0)
             try:
-                data = segment.read_bytes()
+                size = segment.stat().st_size
+                if offset < size:
+                    # Only the unread tail: a poll runs after every
+                    # acked mutation, the segment may be 64 MB.
+                    with open(segment, "rb") as handle:
+                        handle.seek(offset)
+                        data = handle.read()
             except FileNotFoundError:
                 logger.debug("wal: segment %s vanished during tail", segment)
                 break
-            if offset > len(data):
+            if offset > size:
                 # The segment shrank below bytes this reader already
                 # consumed: the primary truncated (torn-tail repair or
                 # snapshot) records we may have applied. Surface it the
@@ -627,12 +623,12 @@ class WALTailer:
                 # the reader diverge from the primary.
                 raise WALGapError(
                     f"wal segment {segment.name} shrank below this "
-                    f"reader's offset ({len(data)} < {offset} bytes): "
+                    f"reader's offset ({size} < {offset} bytes): "
                     f"truncated past records already consumed (last good "
                     f"lsn {self._last_lsn})", last_lsn=self._last_lsn)
-            if offset == len(data):
+            if offset == size:
                 continue
-            records, valid_end, damage = scan_buffer(data[offset:])
+            records, valid_end, damage = scan_buffer(data)
             if damage == "corrupt":
                 raise WALCorruptionError(
                     f"mid-log corruption while tailing {segment}")
@@ -779,3 +775,122 @@ class ShardDurability:
         if wal is not None:
             wal.truncate_through(applied_lsn)
         return self.manifest
+
+
+# --------------------------------------------------------------------------
+# The discipline, once
+
+class DurableLog:
+    """One durable table's snapshot generation + mutation log, by role.
+
+    The only code that knows the order of operations its consumers (the
+    shard worker, the stream ingester) would otherwise each repeat:
+    *open* reads the snapshot manifest first — a foreign base tag
+    resets snapshot **and** log before any log file is opened — and only
+    then does a ``"primary"`` open the log for append (repairing a torn
+    tail) or a ``"replica"`` attach a read-only tailer; :meth:`replay`
+    hands over every record past the snapshot; :meth:`append` fsyncs
+    *before* the caller mutates its table; :meth:`checkpoint` snapshots
+    at :attr:`applied_lsn` and truncates behind it; :meth:`promote`
+    turns the tailer into the appender. Calls are serialised by the
+    consumer (a serial worker loop, the ingester's lock).
+    """
+
+    def __init__(self, directory, base_tag: str, *, role: str = "primary",
+                 segment_bytes: int, fsync_window_ms: float,
+                 hook: Optional[Callable[[str], None]] = None):
+        self._snap = ShardDurability(directory, base_tag,
+                                     read_only=(role == "replica"))
+        #: Path of the committed snapshot, or ``None`` (start from the
+        #: base). Digest-verified here, before the log opens, so a
+        #: corrupt snapshot fails the open with nothing left running.
+        self.snapshot: Optional[Path] = self._snap.snapshot_path()
+        self._applied_lsn = self._snap.applied_lsn
+        self._wal_options = {"segment_bytes": segment_bytes,
+                             "fsync_window_ms": fsync_window_ms,
+                             "hook": hook}
+        self._wal: Optional[ShardWAL] = None
+        self._tailer: Optional[WALTailer] = None
+        if role == "replica":
+            self._tailer = WALTailer(self._snap.directory,
+                                     applied_lsn=self._applied_lsn)
+        else:
+            self._wal = ShardWAL(self._snap.directory, **self._wal_options)
+
+    @property
+    def role(self) -> str:
+        return "primary" if self._wal is not None else "replica"
+
+    @property
+    def applied_lsn(self) -> int:
+        """LSN of the last record the caller's table reflects."""
+        return self._applied_lsn
+
+    def replay(self) -> Iterator[WALRecord]:
+        """Yield each record the table does not reflect yet, in LSN order.
+
+        Primary: what opening the log recovered (once). Replica: the
+        tailer's next poll; :class:`WALGapError` means "reopen from the
+        snapshot". A record counts as applied only when the caller comes
+        back for the next one, so an apply that raises leaves
+        :attr:`applied_lsn` on the last record that landed.
+        """
+        if self._wal is not None:
+            records = self._wal.drain_recovered()
+        else:
+            records, last = self._tailer.poll(), self._tailer.last_lsn
+            # Truncated to an *empty* log: no record is left for the
+            # tailer to see the jump on, only the segment's name.
+            oldest = [] if records else list_segments(self._snap.directory)
+            if oldest and _segment_first_lsn(oldest[0]) > last + 1:
+                raise WALGapError(
+                    f"wal now starts past this reader, at lsn "
+                    f"{_segment_first_lsn(oldest[0])} (last good lsn "
+                    f"{last})", last_lsn=last)
+        for record in records:
+            if record.lsn <= self._applied_lsn:
+                continue  # the snapshot already covers it
+            yield record
+            self._applied_lsn = record.lsn
+
+    def _appender(self, what: str) -> ShardWAL:
+        if self._wal is None:
+            raise ValueError(f"a replica log cannot {what}: it is a "
+                             f"read-only tailer until promoted")
+        return self._wal
+
+    def append(self, op: int, ids, embeddings=None) -> int:
+        """Make one mutation durable, then count it applied; returns its
+        LSN. If this raises, nothing was acknowledged, :attr:`applied_lsn`
+        has not moved and the caller must not mutate."""
+        self._applied_lsn = self._appender("append").append(op, ids,
+                                                            embeddings)
+        return self._applied_lsn
+
+    def checkpoint(self, save_fn: Callable[[str], None], *, count: int,
+                   next_id: int) -> dict:
+        """Commit a snapshot of the caller's table at :attr:`applied_lsn`
+        and drop the log segments it covers; returns the manifest."""
+        manifest = self._snap.commit_snapshot(
+            save_fn, count=count, next_id=next_id,
+            applied_lsn=self._applied_lsn, wal=self._appender("checkpoint"))
+        self.snapshot = self._snap.directory / manifest["file"]
+        return manifest
+
+    def promote(self) -> None:
+        """Replica → primary: take the log over for append. The caller
+        guarantees the old appender is dead, so the open may repair a
+        torn tail; drain :meth:`replay` before (what the tailer can
+        still see) and after (what only the repair uncovered)."""
+        if self._wal is None:
+            self._wal = ShardWAL(self._snap.directory, **self._wal_options)
+            self._tailer = None
+
+    def stats(self) -> dict:
+        return {"role": self.role, "applied_lsn": self._applied_lsn,
+                "snapshot_generation": self._snap.generation,
+                "wal": None if self._wal is None else self._wal.stats()}
+
+    def close(self) -> None:
+        if self._wal is not None:
+            self._wal.close()

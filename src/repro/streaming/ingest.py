@@ -6,7 +6,7 @@ tier out of existing subsystems:
 * the :class:`~repro.streaming.window.SlidingWindowStore` decides what
   each offered point *means* (applied / buffered / duplicate / late);
 * every state-changing (accepted) point in a batch is appended to a
-  :class:`~repro.serving.wal.ShardWAL` record and **fsynced before the
+  :class:`~repro.serving.wal.DurableLog` record and **fsynced before the
   window is mutated** (the batch is classified with a dry run first) —
   the ack-after-fsync invariant the durable serving tier already
   enforces, strengthened so a failed append leaves the window untouched
@@ -29,12 +29,12 @@ tier out of existing subsystems:
   immediately and retry with backoff (see
   :class:`~repro.streaming.consumer.SourceSupervisor`).
 
-Crash safety: the constructor recovers snapshot + WAL through
-:class:`~repro.serving.wal.ShardDurability`, replays accepted points in
-LSN order into a fresh window (deterministic by the window's replay
-contract) and re-encodes every live segment from scratch — equal to the
-pre-crash incremental states because the prefix fold is chunk-invariant.
-A killed ingester therefore restarts with zero acknowledged-point loss.
+Crash safety: the constructor loads the log's snapshot, replays the
+accepted points :meth:`DurableLog.replay` yields past it, in LSN order,
+into the window (deterministic by the window's replay contract) and
+re-encodes every live segment from scratch — equal to the pre-crash
+incremental states because the prefix fold is chunk-invariant. A killed
+ingester therefore restarts with zero acknowledged-point loss.
 """
 
 from __future__ import annotations
@@ -53,14 +53,14 @@ from ..exceptions import ServiceClosedError
 from ..resilience.admission import AdmissionGate
 from ..serving.batching import MicroBatcher
 from ..serving.metrics import MetricsRegistry
-from ..serving.wal import OP_INSERT, ShardDurability, ShardWAL
+from ..serving.wal import OP_INSERT, DurableLog
 from .events import StreamPoint, points_from_record, points_to_record
 from .window import SlidingWindowStore, WindowConfig
 
 __all__ = ["IngestResult", "StreamConfig", "StreamIngestor",
            "StreamQueryResult", "STREAM_BASE_TAG"]
 
-#: ``ShardDurability`` base tag: bumping it invalidates old durable state.
+#: ``DurableLog`` base tag: bumping it invalidates old durable state.
 STREAM_BASE_TAG = "stream-v1"
 
 
@@ -87,7 +87,7 @@ class StreamConfig:
         batcher. Deterministic and simple — what the chaos tests and the
         recovery path use; production ingest wants the async default.
     segment_bytes, fsync_window_ms:
-        Passed through to the :class:`~repro.serving.wal.ShardWAL`.
+        Passed through to the :class:`~repro.serving.wal.DurableLog`.
     """
 
     window: WindowConfig = WindowConfig()
@@ -172,7 +172,6 @@ class StreamIngestor:
         self._dirty: Set[int] = set()
         self._inflight: Set[int] = set()
         self._accepted_total = 0
-        self._applied_lsn = 0
         self._accepted_since_snapshot = 0
         self._recovered_points = 0
         self._gate = AdmissionGate(config.admission_limit)
@@ -194,42 +193,41 @@ class StreamIngestor:
             "stream_backlog_segments", "dirty segments awaiting re-embed")
         self._h_ingest = self.metrics.histogram(
             "stream_ingest_seconds", "ingest batch latency (durable ack)")
-        self._durability = ShardDurability(directory, base_tag=STREAM_BASE_TAG)
-        self._wal = ShardWAL(directory, segment_bytes=config.segment_bytes,
-                             fsync_window_ms=config.fsync_window_ms,
-                             hook=wal_hook)
-        self._recover()
         self._batcher: Optional[MicroBatcher] = None
-        if not config.sync_encode:
-            self._batcher = MicroBatcher(
-                self._encode_batch, max_batch_size=config.encode_batch_size,
-                max_wait_s=config.encode_max_wait_s, name="stream-encoder")
-            with self._lock:
-                self._schedule_locked()
+        self._log = DurableLog(directory, STREAM_BASE_TAG, hook=wal_hook,
+                               segment_bytes=config.segment_bytes,
+                               fsync_window_ms=config.fsync_window_ms)
+        try:
+            self._recover()
+            if not config.sync_encode:
+                self._batcher = MicroBatcher(
+                    self._encode_batch, name="stream-encoder",
+                    max_batch_size=config.encode_batch_size,
+                    max_wait_s=config.encode_max_wait_s)
+                with self._lock:
+                    self._schedule_locked()
+        except BaseException:
+            self.close()  # or the open segment and its committer leak
+            raise
 
     # ------------------------------------------------------------- recovery
 
     def _recover(self) -> None:
-        """Snapshot + WAL replay, then rebuild embeddings for the window."""
+        """Snapshot + log replay, then rebuild embeddings for the window."""
         with self._lock:
-            snapshot = self._durability.snapshot_path()
-            if snapshot is not None:
-                with np.load(snapshot) as payload:
+            if self._log.snapshot is not None:
+                with np.load(self._log.snapshot) as payload:
                     arrays = {key: np.array(payload[key])
                               for key in payload.files}
                 self._window = SlidingWindowStore.from_snapshot_arrays(
                     self.config.window, arrays)
                 self._accepted_total = int(arrays["stream_meta"][0])
-            self._applied_lsn = self._durability.applied_lsn
-            for record in self._wal.drain_recovered():
-                if record.lsn <= self._applied_lsn:
-                    continue
+            for record in self._log.replay():
                 for point in points_from_record(record):
                     self._window.apply(point)
                 self._recovered_points += int(record.ids.shape[0])
                 self._accepted_total = max(self._accepted_total,
                                            int(record.ids.max()) + 1)
-                self._applied_lsn = record.lsn
             # Re-encode every live segment from scratch. The prefix fold
             # is chunk-invariant, so these states are bit-identical to
             # the incremental ones the pre-crash process had built.
@@ -279,9 +277,8 @@ class StreamIngestor:
                 if accepted:
                     ids, rows = points_to_record(accepted,
                                                  self._accepted_total)
-                    result.lsn = self._wal.append(OP_INSERT, ids, rows)
+                    result.lsn = self._log.append(OP_INSERT, ids, rows)
                     self._accepted_total += len(accepted)
-                    self._applied_lsn = result.lsn
                     self._accepted_since_snapshot += len(accepted)
                 result.accepted = len(accepted)
                 touched: Set[int] = set()
@@ -515,10 +512,9 @@ class StreamIngestor:
         def save_fn(path: str) -> None:
             atomic_savez(path, compressed=True, **arrays)
 
-        manifest = self._durability.commit_snapshot(
+        manifest = self._log.checkpoint(
             save_fn, count=self._window.stats()["window_points"],
-            next_id=self._accepted_total, applied_lsn=self._applied_lsn,
-            wal=self._wal)
+            next_id=self._accepted_total)
         self._accepted_since_snapshot = 0
         return manifest
 
@@ -530,14 +526,14 @@ class StreamIngestor:
             out = {
                 "window": window,
                 "accepted_total": self._accepted_total,
-                "applied_lsn": self._applied_lsn,
+                "applied_lsn": self._log.applied_lsn,
                 "recovered_points": self._recovered_points,
                 "degraded": self._degraded_locked(),
                 "dirty_segments": len(self._dirty),
                 "inflight_encodes": len(self._inflight),
                 "store_rows": len(self._store),
                 "admission": self._gate.stats(),
-                "wal": self._wal.stats(),
+                "wal": self._log.stats()["wal"],
                 "search": self._store.search_stats(),
             }
         if self._batcher is not None:
@@ -549,10 +545,10 @@ class StreamIngestor:
             if self._closed:
                 return
             self._closed = True
-            wal = self._wal
+            log = self._log
         if self._batcher is not None:
             self._batcher.close()
-        wal.close()
+        log.close()
 
     def __enter__(self) -> "StreamIngestor":
         return self

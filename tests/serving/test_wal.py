@@ -1,4 +1,4 @@
-"""WAL codec, recovery, group-commit, tailer and snapshot tests.
+"""WAL codec, recovery, group-commit, tailer, snapshot and DurableLog tests.
 
 The fuzz half enforces the damage contract at every byte: truncation
 anywhere in the log is a *torn tail* (recovered silently to the longest
@@ -8,14 +8,17 @@ record).
 """
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.exceptions import CorruptArtifactError, WALCorruptionError
-from repro.serving.wal import (OP_DELETE, OP_INSERT, ShardDurability,
-                               ShardWAL, WALGapError, WALTailer, crc32c,
-                               encode_record, list_segments, scan_buffer)
+from repro.serving import wal as wal_module
+from repro.serving.wal import (OP_DELETE, OP_INSERT, DurableLog,
+                               ShardDurability, ShardWAL, WALGapError,
+                               WALTailer, crc32c, encode_record,
+                               list_segments, scan_buffer)
 from repro.testing.faults import CorruptionSpec
 
 pytestmark = pytest.mark.durability
@@ -227,6 +230,56 @@ def test_tailer_raises_gap_after_truncation_past_reader(tmp_path):
         tailer.poll()
 
 
+def test_tailer_reads_only_the_unread_tail(tmp_path, monkeypatch):
+    """Regression: every poll used to re-read each segment from byte 0,
+    so following N appends cost O(N^2) bytes (a poll runs after every
+    acked mutation, against segments of up to 64 MB)."""
+    read = {"bytes": 0}
+
+    class _Counting:
+        def __init__(self, handle):
+            self._handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._handle.close()
+
+        def seek(self, offset):
+            return self._handle.seek(offset)
+
+        def read(self, *args):
+            data = self._handle.read(*args)
+            read["bytes"] += len(data)
+            return data
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        handle = open(path, mode, *args, **kwargs)
+        return _Counting(handle) if mode == "rb" else handle
+
+    real_read_bytes = Path.read_bytes
+
+    def counting_read_bytes(self):
+        data = real_read_bytes(self)
+        read["bytes"] += len(data)
+        return data
+
+    wal = ShardWAL(tmp_path / "wal")
+    tailer = WALTailer(tmp_path / "wal")
+    monkeypatch.setattr(wal_module, "open", counting_open, raising=False)
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    seen = []
+    for i in range(200):
+        wal.append(OP_DELETE, np.array([i], dtype=np.int64))
+        seen += [r.lsn for r in tailer.poll()]
+    monkeypatch.undo()
+    wal.close()
+    assert seen == list(range(1, 201))
+    (segment,) = list_segments(tmp_path / "wal")
+    assert read["bytes"] <= 2 * segment.stat().st_size
+
+
 # --------------------------------------------------------------- snapshots
 
 
@@ -288,3 +341,113 @@ def test_base_tag_mismatch_resets_primary_but_not_replica(tmp_path):
     assert primary.manifest is None
     assert not (tmp_path / "d" / "SNAPSHOT.json").exists()
     assert list((tmp_path / "d").glob("snapshot-*.npz")) == []
+
+
+# -------------------------------------------------------------- DurableLog
+
+
+def _log(directory, base_tag="base-1", **kwargs):
+    kwargs.setdefault("segment_bytes", 1 << 20)
+    kwargs.setdefault("fsync_window_ms", 0.0)
+    return DurableLog(directory, base_tag, **kwargs)
+
+
+def _delete(log, row_id):
+    return log.append(OP_DELETE, np.array([row_id], dtype=np.int64))
+
+
+def test_durable_log_foreign_base_resets_before_the_log_opens(tmp_path):
+    old = _log(tmp_path / "d", "base-old")
+    _delete(old, 1)
+    old.checkpoint(_save_fn(2), count=2, next_id=2)
+    _delete(old, 2)  # lsn 2 survives the checkpoint's truncation
+    old.close()
+    fresh = _log(tmp_path / "d", "base-new")
+    # Had the log been opened before the reset, lsn 2 would have been
+    # recovered and replayed onto a base it never described.
+    assert fresh.snapshot is None and fresh.applied_lsn == 0
+    assert list(fresh.replay()) == []
+    assert _delete(fresh, 7) == 1  # the LSN sequence restarted too
+    fresh.close()
+
+
+def test_durable_log_replay_skips_what_the_snapshot_covers(tmp_path):
+    log = _log(tmp_path / "d")
+    for row_id in (1, 2, 3):
+        _delete(log, row_id)
+    log.close()
+    # A crash between publishing the manifest and truncating the log:
+    # the snapshot covers lsn 1-2, the log still holds 1-3.
+    ShardDurability(tmp_path / "d", "base-1").commit_snapshot(
+        _save_fn(2), count=2, next_id=2, applied_lsn=2)
+    reopened = _log(tmp_path / "d")
+    assert reopened.snapshot is not None and reopened.applied_lsn == 2
+    assert [r.lsn for r in reopened.replay()] == [3]
+    assert reopened.applied_lsn == 3
+    assert list(reopened.replay()) == []  # recovered records drain once
+    reopened.close()
+
+
+def test_durable_log_counts_a_record_applied_only_once_consumed(tmp_path):
+    log = _log(tmp_path / "d")
+    for row_id in (1, 2, 3):
+        _delete(log, row_id)
+    log.close()
+    reopened = _log(tmp_path / "d")
+    with pytest.raises(RuntimeError):
+        for record in reopened.replay():
+            if record.lsn == 2:
+                raise RuntimeError("apply failed")
+    assert reopened.applied_lsn == 1
+    reopened.close()
+
+
+def test_durable_log_checkpoint_never_truncates_past_applied(tmp_path):
+    primary = _log(tmp_path / "d")
+    replica = _log(tmp_path / "d", role="replica")
+    for row_id in (1, 2, 3):
+        _delete(primary, row_id)
+    primary.close()
+    tail = replica.replay()
+    next(tail), next(tail)  # lsn 1 consumed, lsn 2 handed over only
+    assert replica.applied_lsn == 1
+    replica.promote()
+    assert replica.role == "primary"
+    manifest = replica.checkpoint(_save_fn(1), count=1, next_id=1)
+    assert manifest["applied_lsn"] == 1
+    replica.close()
+    reopened = _log(tmp_path / "d")
+    assert [r.lsn for r in reopened.replay()] == [2, 3]
+    reopened.close()
+
+
+def test_durable_log_replica_is_read_only_until_promoted(tmp_path):
+    primary = _log(tmp_path / "d")
+    _delete(primary, 1)
+    replica = _log(tmp_path / "d", role="replica")
+    assert replica.stats()["wal"] is None
+    with pytest.raises(ValueError):
+        _delete(replica, 2)
+    with pytest.raises(ValueError):
+        replica.checkpoint(_save_fn(1), count=1, next_id=1)
+    assert [r.lsn for r in replica.replay()] == [1]
+    primary.close()
+    replica.promote()
+    assert list(replica.replay()) == []  # nothing the tailer had not seen
+    assert _delete(replica, 2) == 2 and replica.applied_lsn == 2
+    replica.close()
+
+
+def test_durable_log_replica_sees_a_truncation_to_empty_as_a_gap(tmp_path):
+    """Found by the shard-worker property: a checkpoint that leaves the
+    log empty gives the tailer no record to notice the jump on, and a
+    lagging replica promoted then would silently miss the rows."""
+    primary = _log(tmp_path / "d")
+    replica = _log(tmp_path / "d", role="replica")
+    _delete(primary, 1)
+    primary.checkpoint(_save_fn(1), count=1, next_id=1)
+    with pytest.raises(WALGapError):
+        list(replica.replay())
+    primary.close()
+    rebuilt = _log(tmp_path / "d", role="replica")  # from the snapshot
+    assert rebuilt.applied_lsn == 1 and list(rebuilt.replay()) == []

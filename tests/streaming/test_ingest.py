@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from repro.applications import detect_online_anomalies
-from repro.exceptions import ServiceClosedError, ServiceOverloadedError
+from repro.core.atomicio import atomic_savez
+from repro.exceptions import (CorruptArtifactError, ServiceClosedError,
+                              ServiceOverloadedError)
+from repro.serving.wal import ShardDurability
 from repro.streaming import StreamConfig, StreamIngestor, WindowConfig
+from repro.streaming.ingest import STREAM_BASE_TAG
+from repro.testing.faults import CorruptionSpec
 
 from tests.streaming.conftest import in_order_points, make_encoder
 
@@ -97,6 +102,36 @@ def test_wal_append_failure_leaves_window_unmutated(tmp_path, encoder):
     recovered.close()
 
 
+def _committer_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("wal-committer")]
+
+
+def test_failed_recovery_closes_the_log(tmp_path, encoder):
+    """Regression: the constructor used to open the WAL and *then*
+    recover, so a recovery error left the segment file open and the
+    group-commit thread alive for the life of the process."""
+    config = StreamConfig(window=_SYNC.window, sync_encode=True,
+                          fsync_window_ms=2.0)
+    ingestor = StreamIngestor(encoder, tmp_path, config)
+    ingestor.ingest(in_order_points(1, 10))
+    ingestor.snapshot()
+    ingestor.close()
+    (snapshot,) = tmp_path.glob("snapshot-*.npz")
+    CorruptionSpec(mode="flip", offset=None).apply(snapshot)
+    with pytest.raises(CorruptArtifactError):
+        StreamIngestor(encoder, tmp_path, config)
+    assert _committer_threads() == []
+    # Same for a failure *after* the log is open: a snapshot whose
+    # digest checks out but whose payload is not a window.
+    ShardDurability(tmp_path, STREAM_BASE_TAG).commit_snapshot(
+        lambda path: atomic_savez(path, unrelated=np.zeros(3)),
+        count=0, next_id=0, applied_lsn=0)
+    with pytest.raises(KeyError):
+        StreamIngestor(encoder, tmp_path, config)
+    assert _committer_threads() == []
+
+
 def test_wal_replay_recovers_identical_state(tmp_path, encoder):
     rng = np.random.default_rng(1)
     ingestor = StreamIngestor(encoder, tmp_path, _SYNC)
@@ -145,7 +180,7 @@ def test_auto_snapshot_every_n_accepted(tmp_path, encoder):
     ingestor = StreamIngestor(encoder, tmp_path, config)
     for start in range(0, 28, 7):
         ingestor.ingest(in_order_points(1, 28)[start:start + 7])
-    assert ingestor._durability.snapshot_path() is not None
+    assert ingestor._log.snapshot is not None
     ingestor.close()
 
 
