@@ -1,4 +1,4 @@
-"""Micro-benchmarks for the three hot-path kernel rewrites.
+"""Micro-benchmarks for the hot-path kernel rewrites.
 
 Unlike the `bench_table*` / `bench_fig*` files (which regenerate paper
 artefacts), this script times each optimised kernel against the reference
@@ -15,7 +15,11 @@ next to this file:
 * **embedding_distance_matrix** — all-pairs embedding search distances:
   the O(N²·d)-memory broadcast vs the chunked Gram-matrix form;
 * **memory_write** — ``SpatialMemory.write``: the per-sample Python loop
-  vs the duplicate-resolving vectorised scatter.
+  vs the duplicate-resolving vectorised scatter;
+* **embed_single**, **extend_prefix_point**, **embed_batch** — inference:
+  the tape engine under ``no_grad`` (``encode(update_memory=False)``, and
+  the ``project_inputs`` + ``cell.step`` fold) vs the tape-free kernel
+  behind ``embed`` / ``extend_prefix``. Gated on ``identical`` only.
 
 Every pairing also checks that old and new paths agree (bit-identical
 where the rewrite promises it) — a speedup over a wrong answer is not
@@ -48,6 +52,10 @@ CONFIG = {
     "embedding_dim": 64,
     "write_batch": 256,
     "write_steps": 40,
+    "infer_embedding_dim": 32,
+    "infer_single_points": 75,
+    "infer_batch": 100,
+    "infer_batch_points": 30,
 }
 
 
@@ -134,7 +142,7 @@ def _seed_gather(self, cells):
 
 def _seed_write(self, cells, values, gates, mask=None):
     """Pre-optimisation ``SpatialMemory.write``: per-sample Python loop."""
-    from repro.nn.sam import _sigmoid
+    from repro.nn.tensor import logistic as _sigmoid
     cells = np.asarray(cells, dtype=int)
     values = np.asarray(values)
     if self.bounded:
@@ -231,7 +239,8 @@ def bench_embedding_distance_matrix() -> dict:
 
 def bench_memory_write() -> dict:
     """SpatialMemory.write: per-sample loop vs vectorised scatter."""
-    from repro.nn.sam import SpatialMemory, _sigmoid
+    from repro.nn.sam import SpatialMemory
+    from repro.nn.tensor import logistic as _sigmoid
 
     rng = np.random.default_rng(4)
     grid, d = (40, 40), 32
@@ -268,11 +277,102 @@ def bench_memory_write() -> dict:
     }
 
 
+def _inference_encoder():
+    """An untrained SAM encoder with a non-zero memory (reads matter)."""
+    from repro.core.config import NeuTrajConfig
+    from repro.core.encoder import TrajectoryEncoder
+    from repro.datasets import Grid
+    from repro.datasets.grid import CoordinateNormalizer
+
+    cfg = NeuTrajConfig(embedding_dim=CONFIG["infer_embedding_dim"],
+                        cell_size=400.0)
+    encoder = TrajectoryEncoder(
+        Grid((0.0, 0.0, 20000.0, 20000.0), cfg.cell_size),
+        CoordinateNormalizer(mean=[10000.0, 10000.0], std=[4000.0, 4000.0]),
+        cfg, np.random.default_rng(0))
+    # A training-style pass fills the memory the way fit() does.
+    encoder.encode(_walks(200, 30, seed=1), update_memory=True)
+    return encoder
+
+
+def _walks(count: int, points: int, seed: int):
+    from repro.datasets import Trajectory
+    rng = np.random.default_rng(seed)
+    return [Trajectory(rng.uniform(0.0, 20000.0, size=(points, 2)))
+            for _ in range(count)]
+
+
+def _inference_row(before_label, tape, kernel, calls: int) -> dict:
+    """Time ``calls`` back-to-back calls of each path; compare outputs."""
+    before = _best_of(lambda: [tape() for _ in range(calls)]) / calls
+    after = _best_of(lambda: [kernel() for _ in range(calls)]) / calls
+    return {
+        "before": before_label,
+        "after": "tape-free kernel (plain arrays, hoisted window indices)",
+        "before_s": before,
+        "after_s": after,
+        "speedup": before / after,
+        "identical": bool(np.array_equal(tape(), kernel())),
+    }
+
+
+def _bench_embed(count: int, points: int, calls: int) -> dict:
+    from repro.nn.tensor import no_grad
+
+    encoder = _inference_encoder()
+    batch = _walks(count, points, seed=5)
+
+    def tape():
+        with no_grad():
+            return encoder.encode(batch, update_memory=False).data
+
+    return _inference_row("encode(update_memory=False) under no_grad",
+                          tape, lambda: encoder.embed(batch), calls)
+
+
+def bench_embed_single() -> dict:
+    """Single-query ``embed`` (the /v1/topk encode): tape vs kernel."""
+    return _bench_embed(1, CONFIG["infer_single_points"], calls=20)
+
+
+def bench_embed_batch() -> dict:
+    """Batched ``embed`` (bulk store build): tape vs kernel."""
+    return _bench_embed(CONFIG["infer_batch"], CONFIG["infer_batch_points"],
+                        calls=2)
+
+
+def bench_extend_prefix_point() -> dict:
+    """One-point ``extend_prefix`` (the ingest fold): tape vs kernel."""
+    from repro.nn.tensor import Tensor, no_grad
+
+    encoder = _inference_encoder()
+    points = _walks(1, 31, seed=6)[0].points
+    state = encoder.encode_prefix(points[:30])
+    point = points[30:]
+
+    def tape():
+        inputs = encoder.normalizer.transform(point)
+        cells = encoder.grid.to_cells(point)
+        with no_grad():
+            x_gates, x_cand = encoder.rnn.cell.project_inputs(inputs[None])
+            h, _ = encoder.rnn.cell.step(
+                x_gates[0], x_cand[0], cells, Tensor(state.h.copy()),
+                Tensor(state.c.copy()), encoder.memory, write=False)
+        return h.data
+
+    return _inference_row(
+        "project_inputs + cell.step under no_grad", tape,
+        lambda: encoder.extend_prefix(state, point).h, calls=500)
+
+
 KERNELS = {
     "pairwise_dtw": bench_pairwise_dtw,
     "samlstm_epoch": bench_samlstm_epoch,
     "embedding_distance_matrix": bench_embedding_distance_matrix,
     "memory_write": bench_memory_write,
+    "embed_single": bench_embed_single,
+    "extend_prefix_point": bench_extend_prefix_point,
+    "embed_batch": bench_embed_batch,
 }
 
 
@@ -282,7 +382,7 @@ def run_all() -> dict:
     for name, fn in KERNELS.items():
         kernels[name] = fn()
         entry = kernels[name]
-        print(f"{name}: {entry['before_s']:.3f}s -> {entry['after_s']:.3f}s "
+        print(f"{name}: {entry['before_s']:.3g}s -> {entry['after_s']:.3g}s "
               f"({entry['speedup']:.2f}x, identical={entry['identical']})")
     return {
         "schema": "repro.bench_kernels.v1",

@@ -62,9 +62,16 @@ def default_config() -> AnalysisConfig:
                 # The tape/optimizer internals legitimately assign
                 # Tensor.data/.grad; everything else must go through ops.
                 "allowed_paths": ("repro/nn/",),
-                # Inference entry points that must run under no_grad().
+                # Inference entry points: under no_grad(), or reaching the
+                # engine only through kernel_calls (any other use of a
+                # listed owner, e.g. self.rnn.cell.step(), builds Tensors).
                 "entry_points": {
                     "repro/core/encoder.py": ("embed", "extend_prefix"),
+                },
+                "kernel_calls": {
+                    "self.rnn": ("infer", "fold"),
+                    "self.memory": (),
+                    "self.encode": (),
                 },
             },
             "dtype-discipline": {

@@ -11,9 +11,12 @@ failure). Outside the whitelisted engine internals this rule flags:
 * in-place mutator calls on them (``.fill``, ``.sort``, ``np.add.at``,
   ...).
 
-It also checks that configured inference entry points (``embed``) enter
-``no_grad()`` somewhere in their body, so bulk inference can never start
-taping by accident.
+It also checks that configured inference entry points (``embed``,
+``extend_prefix``) cannot start taping by accident: each either enters
+``no_grad()``, or reaches the engine only through the tape-free kernel —
+every use of an owner in the ``kernel_calls`` option is one of its allowed
+calls (or hands the owner on as an argument), at least one such call is
+made, and the body names neither ``Tensor`` nor ``as_tensor``.
 """
 
 from __future__ import annotations
@@ -49,10 +52,12 @@ def _tape_attr(node: ast.AST) -> str:
 class TapeDiscipline(Rule):
     rule_id = "tape-discipline"
     description = ("no Tensor.data/.grad mutation outside engine internals; "
-                   "inference entry points must run under no_grad()")
+                   "inference entry points run under no_grad() or reach "
+                   "the engine only through the tape-free kernel")
     default_options = {
         "allowed_paths": ("repro/nn/",),
         "entry_points": {},
+        "kernel_calls": {},  # owner -> calls an entry point may make on it
     }
 
     def check(self, ctx: ModuleContext) -> List:
@@ -117,15 +122,41 @@ class TapeDiscipline(Rule):
             if not ctx.rel_path.endswith(suffix):
                 continue
             wanted = set(names)
+            kernel_calls = ctx.options.get("kernel_calls", {})
             for node in ast.walk(ctx.tree):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                         and node.name in wanted \
                         and not self._enters_no_grad(node):
-                    out.append(ctx.finding(
-                        self.rule_id, node,
-                        f"inference entry point {node.name}() never enters "
-                        f"no_grad(); bulk inference would build a tape"))
+                    problem = self._outside_kernel(node, kernel_calls)
+                    if problem:
+                        out.append(ctx.finding(
+                            self.rule_id, node,
+                            f"inference entry point {node.name}() neither "
+                            f"enters no_grad() nor stays inside the "
+                            f"tape-free kernel ({problem}); inference "
+                            f"would build a tape"))
         return out
+
+    @staticmethod
+    def _outside_kernel(fn: ast.AST, kernel_calls) -> str:
+        """Why ``fn`` is not kernel-only ("" when it is)."""
+        nodes = list(ast.walk(fn))
+        prefixes = {id(n.value) for n in nodes if isinstance(n, ast.Attribute)}
+        # Whole ``a.b.c`` chains only, not the ``a.b`` inside them.
+        chains = {dotted_name(n) for n in nodes if id(n) not in prefixes
+                  and isinstance(n, (ast.Name, ast.Attribute))} - {None}
+        called = {dotted_name(n.func) for n in nodes
+                  if isinstance(n, ast.Call)}
+        kernel = {f"{owner}.{call}" for owner, calls in kernel_calls.items()
+                  for call in calls} & called
+        for name in sorted(chains - kernel):
+            if name.split(".")[-1] in ("Tensor", "as_tensor"):
+                return f"names {name}"
+            # A bare owner may be handed on as an argument, never called.
+            if (name in called and name in kernel_calls) or any(
+                    name.startswith(owner + ".") for owner in kernel_calls):
+                return f"uses {name}"
+        return "" if kernel else "makes no kernel call"
 
     @staticmethod
     def _enters_no_grad(fn: ast.AST) -> bool:

@@ -104,16 +104,18 @@ class TrajectoryEncoder(Module):
               batch_size: int = 128) -> np.ndarray:
         """Inference embeddings (B, d) as a plain array.
 
-        Runs under :class:`~repro.nn.tensor.no_grad` (no tape) with the
-        memory read-only, so embeddings are deterministic and cheap.
+        Tape-free (:meth:`~repro.nn.rnn.Recurrent.infer`) with the memory
+        read-only: no ``Tensor`` is built and the autograd switch is never
+        touched, so any thread may call it. Bit-identical in float64 to
+        ``encode(..., update_memory=False)``.
         """
-        from ..nn.tensor import no_grad
         chunks: List[np.ndarray] = []
         items = list(trajectories)
-        with no_grad():
-            for start in range(0, len(items), batch_size):
-                batch = items[start:start + batch_size]
-                chunks.append(self.encode(batch, update_memory=False).data)
+        for start in range(0, len(items), batch_size):
+            coords, _, mask = pad_batch(items[start:start + batch_size])
+            cells = self.grid.to_cells(coords) if self.uses_sam else None
+            chunks.append(self.rnn.infer(self.normalizer.transform(coords),
+                                         mask, cells, self.memory))
         if not chunks:
             return np.zeros((0, self.config.embedding_dim))
         return np.concatenate(chunks, axis=0)
@@ -129,8 +131,8 @@ class TrajectoryEncoder(Module):
                       points: np.ndarray) -> PrefixState:
         """Fold ``points`` ((n, 2) raw coordinates) into ``state``.
 
-        Runs the recurrence one point at a time with batch size 1 under
-        ``no_grad`` and the memory read-only. Each point's input
+        Runs the recurrence one point at a time with batch size 1, tape-free
+        (``Recurrent.fold``) and the memory read-only. Each point's input
         projection is computed individually, so the result is invariant
         to how a growing trajectory is chunked across calls: extending
         point by point, in bursts, or all at once produces bit-identical
@@ -141,7 +143,6 @@ class TrajectoryEncoder(Module):
 
         Returns a new state; ``state`` itself is not mutated.
         """
-        from ..nn.tensor import no_grad
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError(
@@ -153,20 +154,8 @@ class TrajectoryEncoder(Module):
             raise ValueError("points must be finite")
         inputs = self.normalizer.transform(points)
         cells = self.grid.to_cells(points) if self.uses_sam else None
-        cell = self.rnn.cell
-        with no_grad():
-            h = Tensor(state.h.copy())
-            c = Tensor(state.c.copy())
-            for t in range(inputs.shape[0]):
-                # Project exactly one point: (1, 1, 2) -> one step's
-                # pre-activations, keeping the fold chunk-invariant.
-                x_gates, x_cand = cell.project_inputs(inputs[t:t + 1][None])
-                if self.uses_sam:
-                    h, c = cell.step(x_gates[0], x_cand[0], cells[t:t + 1],
-                                     h, c, self.memory, write=False)
-                else:
-                    h, c = cell.step(x_gates[0], x_cand[0], h, c)
-        return PrefixState(h=h.data, c=c.data,
+        h, c = self.rnn.fold(state.h, state.c, inputs, cells, self.memory)
+        return PrefixState(h=h, c=c,
                            length=state.length + int(points.shape[0]))
 
     def encode_prefix(self, points: np.ndarray) -> PrefixState:

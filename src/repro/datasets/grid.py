@@ -59,8 +59,12 @@ class Grid:
         cells = np.empty(points.shape, dtype=int)
         cells[..., 0] = np.floor((points[..., 0] - xmin) / self.cell_size)
         cells[..., 1] = np.floor((points[..., 1] - ymin) / self.cell_size)
-        cells[..., 0] = np.clip(cells[..., 0], 0, self.shape[0] - 1)
-        cells[..., 1] = np.clip(cells[..., 1], 0, self.shape[1] - 1)
+        # min/max, not np.clip: clip looks up the dtype's limits per call,
+        # ~4x the cost on the one-point arrays the streaming tier passes.
+        cells[..., 0] = np.minimum(np.maximum(cells[..., 0], 0),
+                                   self.shape[0] - 1)
+        cells[..., 1] = np.minimum(np.maximum(cells[..., 1], 0),
+                                   self.shape[1] - 1)
         return cells
 
     def cell_center(self, cells: np.ndarray) -> np.ndarray:

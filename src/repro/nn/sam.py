@@ -29,18 +29,23 @@ saturating ``tanh`` and costing ~20 HR@10 points on our workloads):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from . import init
 from .layers import Linear
 from .module import Module, Parameter
-from .tensor import Tensor, concat, unstack, where
+from .rnn import Recurrent, step_forward
+from .tensor import Tensor, concat, logistic, unstack, where
 
 #: Initial bias of the spatial gate: strongly negative so the memory path
 #: starts nearly closed and opens only where it reduces the loss.
 SPATIAL_GATE_BIAS = -4.0
+
+#: Cap on one hoisted index array in :meth:`SpatialMemory.windows`: hoisting
+#: only pays where the batch is small, and larger blocks show up as peak RSS.
+_HOIST_BYTES = 256 * 1024
 
 
 class SpatialMemory:
@@ -88,6 +93,31 @@ class SpatialMemory:
         clone.data = self.data.copy()
         return clone
 
+    def window_index(self, cells: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Where the scan windows around ``cells`` (..., 2) live: the row of
+        the flattened (P·Q, d) memory each window position reads and
+        whether it lies outside the grid (reads as zeros), both (..., K).
+        """
+        cells = np.asarray(cells, dtype=int)
+        p, q = self.grid_shape
+        gx = cells[..., 0:1] + self._window[:, 0]
+        gy = cells[..., 1:2] + self._window[:, 1]
+        # min/max, not np.clip, for the reason given in ``Grid.to_cells``.
+        inside_x = np.minimum(np.maximum(gx, 0), p - 1)
+        inside_y = np.minimum(np.maximum(gy, 0), q - 1)
+        outside = (inside_x != gx) | (inside_y != gy)
+        return inside_x * q + inside_y, outside
+
+    def take(self, flat: np.ndarray, outside: np.ndarray) -> np.ndarray:
+        """Read the (..., K, d) windows that :meth:`window_index` located."""
+        p, q = self.grid_shape
+        # One flat ``take`` instead of a (gx, gy) double fancy index: this
+        # runs once per recurrent step and is the read hot spot.
+        window = self.data.reshape(p * q, self.hidden_size).take(flat, axis=0)
+        window[outside] = 0.0
+        return window
+
     def gather(self, cells: np.ndarray) -> np.ndarray:
         """Read the scan windows around a batch of grid cells.
 
@@ -101,19 +131,23 @@ class SpatialMemory:
         (B, K, d) array of the surrounding grid-cell embeddings; positions
         outside the grid read as zeros.
         """
+        return self.take(*self.window_index(cells))
+
+    def windows(self, cells: np.ndarray) -> Iterator[np.ndarray]:
+        """Yield each step's (B, K, d) window for time-major ``cells`` (T, B, 2).
+
+        For read-only passes: nothing writes between steps, so the index
+        arithmetic is hoisted out of the step loop, a block of steps at a
+        time. The windows are still taken per step — a (T, B, K, d) block
+        of them costs more to materialise than it saves.
+        """
         cells = np.asarray(cells, dtype=int)
-        coords = cells[:, None, :] + self._window[None, :, :]  # (B, K, 2)
-        p, q = self.grid_shape
-        gx = coords[..., 0]
-        gy = coords[..., 1]
-        valid = (gx >= 0) & (gx < p) & (gy >= 0) & (gy < q)
-        # One flat ``take`` instead of a (gx, gy) double fancy index: this
-        # gather runs once per recurrent step and is the read hot spot.
-        flat = np.clip(gx, 0, p - 1) * q + np.clip(gy, 0, q - 1)
-        window = self.data.reshape(p * q, self.hidden_size).take(
-            flat.ravel(), axis=0).reshape(*flat.shape, self.hidden_size)
-        window[~valid] = 0.0
-        return window
+        per_step = cells.shape[1] * self.window_size * cells.itemsize
+        block = max(1, _HOIST_BYTES // per_step)
+        for start in range(0, len(cells), block):
+            for flat, outside in zip(
+                    *self.window_index(cells[start:start + block])):
+                yield self.take(flat, outside)
 
     def write(self, cells: np.ndarray, values: np.ndarray, gates: np.ndarray,
               mask: Optional[np.ndarray] = None) -> None:
@@ -131,7 +165,7 @@ class SpatialMemory:
         values = np.asarray(values, dtype=np.float64)
         if self.bounded:
             values = np.tanh(values)
-        gate_weight = _sigmoid(np.asarray(gates, dtype=np.float64))
+        gate_weight = logistic(np.asarray(gates, dtype=np.float64))
         p, q = self.grid_shape
         valid = ((cells[:, 0] >= 0) & (cells[:, 0] < p)
                  & (cells[:, 1] >= 0) & (cells[:, 1] < q))
@@ -163,13 +197,6 @@ class SpatialMemory:
         """Fraction of grid cells holding a non-zero embedding."""
         nonzero = np.any(self.data != 0.0, axis=-1)
         return float(nonzero.mean())
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Same stable one-exp logistic as the autodiff ops.
-    e = np.exp(-np.abs(x))
-    pos = 1.0 / (1.0 + e)
-    return np.where(x >= 0, pos, e * pos)
 
 
 class SAMLSTMCell(Module):
@@ -265,6 +292,12 @@ class SAMLSTMCell(Module):
         cat = concat([c_hat, mix], axis=-1)
         return self.read_proj(cat).tanh()
 
+    def weight_views(self) -> tuple:
+        """Trailing arguments of :func:`~repro.nn.rnn.step_forward`."""
+        return (self.u_gates.data.transpose(), self.u_cand.data.transpose(),
+                self.read_proj.weight.data.transpose(),
+                self.read_proj.bias.data)
+
     def step_core(self, x_gates_t: Tensor, x_cand_t: Tensor, h_prev: Tensor,
                   c_prev: Tensor, window: np.ndarray,
                   step_mask: Optional[np.ndarray] = None
@@ -275,10 +308,10 @@ class SAMLSTMCell(Module):
         gate slab, candidate ``tanh``, intermediate cell state, attention
         read over ``window`` and the output states — in raw numpy with a
         hand-written backward, so each timestep adds two tape nodes
-        (``c_t``, ``h_t``) instead of ~20. Forward runs the exact numpy
-        operations of the legacy per-step path, keeping the two
-        bit-identical. ``window`` is a constant: reads do not
-        backpropagate into stored history.
+        (``c_t``, ``h_t``) instead of ~20. The forward is ``step_forward``,
+        the call inference makes too; it runs the exact numpy operations
+        of the legacy per-step path, keeping the two bit-identical.
+        ``window`` is a constant: reads do not backpropagate into history.
 
         ``step_mask`` (B,) folds the padded-step carry into the same two
         nodes: rows with a False mask emit ``h_prev``/``c_prev`` unchanged
@@ -292,34 +325,16 @@ class SAMLSTMCell(Module):
         weight, bias = self.read_proj.weight, self.read_proj.bias
         batch, d = c_prev.shape
         h_data = h_prev.data
-        pre = x_gates_t.data + h_data @ u_gates.data.transpose()
-        cand_pre = x_cand_t.data + h_data @ u_cand.data.transpose()
-        slab = _sigmoid(pre)
+        carry = (None if step_mask is None
+                 else ~np.asarray(step_mask, dtype=bool)[:, None])
+        h_t_data, c_t_data, saved = step_forward(
+            x_gates_t.data, x_cand_t.data, h_data, c_prev.data, window,
+            carry, *self.weight_views())
+        slab, cand, attn, cat, c_his, tanh_ct = saved
         f_t = slab[:, 0 * d:1 * d]
         i_t = slab[:, 1 * d:2 * d]
         s_t = slab[:, 2 * d:3 * d]
         o_t = slab[:, 3 * d:4 * d]
-        cand = np.tanh(cand_pre)
-        c_hat = f_t * c_prev.data + i_t * cand
-
-        scores = (window @ c_hat.reshape(batch, d, 1)
-                  ).reshape(batch, window.shape[1])
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        attn = e / e.sum(axis=-1, keepdims=True)
-        mix = (window.transpose(0, 2, 1)
-               @ attn.reshape(batch, -1, 1)).reshape(batch, d)
-        cat = np.concatenate([c_hat, mix], axis=-1)
-        c_his = np.tanh(cat @ weight.data.transpose() + bias.data)
-        c_t_data = c_hat + s_t * c_his
-        tanh_ct = np.tanh(c_t_data)
-        h_t_data = o_t * tanh_ct
-        if step_mask is not None:
-            carry = ~np.asarray(step_mask, dtype=bool)[:, None]
-            c_t_data = np.where(carry, c_prev.data, c_t_data)
-            h_t_data = np.where(carry, h_prev.data, h_t_data)
-        else:
-            carry = None
 
         def backward_c(grad: np.ndarray) -> None:
             if carry is not None:
@@ -390,13 +405,13 @@ class SAMLSTMCell(Module):
         return h_t, c_t, s_t
 
 
-class SAMLSTM(Module):
+class SAMLSTM(Recurrent):
     """Run a :class:`SAMLSTMCell` over padded (coords, grid-cells) sequences.
 
     ``forward`` consumes coordinates (B, T, input_size), integer grid cells
     (B, T, 2) and a boolean mask (B, T). Memory writes happen only when
-    ``update_memory`` is True (training); inference is read-only so that
-    embeddings are deterministic.
+    ``update_memory`` is True (training); inference (the inherited tape-free
+    ``infer`` / ``fold``) is read-only so that embeddings are deterministic.
     """
 
     def __init__(self, input_size: int, hidden_size: int,

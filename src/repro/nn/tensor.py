@@ -30,11 +30,14 @@ _GRAD_ENABLED = True
 
 
 class no_grad:
-    """Context manager disabling tape construction (inference mode).
+    """Context manager disabling tape construction.
 
     Inside the context every op result has ``requires_grad=False`` and no
-    backward closure, which removes the autodiff overhead from pure
-    inference paths such as bulk embedding.
+    backward closure. The flag it saves and restores is **process-global**
+    and unsynchronised — two threads whose contexts overlap can leave it
+    off for good — so it is for the training thread and for tests only.
+    Inference (``embed`` / ``extend_prefix``, run from many threads by the
+    serving and streaming tiers) is tape-free and never enters it.
     """
 
     def __enter__(self):
@@ -51,6 +54,14 @@ class no_grad:
 
 def is_grad_enabled() -> bool:
     return _GRAD_ENABLED
+
+
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Numerically stable one-``exp`` logistic on a plain array; the tape
+    ops, the memory write gate and the inference kernel all call this one."""
+    e = np.exp(-np.abs(x))
+    pos = 1.0 / (1.0 + e)
+    return np.where(x >= 0, pos, e * pos)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -336,11 +347,7 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic; one exp, shared by both branches.
-        x = self.data
-        e = np.exp(-np.abs(x))
-        pos = 1.0 / (1.0 + e)
-        data = np.where(x >= 0, pos, e * pos)
+        data = logistic(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -521,10 +528,7 @@ def lstm_gates(pre: Tensor, num_gates: int) -> Tuple[Tensor, ...]:
         raise ValueError(
             f"last axis ({width}) is not divisible into {num_gates} gates")
     d = width // num_gates
-    x = pre.data
-    e = np.exp(-np.abs(x))
-    pos = 1.0 / (1.0 + e)
-    slab = np.where(x >= 0, pos, e * pos)
+    slab = logistic(pre.data)
 
     def make_backward(key, gate: np.ndarray):
         def backward(grad: np.ndarray) -> None:

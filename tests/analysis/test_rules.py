@@ -80,6 +80,50 @@ def test_tape_rule_requires_no_grad_entry_point():
                **{"tape-discipline": {"entry_points": entry}}) == []
 
 
+KERNEL_ENTRY = {"tape-discipline": {
+    "entry_points": {"repro/core/encoder.py": ("embed",)},
+    "kernel_calls": {"self.rnn": ("infer", "fold"), "self.memory": (),
+                     "self.encode": ()},
+}}
+
+
+def _entry_point(body):
+    source = "def embed(self, batch):\n" + textwrap.indent(
+        textwrap.dedent(body), "    ")
+    return run(source, rel_path="src/repro/core/encoder.py", **KERNEL_ENTRY)
+
+
+def test_tape_rule_accepts_kernel_only_entry_point():
+    assert _entry_point("""\
+        cells = self.grid.to_cells(batch) if self.uses_sam else None
+        return self.rnn.infer(batch, mask, cells, self.memory)
+    """) == []
+    assert _entry_point("""\
+        h, c = self.rnn.fold(state.h, state.c, batch, None, self.memory)
+        return h
+    """) == []
+
+
+@pytest.mark.parametrize("body, culprit", [
+    ("return self.rnn(batch, mask).data", "self.rnn"),
+    ("return self.rnn.cell.step(batch, h, c)", "self.rnn.cell.step"),
+    ("cell = self.rnn.cell\nreturn cell.step(batch, h, c)", "self.rnn.cell"),
+    ("w = self.memory.gather(cells)\nreturn self.rnn.infer(batch, w)",
+     "self.memory.gather"),
+    ("return self.encode(batch).data", "self.encode"),
+    ("return self.rnn.infer(Tensor(batch).data, mask)", "Tensor"),
+    ("return self.rnn.infer(nn.as_tensor(batch).data, mask)",
+     "nn.as_tensor"),
+    ("return self.normalizer.transform(batch)", "no kernel call"),
+])
+def test_tape_rule_flags_engine_use_outside_the_kernel(body, culprit):
+    findings = _entry_point(body)
+    assert rules_of(findings) == ["tape-discipline"]
+    assert findings[0].line == 1
+    assert culprit + ")" in findings[0].message
+    assert "no_grad" in findings[0].message
+
+
 def test_tape_rule_pragma_suppresses():
     source = """\
         def restore(tensor, saved):

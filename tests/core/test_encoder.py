@@ -1,12 +1,22 @@
 """Tests for the trajectory encoder wrapper."""
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import NeuTrajConfig
 from repro.core.encoder import TrajectoryEncoder
+from repro.core.sampling import AnchorSamples
+from repro.core.trainer import training_step
 from repro.datasets import Grid, Trajectory
 from repro.datasets.grid import CoordinateNormalizer
+from repro.nn import sam, tensor
+from repro.nn.optim import Adam
+from repro.nn.sam import SpatialMemory
+from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
 
 
 def _encoder(use_sam: bool, seed: int = 0, dim: int = 8):
@@ -86,3 +96,258 @@ def test_embedding_order_independent_when_readonly(trajectories):
     fwd = enc.embed(trajectories)
     rev = enc.embed(list(reversed(trajectories)))
     np.testing.assert_allclose(fwd, rev[::-1])
+
+
+# ------------------------------------------------ the kernel is the tape
+
+def _warm_encoder(use_sam: bool, seed: int = 0) -> TrajectoryEncoder:
+    """An encoder whose memory is non-zero, so window reads matter."""
+    enc = _encoder(use_sam, seed=seed)
+    if use_sam:
+        enc.memory.data[:] = np.random.default_rng(seed + 1).normal(
+            scale=0.5, size=enc.memory.data.shape)
+    return enc
+
+
+def _ragged_batch(seed: int, count: int):
+    """``count`` trajectories of 2-60 points, some on and beyond the
+    [0, 1000]^2 grid border (cells clamp, windows hang over the edge)."""
+    rng = np.random.default_rng(seed)
+    batch = []
+    for _ in range(count):
+        points = rng.uniform(-150.0, 1150.0,
+                             size=(int(rng.integers(2, 61)), 2))
+        points[0] = rng.choice([0.0, 1000.0], size=2)  # exactly on a border
+        batch.append(Trajectory(points))
+    return batch
+
+
+def _tape_extend(enc, h, c, points):
+    """The fold as the tape engine runs it (what ``extend_prefix`` was
+    before the kernel): one point at a time through ``project_inputs`` +
+    ``cell.step`` under ``no_grad``."""
+    inputs = enc.normalizer.transform(points)
+    cells = enc.grid.to_cells(points)
+    cell = enc.rnn.cell
+    with no_grad():
+        h, c = Tensor(h.copy()), Tensor(c.copy())
+        for t in range(len(points)):
+            x_gates, x_cand = cell.project_inputs(inputs[t:t + 1][None])
+            if enc.uses_sam:
+                h, c = cell.step(x_gates[0], x_cand[0], cells[t:t + 1],
+                                 h, c, enc.memory, write=False)
+            else:
+                h, c = cell.step(x_gates[0], x_cand[0], h, c)
+    return h.data, c.data
+
+
+class _CountTensors:
+    """Counts ``Tensor.__init__`` calls while active."""
+
+    def __enter__(self):
+        self.count, self._init = 0, Tensor.__init__
+
+        def counting(tensor_self, *args, **kwargs):
+            self.count += 1
+            self._init(tensor_self, *args, **kwargs)
+
+        Tensor.__init__ = counting
+        return self
+
+    def __exit__(self, *exc):
+        Tensor.__init__ = self._init
+
+
+@pytest.mark.parametrize("use_sam", [True, False])
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), count=st.integers(1, 20))
+def test_embed_is_the_tape_forward_bit_for_bit(use_sam, seed, count):
+    enc = _warm_encoder(use_sam, seed=seed % 5)
+    batch = _ragged_batch(seed, count)
+    frozen = {name: p.data.copy() for name, p in enc.named_parameters()}
+    memory = enc.memory.data.copy() if use_sam else None
+
+    with _CountTensors() as built:
+        whole = enc.embed(batch)
+        alone = [enc.embed([t]) for t in batch[:3]]
+    assert built.count == 0
+
+    with no_grad():
+        assert np.array_equal(
+            whole, enc.encode(batch, update_memory=False).data)
+        for t, single in zip(batch, alone):
+            assert np.array_equal(
+                single, enc.encode([t], update_memory=False).data)
+    for name, p in enc.named_parameters():
+        assert np.array_equal(p.data, frozen[name]), name
+    if use_sam:
+        assert np.array_equal(enc.memory.data, memory)
+
+
+@pytest.mark.parametrize("use_sam", [True, False])
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_extend_prefix_is_the_tape_fold_bit_for_bit(use_sam, seed, data):
+    enc = _warm_encoder(use_sam, seed=seed % 5)
+    points = _ragged_batch(seed, 1)[0].points
+    n = len(points)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=5)))
+    if data.draw(st.booleans()):
+        cuts = list(range(n + 1))  # every chunk is one point
+    bounds = [0] + cuts + [n]
+
+    state = enc.init_prefix()
+    h_ref, c_ref = state.h, state.c
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        h_before, c_before = state.h.copy(), state.c.copy()
+        with _CountTensors() as built:
+            grown = enc.extend_prefix(state, points[lo:hi])
+        assert built.count == 0
+        assert np.array_equal(state.h, h_before)  # the old state is a value
+        assert np.array_equal(state.c, c_before)
+        h_ref, c_ref = _tape_extend(enc, h_ref, c_ref, points[lo:hi])
+        assert np.array_equal(grown.h, h_ref)
+        assert np.array_equal(grown.c, c_ref)
+        state = grown
+    assert state.length == n
+
+
+def _parent_step_forward(x_gates, x_cand, h, c, window, carry, u_gates_t,
+                         u_cand_t, w_read_t, b_read):
+    """``SAMLSTMCell.step_core``'s forward as it was written inline before
+    it became ``rnn.step_forward`` — statement for statement."""
+    def sigmoid(x):
+        e = np.exp(-np.abs(x))
+        pos = 1.0 / (1.0 + e)
+        return np.where(x >= 0, pos, e * pos)
+
+    batch, d = c.shape
+    pre = x_gates + h @ u_gates_t
+    cand_pre = x_cand + h @ u_cand_t
+    slab = sigmoid(pre)
+    f_t, i_t = slab[:, 0 * d:1 * d], slab[:, 1 * d:2 * d]
+    s_t, o_t = slab[:, 2 * d:3 * d], slab[:, 3 * d:4 * d]
+    cand = np.tanh(cand_pre)
+    c_hat = f_t * c + i_t * cand
+    scores = (window @ c_hat.reshape(batch, d, 1)
+              ).reshape(batch, window.shape[1])
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    mix = (window.transpose(0, 2, 1)
+           @ attn.reshape(batch, -1, 1)).reshape(batch, d)
+    cat = np.concatenate([c_hat, mix], axis=-1)
+    c_his = np.tanh(cat @ w_read_t + b_read)
+    c_t = c_hat + s_t * c_his
+    tanh_ct = np.tanh(c_t)
+    h_t = o_t * tanh_ct
+    if carry is not None:
+        c_t = np.where(carry, c, c_t)
+        h_t = np.where(carry, h, h_t)
+    return h_t, c_t, (slab, cand, attn, cat, c_his, tanh_ct)
+
+
+def _one_training_step(seed=3):
+    """Loss, gradients and memory of one seeded SAM ``training_step``."""
+    rng = np.random.default_rng(seed)
+    enc = _warm_encoder(True, seed=seed)
+    seeds = _ragged_batch(seed, 9)
+    batch = [AnchorSamples(anchor=a,
+                           similar=rng.permutation(9)[:2],
+                           dissimilar=rng.permutation(9)[:2],
+                           similar_truth=rng.uniform(0.5, 1.0, size=2),
+                           dissimilar_truth=rng.uniform(0.0, 0.5, size=2))
+             for a in (0, 4)]
+    optimizer = Adam(enc.parameters(), lr=0.01)
+    loss = training_step(enc, seeds, batch, optimizer, grad_clip=0.0)
+    grads = {name: p.grad.copy() for name, p in enc.named_parameters()}
+    return loss, grads, enc.memory.data.copy()
+
+
+def test_training_step_unchanged_by_the_shared_forward(monkeypatch):
+    loss, grads, memory = _one_training_step()
+    monkeypatch.setattr(sam, "step_forward", _parent_step_forward)
+    ref_loss, ref_grads, ref_memory = _one_training_step()
+    assert loss == ref_loss
+    assert all(np.abs(g).max() > 0.0 for g in grads.values())
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_grads[name]), name
+    assert np.array_equal(memory, ref_memory)
+
+
+# ------------------------------------------- inference and the grad flag
+
+class _ProbedMemory(SpatialMemory):
+    """Calls ``probe()`` every time the memory tensor is read."""
+
+    probe = staticmethod(lambda: None)
+
+    @property
+    def data(self):
+        self.probe()
+        return self._data
+
+    @data.setter
+    def data(self, value):
+        self._data = value
+
+
+def _probed_encoder(probe):
+    enc = _warm_encoder(True)
+    probed = _ProbedMemory(enc.memory.grid_shape, enc.memory.hidden_size,
+                           enc.memory.bandwidth)
+    probed.data = enc.memory.data
+    probed.probe = probe
+    enc.memory = probed
+    return enc
+
+
+def test_inference_never_touches_the_grad_flag(trajectories):
+    seen = []
+    enc = _probed_encoder(lambda: seen.append(is_grad_enabled()))
+    enc.embed(trajectories)
+    enc.encode_prefix(trajectories[0].points)
+    assert seen and all(seen)
+
+
+def test_overlapping_inference_leaves_autograd_on(trajectories):
+    """Thread A is inside ``encode_prefix`` when B enters ``embed``; A
+    leaves first, then B. With ``no_grad``'s process-global save/restore
+    on that path B restored A's ``False`` and training was dead for the
+    rest of the process."""
+    a_inside, b_inside, a_done = (threading.Event() for _ in range(3))
+    threads = {}
+
+    def probe():
+        me = threading.current_thread()
+        if me is threads["a"] and not a_inside.is_set():
+            a_inside.set()
+            assert b_inside.wait(10)
+        elif me is threads["b"] and not b_inside.is_set():
+            b_inside.set()
+            assert a_done.wait(10)
+
+    enc = _probed_encoder(probe)
+
+    def run_a():
+        enc.encode_prefix(trajectories[0].points)
+        a_done.set()
+
+    def run_b():
+        assert a_inside.wait(10)
+        enc.embed(trajectories)
+
+    threads["a"] = threading.Thread(target=run_a)
+    threads["b"] = threading.Thread(target=run_b)
+    try:
+        for thread in threads.values():
+            thread.start()
+        for thread in threads.values():
+            thread.join(30)
+            assert not thread.is_alive()
+        assert a_done.is_set() and b_inside.is_set()
+        assert is_grad_enabled()
+        _, grads, _ = _one_training_step()
+        assert all(np.abs(g).max() > 0.0 for g in grads.values())
+    finally:
+        tensor._GRAD_ENABLED = True  # never poison the rest of the suite

@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn.sam import SAMLSTM, SAMLSTMCell, SpatialMemory
 from repro.nn.rnn import lengths_to_mask
-from repro.nn.tensor import Tensor, numerical_gradient
+from repro.nn.tensor import Tensor, no_grad, numerical_gradient
 
 
 class TestSpatialMemory:
@@ -95,7 +95,7 @@ class TestSpatialMemory:
     @staticmethod
     def _reference_write(mem, cells, values, gates, mask=None):
         """Sequential per-sample reference the scatter must reproduce."""
-        from repro.nn.sam import _sigmoid
+        from repro.nn.tensor import logistic as _sigmoid
         p, q = mem.grid_shape
         if mem.bounded:
             values = np.tanh(values)
@@ -299,3 +299,39 @@ class TestSAMLSTM:
         expected = cell.read_proj(
             concat([c_hat, Tensor(mem.data[3, 3][None, :])], axis=-1)).tanh()
         np.testing.assert_allclose(out.data, expected.data)
+
+    def test_infer_hoists_window_indices_in_bounded_blocks(self, monkeypatch):
+        """The read-only pass works the window indices out for a block of
+        steps at a time, and a block stays small however much is read."""
+        rng = np.random.default_rng(31)
+        batch, steps, d = 128, 120, 32
+        sam = SAMLSTM(2, d, rng)
+        mem = SpatialMemory((40, 40), d, bandwidth=2)
+        mem.data[:] = rng.normal(scale=0.3, size=mem.data.shape)
+        coords = rng.normal(size=(batch, steps, 2))
+        cells = rng.integers(0, 40, size=(batch, steps, 2))
+        mask = lengths_to_mask(rng.integers(1, steps + 1, size=batch), steps)
+
+        index_bytes, gathered = [], []
+        real_index, real_take = SpatialMemory.window_index, SpatialMemory.take
+
+        def window_index(self, block):
+            arrays = real_index(self, block)
+            index_bytes.append(max(a.nbytes for a in arrays))
+            return arrays
+
+        def take(self, flat, outside):
+            window = real_take(self, flat, outside)
+            gathered.append(window.nbytes)
+            return window
+
+        monkeypatch.setattr(SpatialMemory, "window_index", window_index)
+        monkeypatch.setattr(SpatialMemory, "take", take)
+        out = sam.infer(coords, mask, cells, mem)
+
+        assert len(gathered) == steps and sum(gathered) > 20 * 2**20
+        assert 1 < len(index_bytes) < steps  # hoisted, in more than one block
+        assert max(index_bytes) <= 256 * 2**10
+        monkeypatch.undo()
+        with no_grad():
+            assert np.array_equal(out, sam(coords, cells, mask, mem).data)

@@ -169,9 +169,10 @@ def test_concurrent_queries_match_serial_quick(service, serving_world,
 def test_insert_encodes_on_the_batcher_thread(serving_world, fresh_store,
                                               monkeypatch):
     """Every encoder call — for inserts too — runs on the one batcher
-    thread, so ``no_grad``'s process-global flag is never entered from
-    two threads at once (an interleaved enter/enter/exit/exit would
-    leave grad disabled) and no O(L) encode holds the store lock."""
+    thread, so no O(L) encode holds the store lock. (Inference no longer
+    enters ``no_grad``, so the autograd flag is safe whichever thread
+    encodes — ``tests/core/test_encoder.py`` pins that; the streaming
+    tier always did encode from several threads.)"""
     from repro.nn.tensor import is_grad_enabled
 
     model, items = serving_world

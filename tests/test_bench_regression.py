@@ -110,3 +110,24 @@ def test_only_flag_parses_comma_separated_suite_lists():
         _parse_only("kernels,bogus")
     with pytest.raises(ValueError):
         _parse_only(" , ")
+
+
+def test_inference_kernel_rows_gate_on_identity_not_on_time():
+    import copy
+    import json
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        from check_bench_regression import (BASELINE, IDENTITY_ONLY_KERNELS,
+                                            compare_reports)
+    finally:
+        sys.path.pop(0)
+    baseline = json.loads(BASELINE.read_text())
+    assert "embed_single" in IDENTITY_ONLY_KERNELS
+    for name in IDENTITY_ONLY_KERNELS:
+        assert baseline["kernels"][name]["identical"] is True
+        slower = copy.deepcopy(baseline)
+        slower["kernels"][name]["after_s"] *= 10.0
+        assert compare_reports(baseline, slower) == []
+        wrong = copy.deepcopy(baseline)
+        wrong["kernels"][name]["identical"] = False
+        assert len(compare_reports(baseline, wrong)) == 1
