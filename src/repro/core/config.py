@@ -126,26 +126,28 @@ class PrecomputeConfig:
     ----------
     workers:
         Processes used by ``pairwise_distances`` / ``cross_distances`` when
-        the caller does not pass ``workers`` explicitly. 1 keeps the serial
-        per-pair path (bit-for-bit reference used by determinism tests);
-        > 1 enables the chunked multiprocessing driver. Seeded from the
-        ``REPRO_PRECOMPUTE_WORKERS`` environment variable.
+        the caller does not pass ``workers`` explicitly. 1 evaluates the
+        ``chunk_pairs`` work units in the calling process through the
+        measures' batched kernels; > 1 farms the same units to a process
+        pool, which pays only for paper-scale matrices. The matrix is the
+        same bit for bit. Seeded from the ``REPRO_PRECOMPUTE_WORKERS``
+        environment variable.
     chunk_pairs:
-        Target number of trajectory pairs per work unit in the chunked
-        driver. Larger chunks amortise dispatch overhead; smaller chunks
-        give finer progress reporting.
+        Target number of trajectory pairs per work unit. Larger chunks
+        amortise dispatch overhead; smaller chunks give finer progress
+        reporting.
     cache_dir:
         Directory for the on-disk ``.npz`` matrix cache; ``None`` disables
         caching. Seeded from ``REPRO_MATRIX_CACHE_DIR``.
     chunk_timeout_s:
-        Seconds the chunked driver waits for a work unit before treating
+        Seconds the process pool waits for a work unit before treating
         its worker as dead (hung or killed) and retrying. ``None`` (the
         default) waits forever — the pre-fault-tolerance behaviour. Seeded
         from ``REPRO_PRECOMPUTE_TIMEOUT_S`` (unset/non-positive disables).
     chunk_retries:
         Re-submissions attempted for a timed-out or crashed chunk before
-        the driver falls back to computing that chunk serially in the
-        parent process.
+        the driver falls back to computing that chunk in the parent
+        process.
     retry_backoff_s:
         Base delay of the exponential backoff between chunk retries.
     """

@@ -41,6 +41,16 @@ def check_pair(a, b) -> None:
                 f"got {arr.shape[0]}")
 
 
+def check_pairs(pairs_a, pairs_b) -> tuple:
+    """Aligned pair lists as float64 arrays, each pair through
+    :func:`check_pair` — the prologue of every batched ``distance_many``."""
+    pairs_a = [np.asarray(a, dtype=np.float64) for a in pairs_a]
+    pairs_b = [np.asarray(b, dtype=np.float64) for b in pairs_b]
+    for a, b in zip(pairs_a, pairs_b):
+        check_pair(a, b)
+    return pairs_a, pairs_b
+
+
 def point_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs Euclidean distances between two point sequences.
 

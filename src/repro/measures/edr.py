@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TrajectoryMeasure, check_pair, register_measure
+from ._batch import edr_many
+from .base import (TrajectoryMeasure, check_pair, check_pairs,
+                   register_measure)
 
 
 @register_measure("edr")
@@ -62,3 +64,7 @@ class EDRDistance(TrajectoryMeasure):
         if self.normalize:
             value /= max(n, m)
         return value
+
+    def distance_many(self, pairs_a, pairs_b) -> np.ndarray:
+        pairs_a, pairs_b = check_pairs(pairs_a, pairs_b)
+        return edr_many(pairs_a, pairs_b, self.epsilon, self.normalize)

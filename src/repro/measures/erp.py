@@ -14,8 +14,8 @@ import numpy as np
 
 from ._batch import erp_many
 from ._dp import erp_table
-from .base import (TrajectoryMeasure, check_pair, point_distances,
-                   register_measure)
+from .base import (TrajectoryMeasure, check_pair, check_pairs,
+                   point_distances, register_measure)
 
 
 @register_measure("erp")
@@ -49,8 +49,5 @@ class ERPDistance(TrajectoryMeasure):
         return float(table[-1, -1])
 
     def distance_many(self, pairs_a, pairs_b) -> np.ndarray:
-        pairs_a = [np.asarray(a, dtype=np.float64) for a in pairs_a]
-        pairs_b = [np.asarray(b, dtype=np.float64) for b in pairs_b]
-        for a, b in zip(pairs_a, pairs_b):
-            check_pair(a, b)
+        pairs_a, pairs_b = check_pairs(pairs_a, pairs_b)
         return erp_many(pairs_a, pairs_b, self.gap)

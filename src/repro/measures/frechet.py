@@ -12,8 +12,8 @@ import numpy as np
 
 from ._batch import frechet_many
 from ._dp import frechet_table
-from .base import (TrajectoryMeasure, check_pair, point_distances,
-                   register_measure)
+from .base import (TrajectoryMeasure, check_pair, check_pairs,
+                   point_distances, register_measure)
 
 
 @register_measure("frechet")
@@ -29,8 +29,5 @@ class FrechetDistance(TrajectoryMeasure):
         return float(table[-1, -1])
 
     def distance_many(self, pairs_a, pairs_b) -> np.ndarray:
-        pairs_a = [np.asarray(a, dtype=np.float64) for a in pairs_a]
-        pairs_b = [np.asarray(b, dtype=np.float64) for b in pairs_b]
-        for a, b in zip(pairs_a, pairs_b):
-            check_pair(a, b)
+        pairs_a, pairs_b = check_pairs(pairs_a, pairs_b)
         return frechet_many(pairs_a, pairs_b)

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._batch import hausdorff_many
-from .base import (TrajectoryMeasure, check_pair, point_distances,
-                   register_measure)
+from .base import (TrajectoryMeasure, check_pair, check_pairs,
+                   point_distances, register_measure)
 
 
 @register_measure("hausdorff")
@@ -28,10 +28,7 @@ class HausdorffDistance(TrajectoryMeasure):
         return float(max(forward, backward))
 
     def distance_many(self, pairs_a, pairs_b) -> np.ndarray:
-        pairs_a = [np.asarray(a, dtype=np.float64) for a in pairs_a]
-        pairs_b = [np.asarray(b, dtype=np.float64) for b in pairs_b]
-        for a, b in zip(pairs_a, pairs_b):
-            check_pair(a, b)
+        pairs_a, pairs_b = check_pairs(pairs_a, pairs_b)
         return hausdorff_many(pairs_a, pairs_b)
 
     def directed(self, a: np.ndarray, b: np.ndarray) -> float:

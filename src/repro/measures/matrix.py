@@ -4,14 +4,19 @@ Computing the exact seed distance matrix ``D`` (paper §III-B) is the
 quadratic pre-processing step NeuTraj amortises; these helpers centralise
 it. Three layers keep long runs fast and observable:
 
-* **Chunking** — the upper triangle (or the full Q×N cross grid) is split
-  into work units of ~``chunk_pairs`` pairs, each evaluated with the
-  measure's batched :meth:`~repro.measures.base.TrajectoryMeasure.distance_many`
-  kernel (element-wise identical to per-pair calls; see
-  :mod:`repro.measures._batch`).
-* **Multiprocessing** — with ``workers > 1`` the chunks are farmed to a
-  process pool. ``workers=1`` keeps the original serial per-pair loop so
-  determinism tests have a bit-for-bit reference path.
+* **Chunking** — the upper triangle (or the full Q×N cross grid) is
+  always split into work units of ~``chunk_pairs`` pairs, each evaluated
+  with the measure's
+  :meth:`~repro.measures.base.TrajectoryMeasure.distance_many`. DTW,
+  Fréchet, Hausdorff, ERP and EDR override it with the batched kernels
+  of :mod:`repro.measures._batch` (element-wise identical to per-pair
+  calls); LCSS and SSPD inherit the base class's per-pair loop.
+* **Multiprocessing** — ``workers <= 1`` (the default) evaluates the
+  chunks in the calling process, holding no module state, so threads
+  may compute matrices concurrently; ``workers > 1`` farms the same
+  chunks to a process pool, which pays only for paper-scale matrices.
+  Both give the same matrix bit for bit. Per-pair ``measure.distance``
+  is the oracle the tests compare against, not a path through here.
 * **Caching** — when a cache directory is configured, finished matrices
   are stored as ``.npz`` files keyed by a content hash of the trajectories
   and the measure (name + parameters), so repeated benchmark/experiment
@@ -123,6 +128,20 @@ def _cache_store(cache_dir: Optional[str], key: str,
 
 # ------------------------------------------------------------ chunked driver
 
+def _serial_chunk(chunk, points_a: list, points_b: list,
+                  measure) -> np.ndarray:
+    """Evaluate one work unit in the calling process.
+
+    Reads nothing but its arguments, so it is what the in-process driver
+    and the pool's parent-side fallback run, from any number of threads.
+    """
+    _, idx_a, idx_b = chunk
+    return measure.distance_many([points_a[i] for i in idx_a],
+                                 [points_b[j] for j in idx_b])
+
+
+#: Pool workers only: what the pool initializer hands each forked worker,
+#: so a task pickles three index arrays instead of the trajectories.
 _WORKER_STATE: dict = {}
 
 
@@ -134,14 +153,10 @@ def _init_worker(points_a, points_b, measure) -> None:
 
 def _run_chunk(chunk: Tuple[int, np.ndarray, np.ndarray]
                ) -> Tuple[int, np.ndarray]:
-    """Evaluate one work unit; returns (chunk_id, distances)."""
-    chunk_id, idx_a, idx_b = chunk
-    points_a = _WORKER_STATE["points_a"]
-    points_b = _WORKER_STATE["points_b"]
-    measure = _WORKER_STATE["measure"]
-    pairs_a = [points_a[i] for i in idx_a]
-    pairs_b = [points_b[j] for j in idx_b]
-    return chunk_id, measure.distance_many(pairs_a, pairs_b)
+    """Pool-worker evaluation of one work unit: (chunk_id, distances)."""
+    return chunk[0], _serial_chunk(chunk, _WORKER_STATE["points_a"],
+                                   _WORKER_STATE["points_b"],
+                                   _WORKER_STATE["measure"])
 
 
 @dataclass
@@ -196,14 +211,6 @@ def _shutdown_pool(pool, wedged: bool) -> None:
     reaper.join(timeout=5.0)
 
 
-def _serial_chunk(chunk, points_a: list, points_b: list,
-                  measure) -> np.ndarray:
-    """Parent-process fallback evaluation of a single work unit."""
-    _, idx_a, idx_b = chunk
-    return measure.distance_many([points_a[i] for i in idx_a],
-                                 [points_b[j] for j in idx_b])
-
-
 def _collect_chunk(pool, chunk, result, timeout: Optional[float],
                    retries: int, backoff_s: float, points_a: list,
                    points_b: list, measure, stats: PrecomputeStats
@@ -251,14 +258,16 @@ def _chunked_distances(points_a: list, points_b: list, measure,
                        chunk_timeout_s: Optional[float] = None,
                        chunk_retries: int = 2,
                        retry_backoff_s: float = 0.1) -> np.ndarray:
-    """Distances for an explicit pair list via chunked (parallel) evaluation.
+    """Distances for an explicit pair list, one ``chunk_pairs`` unit at a time.
 
-    Fault tolerance (all opt-in via ``chunk_timeout_s``; ``None`` waits
-    forever as before): every chunk is submitted with ``apply_async`` and
-    awaited with a per-chunk timeout, a timed-out or crashed attempt is
-    re-submitted up to ``chunk_retries`` times with exponential backoff,
-    and a chunk that exhausts its retries is computed serially in the
-    parent. Counters land in :func:`last_precompute_stats`.
+    ``workers <= 1`` (or a single chunk, or a pool that cannot start)
+    evaluates the units in the calling process. On the pool, fault
+    tolerance is opt-in via ``chunk_timeout_s`` (``None`` waits forever):
+    every chunk is submitted with ``apply_async`` and awaited with a
+    per-chunk timeout, a timed-out or crashed attempt is re-submitted up
+    to ``chunk_retries`` times with exponential backoff, and a chunk that
+    exhausts its retries is computed in the parent. Counters land in
+    :func:`last_precompute_stats`.
     """
     global _LAST_STATS
     total = len(idx_a)
@@ -306,13 +315,11 @@ def _chunked_distances(points_a: list, points_b: list, measure,
             # the pool's result cache, so close()+join() would block forever.
             _shutdown_pool(pool, wedged=not clean)
     else:
-        _init_worker(points_a, points_b, measure)
         try:
             for chunk in chunks:
-                chunk_id, values = _run_chunk(chunk)
-                consume(chunk_id, values)
+                consume(chunk[0],
+                        _serial_chunk(chunk, points_a, points_b, measure))
         finally:
-            _WORKER_STATE.clear()
             _LAST_STATS = stats
     return out
 
@@ -331,7 +338,7 @@ def pairwise_distances(trajectories: Sequence, measure: TrajectoryMeasure,
 
     All four paper measures are symmetric, so only the upper triangle is
     computed and mirrored. ``progress(done, total)`` is invoked after each
-    row (serial path) or each completed work unit (chunked path).
+    completed work unit of ``chunk_pairs`` pairs.
 
     Parameters
     ----------
@@ -342,17 +349,17 @@ def pairwise_distances(trajectories: Sequence, measure: TrajectoryMeasure,
     progress:
         Optional ``(completed_pairs, total_pairs)`` callback.
     workers:
-        Process count; ``1`` runs the serial per-pair reference loop,
-        ``> 1`` the chunked multiprocessing driver (element-wise identical
+        Process count; ``<= 1`` evaluates the chunks in the calling
+        process, ``> 1`` on a process pool (element-wise identical
         results). ``None`` reads :func:`repro.core.config.get_precompute_config`.
     chunk_pairs:
-        Pairs per work unit for the chunked driver (``None``: config value).
+        Pairs per work unit (``None``: config value).
     cache_dir:
         Directory of the on-disk ``.npz`` cache (``None``: config value;
         caching is skipped when that is also ``None``).
     chunk_timeout_s / chunk_retries / retry_backoff_s:
-        Fault-tolerance knobs of the chunked driver (per-chunk timeout,
-        bounded re-submission with backoff, then serial fallback); unset
+        Fault-tolerance knobs of the process pool (per-chunk timeout,
+        bounded re-submission with backoff, then in-process fallback); unset
         values come from :func:`repro.core.config.get_precompute_config`.
     """
     points = _points(trajectories)
@@ -372,40 +379,20 @@ def pairwise_distances(trajectories: Sequence, measure: TrajectoryMeasure,
                 progress(total, total)
             return cached
 
-    if workers <= 1:
-        matrix = _pairwise_serial(points, measure, progress)
-    else:
-        rows, cols = np.triu_indices(n, k=1)
-        matrix = np.zeros((n, n), dtype=np.float64)
-        if len(rows):
-            values = _chunked_distances(points, points, measure, rows, cols,
-                                        workers, chunk_pairs, progress,
-                                        chunk_timeout_s, chunk_retries,
-                                        retry_backoff_s)
-            matrix[rows, cols] = values
-            matrix[cols, rows] = values
-        elif progress is not None:
-            progress(0, 0)
+    rows, cols = np.triu_indices(n, k=1)
+    matrix = np.zeros((n, n), dtype=np.float64)
+    if len(rows):
+        values = _chunked_distances(points, points, measure, rows, cols,
+                                    workers, chunk_pairs, progress,
+                                    chunk_timeout_s, chunk_retries,
+                                    retry_backoff_s)
+        matrix[rows, cols] = values
+        matrix[cols, rows] = values
+    elif progress is not None:
+        progress(0, 0)
 
     if key is not None:
         _cache_store(cache_dir, key, matrix)
-    return matrix
-
-
-def _pairwise_serial(points: list, measure: TrajectoryMeasure,
-                     progress: ProgressFn) -> np.ndarray:
-    """Original per-pair double loop (bit-for-bit reference path)."""
-    n = len(points)
-    matrix = np.zeros((n, n), dtype=np.float64)
-    total = n * (n - 1) // 2
-    done = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i, j] = measure.distance(points[i], points[j])
-        matrix[i + 1:, i] = matrix[i, i + 1:]
-        done += n - i - 1
-        if progress is not None:
-            progress(done, total)
     return matrix
 
 
@@ -443,35 +430,18 @@ def cross_distances(queries: Sequence, database: Sequence,
                 progress(n_q * n_d, n_q * n_d)
             return cached
 
-    if workers <= 1:
-        matrix = _cross_serial(q_points, d_points, measure, progress)
-    else:
-        matrix = np.zeros((n_q, n_d), dtype=np.float64)
-        if n_q and n_d:
-            rows = np.repeat(np.arange(n_q, dtype=np.intp), n_d)
-            cols = np.tile(np.arange(n_d, dtype=np.intp), n_q)
-            values = _chunked_distances(q_points, d_points, measure, rows,
-                                        cols, workers, chunk_pairs, progress,
-                                        chunk_timeout_s, chunk_retries,
-                                        retry_backoff_s)
-            matrix[rows, cols] = values
-        elif progress is not None:
-            progress(0, 0)
+    matrix = np.zeros((n_q, n_d), dtype=np.float64)
+    if n_q and n_d:
+        rows = np.repeat(np.arange(n_q, dtype=np.intp), n_d)
+        cols = np.tile(np.arange(n_d, dtype=np.intp), n_q)
+        values = _chunked_distances(q_points, d_points, measure, rows,
+                                    cols, workers, chunk_pairs, progress,
+                                    chunk_timeout_s, chunk_retries,
+                                    retry_backoff_s)
+        matrix[rows, cols] = values
+    elif progress is not None:
+        progress(0, 0)
 
     if key is not None:
         _cache_store(cache_dir, key, matrix)
-    return matrix
-
-
-def _cross_serial(q_points: list, d_points: list,
-                  measure: TrajectoryMeasure,
-                  progress: ProgressFn) -> np.ndarray:
-    """Per-pair reference loop; ``progress`` fires after each query row."""
-    matrix = np.zeros((len(q_points), len(d_points)), dtype=np.float64)
-    total = matrix.size
-    for i, qp in enumerate(q_points):
-        for j, dp in enumerate(d_points):
-            matrix[i, j] = measure.distance(qp, dp)
-        if progress is not None:
-            progress((i + 1) * len(d_points), total)
     return matrix

@@ -10,7 +10,8 @@ Design:
 * A :class:`Tensor` wraps a ``numpy.ndarray`` plus an optional gradient and a
   closure that propagates gradients to its parents.
 * Calling :meth:`Tensor.backward` on a scalar performs a topological sweep of
-  the recorded tape.
+  the recorded tape and frees each interior node as the sweep passes it, so
+  a tape is differentiated once and only leaves keep their gradients.
 * Broadcasting follows numpy semantics; gradients are summed back over the
   broadcast axes (see :func:`_unbroadcast`).
 
@@ -81,6 +82,14 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _consumed(grad: Optional[np.ndarray]) -> None:
+    """The ``_backward`` of a node :meth:`Tensor.backward` has released."""
+    raise RuntimeError(
+        "backward() through a graph an earlier backward() already consumed: "
+        "each interior node's closure, saved activations and gradient are "
+        "released once used; rebuild the forward pass to differentiate again")
 
 
 def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
@@ -187,9 +196,21 @@ class Tensor:
         return out
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor through the recorded tape."""
+        """Backpropagate from this tensor through the recorded tape.
+
+        The sweep consumes the tape: as soon as an interior node has
+        propagated its gradient, its closure (with the activations the
+        closure saved), its parent links and its ``grad`` are released,
+        so the step's peak memory is the tape plus one frontier of
+        gradients rather than the tape plus every gradient. Gradients
+        are retained on leaves and on this tensor only; a second sweep
+        through any consumed node raises ``RuntimeError`` — rebuild the
+        forward pass to differentiate again.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
+        if self._backward is _consumed:
+            _consumed(grad)
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("backward() without an explicit gradient "
@@ -216,9 +237,16 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()  # the sweep's own reference goes too
+            if node._backward is None:
+                continue  # a leaf: its gradient is the result
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward = _consumed
+            node._parents = ()
+            if node is not self:
+                node.grad = None
 
     # ------------------------------------------------------------- arithmetic
 

@@ -1,6 +1,7 @@
 """Tests for the trajectory encoder wrapper."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -273,6 +274,65 @@ def test_training_step_unchanged_by_the_shared_forward(monkeypatch):
     for name, grad in grads.items():
         assert np.array_equal(grad, ref_grads[name]), name
     assert np.array_equal(memory, ref_memory)
+
+
+# ------------------------------------------- backward consumes the tape
+
+def _retaining_backward(self, grad=None):
+    """``Tensor.backward`` as it was before it released what it had used:
+    every interior node keeps its gradient, closure and parents."""
+    grad = (np.ones_like(self.data) if grad is None
+            else np.asarray(grad, dtype=self.data.dtype))
+    order, visited, stack = [], set(), [(self, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    self._accumulate(grad)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def test_training_step_unchanged_by_releasing_the_tape(monkeypatch):
+    loss, grads, memory = _one_training_step()
+    monkeypatch.setattr(Tensor, "backward", _retaining_backward)
+    ref_loss, ref_grads, ref_memory = _one_training_step()
+    assert loss == ref_loss
+    assert all(np.abs(g).max() > 0.0 for g in grads.values())
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_grads[name]), name
+    assert np.array_equal(memory, ref_memory)
+
+
+def test_backward_releases_each_steps_window(monkeypatch):
+    windows = []
+    step_forward = sam.step_forward
+
+    def recording(x_gates, x_cand, h, c, window, *rest):
+        windows.append(weakref.ref(window))
+        return step_forward(x_gates, x_cand, h, c, window, *rest)
+
+    monkeypatch.setattr(sam, "step_forward", recording)
+    enc = _warm_encoder(True)
+    embeddings = enc.encode(_ragged_batch(3, 4), update_memory=True)
+    loss = (embeddings * embeddings).sum()
+    assert len(windows) >= 2
+    assert all(ref() is not None for ref in windows)  # the tape holds them
+    loss.backward()
+    # ``loss`` and ``embeddings`` are still referenced here: it is the
+    # sweep, not the end of the step, that let the saved activations go.
+    assert all(ref() is None for ref in windows)
+    assert embeddings.grad is None and loss.grad is not None
+    assert all(p.grad is not None for p in enc.parameters())
 
 
 # ------------------------------------------- inference and the grad flag

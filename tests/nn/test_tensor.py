@@ -186,6 +186,32 @@ class TestBackwardSemantics:
         (t * 2).sum().backward()
         np.testing.assert_allclose(t.grad, 2 * first)
 
+    def test_backward_consumes_the_tape(self):
+        t = Tensor([1.0, 2.0], requires_grad=True)
+        mid = t * 3.0
+        out = mid.sum()
+        out.backward()
+        np.testing.assert_allclose(t.grad, [3.0, 3.0])  # leaf keeps its grad
+        np.testing.assert_allclose(out.grad, 1.0)  # and so does the root
+        assert mid.grad is None and mid._parents == ()
+        with pytest.raises(RuntimeError, match="already consumed"):
+            out.backward()
+        np.testing.assert_allclose(out.grad, 1.0)  # refused before any write
+        np.testing.assert_allclose(t.grad, [3.0, 3.0])
+
+    def test_backward_through_a_consumed_subgraph_raises(self):
+        t = Tensor([1.0, 2.0], requires_grad=True)
+        shared = t * 3.0
+        shared.sum().backward()
+        with pytest.raises(RuntimeError, match="already consumed"):
+            (shared * 2.0).sum().backward()
+
+    def test_leaf_backward_is_repeatable(self):
+        t = Tensor(2.0, requires_grad=True)
+        t.backward()
+        t.backward()
+        np.testing.assert_allclose(t.grad, 2.0)
+
     def test_zero_grad(self):
         t = Tensor([1.0], requires_grad=True)
         (t * 2).sum().backward()
