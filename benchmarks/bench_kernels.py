@@ -9,17 +9,17 @@ next to this file:
   ``measure.distance`` loop vs ``pairwise_distances`` as ``fit`` calls it
   (the chunked driver over the batched anti-diagonal DP kernels, in
   process), with the same call on a 2-worker pool as a third timing;
-* **samlstm_epoch** — one SAM-LSTM training epoch: per-step input
-  projections + sliced sigmoid gates (``fused=False``) vs hoisted
-  whole-sequence projections + the fused recurrence core
-  (two tape nodes per step, masked carry folded in);
+* **samlstm_epoch** — one SAM-LSTM training epoch: the paper-equation
+  cell unrolled op by op (per-step input projections + sliced sigmoid
+  gates) vs hoisted whole-sequence projections + the fused recurrence
+  core (two tape nodes per step, masked carry folded in);
 * **embedding_distance_matrix** — all-pairs embedding search distances:
   the O(N²·d)-memory broadcast vs the chunked Gram-matrix form;
 * **memory_write** — ``SpatialMemory.write``: the per-sample Python loop
   vs the duplicate-resolving vectorised scatter;
 * **embed_single**, **extend_prefix_point**, **embed_batch** — inference:
   the tape engine under ``no_grad`` (``encode(update_memory=False)``, and
-  the ``project_inputs`` + ``cell.step`` fold) vs the tape-free kernel
+  one ``tape_step`` on a point projected by itself) vs the tape-free kernel
   behind ``embed`` / ``extend_prefix``. Gated on ``identical`` only.
 
 Every pairing also checks that old and new paths agree (bit-identical
@@ -116,7 +116,7 @@ def bench_pairwise_dtw() -> dict:
     }
 
 
-def _make_training_setup(fused: bool):
+def _make_training_setup():
     from repro.core.config import NeuTrajConfig
     from repro.core.encoder import TrajectoryEncoder
     from repro.core.sampling import PairSampler
@@ -135,7 +135,6 @@ def _make_training_setup(fused: bool):
     grid = Grid.for_dataset(dataset, cfg.cell_size, margin=cfg.cell_size)
     encoder = TrajectoryEncoder(grid, CoordinateNormalizer.fit(trajs), cfg,
                                 np.random.default_rng(0))
-    encoder.rnn.fused = fused
     sampler = PairSampler(similarity, cfg.sampling_num, weighted=True,
                           rng=np.random.default_rng(1))
     optimizer = Adam(encoder.parameters(), lr=0.005)
@@ -175,31 +174,50 @@ def _seed_write(self, cells, values, gates, mask=None):
                              + (1.0 - gate_weight[b]) * self.data[gx, gy])
 
 
+def _seed_forward(self, inputs, mask, cells, memory, update_memory=False):
+    """Pre-optimisation ``SAMLSTM.forward``: the paper-equation cell op by
+    op, one step at a time, the padded-step carry two ``where`` nodes."""
+    from repro.nn.tensor import Tensor, where
+    h = c = Tensor(np.zeros((len(inputs), self.hidden_size)))
+    for t in range(inputs.shape[1]):
+        step_mask = mask[:, t]
+        h_new, c_new = self.cell(
+            Tensor(inputs[:, t, :]), cells[:, t, :], h, c, memory,
+            write=update_memory, step_mask=step_mask)
+        h = where(step_mask[:, None], h_new, h)
+        c = where(step_mask[:, None], c_new, c)
+    return h
+
+
 def bench_samlstm_epoch() -> dict:
     """One training epoch: seed-faithful reference path vs optimised path.
 
     The reference restores the seed's per-step input projections and
-    sliced sigmoid gates (``fused=False``) plus the original per-sample
-    memory write loop and double-fancy-index gather, temporarily patched
-    onto :class:`SpatialMemory`.
+    sliced sigmoid gates (the reference ``SAMLSTMCell.forward``, unrolled
+    here) plus the original per-sample memory write loop and
+    double-fancy-index gather, temporarily patched onto
+    :class:`Recurrent` and :class:`SpatialMemory`.
     """
     from repro.core.trainer import train_epoch
+    from repro.nn.rnn import Recurrent
     from repro.nn.sam import SpatialMemory
 
+    seed_path = ((Recurrent, "forward", _seed_forward),
+                 (SpatialMemory, "gather", _seed_gather),
+                 (SpatialMemory, "write", _seed_write))
     stats = {}
     times = {}
     for fused in (False, True):
         # Best of two fresh-setup epochs per path: the run is deterministic,
         # so repeats only filter scheduler noise, never change the loss.
         for _ in range(2):
-            trajs, encoder, sampler, optimizer = _make_training_setup(fused)
+            trajs, encoder, sampler, optimizer = _make_training_setup()
             anchors = np.arange(len(trajs))
-            patched = {}
+            patched = []
             if not fused:
-                patched = {"gather": SpatialMemory.gather,
-                           "write": SpatialMemory.write}
-                SpatialMemory.gather = _seed_gather
-                SpatialMemory.write = _seed_write
+                for owner, name, fn in seed_path:
+                    patched.append((owner, name, getattr(owner, name)))
+                    setattr(owner, name, fn)
             try:
                 start = time.perf_counter()
                 stats[fused] = train_epoch(
@@ -209,8 +227,8 @@ def bench_samlstm_epoch() -> dict:
                 elapsed = time.perf_counter() - start
                 times[fused] = min(times.get(fused, elapsed), elapsed)
             finally:
-                for name, fn in patched.items():
-                    setattr(SpatialMemory, name, fn)
+                for owner, name, fn in patched:
+                    setattr(owner, name, fn)
     loss_gap = abs(stats[True].loss - stats[False].loss)
     return {
         "before": ("seed path: per-step projections, sliced sigmoid gates, "
@@ -357,6 +375,7 @@ def bench_embed_batch() -> dict:
 
 def bench_extend_prefix_point() -> dict:
     """One-point ``extend_prefix`` (the ingest fold): tape vs kernel."""
+    from repro.nn.rnn import tape_step
     from repro.nn.tensor import Tensor, no_grad
 
     encoder = _inference_encoder()
@@ -365,17 +384,18 @@ def bench_extend_prefix_point() -> dict:
     point = points[30:]
 
     def tape():
-        inputs = encoder.normalizer.transform(point)
-        cells = encoder.grid.to_cells(point)
+        x = Tensor(encoder.normalizer.transform(point))
+        cell = encoder.rnn.cell
         with no_grad():
-            x_gates, x_cand = encoder.rnn.cell.project_inputs(inputs[None])
-            h, _ = encoder.rnn.cell.step(
-                x_gates[0], x_cand[0], cells, Tensor(state.h.copy()),
-                Tensor(state.c.copy()), encoder.memory, write=False)
+            h, _, _ = tape_step(
+                cell, x @ cell.w_gates.transpose() + cell.b_gates,
+                x @ cell.w_cand.transpose() + cell.b_cand,
+                Tensor(state.h.copy()), Tensor(state.c.copy()),
+                encoder.memory.gather(encoder.grid.to_cells(point)))
         return h.data
 
     return _inference_row(
-        "project_inputs + cell.step under no_grad", tape,
+        "one-point projection + tape_step under no_grad", tape,
         lambda: encoder.extend_prefix(state, point).h, calls=500)
 
 

@@ -64,7 +64,7 @@ def default_config() -> AnalysisConfig:
                 "allowed_paths": ("repro/nn/",),
                 # Inference entry points: under no_grad(), or reaching the
                 # engine only through kernel_calls (any other use of a
-                # listed owner, e.g. self.rnn.cell.step(), builds Tensors).
+                # listed owner, e.g. self.rnn.cell.read(), builds Tensors).
                 "entry_points": {
                     "repro/core/encoder.py": ("embed", "extend_prefix"),
                 },

@@ -10,11 +10,10 @@ positives.
 Dimensions are linear terms ``coeff·sym + const`` over a single symbol
 (a constructor argument such as ``self.hidden_size``), which is exactly
 the shape algebra the repro encoders use: gate blocks are ``3*d`` or
-``4*d`` wide, so ``lstm_gates`` divisibility and matmul compatibility of
-``(3d, d) @ (d, B)`` are decidable without knowing ``d``. Two dims are
-*provably different* only when they share a symbol (or are both
-constant) and their linear forms differ; ``d`` vs ``128`` is unknown,
-not an error.
+``4*d`` wide, so matmul compatibility of ``(3d, d) @ (d, B)`` is
+decidable without knowing ``d``. Two dims are *provably different* only
+when they share a symbol (or are both constant) and their linear forms
+differ; ``d`` vs ``128`` is unknown, not an error.
 """
 
 from __future__ import annotations
@@ -109,16 +108,6 @@ class Dim:
         if self.is_top or self.sym is not None:
             return None
         return self.const
-
-    def divisible_by(self, k: int) -> Optional[bool]:
-        """True/False when provable, None when unknown."""
-        if self.is_top or k <= 0:
-            return None
-        if self.sym is None:
-            return self.const % k == 0
-        if self.coeff % k == 0 and self.const % k == 0:
-            return True
-        return None  # 3d % 4 depends on d
 
     def __repr__(self) -> str:
         if self.is_top:
@@ -314,23 +303,3 @@ def stack(shapes: Iterable[Shape], axis: int) -> Tuple[Shape,
     axis %= (rank + 1)
     base.insert(axis, Dim.of(len(shapes)))
     return Shape(base), None
-
-
-def lstm_gates(pre: Shape, num_gates: int) -> Tuple[Tuple[Shape, ...],
-                                                    Optional[str]]:
-    """``lstm_gates(pre, n)`` splits the last axis into n equal blocks."""
-    if pre.is_top or not pre.dims:
-        return (Shape.top(),) * max(num_gates, 1), None
-    last = pre.dims[-1]
-    ok = last.divisible_by(num_gates)
-    if ok is False:
-        return (Shape.top(),) * num_gates, (
-            f"last axis {last!r} is not divisible by num_gates="
-            f"{num_gates}")
-    if ok is True and (last.sym is not None or last.const):
-        piece = Dim(coeff=last.coeff // num_gates, sym=last.sym,
-                    const=last.const // num_gates)
-    else:
-        piece = Dim.top()
-    return tuple(Shape(pre.dims[:-1] + (piece,))
-                 for _ in range(num_gates)), None

@@ -8,8 +8,8 @@ intraprocedurally on the :mod:`repro.analysis.lattice` domains:
 * constructor arguments become symbolic dims (``hidden_size`` → ``d``),
   so ``__init__`` seeds a per-class attribute environment in which
   ``self.u_gates`` really is a ``(3d, d)`` array;
-* ``forward``/``step``/``step_core`` bodies then check every
-  ``matmul``/``concat``/``stack``/``lstm_gates``/broadcast against the
+* ``forward``/``read``/``tape_step`` bodies then check every
+  ``matmul``/``concat``/``stack``/broadcast against the
   symbolic shapes, reporting only *provable* mismatches — a branch join
   produces ⊤, never a guess;
 * dtype constants are tracked through aliases, so a ``float32`` that
@@ -370,8 +370,6 @@ class _Interp:
             return self._concat(node, arg_values, keyword_values)
         if simple == "stack" and arg_values:
             return self._stack(node, arg_values, keyword_values)
-        if simple == "lstm_gates" and len(arg_values) >= 2:
-            return self._lstm_gates(node, arg_values)
         if simple == "where" and len(arg_values) >= 3:
             return self._binop(node, arg_values[1], arg_values[2], ast.Add())
         if isinstance(func, ast.Attribute):
@@ -481,18 +479,6 @@ class _Interp:
             self._flag(node, error)
         return AbstractValue(result, F64, tensorlike=True)
 
-    def _lstm_gates(self, node, arg_values):
-        pre = _as_array(arg_values[0])
-        gates = arg_values[1]
-        if pre is None or not isinstance(gates, Dim) \
-                or gates.known_const() is None:
-            return _TOP
-        pieces, error = lattice.lstm_gates(pre.shape, gates.known_const())
-        if error:
-            self._flag(node, f"lstm_gates: {error}")
-        return tuple(AbstractValue(piece, pre.dtype, pre.tensorlike)
-                     for piece in pieces)
-
     @staticmethod
     def _element_shapes(value) -> Optional[List[Shape]]:
         if not isinstance(value, tuple) or not value:
@@ -589,7 +575,7 @@ class _Interp:
 class TapeShapeRule(ProgramRule):
     rule_id = "tape-shape"
     description = ("abstract shape/dtype interpretation of tape code: "
-                   "provable matmul/concat/stack/lstm_gates mismatches, "
+                   "provable matmul/concat/stack mismatches, "
                    "aliased float64-discipline violations, and Parameters "
                    "whose backward is unreachable from parameters()")
     default_options = {

@@ -93,12 +93,9 @@ class TrajectoryEncoder(Module):
                update_memory: bool = False) -> Tensor:
         """Differentiable batch encoding -> (B, d) embedding Tensor."""
         coords, _, mask = pad_batch(trajectories)
-        inputs = self.normalizer.transform(coords)
-        if self.uses_sam:
-            cells = self.grid.to_cells(coords)
-            return self.rnn(inputs, cells, mask, self.memory,
-                            update_memory=update_memory)
-        return self.rnn(inputs, mask)
+        cells = self.grid.to_cells(coords) if self.uses_sam else None
+        return self.rnn(self.normalizer.transform(coords), mask, cells,
+                        self.memory, update_memory=update_memory)
 
     def embed(self, trajectories: Sequence[Trajectory],
               batch_size: int = 128) -> np.ndarray:

@@ -6,19 +6,19 @@ attention memory. Gate layout follows the paper's Eq. 1-2 with the spatial
 gate removed: a single sigmoid block produces ``[forget, input, output]``
 and a separate tanh block produces the candidate cell state.
 
-Two *training* (tape) paths produce numerically equivalent results:
+The recurrence is stated once for both cells: :func:`step_forward` is a
+step's arithmetic on plain arrays and :func:`tape_step` records it on the
+tape as two nodes with its one hand-written backward. :class:`Recurrent`
+unrolls them — ``forward`` for training (input projections of *all*
+timesteps hoisted into one ``(B·T, in) @ W`` matmul per weight),
+``infer`` / ``fold`` tape-free for inference, the same numpy operations
+in the same order, so their float64 outputs are bit-identical to
+``forward``'s.
 
-* the **fused** path (default) hoists the input projections of *all*
-  timesteps into one ``(B·T, in) @ W`` matmul per sequence and uses the
-  fused :func:`~repro.nn.tensor.lstm_gates` op per step — this is the
-  training hot path;
-* the **legacy** path (``fused=False``) runs :meth:`LSTMCell.forward`
-  step by step exactly as written in the paper equations; it is kept as
-  the equivalence/benchmark baseline.
-
-Inference builds no tape: :class:`Recurrent` unrolls either cell on plain
-arrays with the numpy operations of the fused tape path in the same order,
-so its float64 outputs are bit-identical to it.
+:meth:`LSTMCell.forward` (and :meth:`SAMLSTMCell.forward
+<repro.nn.sam.SAMLSTMCell.forward>` + ``read``) are the paper's equations
+op by op on the tape: the independent statement the tests hold the kernel
+to, to 1e-12. No setting reaches them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor, logistic, lstm_gates, unstack, where
+from .tensor import Tensor, logistic, unstack
 
 
 def step_forward(x_gates: np.ndarray, x_cand: np.ndarray, h: np.ndarray,
@@ -45,9 +45,9 @@ def step_forward(x_gates: np.ndarray, x_cand: np.ndarray, h: np.ndarray,
     → ``c_hat = f * c + i * cand``; with a ``window`` (B, K, d), i.e. for
     the SAM cell, the attention read over it and ``c_t = c_hat + s *
     c_his``; then ``h_t = o * tanh(c_t)``, rows where ``carry`` (B, 1) is
-    True keeping their previous states. SAM training attaches its backward
-    closures to ``saved = (slab, cand, attn, cat, c_his, tanh_ct)``;
-    inference keeps ``h_t, c_t``. Returns ``(h_t, c_t, saved)``.
+    True keeping their previous states. :func:`tape_step` differentiates
+    through ``saved = (slab, cand, attn, cat, c_his, tanh_ct)``; inference
+    keeps ``h_t, c_t``. Returns ``(h_t, c_t, saved)``.
     """
     batch, d = c.shape
     slab = logistic(x_gates + h @ u_gates_t)
@@ -73,6 +73,105 @@ def step_forward(x_gates: np.ndarray, x_cand: np.ndarray, h: np.ndarray,
     return h_t, c_t, (slab, cand, attn, cat, c_his, tanh_ct)
 
 
+def tape_step(cell: Module, x_gates_t: Tensor, x_cand_t: Tensor,
+              h_prev: Tensor, c_prev: Tensor,
+              window: Optional[np.ndarray] = None,
+              carry: Optional[np.ndarray] = None
+              ) -> Tuple[Tensor, Tensor, Optional[np.ndarray]]:
+    """:func:`step_forward` on the tape, with its one hand-written backward.
+
+    The whole step — recurrent matmuls, gate slab, candidate, intermediate
+    cell state, the attention read over ``window`` (SAM cell) and the
+    output states — is two tape nodes, ``c_t`` and ``h_t``, instead of ~20.
+    ``window`` is a constant: reads do not backpropagate into history.
+    Rows where ``carry`` (B, 1) is True emit ``h_prev``/``c_prev``
+    unchanged and route their gradients straight back to them, as a
+    standalone ``where`` carry would.
+
+    Returns ``(h_t, c_t, s_t)``; ``s_t`` is the spatial gate's values,
+    which the memory write needs (``None`` without a ``window``).
+    """
+    u_gates, u_cand = cell.u_gates, cell.u_cand
+    read = ((cell.read_proj.weight, cell.read_proj.bias)
+            if window is not None else ())
+    batch, d = c_prev.shape
+    h_data = h_prev.data
+    h_t_data, c_t_data, saved = step_forward(
+        x_gates_t.data, x_cand_t.data, h_data, c_prev.data, window, carry,
+        *cell.weight_views())
+    slab, cand, attn, cat, c_his, tanh_ct = saved
+    f_t, i_t, o_t = slab[:, :d], slab[:, d:2 * d], slab[:, -d:]
+    s_t = slab[:, 2 * d:3 * d] if window is not None else None
+    n = slab.shape[1] - d  # width of the [f, i, (s)] block of ``pre``
+
+    def backward_c(grad: np.ndarray) -> None:
+        if carry is not None:
+            if c_prev.requires_grad:
+                c_prev._accumulate(np.where(carry, grad, 0.0))
+            grad = np.where(carry, 0.0, grad)
+        g_c_hat, g_s = grad, []
+        if window is not None:
+            weight, bias = read
+            g_s = [grad * c_his * s_t * (1.0 - s_t)]
+            g_read = grad * s_t * (1.0 - c_his * c_his)
+            if bias.requires_grad:
+                bias._accumulate(g_read.sum(axis=0))
+            if weight.requires_grad:
+                weight._accumulate(g_read.transpose() @ cat)
+            g_cat = g_read @ weight.data
+            g_mix = g_cat[:, d:]
+            g_attn = (window @ g_mix.reshape(batch, d, 1)
+                      ).reshape(batch, -1)
+            dot = (g_attn * attn).sum(axis=-1, keepdims=True)
+            g_scores = attn * (g_attn - dot)
+            g_c_hat = grad + g_cat[:, :d] + (
+                window.transpose(0, 2, 1)
+                @ g_scores.reshape(batch, -1, 1)).reshape(batch, d)
+        # (B, n) gradient of the [f, i, (s)] block of ``pre``.
+        g_fis = np.concatenate(
+            [g_c_hat * c_prev.data * f_t * (1.0 - f_t),
+             g_c_hat * cand * i_t * (1.0 - i_t)] + g_s, axis=-1)
+        g_cand_pre = g_c_hat * i_t * (1.0 - cand * cand)
+        if x_gates_t.requires_grad:
+            x_gates_t._accumulate_into((Ellipsis, slice(0, n)), g_fis)
+        if x_cand_t.requires_grad:
+            x_cand_t._accumulate(g_cand_pre)
+        if h_prev.requires_grad:
+            h_prev._accumulate(g_fis @ u_gates.data[:n]
+                               + g_cand_pre @ u_cand.data)
+        if u_gates.requires_grad:
+            u_gates._accumulate_into(slice(0, n), g_fis.transpose() @ h_data)
+        if u_cand.requires_grad:
+            u_cand._accumulate(g_cand_pre.transpose() @ h_data)
+        if c_prev.requires_grad:
+            c_prev._accumulate(g_c_hat * f_t)
+
+    c_t = Tensor._make(
+        c_t_data,
+        (x_gates_t, x_cand_t, h_prev, c_prev, u_gates, u_cand) + read,
+        backward_c)
+
+    def backward_h(grad: np.ndarray) -> None:
+        if carry is not None:
+            if h_prev.requires_grad:
+                h_prev._accumulate(np.where(carry, grad, 0.0))
+            grad = np.where(carry, 0.0, grad)
+        g_o = grad * tanh_ct * o_t * (1.0 - o_t)
+        if x_gates_t.requires_grad:
+            x_gates_t._accumulate_into((Ellipsis, slice(n, n + d)), g_o)
+        if h_prev.requires_grad:
+            h_prev._accumulate(g_o @ u_gates.data[n:])
+        if u_gates.requires_grad:
+            u_gates._accumulate_into(slice(n, n + d),
+                                     g_o.transpose() @ h_data)
+        if c_t.requires_grad:
+            c_t._accumulate(grad * o_t * (1.0 - tanh_ct * tanh_ct))
+
+    h_t = Tensor._make(h_t_data, (x_gates_t, h_prev, u_gates, c_t),
+                       backward_h)
+    return h_t, c_t, s_t
+
+
 class LSTMCell(Module):
     """Single LSTM step. Inputs ``x``: (B, input_size); states: (B, hidden)."""
 
@@ -89,6 +188,9 @@ class LSTMCell(Module):
 
     def forward(self, x: Tensor, h_prev: Tensor, c_prev: Tensor
                 ) -> Tuple[Tensor, Tensor]:
+        """The paper's equations op by op on the tape — the reference the
+        tests compare :func:`tape_step` against; nothing under ``src/``
+        trains or infers through it."""
         d = self.hidden_size
         gates = (x @ self.w_gates.transpose()
                  + h_prev @ self.u_gates.transpose() + self.b_gates).sigmoid()
@@ -101,52 +203,32 @@ class LSTMCell(Module):
         h_t = o_t * c_t.tanh()
         return h_t, c_t
 
-    def project_inputs(self, inputs: np.ndarray) -> Tuple[list, list]:
-        """Hoisted input projections for a whole (B, T, in) sequence.
-
-        One ``(B·T, in) @ W`` matmul per weight (biases folded in) instead
-        of one per timestep; returns per-step (B, 3d) and (B, d) tensors.
-        """
-        batch, steps, _ = inputs.shape
-        flat = Tensor(inputs.reshape(batch * steps, -1))
-        x_gates = (flat @ self.w_gates.transpose() + self.b_gates
-                   ).reshape(batch, steps, 3 * self.hidden_size
-                             ).transpose(1, 0, 2)
-        x_cand = (flat @ self.w_cand.transpose() + self.b_cand
-                  ).reshape(batch, steps, self.hidden_size).transpose(1, 0, 2)
-        return unstack(x_gates), unstack(x_cand)
-
-    def step(self, x_gates_t: Tensor, x_cand_t: Tensor, h_prev: Tensor,
-             c_prev: Tensor, u_gates_t: Optional[Tensor] = None,
-             u_cand_t: Optional[Tensor] = None) -> Tuple[Tensor, Tensor]:
-        """Fused step on pre-projected inputs (see :meth:`project_inputs`).
-
-        ``u_gates_t`` / ``u_cand_t`` are the transposed recurrent weights;
-        pass them in when stepping a whole sequence so the transpose nodes
-        are built once instead of per step.
-        """
-        if u_gates_t is None:
-            u_gates_t = self.u_gates.transpose()
-        if u_cand_t is None:
-            u_cand_t = self.u_cand.transpose()
-        pre = x_gates_t + h_prev @ u_gates_t
-        f_t, i_t, o_t = lstm_gates(pre, 3)
-        cand = (x_cand_t + h_prev @ u_cand_t).tanh()
-        c_t = f_t * c_prev + i_t * cand
-        h_t = o_t * c_t.tanh()
-        return h_t, c_t
-
     def weight_views(self) -> tuple:
         """Trailing arguments of :func:`step_forward` for this cell."""
         return self.u_gates.data.transpose(), self.u_cand.data.transpose()
 
 
 class Recurrent(Module):
-    """Tape-free unrolling of ``self.cell`` — the inference kernel of
-    :class:`LSTM` and :class:`~repro.nn.sam.SAMLSTM` alike (``memory`` and
-    ``cells`` only for the latter). Builds no :class:`Tensor` and never
-    enters ``no_grad``, so any thread may run it beside a training thread.
+    """The three unrolls of ``self.cell`` — ``forward`` on the tape for
+    training, ``infer`` / ``fold`` tape-free for inference — shared by
+    :class:`LSTM` and :class:`~repro.nn.sam.SAMLSTM`. ``cells`` and
+    ``memory`` are required by a cell with a read projection and refused
+    by one without. ``infer`` / ``fold`` build no :class:`Tensor` and never
+    enter ``no_grad``, so any thread may run them beside a training thread.
     """
+
+    def _reads(self, cells: Optional[np.ndarray], memory) -> bool:
+        """Whether the cell reads a spatial memory; raises unless ``cells``
+        and ``memory`` were given exactly when it does."""
+        reads = hasattr(self.cell, "read_proj")
+        for name, value in (("cells", cells), ("memory", memory)):
+            if reads and value is None:
+                raise ValueError(f"{type(self).__name__} reads a spatial "
+                                 f"memory: `{name}` is required")
+            if not reads and value is not None:
+                raise ValueError(f"{type(self).__name__} reads no spatial "
+                                 f"memory: `{name}` must be None")
+        return reads
 
     def _projector(self) -> Callable:
         cell = self.cell
@@ -154,19 +236,56 @@ class Recurrent(Module):
         w_cand_t, b_cand = cell.w_cand.data.transpose(), cell.b_cand.data
         return lambda x: (x @ w_gates_t + b_gates, x @ w_cand_t + b_cand)
 
+    def forward(self, inputs: np.ndarray, mask: np.ndarray,
+                cells: Optional[np.ndarray] = None, memory=None,
+                update_memory: bool = False) -> Tensor:
+        """Final (B, d) hidden states of a padded batch, on the tape.
+
+        ``inputs`` (B, T, input_size) coordinates, ``mask`` (B, T) validity,
+        ``cells`` (B, T, 2) integer grid cells. Padded steps carry the
+        previous state through, so the final state is the state at each
+        sequence's true end. With ``update_memory`` (training) every step
+        writes its cell state back before the next step reads.
+        """
+        inputs = np.asarray(inputs, dtype=np.float64)
+        mask = np.asarray(mask, dtype=bool)
+        batch, steps, _ = inputs.shape
+        cell, flat = self.cell, Tensor(inputs.reshape(batch * steps, -1))
+
+        def hoisted(w: Parameter, b: Parameter) -> list:
+            """Per-step (B, ·) slices of one (B·T, in) @ W projection."""
+            return unstack((flat @ w.transpose() + b)
+                           .reshape(batch, steps, -1).transpose(1, 0, 2))
+
+        x_gates = hoisted(cell.w_gates, cell.b_gates)
+        x_cand = hoisted(cell.w_cand, cell.b_cand)
+        h = Tensor(np.zeros((batch, self.hidden_size), dtype=np.float64))
+        c = Tensor(np.zeros((batch, self.hidden_size), dtype=np.float64))
+        reads, window = self._reads(cells, memory), None
+        if reads:
+            cells = np.asarray(cells, dtype=int)
+        for t in range(steps):
+            if reads:  # gathered step by step: writes land between reads
+                window = memory.gather(cells[:, t, :])
+            h, c, s_t = tape_step(cell, x_gates[t], x_cand[t], h, c, window,
+                                  ~mask[:, t, None])
+            if reads and update_memory:
+                memory.write(cells[:, t, :], c.data, s_t, mask=mask[:, t])
+        return h
+
     def infer(self, inputs: np.ndarray, mask: np.ndarray,
               cells: Optional[np.ndarray] = None, memory=None) -> np.ndarray:
-        """Final (B, d) hidden states of a padded batch (``inputs``,
-        ``mask``, ``cells`` as for ``forward``); the batch's input
-        projections are one GEMM per weight, as on the fused tape path.
+        """``forward`` without the tape or the writes: final (B, d) states
+        as a plain array, bit-identical to ``forward``'s.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         batch, steps, _ = inputs.shape
         x_gates, x_cand = (x.reshape(batch, steps, -1) for x in
                            self._projector()(inputs.reshape(batch * steps, -1)))
         carry = ~np.asarray(mask, dtype=bool)
-        windows = (itertools.repeat(None) if memory is None else memory.windows(
-            np.asarray(cells, dtype=int).transpose(1, 0, 2)))
+        windows = (memory.windows(np.asarray(cells, dtype=int)
+                                  .transpose(1, 0, 2))
+                   if self._reads(cells, memory) else itertools.repeat(None))
         views = self.cell.weight_views()
         h = c = np.zeros((batch, self.hidden_size), dtype=np.float64)
         for t, window in zip(range(steps), windows):
@@ -183,8 +302,8 @@ class Recurrent(Module):
         not depend on how a growing sequence is chunked across calls.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
-        windows = (itertools.repeat(None) if memory is None else
-                   memory.windows(np.asarray(cells, dtype=int)[:, None, :]))
+        windows = (memory.windows(np.asarray(cells, dtype=int)[:, None, :])
+                   if self._reads(cells, memory) else itertools.repeat(None))
         project, views = self._projector(), self.cell.weight_views()
         for t, window in zip(range(len(inputs)), windows):
             h, c, _ = step_forward(*project(inputs[t:t + 1]), h, c, window,
@@ -193,46 +312,12 @@ class Recurrent(Module):
 
 
 class LSTM(Recurrent):
-    """Run an :class:`LSTMCell` over padded sequences with a validity mask.
-
-    ``forward`` consumes coordinates of shape (B, T, input_size) and a boolean
-    mask (B, T); padded steps carry the previous state through so the final
-    state equals the state at each sequence's true end. ``fused`` selects the
-    hoisted-projection fast path (default) or the legacy per-step reference.
-    """
+    """An :class:`LSTMCell` unrolled over padded sequences."""
 
     def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator, fused: bool = True):
+                 rng: np.random.Generator):
         self.hidden_size = hidden_size
         self.cell = LSTMCell(input_size, hidden_size, rng)
-        self.fused = fused
-
-    def forward(self, inputs: np.ndarray, mask: np.ndarray,
-                return_sequence: bool = False):
-        inputs = np.asarray(inputs, dtype=np.float64)
-        mask = np.asarray(mask, dtype=bool)
-        batch, steps, _ = inputs.shape
-        h = Tensor(np.zeros((batch, self.hidden_size), dtype=np.float64))
-        c = Tensor(np.zeros((batch, self.hidden_size), dtype=np.float64))
-        if self.fused:
-            x_gates, x_cand = self.cell.project_inputs(inputs)
-            u_gates_t = self.cell.u_gates.transpose()
-            u_cand_t = self.cell.u_cand.transpose()
-        outputs = []
-        for t in range(steps):
-            if self.fused:
-                h_new, c_new = self.cell.step(x_gates[t], x_cand[t], h, c,
-                                              u_gates_t, u_cand_t)
-            else:
-                h_new, c_new = self.cell(Tensor(inputs[:, t, :]), h, c)
-            step_mask = mask[:, t][:, None]
-            h = where(step_mask, h_new, h)
-            c = where(step_mask, c_new, c)
-            if return_sequence:
-                outputs.append(h)
-        if return_sequence:
-            return h, outputs
-        return h
 
 
 def lengths_to_mask(lengths: np.ndarray, max_len: Optional[int] = None) -> np.ndarray:

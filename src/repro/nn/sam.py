@@ -36,8 +36,8 @@ import numpy as np
 from . import init
 from .layers import Linear
 from .module import Module, Parameter
-from .rnn import Recurrent, step_forward
-from .tensor import Tensor, concat, logistic, unstack, where
+from .rnn import Recurrent
+from .tensor import Tensor, concat, logistic
 
 #: Initial bias of the spatial gate: strongly negative so the memory path
 #: starts nearly closed and opens only where it reduces the loss.
@@ -227,6 +227,9 @@ class SAMLSTMCell(Module):
                 c_prev: Tensor, memory: SpatialMemory,
                 write: bool = True, step_mask: Optional[np.ndarray] = None
                 ) -> Tuple[Tensor, Tensor]:
+        """Eq. 1-6 op by op on the tape (with :meth:`read`) — the reference
+        the tests compare :func:`~repro.nn.rnn.tape_step` against; nothing
+        under ``src/`` trains or infers through it."""
         d = self.hidden_size
         gates = (x @ self.w_gates.transpose()
                  + h_prev @ self.u_gates.transpose() + self.b_gates).sigmoid()
@@ -243,38 +246,6 @@ class SAMLSTMCell(Module):
         if write:
             memory.write(grid_cells, c_t.data, s_t.data, mask=step_mask)
         h_t = o_t * c_t.tanh()
-        return h_t, c_t
-
-    def project_inputs(self, inputs: np.ndarray) -> Tuple[list, list]:
-        """Hoisted input projections for a whole (B, T, in) sequence.
-
-        One ``(B·T, in) @ W`` matmul per weight (biases folded in) instead
-        of one per timestep; returns per-step (B, 4d) and (B, d) tensors.
-        """
-        batch, steps, _ = inputs.shape
-        flat = Tensor(inputs.reshape(batch * steps, -1))
-        x_gates = (flat @ self.w_gates.transpose() + self.b_gates
-                   ).reshape(batch, steps, 4 * self.hidden_size
-                             ).transpose(1, 0, 2)
-        x_cand = (flat @ self.w_cand.transpose() + self.b_cand
-                  ).reshape(batch, steps, self.hidden_size).transpose(1, 0, 2)
-        return unstack(x_gates), unstack(x_cand)
-
-    def step(self, x_gates_t: Tensor, x_cand_t: Tensor,
-             grid_cells: np.ndarray, h_prev: Tensor, c_prev: Tensor,
-             memory: SpatialMemory, write: bool = True,
-             step_mask: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
-        """Fused step on pre-projected inputs (see :meth:`project_inputs`).
-
-        When ``step_mask`` is given the padded-step carry (``h``/``c`` keep
-        their previous values where the mask is False) is folded into the
-        fused core instead of costing two extra ``where`` tape nodes.
-        """
-        window = memory.gather(grid_cells)
-        h_t, c_t, s_t = self.step_core(x_gates_t, x_cand_t, h_prev, c_prev,
-                                       window, step_mask=step_mask)
-        if write:
-            memory.write(grid_cells, c_t.data, s_t, mask=step_mask)
         return h_t, c_t
 
     def read(self, c_hat: Tensor, grid_cells: np.ndarray,
@@ -298,155 +269,15 @@ class SAMLSTMCell(Module):
                 self.read_proj.weight.data.transpose(),
                 self.read_proj.bias.data)
 
-    def step_core(self, x_gates_t: Tensor, x_cand_t: Tensor, h_prev: Tensor,
-                  c_prev: Tensor, window: np.ndarray,
-                  step_mask: Optional[np.ndarray] = None
-                  ) -> Tuple[Tensor, Tensor, np.ndarray]:
-        """Recurrent projections → gates → candidate → read → states, fused.
-
-        Computes the whole recurrence core — recurrent matmuls, sigmoid
-        gate slab, candidate ``tanh``, intermediate cell state, attention
-        read over ``window`` and the output states — in raw numpy with a
-        hand-written backward, so each timestep adds two tape nodes
-        (``c_t``, ``h_t``) instead of ~20. The forward is ``step_forward``,
-        the call inference makes too; it runs the exact numpy operations
-        of the legacy per-step path, keeping the two bit-identical.
-        ``window`` is a constant: reads do not backpropagate into history.
-
-        ``step_mask`` (B,) folds the padded-step carry into the same two
-        nodes: rows with a False mask emit ``h_prev``/``c_prev`` unchanged
-        and route their gradients straight back to the previous states,
-        exactly as the standalone ``where`` carry would.
-
-        Returns ``(h_t, c_t, s_t_data)`` — the spatial-gate values are
-        needed by the caller for the memory write.
-        """
-        u_gates, u_cand = self.u_gates, self.u_cand
-        weight, bias = self.read_proj.weight, self.read_proj.bias
-        batch, d = c_prev.shape
-        h_data = h_prev.data
-        carry = (None if step_mask is None
-                 else ~np.asarray(step_mask, dtype=bool)[:, None])
-        h_t_data, c_t_data, saved = step_forward(
-            x_gates_t.data, x_cand_t.data, h_data, c_prev.data, window,
-            carry, *self.weight_views())
-        slab, cand, attn, cat, c_his, tanh_ct = saved
-        f_t = slab[:, 0 * d:1 * d]
-        i_t = slab[:, 1 * d:2 * d]
-        s_t = slab[:, 2 * d:3 * d]
-        o_t = slab[:, 3 * d:4 * d]
-
-        def backward_c(grad: np.ndarray) -> None:
-            if carry is not None:
-                if c_prev.requires_grad:
-                    c_prev._accumulate(np.where(carry, grad, 0.0))
-                grad = np.where(carry, 0.0, grad)
-            g_s = grad * c_his * s_t * (1.0 - s_t)
-            g_read = grad * s_t * (1.0 - c_his * c_his)
-            if bias.requires_grad:
-                bias._accumulate(g_read.sum(axis=0))
-            if weight.requires_grad:
-                weight._accumulate(g_read.transpose() @ cat)
-            g_cat = g_read @ weight.data
-            g_mix = g_cat[:, d:]
-            g_attn = (window @ g_mix.reshape(batch, d, 1)
-                      ).reshape(batch, -1)
-            dot = (g_attn * attn).sum(axis=-1, keepdims=True)
-            g_scores = attn * (g_attn - dot)
-            g_c_hat = grad + g_cat[:, :d] + (
-                window.transpose(0, 2, 1)
-                @ g_scores.reshape(batch, -1, 1)).reshape(batch, d)
-            # (B, 3d) gradient of the [f, i, s] block of ``pre``.
-            g_fis = np.concatenate(
-                [g_c_hat * c_prev.data * f_t * (1.0 - f_t),
-                 g_c_hat * cand * i_t * (1.0 - i_t),
-                 g_s], axis=-1)
-            g_cand_pre = g_c_hat * i_t * (1.0 - cand * cand)
-            if x_gates_t.requires_grad:
-                x_gates_t._accumulate_into((Ellipsis, slice(0, 3 * d)), g_fis)
-            if x_cand_t.requires_grad:
-                x_cand_t._accumulate(g_cand_pre)
-            if h_prev.requires_grad:
-                h_prev._accumulate(g_fis @ u_gates.data[:3 * d]
-                                   + g_cand_pre @ u_cand.data)
-            if u_gates.requires_grad:
-                u_gates._accumulate_into(slice(0, 3 * d),
-                                         g_fis.transpose() @ h_data)
-            if u_cand.requires_grad:
-                u_cand._accumulate(g_cand_pre.transpose() @ h_data)
-            if c_prev.requires_grad:
-                c_prev._accumulate(g_c_hat * f_t)
-
-        c_t = Tensor._make(
-            c_t_data,
-            (x_gates_t, x_cand_t, h_prev, c_prev, u_gates, u_cand,
-             weight, bias),
-            backward_c)
-
-        def backward_h(grad: np.ndarray) -> None:
-            if carry is not None:
-                if h_prev.requires_grad:
-                    h_prev._accumulate(np.where(carry, grad, 0.0))
-                grad = np.where(carry, 0.0, grad)
-            g_o = grad * tanh_ct * o_t * (1.0 - o_t)
-            if x_gates_t.requires_grad:
-                x_gates_t._accumulate_into((Ellipsis, slice(3 * d, 4 * d)),
-                                           g_o)
-            if h_prev.requires_grad:
-                h_prev._accumulate(g_o @ u_gates.data[3 * d:])
-            if u_gates.requires_grad:
-                u_gates._accumulate_into(slice(3 * d, 4 * d),
-                                         g_o.transpose() @ h_data)
-            if c_t.requires_grad:
-                c_t._accumulate(grad * o_t * (1.0 - tanh_ct * tanh_ct))
-
-        h_t = Tensor._make(h_t_data, (x_gates_t, h_prev, u_gates, c_t),
-                           backward_h)
-        return h_t, c_t, s_t
-
 
 class SAMLSTM(Recurrent):
-    """Run a :class:`SAMLSTMCell` over padded (coords, grid-cells) sequences.
-
-    ``forward`` consumes coordinates (B, T, input_size), integer grid cells
-    (B, T, 2) and a boolean mask (B, T). Memory writes happen only when
-    ``update_memory`` is True (training); inference (the inherited tape-free
-    ``infer`` / ``fold``) is read-only so that embeddings are deterministic.
+    """A :class:`SAMLSTMCell` unrolled over padded (coords, grid-cells)
+    sequences. Memory writes happen only when ``forward`` is given
+    ``update_memory=True`` (training); inference (the tape-free ``infer`` /
+    ``fold``) is read-only so that embeddings are deterministic.
     """
 
     def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator, fused: bool = True):
+                 rng: np.random.Generator):
         self.hidden_size = hidden_size
         self.cell = SAMLSTMCell(input_size, hidden_size, rng)
-        self.fused = fused
-
-    def forward(self, inputs: np.ndarray, grid_cells: np.ndarray,
-                mask: np.ndarray, memory: SpatialMemory,
-                update_memory: bool = False, return_sequence: bool = False):
-        inputs = np.asarray(inputs, dtype=np.float64)
-        grid_cells = np.asarray(grid_cells, dtype=int)
-        mask = np.asarray(mask, dtype=bool)
-        batch, steps, _ = inputs.shape
-        h = Tensor(np.zeros((batch, self.hidden_size), dtype=np.float64))
-        c = Tensor(np.zeros((batch, self.hidden_size), dtype=np.float64))
-        if self.fused:
-            x_gates, x_cand = self.cell.project_inputs(inputs)
-        outputs = []
-        for t in range(steps):
-            step_mask = mask[:, t]
-            if self.fused:
-                # The padded-step carry is folded into the fused core.
-                h, c = self.cell.step(
-                    x_gates[t], x_cand[t], grid_cells[:, t, :], h, c, memory,
-                    write=update_memory, step_mask=step_mask)
-            else:
-                h_new, c_new = self.cell(
-                    Tensor(inputs[:, t, :]), grid_cells[:, t, :], h, c,
-                    memory, write=update_memory, step_mask=step_mask)
-                h = where(step_mask[:, None], h_new, h)
-                c = where(step_mask[:, None], c_new, c)
-            if return_sequence:
-                outputs.append(h)
-        if return_sequence:
-            return h, outputs
-        return h

@@ -173,10 +173,11 @@ class Tensor:
     def _accumulate_into(self, key, grad: np.ndarray) -> None:
         """Accumulate ``grad`` into a sub-slice of this tensor's gradient.
 
-        Used by slab-splitting ops (:func:`lstm_gates`, :func:`unstack`)
-        whose outputs cover disjoint regions of the parent: a lazily
-        allocated buffer plus an in-place slice add avoids the full-size
-        zeros + ``np.add.at`` scatter a ``__getitem__`` node would pay.
+        Used where a node's gradients cover disjoint regions of a parent
+        (:func:`unstack`, and the gate blocks of
+        :func:`~repro.nn.rnn.tape_step`): a lazily allocated buffer plus
+        an in-place slice add avoids the full-size zeros + ``np.add.at``
+        scatter a ``__getitem__`` node would pay.
         """
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -538,38 +539,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(slab)
 
     return Tensor._make(data, tensors, backward)
-
-
-def lstm_gates(pre: Tensor, num_gates: int) -> Tuple[Tensor, ...]:
-    """Fused sigmoid-gate slab: split ``pre`` into ``num_gates`` gates.
-
-    Equivalent to ``pre.sigmoid()`` followed by ``num_gates`` slices along
-    the last axis, but fused: the logistic is applied once to the whole
-    slab with no intermediate tape node, and each gate's backward adds
-    ``grad * g * (1 - g)`` straight into its slice of the parent's gradient
-    buffer — replacing the sigmoid node plus per-slice full-size
-    zeros/``np.add.at`` scatters of the unfused form. This is the hot op of
-    the recurrent training step (one call per timestep).
-    """
-    width = pre.shape[-1]
-    if width % num_gates != 0:
-        raise ValueError(
-            f"last axis ({width}) is not divisible into {num_gates} gates")
-    d = width // num_gates
-    slab = logistic(pre.data)
-
-    def make_backward(key, gate: np.ndarray):
-        def backward(grad: np.ndarray) -> None:
-            if pre.requires_grad:
-                pre._accumulate_into(key, grad * gate * (1.0 - gate))
-        return backward
-
-    gates = []
-    for g in range(num_gates):
-        key = (Ellipsis, slice(g * d, (g + 1) * d))
-        gate = slab[key]
-        gates.append(Tensor._make(gate, (pre,), make_backward(key, gate)))
-    return tuple(gates)
 
 
 def unstack(tensor: Tensor, axis: int = 0) -> list:

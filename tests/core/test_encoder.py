@@ -14,7 +14,7 @@ from repro.core.sampling import AnchorSamples
 from repro.core.trainer import training_step
 from repro.datasets import Grid, Trajectory
 from repro.datasets.grid import CoordinateNormalizer
-from repro.nn import sam, tensor
+from repro.nn import rnn, tensor
 from repro.nn.optim import Adam
 from repro.nn.sam import SpatialMemory
 from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
@@ -124,21 +124,20 @@ def _ragged_batch(seed: int, count: int):
 
 
 def _tape_extend(enc, h, c, points):
-    """The fold as the tape engine runs it (what ``extend_prefix`` was
-    before the kernel): one point at a time through ``project_inputs`` +
-    ``cell.step`` under ``no_grad``."""
+    """The fold as the tape engine runs it: one point at a time, each
+    projected by itself, through ``rnn.tape_step`` under ``no_grad``."""
     inputs = enc.normalizer.transform(points)
     cells = enc.grid.to_cells(points)
     cell = enc.rnn.cell
     with no_grad():
         h, c = Tensor(h.copy()), Tensor(c.copy())
         for t in range(len(points)):
-            x_gates, x_cand = cell.project_inputs(inputs[t:t + 1][None])
-            if enc.uses_sam:
-                h, c = cell.step(x_gates[0], x_cand[0], cells[t:t + 1],
-                                 h, c, enc.memory, write=False)
-            else:
-                h, c = cell.step(x_gates[0], x_cand[0], h, c)
+            x = Tensor(inputs[t:t + 1])
+            window = (enc.memory.gather(cells[t:t + 1]) if enc.uses_sam
+                      else None)
+            h, c, _ = rnn.tape_step(
+                cell, x @ cell.w_gates.transpose() + cell.b_gates,
+                x @ cell.w_cand.transpose() + cell.b_cand, h, c, window)
     return h.data, c.data
 
 
@@ -215,8 +214,8 @@ def test_extend_prefix_is_the_tape_fold_bit_for_bit(use_sam, seed, data):
 
 def _parent_step_forward(x_gates, x_cand, h, c, window, carry, u_gates_t,
                          u_cand_t, w_read_t, b_read):
-    """``SAMLSTMCell.step_core``'s forward as it was written inline before
-    it became ``rnn.step_forward`` — statement for statement."""
+    """The SAM training step's forward as it was written inline before it
+    became ``rnn.step_forward`` — statement for statement."""
     def sigmoid(x):
         e = np.exp(-np.abs(x))
         pos = 1.0 / (1.0 + e)
@@ -267,7 +266,7 @@ def _one_training_step(seed=3):
 
 def test_training_step_unchanged_by_the_shared_forward(monkeypatch):
     loss, grads, memory = _one_training_step()
-    monkeypatch.setattr(sam, "step_forward", _parent_step_forward)
+    monkeypatch.setattr(rnn, "step_forward", _parent_step_forward)
     ref_loss, ref_grads, ref_memory = _one_training_step()
     assert loss == ref_loss
     assert all(np.abs(g).max() > 0.0 for g in grads.values())
@@ -315,13 +314,13 @@ def test_training_step_unchanged_by_releasing_the_tape(monkeypatch):
 
 def test_backward_releases_each_steps_window(monkeypatch):
     windows = []
-    step_forward = sam.step_forward
+    step_forward = rnn.step_forward
 
     def recording(x_gates, x_cand, h, c, window, *rest):
         windows.append(weakref.ref(window))
         return step_forward(x_gates, x_cand, h, c, window, *rest)
 
-    monkeypatch.setattr(sam, "step_forward", recording)
+    monkeypatch.setattr(rnn, "step_forward", recording)
     enc = _warm_encoder(True)
     embeddings = enc.encode(_ragged_batch(3, 4), update_memory=True)
     loss = (embeddings * embeddings).sum()

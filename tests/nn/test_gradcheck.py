@@ -8,8 +8,10 @@ softmax-mix, embedding similarity, masked state carry).
 import numpy as np
 import pytest
 
-from repro.nn.tensor import (Tensor, concat, gradient_check, lstm_gates,
-                             stack, unstack, where)
+from repro.nn.rnn import LSTMCell, tape_step
+from repro.nn.sam import SAMLSTMCell, SpatialMemory
+from repro.nn.tensor import (Tensor, concat, gradient_check, stack, unstack,
+                             where)
 
 RNG = np.random.default_rng(99)
 
@@ -55,34 +57,43 @@ def test_op_gradients(name, build, shape):
     assert gradient_check(build, x)
 
 
-@pytest.mark.parametrize("num_gates", [3, 4])
-def test_lstm_gates_gradient(num_gates):
-    """Fused sigmoid-slab op: every gate slice backpropagates correctly."""
-    x = np.random.default_rng(20 + num_gates).normal(size=(3, num_gates * 2))
+@pytest.mark.parametrize("with_carry", [False, True])
+@pytest.mark.parametrize("bandwidth", [None, 0, 1])
+def test_tape_step_gradient(bandwidth, with_carry):
+    """The recurrence's one hand-written backward, for the plain cell
+    (``bandwidth`` None) and the SAM cell: gradients to the step's inputs
+    and states and to every recurrent weight, through both tape nodes."""
+    rng = np.random.default_rng(40)
+    batch, d = 3, 4
+    if bandwidth is None:
+        cell, window = LSTMCell(2, d, rng), None
+        weights = [(cell, "u_gates"), (cell, "u_cand")]
+    else:
+        cell = SAMLSTMCell(2, d, rng)
+        memory = SpatialMemory((5, 5), d, bandwidth=bandwidth)
+        memory.data[:] = rng.normal(scale=0.5, size=memory.data.shape)
+        window = memory.gather(rng.integers(0, 5, size=(batch, 2)))
+        weights = [(cell, "u_gates"), (cell, "u_cand"),
+                   (cell.read_proj, "weight"), (cell.read_proj, "bias")]
+    carry = np.array([[False], [True], [False]]) if with_carry else None
+    mix_h, mix_c = rng.normal(size=(2, batch, d))
+    bounds = np.cumsum([0, cell.u_gates.shape[0], d, d, d])
 
-    def build(t):
-        gates = lstm_gates(t, num_gates)
-        total = gates[0].sum()
-        for i, g in enumerate(gates[1:], start=2):
-            total = total + (g ** i).sum()
-        return total
+    def step(packed):
+        x_gates, x_cand, h, c = (packed[:, lo:hi] for lo, hi
+                                 in zip(bounds[:-1], bounds[1:]))
+        h_t, c_t, _ = tape_step(cell, x_gates, x_cand, h, c, window, carry)
+        return (h_t * mix_h).sum() + (c_t * mix_c).sum()
 
-    assert gradient_check(build, x)
+    packed = rng.normal(size=(batch, bounds[-1]))
+    assert gradient_check(step, packed, tol=1e-6)
+    for owner, name in weights:
+        def through_weight(weight):
+            setattr(owner, name, weight)
+            return step(Tensor(packed))
 
-
-def test_lstm_gates_matches_sliced_sigmoid():
-    """Forward values equal the unfused sigmoid-then-slice formulation."""
-    x = np.random.default_rng(25).normal(size=(4, 12))
-    fused = lstm_gates(Tensor(x), 3)
-    reference = Tensor(x).sigmoid()
-    for g, gate in enumerate(fused):
-        np.testing.assert_allclose(gate.data,
-                                   reference.data[:, g * 4:(g + 1) * 4])
-
-
-def test_lstm_gates_rejects_indivisible_width():
-    with pytest.raises(ValueError):
-        lstm_gates(Tensor(np.zeros((2, 7))), 3)
+        assert gradient_check(through_weight, getattr(owner, name).data,
+                              tol=1e-6), name
 
 
 def test_unstack_gradient():

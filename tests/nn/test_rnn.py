@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.nn.rnn import LSTM, LSTMCell, lengths_to_mask
+from repro.nn.sam import SAMLSTM, SpatialMemory
 from repro.nn.tensor import Tensor, numerical_gradient
+
+from .reference import reference_unroll
 
 
 def test_lengths_to_mask():
@@ -62,14 +65,6 @@ def test_batch_matches_individual_runs(rng):
     np.testing.assert_allclose(batched[1], solo_b[0])
 
 
-def test_return_sequence_length(rng):
-    lstm = LSTM(2, 4, rng)
-    final, outputs = lstm(np.zeros((2, 5, 2)), np.ones((2, 5), dtype=bool),
-                          return_sequence=True)
-    assert len(outputs) == 5
-    np.testing.assert_allclose(outputs[-1].data, final.data)
-
-
 def test_deterministic_given_seed():
     a = LSTM(2, 4, np.random.default_rng(42))
     b = LSTM(2, 4, np.random.default_rng(42))
@@ -100,34 +95,81 @@ def test_bptt_gradient_matches_numerical(rng):
     assert err < 1e-6
 
 
+def _count_tape_nodes(root):
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
+    return count
+
+
 def test_fused_matches_legacy_forward(rng):
-    """The hoisted-projection fast path equals the per-step reference."""
-    fused = LSTM(2, 6, np.random.default_rng(11), fused=True)
-    legacy = LSTM(2, 6, np.random.default_rng(11), fused=False)
+    """The kernel equals the paper-equation reference at every length."""
+    lstm = LSTM(2, 6, np.random.default_rng(11))
     coords = rng.normal(size=(3, 7, 2))
     mask = lengths_to_mask(np.array([7, 5, 2]), 7)
-    out_f, seq_f = fused(coords, mask, return_sequence=True)
-    out_l, seq_l = legacy(coords, mask, return_sequence=True)
-    np.testing.assert_allclose(out_f.data, out_l.data, atol=1e-12)
-    for step_f, step_l in zip(seq_f, seq_l):
-        np.testing.assert_allclose(step_f.data, step_l.data, atol=1e-12)
+    for steps in range(1, 8):
+        np.testing.assert_allclose(
+            lstm(coords[:, :steps], mask[:, :steps]).data,
+            reference_unroll(lstm, coords[:, :steps], mask[:, :steps]).data,
+            atol=1e-12)
 
 
 def test_fused_matches_legacy_gradients(rng):
     coords = rng.normal(size=(2, 5, 2))
     mask = lengths_to_mask(np.array([5, 3]), 5)
-    grads = {}
-    for fused in (True, False):
-        lstm = LSTM(2, 4, np.random.default_rng(13), fused=fused)
-        loss = (lstm(coords, mask) ** 2).sum()
+    lstm = LSTM(2, 4, np.random.default_rng(13))
+    grads = []
+    for unroll in (lstm, lambda *args: reference_unroll(lstm, *args)):
+        loss = (unroll(coords, mask) ** 2).sum()
         lstm.zero_grad()
         loss.backward()
-        grads[fused] = {name: p.grad.copy()
-                        for name, p in lstm.named_parameters()}
-    assert grads[True].keys() == grads[False].keys()
-    for name in grads[True]:
-        np.testing.assert_allclose(grads[True][name], grads[False][name],
+        grads.append({name: p.grad.copy()
+                      for name, p in lstm.named_parameters()})
+    for name in grads[0]:
+        np.testing.assert_allclose(grads[0][name], grads[1][name],
                                    atol=1e-12, err_msg=name)
+
+
+def test_training_tape_is_two_nodes_a_step(rng):
+    """2·T step nodes + T·2 projection slices + the two hoisted
+    projections (matmul, add, reshape, transpose and a weight transpose
+    each), for either cell."""
+    steps = 9
+    coords = rng.normal(size=(3, steps, 2))
+    mask = np.ones((3, steps), dtype=bool)
+    assert _count_tape_nodes(LSTM(2, 4, rng)(coords, mask)) == 4 * steps + 10
+    sam = SAMLSTM(2, 4, rng)
+    out = sam(coords, mask, rng.integers(0, 5, size=(3, steps, 2)),
+              SpatialMemory((5, 5), 4, bandwidth=1))
+    assert _count_tape_nodes(out) == 4 * steps + 10
+
+
+@pytest.mark.parametrize("use_sam", [True, False])
+def test_unrolls_refuse_a_cells_memory_mismatch(use_sam, rng):
+    """A read cell without ``cells``/``memory`` used to run the no-read
+    recurrence silently; a plain cell given them died inside ``matmul``."""
+    coords, mask = rng.normal(size=(2, 3, 2)), np.ones((2, 3), dtype=bool)
+    cells = rng.integers(0, 5, size=(2, 3, 2))
+    memory = SpatialMemory((5, 5), 4, bandwidth=1)
+    state = np.zeros((1, 4))
+    rnn = (SAMLSTM if use_sam else LSTM)(2, 4, rng)
+    given, absent = (cells, memory), (None, None)
+    right, wrong = (given, absent) if use_sam else (absent, given)
+    verdict = "is required" if use_sam else "must be None"
+    for unroll in (
+            lambda c, m: rnn(coords, mask, c, m),
+            lambda c, m: rnn.infer(coords, mask, c, m),
+            lambda c, m: rnn.fold(state, state, coords[0],
+                                  None if c is None else c[0], m)):
+        unroll(*right)
+        with pytest.raises(ValueError, match=f"`cells` {verdict}"):
+            unroll(*wrong)
+        with pytest.raises(ValueError, match=f"`memory` {verdict}"):
+            unroll(right[0], wrong[1])
 
 
 def test_forget_bias_initialised_to_one(rng):

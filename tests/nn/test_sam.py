@@ -7,6 +7,8 @@ from repro.nn.sam import SAMLSTM, SAMLSTMCell, SpatialMemory
 from repro.nn.rnn import lengths_to_mask
 from repro.nn.tensor import Tensor, no_grad, numerical_gradient
 
+from .reference import reference_unroll
+
 
 class TestSpatialMemory:
     def test_starts_zeroed(self):
@@ -173,7 +175,7 @@ class TestSAMLSTM:
         coords = rng.normal(size=(3, 5, 2))
         cells = rng.integers(0, 8, size=(3, 5, 2))
         mask = np.ones((3, 5), dtype=bool)
-        out = sam(coords, cells, mask, mem)
+        out = sam(coords, mask, cells, mem)
         assert out.shape == (3, 6)
 
     def test_readonly_forward_leaves_memory(self, rng):
@@ -182,7 +184,7 @@ class TestSAMLSTM:
         coords = rng.normal(size=(2, 4, 2))
         cells = rng.integers(0, 8, size=(2, 4, 2))
         mask = np.ones((2, 4), dtype=bool)
-        sam(coords, cells, mask, mem, update_memory=False)
+        sam(coords, mask, cells, mem, update_memory=False)
         assert mem.occupancy() == 0.0
 
     def test_training_forward_writes_memory(self, rng):
@@ -191,7 +193,7 @@ class TestSAMLSTM:
         coords = rng.normal(size=(2, 4, 2))
         cells = rng.integers(0, 8, size=(2, 4, 2))
         mask = np.ones((2, 4), dtype=bool)
-        sam(coords, cells, mask, mem, update_memory=True)
+        sam(coords, mask, cells, mem, update_memory=True)
         assert mem.occupancy() > 0.0
 
     def test_empty_memory_matches_zero_window(self, rng):
@@ -213,10 +215,10 @@ class TestSAMLSTM:
         cells = rng.integers(2, 5, size=(1, 5, 2))
         mask = np.ones((1, 5), dtype=bool)
         empty = SpatialMemory((8, 8), 6, bandwidth=2)
-        before = sam(coords, cells, mask, empty).data.copy()
+        before = sam(coords, mask, cells, empty).data.copy()
         warm = SpatialMemory((8, 8), 6, bandwidth=2)
         warm.data[:] = rng.normal(size=warm.data.shape)
-        after = sam(coords, cells, mask, warm).data
+        after = sam(coords, mask, cells, warm).data
         assert not np.allclose(before, after)
 
     def test_masked_steps_do_not_write(self, rng):
@@ -225,7 +227,7 @@ class TestSAMLSTM:
         coords = rng.normal(size=(1, 4, 2))
         cells = np.full((1, 4, 2), 7)  # all steps at cell (7,7)
         mask = lengths_to_mask(np.array([0]), 4)  # everything masked
-        sam(coords, cells, mask, mem, update_memory=True)
+        sam(coords, mask, cells, mem, update_memory=True)
         assert mem.occupancy() == 0.0
 
     def test_gradcheck_through_sam_unroll(self, rng):
@@ -238,14 +240,14 @@ class TestSAMLSTM:
         param = sam.cell.read_proj.weight
         base = param.data.copy()
 
-        out = (sam(coords, cells, mask, mem) ** 2).sum()
+        out = (sam(coords, mask, cells, mem) ** 2).sum()
         sam.zero_grad()
         out.backward()
         analytic = param.grad.copy()
 
         def evaluate(arr):
             param.data = arr
-            return float((sam(coords, cells, mask, mem).data ** 2).sum())
+            return float((sam(coords, mask, cells, mem).data ** 2).sum())
 
         numeric = numerical_gradient(evaluate, base.copy())
         param.data = base
@@ -254,17 +256,18 @@ class TestSAMLSTM:
         assert err < 1e-6
 
     def test_fused_matches_legacy_forward_and_memory(self):
-        """Fused and per-step paths agree on output and memory writes."""
+        """Kernel and paper-equation reference agree on output and writes."""
         rng_data = np.random.default_rng(21)
-        fused = SAMLSTM(2, 5, np.random.default_rng(3), fused=True)
-        legacy = SAMLSTM(2, 5, np.random.default_rng(3), fused=False)
+        sam = SAMLSTM(2, 5, np.random.default_rng(3))
         coords = rng_data.normal(size=(3, 6, 2))
         cells = rng_data.integers(0, 6, size=(3, 6, 2))
         mask = lengths_to_mask(np.array([6, 4, 2]), 6)
         mem_f = SpatialMemory((6, 6), 5, bandwidth=1)
         mem_l = SpatialMemory((6, 6), 5, bandwidth=1)
-        out_f = fused(coords, cells, mask, mem_f, update_memory=True)
-        out_l = legacy(coords, cells, mask, mem_l, update_memory=True)
+        out_f = sam(coords, mask, cells, mem_f, update_memory=True)
+        out_l = reference_unroll(sam, coords, mask, cells, mem_l,
+                                 update_memory=True)
+        assert mem_f.occupancy() > 0.0
         np.testing.assert_allclose(out_f.data, out_l.data, atol=1e-12)
         np.testing.assert_allclose(mem_f.data, mem_l.data, atol=1e-12)
 
@@ -272,21 +275,22 @@ class TestSAMLSTM:
         rng_data = np.random.default_rng(22)
         coords = rng_data.normal(size=(2, 4, 2))
         cells = rng_data.integers(0, 6, size=(2, 4, 2))
-        mask = np.ones((2, 4), dtype=bool)
-        grads = {}
-        for fused in (True, False):
-            sam = SAMLSTM(2, 4, np.random.default_rng(5), fused=fused)
-            mem = SpatialMemory((6, 6), 4, bandwidth=1)
-            mem.data[:] = np.random.default_rng(6).normal(size=mem.data.shape)
-            loss = (sam(coords, cells, mask, mem) ** 2).sum()
-            sam.zero_grad()
-            loss.backward()
-            grads[fused] = {name: p.grad.copy()
-                            for name, p in sam.named_parameters()}
-        assert grads[True].keys() == grads[False].keys()
-        for name in grads[True]:
-            np.testing.assert_allclose(grads[True][name], grads[False][name],
-                                       atol=1e-12, err_msg=name)
+        sam = SAMLSTM(2, 4, np.random.default_rng(5))
+        mem = SpatialMemory((6, 6), 4, bandwidth=1)
+        mem.data[:] = np.random.default_rng(6).normal(size=mem.data.shape)
+        # The second mask is ragged: the folded-in carry is compared too.
+        for mask in (np.ones((2, 4), dtype=bool),
+                     lengths_to_mask(np.array([4, 2]), 4)):
+            grads = []
+            for unroll in (sam, lambda *args: reference_unroll(sam, *args)):
+                loss = (unroll(coords, mask, cells, mem) ** 2).sum()
+                sam.zero_grad()
+                loss.backward()
+                grads.append({name: p.grad.copy()
+                              for name, p in sam.named_parameters()})
+            for name in grads[0]:
+                np.testing.assert_allclose(grads[0][name], grads[1][name],
+                                           atol=1e-12, err_msg=name)
 
     def test_bandwidth_zero_reads_single_cell(self, rng):
         cell = SAMLSTMCell(2, 4, rng)
@@ -334,4 +338,4 @@ class TestSAMLSTM:
         assert max(index_bytes) <= 256 * 2**10
         monkeypatch.undo()
         with no_grad():
-            assert np.array_equal(out, sam(coords, cells, mask, mem).data)
+            assert np.array_equal(out, sam(coords, mask, cells, mem).data)
