@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # The full local CI gate, in the order that fails fastest:
 #
-#   1. static analysis  — python -m repro lint src (exit 1 on any
-#      non-baselined finding; see DESIGN.md "Static analysis")
+#   1. static analysis  — python -m repro check src: the per-file rules
+#      and the whole-program ones (lockset races, tape shape/dtype
+#      abstract interpretation, resource-leak tracking) in one pass;
+#      exit 1 on any non-baselined finding (see DESIGN.md "Static
+#      analysis")
 #   2. tier-1 tests     — the default pytest selection (which itself
-#      re-runs the lint gate via tests/analysis/test_lint_clean.py)
+#      re-runs the analysis gate via tests/analysis/test_lint_clean.py)
 #   3. fuzz smoke       — metamorphic invariant sweep over every
 #      registered measure with a bigger seeded budget than the tier-1
 #      fuzz tests use
@@ -18,14 +21,10 @@
 #   7. durability gate  — WAL append acks are fsynced, group commit
 #      batches, snapshot recovery is id-identical, replica failover
 #      loses zero acked writes (BENCH_durability.json)
-#   8. whole-program analysis — python -m repro analyze src
-#      (interprocedural lockset races, tape shape/dtype abstract
-#      interpretation, resource-leak tracking) with an incremental
-#      content-hash cache and a 30 s wall-clock budget
-#   9. streaming gate   — zero acked-point loss, bit-identical
+#   8. streaming gate   — zero acked-point loss, bit-identical
 #      incremental encoding and reopen, freshness/speedup floors
 #      (BENCH_streaming.json)
-#  10. system benchmark guard — the harness's own tests, then one quick
+#   9. system benchmark guard — the harness's own tests, then one quick
 #      traced run each of http_topk, sharded_mixed and stream_ingest
 #      (six of the tracer's targets are exercised by stream_ingest
 #      alone): every oracle check passes and every span target still
@@ -39,8 +38,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
 
-echo "==> lint (python -m repro lint src)"
-python -m repro lint src
+echo "==> static analysis (python -m repro check src)"
+python -m repro check src
 
 echo "==> tier-1 tests (pytest)"
 python -m pytest -x -q "$@"
@@ -70,9 +69,6 @@ python scripts/check_bench_regression.py --only sharding
 
 echo "==> durability gate (WAL acks, recovery identity, failover loss)"
 python scripts/check_bench_regression.py --only durability
-
-echo "==> whole-program analysis (lockset, tape-shape, resource-leak)"
-python -m repro analyze src --cache .cache/analyze.json --max-seconds 30
 
 echo "==> streaming gate (acked-loss, incremental identity, freshness)"
 python scripts/check_bench_regression.py --only streaming

@@ -30,14 +30,11 @@ Commands
     fleet replay (``repro.streaming``): fault-injected arrivals through
     the crash-safe sliding-window ingester, live queries and online
     anomaly scores, then a simulated crash + WAL recovery check.
-``lint``
-    Run the project static analyzer (``repro.analysis``) over ``src``
-    (or given paths); exit 0 means no non-baselined findings.
-    ``--stale-pragmas`` audits suppressions instead.
-``analyze``
-    Run the whole-program analyzer (interprocedural lockset races, tape
-    shape/dtype abstract interpretation, resource-leak tracking) over
-    ``src`` (or given paths); exit 0 means no non-baselined findings.
+``check``
+    Run the project static analysis (``repro.analysis``) — per-file and
+    whole-program rules in one pass — over ``src`` (or given paths);
+    exit 0 means no non-baselined findings. ``--stale-pragmas`` audits
+    suppressions instead.
 """
 
 from __future__ import annotations
@@ -478,18 +475,6 @@ def _cmd_stream_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.cli import main as lint_main
-
-    return lint_main(args.lint_args)
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis.cli import analyze_main
-
-    return analyze_main(args.analyze_args)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description="NeuTraj reproduction CLI")
@@ -636,22 +621,12 @@ def main(argv=None) -> int:
                                   "(default: a temporary directory)")
     stream_demo.set_defaults(func=_cmd_stream_demo)
 
-    lint = sub.add_parser(
-        "lint", help="run the project static analyzer",
-        add_help=False)
-    lint.add_argument("lint_args", nargs=argparse.REMAINDER,
-                      help="arguments forwarded to the analyzer "
-                           "(paths, --json, --write-baseline, ...)")
-    lint.set_defaults(func=_cmd_lint)
+    from .analysis import cli as check_cli
 
-    analyze = sub.add_parser(
-        "analyze", help="run the whole-program analyzer",
-        add_help=False)
-    analyze.add_argument("analyze_args", nargs=argparse.REMAINDER,
-                         help="arguments forwarded to the analyzer "
-                              "(paths, --json, --cache, --max-seconds, "
-                              "...)")
-    analyze.set_defaults(func=_cmd_analyze)
+    check = sub.add_parser("check", help="run the project static analysis",
+                           description=check_cli.DESCRIPTION)
+    check_cli.add_arguments(check)
+    check.set_defaults(func=check_cli.run)
 
     args = parser.parse_args(argv)
     try:

@@ -1,16 +1,17 @@
-"""Project-specific static analysis (``python -m repro lint``).
+"""Project-specific static analysis (``python -m repro check``).
 
-An AST-based rule engine enforcing the invariants no generic linter
-knows about: tape discipline in the autodiff engine, float64 canonicity
-in the numeric packages, determinism (explicit RNGs, monotonic clocks),
-lock discipline in the threaded serving/resilience layers, exception
-hygiene, and API hygiene. See DESIGN.md "Static analysis" for the rule
+One AST-based engine enforcing the invariants no generic linter knows
+about: tape discipline in the autodiff engine, float64 canonicity in the
+numeric packages, determinism (explicit RNGs, monotonic clocks),
+durability, exception and API hygiene per file, and — across the whole
+program — lockset races in the threaded serving/resilience layers, tape
+shapes and resource leaks. See DESIGN.md "Static analysis" for the rule
 catalogue, pragma syntax and baseline workflow.
 """
 
 from .baseline import load_baseline, split_by_baseline, write_baseline
 from .config import AnalysisConfig, default_config, relaxed_config
-from .engine import (AnalysisResult, analyze_paths, analyze_source,
+from .engine import (AnalysisResult, check_paths, check_source,
                      iter_python_files)
 from .findings import Finding
 from .pragmas import PragmaIndex
@@ -23,8 +24,8 @@ __all__ = [
     "PragmaIndex",
     "Rule",
     "all_rules",
-    "analyze_paths",
-    "analyze_source",
+    "check_paths",
+    "check_source",
     "default_config",
     "get_rule",
     "iter_python_files",

@@ -1,7 +1,7 @@
 """Committed baseline of grandfathered findings.
 
 The baseline is a JSON file listing findings that existed when a rule was
-introduced and are accepted for now. ``lint`` subtracts baselined findings
+introduced and are accepted for now. ``check`` subtracts baselined findings
 from its failure count, so CI stays green while the debt is visible; an
 entry whose flagged line is fixed (or whose file is deleted) becomes
 *stale* and is reported so the file can be re-generated with
@@ -43,19 +43,9 @@ def load_baseline(path: PathLike) -> Dict[str, Dict]:
     return entries
 
 
-def write_baseline(path: PathLike, findings: Iterable[Finding],
-                   keep: Iterable[Dict] = ()) -> int:
-    """Write (or rewrite) the baseline from findings; returns entry count.
-
-    ``keep`` passes through existing entries verbatim — ``lint`` and
-    ``analyze`` share one baseline file, so each command regenerates only
-    its own rules' entries and keeps the other command's.
-    """
+def write_baseline(path: PathLike, findings: Iterable[Finding]) -> int:
+    """Write (or rewrite) the baseline from findings; returns entry count."""
     entries: Dict[str, Dict] = {}
-    for entry in keep:
-        fingerprint = entry.get("fingerprint")
-        if fingerprint:
-            entries[str(fingerprint)] = entry
     for finding in findings:
         entries[finding.fingerprint] = {
             "rule": finding.rule,

@@ -1,19 +1,15 @@
-"""``python -m repro lint`` / ``python -m repro analyze`` CLI entry points.
-
-Both commands share the engine, pragma, and baseline machinery; ``lint``
-runs the per-file rules, ``analyze`` the whole-program rules (lockset,
-tape-shape, resource-leak). They also share one baseline file — each
-command grandfathers and expires only entries belonging to its own rule
-namespace, so ``lint --write-baseline`` cannot silently drop ``analyze``
-debt or vice versa.
+"""``python -m repro check``: the one entry point of the analyzer.
 
 Exit codes: ``0`` clean (no non-baselined findings), ``1`` findings,
 ``2`` usage or I/O error. ``--json`` emits a machine-readable report;
 ``--write-baseline`` (re)generates the baseline from the current
 findings, which both grandfathers new debt explicitly and expires stale
-entries. ``lint --stale-pragmas`` audits suppressions instead: it runs
-*both* engines and reports every ``# repro: disable`` pragma and every
-baseline entry that no longer suppresses anything.
+entries. ``--stale-pragmas`` reports the same run the other way round:
+every ``# repro: disable`` pragma and every baseline entry that
+suppressed nothing, exit 1 if there is one.
+
+:func:`add_arguments` / :func:`run` are what ``repro.__main__`` mounts as
+its ``check`` subcommand; :func:`main` is the same parser standing alone.
 """
 
 from __future__ import annotations
@@ -21,24 +17,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional
 
 from .baseline import load_baseline, write_baseline
-from .config import AnalysisConfig, default_config, relaxed_config
-from .engine import (AnalysisResult, analyze_paths, analyze_program_paths)
-from .rules import all_program_rules, all_rules
+from .config import default_config, relaxed_config
+from .engine import AnalysisResult, check_paths
+from .rules import all_rules
 
 DEFAULT_BASELINE = "analysis-baseline.json"
 
+DESCRIPTION = ("Project-specific static analysis: tape, dtype, "
+               "determinism, durability, exception and API discipline "
+               "per file; lockset races, tape shapes and resource leaks "
+               "across the program.")
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Project-specific static analysis (tape, dtype, "
-                    "determinism, lock & exception discipline).")
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
+                        help="files or directories to check (default: src)")
     parser.add_argument("--rules", default=None,
                         help="comma-separated rule ids to run "
                              "(default: all)")
@@ -60,40 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stale-pragmas", action="store_true",
                         help="audit suppressions: report pragmas and "
                              "baseline entries that no longer suppress "
-                             "any finding (runs both lint and analyze "
-                             "rules); exit 1 if any are stale")
-    return parser
-
-
-def _build_analyze_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro analyze",
-        description="Whole-program analysis: interprocedural lockset "
-                    "races, tape shape/dtype abstract interpretation, "
-                    "resource-leak tracking.")
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to analyze "
-                             "(default: src)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help=f"baseline file (default: {DEFAULT_BASELINE}; "
-                             f"missing file = empty baseline)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline file entirely")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite this command's baseline entries "
-                             "from current findings and exit 0")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit a JSON report instead of text")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="list registered whole-program rules and exit")
-    parser.add_argument("--cache", default=None, metavar="PATH",
-                        help="incremental cache file: modules whose import "
-                             "neighborhood is unchanged reuse their "
-                             "previous findings")
-    parser.add_argument("--max-seconds", type=float, default=None,
-                        help="fail (exit 2) if the run exceeds this "
-                             "wall-clock budget")
-    return parser
+                             "any finding; exit 1 if any are stale")
 
 
 def _print_report(result: AnalysisResult, as_json: bool) -> None:
@@ -104,7 +67,6 @@ def _print_report(result: AnalysisResult, as_json: bool) -> None:
             "stale_baseline": result.stale_baseline,
             "suppressed": result.suppressed,
             "files_checked": result.files_checked,
-            "cached_modules": result.cached_modules,
             "clean": result.clean,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -118,100 +80,43 @@ def _print_report(result: AnalysisResult, as_json: bool) -> None:
     print(result.summary(), file=sys.stderr)
 
 
-def _filter_stale(result: AnalysisResult, namespace: Set[str]) -> None:
-    """Keep only stale-baseline entries owned by this command's rules.
-
-    The two commands share one baseline file; an ``analyze`` entry is not
-    stale just because ``lint`` (which never runs those rules) produced
-    no matching finding.
-    """
-    result.stale_baseline = [entry for entry in result.stale_baseline
-                             if entry.get("rule") in namespace]
-
-
-def _split_keep(baseline: Dict[str, Dict],
-                namespace: Set[str]) -> List[Dict]:
-    """Baseline entries owned by the *other* command, passed through on
-    ``--write-baseline``."""
-    return [entry for entry in baseline.values()
-            if entry.get("rule") not in namespace]
-
-
-def _stale_pragma_audit(paths: List[str], baseline: Dict[str, Dict],
-                        as_json: bool) -> int:
-    """Run both engines, report pragmas/baseline entries nothing needs."""
-    lint_result = analyze_paths(paths, config=default_config(),
-                                baseline=baseline)
-    program_result = analyze_program_paths(paths, config=default_config(),
-                                           baseline=baseline)
-    used: Set[Tuple[str, int, bool]] = set()
-    for result in (lint_result, program_result):
-        for path, index in result.pragma_indexes.items():
-            for entry in index.entries:
-                if entry.used:
-                    used.add((path, entry.source_line, entry.is_file))
-    stale_pragmas: Dict[Tuple[str, int, bool], Tuple[str, "object"]] = {}
-    for result in (lint_result, program_result):
-        for path, entry in result.stale_pragmas():
-            key = (path, entry.source_line, entry.is_file)
-            if key not in used:
-                stale_pragmas.setdefault(key, (path, entry))
-    # a baseline entry is stale only if *neither* engine matched it
-    lint_stale = {e["fingerprint"]: e for e in lint_result.stale_baseline}
-    program_stale = {e["fingerprint"]: e
-                     for e in program_result.stale_baseline}
-    stale_entries = [entry for fp, entry in sorted(lint_stale.items())
-                     if fp in program_stale]
-
+def _print_stale_report(result: AnalysisResult, as_json: bool) -> int:
+    """Pragmas and baseline entries the run did not need; the exit code."""
+    stale_pragmas = result.stale_pragmas()
     if as_json:
         payload = {
             "stale_pragmas": [
                 {"path": path, "line": entry.source_line,
                  "pragma": entry.text}
-                for path, entry in
-                (stale_pragmas[k] for k in sorted(stale_pragmas))],
-            "stale_baseline": stale_entries,
+                for path, entry in stale_pragmas],
+            "stale_baseline": result.stale_baseline,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for key in sorted(stale_pragmas):
-            path, entry = stale_pragmas[key]
+        for path, entry in stale_pragmas:
             print(f"{path}:{entry.source_line}: stale pragma "
                   f"`{entry.text}` suppresses nothing")
-        for entry in stale_entries:
+        for entry in result.stale_baseline:
             print(f"stale baseline entry ({entry.get('rule')}) for "
                   f"{entry.get('path')}: no current finding matches")
         print(f"{len(stale_pragmas)} stale pragma(s), "
-              f"{len(stale_entries)} stale baseline entr(y/ies)",
+              f"{len(result.stale_baseline)} stale baseline entr(y/ies)",
               file=sys.stderr)
-    return 1 if (stale_pragmas or stale_entries) else 0
+    return 1 if (stale_pragmas or result.stale_baseline) else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
+def run(args: argparse.Namespace) -> int:
     if args.list_rules:
         for rule_id, rule_cls in all_rules().items():
-            print(f"{rule_id:<20} {rule_cls.description}")
+            print(f"{rule_id:<22} {rule_cls.description}")
         return 0
 
-    try:
-        baseline = {} if args.no_baseline else load_baseline(args.baseline)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    if args.stale_pragmas:
-        try:
-            return _stale_pragma_audit(args.paths, baseline, args.as_json)
-        except (FileNotFoundError, OSError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    config: AnalysisConfig = (relaxed_config() if args.relaxed
-                              else default_config())
+    config = relaxed_config() if args.relaxed else default_config()
     if args.rules:
+        if args.stale_pragmas:
+            print("--stale-pragmas audits every rule's suppressions; "
+                  "drop --rules", file=sys.stderr)
+            return 2
         wanted = tuple(r.strip() for r in args.rules.split(",") if r.strip())
         unknown = set(wanted) - set(all_rules())
         if unknown:
@@ -220,66 +125,33 @@ def main(argv: Optional[List[str]] = None) -> int:
         config.rules = wanted
 
     try:
-        result = analyze_paths(args.paths, config=config, baseline=baseline)
-    except (FileNotFoundError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    _filter_stale(result, set(all_rules()))
-
-    if args.write_baseline:
-        count = write_baseline(args.baseline,
-                               result.findings + result.grandfathered,
-                               keep=_split_keep(baseline,
-                                                set(all_rules())))
-        print(f"wrote {count} entr(y/ies) to {args.baseline}",
-              file=sys.stderr)
-        return 0
-
-    _print_report(result, args.as_json)
-    return 0 if result.clean else 1
-
-
-def analyze_main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_analyze_parser()
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule_id, rule_cls in all_program_rules().items():
-            print(f"{rule_id:<20} {rule_cls.description}")
-        return 0
-
-    try:
         baseline = {} if args.no_baseline else load_baseline(args.baseline)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-
-    started = time.monotonic()
     try:
-        result = analyze_program_paths(args.paths, config=default_config(),
-                                       baseline=baseline,
-                                       cache_path=args.cache)
-    except (FileNotFoundError, OSError) as exc:
+        result = check_paths(args.paths, config=config, baseline=baseline)
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    elapsed = time.monotonic() - started
-    _filter_stale(result, set(all_program_rules()))
 
+    if args.stale_pragmas:
+        return _print_stale_report(result, args.as_json)
     if args.write_baseline:
         count = write_baseline(args.baseline,
-                               result.findings + result.grandfathered,
-                               keep=_split_keep(baseline,
-                                                set(all_program_rules())))
+                               result.findings + result.grandfathered)
         print(f"wrote {count} entr(y/ies) to {args.baseline}",
               file=sys.stderr)
         return 0
-
     _print_report(result, args.as_json)
-    if args.max_seconds is not None and elapsed > args.max_seconds:
-        print(f"analyze took {elapsed:.1f}s, over the --max-seconds "
-              f"{args.max_seconds:.1f}s budget", file=sys.stderr)
-        return 2
     return 0 if result.clean else 1
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="repro check",
+                                     description=DESCRIPTION)
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

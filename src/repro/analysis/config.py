@@ -2,13 +2,13 @@
 
 Two committed profiles exist:
 
-* :func:`default_config` — the full seven-rule set with the project's
-  engine-internal allowlists; what ``python -m repro lint src`` and the
-  tier-1 lint test enforce.
+* :func:`default_config` — the full nine-rule set with the project's
+  engine-internal allowlists; what ``python -m repro check src`` and the
+  tier-1 gate enforce.
 * :func:`relaxed_config` — the profile documented for ``benchmarks/``:
   wall-clock timing and ad-hoc arrays are the whole point of a benchmark
   script, so the determinism and dtype rules are dropped there while the
-  structural rules (tape, locks, exceptions, API) still apply.
+  structural rules (tape, locks, leaks, exceptions, API) still apply.
 """
 
 from __future__ import annotations

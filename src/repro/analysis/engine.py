@@ -1,18 +1,18 @@
-"""The analyzer: walk files, parse, dispatch rules, apply pragmas/baseline.
+"""The analyzer: walk files, parse once, run every rule, apply pragmas
+and the baseline.
 
-One :func:`analyze_paths` call is the whole per-file lint pipeline::
+One :func:`check_paths` call is the whole pipeline behind
+``python -m repro check``::
 
-    files -> ast.parse -> enabled rules -> pragma filter -> baseline split
+    files -> ast.parse -> ProgramModel -> enabled rules per module
+          -> pragma filter -> baseline split
 
-:func:`analyze_program_paths` is the whole-program twin
-(``python -m repro analyze``): it builds one
-:class:`~repro.analysis.program.ProgramModel` + call graph over all the
-files, then runs every registered :class:`ProgramRule` once per module —
-through a content-hash incremental cache whose per-module key covers the
-module *and its import neighborhood*, so unchanged modules reuse their
-prior findings without ever going stale on interprocedural facts that
-travel along import edges (call-site locksets, docstring contracts,
-subclass maps).
+Every file is parsed once into a
+:class:`~repro.analysis.program.ModuleInfo`; the
+:class:`~repro.analysis.program.ProgramModel` holding them all is built
+before any rule runs, so a rule that needs cross-module facts (subclass
+maps, docstring contracts) sees the complete program and a syntactic
+rule just reads its module.
 
 Unparseable files surface as a ``syntax-error`` finding instead of
 crashing the run, so one bad file cannot hide findings in the rest.
@@ -21,19 +21,16 @@ crashing the run, so one bad file cannot hide findings in the rest.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .baseline import split_by_baseline
-from .callgraph import CallGraph
 from .config import AnalysisConfig, default_config
 from .findings import Finding
-from .pragmas import PragmaIndex
-from .program import ProgramModel
-from .rules import ModuleContext, all_program_rules, all_rules
+from .pragmas import PragmaEntry, PragmaIndex
+from .program import ModuleInfo, ProgramModel
+from .rules import all_rules
 
 PathLike = Union[str, Path]
 
@@ -52,8 +49,6 @@ class AnalysisResult:
     files_checked: int = 0
     #: per-file pragma indexes with usage marks (stale-pragma reporting).
     pragma_indexes: Dict[str, PragmaIndex] = field(default_factory=dict)
-    #: modules whose findings came from the incremental cache.
-    cached_modules: int = 0
 
     @property
     def clean(self) -> bool:
@@ -61,22 +56,17 @@ class AnalysisResult:
         return not self.findings
 
     def summary(self) -> str:
-        cached = f", {self.cached_modules} cached" if self.cached_modules \
-            else ""
         return (f"{self.files_checked} file(s) checked: "
                 f"{len(self.findings)} finding(s), "
                 f"{len(self.grandfathered)} baselined, "
                 f"{self.suppressed} pragma-suppressed, "
-                f"{len(self.stale_baseline)} stale baseline entr(y/ies)"
-                f"{cached}")
+                f"{len(self.stale_baseline)} stale baseline entr(y/ies)")
 
-    def stale_pragmas(self) -> List[Tuple[str, "object"]]:
+    def stale_pragmas(self) -> List[Tuple[str, PragmaEntry]]:
         """``(path, PragmaEntry)`` pairs that suppressed nothing."""
-        out = []
-        for path in sorted(self.pragma_indexes):
-            for entry in self.pragma_indexes[path].unused():
-                out.append((path, entry))
-        return out
+        return [(path, entry)
+                for path in sorted(self.pragma_indexes)
+                for entry in self.pragma_indexes[path].unused()]
 
 
 def iter_python_files(paths: Iterable[PathLike]) -> Iterator[Path]:
@@ -93,284 +83,62 @@ def iter_python_files(paths: Iterable[PathLike]) -> Iterator[Path]:
             raise FileNotFoundError(f"not a python file or directory: {path}")
 
 
-def analyze_source(source: str, rel_path: str,
-                   config: Optional[AnalysisConfig] = None
-                   ) -> List[Finding]:
-    """Analyze one in-memory module; pragma-suppressed findings removed.
-
-    The unit used by the rule fixture tests; :func:`analyze_paths` adds
-    file walking and the baseline on top.
-    """
-    findings, _, _ = _analyze_module(source, rel_path,
-                                     config or default_config())
-    return findings
-
-
-def _analyze_module(
-        source: str, rel_path: str, config: AnalysisConfig
-) -> "tuple[List[Finding], int, Optional[PragmaIndex]]":
-    lines = source.splitlines()
-    try:
-        tree = ast.parse(source, filename=rel_path)
-    except SyntaxError as exc:
-        finding = Finding(rule=SYNTAX_ERROR_RULE, path=rel_path,
-                          line=exc.lineno or 1, col=(exc.offset or 0) + 1,
-                          message=f"cannot parse: {exc.msg}",
-                          line_text=(exc.text or "").rstrip())
-        return [finding], 0, None
+def _check_sources(sources: List[Tuple[str, str]],
+                   config: AnalysisConfig) -> AnalysisResult:
+    """Parse, model and check ``(rel_path, source)`` pairs; no baseline."""
+    result = AnalysisResult(files_checked=len(sources))
+    program = ProgramModel()
+    for rel_path, source in sources:
+        try:
+            tree = ast.parse(source, filename=rel_path)
+        except SyntaxError as exc:
+            result.findings.append(Finding(
+                rule=SYNTAX_ERROR_RULE, path=rel_path, line=exc.lineno or 1,
+                col=(exc.offset or 0) + 1,
+                message=f"cannot parse: {exc.msg}",
+                line_text=(exc.text or "").rstrip()))
+            continue
+        program.add_module(ModuleInfo(rel_path, source, tree))
 
     registry = all_rules()
-    enabled = config.rules or tuple(registry)
-    disabled_here = set(config.disabled_for(rel_path))
-    pragmas = PragmaIndex.from_source(source)
-
-    raw: List[Finding] = []
-    for rule_id in enabled:
-        if rule_id in disabled_here:
-            continue
-        rule_cls = registry[rule_id]
-        rule = rule_cls()
-        options = config.rule_options(rule_id, rule_cls.default_options)
-        ctx = ModuleContext(rel_path, tree, lines, options)
-        raw.extend(rule.check(ctx))
-
-    kept, suppressed = _apply_pragmas(raw, pragmas)
-    return kept, suppressed, pragmas
-
-
-def _apply_pragmas(raw: List[Finding],
-                   pragmas: PragmaIndex) -> "tuple[List[Finding], int]":
-    kept: List[Finding] = []
-    suppressed = 0
-    for finding in raw:
-        if pragmas.suppresses(finding.rule, finding.line):
-            suppressed += 1
-        else:
-            kept.append(finding)
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return kept, suppressed
-
-
-def analyze_paths(paths: Iterable[PathLike],
-                  config: Optional[AnalysisConfig] = None,
-                  baseline: Optional[Dict[str, Dict]] = None
-                  ) -> AnalysisResult:
-    """Run the analyzer over files/directories; the CLI's engine."""
-    config = config or default_config()
-    result = AnalysisResult()
-    collected: List[Finding] = []
-    for path in iter_python_files(paths):
-        rel_path = path.as_posix()
-        source = path.read_text()
-        findings, suppressed, pragmas = _analyze_module(source, rel_path,
-                                                        config)
-        collected.extend(findings)
-        result.suppressed += suppressed
-        result.files_checked += 1
-        if pragmas is not None:
-            result.pragma_indexes[rel_path] = pragmas
-    new, grandfathered, stale = split_by_baseline(collected, baseline or {})
-    result.findings = new
-    result.grandfathered = grandfathered
-    result.stale_baseline = stale
+    rules = [(rule_id, registry[rule_id](),
+              config.rule_options(rule_id, registry[rule_id].default_options))
+             for rule_id in config.rules or registry]
+    for module in program.modules.values():
+        disabled_here = set(config.disabled_for(module.rel_path))
+        pragmas = PragmaIndex.from_source(module.source)
+        result.pragma_indexes[module.rel_path] = pragmas
+        for rule_id, rule, options in rules:
+            if rule_id in disabled_here:
+                continue
+            for finding in rule.check(module, program, options):
+                if pragmas.suppresses(finding.rule, finding.line):
+                    result.suppressed += 1
+                else:
+                    result.findings.append(finding)
+    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return result
 
 
-# --------------------------------------------------------------------------
-# Whole-program analysis (``python -m repro analyze``)
-# --------------------------------------------------------------------------
+def check_source(source: str, rel_path: str,
+                 config: Optional[AnalysisConfig] = None) -> List[Finding]:
+    """Check one in-memory module; pragma-suppressed findings removed.
 
-CACHE_VERSION = 1
-
-
-def _program_rule_salt() -> str:
-    """Digest of the registered program rules and their versions.
-
-    Any rule addition, removal, or semantic bump invalidates every cache
-    entry, so stale summaries can never outlive the analysis that made
-    them.
+    The unit used by the rule fixture tests; :func:`check_paths` adds
+    file walking and the baseline on top.
     """
-    registry = all_program_rules()
-    token = ";".join(f"{rule_id}={cls.version}"
-                     for rule_id, cls in registry.items())
-    return hashlib.sha256(f"v{CACHE_VERSION}:{token}".encode()).hexdigest()
+    return _check_sources([(rel_path, source)],
+                          config or default_config()).findings
 
 
-def _import_neighbors(program: ProgramModel, origin: str) -> List:
-    """Program modules an import origin may refer to.
-
-    Tries the exact dotted name and its parent package first; when the
-    tree is analyzed from outside its package root (fixture dirs, tmp
-    trees) module names carry path prefixes, so fall back to a
-    dotted-suffix match. A suffix collision only adds extra modules to
-    a cache neighborhood — over-invalidation, the safe direction.
-    """
-    found: Dict[str, object] = {}
-    for candidate in (origin, origin.rsplit(".", 1)[0]):
-        neighbor = program.by_name.get(candidate)
-        if neighbor is not None:
-            found[neighbor.rel_path] = neighbor
-            continue
-        suffix = "." + candidate
-        for name, module in program.by_name.items():
-            if name.endswith(suffix):
-                found[module.rel_path] = module
-    return list(found.values())
-
-
-def _neighborhood_key(program: ProgramModel, module,
-                      reverse_imports: Dict[str, List[str]],
-                      salt: str) -> str:
-    """Cache key: this module's hash + its import neighborhood's hashes.
-
-    The whole-program rules consume cross-module facts that travel along
-    import edges only — call sites into a module's methods (the caller
-    imports the callee), subclass maps, docstring contracts. Keying on
-    the sha of the module plus every program-internal module it imports
-    or is imported by makes a cache hit honest: if any file that could
-    contribute such a fact changed, the key changes. (Deep transitive
-    inheritance chains — A imports B, B's class inherits a contract
-    method from C — can in principle dodge this; DESIGN records the
-    limitation.)
-    """
-    digests = {module.rel_path: module.sha256}
-    for origin in module.imports.values():
-        for neighbor in _import_neighbors(program, origin):
-            digests[neighbor.rel_path] = neighbor.sha256
-    for rel in reverse_imports.get(module.name, ()):
-        neighbor = program.modules.get(rel)
-        if neighbor is not None:
-            digests[neighbor.rel_path] = neighbor.sha256
-    blob = salt + "|" + "|".join(f"{path}:{sha}"
-                                 for path, sha in sorted(digests.items()))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _reverse_import_map(program: ProgramModel) -> Dict[str, List[str]]:
-    """Imported module dotted name -> rel_paths of importing modules."""
-    reverse: Dict[str, List[str]] = {}
-    for module in program.modules.values():
-        seen = set()
-        for origin in module.imports.values():
-            for target in _import_neighbors(program, origin):
-                if target.name not in seen:
-                    seen.add(target.name)
-                    reverse.setdefault(target.name, []).append(
-                        module.rel_path)
-    return reverse
-
-
-def _load_cache(cache_path: Optional[PathLike]) -> Dict:
-    if cache_path is None:
-        return {}
-    path = Path(cache_path)
-    if not path.exists():
-        return {}
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
-        return {}
-    modules = data.get("modules")
-    return modules if isinstance(modules, dict) else {}
-
-
-def _save_cache(cache_path: Optional[PathLike], modules: Dict) -> None:
-    if cache_path is None:
-        return
-    path = Path(cache_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"version": CACHE_VERSION, "modules": modules}
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=None, sort_keys=True))
-    tmp.replace(path)
-
-
-def _finding_from_json(record: Dict) -> Finding:
-    return Finding(rule=record["rule"], path=record["path"],
-                   line=record["line"], col=record["col"],
-                   message=record["message"],
-                   line_text=record.get("line_text", ""))
-
-
-def analyze_program_paths(paths: Iterable[PathLike],
-                          config: Optional[AnalysisConfig] = None,
-                          baseline: Optional[Dict[str, Dict]] = None,
-                          cache_path: Optional[PathLike] = None
-                          ) -> AnalysisResult:
-    """Run the whole-program rules over files/directories.
-
-    Builds one :class:`ProgramModel` + :class:`CallGraph`, dispatches
-    every registered :class:`ProgramRule` per module, applies pragmas
-    and the baseline exactly like :func:`analyze_paths`. With
-    ``cache_path``, per-module findings are reused when the module and
-    its import neighborhood are byte-identical to the previous run
-    (cached modules contribute no pragma-usage data, so stale-pragma
-    audits run uncached).
-    """
-    config = config or default_config()
-    result = AnalysisResult()
-    sources: List[Tuple[str, str]] = []
-    for path in iter_python_files(paths):
-        sources.append((path.as_posix(), path.read_text()))
-
-    program = ProgramModel.from_sources(sources)
-    callgraph = CallGraph(program)
-    registry = all_program_rules()
-    rules = {rule_id: cls() for rule_id, cls in registry.items()}
-    salt = _program_rule_salt()
-    reverse_imports = _reverse_import_map(program)
-    cache = _load_cache(cache_path)
-    next_cache: Dict[str, Dict] = {}
-
-    collected: List[Finding] = []
-    for rel_path, source in sources:
-        result.files_checked += 1
-        module = program.modules.get(rel_path)
-        if module is None:
-            # unparseable: surface the syntax error, same as lint
-            findings, suppressed, _ = _analyze_module(source, rel_path,
-                                                      config)
-            collected.extend(f for f in findings
-                             if f.rule == SYNTAX_ERROR_RULE)
-            continue
-
-        key = _neighborhood_key(program, module, reverse_imports, salt)
-        entry = cache.get(rel_path)
-        if entry is not None and entry.get("key") == key:
-            collected.extend(_finding_from_json(record)
-                             for record in entry.get("findings", []))
-            result.suppressed += entry.get("suppressed", 0)
-            result.cached_modules += 1
-            next_cache[rel_path] = entry
-            continue
-
-        disabled_here = set(config.disabled_for(rel_path))
-        raw: List[Finding] = []
-        for rule_id, rule in rules.items():
-            if rule_id in disabled_here:
-                continue
-            options = config.rule_options(rule_id, rule.default_options)
-            raw.extend(rule.check_module(program, callgraph, module,
-                                         options))
-        pragmas = PragmaIndex.from_source(source)
-        kept, suppressed = _apply_pragmas(raw, pragmas)
-        collected.extend(kept)
-        result.suppressed += suppressed
-        result.pragma_indexes[rel_path] = pragmas
-        next_cache[rel_path] = {
-            "key": key,
-            "suppressed": suppressed,
-            # line_text rides along: fingerprints (baseline identity)
-            # hash it, so cached findings must round-trip it.
-            "findings": [dict(f.to_json(), line_text=f.line_text)
-                         for f in kept],
-        }
-
-    _save_cache(cache_path, next_cache)
-    new, grandfathered, stale = split_by_baseline(collected, baseline or {})
-    result.findings = new
-    result.grandfathered = grandfathered
-    result.stale_baseline = stale
+def check_paths(paths: Iterable[PathLike],
+                config: Optional[AnalysisConfig] = None,
+                baseline: Optional[Dict[str, Dict]] = None
+                ) -> AnalysisResult:
+    """Run the analyzer over files/directories; the CLI's engine."""
+    sources = [(path.as_posix(), path.read_text())
+               for path in iter_python_files(paths)]
+    result = _check_sources(sources, config or default_config())
+    result.findings, result.grandfathered, result.stale_baseline = \
+        split_by_baseline(result.findings, baseline or {})
     return result

@@ -13,7 +13,7 @@ list may be ``all`` to suppress every rule.
 
 Each pragma is tracked as a :class:`PragmaEntry`; :meth:`PragmaIndex.
 suppresses` marks the entries that actually fired, which is what
-``lint --stale-pragmas`` uses to report suppressions that no longer
+``check --stale-pragmas`` uses to report suppressions that no longer
 suppress anything.
 """
 

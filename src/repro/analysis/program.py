@@ -1,33 +1,33 @@
-"""Whole-program model: module graph, class/field database, lock inventory.
+"""The module model every rule runs against: parsed modules, class/field
+database, lock inventory.
 
-``python -m repro lint`` reasons about one file at a time; the
-whole-program rules (``lockset``, ``tape-shape``, ``resource-leak``) need
-to see *across* files and methods. This module builds the shared
-substrate they all consume:
+``python -m repro check`` parses each file once into a
+:class:`ModuleInfo`; the syntactic rules need nothing more, while the
+whole-program rules (``lockset``, ``tape-shape``, ``resource-leak``) also
+see *across* files and methods through the :class:`ProgramModel` that
+holds them all:
 
 * :class:`ModuleInfo` — one parsed module with its dotted name, source
-  hash (the key of the incremental analyze cache) and import map;
+  lines and import map; resolves call names through import aliases and
+  anchors findings;
 * :class:`ClassInfo` / :class:`FunctionInfo` — a database of every class,
   method and module-level function, with per-class field and lock
   inventories (``self._x = threading.Lock()`` and Condition aliases such
   as ``self._cond = threading.Condition(self._mu)`` canonicalise to the
   underlying lock attribute);
-* :class:`ProgramModel` — the container, plus the subclass map used to
-  resolve inherited ``self.``-method dispatch.
+* :class:`ProgramModel` — the container, plus class-name resolution and
+  the subclass map.
 
 The model is purely syntactic (no imports are executed) and cheap to
-build — parsing dominates — which is what makes per-module caching in
-:func:`repro.analysis.engine.analyze_program_paths` honest: every rule
-packaged here derives its findings from a single module's AST plus this
-program-wide index.
+build — parsing dominates. Every rule derives a module's findings from
+that module's AST plus this program-wide index.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .findings import Finding
 
@@ -65,7 +65,12 @@ def module_name_for(rel_path: str) -> str:
 
 
 def _import_map(tree: ast.AST) -> Dict[str, str]:
-    """Local name -> canonical dotted origin (absolute imports only)."""
+    """Local name -> canonical dotted origin, from the module's imports.
+
+    ``import numpy as np`` maps ``np -> numpy``; ``from random import
+    shuffle`` maps ``shuffle -> random.shuffle``. Relative imports are
+    ignored (they cannot be stdlib/numpy).
+    """
     mapping: Dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -93,13 +98,16 @@ class ModuleInfo:
         self.lines = source.splitlines()
         self.tree = tree
         self.imports = _import_map(tree)
-        self.sha256 = hashlib.sha256(source.encode("utf-8",
-                                                   "replace")).hexdigest()
         self.classes: List["ClassInfo"] = []
         self.functions: List["FunctionInfo"] = []
 
     def resolve_name(self, node: ast.AST) -> Optional[str]:
-        """Dotted name with import aliases canonicalised."""
+        """Dotted name with import aliases canonicalised.
+
+        ``np.random.seed`` (under ``import numpy as np``) resolves to
+        ``numpy.random.seed``; a bare ``shuffle`` imported from
+        :mod:`random` resolves to ``random.shuffle``.
+        """
         name = dotted_name(node)
         if name is None:
             return None
@@ -113,6 +121,13 @@ class ModuleInfo:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1]
         return ""
+
+    def finding(self, rule_id: str, node: ast.AST, message: str) -> Finding:
+        lineno = getattr(node, "lineno", 1)
+        col = getattr(node, "col_offset", 0)
+        return Finding(rule=rule_id, path=self.rel_path, line=lineno,
+                       col=col + 1, message=message,
+                       line_text=self.line_text(lineno))
 
 
 class FunctionInfo:
@@ -206,11 +221,10 @@ class ClassInfo:
 
 
 class ProgramModel:
-    """The whole-program database the analyze rules run against."""
+    """Every parsed module of one run, indexed for cross-file lookups."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}      # rel_path -> module
-        self.by_name: Dict[str, ModuleInfo] = {}      # dotted name -> module
         self.classes: Dict[str, ClassInfo] = {}       # key -> class
         self.functions: Dict[str, FunctionInfo] = {}  # key -> function
         #: class name (unqualified) -> ClassInfo list; resolves bases.
@@ -218,23 +232,8 @@ class ProgramModel:
 
     # -------------------------------------------------------------- building
 
-    @classmethod
-    def from_sources(cls, sources: Iterable[Tuple[str, str]]
-                     ) -> "ProgramModel":
-        """Build from ``(rel_path, source)`` pairs; unparseable files are
-        skipped here (the engine reports them as ``syntax-error``)."""
-        program = cls()
-        for rel_path, source in sources:
-            try:
-                tree = ast.parse(source, filename=rel_path)
-            except SyntaxError:
-                continue
-            program.add_module(ModuleInfo(rel_path, source, tree))
-        return program
-
     def add_module(self, module: ModuleInfo) -> None:
         self.modules[module.rel_path] = module
-        self.by_name[module.name] = module
         for stmt in module.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 fn = FunctionInfo(module, stmt)
@@ -265,21 +264,6 @@ class ProgramModel:
             return candidates[0]
         return None
 
-    def resolve_method(self, cls: ClassInfo, method: str,
-                       _depth: int = 0) -> Optional[FunctionInfo]:
-        """``cls``'s own method or the nearest base-class definition."""
-        if method in cls.methods:
-            return cls.methods[method]
-        if _depth > 8:  # defensive: cyclic base declarations
-            return None
-        for base in cls.bases:
-            base_cls = self.resolve_class(base, cls.module)
-            if base_cls is not None and base_cls is not cls:
-                found = self.resolve_method(base_cls, method, _depth + 1)
-                if found is not None:
-                    return found
-        return None
-
     def subclasses_of(self, cls: ClassInfo) -> List[ClassInfo]:
         """Direct and transitive subclasses known to the program."""
         out: List[ClassInfo] = []
@@ -298,16 +282,3 @@ class ProgramModel:
                         frontier.append(candidate)
                         break
         return out
-
-    def iter_classes(self) -> Iterator[ClassInfo]:
-        return iter(self.classes.values())
-
-    # --------------------------------------------------------------- findings
-
-    def finding(self, module: ModuleInfo, rule_id: str, node: ast.AST,
-                message: str) -> Finding:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        return Finding(rule=rule_id, path=module.rel_path, line=lineno,
-                       col=col + 1, message=message,
-                       line_text=module.line_text(lineno))

@@ -1,4 +1,4 @@
-"""Rule registry.
+"""Rule base class and registry.
 
 Rules self-register via the :func:`register` decorator at import time;
 importing this package pulls in every built-in rule module. Adding a rule
@@ -9,12 +9,30 @@ analysis").
 
 from __future__ import annotations
 
-from typing import Dict, Type
+from typing import Dict, List, Type
 
-from .base import ModuleContext, ProgramRule, Rule
+from ..findings import Finding
+
+
+class Rule:
+    """Base class: subclasses set the ids and implement :meth:`check`.
+
+    A rule is invoked once per module with that module's
+    :class:`~repro.analysis.program.ModuleInfo`, the
+    :class:`~repro.analysis.program.ProgramModel` holding every module of
+    the run, and its merged options. Every finding it returns must be
+    anchored in ``module``; a purely syntactic rule ignores ``program``.
+    """
+
+    rule_id: str = ""
+    description: str = ""
+    default_options: Dict = {}
+
+    def check(self, module, program, options: Dict) -> List[Finding]:
+        raise NotImplementedError
+
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
-_PROGRAM_REGISTRY: Dict[str, Type[ProgramRule]] = {}
 
 
 def register(cls: Type[Rule]) -> Type[Rule]:
@@ -27,24 +45,9 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def register_program(cls: Type[ProgramRule]) -> Type[ProgramRule]:
-    """Class decorator adding a whole-program rule to the registry."""
-    if not cls.rule_id:
-        raise ValueError(f"{cls.__name__} has no rule_id")
-    if cls.rule_id in _PROGRAM_REGISTRY or cls.rule_id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {cls.rule_id!r}")
-    _PROGRAM_REGISTRY[cls.rule_id] = cls
-    return cls
-
-
 def all_rules() -> Dict[str, Type[Rule]]:
     """Registered rules, keyed and sorted by rule id."""
     return dict(sorted(_REGISTRY.items()))
-
-
-def all_program_rules() -> Dict[str, Type[ProgramRule]]:
-    """Registered whole-program rules, keyed and sorted by rule id."""
-    return dict(sorted(_PROGRAM_REGISTRY.items()))
 
 
 def get_rule(rule_id: str) -> Type[Rule]:
@@ -62,13 +65,9 @@ from . import determinism  # noqa: E402,F401
 from . import dtype  # noqa: E402,F401
 from . import durability  # noqa: E402,F401
 from . import exception_hygiene  # noqa: E402,F401
-from . import locks  # noqa: E402,F401
-from . import tape  # noqa: E402,F401
-
-# Whole-program rules (``python -m repro analyze``).
 from . import leaks  # noqa: E402,F401
 from . import lockset  # noqa: E402,F401
+from . import tape  # noqa: E402,F401
 from . import tape_shape  # noqa: E402,F401
 
-__all__ = ["ModuleContext", "ProgramRule", "Rule", "register",
-           "register_program", "all_rules", "all_program_rules", "get_rule"]
+__all__ = ["Rule", "register", "all_rules", "get_rule"]

@@ -15,8 +15,7 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from . import register
-from .base import ModuleContext, Rule
+from . import Rule, register
 
 _MUTABLE_CALLS = frozenset({
     "list", "dict", "set", "bytearray",
@@ -35,26 +34,26 @@ class ApiHygiene(Rule):
                    "validation in library code")
     default_options = {"flag_asserts": True}
 
-    def check(self, ctx: ModuleContext) -> List:
-        flag_asserts = ctx.options.get("flag_asserts", True)
+    def check(self, module, program, options) -> List:
+        flag_asserts = options.get("flag_asserts", True)
         out = []
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.extend(self._check_defaults(ctx, node))
+                out.extend(self._check_defaults(module, node))
             elif flag_asserts and isinstance(node, ast.Assert):
-                out.append(ctx.finding(
+                out.append(module.finding(
                     self.rule_id, node,
                     "assert used for runtime validation; asserts vanish "
                     "under -O — raise a typed exception instead"))
         return out
 
-    def _check_defaults(self, ctx: ModuleContext, fn) -> List:
+    def _check_defaults(self, module, fn) -> List:
         out = []
         defaults = list(fn.args.defaults) \
             + [d for d in fn.args.kw_defaults if d is not None]
         for default in defaults:
-            if self._is_mutable(ctx, default):
-                out.append(ctx.finding(
+            if self._is_mutable(module, default):
+                out.append(module.finding(
                     self.rule_id, default,
                     f"mutable default argument in {fn.name}(); the object "
                     f"is shared across calls — default to None and build "
@@ -62,10 +61,10 @@ class ApiHygiene(Rule):
         return out
 
     @staticmethod
-    def _is_mutable(ctx: ModuleContext, node: ast.AST) -> bool:
+    def _is_mutable(module, node: ast.AST) -> bool:
         if isinstance(node, _MUTABLE_LITERALS):
             return True
         if isinstance(node, ast.Call):
-            name = ctx.resolve_call_name(node.func)
+            name = module.resolve_name(node.func)
             return name in _MUTABLE_CALLS
         return False

@@ -24,8 +24,7 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from . import register
-from .base import ModuleContext, Rule
+from . import Rule, register
 
 _NP_GLOBAL_FNS = frozenset({
     "seed", "random", "rand", "randn", "randint", "random_integers",
@@ -56,28 +55,27 @@ class Determinism(Rule):
                    "deadline/duration code (use time.monotonic)")
     default_options = {"wall_clock_allowed_paths": ()}
 
-    def check(self, ctx: ModuleContext) -> List:
+    def check(self, module, program, options) -> List:
         wall_allowed = any(
-            fragment in ctx.rel_path
-            for fragment in ctx.options.get("wall_clock_allowed_paths", ()))
+            fragment in module.rel_path
+            for fragment in options.get("wall_clock_allowed_paths", ()))
         out = []
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = ctx.resolve_call_name(node.func)
+            name = module.resolve_name(node.func)
             if not name:
                 continue
-            out.extend(self._check_rng(ctx, node, name))
+            out.extend(self._check_rng(module, node, name))
             if not wall_allowed:
-                out.extend(self._check_wall_clock(ctx, node, name))
+                out.extend(self._check_wall_clock(module, node, name))
         return out
 
-    def _check_rng(self, ctx: ModuleContext, node: ast.Call,
-                   name: str) -> List:
+    def _check_rng(self, module, node: ast.Call, name: str) -> List:
         if name.startswith("numpy.random."):
             fn = name[len("numpy.random."):]
             if fn in _NP_GLOBAL_FNS:
-                return [ctx.finding(
+                return [module.finding(
                     self.rule_id, node,
                     f"global NumPy RNG call np.random.{fn}(); thread an "
                     f"explicit np.random.default_rng(seed) generator "
@@ -86,16 +84,15 @@ class Determinism(Rule):
         parts = name.split(".")
         if len(parts) == 2 and parts[0] == "random" \
                 and parts[1] in _PY_RANDOM_FNS:
-            return [ctx.finding(
+            return [module.finding(
                 self.rule_id, node,
                 f"global stdlib RNG call random.{parts[1]}(); thread an "
                 f"explicit seeded generator instead")]
         return []
 
-    def _check_wall_clock(self, ctx: ModuleContext, node: ast.Call,
-                          name: str) -> List:
+    def _check_wall_clock(self, module, node: ast.Call, name: str) -> List:
         if name in _WALL_CLOCK_CALLS:
-            return [ctx.finding(
+            return [module.finding(
                 self.rule_id, node,
                 f"wall-clock read {name}(); deadlines and durations must "
                 f"use time.monotonic()/perf_counter() — if this is "

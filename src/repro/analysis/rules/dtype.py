@@ -23,8 +23,8 @@ from __future__ import annotations
 import ast
 from typing import List, Optional
 
-from . import register
-from .base import ModuleContext, Rule, dotted_name
+from . import Rule, register
+from ..program import dotted_name
 
 #: Constructor -> 0-based positional index where dtype may be passed.
 _CTOR_DTYPE_POS = {
@@ -63,20 +63,20 @@ class DtypeDiscipline(Rule):
                    "float64")
     default_options = {"packages": ()}
 
-    def check(self, ctx: ModuleContext) -> List:
-        packages = ctx.options.get("packages", ())
-        if packages and not any(p in ctx.rel_path for p in packages):
+    def check(self, module, program, options) -> List:
+        packages = options.get("packages", ())
+        if packages and not any(p in module.rel_path for p in packages):
             return []
         out = []
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            out.extend(self._check_constructor(ctx, node))
-            out.extend(self._check_astype(ctx, node))
+            out.extend(self._check_constructor(module, node))
+            out.extend(self._check_astype(module, node))
         return out
 
-    def _check_constructor(self, ctx: ModuleContext, node: ast.Call) -> List:
-        name = ctx.resolve_call_name(node.func)
+    def _check_constructor(self, module, node: ast.Call) -> List:
+        name = module.resolve_name(node.func)
         if not name or not name.startswith("numpy."):
             return []
         ctor = name[len("numpy."):]
@@ -84,27 +84,27 @@ class DtypeDiscipline(Rule):
             return []
         dtype_expr = self._explicit_dtype(node, _CTOR_DTYPE_POS[ctor])
         if dtype_expr is None:
-            return [ctx.finding(
+            return [module.finding(
                 self.rule_id, node,
                 f"np.{ctor}() without an explicit dtype; float64 is "
                 f"canonical here — spell dtype= (even for int/bool "
                 f"arrays)")]
-        return self._check_dtype_value(ctx, node, dtype_expr)
+        return self._check_dtype_value(module, node, dtype_expr)
 
-    def _check_astype(self, ctx: ModuleContext, node: ast.Call) -> List:
+    def _check_astype(self, module, node: ast.Call) -> List:
         if not isinstance(node.func, ast.Attribute) \
                 or node.func.attr != "astype":
             return []
         dtype_expr = self._explicit_dtype(node, 0)
         if dtype_expr is None:
             return []
-        return self._check_dtype_value(ctx, node, dtype_expr)
+        return self._check_dtype_value(module, node, dtype_expr)
 
-    def _check_dtype_value(self, ctx: ModuleContext, node: ast.Call,
+    def _check_dtype_value(self, module, node: ast.Call,
                            dtype_expr: ast.AST) -> List:
         dtype_name = _dtype_expr_name(dtype_expr)
         if dtype_name in _BAD_FLOAT_NAMES:
-            return [ctx.finding(
+            return [module.finding(
                 self.rule_id, node,
                 f"non-canonical floating dtype {dtype_name!r}; the "
                 f"engine/measures contract is float64 end to end")]

@@ -32,8 +32,7 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from . import register
-from .base import ModuleContext, Rule
+from . import Rule, register
 
 
 @register
@@ -48,37 +47,36 @@ class DurabilityDiscipline(Rule):
         "flag_unsynced_appends": True,
     }
 
-    def check(self, ctx: ModuleContext) -> List:
-        opts = ctx.options
-        in_atomicio = any(fragment in ctx.rel_path
-                          for fragment in opts["atomic_write_paths"])
-        in_wal = any(fragment in ctx.rel_path
-                     for fragment in opts["wal_paths"])
+    def check(self, module, program, options) -> List:
+        in_atomicio = any(fragment in module.rel_path
+                          for fragment in options["atomic_write_paths"])
+        in_wal = any(fragment in module.rel_path
+                     for fragment in options["wal_paths"])
         out = []
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = ctx.resolve_call_name(node.func)
+            name = module.resolve_name(node.func)
             if name == "os.rename":
-                out.append(ctx.finding(
+                out.append(module.finding(
                     self.rule_id, node,
                     "os.rename is not atomic publication; use "
                     "repro.core.atomicio.atomic_replace (fsyncs file and "
                     "directory) instead"))
             elif name == "os.replace" and not in_atomicio:
-                out.append(ctx.finding(
+                out.append(module.finding(
                     self.rule_id, node,
                     "os.replace outside the atomic-write helpers skips the "
                     "fsync-before/fsync-after dance; go through "
                     "repro.core.atomicio"))
-            elif (opts.get("flag_unsynced_appends", True) and not in_wal
+            elif (options.get("flag_unsynced_appends", True) and not in_wal
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "append"):
                 for keyword in node.keywords:
                     if keyword.arg == "sync" \
                             and isinstance(keyword.value, ast.Constant) \
                             and keyword.value.value is False:
-                        out.append(ctx.finding(
+                        out.append(module.finding(
                             self.rule_id, node,
                             "append(..., sync=False) acks before the fsync "
                             "— a crash loses the acknowledged write; only "

@@ -34,8 +34,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set
 
-from . import register
-from .base import ModuleContext, Rule
+from . import Rule, register
 
 _BROAD_NAMES = frozenset({"Exception", "BaseException"})
 
@@ -91,23 +90,23 @@ class ExceptionHygiene(Rule):
                    "log it; bare except is banned")
     default_options = {}
 
-    def check(self, ctx: ModuleContext) -> List:
-        typed_names = _typed_exception_names(ctx.tree)
+    def check(self, module, program, options) -> List:
+        typed_names = _typed_exception_names(module.tree)
         out = []
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(module.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
-                out.append(ctx.finding(
+                out.append(module.finding(
                     self.rule_id, node,
                     "bare `except:` catches SystemExit/KeyboardInterrupt "
                     "too; name the exceptions (at minimum `Exception`) "
                     "and handle them"))
                 continue
             broad = _broad_name(node.type)
-            if not broad or self._handles(node, ctx, typed_names):
+            if not broad or self._handles(node, module, typed_names):
                 continue
-            out.append(ctx.finding(
+            out.append(module.finding(
                 self.rule_id, node,
                 f"`except {broad}` that neither re-raises (chained or "
                 f"typed), uses the exception, nor records it; narrow to "
@@ -115,11 +114,11 @@ class ExceptionHygiene(Rule):
                 f"swallowing"))
         return out
 
-    def _handles(self, handler: ast.ExceptHandler, ctx: ModuleContext,
+    def _handles(self, handler: ast.ExceptHandler, module,
                  typed_names: Set[str]) -> bool:
         for node in _executed_nodes(handler.body):
             if isinstance(node, ast.Raise) \
-                    and self._reraises(node, ctx, typed_names):
+                    and self._reraises(node, module, typed_names):
                 return True
             if handler.name and isinstance(node, ast.Name) \
                     and node.id == handler.name:
@@ -131,7 +130,7 @@ class ExceptionHygiene(Rule):
         return False
 
     @staticmethod
-    def _reraises(node: ast.Raise, ctx: ModuleContext,
+    def _reraises(node: ast.Raise, module,
                   typed_names: Set[str]) -> bool:
         if node.exc is None:
             return True  # bare `raise`: the original propagates
@@ -143,5 +142,5 @@ class ExceptionHygiene(Rule):
         target = exc.func if isinstance(exc, ast.Call) else exc
         if isinstance(target, ast.Name) and target.id in typed_names:
             return True
-        resolved = ctx.resolve_call_name(target) or ""
+        resolved = module.resolve_name(target) or ""
         return resolved.startswith("repro.exceptions.")

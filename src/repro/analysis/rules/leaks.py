@@ -31,8 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from . import register_program
-from .base import ProgramRule
+from . import Rule, register
 
 #: Canonical call targets that hand back one closable handle.
 _SINGLE_ACQUIRERS = frozenset({
@@ -68,9 +67,8 @@ class _Handle:
 class _Tracker:
     """Statement-level handle tracking through one function body."""
 
-    def __init__(self, rule, program, module, fn):
+    def __init__(self, rule, module, fn):
         self.rule = rule
-        self.program = program
         self.module = module
         self.fn = fn
         self.leaks: Dict[Tuple[int, int, str], _Handle] = {}
@@ -84,8 +82,8 @@ class _Tracker:
         self._record_exit(env)
         findings = []
         for handle in self.leaks.values():
-            findings.append(self.program.finding(
-                self.module, self.rule.rule_id, handle.node,
+            findings.append(self.module.finding(
+                self.rule.rule_id, handle.node,
                 f"{handle.what} `{handle.name}` acquired here never "
                 f"reaches close()/join() on a non-exception path (and "
                 f"never escapes this function); use a `with` block or "
@@ -259,18 +257,18 @@ class _Tracker:
         return None
 
 
-@register_program
-class ResourceLeakRule(ProgramRule):
+@register
+class ResourceLeakRule(Rule):
     rule_id = "resource-leak"
     description = ("Pipe/Process/file/mmap handles must reach close/join "
                    "or a with-block on every non-exception path")
     default_options: Dict = {}
 
-    def check_module(self, program, callgraph, module, options):
+    def check(self, module, program, options):
         findings = []
         for fn in program.functions.values():
             if fn.module is not module:
                 continue
-            tracker = _Tracker(self, program, module, fn)
+            tracker = _Tracker(self, module, fn)
             findings.extend(tracker.run())
         return findings

@@ -1,8 +1,7 @@
 """lockset: interprocedural Eraser-style race detection on ``self`` fields.
 
-Where the per-file ``lock-discipline`` rule trusts "Caller must hold"
-docstrings, this whole-program rule *infers* locking. Per lock-owning
-class it:
+"Caller must hold" docstrings are not trusted: this whole-program rule
+*infers* locking. Per lock-owning class it:
 
 1. collects every read, write and mutating container call
    (``self._queue.append(...)``) on each ``self`` field, together with
@@ -20,9 +19,13 @@ class it:
    locksets over all post-``__init__`` accesses is empty — and at least
    one access *is* protected, so the field is evidently meant to be
    guarded — the field is racy, and the finding names both the
-   unprotected and a protected access site.
+   unprotected and a protected access site;
+5. reads a leading underscore as the missing intent when *no* access is
+   protected: in a class that owns a lock, every post-``__init__`` write
+   (tuple targets included) to a private ``self._*`` field is flagged.
+   Public fields nobody guards stay out of scope.
 
-Soundness limits (documented in DESIGN "Whole-program analysis"): code
+Soundness limits (documented in DESIGN "Static analysis"): code
 inside nested ``def``/``lambda`` bodies runs later on an unknown thread
 and is excluded from the intersection; ``lock.acquire()``/``release()``
 pairs are not tracked (the codebase uses ``with`` exclusively);
@@ -36,8 +39,7 @@ import ast
 import re
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set
 
-from . import register_program
-from .base import ProgramRule
+from . import Rule, register
 
 #: Method names that mutate their receiver in place.
 _MUTATORS = frozenset({
@@ -228,26 +230,27 @@ def _contract_locks(fn, cls) -> Optional[FrozenSet[str]]:
     return frozenset(declared) or None
 
 
-@register_program
-class LocksetRule(ProgramRule):
+@register
+class LocksetRule(Rule):
     rule_id = "lockset"
     description = ("Eraser-style lockset inference: fields of lock-owning "
                    "classes whose access locksets have an empty "
-                   "intersection, and call sites contradicting 'caller "
-                   "must hold' docstring contracts")
+                   "intersection, unguarded writes to their private "
+                   "fields, and call sites contradicting 'caller must "
+                   "hold' docstring contracts")
     default_options = {}
 
-    def check_module(self, program, callgraph, module, options):
+    def check(self, module, program, options):
         findings = []
         for cls in module.classes:
             if not cls.lock_attrs:
                 continue
-            findings.extend(self._check_class(program, module, cls))
+            findings.extend(self._check_class(module, cls))
         return findings
 
     # ------------------------------------------------------------- per class
 
-    def _check_class(self, program, module, cls):
+    def _check_class(self, module, cls):
         scans: Dict[str, _MethodScan] = {
             name: _MethodScan(cls, fn)
             for name, fn in cls.methods.items()
@@ -261,10 +264,9 @@ class LocksetRule(ProgramRule):
 
         entry = self._entry_locksets(cls, scans, contracts)
         findings = []
-        findings.extend(self._contract_findings(program, module, cls, scans,
-                                                contracts, entry))
-        findings.extend(self._race_findings(program, module, cls, scans,
-                                            entry))
+        findings.extend(self._contract_findings(module, scans, contracts,
+                                                entry))
+        findings.extend(self._race_findings(module, cls, scans, entry))
         return findings
 
     def _entry_locksets(self, cls, scans, contracts):
@@ -304,8 +306,7 @@ class LocksetRule(ProgramRule):
                 break
         return entry
 
-    def _contract_findings(self, program, module, cls, scans, contracts,
-                           entry):
+    def _contract_findings(self, module, scans, contracts, entry):
         findings = []
         for scan in scans.values():
             for call in scan.calls:
@@ -317,14 +318,14 @@ class LocksetRule(ProgramRule):
                 if missing:
                     locks = ", ".join(f"self.{lock}"
                                       for lock in sorted(missing))
-                    findings.append(program.finding(
-                        module, self.rule_id, call.node,
+                    findings.append(module.finding(
+                        self.rule_id, call.node,
                         f"call to `self.{call.callee}()` does not hold "
                         f"{locks}, contradicting its \"caller must hold\" "
                         f"docstring contract"))
         return findings
 
-    def _race_findings(self, program, module, cls, scans, entry):
+    def _race_findings(self, module, cls, scans, entry):
         accesses: Dict[str, List[Access]] = {}
         for scan in scans.values():
             base = entry.get(scan.fn.name, frozenset())
@@ -337,7 +338,20 @@ class LocksetRule(ProgramRule):
             if not any(a.kind in ("write", "mutate") for a in sites):
                 continue  # read-only after __init__: no race to have
             if not any(a.held for a in sites):
-                continue  # never guarded anywhere: no locking intent
+                # Never guarded anywhere. A public field carries no
+                # locking intent; a private one in a lock-owning class
+                # does, so each of its bare writes is reported.
+                if field.startswith("_"):
+                    lock = sorted(cls.lock_attrs.values())[0]
+                    findings.extend(
+                        module.finding(
+                            self.rule_id, write.node,
+                            f"{cls.name} guards state with self.{lock} "
+                            f"but `{write.method}` writes `self.{field}` "
+                            f"holding no lock, and no other access to it "
+                            f"is guarded")
+                        for write in sites if write.kind == "write")
+                continue
             intersection = frozenset.intersection(
                 *[a.held for a in sites])
             if intersection:
@@ -360,8 +374,8 @@ class LocksetRule(ProgramRule):
                                              sorted(unprotected.held)))
             other_locks = ", ".join(f"self.{lock}"
                                     for lock in sorted(protected.held))
-            findings.append(program.finding(
-                module, self.rule_id, unprotected.node,
+            findings.append(module.finding(
+                self.rule_id, unprotected.node,
                 f"field `self.{field}` of {cls.name}: lockset "
                 f"intersection over {len(sites)} access site(s) is empty "
                 f"— this {unprotected.kind} in `{unprotected.method}` "

@@ -24,8 +24,8 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from . import register
-from .base import ModuleContext, Rule, dotted_name
+from . import Rule, register
+from ..program import dotted_name
 
 _TAPE_ATTRS = frozenset({"data", "grad"})
 
@@ -60,38 +60,38 @@ class TapeDiscipline(Rule):
         "kernel_calls": {},  # owner -> calls an entry point may make on it
     }
 
-    def check(self, ctx: ModuleContext) -> List:
+    def check(self, module, program, options) -> List:
         findings = []
-        allowed = ctx.options.get("allowed_paths", ())
-        if not any(fragment in ctx.rel_path for fragment in allowed):
-            findings.extend(self._mutations(ctx))
-        findings.extend(self._entry_points(ctx))
+        allowed = options.get("allowed_paths", ())
+        if not any(fragment in module.rel_path for fragment in allowed):
+            findings.extend(self._mutations(module))
+        findings.extend(self._entry_points(module, options))
         return findings
 
     # ------------------------------------------------------------- mutations
 
-    def _mutations(self, ctx: ModuleContext) -> List:
+    def _mutations(self, module) -> List:
         out = []
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(module.tree):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     attr = _tape_attr(target)
                     if attr:
-                        out.append(self._mutation_finding(ctx, node, attr))
+                        out.append(self._mutation_finding(module, node, attr))
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 attr = _tape_attr(node.target)
                 if attr:
-                    out.append(self._mutation_finding(ctx, node, attr))
+                    out.append(self._mutation_finding(module, node, attr))
             elif isinstance(node, ast.Call):
-                out.extend(self._call_mutation(ctx, node))
+                out.extend(self._call_mutation(module, node))
         return out
 
-    def _call_mutation(self, ctx: ModuleContext, node: ast.Call) -> List:
-        name = ctx.resolve_call_name(node.func)
+    def _call_mutation(self, module, node: ast.Call) -> List:
+        name = module.resolve_name(node.func)
         if name in _INPLACE_FUNCS and node.args:
             attr = _tape_attr(node.args[0])
             if attr:
-                return [ctx.finding(
+                return [module.finding(
                     self.rule_id, node,
                     f"{name}() mutates a tensor .{attr} buffer in place; "
                     f"the tape may hold a reference to it")]
@@ -99,15 +99,14 @@ class TapeDiscipline(Rule):
                 and node.func.attr in _INPLACE_METHODS:
             attr = _tape_attr(node.func.value)
             if attr:
-                return [ctx.finding(
+                return [module.finding(
                     self.rule_id, node,
                     f".{node.func.attr}() mutates a tensor .{attr} buffer "
                     f"in place; the tape may hold a reference to it")]
         return []
 
-    def _mutation_finding(self, ctx: ModuleContext, node: ast.AST,
-                          attr: str):
-        return ctx.finding(
+    def _mutation_finding(self, module, node: ast.AST, attr: str):
+        return module.finding(
             self.rule_id, node,
             f"write to a .{attr} buffer outside the autodiff engine; "
             f"arrays recorded on the tape must not be mutated "
@@ -115,21 +114,21 @@ class TapeDiscipline(Rule):
 
     # ---------------------------------------------------------- entry points
 
-    def _entry_points(self, ctx: ModuleContext) -> List:
+    def _entry_points(self, module, options) -> List:
         out = []
-        entry_points = ctx.options.get("entry_points", {})
+        entry_points = options.get("entry_points", {})
         for suffix, names in entry_points.items():
-            if not ctx.rel_path.endswith(suffix):
+            if not module.rel_path.endswith(suffix):
                 continue
             wanted = set(names)
-            kernel_calls = ctx.options.get("kernel_calls", {})
-            for node in ast.walk(ctx.tree):
+            kernel_calls = options.get("kernel_calls", {})
+            for node in ast.walk(module.tree):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                         and node.name in wanted \
                         and not self._enters_no_grad(node):
                     problem = self._outside_kernel(node, kernel_calls)
                     if problem:
-                        out.append(ctx.finding(
+                        out.append(module.finding(
                             self.rule_id, node,
                             f"inference entry point {node.name}() neither "
                             f"enters no_grad() nor stays inside the "

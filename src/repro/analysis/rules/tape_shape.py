@@ -28,8 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Tuple
 
-from . import register_program
-from .base import ProgramRule
+from . import Rule, register
 from .. import lattice
 from ..lattice import AbstractValue, BAD_FLOATS, Dim, DTYPE_TOP, F64, Shape
 
@@ -84,10 +83,9 @@ def _as_shape(value) -> Optional[Shape]:
 class _Interp:
     """One function's abstract interpretation; collects findings."""
 
-    def __init__(self, rule, program, module, fn,
+    def __init__(self, rule, module, fn,
                  attrs: Optional[Dict[str, object]] = None):
         self.rule = rule
-        self.program = program
         self.module = module
         self.fn = fn
         self.attrs = attrs if attrs is not None else {}
@@ -116,8 +114,8 @@ class _Interp:
         if key in self._flagged:
             return
         self._flagged.add(key)
-        self.findings.append(self.program.finding(
-            self.module, self.rule.rule_id, node, message))
+        self.findings.append(self.module.finding(
+            self.rule.rule_id, node, message))
 
     # ------------------------------------------------------------ statements
 
@@ -571,8 +569,8 @@ class _Interp:
         return AbstractValue(dtype=array.dtype, tensorlike=array.tensorlike)
 
 
-@register_program
-class TapeShapeRule(ProgramRule):
+@register
+class TapeShapeRule(Rule):
     rule_id = "tape-shape"
     description = ("abstract shape/dtype interpretation of tape code: "
                    "provable matmul/concat/stack mismatches, "
@@ -585,12 +583,12 @@ class TapeShapeRule(ProgramRule):
         "import_roots": ("repro.nn",),
     }
 
-    def check_module(self, program, callgraph, module, options):
+    def check(self, module, program, options):
         if not self._in_scope(module, options):
             return []
         findings = []
         for fn in module.functions:
-            interp = _Interp(self, program, module, fn)
+            interp = _Interp(self, module, fn)
             interp.run(seed_symbols=False)
             findings.extend(interp.findings)
         for cls in module.classes:
@@ -612,13 +610,13 @@ class TapeShapeRule(ProgramRule):
         attrs: Dict[str, object] = {}
         init = cls.methods.get("__init__")
         if init is not None:
-            interp = _Interp(self, program, module, init, attrs)
+            interp = _Interp(self, module, init, attrs)
             interp.run(seed_symbols=True)
             findings.extend(interp.findings)
         for name, fn in cls.methods.items():
             if name == "__init__":
                 continue
-            interp = _Interp(self, program, module, fn, dict(attrs))
+            interp = _Interp(self, module, fn, dict(attrs))
             interp.run(seed_symbols=False)
             findings.extend(interp.findings)
         findings.extend(self._dead_parameters(program, module, cls, init))
@@ -661,8 +659,8 @@ class TapeShapeRule(ProgramRule):
         for field, node in sorted(param_fields.items()):
             if field in used:
                 continue
-            findings.append(program.finding(
-                module, self.rule_id, node,
+            findings.append(module.finding(
+                self.rule_id, node,
                 f"Parameter `self.{field}` of {cls.name} is registered by "
                 f"parameters() but never read by any method: its tape "
                 f"backward is unreachable and its gradient is always "

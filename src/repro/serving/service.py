@@ -518,7 +518,7 @@ class SimilarityService:
         self.model = model
         # Like `model`, a single reference swapped whole (by __init__ and
         # a sharded reload); a request admits under whichever is current.
-        # repro: disable=lock-discipline
+        # repro: disable=lockset
         self._sanitize_config = sanitize_cfg
 
     # ------------------------------------------------------------ encoder path

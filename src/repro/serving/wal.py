@@ -373,7 +373,8 @@ class ShardWAL:
 
     def drain_recovered(self) -> List[WALRecord]:
         """Records recovered at open, returned once for replay."""
-        records, self._recovered = self._recovered, []
+        with self._mu:
+            records, self._recovered = self._recovered, []
         return records
 
     # -- append path -------------------------------------------------------

@@ -2,12 +2,16 @@
 baseline add/expire round-trips, JSON output and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import (Finding, analyze_paths, analyze_source,
+from repro.analysis import (Finding, check_paths, check_source,
                             load_baseline, split_by_baseline, write_baseline)
-from repro.analysis.cli import main as lint_main
+from repro.analysis.cli import main as check_main
 from repro.analysis.engine import SYNTAX_ERROR_RULE
 
 DIRTY = "import time\ndeadline = time.time() + 5\n"
@@ -25,7 +29,7 @@ def tree(tmp_path):
 # -------------------------------------------------------------------- engine
 
 def test_analyze_paths_walks_directories(tree):
-    result = analyze_paths([tree / "pkg"])
+    result = check_paths([tree / "pkg"])
     assert result.files_checked == 2
     assert [f.rule for f in result.findings] == ["determinism"]
     assert not result.clean
@@ -35,11 +39,11 @@ def test_analyze_paths_walks_directories(tree):
 def test_analyze_paths_rejects_non_python(tmp_path):
     (tmp_path / "notes.txt").write_text("hi")
     with pytest.raises(FileNotFoundError):
-        analyze_paths([tmp_path / "notes.txt"])
+        check_paths([tmp_path / "notes.txt"])
 
 
 def test_syntax_error_becomes_finding():
-    findings = analyze_source("def broken(:\n", "src/x.py")
+    findings = check_source("def broken(:\n", "src/x.py")
     assert [f.rule for f in findings] == [SYNTAX_ERROR_RULE]
     assert "cannot parse" in findings[0].message
 
@@ -61,19 +65,19 @@ def test_finding_format_and_fingerprint_stability():
 
 def test_baseline_round_trip_grandfathers_then_expires(tree, tmp_path):
     baseline_path = tmp_path / "baseline.json"
-    first = analyze_paths([tree / "pkg"])
+    first = check_paths([tree / "pkg"])
     write_baseline(baseline_path, first.findings)
 
     # Same findings now ride in the baseline: the run is clean.
     baseline = load_baseline(baseline_path)
-    second = analyze_paths([tree / "pkg"], baseline=baseline)
+    second = check_paths([tree / "pkg"], baseline=baseline)
     assert second.clean
     assert len(second.grandfathered) == 1
     assert second.stale_baseline == []
 
     # Fixing the flagged line expires the entry (reported as stale).
     (tree / "pkg" / "dirty.py").write_text(CLEAN)
-    third = analyze_paths([tree / "pkg"], baseline=baseline)
+    third = check_paths([tree / "pkg"], baseline=baseline)
     assert third.clean and not third.grandfathered
     assert [e["rule"] for e in third.stale_baseline] == ["determinism"]
 
@@ -109,43 +113,64 @@ def test_cli_exit_codes_and_json(tree, capsys):
     dirty = str(tree / "pkg" / "dirty.py")
     clean = str(tree / "pkg" / "clean.py")
 
-    assert lint_main([clean, "--no-baseline"]) == 0
-    assert lint_main([dirty, "--no-baseline"]) == 1
+    assert check_main([clean, "--no-baseline"]) == 0
+    assert check_main([dirty, "--no-baseline"]) == 1
     out = capsys.readouterr().out
     assert "determinism" in out
 
-    assert lint_main([dirty, "--no-baseline", "--json"]) == 1
+    assert check_main([dirty, "--no-baseline", "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["clean"] is False
     assert [f["rule"] for f in payload["findings"]] == ["determinism"]
 
-    assert lint_main([str(tree / "nope.txt")]) == 2
-    assert lint_main([dirty, "--rules", "not-a-rule"]) == 2
+    assert check_main([str(tree / "nope.txt")]) == 2
+    assert check_main([dirty, "--rules", "not-a-rule"]) == 2
+    # a rule subset would make every other rule's pragmas look stale
+    assert check_main([dirty, "--rules", "lockset", "--stale-pragmas"]) == 2
 
 
 def test_cli_write_baseline_then_clean(tree):
     dirty = str(tree / "pkg" / "dirty.py")
     baseline = str(tree / "baseline.json")
-    assert lint_main([dirty, "--baseline", baseline]) == 1
-    assert lint_main([dirty, "--baseline", baseline,
-                      "--write-baseline"]) == 0
-    assert lint_main([dirty, "--baseline", baseline]) == 0
+    assert check_main([dirty, "--baseline", baseline]) == 1
+    assert check_main([dirty, "--baseline", baseline,
+                       "--write-baseline"]) == 0
+    assert check_main([dirty, "--baseline", baseline]) == 0
     # --no-baseline sees the debt again.
-    assert lint_main([dirty, "--baseline", baseline, "--no-baseline"]) == 1
+    assert check_main([dirty, "--baseline", baseline, "--no-baseline"]) == 1
 
 
 def test_cli_rules_selection_and_relaxed(tree):
     dirty = str(tree / "pkg" / "dirty.py")
     # Only the lock rule: the wall-clock read is out of scope.
-    assert lint_main([dirty, "--no-baseline",
-                      "--rules", "lock-discipline"]) == 0
+    assert check_main([dirty, "--no-baseline", "--rules", "lockset"]) == 0
     # The relaxed (benchmarks) profile drops determinism entirely.
-    assert lint_main([dirty, "--no-baseline", "--relaxed"]) == 0
+    assert check_main([dirty, "--no-baseline", "--relaxed"]) == 0
 
 
 def test_cli_list_rules(capsys):
-    assert lint_main(["--list-rules"]) == 0
+    assert check_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("tape-discipline", "dtype-discipline", "determinism",
-                    "lock-discipline", "exception-hygiene", "api-hygiene"):
+                    "durability-discipline", "exception-hygiene",
+                    "api-hygiene", "lockset", "tape-shape", "resource-leak"):
         assert rule_id in out
+
+
+def test_module_cli_takes_flags_before_paths(tree):
+    """``python -m repro check`` parses its own flags: argv that leads
+    with one (which a REMAINDER forward rejects) reaches the analyzer."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def repro_check(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "check", *argv],
+            capture_output=True, text=True, cwd=tree, env=env)
+
+    listed = repro_check("--list-rules")
+    assert listed.returncode == 0, listed.stderr
+    assert "lockset" in listed.stdout and "determinism" in listed.stdout
+    dirty = repro_check("--no-baseline", str(tree / "pkg" / "dirty.py"))
+    assert dirty.returncode == 1, dirty.stderr
+    assert "determinism" in dirty.stdout

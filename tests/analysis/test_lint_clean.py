@@ -1,8 +1,10 @@
-"""Tier-1 gate: the repo's own ``src/`` tree lints clean.
+"""Tier-1 gate: the repo's own ``src/`` tree checks clean.
 
 This is the test that makes the analyzer load-bearing — a PR that
-introduces a tape/dtype/determinism/lock/exception violation (without a
-pragma or a baseline entry) fails the default pytest run.
+introduces a tape/dtype/determinism/lock/exception/leak violation
+(without a pragma or a baseline entry) fails the default pytest run.
+Each tree is parsed once per run: the gates share one module-scoped
+``check_paths`` result.
 """
 
 import os
@@ -10,39 +12,43 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis import analyze_paths, load_baseline, relaxed_config
+import pytest
+
+from repro.analysis import check_paths, load_baseline, relaxed_config
 from repro.analysis.cli import DEFAULT_BASELINE
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_repo_src_is_lint_clean():
+@pytest.fixture(scope="module")
+def src_result():
     baseline = load_baseline(REPO_ROOT / DEFAULT_BASELINE)
-    result = analyze_paths([REPO_ROOT / "src"], baseline=baseline)
-    assert result.files_checked > 50
-    details = "\n".join(f.format() for f in result.findings)
-    assert result.clean, f"lint findings in src/:\n{details}"
+    return check_paths([REPO_ROOT / "src"], baseline=baseline)
+
+
+def test_repo_src_is_lint_clean(src_result):
+    assert src_result.files_checked > 50
+    details = "\n".join(f.format() for f in src_result.findings)
+    assert src_result.clean, f"findings in src/:\n{details}"
+
+
+def test_committed_baseline_has_no_stale_entries(src_result):
+    assert src_result.stale_baseline == [], (
+        "baseline entries whose code is gone; regenerate with "
+        "`python -m repro check src --write-baseline`")
 
 
 def test_benchmarks_are_clean_under_relaxed_profile():
-    result = analyze_paths([REPO_ROOT / "benchmarks"],
-                           config=relaxed_config())
+    result = check_paths([REPO_ROOT / "benchmarks"],
+                         config=relaxed_config())
     details = "\n".join(f.format() for f in result.findings)
-    assert result.clean, f"relaxed lint findings in benchmarks/:\n{details}"
-
-
-def test_committed_baseline_has_no_stale_entries():
-    baseline = load_baseline(REPO_ROOT / DEFAULT_BASELINE)
-    result = analyze_paths([REPO_ROOT / "src"], baseline=baseline)
-    assert result.stale_baseline == [], (
-        "baseline entries whose code is gone; regenerate with "
-        "`python -m repro lint src --write-baseline`")
+    assert result.clean, f"relaxed findings in benchmarks/:\n{details}"
 
 
 def test_module_cli_wiring():
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", str(REPO_ROOT / "src"),
+        [sys.executable, "-m", "repro", "check", str(REPO_ROOT / "src"),
          "--baseline", str(REPO_ROOT / DEFAULT_BASELINE)],
         capture_output=True, text=True, cwd=REPO_ROOT, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,31 +1,24 @@
-"""Golden-fixture tests for the whole-program analyzer.
+"""Golden-fixture tests for the whole-program rules.
 
 Every seeded bug under ``tests/analysis/fixtures/`` must be reported
 with the exact rule id, anchor line and fingerprint; every ``clean_*``
-negative must stay silent. On top of that, ``src/`` itself must analyze
-clean (the gate ci.sh stage 8 enforces), the incremental cache must
-reproduce findings byte-for-byte, and the CLI exit codes must hold.
+negative must stay silent, and the CLI exit codes must hold. (``src/``
+itself checking clean is ``test_lint_clean.py``'s gate.)
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Finding, load_baseline
-from repro.analysis.cli import (DEFAULT_BASELINE, analyze_main,
-                                main as lint_main)
-from repro.analysis.engine import analyze_program_paths
+from repro.analysis import Finding, check_paths
+from repro.analysis.cli import main as check_main
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
 def result():
-    return analyze_program_paths([FIXTURES])
+    return check_paths([FIXTURES])
 
 
 def findings_in(result, name):
@@ -146,62 +139,13 @@ def test_fixture_sweep_is_exhaustive(result):
                        "dead_parameter.py", "leaked_pipe.py"}
 
 
-# ---------------------------------------------------------------- src/ gate
-
-def test_repo_src_analyzes_clean():
-    baseline = load_baseline(REPO_ROOT / DEFAULT_BASELINE)
-    result = analyze_program_paths([REPO_ROOT / "src"], baseline=baseline)
-    assert result.files_checked > 50
-    details = "\n".join(f.format() for f in result.findings)
-    assert result.clean, f"whole-program findings in src/:\n{details}"
-
-
-# ------------------------------------------------------------------- caching
-
-def test_incremental_cache_reproduces_findings(tmp_path, result):
-    cache = tmp_path / "analyze.json"
-    first = analyze_program_paths([FIXTURES], cache_path=cache)
-    assert first.cached_modules == 0
-    second = analyze_program_paths([FIXTURES], cache_path=cache)
-    assert second.cached_modules == second.files_checked
-    # byte-identical findings, fingerprints included
-    key = lambda r: sorted((f.fingerprint, f.line, f.message)
-                           for f in r.findings)
-    assert key(second) == key(first) == key(result)
-
-
-def test_cache_invalidates_when_an_import_neighbor_changes(tmp_path):
-    lib = "def helper():\n    return 1\n"
-    app = "import lib\n\nvalue = lib.helper()\n"
-    (tmp_path / "lib.py").write_text(lib)
-    (tmp_path / "app.py").write_text(app)
-    cache = tmp_path / "cache.json"
-    analyze_program_paths([tmp_path], cache_path=cache)
-    # editing lib.py must also evict app.py (facts flow along imports)
-    (tmp_path / "lib.py").write_text(lib + "\nEXTRA = 2\n")
-    rerun = analyze_program_paths([tmp_path], cache_path=cache)
-    assert rerun.cached_modules == 0
-
-
 # ----------------------------------------------------------------------- CLI
 
 def test_analyze_cli_exit_codes():
     dirty = str(FIXTURES / "leaked_pipe.py")
     clean = str(FIXTURES / "clean_locking.py")
-    assert analyze_main([dirty, "--no-baseline"]) == 1
-    assert analyze_main([clean, "--no-baseline"]) == 0
-    # over the wall-clock budget: exit 2 even when clean
-    assert analyze_main([clean, "--no-baseline", "--max-seconds", "0"]) == 2
-
-
-def test_module_cli_wires_analyze_subcommand():
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "analyze", str(REPO_ROOT / "src"),
-         "--baseline", str(REPO_ROOT / DEFAULT_BASELINE)],
-        capture_output=True, text=True, cwd=REPO_ROOT, env=env)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 finding(s)" in proc.stderr
+    assert check_main([dirty, "--no-baseline"]) == 1
+    assert check_main([clean, "--no-baseline"]) == 0
 
 
 def test_stale_pragma_audit_reports_and_clears(tmp_path, capsys):
@@ -210,12 +154,12 @@ def test_stale_pragma_audit_reports_and_clears(tmp_path, capsys):
     unused = "x = 1  # repro: disable=determinism\n"
     (tmp_path / "used.py").write_text(used)
     (tmp_path / "unused.py").write_text(unused)
-    exit_code = lint_main(["--stale-pragmas", "--no-baseline",
-                           str(tmp_path)])
+    exit_code = check_main(["--stale-pragmas", "--no-baseline",
+                            str(tmp_path)])
     output = capsys.readouterr().out
     assert exit_code == 1
     assert "unused.py:1" in output
     assert output.count("stale pragma") == 1
     (tmp_path / "unused.py").write_text("x = 1\n")
-    assert lint_main(["--stale-pragmas", "--no-baseline",
-                      str(tmp_path)]) == 0
+    assert check_main(["--stale-pragmas", "--no-baseline",
+                       str(tmp_path)]) == 0

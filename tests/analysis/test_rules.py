@@ -5,23 +5,23 @@ import textwrap
 
 import pytest
 
-from repro.analysis import AnalysisConfig, all_rules, analyze_source
+from repro.analysis import AnalysisConfig, all_rules, check_source
 
 
 def run(source, rel_path="src/repro/serving/example.py", **options):
     config = AnalysisConfig(options=options)
-    return analyze_source(textwrap.dedent(source), rel_path, config)
+    return check_source(textwrap.dedent(source), rel_path, config)
 
 
 def rules_of(findings):
     return [f.rule for f in findings]
 
 
-def test_registry_has_the_seven_project_rules():
+def test_registry_has_the_nine_project_rules():
     assert set(all_rules()) == {
         "api-hygiene", "determinism", "dtype-discipline",
-        "durability-discipline", "exception-hygiene", "lock-discipline",
-        "tape-discipline",
+        "durability-discipline", "exception-hygiene", "tape-discipline",
+        "lockset", "tape-shape", "resource-leak",
     }
     for rule_id, rule_cls in all_rules().items():
         assert rule_cls.rule_id == rule_id
@@ -243,7 +243,8 @@ def test_determinism_standalone_pragma_covers_next_line():
     assert run(source) == []
 
 
-# ------------------------------------------------------------ lock-discipline
+# -------------------------------------------- lockset: unguarded private field
+# (the interprocedural cases live in test_program_rules.py's fixtures)
 
 LOCKED_CLASS = """\
     import threading
@@ -261,8 +262,15 @@ LOCKED_CLASS = """\
 def test_lock_rule_fires_on_unguarded_write():
     source = LOCKED_CLASS.format(body="self._count += 1")
     findings = run(source)
-    assert rules_of(findings) == ["lock-discipline"]
+    assert rules_of(findings) == ["lockset"]
     assert "self._lock" in findings[0].message
+
+
+def test_lock_rule_fires_on_unguarded_tuple_target_write():
+    source = LOCKED_CLASS.format(body="old, self._count = self._count, 0")
+    findings = run(source)
+    assert rules_of(findings) == ["lockset"]
+    assert "`self._count`" in findings[0].message
 
 
 def test_lock_rule_accepts_guarded_write_and_public_attrs():
@@ -283,7 +291,7 @@ def test_lock_rule_honours_lock_held_docstring():
 
 def test_lock_rule_pragma_suppresses():
     source = LOCKED_CLASS.format(
-        body="self._count += 1  # repro: disable=lock-discipline")
+        body="self._count += 1  # repro: disable=lockset")
     assert run(source) == []
 
 
