@@ -6,7 +6,9 @@ baselines. Exits non-zero when
 
 * any kernel's fresh ``after_s`` is more than ``--threshold`` (default
   1.5×) slower than the committed ``benchmarks/BENCH_kernels.json``, or
-  any kernel's old/new equivalence check fails;
+  any kernel's old/new equivalence check fails, or a single-row store
+  mutation costs more than 3x as much on 100 000 rows as on 1 000
+  (``store_mutation``'s ``flat_in_n``);
 * the serving layer's fresh 16-client throughput falls below the
   committed ``benchmarks/BENCH_serving.json`` by more than the threshold,
   its micro-batched speedup over serial drops under the 2× acceptance
@@ -135,8 +137,11 @@ def _import_bench(module_name: str):
 
 #: Kernel rows gated on ``identical`` alone. Every committed timing floor
 #: was taken at ``cpu_count = 1`` (ROADMAP); these rows add none.
+#: ``store_mutation`` also carries ``flat_in_n`` — its per-mutation time
+#: at 100 000 rows within 3x of the one at 1 000, both from the fresh
+#: run: the shape of the cost, which no committed number enters.
 IDENTITY_ONLY_KERNELS = ("embed_single", "extend_prefix_point",
-                         "embed_batch")
+                         "embed_batch", "store_mutation")
 
 
 def compare_reports(baseline: dict, fresh: dict,
@@ -150,6 +155,11 @@ def compare_reports(baseline: dict, fresh: dict,
             continue
         if not entry["identical"]:
             failures.append(f"{name}: old/new equivalence check failed")
+        if not entry.get("flat_in_n", True):
+            failures.append(
+                f"{name}: per-mutation time grew "
+                f"{entry['after_scaling']:.1f}x from {entry['small_rows']} "
+                f"to {entry['rows']} rows — a mutation costs O(N) again")
         if name in IDENTITY_ONLY_KERNELS:
             continue
         slowdown = entry["after_s"] / base["after_s"]

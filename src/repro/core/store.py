@@ -11,6 +11,11 @@ their own O(L) encoding) and persists to ``.npz`` alongside the model.
 scan (bit-identical to the historical behaviour); ``"ivf"`` switches to
 the sub-linear :class:`~repro.index.ann.IVFIndex` ANN path for large
 databases. Backends are kept consistent by the store's mutation hooks.
+
+Layout (DESIGN.md, "The embedding store's layout"): rows sit in
+insertion order in buffers with spare capacity; an append writes into
+the spare and a remove leaves a hole, so a mutation costs its own rows,
+not the table's.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from .backends import SearchBackend, make_backend
 from .model import MetricModel
 
 PathLike = Union[str, Path]
+
+_HOLE = -1  # slot of a removed row (ids are non-negative)
 
 
 class EmbeddingStore:
@@ -74,14 +81,74 @@ class EmbeddingStore:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
         self.model = model
         dim = int(dim)
-        self._embeddings = np.zeros((0, dim))
-        self._ids = np.zeros(0, dtype=np.int64)
+        self._table = np.zeros((0, dim))
+        self._slots = np.zeros(0, dtype=np.int64)
+        self._used = 0  # buffer rows in use, holes included
+        self._live = 0
         self._next_id = 0
+        self._reindex()
         self._backend = make_backend(backend, **backend_options)
         self._backend.bind(self)
 
     def __len__(self) -> int:
-        return int(self._ids.shape[0])
+        return self._live
+
+    # ---------------------------------------------------------------- layout
+
+    def _pack(self, spare: int = 0) -> None:
+        """Move the live rows, order kept, into fresh buffers with room
+        for ``spare`` more plus an eighth (not doubling: at the moment of
+        growth both copies are resident). The old buffers are never
+        written again, so views handed out earlier stay valid."""
+        rows = np.flatnonzero(self._slots[:self._used] != _HOLE)
+        need = rows.size + spare
+        capacity = need + max(need >> 3, 16)
+        table = np.empty((capacity, self._table.shape[1]),
+                         dtype=self._table.dtype)
+        slots = np.full(capacity, _HOLE, dtype=np.int64)
+        # mode="clip" writes straight into ``out`` (the default buffers it).
+        np.take(self._table, rows, axis=0, out=table[:rows.size], mode="clip")
+        np.take(self._slots, rows, out=slots[:rows.size], mode="clip")
+        self._table, self._slots, self._used = table, slots, rows.size
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the id -> row index: two sorted arrays (16 bytes a
+        row; a dict entry is ~150) over the rows live now. Rows appended
+        later wait in the small ``_recent`` dict; a removed row keeps a
+        stale entry, which is why :meth:`_find` checks the slot."""
+        rows = np.flatnonzero(self._slots[:self._used] != _HOLE)
+        rows = rows[np.argsort(self._slots[rows], kind="stable")]
+        self._index_ids, self._index_rows = self._slots[rows], rows
+        self._recent: Dict[int, int] = {}
+
+    def _find(self, probe: np.ndarray) -> np.ndarray:
+        """Buffer row of each probed id, -1 where it is not in the store."""
+        rows = np.full(probe.shape, -1, dtype=np.int64)
+        if self._index_ids.size:
+            at = np.minimum(np.searchsorted(self._index_ids, probe),
+                            self._index_ids.size - 1)
+            found = self._index_rows[at]
+            hit = (self._slots[found] == probe) & (probe >= 0)
+            rows[hit] = found[hit]
+        if self._recent:
+            for j, row_id in enumerate(probe.tolist()):
+                rows[j] = self._recent.get(row_id, rows[j])
+        return rows
+
+    @property
+    def _embeddings(self) -> np.ndarray:
+        """Dense (N, d) table in insertion order (packs any holes out)."""
+        if self._used != self._live:
+            self._pack()
+        return self._table[:self._used]
+
+    @property
+    def _ids(self) -> np.ndarray:
+        """Dense (N,) int64 ids, parallel to :attr:`_embeddings`."""
+        if self._used != self._live:
+            self._pack()
+        return self._slots[:self._used]
 
     @property
     def embeddings(self) -> np.ndarray:
@@ -92,7 +159,7 @@ class EmbeddingStore:
 
     @property
     def ids(self) -> List[int]:
-        return [int(i) for i in self._ids]
+        return self._ids.tolist()
 
     @property
     def next_id(self) -> int:
@@ -107,8 +174,7 @@ class EmbeddingStore:
         present instead of tripping :meth:`add_embeddings`'s duplicate
         check.
         """
-        probe = np.asarray(list(ids), dtype=np.int64)
-        return np.isin(probe, self._ids)
+        return self._find(np.asarray(list(ids), dtype=np.int64)) >= 0
 
     # -------------------------------------------------------------- backends
 
@@ -153,6 +219,59 @@ class EmbeddingStore:
         new = self._require_model().embed(items, batch_size=batch_size)
         return self.add_embeddings(new)
 
+    def _validate(self, embeddings, ids) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, ids)`` of an insert, or ``ValueError`` — raised here,
+        before anything has changed."""
+        new = np.asarray(embeddings, dtype=self._table.dtype)
+        dim = self._table.shape[1]
+        if new.ndim != 2 or new.shape[1] != dim:
+            raise ValueError(
+                f"expected embeddings of shape (n, {dim}), got {new.shape}")
+        if ids is None:
+            return new, np.arange(self._next_id,
+                                  self._next_id + new.shape[0],
+                                  dtype=np.int64)
+        assigned = np.asarray(list(ids), dtype=np.int64)
+        if assigned.shape != (new.shape[0],):
+            raise ValueError(
+                f"expected {new.shape[0]} ids, got shape {assigned.shape}")
+        if assigned.size and assigned.min() < 0:
+            raise ValueError("ids must be non-negative")
+        if assigned.size > 1 and np.unique(assigned).size != assigned.size:
+            raise ValueError("duplicate ids in one insert")
+        return new, assigned
+
+    def _append(self, new: np.ndarray, assigned: np.ndarray) -> List[int]:
+        """Write validated rows into the spare capacity."""
+        count = new.shape[0]
+        if count == 0:
+            return []
+        if self._used + count > self._slots.shape[0]:
+            self._pack(spare=count)
+        start, self._used = self._used, self._used + count
+        self._table[start:self._used] = new
+        self._slots[start:self._used] = assigned
+        self._live += count
+        self._next_id = max(self._next_id, int(assigned.max()) + 1)
+        if len(self._recent) + count > max(self._used >> 3, 64):
+            self._reindex()
+        else:
+            self._recent.update(zip(assigned.tolist(),
+                                    range(start, self._used)))
+        self._backend.on_add(assigned, new)
+        return assigned.tolist()
+
+    def _drop(self, rows: np.ndarray) -> int:
+        """Turn (distinct) buffer rows into holes; returns how many."""
+        if rows.size:
+            dropped = self._slots[rows]
+            self._slots[rows] = _HOLE
+            for row_id in dropped.tolist():
+                self._recent.pop(row_id, None)
+            self._live -= rows.size
+            self._backend.on_remove(dropped)
+        return int(rows.size)
+
     def add_embeddings(self, embeddings: np.ndarray,
                        ids: Optional[Sequence[int]] = None) -> List[int]:
         """Insert precomputed embedding rows; returns their ids.
@@ -164,68 +283,31 @@ class EmbeddingStore:
         not already present, and ``next_id`` advances past the largest
         so later auto-assigned ids never collide.
         """
-        new = np.asarray(embeddings, dtype=self._embeddings.dtype)
-        if new.ndim != 2 or new.shape[1] != self._embeddings.shape[1]:
-            raise ValueError(
-                f"expected embeddings of shape (n, "
-                f"{self._embeddings.shape[1]}), got {new.shape}")
-        if new.shape[0] == 0:
-            return []
-        if ids is None:
-            assigned = np.arange(self._next_id, self._next_id + new.shape[0],
-                                 dtype=np.int64)
-        else:
-            assigned = np.asarray(list(ids), dtype=np.int64)
-            if assigned.shape != (new.shape[0],):
-                raise ValueError(
-                    f"expected {new.shape[0]} ids, got shape "
-                    f"{assigned.shape}")
-            if assigned.size and assigned.min() < 0:
-                raise ValueError("ids must be non-negative")
-            if np.unique(assigned).size != assigned.size:
-                raise ValueError("duplicate ids in one insert")
-            if np.isin(assigned, self._ids).any():
-                raise ValueError("some ids are already in the store")
-        self._next_id = max(self._next_id, int(assigned.max()) + 1)
-        self._embeddings = np.concatenate([self._embeddings, new], axis=0)
-        self._ids = np.concatenate([self._ids, assigned])
-        self._backend.on_add(assigned, new)
-        return [int(i) for i in assigned]
+        new, assigned = self._validate(embeddings, ids)
+        if ids is not None and (self._find(assigned) >= 0).any():
+            raise ValueError("some ids are already in the store")
+        return self._append(new, assigned)
 
     def upsert_embeddings(self, embeddings: np.ndarray,
                           ids: Sequence[int]) -> List[int]:
         """Insert-or-replace embedding rows at explicit ids.
 
-        Rows whose id is already present are replaced (remove + add, so
-        both mutations flow through the backend hooks and an ANN backend
-        stays consistent); new ids are plain inserts. The streaming tier
-        uses this to refresh a growing segment's embedding in place.
+        Rows whose id is already present are replaced (dropped, then
+        appended, so both mutations flow through the backend hooks and
+        an ANN backend stays consistent) and move last in insertion
+        order; new ids are plain inserts. Everything is validated before
+        any row is dropped, so a rejected call changes nothing. The
+        streaming tier uses this to refresh a growing segment's embedding.
         """
-        new = np.asarray(embeddings)
-        assigned = np.asarray(list(ids), dtype=np.int64)
-        if new.ndim != 2 or assigned.shape != (new.shape[0],):
-            raise ValueError(
-                f"expected one id per embedding row, got {new.shape} rows "
-                f"and {assigned.shape} ids")
-        present = assigned[self.contains(assigned)]
-        if present.size:
-            self.remove(present)
-        return self.add_embeddings(new, ids=assigned)
+        new, assigned = self._validate(embeddings, list(ids))
+        present = self._find(assigned)
+        self._drop(present[present >= 0])
+        return self._append(new, assigned)
 
     def remove(self, ids: Sequence[int]) -> int:
         """Remove entries by id; returns how many were removed."""
-        drop = np.unique(np.asarray(list(ids), dtype=np.int64))
-        if drop.size == 0 or len(self) == 0:
-            return 0
-        keep = ~np.isin(self._ids, drop)
-        removed = int(self._ids.shape[0] - keep.sum())
-        if removed == 0:
-            return 0
-        dropped = self._ids[~keep]
-        self._embeddings = self._embeddings[keep]
-        self._ids = self._ids[keep]
-        self._backend.on_remove(dropped)
-        return removed
+        rows = self._find(np.asarray(list(ids), dtype=np.int64))
+        return self._drop(np.unique(rows[rows >= 0]))
 
     # ----------------------------------------------------------------- search
 
@@ -253,10 +335,10 @@ class EmbeddingStore:
             raise ValueError(f"k must be >= 1, got {k}")
         if len(self) == 0:
             raise NotFittedError("the store is empty")
-        embedding = np.asarray(embedding, dtype=self._embeddings.dtype)
-        if embedding.shape != (self._embeddings.shape[1],):
+        embedding = np.asarray(embedding, dtype=self._table.dtype)
+        if embedding.shape != (self._table.shape[1],):
             raise ValueError(
-                f"expected embedding of shape ({self._embeddings.shape[1]},), "
+                f"expected embedding of shape ({self._table.shape[1]},), "
                 f"got {embedding.shape}")
         return self._backend.search(embedding, int(k))
 
@@ -273,7 +355,7 @@ class EmbeddingStore:
         if len(self) == 0:
             return np.array([], dtype=np.int64), np.array([])
         query_emb = self._require_model().embed([trajectory])[0]
-        query_emb = np.asarray(query_emb, dtype=self._embeddings.dtype)
+        query_emb = np.asarray(query_emb, dtype=self._table.dtype)
         return self._backend.search_radius(query_emb, radius)
 
     # ----------------------------------------------------------- persistence
@@ -308,7 +390,7 @@ class EmbeddingStore:
         """
         try:
             with np.load(path, allow_pickle=False) as data:
-                embeddings = np.array(data["embeddings"])
+                embeddings = data["embeddings"]
                 ids = np.asarray(data["ids"], dtype=np.int64)
                 saved_next = (int(data["next_id"])
                               if "next_id" in data.files else 0)
@@ -327,16 +409,21 @@ class EmbeddingStore:
         if model is not None and \
                 embeddings.shape[1] != model.config.embedding_dim:
             raise ValueError("store dimensionality does not match the model")
-        store = cls(model, dim=int(embeddings.shape[1]))
-        store._embeddings = embeddings
-        if ids.shape[0] != store._embeddings.shape[0]:
+        if ids.shape[0] != embeddings.shape[0]:
             raise ValueError(
                 f"id/embedding count mismatch: {ids.shape[0]} ids for "
-                f"{store._embeddings.shape[0]} rows")
+                f"{embeddings.shape[0]} rows")
         if np.unique(ids).size != ids.size:
             raise ValueError("store contains duplicate ids")
-        store._ids = ids
+        if ids.size and ids.min() < 0:
+            raise ValueError("store contains negative ids")
+        store = cls(model, dim=int(embeddings.shape[1]))
+        # Packed now, the first insert after a load copies no table.
+        store._table, store._slots = embeddings, ids
+        store._used = store._live = int(ids.shape[0])
+        store._pack()
         store._next_id = max(saved_next,
                              int(ids.max()) + 1 if ids.size else 0)
+        del embeddings, ids  # or the file's copy outlives the index build
         store.use_backend(backend, **backend_options)
         return store

@@ -199,10 +199,17 @@ class IVFIndex:
         self._ids = np.zeros(0, dtype=np.int64)
         self._vectors = np.zeros((0, dim), dtype=np.float32)
         self._codes = np.zeros((0, dim), dtype=np.int8)
-        # Incremental state: per-cell overflow appends + tombstoned ids.
-        self._pending_ids: Dict[int, List[int]] = {}
-        self._pending_vectors: Dict[int, List[np.ndarray]] = {}
-        self._tombstones: set = set()
+        # Incremental state. Appends: cell -> {id: vector} in arrival
+        # order, the cell of every pending id, and each cell's stacked
+        # (ids, vectors) block, kept until that cell next changes.
+        # Deletes: pending rows go outright; base rows are immutable
+        # (possibly mmap), so ``_dead`` marks them row by row — a
+        # re-added id is a new pending row and its base row stays dead.
+        self._pending: Dict[int, Dict[int, np.ndarray]] = {}
+        self._cell_of: Dict[int, int] = {}
+        self._blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._dead = np.zeros(0, dtype=bool)
+        self._tombstones = 0
         self._search_stats = _SearchStats()
 
     # -------------------------------------------------------------- properties
@@ -214,17 +221,16 @@ class IVFIndex:
     @property
     def ntotal(self) -> int:
         """Rows held (base + pending), including tombstoned ones."""
-        return int(self._ids.shape[0]) + sum(
-            len(v) for v in self._pending_ids.values())
+        return int(self._ids.shape[0]) + len(self._cell_of)
 
     @property
     def live_count(self) -> int:
         """Rows a search can return (``ntotal`` minus tombstones)."""
-        return self.ntotal - len(self._tombstones)
+        return self.ntotal - self._tombstones
 
     @property
     def pending_count(self) -> int:
-        return sum(len(v) for v in self._pending_ids.values())
+        return len(self._cell_of)
 
     @property
     def is_trained(self) -> bool:
@@ -272,6 +278,8 @@ class IVFIndex:
         assign = assign[order]
         self._ids = np.ascontiguousarray(ids[order])
         self._vectors = np.ascontiguousarray(vectors[order])
+        self._dead = np.zeros(self._ids.shape[0], dtype=bool)
+        self._tombstones = 0
         counts = np.bincount(assign, minlength=self.nlist)
         self._bounds = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
@@ -315,26 +323,37 @@ class IVFIndex:
         otherwise they are exact. Pending (not yet compacted) rows are
         always scanned at full precision.
         """
-        lo, hi = int(self._bounds[cell]), int(self._bounds[cell + 1])
-        ids = [np.asarray(self._ids[lo:hi])]
-        if self.config.quantize and hi > lo:
-            decoded = self._codes[lo:hi].astype(np.float32)
+        rows = slice(int(self._bounds[cell]), int(self._bounds[cell + 1]))
+        if self._tombstones and self._dead[rows].any():
+            rows = rows.start + np.flatnonzero(~self._dead[rows])
+        ids = [np.asarray(self._ids[rows])]
+        vectors = [np.asarray(self._vectors[rows])]
+        if self.config.quantize and ids[0].size:
+            decoded = self._codes[rows].astype(np.float32)
             decoded *= self._scales[cell]
             decoded += self._centroids[cell][None, :]
             diffs = decoded - query[None, :]
-            vectors = [np.asarray(self._vectors[lo:hi])]
         else:
-            vectors = [np.asarray(self._vectors[lo:hi])]
             diffs = vectors[0] - query[None, :]
         sq = [(diffs * diffs).sum(axis=1)]
-        if cell in self._pending_ids:
-            pend_vecs = np.stack(self._pending_vectors[cell])
+        if cell in self._pending:
+            pend_ids, pend_vecs = self._pending_block(cell)
             pend_diffs = pend_vecs - query[None, :]
-            ids.append(np.asarray(self._pending_ids[cell], dtype=np.int64))
+            ids.append(pend_ids)
             sq.append((pend_diffs * pend_diffs).sum(axis=1))
             vectors.append(pend_vecs)
         return (np.concatenate(ids), np.concatenate(sq),
                 np.concatenate(vectors))
+
+    def _pending_block(self, cell: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked ``(ids, vectors)`` of one cell's pending rows."""
+        block = self._blocks.get(cell)
+        if block is None:
+            rows = self._pending[cell]
+            block = self._blocks[cell] = (
+                np.fromiter(rows, dtype=np.int64, count=len(rows)),
+                np.stack(list(rows.values())))
+        return block
 
     def search(self, query: np.ndarray, k: int,
                nprobe: Optional[int] = None
@@ -359,11 +378,6 @@ class IVFIndex:
         ids = np.concatenate(cand_ids)
         sq = np.concatenate(cand_sq)
         vectors = np.concatenate(cand_vecs)
-        if self._tombstones:
-            live = ~np.isin(ids, np.fromiter(
-                self._tombstones, dtype=np.int64,
-                count=len(self._tombstones)))
-            ids, sq, vectors = ids[live], sq[live], vectors[live]
         stats = self._search_stats
         stats.queries += 1
         stats.cells_probed += probe.size
@@ -415,11 +429,6 @@ class IVFIndex:
             out_d.append(dist[hit])
         ids = np.concatenate(out_ids) if out_ids else np.zeros(0, np.int64)
         dist = np.concatenate(out_d) if out_d else np.zeros(0)
-        if self._tombstones and ids.size:
-            live = ~np.isin(ids, np.fromiter(
-                self._tombstones, dtype=np.int64,
-                count=len(self._tombstones)))
-            ids, dist = ids[live], dist[live]
         order = np.lexsort((ids, dist))
         return ids[order].astype(np.int64), dist[order]
 
@@ -428,9 +437,9 @@ class IVFIndex:
     def add(self, ids: Sequence[int], vectors: np.ndarray) -> None:
         """Append rows to their nearest cells (no retraining).
 
-        New rows live in per-cell overflow lists (scanned at full
+        New rows live in per-cell overflow blocks (scanned at full
         precision) until :meth:`compact` folds them into the base
-        arrays.
+        arrays. Ids must not be live in the index already.
         """
         vectors = _as_vectors(vectors, dim=self.dim)
         ids = np.ascontiguousarray(ids, dtype=np.int64)
@@ -442,39 +451,33 @@ class IVFIndex:
             raise ConfigurationError(
                 "cannot add to an untrained index; use IVFIndex.build")
         assign = _chunked_assign(vectors, self._centroids)
-        for row, cell in enumerate(assign):
-            cell = int(cell)
-            self._pending_ids.setdefault(cell, []).append(int(ids[row]))
-            self._pending_vectors.setdefault(cell, []).append(
-                vectors[row].copy())
-            self._tombstones.discard(int(ids[row]))
+        for row_id, cell, vector in zip(ids.tolist(), assign.tolist(),
+                                        vectors.copy()):
+            self._pending.setdefault(cell, {})[row_id] = vector
+            self._cell_of[row_id] = cell
+            self._blocks.pop(cell, None)
 
     def remove(self, ids: Sequence[int]) -> int:
         """Tombstone rows by id; returns how many live rows were hit."""
         drop = {int(i) for i in ids}
-        if not drop:
-            return 0
         removed = 0
-        # Pending rows can be dropped outright — they are plain lists.
-        for cell in list(self._pending_ids):
-            cell_ids = self._pending_ids[cell]
-            keep = [i for i, row_id in enumerate(cell_ids)
-                    if row_id not in drop]
-            removed += len(cell_ids) - len(keep)
-            if len(keep) < len(cell_ids):
-                self._pending_ids[cell] = [cell_ids[i] for i in keep]
-                self._pending_vectors[cell] = [
-                    self._pending_vectors[cell][i] for i in keep]
-                if not self._pending_ids[cell]:
-                    del self._pending_ids[cell]
-                    del self._pending_vectors[cell]
-        # Base rows are immutable (possibly mmap) — tombstone them.
-        if self._ids.size:
+        for row_id in drop:
+            cell = self._cell_of.pop(row_id, None)
+            if cell is None:
+                continue
+            removed += 1
+            self._blocks.pop(cell, None)
+            del self._pending[cell][row_id]
+            if not self._pending[cell]:
+                del self._pending[cell]
+        # An id is live once, so only ids not found pending can be base
+        # rows; the sweep over the base ids is skipped when none is left.
+        if removed < len(drop) and self._ids.size:
             drop_arr = np.fromiter(drop, dtype=np.int64, count=len(drop))
-            hit = np.asarray(self._ids)[np.isin(self._ids, drop_arr)]
-            fresh = {int(i) for i in hit} - self._tombstones
-            removed += len(fresh)
-            self._tombstones |= fresh
+            hit = np.flatnonzero(np.isin(self._ids, drop_arr) & ~self._dead)
+            self._dead[hit] = True
+            self._tombstones += hit.size
+            removed += hit.size
         return removed
 
     def compact(self) -> "IVFIndex":
@@ -485,36 +488,30 @@ class IVFIndex:
         untouched. Returns ``self``.
         """
         ids, vectors, assign = self._materialise_live()
-        self._pending_ids.clear()
-        self._pending_vectors.clear()
-        self._tombstones.clear()
+        self._pending.clear()
+        self._cell_of.clear()
+        self._blocks.clear()
         self._install(ids, vectors, assign)
         return self
 
     def _materialise_live(self
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ids, vectors, cell assignment) of every live row, base-first."""
-        parts_ids = [np.asarray(self._ids)]
-        parts_vecs = [np.asarray(self._vectors)]
+        live = ~self._dead if self._tombstones else slice(None)  # no copy
+        parts_ids = [np.asarray(self._ids)[live]]
+        parts_vecs = [np.asarray(self._vectors)[live]]
         cell_of_base = np.repeat(
             np.arange(self.nlist, dtype=np.int64),
             np.diff(self._bounds))
-        parts_assign = [cell_of_base]
-        for cell in sorted(self._pending_ids):
-            parts_ids.append(np.asarray(self._pending_ids[cell],
-                                        dtype=np.int64))
-            parts_vecs.append(np.stack(self._pending_vectors[cell]))
-            parts_assign.append(np.full(len(self._pending_ids[cell]), cell,
-                                        dtype=np.int64))
+        parts_assign = [cell_of_base[live]]
+        for cell in sorted(self._pending):
+            pend_ids, pend_vecs = self._pending_block(cell)
+            parts_ids.append(pend_ids)
+            parts_vecs.append(pend_vecs)
+            parts_assign.append(np.full(pend_ids.size, cell, dtype=np.int64))
         ids = np.concatenate(parts_ids)
-        vectors = (np.concatenate(parts_vecs) if ids.size else
-                   np.zeros((0, self.dim), dtype=np.float32))
+        vectors = np.concatenate(parts_vecs)
         assign = np.concatenate(parts_assign)
-        if self._tombstones:
-            live = ~np.isin(ids, np.fromiter(
-                self._tombstones, dtype=np.int64,
-                count=len(self._tombstones)))
-            ids, vectors, assign = ids[live], vectors[live], assign[live]
         return ids, np.ascontiguousarray(vectors, dtype=np.float32), assign
 
     # ----------------------------------------------------------- persistence
@@ -642,6 +639,7 @@ class IVFIndex:
             raise CorruptArtifactError(
                 f"IVF manifest count {manifest['count']} != mapped "
                 f"{index._ids.shape[0]} rows")
+        index._dead = np.zeros(index._ids.shape[0], dtype=bool)
         return index
 
     # ------------------------------------------------------------------ stats
@@ -659,7 +657,7 @@ class IVFIndex:
             "ntotal": self.ntotal,
             "live": self.live_count,
             "pending": self.pending_count,
-            "tombstones": len(self._tombstones),
+            "tombstones": self._tombstones,
             "cell_min": int(counts.min()) if counts.size else 0,
             "cell_mean": float(counts.mean()) if counts.size else 0.0,
             "cell_max": int(counts.max()) if counts.size else 0,

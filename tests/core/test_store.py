@@ -405,3 +405,99 @@ def test_modelless_load_roundtrip(world, tmp_path):
     assert len(reloaded) == 5
     ids, _ = reloaded.query_embedding(store.embeddings[3], k=1)
     assert int(ids[0]) == 3
+
+
+# ---------------------------------------------------------------- layout
+
+BACKENDS = [{"backend": "exact"},
+            {"backend": "ivf", "nlist": 4, "nprobe": 4, "quantize": False}]
+
+
+def snapshot(store):
+    return store.ids, store.embeddings.tobytes(), store.next_id
+
+
+@pytest.mark.parametrize("kwargs", BACKENDS, ids=["exact", "ivf"])
+def test_rejected_upsert_changes_nothing(kwargs):
+    """Validate first, mutate second: the parent dropped the rows it was
+    replacing before the insert was checked, so an error deleted data."""
+    rng = np.random.default_rng(3)
+    store = EmbeddingStore(None, dim=4, **kwargs)
+    store.add_embeddings(rng.normal(size=(12, 4)), ids=list(range(1, 13)))
+    before = snapshot(store)
+    query = store.embeddings[2]
+    answer = [a.tolist() for a in store.query_embedding(query, 3)]
+    with pytest.raises(ValueError, match="duplicate ids"):
+        store.upsert_embeddings(np.zeros((2, 4)), ids=[3, 3])
+    with pytest.raises(ValueError, match="shape"):       # wrong width
+        store.upsert_embeddings(np.zeros((1, 5)), ids=[3])
+    with pytest.raises(ValueError, match="non-negative"):
+        store.upsert_embeddings(np.zeros((2, 4)), ids=[3, -1])
+    with pytest.raises(ValueError, match="ids"):          # one id short
+        store.upsert_embeddings(np.zeros((2, 4)), ids=[3])
+    assert snapshot(store) == before
+    assert store.contains([3]).all()
+    assert [a.tolist() for a in store.query_embedding(query, 3)] == answer
+    assert store.search_stats().get("live", len(store)) == len(store)
+
+
+class _NoTableSweep:
+    """``numpy`` for ``repro.core.store``, minus every call whose cost
+    grows with the table: a single-row mutation must not reach one."""
+
+    BANNED = {"concatenate", "isin", "in1d", "argsort", "sort_complex",
+              "flatnonzero", "nonzero", "take", "empty", "zeros", "copy"}
+
+    def __getattr__(self, name):
+        if name in self.BANNED:
+            raise AssertionError(f"O(N) call np.{name} on the mutation path")
+        return getattr(np, name)
+
+
+def test_single_row_mutations_do_not_sweep_the_table(monkeypatch):
+    """Counts, not times: ids spread over 0..10**7 are where ``np.isin``
+    left its table method and one insert cost 68 ms on the parent."""
+    rng = np.random.default_rng(9)
+    count, dim = 50_000, 8
+    ids = 2 * np.sort(rng.choice(5 * 10 ** 6, size=count, replace=False))
+    store = EmbeddingStore(None, dim=dim)
+    store.add_embeddings(rng.normal(size=(count, dim)), ids=ids.tolist())
+    store.add_embeddings(rng.normal(size=(1, dim)))      # one growth step
+    table, slots = store._table, store._slots
+    monkeypatch.setattr("repro.core.store.np", _NoTableSweep())
+    victims = rng.choice(ids, size=40, replace=False)
+    for step, victim in enumerate(victims.tolist()):
+        row = rng.normal(size=(1, dim))
+        added = store.add_embeddings(row)[0]
+        assert store.remove([victim]) == 1
+        assert store.remove([victim]) == 0
+        store.upsert_embeddings(row + 1.0, ids=[added])           # replace
+        store.upsert_embeddings(row, ids=[2 * step + 1])          # insert
+        assert store.contains([victim, added]).tolist() == [False, True]
+    monkeypatch.undo()
+    assert store._table is table and store._slots is slots
+    assert np.shares_memory(store._table, table)
+    assert len(store) == count + 1 + len(victims)
+    survivors = np.setdiff1d(ids, victims)
+    assert store.ids[:survivors.size] == survivors.tolist()  # order kept
+
+
+def test_views_handed_out_survive_later_mutations():
+    store = EmbeddingStore(None, dim=2)
+    store.add_embeddings(np.arange(12.0).reshape(6, 2))
+    view = store.embeddings
+    frozen = view.copy()
+    store.remove([1, 4])
+    store.add_embeddings(np.full((40, 2), -1.0))     # forces a repack
+    store.upsert_embeddings(np.full((1, 2), 7.0), ids=[0])
+    assert np.array_equal(view, frozen)
+    assert store.ids[:3] == [2, 3, 5] and store.ids[-1] == 0
+
+
+def test_load_rejects_negative_ids(tmp_path):
+    path = tmp_path / "negative.npz"
+    np.savez_compressed(path, embeddings=np.zeros((2, 3)),
+                        ids=np.array([0, -1], dtype=np.int64),
+                        next_id=np.array(2))
+    with pytest.raises(ValueError, match="negative"):
+        EmbeddingStore.load(path, None)

@@ -208,6 +208,53 @@ def test_add_remove_compact_roundtrip():
     np.testing.assert_allclose(before_dist, after_dist, atol=1e-5)
 
 
+def test_search_sees_every_add_and_remove():
+    """The stacked pending block of a cell is kept between searches and
+    must be dropped the moment that cell changes."""
+    vectors = make_vectors(count=300, dim=8)
+    index = IVFIndex.build(np.arange(300, dtype=np.int64), vectors,
+                           IVFConfig(nlist=8, nprobe=8, quantize=False,
+                                     seed=0))
+    spot = vectors[7] + np.float32(0.5)
+    near = [spot + np.float32(0.001 * step) for step in range(1, 5)]
+
+    def top():
+        return index.search(spot, 3)[0].tolist()
+
+    index.add(np.array([900], dtype=np.int64), near[0][None, :])
+    assert top()[0] == 900                     # block built by this search
+    index.add(np.array([901, 902], dtype=np.int64), np.stack(near[1:3]))
+    assert top() == [900, 901, 902]            # ... and rebuilt after an add
+    assert index.remove([901]) == 1
+    assert top()[:2] == [900, 902]
+    assert index.remove([900, 902, 7]) == 3    # two pending rows, one base
+    assert not {900, 901, 902, 7} & set(top())
+    assert index.stats()["pending"] == 0 and index.stats()["tombstones"] == 1
+    index.add(np.array([900], dtype=np.int64), near[3][None, :])
+    assert top()[0] == 900
+    index.compact()
+    assert top()[0] == 900 and 7 not in top()
+
+
+def test_readding_a_removed_base_row_does_not_revive_it():
+    """Upsert of a compacted row: the parent un-tombstoned the id on
+    ``add``, so the stale base row answered beside the new one."""
+    vectors = make_vectors(count=300, dim=8)
+    index = IVFIndex.build(np.arange(300, dtype=np.int64), vectors,
+                           IVFConfig(nlist=8, nprobe=8, quantize=False,
+                                     seed=0))
+    moved = vectors[5] + np.float32(25.0)
+    assert index.remove([5]) == 1
+    index.add(np.array([5], dtype=np.int64), moved[None, :])
+    assert index.live_count == 300
+    assert 5 not in index.search(vectors[5], 10)[0].tolist()
+    assert index.search(moved, 1)[0].tolist() == [5]
+    index.compact()
+    assert index.live_count == 300
+    assert sorted(index._materialise_live()[0].tolist()) == list(range(300))
+    assert 5 not in index.search(vectors[5], 10)[0].tolist()
+
+
 def test_add_to_untrained_raises():
     index = IVFIndex(8)
     with pytest.raises(ConfigurationError):

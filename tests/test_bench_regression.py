@@ -131,3 +131,21 @@ def test_inference_kernel_rows_gate_on_identity_not_on_time():
         wrong = copy.deepcopy(baseline)
         wrong["kernels"][name]["identical"] = False
         assert len(compare_reports(baseline, wrong)) == 1
+
+
+def test_store_mutation_row_gates_on_the_shape_of_its_cost():
+    import copy
+    import json
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        from check_bench_regression import BASELINE, compare_reports
+    finally:
+        sys.path.pop(0)
+    baseline = json.loads(BASELINE.read_text())
+    row = baseline["kernels"]["store_mutation"]
+    assert row["identical"] is True and row["flat_in_n"] is True
+    steep = copy.deepcopy(baseline)
+    steep["kernels"]["store_mutation"].update(flat_in_n=False,
+                                              after_scaling=40.0)
+    failures = compare_reports(baseline, steep)
+    assert len(failures) == 1 and "O(N)" in failures[0]
