@@ -161,7 +161,7 @@ def _recovery_section(base_dir: Path, config: dict) -> dict:
 
 def _failover_section(base_dir: Path, config: dict) -> dict:
     from repro.core.partition import save_partitions
-    from repro.serving.sharding import ShardedConfig, ShardedService
+    from repro.serving import ShardedConfig, ShardedService
 
     dim = config["embedding_dim"]
     rows = config["failover_rows"]

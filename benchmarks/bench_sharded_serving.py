@@ -65,7 +65,7 @@ def make_embeddings(n: int, dim: int, seed: int) -> np.ndarray:
 def bench_config(partition_dir, queries, k, reference, identity_queries,
                  index="exact", **backend_options) -> dict:
     """Drive one sharded configuration; returns measurements + identity."""
-    from repro.serving.sharding import ShardedConfig, ShardedService
+    from repro.serving import ShardedConfig, ShardedService
 
     config = ShardedConfig(index=index, **backend_options)
     with ShardedService(partition_dir, config=config) as service:

@@ -14,7 +14,8 @@ See README.md for a quickstart.
 """
 
 from .core import (EmbeddingStore, MetricModel, NeuTraj, NeuTrajConfig,
-                   SiameseTraj, TrainingHistory)
+                   SiameseTraj, TrainingHistory, get_precompute_config,
+                   set_precompute_config)
 from .dataquality import (QualityReport, SanitizeConfig, sanitize,
                           sanitize_dataset)
 from .datasets import (GeolifeConfig, Grid, PortoConfig, RoadNetworkConfig,
@@ -30,7 +31,7 @@ __version__ = "1.0.0"
 __all__ = [
     "EmbeddingStore", "MetricModel", "NeuTraj", "NeuTrajConfig",
     "SiameseTraj",
-    "TrainingHistory",
+    "TrainingHistory", "get_precompute_config", "set_precompute_config",
     "QualityReport", "SanitizeConfig", "sanitize", "sanitize_dataset",
     "GeolifeConfig", "Grid", "PortoConfig", "RoadNetworkConfig",
     "Trajectory", "TrajectoryDataset", "generate_geolife", "generate_porto",

@@ -13,8 +13,9 @@ Commands
 ``serve``
     Run the online similarity-query service over a saved bundle
     (``repro.serving``); ``--once`` performs a loopback self-test and
-    exits. ``--index ivf`` serves through the ANN backend.
-    ``--shards N`` serves the scatter-gather sharded tier instead
+    exits. ``--index ivf`` serves through the ANN backend, and
+    ``--durable-dir`` logs every write before acknowledging it.
+    ``--shards N`` (N > 1) forks N shard workers instead
     (``repro.serving.sharding``), splitting the bundle's store on first
     use when ``--partitions`` does not exist yet.
 ``shard-tool split`` / ``shard-tool status``
@@ -144,10 +145,9 @@ def _self_test(server, service) -> int:
     print(f"topk:    {status} ids={answer.get('ids')}")
     if status != 200:
         return 1
-    if service.store is not None:
-        expected = [int(i) for i in service.store.query(probe, k=5)[0]]
-    else:  # sharded tier: compare against the in-process scatter path
-        expected = service.top_k(probe, k=5, use_cache=False).ids
+    # The same search, reached in process and encoded off the batcher.
+    expected = service.query_embedding(service.model.embed([probe])[0],
+                                       k=5).ids
     if answer["ids"] != expected:
         print(f"self-test mismatch: expected ids {expected}")
         return 1
@@ -185,7 +185,7 @@ def _build_sharded_service(args, knobs: dict):
     from pathlib import Path
 
     from .core.partition import load_partition_manifest
-    from .serving.sharding import ShardedConfig, ShardedService
+    from .serving import ShardedConfig, ShardedService
 
     partition_dir = Path(args.partitions
                          or Path(args.bundle) / f"partitions-{args.shards}")
@@ -200,8 +200,7 @@ def _build_sharded_service(args, knobs: dict):
             f"{partition_dir} holds {manifest['num_shards']} partitions but "
             f"--shards {args.shards} was requested; re-split with "
             f"shard-tool split")
-    config = ShardedConfig(**knobs, fsync_window_ms=args.fsync_window_ms,
-                           replicas=args.replicas)
+    config = ShardedConfig(**knobs, replicas=args.replicas)
     return ShardedService(partition_dir, bundle_dir=args.bundle,
                           config=config, durable_dir=args.durable_dir)
 
@@ -214,23 +213,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # One config shape for both tiers; the sharded one adds its own fields.
     knobs = dict(max_batch_size=args.max_batch, max_wait_ms=args.max_wait_ms,
                  cache_capacity=args.cache_capacity, index=args.index,
-                 nlist=args.nlist, nprobe=args.nprobe)
+                 nlist=args.nlist, nprobe=args.nprobe,
+                 fsync_window_ms=args.fsync_window_ms)
+    sharded = bool(args.shards and args.shards > 1)
+    if args.partitions and not sharded:
+        print("--partitions requires --shards > 1", file=sys.stderr)
+        return 2
+    if args.replicas and not sharded:
+        print("--replicas requires --shards > 1: a standby tails the WAL "
+              "of a forked primary", file=sys.stderr)
+        return 2
     try:
-        if args.shards and args.shards > 1:
+        if sharded:
             service = _build_sharded_service(args, knobs)
-        elif args.partitions:
-            print("--partitions requires --shards > 1", file=sys.stderr)
-            return 2
         else:
-            service = SimilarityService.from_bundle(args.bundle,
-                                                    ServingConfig(**knobs))
+            service = SimilarityService.from_bundle(
+                args.bundle, ServingConfig(**knobs),
+                durable_dir=args.durable_dir)
     except (BundleError, ConfigurationError, OSError, ValueError) as exc:
         print(f"cannot load bundle {args.bundle!r}: {exc}", file=sys.stderr)
         return 2
     with service:
         served = service.warmup()
-        tier = (f"{args.shards}-shard" if args.shards and args.shards > 1
-                else "single-process")
+        tier = f"{args.shards}-shard" if sharded else "single-process"
         print(f"loaded bundle {args.bundle} as a {tier} service "
               f"(store size {service.size()}, "
               f"dim {service.model.config.embedding_dim}, "
@@ -519,9 +524,8 @@ def main(argv=None) -> int:
     serve.add_argument("--nprobe", type=int, default=8,
                        help="IVF cells scanned per query (default 8)")
     serve.add_argument("--shards", type=int, default=0,
-                       help="serve the scatter-gather sharded tier with "
-                            "this many worker processes (default: "
-                            "single-process)")
+                       help="fork this many shard worker processes when "
+                            "> 1 (default: one shard in process)")
     serve.add_argument("--partitions", default=None,
                        help="partition directory for --shards (default "
                             "<bundle>/partitions-<N>, split on first use)")
@@ -531,14 +535,14 @@ def main(argv=None) -> int:
     serve.add_argument("--durable-dir", default=None,
                        help="per-shard WAL + snapshot root: mutations are "
                             "fsynced before they are acked and restarts "
-                            "recover them (sharded tier only)")
+                            "recover them")
     serve.add_argument("--fsync-window-ms", type=float, default=0.0,
                        help="WAL group-commit window; 0 fsyncs every ack "
                             "(default 0)")
     serve.add_argument("--replicas", type=int, default=0,
                        help="warm-standby workers per shard tailing the "
-                            "primary's WAL; requires --durable-dir "
-                            "(default 0)")
+                            "primary's WAL; requires --shards > 1 and "
+                            "--durable-dir (default 0)")
     serve.set_defaults(func=_cmd_serve)
 
     shard_tool = sub.add_parser(

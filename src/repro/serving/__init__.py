@@ -24,8 +24,9 @@ from .cache import LRUCache, result_key, trajectory_fingerprint
 from .http import ServingHTTPServer, make_server, serve
 from .metrics import Counter, Histogram, MetricsRegistry
 from .router import group_by_shard, merge_top_k
-from .service import ServingConfig, SimilarityService, TopKResult
-from .sharding import ShardedConfig, ShardedService, ShardRequestError
+from .service import (ServingConfig, ShardedConfig, ShardedService,
+                      SimilarityService, TopKResult)
+from .sharding import ShardRequestError
 
 __all__ = [
     "BatcherClosedError", "MicroBatcher",

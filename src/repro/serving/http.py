@@ -41,15 +41,16 @@ POST        ``/admin/restart/<id>``  respawn one shard worker; on a durable
                                      tier only; 409 when unsupported)
 ==========  =======================  ==========================================
 
-One service class serves both tiers:
-:class:`~repro.serving.service.SimilarityService` over its in-process
-store, or its subclass :class:`~repro.serving.sharding.ShardedService`
-over shard workers — every route but two calls the one shared pipeline.
+One service class serves every shape:
+:class:`~repro.serving.service.SimilarityService` over one in-process
+shard, or its subclass :class:`~repro.serving.service.ShardedService`
+over forked shard workers — every route but two calls the one shared
+pipeline.
 ``/admin/reload`` and ``/admin/restart/<id>`` exist only on the sharded
 tier and answer 409 elsewhere.
 
 Errors come back as ``{"error": "..."}`` with 400 (bad request), 404
-(unknown route), 409 (empty store / unsupported admin op / failed
+(unknown route), 409 (no encoder / unsupported admin op / failed
 reload), 429 (load shed — retry later), 503 (degradation the service
 could not absorb: breaker open with no fallback, every shard down, or
 shut down), 504 (request deadline expired), or 500 (unexpected).

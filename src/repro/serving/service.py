@@ -1,4 +1,4 @@
-"""The similarity-query service: one query pipeline over a search target.
+"""The similarity-query service: one query pipeline over one target.
 
 :class:`SimilarityService` is the long-lived object the paper's §VI-A
 deployment pattern implies but one-shot scripts never build: the trained
@@ -10,12 +10,15 @@ request path
     validate -> sanitize -> admit -> deadline -> cache -> batch-encode
     (breaker-guarded) -> search -> shape result -> count
 
-and is parameterised by a :class:`SearchTarget`: the in-process
-:class:`~repro.core.store.EmbeddingStore` here, or scatter-gather over
-shard worker processes in :mod:`repro.serving.sharding` (whose
-``ShardedService`` is this class over that target). It is
-transport-agnostic — :mod:`repro.serving.http` exposes it over HTTP,
-tests and benchmarks drive it in-process.
+and it runs over one search target, the shard coordinator of
+:mod:`repro.serving.sharding`. Given an
+:class:`~repro.core.store.EmbeddingStore`, the target is one shard
+called in process; :class:`ShardedService` is this class over N forked
+shard workers, plus reload and restart. Every deployment shape thus
+writes through the same code and, given a ``durable_dir``, logs before
+it acknowledges. The service is transport-agnostic —
+:mod:`repro.serving.http` exposes it over HTTP, tests and benchmarks
+drive it in-process.
 
 Consistency model: every mutation (``insert``/``delete``, a sharded
 ``reload``) lands on the target first and then bumps a generation
@@ -29,10 +32,9 @@ inside the encoder), admitted through a bounded
 :class:`ServiceOverloadedError`, the HTTP 429/load-shedding path), carry
 a deadline through the micro-batcher, and encode behind a
 :class:`~repro.resilience.CircuitBreaker`. When the encoder trips the
-breaker, ``top_k`` degrades to the target's approximate path (grid-cell
-overlap counts via :class:`~repro.index.GridInvertedIndex` on the
-in-process target) instead of failing — answers are marked ``degraded``
-and counted.
+breaker, ``top_k`` degrades to grid-cell overlap counts over an
+optional :class:`~repro.index.GridInvertedIndex` kept beside the target
+instead of failing — answers are marked ``degraded`` and counted.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.model import MetricModel
+from ..core.partition import HashRing
 from ..core.store import EmbeddingStore
 from ..dataquality import QualityReport, SanitizeConfig, sanitize
 from ..datasets.trajectory import Trajectory
@@ -59,16 +62,21 @@ from ..index.grid_index import GridInvertedIndex
 from ..resilience.admission import AdmissionGate
 from ..resilience.breaker import CircuitBreaker
 from .batching import MicroBatcher
-from .bundle import Bundle, load_bundle
+from .bundle import STORE_FILE, Bundle, load_bundle, load_bundle_model
 from .cache import LRUCache, result_key
-from .metrics import (DEFAULT_SIZE_BUCKETS, MetricsRegistry)
+from .metrics import DEFAULT_SIZE_BUCKETS
+from .sharding import _ShardHandle, _ShardTarget
 
 PathLike = Union[str, Path]
 
-__all__ = ["SearchTarget", "ServingConfig", "SimilarityService",
-           "TopKResult"]
+__all__ = ["ServingConfig", "ShardedConfig", "ShardedService",
+           "SimilarityService", "TopKResult"]
 
 _DEFAULT = object()  # sentinel: timeout=None means "no deadline"
+
+#: The log base of a bundle without a store: it starts empty, so every
+#: such bundle is the same base.
+_EMPTY_STORE_BASE = "repro.bundle.empty-store"
 
 
 @dataclass
@@ -115,17 +123,21 @@ class ServingConfig:
     index:
         Store search strategy: ``"exact"`` (default, brute-force scan)
         or ``"ivf"`` (sub-linear ANN via
-        :class:`~repro.index.ann.IVFIndex`; the service installs the
-        backend on its store at startup). ``"keep"`` leaves whatever
-        backend the store already has — the hook for serving a
-        memory-mapped index built offline with ``python -m repro index
-        build``.
+        :class:`~repro.index.ann.IVFIndex`). Every shard worker installs
+        it on its store at startup.
     nlist:
         IVF cell count; 0 picks ``auto_nlist(len(store))`` (~sqrt(N)).
         Only used when ``index="ivf"``.
     nprobe:
         IVF cells scanned per query (the recall/latency dial). Only
         used when ``index="ivf"``.
+    fsync_window_ms:
+        Group-commit window of a durable service (``durable_dir``): 0
+        fsyncs on every ack; a positive window batches fsyncs, trading
+        up to that much ack latency for amortised disk flushes under
+        concurrent writers.
+    wal_segment_bytes:
+        WAL log-rotation threshold per shard.
     """
 
     max_batch_size: int = 16
@@ -142,6 +154,8 @@ class ServingConfig:
     index: str = "exact"
     nlist: int = 0
     nprobe: int = 8
+    fsync_window_ms: float = 0.0
+    wal_segment_bytes: int = 64 << 20
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -164,14 +178,58 @@ class ServingConfig:
                 and self.default_timeout_s <= 0):
             raise ConfigurationError(
                 "default_timeout_s must be positive (or None)")
-        if self.index not in ("exact", "ivf", "keep"):
+        if self.index not in ("exact", "ivf"):
             raise ConfigurationError(
-                f"index must be 'exact', 'ivf' or 'keep', got "
-                f"{self.index!r}")
+                f"index must be 'exact' or 'ivf', got {self.index!r}")
         if self.nlist < 0:
             raise ConfigurationError("nlist must be >= 0 (0 = auto)")
         if self.nprobe < 1:
             raise ConfigurationError("nprobe must be >= 1")
+        if self.fsync_window_ms < 0:
+            raise ConfigurationError("fsync_window_ms must be >= 0")
+        if self.wal_segment_bytes < 4096:
+            raise ConfigurationError("wal_segment_bytes must be >= 4096")
+
+
+@dataclass
+class ShardedConfig(ServingConfig):
+    """:class:`ServingConfig` plus the forked tier's own tunables.
+
+    Every inherited field keeps its meaning on the coordinator
+    (``index``/``nlist``/``nprobe`` configure each shard's local
+    backend); the breaker pair also configures every per-shard transport
+    breaker, and defaults tighter than the single-process service's
+    because a dead worker should drop out of the scatter after a few
+    requests, not thirty seconds.
+
+    Attributes
+    ----------
+    request_timeout_s:
+        Per-shard call timeout: a shard that does not answer within this
+        window is treated as unavailable for that request (and the
+        failure counts toward its breaker).
+    boot_timeout_s:
+        How long to wait for a worker to load its partition at startup,
+        restart, and reload-prepare.
+    replicas:
+        Warm-standby workers per shard tailing the primary's acked WAL;
+        requires ``durable_dir`` on the service. 0 disables replication.
+    """
+
+    breaker_failure_threshold: int = 3
+    breaker_reset_s: float = 5.0
+    request_timeout_s: float = 30.0
+    boot_timeout_s: float = 120.0
+    replicas: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.request_timeout_s <= 0:
+            raise ConfigurationError("request_timeout_s must be positive")
+        if self.boot_timeout_s <= 0:
+            raise ConfigurationError("boot_timeout_s must be positive")
+        if self.replicas < 0:
+            raise ConfigurationError("replicas must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -206,176 +264,6 @@ class TopKResult:
                 "quality": self.quality, "partial": self.partial}
 
 
-class SearchTarget:
-    """Where the database embeddings live, as the query pipeline sees it.
-
-    Two implementations exist: the in-process store (``_LocalTarget``
-    below) and scatter-gather over shard worker processes
-    (``repro.serving.sharding._ShardTarget``). A target owns its rows,
-    its id space and its own locking; :class:`SimilarityService` owns
-    everything in front of it. A mutation must be visible to ``search``
-    by the time it returns — the service bumps the cache generation
-    right after.
-    """
-
-    dim: int  #: width of the embeddings the target stores and searches
-    #: Where the target counts its own work; the service registers the
-    #: shared request metrics on the same registry.
-    registry: MetricsRegistry
-
-    def search(self, embedding: np.ndarray, k: int,
-               deadline: Optional[float]
-               ) -> Tuple[Sequence[int], Sequence[float], bool]:
-        """``(ids, distances, partial)`` of the k nearest rows.
-
-        ``partial`` is true when some rows could not be considered.
-        """
-        raise NotImplementedError
-
-    def degraded_search(self, query: Trajectory, k: int
-                        ) -> Optional[Tuple[List[int], List[float]]]:
-        """Approximate ``(ids, pseudo-distances)`` computed without the
-        encoder, or ``None`` when the target has no such path."""
-        return None
-
-    def insert_embeddings(self, embeddings: np.ndarray,
-                          trajectories: Optional[Sequence[Trajectory]],
-                          deadline: Optional[float]) -> List[int]:
-        """Insert ``(n, dim)`` rows; returns the ids the target assigned.
-
-        ``trajectories`` are the rows' sources when the caller has them
-        (an encoder-free fallback index needs the raw points).
-        """
-        raise NotImplementedError
-
-    def delete(self, ids: List[int]) -> int:
-        """Remove rows by id; returns how many were present."""
-        raise NotImplementedError
-
-    def compact(self) -> Dict[int, bool]:
-        """Fold deferred index state; ``{shard: did anything}``."""
-        raise NotImplementedError
-
-    def size(self) -> int:
-        raise NotImplementedError
-
-    def stats(self) -> Dict:
-        """The target's sections of ``stats()``; must include ``store``."""
-        raise NotImplementedError
-
-    def readiness_checks(self) -> Dict[str, bool]:
-        """Target-specific ``/readyz`` checks, added to the shared ones."""
-        return {}
-
-    def refresh_gauges(self) -> None:
-        """Bring pull-style gauges up to date before a metrics render."""
-
-    def close(self) -> None:
-        """Release what the target owns (worker processes, pools)."""
-
-
-class _LocalTarget(SearchTarget):
-    """The in-process target: one :class:`EmbeddingStore`, one lock.
-
-    ``fallback_index`` (a :class:`GridInvertedIndex` over the same ids)
-    is the encoder-free degraded path; inserts that come with their
-    trajectories and every delete keep it in sync with the store.
-    """
-
-    def __init__(self, store: EmbeddingStore,
-                 fallback_index: Optional[GridInvertedIndex],
-                 config: ServingConfig):
-        self.store = store
-        self.fallback_index = fallback_index
-        self.dim = int(store.embeddings.shape[1])
-        self.registry = MetricsRegistry()
-        self._lock = threading.Lock()
-        # Install the configured search backend before the first query;
-        # "keep" preserves a backend attached out-of-band (e.g. a
-        # memory-mapped IVF index built offline).
-        if config.index == "ivf":
-            store.use_backend("ivf", nlist=config.nlist,
-                              nprobe=config.nprobe)
-        elif config.index == "exact" and store.backend.name != "exact":
-            store.use_backend("exact")
-        self._m_candidates = self.registry.counter(
-            "repro_search_candidates_total",
-            "Store rows scanned across all top-k searches.")
-        self._h_candidates = self.registry.histogram(
-            "repro_topk_candidates",
-            "Store rows scanned per top-k query (ANN probes a fraction "
-            "of the database; exact scans all of it).",
-            buckets=(10.0, 100.0, 1000.0, 10000.0, 100000.0, 1000000.0))
-
-    def search(self, embedding, k, deadline):
-        with self._lock:
-            before = self.store.search_stats().get("candidates_scanned", 0)
-            ids, distances = self.store.query_embedding(embedding, k)
-            scanned = (self.store.search_stats().get("candidates_scanned", 0)
-                       - before)
-        if scanned > 0:
-            self._m_candidates.inc(scanned)
-            self._h_candidates.observe(scanned)
-        return ids, distances, False
-
-    def degraded_search(self, query, k):
-        """Rank by grid-cell overlap (no encoder involved).
-
-        Candidates are ranked by how many of the query's (ring-expanded)
-        cells they share; ties break on id for determinism. The
-        pseudo-distance ``1 / (1 + overlap)`` preserves that ranking.
-        """
-        with self._lock:
-            index = self.fallback_index
-            if index is None:
-                return None
-            cells = index.grid.to_cells(np.asarray(query.points))
-            expanded = {(x + dx, y + dy)
-                        for x, y in {(int(cx), int(cy)) for cx, cy in cells}
-                        for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
-            counts = index.match_counts(sorted(expanded))
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-        return ([int(i) for i, _ in ranked],
-                [1.0 / (1.0 + c) for _, c in ranked])
-
-    def insert_embeddings(self, embeddings, trajectories, deadline):
-        with self._lock:
-            assigned = self.store.add_embeddings(embeddings)
-            if self.fallback_index is not None and trajectories is not None:
-                for traj, traj_id in zip(trajectories, assigned):
-                    self.fallback_index.insert(traj_id,
-                                               np.asarray(traj.points))
-        return assigned
-
-    def delete(self, ids):
-        with self._lock:
-            removed = self.store.remove(ids)
-            if self.fallback_index is not None:
-                for traj_id in ids:
-                    self.fallback_index.remove(traj_id)
-        return removed
-
-    def compact(self):
-        """Shard 0 = this process's whole store; ``False`` means the
-        active backend has no deferred state (the exact scan)."""
-        with self._lock:
-            compact = getattr(self.store.backend, "compact", None)
-            if compact is None:
-                return {0: False}
-            compact()
-            return {0: True}
-
-    def size(self):
-        with self._lock:
-            return len(self.store)
-
-    def stats(self):
-        with self._lock:
-            return {"store": {"size": len(self.store),
-                              "next_id": self.store.next_id,
-                              "search_backend": self.store.search_stats()}}
-
-
 class SimilarityService:
     """Online trajectory-similarity queries: encoder + search target.
 
@@ -388,8 +276,10 @@ class SimilarityService:
         :class:`~repro.exceptions.NotFittedError`.
     store:
         :class:`EmbeddingStore` holding the database embeddings (the
-        O(N·d) search side; mutated in place by ``insert``/``delete``),
-        or any other :class:`SearchTarget`.
+        O(N·d) search side). It becomes one shard served in process:
+        the shard adopts the object, installs ``config.index`` on it and
+        mutates it in place on ``insert``/``delete`` (``self.store``).
+        :class:`ShardedService` passes its forked target here instead.
     config:
         :class:`ServingConfig`; defaults are sensible for tests.
     probes:
@@ -399,20 +289,36 @@ class SimilarityService:
         store; enables the degraded ``top_k`` path while the encoder
         breaker is open. Kept in sync by ``insert``/``delete``. Without
         it, breaker-open queries raise :class:`ServiceUnavailableError`.
+    durable_dir:
+        Write-ahead log + snapshot root: every ``insert``/``delete`` is
+        fsynced before it is acknowledged and recovered by the next
+        service over the same base (a snapshot then supersedes ``store``).
+    base_tag:
+        Fingerprint of the on-disk bytes ``store`` was loaded from, which
+        ``durable_dir`` requires; :meth:`from_bundle` supplies it.
     """
 
     def __init__(self, model: Optional[MetricModel],
-                 store: Union[EmbeddingStore, SearchTarget],
+                 store: Union[EmbeddingStore, _ShardTarget],
                  config: Optional[ServingConfig] = None,
                  probes: Optional[Sequence[Trajectory]] = None,
-                 fallback_index: Optional[GridInvertedIndex] = None):
+                 fallback_index: Optional[GridInvertedIndex] = None,
+                 durable_dir: Optional[PathLike] = None,
+                 base_tag: Optional[str] = None):
         self.config = config or ServingConfig()
         self._adopt_model(model)
-        self.target = (store if isinstance(store, SearchTarget) else
-                       _LocalTarget(store, fallback_index, self.config))
-        # The in-process target's pieces, for callers that hold them.
-        self.store = getattr(self.target, "store", None)
-        self.fallback_index = getattr(self.target, "fallback_index", None)
+        if isinstance(store, _ShardTarget):
+            self.target = store
+        else:
+            # One in-process shard has no pipe to time out and no
+            # standby: the forked tier's own knobs keep their defaults.
+            sharded = (self.config if isinstance(self.config, ShardedConfig)
+                       else ShardedConfig(**vars(self.config)))
+            self.target = _ShardTarget(store, sharded,
+                                       durable_dir=durable_dir,
+                                       base_tag=base_tag)
+        self.store = self.target.store
+        self.fallback_index = fallback_index
         self.probes: List[Trajectory] = list(probes or [])
         self.stream = None  # optional StreamIngestor; see attach_stream()
         self.registry = self.target.registry
@@ -475,8 +381,8 @@ class SimilarityService:
             reset_timeout_s=self.config.breaker_reset_s,
             on_transition=lambda old, new: self._m_breaker_transitions.inc())
 
-        # The batcher's worker is the first thread this object starts: a
-        # target that forks processes has done so before it got here.
+        # A target that forks processes has done so before it got here;
+        # only then does the batcher's worker thread start.
         self._batcher: Optional[MicroBatcher] = None
         if model is not None:
             self._batcher = MicroBatcher(
@@ -492,13 +398,25 @@ class SimilarityService:
     def from_bundle(cls, bundle: Union[Bundle, PathLike],
                     config: Optional[ServingConfig] = None,
                     verify: bool = True,
-                    fallback_index: Optional[GridInvertedIndex] = None
+                    fallback_index: Optional[GridInvertedIndex] = None,
+                    durable_dir: Optional[PathLike] = None
                     ) -> "SimilarityService":
-        """Build a service from a :class:`Bundle` or a bundle directory."""
+        """Build a service from a :class:`Bundle` or a bundle directory.
+
+        With ``durable_dir`` the log's base is the manifest's sha256 of
+        ``store.npz`` (a fixed tag for a bundle without a store), so a
+        bundle replaced under the same directory starts a fresh log.
+        """
         if not isinstance(bundle, Bundle):
             bundle = load_bundle(bundle, verify=verify)
+        files = bundle.manifest.get("files", {})
+        if STORE_FILE in files:
+            base_tag = files[STORE_FILE]["sha256"]
+        else:  # no tag for rows no manifest vouches for (a hand-built Bundle)
+            base_tag = None if len(bundle.store) else _EMPTY_STORE_BASE
         return cls(bundle.model, bundle.store, config=config,
-                   probes=bundle.probes, fallback_index=fallback_index)
+                   probes=bundle.probes, fallback_index=fallback_index,
+                   durable_dir=durable_dir, base_tag=base_tag)
 
     def _adopt_model(self, model: Optional[MetricModel]) -> None:
         """Install the encoder and what derives from it.
@@ -721,7 +639,7 @@ class SimilarityService:
         except Exception as exc:
             if (isinstance(exc, ServiceUnavailableError)
                     or self.breaker.state == "open"):
-                degraded = self.target.degraded_search(query, k)
+                degraded = self._degraded_search(query, k)
                 if degraded is not None:
                     self._m_queries.inc()
                     self._m_degraded.inc()
@@ -745,6 +663,28 @@ class SimilarityService:
         return TopKResult(ids=[int(i) for i in ids],
                           distances=[float(d) for d in distances],
                           quality=quality, partial=partial)
+
+    def _degraded_search(self, query: Trajectory, k: int
+                         ) -> Optional[Tuple[List[int], List[float]]]:
+        """Approximate ``(ids, pseudo-distances)`` by grid-cell overlap,
+        no encoder involved; ``None`` without a fallback index.
+
+        Candidates are ranked by how many of the query's (ring-expanded)
+        cells they share; ties break on id for determinism. The
+        pseudo-distance ``1 / (1 + overlap)`` preserves that ranking.
+        """
+        with self._lock:
+            index = self.fallback_index
+            if index is None:
+                return None
+            cells = index.grid.to_cells(np.asarray(query.points))
+            expanded = {(x + dx, y + dy)
+                        for x, y in {(int(cx), int(cy)) for cx, cy in cells}
+                        for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+            counts = index.match_counts(sorted(expanded))
+        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+        return ([int(i) for i, _ in ranked],
+                [1.0 / (1.0 + c) for _, c in ranked])
 
     # --------------------------------------------------------------- mutation
 
@@ -794,14 +734,18 @@ class SimilarityService:
                      trajectories: Optional[List[Trajectory]],
                      deadline: Optional[float]) -> List[int]:
         try:
-            assigned = self.target.insert_embeddings(embeddings, trajectories,
-                                                     deadline)
+            assigned = self.target.insert_embeddings(embeddings, deadline)
         except PartialWriteError as exc:
             self._m_inserts.inc(len(exc.applied_ids))
             raise
         finally:
             self._bump_generation()  # rows that landed are searchable
         self._m_inserts.inc(len(assigned))
+        with self._lock:
+            if self.fallback_index is not None and trajectories is not None:
+                for traj, traj_id in zip(trajectories, assigned):
+                    self.fallback_index.insert(traj_id,
+                                               np.asarray(traj.points))
         return assigned
 
     def delete(self, ids: Sequence[int]) -> int:
@@ -818,6 +762,10 @@ class SimilarityService:
             finally:
                 self._bump_generation()
             self._m_deletes.inc(removed)
+            with self._lock:
+                if self.fallback_index is not None:
+                    for traj_id in id_list:
+                        self.fallback_index.remove(traj_id)
             return removed
 
     # ----------------------------------------------------------- maintenance
@@ -825,9 +773,10 @@ class SimilarityService:
     def compact(self) -> Dict[int, bool]:
         """Fold pending inserts/tombstones on the target's index(es).
 
-        Returns ``{shard: compacted}`` (the in-process store is shard
+        Returns ``{shard: compacted}`` (an in-process store is shard
         0); ``False`` means that backend has nothing to compact (the
-        exact scan has no deferred state).
+        exact scan has no deferred state). A durable service also
+        snapshots every shard and truncates its log behind it.
         """
         return self.target.compact()
 
@@ -940,6 +889,8 @@ class SimilarityService:
         """JSON-friendly operational snapshot (also the ``/v1/stats`` body)."""
         with self._lock:
             generation = self._generation
+            fallback = (None if self.fallback_index is None
+                        else {"size": self.fallback_index.size})
         stats = self.target.stats()
         stats["store"].update(
             generation=generation, embedding_dim=self.target.dim,
@@ -953,8 +904,7 @@ class SimilarityService:
             "resilience": {
                 "breaker": self.breaker.stats(),
                 "admission": self._gate.stats(),
-                "fallback_index": (None if self.fallback_index is None else
-                                   {"size": self.fallback_index.size}),
+                "fallback_index": fallback,
             },
             "readiness": self.readiness(),
             "stream": None if self.stream is None else self.stream.stats(),
@@ -989,3 +939,130 @@ class SimilarityService:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _load_encoder(bundle_dir: Optional[Path], dim: int):
+    """The coordinator's encoder from ``bundle_dir`` (``None`` in, ``None``
+    out: a search-only tier), checked against the partitions' ``dim``."""
+    if bundle_dir is None:
+        return None
+    model, _ = load_bundle_model(bundle_dir)
+    if model.config.embedding_dim != dim:
+        raise ConfigurationError(
+            f"bundle embedding_dim {model.config.embedding_dim} != "
+            f"partition manifest {dim}")
+    return model
+
+
+class ShardedService(SimilarityService):
+    """:class:`SimilarityService` over N forked shard worker processes.
+
+    The whole request path — validation, sanitize mode, admission,
+    deadlines, the result cache, breaker-guarded micro-batched encoding,
+    ``stats``/``readiness``/metrics, ``close`` — is the inherited one;
+    this class only builds the target from a partition directory (which
+    forks a worker per partition) and adds the operations an in-process
+    store has no use for.
+
+    Parameters
+    ----------
+    partition_dir:
+        Directory written by :func:`repro.core.partition.save_partitions`
+        (or ``python -m repro shard-tool split``); fixes the shard count.
+    bundle_dir:
+        Serving bundle whose model becomes the coordinator's encoder
+        (workers only ever see embeddings). ``None`` builds a
+        *search-only* tier: ``query_embedding``/``insert_embeddings``
+        work, trajectory entry points raise
+        :class:`~repro.exceptions.NotFittedError`.
+    config:
+        :class:`ShardedConfig`.
+    request_hooks:
+        ``{shard_id: hook}`` fault-injection hooks; each worker calls
+        ``hook.trigger()`` before every request (see
+        :class:`repro.testing.faults.KillWorkerOnce`).
+    durable_dir:
+        Root directory for per-shard WALs and snapshots. ``None`` keeps
+        mutations in worker memory only: restarts rebuild from the
+        partition files.
+    wal_hooks:
+        ``{shard_id: hook}`` crash-injection hooks fired inside the
+        primary's WAL append path (see
+        :class:`repro.testing.faults.KillAtWALPoint`).
+    """
+
+    def __init__(self, partition_dir: PathLike,
+                 bundle_dir: Optional[PathLike] = None,
+                 config: Optional[ShardedConfig] = None,
+                 request_hooks: Optional[Dict] = None,
+                 durable_dir: Optional[PathLike] = None,
+                 wal_hooks: Optional[Dict] = None):
+        config = config or ShardedConfig()
+        # Fork-before-threads: the target forks every worker here; the
+        # first coordinator thread (the micro-batcher) only starts in
+        # super().__init__ below.
+        target = _ShardTarget(partition_dir, config, durable_dir=durable_dir,
+                              request_hooks=request_hooks,
+                              wal_hooks=wal_hooks)
+        try:
+            self.bundle_dir = None if bundle_dir is None else Path(bundle_dir)
+            super().__init__(_load_encoder(self.bundle_dir, target.dim),
+                             target, config)
+        except Exception:
+            target.close()  # primaries *and* standbys: nothing survives
+            raise
+        self.num_shards = target.num_shards
+
+    def reload(self, partition_dir: Optional[PathLike] = None,
+               bundle_dir: Optional[PathLike] = None) -> Dict:
+        """Zero-downtime flip to a new partition/bundle generation.
+
+        Two phases: every worker *prepares* (loads the new generation
+        alongside the one still serving), then every worker *activates*
+        (atomic in-worker swap; the worker is serial, so no request ever
+        sees a half-flipped store) and the coordinator swaps its own
+        encoder and id state and retires the result cache. Any prepare
+        failure aborts everywhere and the old generation keeps serving —
+        :class:`ReloadError`.
+
+        The shard count is fixed for the life of the tier; resharding is
+        the offline ``shard-tool split`` + restart path.
+        """
+        bundle = self.bundle_dir if bundle_dir is None else Path(bundle_dir)
+        try:
+            new_model = _load_encoder(bundle, self.target.dim)
+        except ConfigurationError as exc:
+            raise ReloadError(str(exc)) from exc
+        report = self.target.reload(partition_dir)
+        self.bundle_dir = bundle
+        if new_model is not None:
+            self._adopt_model(new_model)
+        report["generation"] = self._bump_generation()
+        return report
+
+    def restart_shard(self, shard_id: int) -> Dict:
+        """Respawn one worker from its current boot spec (admin path).
+
+        On a durable tier the restarted worker recovers snapshot + WAL,
+        and the coordinator re-adopts its id space so recovered rows
+        survive the restart id-identically; without one the worker
+        rebuilds from its partition file, so cached answers are retired
+        either way.
+        """
+        stats = self.target.restart_shard(shard_id)
+        self._bump_generation()
+        return stats
+
+    @property
+    def ring(self) -> HashRing:
+        """The id-routing ring (identical to shard-tool split's)."""
+        return self.target._ring
+
+    @property
+    def shards(self) -> List[_ShardHandle]:
+        """Per-shard handles — a read-only diagnostics surface."""
+        return list(self.target._shards)
+
+    def shard_busy_seconds(self) -> List[float]:
+        """Cumulative worker-side busy time per shard (bench input)."""
+        return [h.busy_seconds() for h in self.target._shards]

@@ -1,16 +1,20 @@
-"""The worker half of the sharded tier: one partition, one op table.
+"""The worker half of every deployment: one shard, one op table.
 
-A shard worker owns one consistent-hash partition of the embedding
-table as an :class:`~repro.core.store.EmbeddingStore` (no encoder: every
-vector it stores or searches was computed by the coordinator) and, on a
-durable tier, the partition's :class:`~repro.serving.wal.DurableLog`.
+A shard worker owns one shard of the embedding table as an
+:class:`~repro.core.store.EmbeddingStore` (no encoder: every vector it
+stores or searches was computed by the coordinator) and, on a durable
+tier, the shard's :class:`~repro.serving.wal.DurableLog`.
 :class:`_ShardWorker` is that state plus one ``op_<name>(payload)``
-method per request the coordinator sends, usable in-process (tests);
-:func:`_shard_worker_main` is the forked process's pipe loop around it.
+method per request the coordinator sends. A local service runs one
+worker in process over the caller's store; the sharded tier forks one
+per consistent-hash partition, and :func:`_shard_worker_main` is the
+forked process's pipe loop around it.
 
 Boot spec (``_ShardTarget._boot_spec`` always sends every key):
-``partition_dir``, ``index``/``nlist``/``nprobe`` (the shard-local
-backend), ``durable_dir`` (``None`` = memory only),
+``partition_dir`` (``None`` for an in-process worker, which is handed
+its store), ``index``/``nlist``/``nprobe`` (the backend the worker
+installs), ``durable_dir`` (``None`` = memory only), ``base_tag`` (the
+fingerprint of the base bytes the log composes with),
 ``fsync_window_ms``/``wal_segment_bytes``, and ``role`` (``"primary"``
 appends to the log, ``"replica"`` tails it).
 """
@@ -25,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.partition import load_partition, load_partition_manifest
+from ..core.partition import load_partition
 from ..core.store import EmbeddingStore
 from ..exceptions import ReloadError
 from .wal import OP_DELETE, OP_INSERT, DurableLog, WALGapError
@@ -35,9 +39,14 @@ _LOG = logging.getLogger(__name__)
 _BOOT_REQ_ID = 0  # the worker's unsolicited "I'm up" message
 
 
+def _backend_options(boot: Dict) -> Dict:
+    return ({"nlist": boot["nlist"], "nprobe": boot["nprobe"]}
+            if boot["index"] == "ivf" else {})
+
+
 def _mutate(store: EmbeddingStore, op: int, ids, embeddings=None,
             log: Optional[DurableLog] = None) -> np.ndarray:
-    """The only code that changes a shard store; returns the ids changed.
+    """The only code that changes a served store; returns the ids changed.
 
     Idempotent by id (an insert keeps the rows not yet present, a delete
     the ids still present), so a coordinator retry after failover or a
@@ -64,13 +73,22 @@ def _mutate(store: EmbeddingStore, op: int, ids, embeddings=None,
 class _ShardWorker:
     """One shard's state — ``(store, log, boot, staged, generation)`` —
     and the ops on it. ``log`` is ``None`` on a non-durable tier;
-    ``staged`` is the ``(store, boot)`` a reload prepared."""
+    ``staged`` is the ``(store, boot)`` a reload prepared.
 
-    def __init__(self, shard_id: int, boot: Dict, wal_hook=None):
+    ``store`` (an in-process worker) is adopted as the base, not copied:
+    it gets the boot spec's backend, then the log's replay. A committed
+    snapshot supersedes it, as it supersedes a partition file.
+    """
+
+    def __init__(self, shard_id: int, boot: Dict, wal_hook=None,
+                 store: Optional[EmbeddingStore] = None):
         self.shard_id = shard_id
         self._wal_hook = wal_hook
         self.boot = dict(boot)
-        self.store, self.log = self._open(self.boot, self.boot["role"])
+        if store is not None:
+            store.use_backend(boot["index"], **_backend_options(boot))
+        self.store, self.log = self._open(self.boot, self.boot["role"],
+                                          base=store)
         self.staged: Optional[Tuple[EmbeddingStore, Dict]] = None
         self.generation = 0
 
@@ -79,8 +97,7 @@ class _ShardWorker:
     def _load_store(self, boot: Dict,
                     snapshot: Optional[Path] = None) -> EmbeddingStore:
         """The shard's rows: a committed snapshot, else its partition."""
-        options = ({"nlist": boot["nlist"], "nprobe": boot["nprobe"]}
-                   if boot["index"] == "ivf" else {})
+        options = _backend_options(boot)
         if snapshot is not None:
             return EmbeddingStore.load(snapshot, model=None,
                                        backend=boot["index"], **options)
@@ -91,16 +108,14 @@ class _ShardWorker:
               base: Optional[EmbeddingStore] = None
               ) -> Tuple[EmbeddingStore, Optional[DurableLog]]:
         """Recover one generation: snapshot (or ``base``, or the
-        partition) plus everything the log holds past it. The log's base
-        tag is the partition file's sha256: snapshot + log only compose
-        with the exact bytes they were recorded against, so a reload
-        onto new bytes resets them."""
+        partition) plus everything the log holds past it. Snapshot + log
+        only compose with the exact bytes they were recorded against —
+        the boot spec's ``base_tag`` — so new bytes reset them."""
         if boot["durable_dir"] is None:
             return (self._load_store(boot) if base is None else base), None
-        manifest = load_partition_manifest(boot["partition_dir"])
         log = DurableLog(
             Path(boot["durable_dir"]) / f"shard-{self.shard_id:04d}",
-            str(manifest["shards"][self.shard_id]["sha256"]), role=role,
+            boot["base_tag"], role=role,
             segment_bytes=boot["wal_segment_bytes"],
             fsync_window_ms=boot["fsync_window_ms"], hook=self._wal_hook)
         try:
@@ -152,10 +167,14 @@ class _ShardWorker:
         return method(payload)
 
     def op_search(self, payload):
+        """``(ids, distances, rows scanned)``."""
         embedding, k = payload
         if len(self.store) == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
-        return self.store.query_embedding(embedding, k)
+            return np.zeros(0, dtype=np.int64), np.zeros(0), 0
+        stats = self.store.search_stats
+        before = stats().get("candidates_scanned", 0)
+        ids, distances = self.store.query_embedding(embedding, k)
+        return ids, distances, stats().get("candidates_scanned", 0) - before
 
     def op_ids(self, _payload):
         return sorted(int(i) for i in self.store.ids)

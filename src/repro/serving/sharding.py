@@ -1,102 +1,83 @@
-"""Sharded scatter-gather serving tier.
+"""The search target: one coordinator over N shards, in process or forked.
 
-Scales :class:`~repro.serving.service.SimilarityService` past one GIL by
-splitting the embedding store across N worker *processes*, each owning
-one consistent-hash partition (see :mod:`repro.core.partition`) with its
-own :class:`~repro.core.backends.SearchBackend` and no encoder. The
-worker half lives in :mod:`repro.serving.shard_worker`; this module is
-the parent side, which is the same query pipeline over a different
-:class:`~repro.serving.service.SearchTarget`: :class:`ShardedService`
-*is* a ``SimilarityService`` (validation, sanitize mode, admission,
-deadlines, result cache, breaker-guarded micro-batched encoding, metrics
-are inherited, not re-implemented) whose target, ``_ShardTarget``, is
-the coordinator:
+:class:`~repro.serving.service.SimilarityService` is the only request
+pipeline and ``_ShardTarget`` is the only thing it searches and mutates.
+Each shard is a :class:`~repro.serving.shard_worker._ShardWorker` behind
+a handle, and the handle kind follows from what the caller passes: a
+**store** is one shard called in process (``_InProcessHandle``: no
+fork, no pipe, no scatter pool), a **partition directory** is one
+forked worker per consistent-hash partition (``_ShardHandle``: pipe +
+process + circuit breaker; see :mod:`repro.core.partition`). Every
+shape then behaves the same way:
 
 * **Queries** arrive as the *embedding* the pipeline already encoded,
-  fan out to every shard in parallel, and merge per-shard top-k with the
-  deterministic ``(distance, id)`` order
-  (:func:`~repro.serving.router.merge_top_k`) — so a sharded answer is
-  id-identical to the single-store exact scan.
+  fan out to every shard (in parallel when there are several), and
+  merge per-shard top-k with the deterministic ``(distance, id)`` order
+  (:func:`~repro.serving.router.merge_top_k`) — so an answer is
+  id-identical to the single-store exact scan. Each reply carries the
+  rows its shard scanned, which the target counts.
 * **Mutations** route to exactly one shard by hashing the trajectory id
-  on the ring; the coordinator owns the global id space.
-* **Failures** are per-shard: each worker sits behind its own
+  on the ring; the coordinator owns the global id space. The worker's
+  ``_mutate`` is the one writer of every served store, so with a
+  ``durable_dir`` (:mod:`repro.serving.wal`) every shape logs, against
+  the base bytes it booted from, before it acknowledges.
+* **Failures** are per-shard: each forked worker sits behind its own
   :class:`~repro.resilience.CircuitBreaker`, and a dead/slow/tripped
   shard drops out of the scatter — the query still answers from the
   surviving shards, flagged ``partial=True`` — until every shard is
-  unavailable (:class:`~repro.exceptions.ShardUnavailableError`).
-* **Reload** is zero-downtime and two-phase: ``prepare`` loads the new
-  partition generation in every worker *alongside* the old one
-  (requests keep answering from the old), then ``activate`` flips each
-  worker and the coordinator's encoder atomically; any prepare failure
-  aborts the whole reload and the old generation keeps serving. A flip
-  retires the result cache through the same generation bump a mutation
-  does.
+  unavailable (:class:`~repro.exceptions.ShardUnavailableError`). With
+  ``config.replicas > 0`` a warm standby tailing the primary's acked WAL
+  is promoted instead, and a replacement standby is forked behind it.
+* **Reload** (forked shards only) is zero-downtime and two-phase:
+  ``prepare`` loads the new partition generation in every worker
+  *alongside* the old one, then ``activate`` flips each worker; any
+  prepare failure aborts the whole reload and the old generation keeps
+  serving.
 
-Worker protocol (one ``multiprocessing`` pipe per shard, request serial
-per worker): requests are ``(req_id, op, payload)`` tuples, replies are
-``(req_id, status, result, busy_s)`` where ``busy_s`` is the worker-side
-CPU time spent on the request — the input to the critical-path
-throughput model in ``benchmarks/bench_sharded_serving.py``. The parent
-matches replies by ``req_id`` and silently drains stale replies left by
-timed-out calls, so one slow request can never mis-pair a later one.
-Workers are spawned with the ``fork`` start method **before** the
-coordinator starts any threads — ``ShardedService`` builds the target
-(which forks) first and only then runs the pipeline's constructor, which
-starts the micro-batcher; forking a threaded process is undefined
-behaviour.
-
-Fault injection: ``request_hooks={shard_id: hook}`` installs an object
-whose ``trigger()`` runs in the worker before each request —
-:class:`repro.testing.faults.KillWorkerOnce` slots in directly, which is
-how the degraded-mode tests kill exactly one shard exactly once.
-``wal_hooks={shard_id: hook}`` reaches deeper: the hook fires inside the
-WAL append path (``after_write`` / ``before_fsync`` / ``after_fsync``),
-which is how the crash-chaos tests kill a worker mid-group-commit.
-
-Durability (``durable_dir=...``): each worker keeps a per-shard
-write-ahead log (:mod:`repro.serving.wal`) and acknowledges a mutation
-only after its record is fsynced, so ``restart_shard`` and a cold
-coordinator start recover to an id-identical store (snapshot + WAL
-replay) including the coordinator's ``_next_id``. With
-``config.replicas > 0`` each shard also runs warm-standby workers that
-tail the primary's acked WAL; when a primary dies the coordinator
-*promotes* a replica (it catches up to the end of the log, repairs any
-torn tail, and takes over the WAL for append) instead of degrading to a
-partial answer, then respawns a replacement replica that rebuilds from
-the shared snapshot+WAL. The old primary is always torn down before
-promotion so the log never has two appenders.
+Forked workers speak ``(req_id, op, payload)`` down and ``(req_id,
+status, result, busy_s)`` up a pipe (see :func:`_shard_worker_main`),
+and are forked *before* the coordinator starts any thread. The
+fault-injection seams (``request_hooks``, ``wal_hooks``) are described
+on ``ShardedService``.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import multiprocessing
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from multiprocessing.connection import wait as _mp_wait
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..core.partition import HashRing, load_partition_manifest
+from ..core.store import EmbeddingStore
 from ..exceptions import (ConfigurationError, CorruptArtifactError,
                           PartialWriteError, ReloadError,
                           ReproError, ServiceClosedError,
                           ShardUnavailableError)
 from ..resilience.breaker import CLOSED as _BREAKER_CLOSED
 from ..resilience.breaker import CircuitBreaker
-from .bundle import load_bundle_model
 from .metrics import MetricsRegistry
 from .router import group_by_shard, merge_top_k
-from .service import SearchTarget, ServingConfig, SimilarityService
-from .shard_worker import _BOOT_REQ_ID, _shard_worker_main
+from .shard_worker import _BOOT_REQ_ID, _ShardWorker, _shard_worker_main
+
+if TYPE_CHECKING:
+    from .service import ShardedConfig
 
 PathLike = Union[str, Path]
 
-__all__ = ["ShardedConfig", "ShardedService", "ShardRequestError"]
+__all__ = ["ShardRequestError"]
 
 _LOG = logging.getLogger(__name__)
+
+#: Search counters that add up across shards (rows held, work done).
+_ADDITIVE_SEARCH_STATS = frozenset({
+    "candidates_scanned", "cells_probed", "reranked", "ntotal", "live",
+    "pending", "tombstones"})
 
 
 class ShardRequestError(ReproError):
@@ -109,65 +90,7 @@ class ShardRequestError(ReproError):
     """
 
 
-@dataclass
-class ShardedConfig(ServingConfig):
-    """:class:`ServingConfig` plus the sharded tier's own tunables.
-
-    Every inherited field keeps its meaning on the coordinator
-    (``index``/``nlist``/``nprobe`` configure each shard's local
-    backend, and ``index="keep"`` has nothing to keep here); the
-    breaker pair also configures every per-shard transport breaker, and
-    defaults tighter than the single-process service's because a dead
-    worker should drop out of the scatter after a few requests, not
-    thirty seconds.
-
-    Attributes
-    ----------
-    request_timeout_s:
-        Per-shard call timeout: a shard that does not answer within this
-        window is treated as unavailable for that request (and the
-        failure counts toward its breaker).
-    boot_timeout_s:
-        How long to wait for a worker to load its partition at startup,
-        restart, and reload-prepare.
-    fsync_window_ms:
-        Group-commit window for durable tiers: 0 fsyncs on every ack;
-        a positive window batches fsyncs, trading up to that much ack
-        latency for amortised disk flushes under concurrent writers.
-    wal_segment_bytes:
-        WAL log-rotation threshold per shard.
-    replicas:
-        Warm-standby workers per shard tailing the primary's acked WAL;
-        requires ``durable_dir`` on the service. 0 disables replication.
-    """
-
-    breaker_failure_threshold: int = 3
-    breaker_reset_s: float = 5.0
-    request_timeout_s: float = 30.0
-    boot_timeout_s: float = 120.0
-    fsync_window_ms: float = 0.0
-    wal_segment_bytes: int = 64 << 20
-    replicas: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.index == "keep":
-            raise ConfigurationError(
-                "index must be 'exact' or 'ivf' on the sharded tier, got "
-                "'keep'")
-        if self.request_timeout_s <= 0:
-            raise ConfigurationError("request_timeout_s must be positive")
-        if self.boot_timeout_s <= 0:
-            raise ConfigurationError("boot_timeout_s must be positive")
-        if self.fsync_window_ms < 0:
-            raise ConfigurationError("fsync_window_ms must be >= 0")
-        if self.wal_segment_bytes < 4096:
-            raise ConfigurationError("wal_segment_bytes must be >= 4096")
-        if self.replicas < 0:
-            raise ConfigurationError("replicas must be >= 0")
-
-
-# --------------------------------------------------------------- parent side
+# --------------------------------------------------------------- handles
 
 
 class _ShardHandle:
@@ -363,62 +286,156 @@ class _ShardHandle:
             return self._busy_s
 
 
-class _ShardTarget(SearchTarget):
-    """Scatter-gather :class:`SearchTarget` over N shard worker processes.
+class _InProcessHandle:
+    """One shard on the calling thread: the worker's op table under one
+    lock. :class:`_ShardHandle`'s surface without a transport, so with no
+    timeout and no breaker; a worker-side exception is a
+    :class:`ShardRequestError`, a call after :meth:`close` a
+    :class:`~repro.exceptions.ServiceClosedError`."""
 
-    Owns what only a sharded tier has: the forked workers and their
-    standbys, failover/promotion, partial answers,
-    :class:`PartialWriteError`, and the global id space. Constructing
-    it forks every worker, so it must happen before the owning process
-    starts a thread (see :class:`ShardedService`).
+    breaker = None  # nothing between caller and worker can fail
+
+    def __init__(self, worker: _ShardWorker):
+        self.shard_id = worker.shard_id
+        self.worker = worker
+        self._lock = threading.Lock()
+        self._closed = False
+        self._requests = 0
+        self._busy_s = 0.0  # CPU time of the calling threads
+
+    def call(self, op: str, payload, timeout: Optional[float] = None):
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError(f"shard {self.shard_id} is closed")
+            start = time.thread_time()
+            try:
+                return self.worker.handle(op, payload)
+            except Exception as exc:
+                raise ShardRequestError(
+                    f"shard {self.shard_id}: {type(exc).__name__}: "
+                    f"{exc}") from exc
+            finally:
+                self._requests += 1
+                self._busy_s += time.thread_time() - start
+
+    @property
+    def alive(self) -> bool:
+        return self.stats()["alive"]
+
+    def busy_seconds(self) -> float:
+        return self.stats()["busy_seconds"]
+
+    def stats(self) -> Dict:
+        with self._lock:
+            return {"shard": self.shard_id, "alive": not self._closed,
+                    "requests": self._requests, "transport_failures": 0,
+                    "busy_seconds": self._busy_s, "breaker": None}
+
+    def close(self) -> None:
+        with self._lock:
+            if not self._closed:
+                self._closed = True
+                self.worker.close()
+
+
+# ---------------------------------------------------------------- target
+
+
+def _merged_search_stats(searches: List[Dict]) -> Dict:
+    """N shards' search counters as one backend's: rows held and work
+    done add up, every query reaches every shard, and the settings
+    (kind, nprobe, ...) are shard 0's. One shard's pass through as-is."""
+    if not searches:
+        return {}
+    merged = dict(searches[0])
+    for key in _ADDITIVE_SEARCH_STATS.intersection(merged):
+        merged[key] = sum(s[key] for s in searches)
+    merged["queries"] = max(s["queries"] for s in searches)
+    return merged
+
+
+class _ShardTarget:
+    """The coordinator over N shards: what the pipeline searches and
+    mutates.
+
+    ``source`` picks the handle kind. An :class:`EmbeddingStore` becomes
+    one in-process shard whose worker adopts it (``self.store``; a
+    ``durable_dir`` then needs the ``base_tag`` of the bytes it was
+    loaded from). A partition directory becomes one forked worker per
+    partition, plus ``config.replicas`` standbys each. Owns the global
+    id space, the merge, partial answers, :class:`PartialWriteError`,
+    failover and reload. Constructing a forked target forks every
+    worker, so it must happen before the owning process starts a thread
+    (see ``ShardedService``).
     """
 
-    def __init__(self, partition_dir: PathLike, config: ShardedConfig,
-                 request_hooks: Optional[Dict],
-                 durable_dir: Optional[PathLike],
-                 wal_hooks: Optional[Dict]):
+    def __init__(self, source: Union[EmbeddingStore, PathLike],
+                 config: "ShardedConfig",
+                 durable_dir: Optional[PathLike] = None,
+                 base_tag: Optional[str] = None,
+                 request_hooks: Optional[Dict] = None,
+                 wal_hooks: Optional[Dict] = None):
         self.config = config
-        self.partition_dir = Path(partition_dir)
         self.durable_dir = None if durable_dir is None else Path(durable_dir)
-        if self.config.replicas > 0 and self.durable_dir is None:
+        in_process = isinstance(source, EmbeddingStore)
+        if config.replicas > 0 and (in_process or durable_dir is None):
             raise ConfigurationError(
-                "replicas require durable_dir: a standby tails the "
-                "primary's WAL, which only exists on a durable tier")
-        manifest = load_partition_manifest(self.partition_dir)
-        self.num_shards = int(manifest["num_shards"])
-        self.dim = int(manifest["embedding_dim"])
-        self._ring = HashRing(self.num_shards,
-                              vnodes=int(manifest["vnodes"]))
-        hooks, wal_hooks = request_hooks or {}, wal_hooks or {}
-        # Workers MUST fork before any coordinator thread exists
-        # (micro-batcher, scatter pool): forking a threaded process can
-        # deadlock the child on locks held by threads that don't exist
-        # there.
-        self._ctx = multiprocessing.get_context("fork")
-        self._shards: List[_ShardHandle] = []
-        self._replicas: Dict[int, List[_ShardHandle]] = {
-            s: [] for s in range(self.num_shards)}
-        try:
-            for shard_id in range(self.num_shards):
-                self._shards.append(self._spawn_handle(
-                    shard_id, "primary", hooks.get(shard_id),
-                    wal_hooks.get(shard_id)))
-            for shard_id in range(self.num_shards):
-                for _ in range(self.config.replicas):
-                    self._replicas[shard_id].append(
-                        self._spawn_handle(shard_id, "replica"))
-        except Exception:
-            for handle in self._all_handles():
-                handle.close()
-            raise
+                "replicas need forked shards and a durable_dir: a standby "
+                "tails the WAL of a primary in another process")
+        if in_process:
+            if self.durable_dir is not None and base_tag is None:
+                raise ConfigurationError(
+                    "durable_dir needs the base_tag of the on-disk bytes "
+                    "the store was loaded from (from_bundle supplies it)")
+            self.partition_dir = None
+            worker = _ShardWorker(0, self._boot_spec(None, base_tag),
+                                  store=source)
+            self.store: Optional[EmbeddingStore] = worker.store
+            self._shards: List = [_InProcessHandle(worker)]
+            self._replicas: Dict[int, List[_ShardHandle]] = {0: []}
+            dim, vnodes = worker.store.embeddings.shape[1], 1
+            next_id, count = worker.store.next_id, len(worker.store)
+        else:
+            self.partition_dir = Path(source)
+            self.store = None
+            manifest = load_partition_manifest(self.partition_dir)
+            self._partition_tags = [str(entry["sha256"])
+                                    for entry in manifest["shards"]]
+            dim, vnodes = manifest["embedding_dim"], manifest["vnodes"]
+            next_id, count = manifest["next_id"], manifest["total_count"]
+            hooks, wal_hooks = request_hooks or {}, wal_hooks or {}
+            # Workers MUST fork before any coordinator thread exists
+            # (micro-batcher, scatter pool): forking a threaded process
+            # can deadlock the child on locks held by threads that don't
+            # exist there.
+            self._ctx = multiprocessing.get_context("fork")
+            self._shards = []
+            self._replicas = {s: [] for s in range(len(manifest["shards"]))}
+            try:
+                for shard_id in self._replicas:
+                    self._shards.append(self._spawn_handle(
+                        shard_id, "primary", hooks.get(shard_id),
+                        wal_hooks.get(shard_id)))
+                for shard_id, standbys in self._replicas.items():
+                    for _ in range(self.config.replicas):
+                        standbys.append(self._spawn_handle(shard_id,
+                                                           "replica"))
+            except Exception:
+                for handle in self._all_handles():
+                    handle.close()
+                raise
+        self.num_shards = len(self._shards)
+        self.dim = int(dim)
+        self._ring = HashRing(self.num_shards, vnodes=int(vnodes))
         self._lock = threading.Lock()
-        self._next_id = int(manifest["next_id"])
-        self._count = int(manifest["total_count"])
+        self._next_id = int(next_id)
+        self._count = int(count)
         self._failover_lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(2, self.num_shards),
-            thread_name_prefix="repro-scatter")
-        if self.durable_dir is not None:
+        # One shard is always called inline (see _scatter).
+        self._pool = (ThreadPoolExecutor(max_workers=self.num_shards,
+                                         thread_name_prefix="repro-scatter")
+                      if self.num_shards > 1 else None)
+        if self.durable_dir is not None and self.store is None:
             # WAL replay may have advanced shards past the partition
             # manifest's id space; adopt the workers' recovered state.
             self._resync_id_space()
@@ -436,6 +453,14 @@ class _ShardTarget(SearchTarget):
         self._m_failovers = reg.counter(
             "repro_failovers_total",
             "Replica promotions after a primary failure.")
+        self._m_candidates = reg.counter(
+            "repro_search_candidates_total",
+            "Store rows scanned across all top-k searches.")
+        self._h_candidates = reg.histogram(
+            "repro_topk_candidates",
+            "Store rows scanned per top-k query (ANN probes a fraction "
+            "of the database; exact scans all of it).",
+            buckets=(10.0, 100.0, 1000.0, 10000.0, 100000.0, 1000000.0))
         self._h_scatter = reg.histogram(
             "repro_scatter_seconds",
             "Fan-out + merge time per top-k (excludes encoding).")
@@ -448,9 +473,12 @@ class _ShardTarget(SearchTarget):
 
     # ---------------------------------------------------- durability plumbing
 
-    def _boot_spec(self, partition_dir: Path, role: str = "primary") -> Dict:
-        """The boot dict every worker (primary and replica) forks with."""
-        return {"partition_dir": str(partition_dir), "role": role,
+    def _boot_spec(self, partition_dir: Optional[Path],
+                   base_tag: Optional[str], role: str = "primary") -> Dict:
+        """The boot dict every worker (primary and replica) starts with."""
+        return {"partition_dir": (None if partition_dir is None
+                                  else str(partition_dir)),
+                "role": role, "base_tag": base_tag,
                 "index": self.config.index, "nlist": self.config.nlist,
                 "nprobe": self.config.nprobe,
                 "durable_dir": (None if self.durable_dir is None
@@ -479,9 +507,10 @@ class _ShardTarget(SearchTarget):
         before any thread starts, and post-thread spawns reuse the same
         (fork) path the ``restart_shard`` admin action already exercises.
         """
-        return _ShardHandle(shard_id,
-                            self._boot_spec(self.partition_dir, role),
-                            self.config, self._ctx, hook, wal_hook)
+        boot = self._boot_spec(self.partition_dir,
+                               self._partition_tags[shard_id], role)
+        return _ShardHandle(shard_id, boot, self.config, self._ctx, hook,
+                            wal_hook)
 
     def _resync_id_space(self) -> None:
         """Adopt recovered per-shard state into the coordinator's counters.
@@ -585,31 +614,40 @@ class _ShardTarget(SearchTarget):
             return limit
         return max(0.0, min(limit, deadline - time.monotonic()))
 
-    def _scatter(self, op: str, payload, deadline: Optional[float],
-                 shard_ids: Optional[Sequence[int]] = None
+    def _to_every_shard(self, payload=None) -> Dict[int, object]:
+        return dict.fromkeys(range(self.num_shards), payload)
+
+    def _scatter(self, op: str, payloads: Dict[int, object],
+                 deadline: Optional[float]
                  ) -> "Tuple[Dict[int, object], List[int]]":
-        """Fan one request to shards in parallel; returns (results, failed).
+        """Send ``payloads[s]`` to each shard ``s``; returns (results,
+        failed).
 
         ``results`` maps shard id -> worker result for every shard that
         answered; ``failed`` lists shards that were unavailable
         (transport failures only — a worker-side exception propagates as
-        :class:`ShardRequestError`)."""
-        targets = (range(self.num_shards) if shard_ids is None
-                   else list(shard_ids))
+        :class:`ShardRequestError`). Several shards are called in
+        parallel; one is called on this thread.
+        """
         timeout = self._call_timeout(deadline)
-        try:
-            futures = {s: self._pool.submit(self._shard_call, s, op, payload,
-                                            timeout)
-                       for s in targets}
-        except RuntimeError as exc:  # close() shut the pool down
-            raise ServiceClosedError("sharded service is closed") from exc
+        if len(payloads) > 1:
+            try:
+                outcomes = {s: self._pool.submit(self._shard_call, s, op,
+                                                 payload, timeout).result
+                            for s, payload in payloads.items()}
+            except RuntimeError as exc:  # close() shut the pool down
+                raise ServiceClosedError("sharded service is closed") from exc
+        else:
+            outcomes = {s: functools.partial(self._shard_call, s, op,
+                                             payload, timeout)
+                        for s, payload in payloads.items()}
         results: Dict[int, object] = {}
         failed: List[int] = []
         error: Optional[ShardRequestError] = None
-        for s, fut in futures.items():
+        for s, outcome in outcomes.items():
             self._m_shard_requests.inc()
             try:
-                results[s] = fut.result()
+                results[s] = outcome()
             except ShardUnavailableError:
                 self._m_shard_failures.inc()
                 failed.append(s)
@@ -621,13 +659,21 @@ class _ShardTarget(SearchTarget):
 
     def search(self, embedding, k, deadline):
         """Encode-free half of a top-k: fan out, merge by ``(distance,
-        id)``; shards that dropped out make the answer ``partial``."""
+        id)``, count the rows the shards scanned; shards that dropped
+        out make the answer ``partial``."""
         start = time.monotonic()
-        results, failed = self._scatter("search", (embedding, k), deadline)
+        results, failed = self._scatter(
+            "search", self._to_every_shard((embedding, k)), deadline)
         if not results:
             raise ShardUnavailableError(
                 f"all {self.num_shards} shards unavailable")
-        ids, distances = merge_top_k(list(results.values()), k)
+        ids, distances = merge_top_k(
+            [(shard_ids, shard_distances) for shard_ids, shard_distances, _
+             in results.values()], k)
+        scanned = sum(int(reply[2]) for reply in results.values())
+        if scanned > 0:
+            self._m_candidates.inc(scanned)
+            self._h_candidates.observe(scanned)
         self._h_scatter.observe(time.monotonic() - start)
         if failed:
             self._m_partial.inc()
@@ -658,9 +704,11 @@ class _ShardTarget(SearchTarget):
             self._tail_replicas(shard_id)
         return results, failed
 
-    def insert_embeddings(self, embeddings, trajectories, deadline):
-        """Each row routes to the single shard owning its (coordinator-
-        assigned) id on the hash ring."""
+    def insert_embeddings(self, embeddings, deadline):
+        """Insert ``(n, dim)`` rows; returns the ids assigned to them.
+
+        Each row routes to the single shard owning its
+        (coordinator-assigned) id on the hash ring."""
         with self._lock:
             assigned = list(range(self._next_id,
                                   self._next_id + embeddings.shape[0]))
@@ -683,6 +731,7 @@ class _ShardTarget(SearchTarget):
         return assigned
 
     def delete(self, ids):
+        """Remove rows by id; returns how many were present."""
         results, failed = self._route(
             "delete", ids, lambda positions: [ids[p] for p in positions],
             self.config.request_timeout_s)
@@ -712,12 +761,13 @@ class _ShardTarget(SearchTarget):
         if self.durable_dir is not None:
             for shard_id in range(self.num_shards):
                 self._tail_replicas(shard_id)
-        results, _ = self._scatter("compact", None, None)
+        results, _ = self._scatter("compact", self._to_every_shard(), None)
         return {s: bool(v["compacted"]) for s, v in results.items()}
 
     def reload(self, partition_dir: Optional[PathLike]) -> Dict:
-        """Two-phase flip of every worker onto ``partition_dir`` (default:
-        re-read the current one); see :meth:`ShardedService.reload`."""
+        """Two-phase flip of every forked worker onto ``partition_dir``
+        (default: re-read the current one); see ``ShardedService.reload``.
+        """
         with self._failover_lock:
             current_partition = self.partition_dir
         new_partition = (current_partition if partition_dir is None
@@ -735,23 +785,25 @@ class _ShardTarget(SearchTarget):
             raise ReloadError(
                 f"new partitions have embedding_dim "
                 f"{manifest['embedding_dim']}, serving {self.dim}")
-        boot = self._boot_spec(new_partition)
+        tags = [str(entry["sha256"]) for entry in manifest["shards"]]
+        boots = {s: self._boot_spec(new_partition, tag)
+                 for s, tag in enumerate(tags)}
 
-        prepared, failed = self._scatter("prepare", boot, None)
+        prepared, failed = self._scatter("prepare", boots, None)
         if failed or len(prepared) < self.num_shards:
-            self._scatter("abort", None, None,
-                          shard_ids=sorted(prepared))
+            self._scatter("abort", dict.fromkeys(sorted(prepared)), None)
             raise ReloadError(
                 f"prepare failed on shard(s) "
                 f"{sorted(set(range(self.num_shards)) - set(prepared))}; "
                 f"old generation keeps serving")
 
-        activated, failed = self._scatter("activate", None, None)
+        activated, failed = self._scatter("activate",
+                                          self._to_every_shard(), None)
         for shard_id in failed:
             # A worker that died between prepare and activate: restart
             # it straight onto the new generation so the tier converges.
             handle = self._shards[shard_id]
-            handle._boot = boot
+            handle._boot = boots[shard_id]
             try:
                 handle.restart()
                 activated[shard_id] = {"restarted": True}
@@ -759,14 +811,14 @@ class _ShardTarget(SearchTarget):
                 _LOG.warning("shard %d unavailable after reload; it will "
                              "serve the new generation once restarted",
                              shard_id)
-        for handle in self._shards:
-            handle._boot = dict(boot)
+        for shard_id, handle in enumerate(self._shards):
+            handle._boot = dict(boots[shard_id])
         for shard_id, standbys in self._replicas.items():
             for replica in standbys:
                 # Standbys tail the old generation's WAL, which the new
                 # base tag just invalidated: restart them onto the new
                 # generation (a standby restart never blocks serving).
-                replica._boot = {**boot, "role": "replica"}
+                replica._boot = {**boots[shard_id], "role": "replica"}
                 try:
                     replica.restart()
                 except ShardUnavailableError as exc:
@@ -776,6 +828,7 @@ class _ShardTarget(SearchTarget):
             # A failover racing the reload must spawn its standby from
             # the *new* generation's boot spec.
             self.partition_dir = new_partition
+            self._partition_tags = tags
         with self._lock:
             self._next_id = max(self._next_id, int(manifest["next_id"]))
             self._count = int(manifest["total_count"])
@@ -805,12 +858,17 @@ class _ShardTarget(SearchTarget):
             return self._count
 
     def stats(self):
+        """The target's sections of ``stats()``: ``store`` and
+        ``durability``, with the same keys on every shape."""
         shard_stats = [h.stats() for h in self._shards]
         with self._lock:
             size, next_id = self._count, self._next_id
-        worker_stats, _ = self._scatter("stats", None, None)
+        worker_stats, _ = self._scatter("stats", self._to_every_shard(), None)
         return {
             "store": {"size": size, "next_id": next_id,
+                      "search_backend": _merged_search_stats(
+                          [w["search"] for _, w in
+                           sorted(worker_stats.items())]),
                       "sharding": {
                           "num_shards": self.num_shards,
                           "ring_vnodes": self._ring.vnodes,
@@ -833,14 +891,18 @@ class _ShardTarget(SearchTarget):
         }
 
     def refresh_gauges(self):
+        """Bring pull-style gauges up to date before a metrics render."""
         for handle in self._shards:
+            if handle.breaker is None:
+                continue
             is_open = handle.breaker.state != _BREAKER_CLOSED
             self._g_breaker.set(1.0 if is_open else 0.0,
                                 shard=str(handle.shard_id))
         if self.durable_dir is None:
             return
         try:
-            worker_stats, _ = self._scatter("stats", None, None)
+            worker_stats, _ = self._scatter("stats", self._to_every_shard(),
+                                            None)
         except (ReproError, OSError) as exc:
             _LOG.warning("metrics: worker stats scatter failed: %s", exc)
             return
@@ -852,131 +914,7 @@ class _ShardTarget(SearchTarget):
 
     def close(self):
         """Scatter pool first, then every worker (standbys included)."""
-        self._pool.shutdown(wait=True)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
         for handle in self._all_handles():
             handle.close()
-
-
-def _load_encoder(bundle_dir: Optional[Path], dim: int):
-    """The coordinator's encoder from ``bundle_dir`` (``None`` in, ``None``
-    out: a search-only tier), checked against the partitions' ``dim``."""
-    if bundle_dir is None:
-        return None
-    model, _ = load_bundle_model(bundle_dir)
-    if model.config.embedding_dim != dim:
-        raise ConfigurationError(
-            f"bundle embedding_dim {model.config.embedding_dim} != "
-            f"partition manifest {dim}")
-    return model
-
-
-class ShardedService(SimilarityService):
-    """:class:`SimilarityService` over N shard worker processes.
-
-    The whole request path — validation, sanitize mode, admission,
-    deadlines, the result cache, breaker-guarded micro-batched encoding,
-    ``stats``/``readiness``/metrics, ``close`` — is the inherited one;
-    this class only builds the scatter-gather target and adds the
-    operations a single store has no use for.
-
-    Parameters
-    ----------
-    partition_dir:
-        Directory written by :func:`repro.core.partition.save_partitions`
-        (or ``python -m repro shard-tool split``); fixes the shard count.
-    bundle_dir:
-        Serving bundle whose model becomes the coordinator's encoder
-        (workers only ever see embeddings). ``None`` builds a
-        *search-only* tier: ``query_embedding``/``insert_embeddings``
-        work, trajectory entry points raise
-        :class:`~repro.exceptions.NotFittedError`.
-    config:
-        :class:`ShardedConfig`.
-    request_hooks:
-        ``{shard_id: hook}`` fault-injection hooks; each worker calls
-        ``hook.trigger()`` before every request (see
-        :class:`repro.testing.faults.KillWorkerOnce`).
-    durable_dir:
-        Root directory for per-shard WALs and snapshots. ``None`` keeps
-        the pre-durability behaviour: mutations live only in worker
-        memory and restarts rebuild from the partition files.
-    wal_hooks:
-        ``{shard_id: hook}`` crash-injection hooks fired inside the
-        primary's WAL append path (see
-        :class:`repro.testing.faults.KillAtWALPoint`).
-    """
-
-    def __init__(self, partition_dir: PathLike,
-                 bundle_dir: Optional[PathLike] = None,
-                 config: Optional[ShardedConfig] = None,
-                 request_hooks: Optional[Dict] = None,
-                 durable_dir: Optional[PathLike] = None,
-                 wal_hooks: Optional[Dict] = None):
-        config = config or ShardedConfig()
-        # Fork-before-threads: the target forks every worker here; the
-        # first coordinator thread (the micro-batcher) only starts in
-        # super().__init__ below.
-        target = _ShardTarget(partition_dir, config, request_hooks,
-                              durable_dir, wal_hooks)
-        try:
-            self.bundle_dir = None if bundle_dir is None else Path(bundle_dir)
-            super().__init__(_load_encoder(self.bundle_dir, target.dim),
-                             target, config)
-        except Exception:
-            target.close()  # primaries *and* standbys: nothing survives
-            raise
-        self.num_shards = target.num_shards
-
-    def reload(self, partition_dir: Optional[PathLike] = None,
-               bundle_dir: Optional[PathLike] = None) -> Dict:
-        """Zero-downtime flip to a new partition/bundle generation.
-
-        Two phases: every worker *prepares* (loads the new generation
-        alongside the one still serving), then every worker *activates*
-        (atomic in-worker swap; the worker is serial, so no request ever
-        sees a half-flipped store) and the coordinator swaps its own
-        encoder and id state and retires the result cache. Any prepare
-        failure aborts everywhere and the old generation keeps serving —
-        :class:`ReloadError`.
-
-        The shard count is fixed for the life of the tier; resharding is
-        the offline ``shard-tool split`` + restart path.
-        """
-        bundle = self.bundle_dir if bundle_dir is None else Path(bundle_dir)
-        try:
-            new_model = _load_encoder(bundle, self.target.dim)
-        except ConfigurationError as exc:
-            raise ReloadError(str(exc)) from exc
-        report = self.target.reload(partition_dir)
-        self.bundle_dir = bundle
-        if new_model is not None:
-            self._adopt_model(new_model)
-        report["generation"] = self._bump_generation()
-        return report
-
-    def restart_shard(self, shard_id: int) -> Dict:
-        """Respawn one worker from its current boot spec (admin path).
-
-        On a durable tier the restarted worker recovers snapshot + WAL,
-        and the coordinator re-adopts its id space so recovered rows
-        survive the restart id-identically; without one the worker
-        rebuilds from its partition file, so cached answers are retired
-        either way.
-        """
-        stats = self.target.restart_shard(shard_id)
-        self._bump_generation()
-        return stats
-
-    @property
-    def ring(self) -> HashRing:
-        """The id-routing ring (identical to shard-tool split's)."""
-        return self.target._ring
-
-    @property
-    def shards(self) -> List[_ShardHandle]:
-        """Per-shard handles — a read-only diagnostics surface."""
-        return list(self.target._shards)
-
-    def shard_busy_seconds(self) -> List[float]:
-        """Cumulative worker-side busy time per shard (bench input)."""
-        return [h.busy_seconds() for h in self.target._shards]

@@ -1,8 +1,9 @@
 """Per-shard write-ahead durability: WAL, snapshots, recovery, tailing.
 
-The sharded serving tier acknowledges ``insert``/``delete`` mutations
-only after they are *durable*: the shard worker appends a checksummed
-record to its write-ahead log and fsyncs before replying. A crash then
+A durable service — one shard in process or N forked — acknowledges
+``insert``/``delete`` mutations only after they are *durable*: the shard
+worker appends a checksummed record to its write-ahead log and fsyncs
+before replying. A crash then
 loses nothing acknowledged — recovery replays snapshot + WAL and the
 rebuilt shard is id-identical to the pre-crash state.
 
@@ -52,8 +53,8 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 
 import numpy as np
 
-from ..core.atomicio import (atomic_write_json, fsync_dir, fsync_file,
-                             sha256_file)
+from ..core.atomicio import (atomic_write_json, atomic_write_text, fsync_dir,
+                             fsync_file, sha256_file)
 from ..exceptions import (CorruptArtifactError, ServiceClosedError,
                           WALCorruptionError)
 
@@ -657,6 +658,7 @@ class WALTailer:
 
 SNAPSHOT_SCHEMA = "repro.wal.snapshot.v1"
 _MANIFEST_NAME = "SNAPSHOT.json"
+_BASE_NAME = "BASE"
 _SNAP_PREFIX = "snapshot-"
 
 
@@ -665,10 +667,12 @@ class ShardDurability:
 
     A directory holds at most one *committed* generation (named by
     ``SNAPSHOT.json``) plus the WAL segments appended since it was
-    taken. ``base_tag`` fingerprints the partition file the shard booted
-    from: if the bundle is reloaded (new partition bytes), the durable
-    state no longer composes with the base and is reset rather than
-    replayed onto data it never described.
+    taken. ``base_tag`` fingerprints the bytes the table booted from (a
+    partition file, a bundle's store): if they change, the durable state
+    no longer composes with the base and is reset rather than replayed
+    onto data it never described. The first open records the tag in a
+    ``BASE`` file, so a directory that never took a snapshot — WAL
+    segments only — is recognised as foreign too.
     """
 
     def __init__(self, directory, base_tag: str, read_only: bool = False):
@@ -680,27 +684,36 @@ class ShardDurability:
 
     def _load_manifest(self) -> Optional[dict]:
         path = self.directory / _MANIFEST_NAME
-        if not path.exists():
-            return None
-        try:
-            manifest = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            raise CorruptArtifactError(
-                f"unreadable snapshot manifest {path}: {exc}") from exc
-        if manifest.get("schema") != SNAPSHOT_SCHEMA:
-            raise CorruptArtifactError(
-                f"{path}: unknown snapshot schema {manifest.get('schema')!r}")
-        if manifest.get("base") != self.base_tag:
+        base_path = self.directory / _BASE_NAME
+        manifest = None
+        if path.exists():
+            try:
+                manifest = json.loads(path.read_text())
+            except (OSError, ValueError) as exc:
+                raise CorruptArtifactError(
+                    f"unreadable snapshot manifest {path}: {exc}") from exc
+            if manifest.get("schema") != SNAPSHOT_SCHEMA:
+                raise CorruptArtifactError(
+                    f"{path}: unknown snapshot schema "
+                    f"{manifest.get('schema')!r}")
+        # A directory from before the BASE file knows its base only from
+        # its manifest.
+        recorded = (base_path.read_text() if base_path.exists()
+                    else (manifest or {}).get("base"))
+        if recorded is not None and recorded != self.base_tag:
             logger.warning(
                 "durable state in %s was built for base %s, current base "
-                "is %s: %s (reload replaces shard data wholesale)",
-                self.directory, manifest.get("base"), self.base_tag,
+                "is %s: %s (a new base replaces the data wholesale)",
+                self.directory, recorded, self.base_tag,
                 "ignoring" if self.read_only else "resetting")
-            if not self.read_only:
-                # A replica (read_only) must never delete shared state;
-                # the primary owns the reset.
-                self.reset()
-            return None
+            if self.read_only:
+                # A replica must never delete shared state; the primary
+                # owns the reset.
+                return None
+            self.reset()
+            manifest = None
+        if not self.read_only and not base_path.exists():
+            atomic_write_text(base_path, self.base_tag, durable=True)
         return manifest
 
     def reset(self) -> None:
@@ -710,6 +723,7 @@ class ShardDurability:
         for path in list_segments(self.directory):
             path.unlink(missing_ok=True)
         (self.directory / _MANIFEST_NAME).unlink(missing_ok=True)
+        (self.directory / _BASE_NAME).unlink(missing_ok=True)
         fsync_dir(self.directory)
 
     @property

@@ -26,7 +26,7 @@ from repro.core.partition import save_partitions
 from repro.core.store import EmbeddingStore
 from repro.exceptions import PartialWriteError
 from repro.serving import make_server
-from repro.serving.sharding import ShardedConfig, ShardedService, group_by_shard
+from repro.serving import ShardedConfig, ShardedService, group_by_shard
 from repro.serving.wal import (OP_DELETE, encode_record, list_segments,
                                scan_buffer)
 from repro.testing.faults import KillAtWALPoint

@@ -3,11 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core.backends import IVFBackend
+from repro.core.partition import save_partitions
 from repro.core.store import EmbeddingStore
 from repro.exceptions import ConfigurationError
-from repro.index.ann import IVFConfig, IVFIndex
-from repro.serving import ServingConfig, SimilarityService
+from repro.serving import (ServingConfig, ShardedConfig, ShardedService,
+                           SimilarityService, save_bundle)
+
+
+def _every_shape(model, store, tmp_path, **knobs):
+    """The local and the 2-shard deployment of ``store``, one at a time."""
+    yield SimilarityService(model, store, ServingConfig(**knobs))
+    save_bundle(tmp_path / "bundle", model, store)
+    save_partitions(tmp_path / "parts", np.asarray(store.ids, dtype=np.int64),
+                    store.embeddings, num_shards=2)
+    yield ShardedService(tmp_path / "parts", bundle_dir=tmp_path / "bundle",
+                         config=ShardedConfig(**knobs))
 
 
 def test_serving_config_index_validation():
@@ -18,7 +28,8 @@ def test_serving_config_index_validation():
     with pytest.raises(ConfigurationError):
         ServingConfig(nlist=-1)
     assert ServingConfig(index="ivf", nlist=8, nprobe=2).index == "ivf"
-    assert ServingConfig(index="keep").index == "keep"
+    with pytest.raises(ConfigurationError):
+        ServingConfig(index="keep")
 
 
 def test_service_installs_ivf_backend(serving_world, fresh_store):
@@ -50,60 +61,36 @@ def test_service_exact_resets_foreign_backend(serving_world, fresh_store):
         svc.close()
 
 
-def test_service_keep_preserves_attached_backend(serving_world, fresh_store,
-                                                 tmp_path):
-    """index="keep" serves an out-of-band (e.g. mmap) index untouched."""
+def test_candidate_metrics_exposed(serving_world, fresh_store, tmp_path):
     model, items = serving_world
-    index = IVFIndex.build(
-        np.asarray(fresh_store.ids, dtype=np.int64),
-        np.ascontiguousarray(fresh_store.embeddings, dtype=np.float32),
-        IVFConfig(nlist=4, nprobe=4, seed=0))
-    index.save(tmp_path / "ivf")
-    mapped = IVFIndex.load(tmp_path / "ivf", mmap=True)
-    backend = fresh_store.use_backend(IVFBackend(index=mapped))
-    svc = SimilarityService(model, fresh_store,
-                            ServingConfig(index="keep", max_wait_ms=0.5))
-    try:
-        assert fresh_store.backend is backend
-        assert backend.index is mapped
-        result = svc.top_k(items[0], k=3, use_cache=False)
-        assert result.ids[0] == 0
-    finally:
-        svc.close()
+    for svc in _every_shape(model, fresh_store, tmp_path, index="ivf",
+                            nlist=4, nprobe=4, max_wait_ms=0.5):
+        try:
+            svc.top_k(items[0], k=3, use_cache=False)
+            svc.top_k(items[1], k=3, use_cache=False)
+            text = svc.render_metrics()
+            assert "repro_search_candidates_total" in text
+            assert "repro_topk_candidates_bucket" in text
+            total = next(line for line in text.splitlines()
+                         if line.startswith("repro_search_candidates_total"))
+            assert float(total.split()[-1]) >= 2 * 3  # scanned >= k a query
+        finally:
+            svc.close()
 
 
-def test_candidate_metrics_exposed(serving_world, fresh_store):
+def test_stats_reports_search_backend(serving_world, fresh_store, tmp_path):
     model, items = serving_world
-    svc = SimilarityService(model, fresh_store,
-                            ServingConfig(index="ivf", nlist=4, nprobe=4,
-                                          max_wait_ms=0.5))
-    try:
-        svc.top_k(items[0], k=3, use_cache=False)
-        svc.top_k(items[1], k=3, use_cache=False)
-        text = svc.render_metrics()
-        assert "repro_search_candidates_total" in text
-        assert "repro_topk_candidates_bucket" in text
-        total = next(line for line in text.splitlines()
-                     if line.startswith("repro_search_candidates_total"))
-        assert float(total.split()[-1]) >= 2 * 3  # scanned >= k per query
-    finally:
-        svc.close()
-
-
-def test_stats_reports_search_backend(serving_world, fresh_store):
-    model, items = serving_world
-    svc = SimilarityService(model, fresh_store,
-                            ServingConfig(index="ivf", nlist=4, nprobe=2,
-                                          max_wait_ms=0.5))
-    try:
-        svc.top_k(items[2], k=3, use_cache=False)
-        backend_stats = svc.stats()["store"]["search_backend"]
-        assert backend_stats["kind"] == "ivf"
-        assert backend_stats["nprobe"] == 2
-        assert backend_stats["queries"] >= 1
-        assert backend_stats["candidates_scanned"] > 0
-    finally:
-        svc.close()
+    for svc in _every_shape(model, fresh_store, tmp_path, index="ivf",
+                            nlist=4, nprobe=2, max_wait_ms=0.5):
+        try:
+            svc.top_k(items[2], k=3, use_cache=False)
+            backend_stats = svc.stats()["store"]["search_backend"]
+            assert backend_stats["kind"] == "ivf"
+            assert backend_stats["nprobe"] == 2
+            assert backend_stats["queries"] >= 1
+            assert backend_stats["candidates_scanned"] > 0
+        finally:
+            svc.close()
 
 
 def test_mutation_through_service_keeps_ivf_consistent(serving_world,

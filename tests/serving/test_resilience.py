@@ -184,7 +184,7 @@ def test_degraded_answers_overlap_real_neighbours(serving_world, fresh_store):
     service = _make_service(serving_world, fresh_store, config=config,
                             embed=flaky)
     try:
-        with service.target._lock:
+        with service.target._shards[0]._lock:
             ids = list(fresh_store.ids)
         for traj_id, traj in list(zip(ids, items[:16]))[:4]:
             result = service.top_k(traj, k=1, use_cache=False)

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.store import EmbeddingStore
 from repro.exceptions import ConfigurationError
-from repro.serving import ServingConfig, SimilarityService
+from repro.serving import (ServingConfig, ShardedConfig, SimilarityService,
+                           save_bundle)
 
 
 @pytest.fixture
@@ -237,3 +238,38 @@ def test_concurrent_queries_match_serial_16_clients(serving_world,
     for got in answers.values():
         assert got == expected
     assert stats["mean_batch_size"] > 1.0  # batching actually coalesced
+
+
+@pytest.mark.durability
+def test_durable_dir_needs_a_base_and_refuses_replicas(serving_world,
+                                                       fresh_store, tmp_path):
+    model, _ = serving_world
+    with pytest.raises(ConfigurationError, match="base_tag"):
+        SimilarityService(model, fresh_store, durable_dir=tmp_path / "wal")
+    with pytest.raises(ConfigurationError, match="forked"):
+        SimilarityService(model, fresh_store, ShardedConfig(replicas=1),
+                          durable_dir=tmp_path / "wal", base_tag="b")
+    assert not (tmp_path / "wal").exists()
+
+
+@pytest.mark.durability
+def test_a_replaced_bundle_starts_a_fresh_log(serving_world, fresh_store,
+                                              tmp_path):
+    """The log is keyed to the bundle's store bytes: new bytes under the
+    same durable_dir must not inherit the old bundle's writes."""
+    model, items = serving_world
+    wal = tmp_path / "wal"
+    save_bundle(tmp_path / "a", model, fresh_store)
+    with SimilarityService.from_bundle(tmp_path / "a",
+                                       durable_dir=wal) as service:
+        assert service.insert(items[16:18]) == [16, 17]
+    with SimilarityService.from_bundle(tmp_path / "a",
+                                       durable_dir=wal) as service:
+        assert service.size() == 18
+    smaller = EmbeddingStore(model)
+    smaller.add(items[:5])
+    save_bundle(tmp_path / "b", model, smaller)
+    with SimilarityService.from_bundle(tmp_path / "b",
+                                       durable_dir=wal) as service:
+        assert service.size() == 5
+        assert service.store.ids == [0, 1, 2, 3, 4]

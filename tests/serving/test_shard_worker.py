@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partition import save_partitions
+from repro.core.partition import load_partition_manifest, save_partitions
 from repro.exceptions import ReloadError, ServiceClosedError
 from repro.serving.shard_worker import _ShardWorker
 from repro.serving.wal import OP_INSERT
@@ -43,10 +43,11 @@ def _partitions(root: Path, seed=0) -> Path:
 
 def _boot(partition_dir, durable_dir=None, role="primary",
           fsync_window_ms=0.0):
+    base_tag = load_partition_manifest(partition_dir)["shards"][0]["sha256"]
     return {"partition_dir": str(partition_dir), "role": role,
             "index": "exact", "nlist": 0, "nprobe": 8,
             "durable_dir": None if durable_dir is None else str(durable_dir),
-            "fsync_window_ms": fsync_window_ms,
+            "base_tag": base_tag, "fsync_window_ms": fsync_window_ms,
             "wal_segment_bytes": 1 << 20}
 
 
@@ -167,10 +168,32 @@ def test_failed_activate_leaves_no_half_open_log(tmp_path):
         worker.handle("activate", None)
     assert _committer_threads() == []
     # The old generation still answers reads and refuses writes.
-    ids, _ = worker.handle("search", (_rows([3])[0], 1))
+    ids, _, _ = worker.handle("search", (_rows([3])[0], 1))
     assert ids.tolist() == [3]
     with pytest.raises(ServiceClosedError):
         worker.handle("insert", ([100], _rows([100])))
+
+
+def test_activate_onto_new_bytes_never_replays_the_old_log(tmp_path):
+    """A reload onto new partition bytes, with no compact before it:
+    the old generation's log (and no snapshot) is all the durable
+    directory holds, and none of it may land on the new rows."""
+    worker = _ShardWorker(0, _boot(_partitions(tmp_path / "old"),
+                                   tmp_path / "dur"))
+    worker.handle("insert", ([100, 101], _rows([100, 101])))
+    worker.handle("delete", [3])
+    new_ids = np.arange(20, 26, dtype=np.int64)
+    save_partitions(tmp_path / "new", new_ids, _rows(new_ids, seed=5),
+                    num_shards=1)
+    new_boot = _boot(tmp_path / "new", tmp_path / "dur")
+    worker.handle("prepare", new_boot)
+    worker.handle("activate", None)
+    assert worker.handle("ids", None) == new_ids.tolist()
+    worker.handle("insert", ([200], _rows([200])))
+    worker.close()
+    reopened = _ShardWorker(0, new_boot)
+    assert reopened.handle("ids", None) == new_ids.tolist() + [200]
+    reopened.close()
 
 
 # ------------------------------------------------- the contract, as a property

@@ -13,9 +13,8 @@ from repro.core.partition import save_partitions
 from repro.core.store import EmbeddingStore
 from repro.exceptions import (NotFittedError, ReloadError, ServiceClosedError,
                               ServiceUnavailableError, ShardUnavailableError)
-from repro.serving import merge_top_k
-from repro.serving.sharding import (ShardedConfig, ShardedService,
-                                    ShardRequestError)
+from repro.serving import (ShardedConfig, ShardedService, ShardRequestError,
+                           merge_top_k)
 from repro.testing.faults import KillWorkerOnce
 
 pytestmark = pytest.mark.sharding

@@ -1,21 +1,31 @@
 """One pipeline, three deployments: local, 1-shard and 2-shard parity.
 
-``SimilarityService`` is the only implementation of the request path and
-``ShardedService`` is that class over a scatter-gather target, so every
-behaviour in front of the search — validation, sanitize mode, k checks,
-deadlines, the result cache and its invalidation, counters, ``stats()``
-and ``readiness()`` shapes, HTTP statuses — must be the same whichever
-target sits behind it. Each test runs once per tier over one bundle.
+``SimilarityService`` is the only implementation of the request path,
+and it runs over one target: one in-process shard for a local store,
+forked shard workers under ``ShardedService``. So every behaviour in
+front of the search (validation, sanitize mode, k checks, deadlines,
+the result cache and its invalidation, counters, ``stats()`` and
+``readiness()`` shapes, HTTP statuses) and behind it (acked writes
+surviving a restart) must be the same whichever shape serves. Each test
+runs once per tier over one bundle.
 """
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.partition import save_partitions
 from repro.core.store import EmbeddingStore
 from repro.exceptions import (DeadlineExceededError, InvalidTrajectoryError,
@@ -52,15 +62,17 @@ def world(serving_world, tmp_path_factory):
     return root / "bundle", partitions, store, items
 
 
-def _make(world, tier, request_hooks=None, **knobs):
+def _make(world, tier, request_hooks=None, durable_dir=None, **knobs):
     """The ``tier`` deployment of the one bundle, built with ``knobs``."""
     bundle, partitions, _, _ = world
     knobs.setdefault("max_wait_ms", 0.0)
     if TIERS[tier] == 0:
-        return SimilarityService.from_bundle(bundle, ServingConfig(**knobs))
+        return SimilarityService.from_bundle(bundle, ServingConfig(**knobs),
+                                             durable_dir=durable_dir)
     return ShardedService(partitions[TIERS[tier]], bundle_dir=bundle,
                           config=ShardedConfig(**knobs),
-                          request_hooks=request_hooks)
+                          request_hooks=request_hooks,
+                          durable_dir=durable_dir)
 
 
 @pytest.fixture(params=list(TIERS))
@@ -136,6 +148,105 @@ def test_partial_answers_never_touch_the_cache(world, tmp_path):
         assert service.top_k(items[0], k=5).cached
 
 
+# --------------------------------------------------------------- durability
+
+
+@pytest.mark.durability
+def test_acked_writes_survive_a_reopen(tier_name, world, tmp_path):
+    _, _, _, items = world
+    durable = tmp_path / "durable"
+    queries = (items[0], items[19], items[TIE_ROW])
+
+    def answers(service):
+        k = service.size()
+        return [service.top_k(q, k=k, use_cache=False) for q in queries]
+
+    with _make(world, tier_name, durable_dir=durable) as service:
+        new_ids = service.insert(items[18:22])
+        service.compact()  # a snapshot under half of the writes
+        assert service.delete([new_ids[1], 0, 999]) == 2
+        want, next_id = answers(service), service.stats()["store"]["next_id"]
+        assert service.stats()["durability"]["durable_dir"] == str(durable)
+    with _make(world, tier_name, durable_dir=durable) as service:
+        got = answers(service)
+        assert [a.ids for a in got] == [a.ids for a in want]
+        assert [a.distances for a in got] == [a.distances for a in want]
+        assert sorted(got[0].ids) == sorted(
+            (set(range(18)) - {0}) | (set(new_ids) - {new_ids[1]}))
+        assert service.insert([items[22]]) == [next_id]
+
+
+def _free_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def _call(url, payload=None):
+    data = None if payload is None else json.dumps(payload).encode()
+    with urllib.request.urlopen(urllib.request.Request(url, data=data),
+                                timeout=30) as response:
+        return json.loads(response.read())
+
+
+def _serve(bundle, durable):
+    """``python -m repro serve`` on ``bundle`` with no ``--shards``,
+    answering; returns (process, base url)."""
+    port = _free_port()
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        src, env.get("PYTHONPATH")]))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--bundle", str(bundle),
+         "--durable-dir", str(durable), "--port", str(port)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    url = f"http://127.0.0.1:{port}"
+    give_up = time.monotonic() + 60.0
+    while time.monotonic() < give_up and process.poll() is None:
+        try:
+            _call(url + "/healthz")
+            return process, url
+        except OSError:
+            time.sleep(0.05)
+    process.kill()
+    process.wait()
+    raise AssertionError(f"server never answered (exit {process.poll()})")
+
+
+@pytest.mark.durability
+def test_local_serve_keeps_acked_writes_across_sigkill(world, tmp_path):
+    """``serve --bundle b --durable-dir d`` with no ``--shards``: inserts
+    and deletes answered 200 survive SIGKILL and a restart, ids and
+    ranking identical."""
+    bundle, _, _, items = world
+    durable = tmp_path / "durable"
+    process, url = _serve(bundle, durable)
+    try:
+        ids = _call(url + "/v1/insert", {"trajectories": [
+            t.points.tolist() for t in items[18:21]]})["ids"]
+        assert _call(url + "/v1/delete", {"ids": [ids[0], 2]}) == {
+            "removed": 2}
+        size = _call(url + "/healthz")["store_size"]
+        query = {"trajectory": items[19].points.tolist(), "k": size,
+                 "use_cache": False}
+        want = _call(url + "/v1/topk", query)
+    finally:
+        process.send_signal(signal.SIGKILL)
+        process.wait()
+    assert size == 18 + 3 - 2
+    process, url = _serve(bundle, durable)
+    try:
+        assert _call(url + "/healthz")["store_size"] == size
+        got = _call(url + "/v1/topk", query)
+        assert (got["ids"], got["distances"]) == (want["ids"],
+                                                  want["distances"])
+        assert ids[0] not in got["ids"] and 2 not in got["ids"]
+    finally:
+        process.send_signal(signal.SIGKILL)
+        process.wait()
+
+
 # ----------------------------------------------------------------- boundary
 
 
@@ -208,25 +319,25 @@ def test_closed_service_refuses_work(tier, world):
 # ------------------------------------------------------------------- shapes
 
 
-def test_stats_and_readiness_share_one_shape(tier, world):
+def test_stats_and_readiness_share_one_shape(tier, tier_name, world):
     with _make(world, "local") as local:
         local.warmup()
         want_stats, want_ready = local.stats(), local.readiness()
+    assert "durability" in want_stats
+    assert want_ready["checks"]["shard_0_alive"] is True
     assert tier.readiness()["ready"] is False  # not yet warmed
     assert tier.warmup() >= 1
     stats, ready = tier.stats(), tier.readiness()
     assert ready["ready"] is True
-    sharded = isinstance(tier, ShardedService)
-    assert set(stats) - set(want_stats) == ({"durability"} if sharded
-                                            else set())
-    assert set(want_stats) <= set(stats)
-    assert set(want_stats["store"]) - {"search_backend"} <= set(stats["store"])
-    for section in ("cache", "batcher", "resilience"):
+    assert set(stats) == set(want_stats)
+    for section in ("store", "durability", "cache", "batcher", "resilience"):
         assert set(stats[section]) == set(want_stats[section])
-    extra = set(ready["checks"]) - set(want_ready["checks"])
+    assert (set(stats["store"]["search_backend"])
+            == set(want_stats["store"]["search_backend"]))
+    # One more liveness check per shard past the first; nothing else.
+    assert set(ready["checks"]) - set(want_ready["checks"]) == {
+        f"shard_{s}_alive" for s in range(1, max(1, TIERS[tier_name]))}
     assert set(want_ready["checks"]) <= set(ready["checks"])
-    assert all(name.endswith("_alive") for name in extra)
-    assert bool(extra) == sharded
 
 
 # --------------------------------------------------------------------- http

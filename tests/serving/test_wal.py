@@ -371,6 +371,28 @@ def test_durable_log_foreign_base_resets_before_the_log_opens(tmp_path):
     fresh.close()
 
 
+def test_durable_log_foreign_base_resets_a_log_that_never_snapshotted(
+        tmp_path):
+    """The first open records the base tag, so a directory holding WAL
+    segments and no snapshot is recognised as foreign too: its records
+    are never replayed onto bytes they did not describe."""
+    old = _log(tmp_path / "d", "base-A")
+    for row_id in (1, 2, 3):
+        _delete(old, row_id)
+    old.close()
+    assert not (tmp_path / "d" / "SNAPSHOT.json").exists()
+    fresh = _log(tmp_path / "d", "base-B")
+    assert list(fresh.replay()) == []
+    assert all(segment.stat().st_size == 0
+               for segment in list_segments(tmp_path / "d"))
+    assert _delete(fresh, 7) == 1  # the LSN sequence restarted too
+    fresh.close()
+    # The new base is recorded in turn: its own log survives a reopen.
+    reopened = _log(tmp_path / "d", "base-B")
+    assert [r.lsn for r in reopened.replay()] == [1]
+    reopened.close()
+
+
 def test_durable_log_replay_skips_what_the_snapshot_covers(tmp_path):
     log = _log(tmp_path / "d")
     for row_id in (1, 2, 3):
