@@ -208,7 +208,6 @@ def _build_sharded_service(args, knobs: dict):
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .exceptions import ConfigurationError
     from .serving import ServingConfig, SimilarityService, make_server
-    from .serving.bundle import BundleError
 
     # One config shape for both tiers; the sharded one adds its own fields.
     knobs = dict(max_batch_size=args.max_batch, max_wait_ms=args.max_wait_ms,
@@ -230,7 +229,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             service = SimilarityService.from_bundle(
                 args.bundle, ServingConfig(**knobs),
                 durable_dir=args.durable_dir)
-    except (BundleError, ConfigurationError, OSError, ValueError) as exc:
+    except (ConfigurationError, OSError, ValueError) as exc:
         print(f"cannot load bundle {args.bundle!r}: {exc}", file=sys.stderr)
         return 2
     with service:
@@ -269,13 +268,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_index_build(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .exceptions import ConfigurationError
+    from .exceptions import ConfigurationError, CorruptArtifactError
     from .index.ann import IVFConfig, IVFIndex
-    from .serving.bundle import BundleError, load_bundle
+    from .serving.bundle import load_bundle
 
     try:
         bundle = load_bundle(args.bundle)
-    except (BundleError, OSError) as exc:
+    except (CorruptArtifactError, OSError) as exc:
         print(f"cannot load bundle {args.bundle!r}: {exc}", file=sys.stderr)
         return 2
     store = bundle.store
@@ -330,7 +329,7 @@ def _cmd_index_compact(args: argparse.Namespace) -> int:
     from .index.ann import IVFIndex
 
     try:
-        index = IVFIndex.load(args.index, mmap=False, verify=True)
+        index = IVFIndex.load(args.index, mmap=False)
     except (CorruptArtifactError, OSError) as exc:
         print(f"cannot load index {args.index!r}: {exc}", file=sys.stderr)
         return 2
@@ -347,15 +346,13 @@ def _cmd_index_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_split(args: argparse.Namespace) -> int:
-    from .serving.bundle import BundleError
-
     if args.shards < 1:
         print("--shards must be >= 1", file=sys.stderr)
         return 2
     try:
         manifest = _split_bundle_store(args.bundle, args.out, args.shards,
                                        args.vnodes)
-    except (BundleError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot split bundle {args.bundle!r}: {exc}", file=sys.stderr)
         return 2
     counts = [entry["count"] for entry in manifest["shards"]]
@@ -391,7 +388,7 @@ def _cmd_shard_status(args: argparse.Namespace) -> int:
     if args.verify:
         for entry in manifest["shards"]:
             try:
-                load_partition(args.partitions, entry["shard"], verify=True)
+                load_partition(args.partitions, entry["shard"])
             except (CorruptArtifactError, ValueError) as exc:
                 print(f"  shard {entry['shard']} FAILED verification: {exc}",
                       file=sys.stderr)

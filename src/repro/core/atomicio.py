@@ -1,25 +1,27 @@
-"""Atomic, durable file publication helpers.
+"""The artifact layer: atomic publication and checked reads.
 
-Every artifact this package persists (stores, bundles, checkpoints,
-partitions, WAL snapshots) must be published *atomically*: a reader —
-including a recovering process — either sees the complete old file or
-the complete new file, never a torn intermediate. The pattern is always
-the same: write to a same-directory temporary, optionally fsync it, then
-``os.replace`` onto the final name.
-
-This module is the single home of that pattern. The
+Every artifact this package persists (DESIGN.md, "Persisted artifacts")
+is published *atomically*: a reader — including a recovering process —
+either sees the complete old file or the complete new file, never a
+torn intermediate. The pattern is always the same: write to a
+same-directory temporary, optionally fsync it, then ``os.replace`` onto
+the final name; a write that raises removes its temporary. The
 ``durability-discipline`` lint rule (:mod:`repro.analysis`) bans
-``os.rename`` outright and restricts ``os.replace`` to functions whose
-names mark them as atomic-write helpers — so new persistence code is
-steered here instead of hand-rolling rename dances.
+``os.rename`` and confines ``os.replace`` to this module, so new
+persistence code is steered here instead of hand-rolling rename dances.
 
 ``durable=True`` additionally fsyncs the file *before* the rename and
 the directory *after* it, which is what crash-consistency on a real
 filesystem requires (the rename itself is atomic, but neither the data
 nor the directory entry is guaranteed on disk until fsynced). The
 write-ahead log (:mod:`repro.serving.wal`) publishes snapshots and
-manifests with ``durable=True``; cheaper artifacts (caches, reports)
-keep the default and only buy atomicity.
+manifests with ``durable=True``; cheaper artifacts keep the default.
+
+The read side is here too: a JSON manifest carries a ``schema`` and,
+per payload file, a :func:`file_entry`; :func:`read_manifest` and
+:func:`check_file` turn any damage into
+:class:`~repro.exceptions.CorruptArtifactError`, and :func:`read_npz`
+opens every ``.npz`` with pickle disabled.
 """
 
 from __future__ import annotations
@@ -27,16 +29,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from pathlib import Path
-from typing import Union
+from typing import Dict, Iterable, Union
 
 import numpy as np
+
+from ..exceptions import CorruptArtifactError
 
 PathLike = Union[str, Path]
 
 __all__ = ["atomic_replace", "atomic_write_bytes", "atomic_write_text",
            "atomic_write_json", "atomic_savez", "fsync_file", "fsync_dir",
-           "sha256_file"]
+           "sha256_file", "file_entry", "read_manifest", "check_file",
+           "read_npz"]
 
 
 def sha256_file(path: PathLike, chunk_bytes: int = 1 << 20) -> str:
@@ -49,7 +55,8 @@ def sha256_file(path: PathLike, chunk_bytes: int = 1 << 20) -> str:
 
 
 def fsync_file(path: PathLike) -> None:
-    """fsync an already-written file by path."""
+    """fsync an already-written file — or a directory, so a rename
+    inside it survives a crash — by path."""
     fd = os.open(str(path), os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -57,13 +64,7 @@ def fsync_file(path: PathLike) -> None:
         os.close(fd)
 
 
-def fsync_dir(path: PathLike) -> None:
-    """fsync a directory so a rename inside it survives a crash."""
-    fd = os.open(str(path), os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+fsync_dir = fsync_file
 
 
 def atomic_replace(tmp: PathLike, dst: PathLike,
@@ -83,22 +84,29 @@ def atomic_replace(tmp: PathLike, dst: PathLike,
 
 
 def _tmp_name(path: Path) -> Path:
-    return path.with_name(path.name + f".tmp-{os.getpid()}")
+    # Per thread too: two threads may publish the same cache entry.
+    return path.with_name(
+        path.name + f".tmp-{os.getpid()}-{threading.get_ident()}")
+
+
+def _publish(path: PathLike, write, durable: bool) -> None:
+    """``write(handle)`` into a temp file, then publish it as ``path``;
+    if anything raises, the temp file goes and nothing is published."""
+    path = Path(path)
+    tmp = _tmp_name(path)
+    try:
+        with open(tmp, "wb") as handle:
+            write(handle)
+        atomic_replace(tmp, path, durable=durable)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_bytes(path: PathLike, data: bytes,
                        durable: bool = False) -> None:
     """Write ``data`` to ``path`` via a temp file + atomic rename."""
-    path = Path(path)
-    tmp = _tmp_name(path)
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        if durable:
-            handle.flush()
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    if durable:
-        fsync_dir(path.parent)
+    _publish(path, lambda handle: handle.write(data), durable)
 
 
 def atomic_write_text(path: PathLike, text: str,
@@ -114,17 +122,67 @@ def atomic_write_json(path: PathLike, payload,
 
 def atomic_savez(path: PathLike, compressed: bool = False,
                  durable: bool = False, **arrays) -> None:
-    """``np.savez`` to exactly ``path`` via a temp file + atomic rename.
+    """``np.savez`` to exactly ``path`` via a temp file + atomic rename
+    (written through a handle, so no ``.npz`` suffix is appended)."""
+    save = np.savez_compressed if compressed else np.savez
+    _publish(path, lambda handle: save(handle, **arrays), durable)
 
-    ``np.savez`` appends ``.npz`` when the target has no suffix; the
-    temp-file dance undoes that so the file lands at the requested name.
+
+# --------------------------------------------------------------- read side
+
+def file_entry(path: PathLike) -> Dict:
+    """The manifest entry for one payload file: its sha256 and size."""
+    return {"sha256": sha256_file(path), "bytes": Path(path).stat().st_size}
+
+
+def read_manifest(path: PathLike, schema: str,
+                  required: Iterable[str] = ()) -> Dict:
+    """Parse a JSON manifest and check its ``schema`` and keys.
+
+    A missing, unparseable or foreign manifest, or one without a
+    ``required`` key, raises :class:`CorruptArtifactError`.
     """
     path = Path(path)
-    tmp = _tmp_name(path)
-    if compressed:
-        np.savez_compressed(tmp, **arrays)
-    else:
-        np.savez(tmp, **arrays)
-    tmp_written = tmp if tmp.exists() else tmp.with_suffix(
-        tmp.suffix + ".npz")
-    atomic_replace(tmp_written, path, durable=durable)
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # missing, torn, not UTF-8
+        raise CorruptArtifactError(f"unreadable {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CorruptArtifactError(f"unreadable {path}: not a JSON object")
+    if manifest.get("schema") != schema:
+        raise CorruptArtifactError(
+            f"{path} has schema {manifest.get('schema')!r} but this build "
+            f"reads {schema!r}: re-export it with this build")
+    missing = [key for key in required if key not in manifest]
+    if missing:
+        raise CorruptArtifactError(f"{path} is missing {missing}")
+    return manifest
+
+
+def check_file(path: PathLike, entry: Dict, verify: bool = True) -> Path:
+    """``path`` if it exists and matches ``entry``: its ``bytes`` where
+    recorded, then (``verify``) its ``sha256``; else
+    :class:`CorruptArtifactError`."""
+    path = Path(path)
+    if not path.is_file():
+        raise CorruptArtifactError(f"artifact file missing: {path}")
+    size = path.stat().st_size
+    if "bytes" in entry and size != entry["bytes"]:
+        raise CorruptArtifactError(
+            f"{path} is {size} bytes, manifest says {entry['bytes']}")
+    if verify and sha256_file(path) != entry.get("sha256"):
+        raise CorruptArtifactError(f"{path} is corrupted (sha256 mismatch)")
+    return path
+
+
+def read_npz(path: PathLike) -> Dict[str, np.ndarray]:
+    """Every member of an ``.npz``, read with pickle off (no bytes can
+    deserialise into objects). Zip, zlib or format damage raises
+    :class:`CorruptArtifactError`; ``FileNotFoundError`` passes through."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return {key: data[key] for key in data.files}
+    except FileNotFoundError:
+        raise
+    except Exception as exc:
+        raise CorruptArtifactError(f"cannot read {path}: {exc}") from exc

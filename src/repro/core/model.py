@@ -23,7 +23,7 @@ from ..datasets.grid import CoordinateNormalizer, Grid
 from ..datasets.trajectory import Trajectory, TrajectoryDataset
 from ..exceptions import CorruptArtifactError, NotFittedError, ReproError
 from ..measures import get_measure, pairwise_distances
-from .atomicio import atomic_savez
+from .atomicio import atomic_savez, read_npz
 from ..nn.optim import Adam
 from .config import NeuTrajConfig
 from .encoder import TrajectoryEncoder
@@ -87,9 +87,9 @@ class MetricModel:
         """
         encoder = self._require_fitted()
         payload = {f"param/{k}": v for k, v in encoder.state_dict().items()}
-        payload["meta/config"] = np.array(
-            json.dumps(self.config.__dict__), dtype=object)
-        payload["meta/class"] = np.array(type(self).__name__, dtype=object)
+        # Unicode, not object, arrays: the file loads with pickle off.
+        payload["meta/config"] = np.array(json.dumps(self.config.__dict__))
+        payload["meta/class"] = np.array(type(self).__name__)
         payload["meta/alpha"] = np.array(
             -1.0 if self.alpha is None else self.alpha)
         payload["grid/bbox"] = np.array(encoder.grid.bbox)
@@ -111,9 +111,10 @@ class MetricModel:
     def load(cls, path: PathLike) -> "MetricModel":
         """Load a model saved by :meth:`save`.
 
-        Truncated, bit-flipped or otherwise undecodable files raise a
+        Truncated, bit-flipped or otherwise undecodable files — and files
+        holding pickled objects, which are never unpickled — raise a
         typed :class:`~repro.exceptions.CorruptArtifactError` instead of
-        leaking zip/JSON internals (or silently deserialising garbage).
+        leaking zip/JSON internals.
         """
         try:
             return cls._load(path)
@@ -125,35 +126,35 @@ class MetricModel:
 
     @classmethod
     def _load(cls, path: PathLike) -> "MetricModel":
-        with np.load(path, allow_pickle=True) as data:
-            config = NeuTrajConfig(**json.loads(str(data["meta/config"])))
-            model = cls(config)
-            grid = Grid(tuple(data["grid/bbox"]), float(data["grid/cell_size"]))
-            normalizer = CoordinateNormalizer(data["norm/mean"], data["norm/std"])
-            rng = np.random.default_rng(config.seed)
-            encoder = TrajectoryEncoder(grid, normalizer, config, rng)
-            state = {k[len("param/"):]: data[k] for k in data.files
-                     if k.startswith("param/")}
-            encoder.load_state_dict(state)
-            if encoder.memory is not None and "memory/data" in data.files:
-                # SpatialMemory is a plain buffer, not a tape
-                # Tensor; restoring it wholesale is the supported
-                # path.  # repro: disable=tape-discipline
-                encoder.memory.data = data["memory/data"].copy()
-            model.encoder = encoder
-            alpha = float(data["meta/alpha"])
-            model.alpha = None if alpha < 0 else alpha
-            if "history/losses" in data.files:
-                from .trainer import EpochStats, TrainingHistory
-                losses = data["history/losses"]
-                seconds = data["history/seconds"]
-                anchors = data["history/anchors"]
-                model.history = TrainingHistory(epochs=[
-                    EpochStats(epoch=i, loss=float(l), seconds=float(s),
-                               num_anchors=int(a))
-                    for i, (l, s, a) in enumerate(zip(losses, seconds,
-                                                      anchors))
-                ])
+        data = read_npz(path)
+        config = NeuTrajConfig(**json.loads(str(data["meta/config"])))
+        model = cls(config)
+        grid = Grid(tuple(data["grid/bbox"]), float(data["grid/cell_size"]))
+        normalizer = CoordinateNormalizer(data["norm/mean"], data["norm/std"])
+        rng = np.random.default_rng(config.seed)
+        encoder = TrajectoryEncoder(grid, normalizer, config, rng)
+        state = {k[len("param/"):]: v for k, v in data.items()
+                 if k.startswith("param/")}
+        encoder.load_state_dict(state)
+        if encoder.memory is not None and "memory/data" in data:
+            # SpatialMemory is a plain buffer, not a tape
+            # Tensor; restoring it wholesale is the supported
+            # path.  # repro: disable=tape-discipline
+            encoder.memory.data = data["memory/data"]
+        model.encoder = encoder
+        alpha = float(data["meta/alpha"])
+        model.alpha = None if alpha < 0 else alpha
+        if "history/losses" in data:
+            from .trainer import EpochStats, TrainingHistory
+            losses = data["history/losses"]
+            seconds = data["history/seconds"]
+            anchors = data["history/anchors"]
+            model.history = TrainingHistory(epochs=[
+                EpochStats(epoch=i, loss=float(l), seconds=float(s),
+                           num_anchors=int(a))
+                for i, (l, s, a) in enumerate(zip(losses, seconds,
+                                                  anchors))
+            ])
         return model
 
 

@@ -22,14 +22,13 @@ worker, and the online coordinator:
 Layout::
 
     partitions/
-      PARTITIONS.json     schema, num_shards, vnodes, per-file sha256
+      PARTITIONS.json     schema, num_shards, vnodes, per-file sha256 + bytes
       partition-0000.npz  EmbeddingStore.save payload for shard 0
       partition-0001.npz  ...
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -37,13 +36,15 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..exceptions import CorruptArtifactError
-from .atomicio import atomic_savez, atomic_write_text, sha256_file
+from .atomicio import (atomic_savez, atomic_write_json, check_file,
+                       file_entry, read_manifest)
 from .store import EmbeddingStore
 
 PathLike = Union[str, Path]
 
 __all__ = ["HashRing", "PARTITION_SCHEMA", "partition_file_name",
-           "save_partitions", "load_partition", "load_partition_manifest"]
+           "save_partitions", "load_partition", "load_partition_manifest",
+           "partition_tags"]
 
 PARTITION_SCHEMA = "repro.partitions.v1"
 MANIFEST_NAME = "PARTITIONS.json"
@@ -175,13 +176,9 @@ def save_partitions(out_dir: PathLike, ids: np.ndarray,
         atomic_savez(out_dir / name, compressed=False,
                      embeddings=embeddings[rows], ids=ids[rows],
                      next_id=np.array(next_id))
-        shard_entries.append({
-            "shard": shard_id,
-            "file": name,
-            "count": int(rows.shape[0]),
-            "sha256": sha256_file(out_dir / name),
-            "bytes": (out_dir / name).stat().st_size,
-        })
+        shard_entries.append({"shard": shard_id, "file": name,
+                              "count": int(rows.shape[0]),
+                              **file_entry(out_dir / name)})
 
     from .. import __version__  # deferred: repro/__init__ imports core
 
@@ -199,41 +196,39 @@ def save_partitions(out_dir: PathLike, ids: np.ndarray,
         "shards": shard_entries,
         "user_metadata": metadata or {},
     }
-    atomic_write_text(out_dir / MANIFEST_NAME,
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write_json(out_dir / MANIFEST_NAME, manifest)
     return manifest
 
 
 def load_partition_manifest(partition_dir: PathLike) -> Dict:
     """Read and validate ``PARTITIONS.json``."""
-    path = Path(partition_dir) / MANIFEST_NAME
-    if not path.exists():
-        raise CorruptArtifactError(f"no {MANIFEST_NAME} in {partition_dir}")
-    try:
-        manifest = json.loads(path.read_text())
-    except (ValueError, OSError) as exc:
+    manifest = read_manifest(
+        Path(partition_dir) / MANIFEST_NAME, PARTITION_SCHEMA,
+        required=("num_shards", "vnodes", "embedding_dim", "total_count",
+                  "next_id", "shards"))
+    shards = manifest["shards"]
+    if (not isinstance(shards, list) or len(shards) != manifest["num_shards"]
+            or not all(isinstance(entry, dict)
+                       and {"file", "count", "sha256"} <= entry.keys()
+                       for entry in shards)):
         raise CorruptArtifactError(
-            f"unreadable partition manifest: {exc}") from exc
-    schema = manifest.get("schema", "")
-    if schema != PARTITION_SCHEMA:
-        raise CorruptArtifactError(
-            f"unsupported partition schema {schema!r} "
-            f"(expected {PARTITION_SCHEMA})")
-    shards = manifest.get("shards")
-    if (not isinstance(shards, list)
-            or len(shards) != manifest.get("num_shards")):
-        raise CorruptArtifactError(
-            "partition manifest shard list does not match num_shards")
+            "partition manifest shard list does not match num_shards, or an "
+            "entry lacks its file, count or sha256")
     return manifest
 
 
+def partition_tags(manifest: Dict) -> List[str]:
+    """Per-shard base tags: each partition file's manifest sha256."""
+    return [str(entry["sha256"]) for entry in manifest["shards"]]
+
+
 def load_partition(partition_dir: PathLike, shard_id: int,
-                   model=None, backend="exact", verify: bool = True,
+                   model=None, backend="exact",
                    **backend_options) -> EmbeddingStore:
     """Load one shard's store (search-only unless ``model`` is given).
 
-    ``verify=True`` checks the file's sha256 against the manifest, so a
-    torn split surfaces as :class:`CorruptArtifactError` at worker boot
+    The file is checked against its manifest entry first, so a torn
+    split surfaces as :class:`CorruptArtifactError` at worker boot
     instead of as silently missing rows.
     """
     manifest = load_partition_manifest(partition_dir)
@@ -242,12 +237,7 @@ def load_partition(partition_dir: PathLike, shard_id: int,
             f"shard_id {shard_id} out of range for "
             f"{manifest['num_shards']} shards")
     entry = manifest["shards"][int(shard_id)]
-    path = Path(partition_dir) / entry["file"]
-    if not path.exists():
-        raise CorruptArtifactError(f"partition file missing: {entry['file']}")
-    if verify and sha256_file(path) != entry.get("sha256"):
-        raise CorruptArtifactError(
-            f"partition file corrupted (sha256 mismatch): {entry['file']}")
+    path = check_file(Path(partition_dir) / entry["file"], entry)
     store = EmbeddingStore.load(path, model, backend=backend,
                                 **backend_options)
     if len(store) != entry["count"]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..datasets.trajectory import Trajectory
 from ..exceptions import CorruptArtifactError, NotFittedError
-from .atomicio import atomic_savez
+from .atomicio import atomic_savez, read_npz
 from .backends import SearchBackend, make_backend
 from .model import MetricModel
 
@@ -388,20 +388,14 @@ class EmbeddingStore:
         ``model=None`` restores a search-only store whose dimensionality
         comes from the file itself.
         """
+        data = read_npz(path)
         try:
-            with np.load(path, allow_pickle=False) as data:
-                embeddings = data["embeddings"]
-                ids = np.asarray(data["ids"], dtype=np.int64)
-                saved_next = (int(data["next_id"])
-                              if "next_id" in data.files else 0)
-        except FileNotFoundError:
-            raise
-        except Exception as exc:
-            # Truncated or bit-flipped files surface as zip/zlib/format
-            # noise; turn all of it into the typed error (and with pickle
-            # disabled, garbage bytes can never deserialise into objects).
+            embeddings = data.pop("embeddings")
+            ids = np.asarray(data.pop("ids"), dtype=np.int64)
+        except KeyError as exc:
             raise CorruptArtifactError(
-                f"cannot load embedding store from {path}: {exc}") from exc
+                f"{path} is not an embedding store: no {exc}") from exc
+        saved_next = int(data["next_id"]) if "next_id" in data else 0
         if embeddings.ndim != 2:
             raise ValueError(
                 f"expected a 2-D embedding table, got shape "

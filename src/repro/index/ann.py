@@ -27,7 +27,6 @@ same index and the same answers.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,8 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.atomicio import (atomic_replace, atomic_write_text,
-                             sha256_file)
+from ..core.atomicio import (atomic_replace, atomic_write_json, check_file,
+                             file_entry, read_manifest)
 from ..exceptions import ConfigurationError, CorruptArtifactError
 
 PathLike = Union[str, Path]
@@ -567,13 +566,10 @@ class IVFIndex:
                 "kmeans_iters": self.config.kmeans_iters,
                 "seed": self.config.seed,
             },
-            "data": {"file": DATA_NAME, "bytes": offset,
-                     "sha256": sha256_file(data_path)},
+            "data": {"file": DATA_NAME, **file_entry(data_path)},
             "arrays": manifest_arrays,
         }
-        atomic_write_text(path / MANIFEST_NAME,
-                          json.dumps(manifest, indent=2, sort_keys=True)
-                          + "\n")
+        atomic_write_json(path / MANIFEST_NAME, manifest)
         return path
 
     @classmethod
@@ -584,31 +580,13 @@ class IVFIndex:
         ``mmap=True`` (default) maps ``data.bin`` read-only so a large
         index costs no up-front reads; ``verify=True`` checks the
         manifest's sha256 first (which does read the file once — pass
-        ``verify=False`` to keep a cold open lazy).
+        ``verify=False`` to keep a cold open lazy: only the size is
+        checked then).
         """
         path = Path(path)
-        manifest_path = path / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise CorruptArtifactError(f"no {MANIFEST_NAME} in {path}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (ValueError, OSError) as exc:
-            raise CorruptArtifactError(
-                f"unreadable IVF manifest in {path}: {exc}") from exc
-        if manifest.get("schema") != IVF_SCHEMA:
-            raise CorruptArtifactError(
-                f"unsupported IVF schema {manifest.get('schema')!r} "
-                f"(expected {IVF_SCHEMA})")
-        data_path = path / manifest["data"]["file"]
-        if not data_path.exists():
-            raise CorruptArtifactError(f"IVF data file missing: {data_path}")
-        if data_path.stat().st_size != manifest["data"]["bytes"]:
-            raise CorruptArtifactError(
-                f"IVF data file truncated: {data_path.stat().st_size} "
-                f"bytes != manifest {manifest['data']['bytes']}")
-        if verify and sha256_file(data_path) != manifest["data"]["sha256"]:
-            raise CorruptArtifactError(
-                f"IVF data file corrupted (sha256 mismatch): {data_path}")
+        manifest = read_manifest(path / MANIFEST_NAME, IVF_SCHEMA, required=(
+            "dim", "count", "config", "data", "arrays"))
+        data_path = check_file(path / DATA_NAME, manifest["data"], verify)
         config = IVFConfig(**manifest["config"])
         index = cls(int(manifest["dim"]), config)
 

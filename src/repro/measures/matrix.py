@@ -33,15 +33,14 @@ import hashlib
 import multiprocessing
 import multiprocessing.pool
 import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.atomicio import atomic_replace
-from ..exceptions import PrecomputeError
+from ..core.atomicio import atomic_savez, read_npz
+from ..exceptions import CorruptArtifactError, PrecomputeError
 from .base import TrajectoryMeasure
 
 ProgressFn = Optional[Callable[[int, int], None]]
@@ -97,16 +96,13 @@ def _cache_path(cache_dir: str, key: str) -> str:
 def _cache_load(cache_dir: Optional[str], key: str) -> Optional[np.ndarray]:
     if cache_dir is None:
         return None
-    path = _cache_path(cache_dir, key)
-    if not os.path.exists(path):
-        return None
     try:
-        with np.load(path) as payload:
-            if str(payload["key"]) != key:  # truncated-name collision guard
-                return None
-            return payload["matrix"]
-    except (OSError, ValueError, KeyError):
+        payload = read_npz(_cache_path(cache_dir, key))
+    except (OSError, CorruptArtifactError):  # absent or damaged: recompute
         return None
+    if str(payload.get("key")) != key:  # truncated-name collision guard
+        return None
+    return payload.get("matrix")
 
 
 def _cache_store(cache_dir: Optional[str], key: str,
@@ -114,16 +110,11 @@ def _cache_store(cache_dir: Optional[str], key: str,
     if cache_dir is None:
         return
     os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, key)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            # String payload, not numeric data.  # repro: disable=dtype-discipline
-            np.savez(handle, matrix=matrix, key=np.asarray(key))
-        atomic_replace(tmp, path)  # atomic publish; safe under parallel warm-up
+    try:  # atomic publish; safe under parallel warm-up
+        atomic_savez(_cache_path(cache_dir, key), matrix=matrix,
+                     key=np.str_(key))
     except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        pass  # an unwritable cache only costs a recompute next time
 
 
 # ------------------------------------------------------------ chunked driver

@@ -17,7 +17,9 @@ Guarantees, mirroring the serving bundle's discipline:
 * **Fallback** — a corrupt, truncated or missing newest checkpoint is
   skipped (recorded in ``last_skipped``) and the next-older good one is
   loaded instead; only when *no* checkpoint survives does the caller see
-  ``None`` (fresh start).
+  ``None`` (fresh start). A damaged ``CHECKPOINTS.json`` strands no
+  file: the directory is globbed instead. Damage is a
+  :class:`~repro.exceptions.CorruptArtifactError`, as for every artifact.
 * **No pickle** — meta travels as a JSON string in a unicode array, so a
   corrupted file can fail to parse but can never execute anything.
 
@@ -30,16 +32,15 @@ RNG state, sampler position, loss history) is packed by
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..core.atomicio import (atomic_replace, atomic_write_text,
-                             sha256_file)
-from ..exceptions import CheckpointError
+from ..core.atomicio import (atomic_savez, atomic_write_json, check_file,
+                             file_entry, read_manifest, read_npz)
+from ..exceptions import CheckpointError, CorruptArtifactError
 
 PathLike = Union[str, Path]
 
@@ -86,24 +87,17 @@ class CheckpointManager:
         return self.directory / MANIFEST_NAME
 
     def _read_manifest(self) -> Dict:
-        path = self._manifest_path()
-        if not path.exists():
-            return {"schema": CHECKPOINT_SCHEMA, "checkpoints": {}}
         try:
-            manifest = json.loads(path.read_text())
-            if not isinstance(manifest.get("checkpoints"), dict):
-                raise ValueError("manifest has no checkpoints table")
-            return manifest
-        except (OSError, ValueError):
-            # A torn manifest must not strand good checkpoint files:
-            # rebuild an empty table and let load_latest fall back to
-            # globbing (unverified but still schema-checked).
-            return {"schema": CHECKPOINT_SCHEMA, "checkpoints": {}}
-
-    def _write_manifest(self, manifest: Dict) -> None:
-        atomic_write_text(self._manifest_path(),
-                          json.dumps(manifest, indent=2, sort_keys=True)
-                          + "\n")
+            manifest = read_manifest(self._manifest_path(), CHECKPOINT_SCHEMA,
+                                     required=("checkpoints",))
+            if isinstance(manifest["checkpoints"], dict):
+                return manifest
+        except CorruptArtifactError:
+            pass
+        # A missing or damaged manifest must not strand good checkpoint
+        # files: rebuild an empty table and let load_latest fall back to
+        # globbing (unverified but still schema-checked).
+        return {"schema": CHECKPOINT_SCHEMA, "checkpoints": {}}
 
     # ------------------------------------------------------------------ save
 
@@ -126,27 +120,18 @@ class CheckpointManager:
         payload[_META_KEY] = np.array(json.dumps(meta))  # unicode, no pickle
 
         path = self.directory / self._filename(step)
-        tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
         try:
-            with open(tmp, "wb") as handle:
-                np.savez_compressed(handle, **payload)
-            atomic_replace(tmp, path)
+            atomic_savez(path, compressed=True, **payload)
         except OSError as exc:
-            if tmp.exists():
-                tmp.unlink()
             raise CheckpointError(f"cannot write checkpoint {path}: {exc}") \
                 from exc
 
         manifest = self._read_manifest()
-        manifest["schema"] = CHECKPOINT_SCHEMA
-        manifest["checkpoints"][path.name] = {
-            "step": int(step),
-            "sha256": sha256_file(path),
-            "bytes": path.stat().st_size,
-        }
+        manifest["checkpoints"][path.name] = {"step": int(step),
+                                              **file_entry(path)}
         manifest["latest"] = path.name
         self._prune(manifest)
-        self._write_manifest(manifest)
+        atomic_write_json(self._manifest_path(), manifest)
         return path
 
     def _prune(self, manifest: Dict) -> None:
@@ -182,30 +167,21 @@ class CheckpointManager:
                     step = int(name[len("ckpt-"):-len(".npz")])
                 except ValueError:
                     continue
-            out.append({"name": name, "step": int(step),
-                        "sha256": entry.get("sha256")})
+            out.append({"name": name, "step": int(step), "entry": entry})
         return sorted(out, key=lambda c: c["step"], reverse=True)
 
     def _load_one(self, candidate: Dict) -> Checkpoint:
         path = self.directory / candidate["name"]
-        if not path.exists():
-            raise CheckpointError(f"missing file {path.name}")
-        expected = candidate.get("sha256")
-        if expected is not None and sha256_file(path) != expected:
-            raise CheckpointError(f"sha256 mismatch for {path.name}")
+        if candidate["entry"]:  # a globbed file has no entry to check
+            check_file(path, candidate["entry"])
+        arrays = read_npz(path)
         try:
-            with np.load(path, allow_pickle=False) as data:
-                if _META_KEY not in data.files:
-                    raise CheckpointError(f"{path.name} has no meta blob")
-                meta = json.loads(str(data[_META_KEY]))
-                arrays = {k: data[k] for k in data.files if k != _META_KEY}
-        except CheckpointError:
-            raise
-        except Exception as exc:  # zip/format/json damage -> typed error
-            raise CheckpointError(
-                f"unreadable checkpoint {path.name}: {exc}") from exc
+            meta = json.loads(str(arrays.pop(_META_KEY)))
+        except (KeyError, ValueError) as exc:
+            raise CorruptArtifactError(
+                f"{path.name} has no readable meta blob: {exc}") from exc
         if meta.get("schema") != CHECKPOINT_SCHEMA:
-            raise CheckpointError(
+            raise CorruptArtifactError(
                 f"{path.name}: unsupported schema {meta.get('schema')!r}")
         return Checkpoint(step=int(meta.get("step", candidate["step"])),
                           arrays=arrays, meta=meta, path=path)
@@ -221,12 +197,14 @@ class CheckpointManager:
         for candidate in self._candidates():
             try:
                 return self._load_one(candidate)
-            except CheckpointError as exc:
+            except (CorruptArtifactError, FileNotFoundError) as exc:
                 self.last_skipped.append(f"{candidate['name']}: {exc}")
         return None
 
     def load_step(self, step: int) -> Checkpoint:
-        """Load one specific step, raising on any damage (no fallback)."""
+        """Load one specific step, raising on any damage (no fallback):
+        :class:`~repro.exceptions.CorruptArtifactError`, or
+        :class:`~repro.exceptions.CheckpointError` for an unknown step."""
         for candidate in self._candidates():
             if candidate["step"] == step:
                 return self._load_one(candidate)

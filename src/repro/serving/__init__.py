@@ -18,8 +18,8 @@ or over HTTP: ``python -m repro serve --bundle bundle/ --port 8080``.
 """
 
 from .batching import BatcherClosedError, MicroBatcher
-from .bundle import (Bundle, BundleError, BUNDLE_SCHEMA, load_bundle,
-                     load_bundle_model, save_bundle)
+from .bundle import (Bundle, BUNDLE_SCHEMA, load_bundle, load_bundle_model,
+                     save_bundle)
 from .cache import LRUCache, result_key, trajectory_fingerprint
 from .http import ServingHTTPServer, make_server, serve
 from .metrics import Counter, Histogram, MetricsRegistry
@@ -30,7 +30,7 @@ from .sharding import ShardRequestError
 
 __all__ = [
     "BatcherClosedError", "MicroBatcher",
-    "Bundle", "BundleError", "BUNDLE_SCHEMA", "load_bundle",
+    "Bundle", "BUNDLE_SCHEMA", "load_bundle",
     "load_bundle_model", "save_bundle",
     "LRUCache", "result_key", "trajectory_fingerprint",
     "ServingHTTPServer", "make_server", "serve",

@@ -7,12 +7,13 @@ memory), the embedding store, optional probe trajectories for warmup and
 self-tests, and a ``MANIFEST.json`` that records the schema version,
 content hashes, and compatibility facts (model class, measure, embedding
 dimension). ``load_bundle`` refuses corrupted or incompatible bundles
-with a :class:`BundleError` instead of failing deep inside the encoder.
+with a :class:`~repro.exceptions.CorruptArtifactError` instead of
+failing deep inside the encoder.
 
 Layout::
 
     bundle/
-      MANIFEST.json     schema, model facts, per-file sha256
+      MANIFEST.json     schema, model facts, per-file sha256 + bytes
       model.npz         MetricModel.save payload
       store.npz         EmbeddingStore.save payload (optional)
       probes.npz        ragged probe trajectories (optional)
@@ -20,8 +21,6 @@ Layout::
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,19 +29,22 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from .. import __version__
-from ..core.atomicio import atomic_write_text, sha256_file
+from ..core.atomicio import (atomic_savez, atomic_write_json, check_file,
+                             file_entry, read_manifest, read_npz)
 from ..core.model import MetricModel, NeuTraj
 from ..core.siamese import SiameseTraj
 from ..core.store import EmbeddingStore
 from ..datasets.trajectory import Trajectory
-from ..exceptions import ReproError
+from ..exceptions import CorruptArtifactError
 
 PathLike = Union[str, Path]
 
-__all__ = ["Bundle", "BundleError", "save_bundle", "load_bundle",
-           "load_bundle_model", "BUNDLE_SCHEMA"]
+__all__ = ["Bundle", "save_bundle", "load_bundle", "load_bundle_model",
+           "BUNDLE_SCHEMA"]
 
-BUNDLE_SCHEMA = "repro.bundle.v1"
+#: v2: model.npz holds no pickled (object) arrays; a v1 bundle is refused
+#: at the manifest and must be re-exported.
+BUNDLE_SCHEMA = "repro.bundle.v2"
 MANIFEST_NAME = "MANIFEST.json"
 MODEL_FILE = "model.npz"
 STORE_FILE = "store.npz"
@@ -51,10 +53,6 @@ PROBES_FILE = "probes.npz"
 #: Model classes a bundle may reference (manifest name -> constructor).
 MODEL_CLASSES = {cls.__name__: cls for cls in
                  (MetricModel, NeuTraj, SiameseTraj)}
-
-
-class BundleError(ReproError):
-    """A bundle is missing, corrupted, or incompatible with this build."""
 
 
 @dataclass
@@ -75,6 +73,12 @@ class Bundle:
     def measure(self) -> str:
         return self.model.config.measure
 
+    @property
+    def store_tag(self) -> Optional[str]:
+        """The manifest's sha256 of ``store.npz`` (``None`` without one)."""
+        entry = self.manifest.get("files", {}).get(STORE_FILE)
+        return None if entry is None else entry["sha256"]
+
 
 def _save_probes(path: Path, probes: Sequence[Trajectory]) -> None:
     """Persist ragged trajectories as flat coords + offsets."""
@@ -83,14 +87,13 @@ def _save_probes(path: Path, probes: Sequence[Trajectory]) -> None:
     lengths = np.array([len(t) for t in probes], dtype=np.int64)
     ids = np.array([-1 if t.traj_id is None else t.traj_id
                     for t in probes], dtype=np.int64)
-    np.savez_compressed(path, coords=coords, lengths=lengths, ids=ids)
+    atomic_savez(path, compressed=True, coords=coords, lengths=lengths,
+                 ids=ids)
 
 
 def _load_probes(path: Path) -> List[Trajectory]:
-    with np.load(path) as data:
-        coords = data["coords"]
-        lengths = data["lengths"]
-        ids = data["ids"]
+    data = read_npz(path)
+    coords, lengths, ids = data["coords"], data["lengths"], data["ids"]
     probes: List[Trajectory] = []
     offset = 0
     for length, traj_id in zip(lengths, ids):
@@ -129,7 +132,7 @@ def save_bundle(path: PathLike, model: MetricModel,
         store_dim = (store.embeddings.shape[1] if store.model is None
                      else store.model.config.embedding_dim)
         if store_dim != model.config.embedding_dim:
-            raise BundleError(
+            raise ValueError(
                 "store embedding_dim does not match the bundled model")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -158,18 +161,14 @@ def save_bundle(path: PathLike, model: MetricModel,
             "next_id": store.next_id,
         },
         "num_probes": 0 if not probes else len(list(probes)),
-        "files": {name: {"sha256": sha256_file(path / name),
-                         "bytes": (path / name).stat().st_size}
-                  for name in files},
+        "files": {name: file_entry(path / name) for name in files},
         "user_metadata": metadata or {},
     }
-    atomic_write_text(path / MANIFEST_NAME,
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write_json(path / MANIFEST_NAME, manifest)
     return path
 
 
-def load_bundle_model(path: PathLike, verify: bool = True
-                      ) -> "tuple[MetricModel, Dict]":
+def load_bundle_model(path: PathLike) -> "tuple[MetricModel, Dict]":
     """Load only the model (+ manifest) from a bundle directory.
 
     The coordinator of :mod:`repro.serving.sharding` uses this for its
@@ -181,77 +180,44 @@ def load_bundle_model(path: PathLike, verify: bool = True
     (manifest schema, model sha256, model/manifest compatibility).
     """
     path = Path(path)
-    manifest_path = path / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise BundleError(f"no {MANIFEST_NAME} in {path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (ValueError, OSError) as exc:
-        raise BundleError(f"unreadable manifest in {path}: {exc}") from exc
-
-    schema = manifest.get("schema", "")
-    if schema != BUNDLE_SCHEMA:
-        raise BundleError(
-            f"unsupported bundle schema {schema!r} (expected {BUNDLE_SCHEMA})")
-
-    files = manifest.get("files", {})
-    model_meta = files.get(MODEL_FILE)
-    if model_meta is None or not (path / MODEL_FILE).exists():
-        raise BundleError(f"bundle file missing: {MODEL_FILE}")
-    if verify and sha256_file(path / MODEL_FILE) != model_meta.get("sha256"):
-        raise BundleError(
-            f"bundle file corrupted (sha256 mismatch): {MODEL_FILE}")
-
-    class_name = manifest.get("model_class", "")
-    model_cls = MODEL_CLASSES.get(class_name)
+    manifest = read_manifest(path / MANIFEST_NAME, BUNDLE_SCHEMA, required=(
+        "files", "model_class", "measure", "embedding_dim"))
+    model_cls = MODEL_CLASSES.get(manifest["model_class"])
     if model_cls is None:
-        raise BundleError(f"unknown model class {class_name!r}")
-    # MetricModel.load raises CorruptArtifactError (a ValueError) on
-    # unreadable files; with verify=False that is the only corruption gate.
-    try:
-        model = model_cls.load(path / MODEL_FILE)
-    except ValueError as exc:
-        raise BundleError(f"unloadable model: {exc}") from exc
-
-    dim = int(manifest.get("embedding_dim", -1))
-    if model.config.embedding_dim != dim:
-        raise BundleError(
-            f"manifest embedding_dim {dim} != model "
-            f"{model.config.embedding_dim}")
-    measure = manifest.get("measure")
-    if model.config.measure != measure:
-        raise BundleError(
-            f"manifest measure {measure!r} != model {model.config.measure!r}")
+        raise CorruptArtifactError(
+            f"unknown model class {manifest['model_class']!r}")
+    if MODEL_FILE not in manifest["files"]:
+        raise CorruptArtifactError(f"bundle manifest lists no {MODEL_FILE}")
+    model = model_cls.load(
+        check_file(path / MODEL_FILE, manifest["files"][MODEL_FILE]))
+    declared = (manifest["embedding_dim"], manifest["measure"])
+    if declared != (model.config.embedding_dim, model.config.measure):
+        raise CorruptArtifactError(
+            f"manifest (embedding_dim, measure) {declared} != model "
+            f"({model.config.embedding_dim}, {model.config.measure!r})")
     return model, manifest
 
 
-def load_bundle(path: PathLike, verify: bool = True) -> Bundle:
-    """Load and validate a bundle written by :func:`save_bundle`.
-
-    ``verify=True`` (default) additionally checks the sha256 of every
-    artifact file against the manifest, catching torn or tampered writes.
-    """
+def load_bundle(path: PathLike) -> Bundle:
+    """Load a bundle written by :func:`save_bundle`, every file checked
+    against its manifest entry first (torn or tampered writes raise
+    :class:`~repro.exceptions.CorruptArtifactError`)."""
     path = Path(path)
-    model, manifest = load_bundle_model(path, verify=verify)
-
-    files = manifest.get("files", {})
-    for name, meta in files.items():
-        file_path = path / name
-        if not file_path.exists():
-            raise BundleError(f"bundle file missing: {name}")
-        if verify and name != MODEL_FILE and \
-                sha256_file(file_path) != meta.get("sha256"):
-            raise BundleError(f"bundle file corrupted (sha256 mismatch): {name}")
+    model, manifest = load_bundle_model(path)
+    files = manifest["files"]
+    for name, entry in files.items():
+        if name != MODEL_FILE:  # load_bundle_model checked it
+            check_file(path / name, entry)
 
     if STORE_FILE in files:
         # EmbeddingStore.load raises ValueError on dim mismatch / bad ids.
         try:
             store = EmbeddingStore.load(path / STORE_FILE, model)
         except ValueError as exc:
-            raise BundleError(f"incompatible store: {exc}") from exc
+            raise CorruptArtifactError(f"incompatible store: {exc}") from exc
         declared = (manifest.get("store") or {}).get("count")
         if declared is not None and declared != len(store):
-            raise BundleError(
+            raise CorruptArtifactError(
                 f"manifest store count {declared} != loaded {len(store)}")
     else:
         store = EmbeddingStore(model)

@@ -62,7 +62,7 @@ from ..index.grid_index import GridInvertedIndex
 from ..resilience.admission import AdmissionGate
 from ..resilience.breaker import CircuitBreaker
 from .batching import MicroBatcher
-from .bundle import STORE_FILE, Bundle, load_bundle, load_bundle_model
+from .bundle import Bundle, load_bundle, load_bundle_model
 from .cache import LRUCache, result_key
 from .metrics import DEFAULT_SIZE_BUCKETS
 from .sharding import _ShardHandle, _ShardTarget
@@ -397,22 +397,20 @@ class SimilarityService:
     @classmethod
     def from_bundle(cls, bundle: Union[Bundle, PathLike],
                     config: Optional[ServingConfig] = None,
-                    verify: bool = True,
                     fallback_index: Optional[GridInvertedIndex] = None,
                     durable_dir: Optional[PathLike] = None
                     ) -> "SimilarityService":
         """Build a service from a :class:`Bundle` or a bundle directory.
 
-        With ``durable_dir`` the log's base is the manifest's sha256 of
-        ``store.npz`` (a fixed tag for a bundle without a store), so a
-        bundle replaced under the same directory starts a fresh log.
+        With ``durable_dir`` the log's base is the bundle's
+        :attr:`~Bundle.store_tag` (a fixed tag for a bundle without a
+        store), so a bundle replaced under the same directory starts a
+        fresh log.
         """
         if not isinstance(bundle, Bundle):
-            bundle = load_bundle(bundle, verify=verify)
-        files = bundle.manifest.get("files", {})
-        if STORE_FILE in files:
-            base_tag = files[STORE_FILE]["sha256"]
-        else:  # no tag for rows no manifest vouches for (a hand-built Bundle)
+            bundle = load_bundle(bundle)
+        base_tag = bundle.store_tag
+        if base_tag is None:  # no tag for rows no manifest vouches for
             base_tag = None if len(bundle.store) else _EMPTY_STORE_BASE
         return cls(bundle.model, bundle.store, config=config,
                    probes=bundle.probes, fallback_index=fallback_index,

@@ -53,7 +53,8 @@ from multiprocessing.connection import wait as _mp_wait
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
-from ..core.partition import HashRing, load_partition_manifest
+from ..core.partition import (HashRing, load_partition_manifest,
+                              partition_tags)
 from ..core.store import EmbeddingStore
 from ..exceptions import (ConfigurationError, CorruptArtifactError,
                           PartialWriteError, ReloadError,
@@ -399,8 +400,7 @@ class _ShardTarget:
             self.partition_dir = Path(source)
             self.store = None
             manifest = load_partition_manifest(self.partition_dir)
-            self._partition_tags = [str(entry["sha256"])
-                                    for entry in manifest["shards"]]
+            self._partition_tags = partition_tags(manifest)
             dim, vnodes = manifest["embedding_dim"], manifest["vnodes"]
             next_id, count = manifest["next_id"], manifest["total_count"]
             hooks, wal_hooks = request_hooks or {}, wal_hooks or {}
@@ -785,7 +785,7 @@ class _ShardTarget:
             raise ReloadError(
                 f"new partitions have embedding_dim "
                 f"{manifest['embedding_dim']}, serving {self.dim}")
-        tags = [str(entry["sha256"]) for entry in manifest["shards"]]
+        tags = partition_tags(manifest)
         boots = {s: self._boot_spec(new_partition, tag)
                  for s, tag in enumerate(tags)}
 

@@ -41,7 +41,6 @@ module.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import struct
@@ -53,16 +52,16 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 
 import numpy as np
 
-from ..core.atomicio import (atomic_write_json, atomic_write_text, fsync_dir,
-                             fsync_file, sha256_file)
-from ..exceptions import (CorruptArtifactError, ServiceClosedError,
-                          WALCorruptionError)
+from ..core.atomicio import (atomic_write_json, atomic_write_text, check_file,
+                             file_entry, fsync_dir, fsync_file, read_manifest,
+                             read_npz)
+from ..exceptions import ServiceClosedError, WALCorruptionError
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["crc32c", "encode_record", "decode_payload", "scan_buffer",
            "WALRecord", "ShardWAL", "WALTailer", "WALGapError",
-           "ShardDurability", "DurableLog", "sha256_file",
+           "ShardDurability", "DurableLog",
            "OP_INSERT", "OP_DELETE", "WAL_MAGIC"]
 
 
@@ -687,15 +686,8 @@ class ShardDurability:
         base_path = self.directory / _BASE_NAME
         manifest = None
         if path.exists():
-            try:
-                manifest = json.loads(path.read_text())
-            except (OSError, ValueError) as exc:
-                raise CorruptArtifactError(
-                    f"unreadable snapshot manifest {path}: {exc}") from exc
-            if manifest.get("schema") != SNAPSHOT_SCHEMA:
-                raise CorruptArtifactError(
-                    f"{path}: unknown snapshot schema "
-                    f"{manifest.get('schema')!r}")
+            manifest = read_manifest(path, SNAPSHOT_SCHEMA, required=(
+                "generation", "file", "sha256", "applied_lsn"))
         # A directory from before the BASE file knows its base only from
         # its manifest.
         recorded = (base_path.read_text() if base_path.exists()
@@ -738,26 +730,18 @@ class ShardDurability:
         """Path of the committed snapshot, sha256-verified, or ``None``."""
         if self.manifest is None:
             return None
-        path = self.directory / self.manifest["file"]
-        try:
-            digest = sha256_file(path)
-        except OSError as exc:
-            raise CorruptArtifactError(
-                f"snapshot {path} referenced by manifest is unreadable: "
-                f"{exc}") from exc
-        if digest != self.manifest["sha256"]:
-            raise CorruptArtifactError(
-                f"snapshot {path} sha256 mismatch: manifest says "
-                f"{self.manifest['sha256'][:12]}…, file is {digest[:12]}…")
-        return path
+        # The manifest is the snapshot's file entry; one written without
+        # ``bytes`` is checked by sha256 alone.
+        return check_file(self.directory / self.manifest["file"],
+                          self.manifest)
 
     def commit_snapshot(self, save_fn: Callable[[str], None], *,
                         count: int, next_id: int, applied_lsn: int,
                         wal: Optional[ShardWAL] = None) -> dict:
         """Write, verify and publish a new snapshot generation.
 
-        ``save_fn(path)`` must atomically produce an ``np.load``-able
-        file at ``path`` (the store's own atomic save). The previous
+        ``save_fn(path)`` must atomically produce an ``.npz`` file at
+        ``path`` (the store's own atomic save). The previous
         generation is kept until the new one has been re-read and
         digested; only then is the manifest flipped, the old file
         deleted, and the WAL truncated through ``applied_lsn``.
@@ -768,16 +752,13 @@ class ShardDurability:
         save_fn(str(fpath))
         fsync_file(fpath)
         fsync_dir(self.directory)
-        with np.load(fpath) as payload:
-            for key in payload.files:
-                payload[key]  # force a full decompress/read of every member
-        digest = sha256_file(fpath)
+        read_npz(fpath)  # a full decompress/read of every member
         previous = (self.manifest or {}).get("file")
         self.manifest = {
             "schema": SNAPSHOT_SCHEMA,
             "generation": generation,
             "file": fname,
-            "sha256": digest,
+            **file_entry(fpath),
             "count": int(count),
             "next_id": int(next_id),
             "applied_lsn": int(applied_lsn),

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.atomicio import atomic_savez
+from ..core.atomicio import atomic_savez, read_npz
 from ..core.encoder import PrefixState, TrajectoryEncoder
 from ..core.store import EmbeddingStore
 from ..exceptions import ServiceClosedError
@@ -216,9 +216,7 @@ class StreamIngestor:
         """Snapshot + log replay, then rebuild embeddings for the window."""
         with self._lock:
             if self._log.snapshot is not None:
-                with np.load(self._log.snapshot) as payload:
-                    arrays = {key: np.array(payload[key])
-                              for key in payload.files}
+                arrays = read_npz(self._log.snapshot)
                 self._window = SlidingWindowStore.from_snapshot_arrays(
                     self.config.window, arrays)
                 self._accepted_total = int(arrays["stream_meta"][0])

@@ -292,23 +292,6 @@ def test_save_compacts_pending_state(tmp_path):
     assert 500 in got.tolist()
 
 
-def test_load_rejects_corruption(tmp_path, fixture_index):
-    index, _, _ = fixture_index
-    path = index.save(tmp_path / "ivf")
-    with pytest.raises(CorruptArtifactError):
-        IVFIndex.load(tmp_path / "nowhere")
-    data = path / "data.bin"
-    raw = bytearray(data.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
-    data.write_bytes(bytes(raw))
-    with pytest.raises(CorruptArtifactError):
-        IVFIndex.load(path, verify=True)
-    # truncation is caught even without the sha pass
-    data.write_bytes(bytes(raw[:-10]))
-    with pytest.raises(CorruptArtifactError):
-        IVFIndex.load(path, verify=False)
-
-
 def test_load_rejects_bad_schema(tmp_path, fixture_index):
     index, _, _ = fixture_index
     path = index.save(tmp_path / "ivf")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, CorruptArtifactError
 from repro.resilience import CHECKPOINT_SCHEMA, CheckpointManager
 from repro.resilience.checkpoint import MANIFEST_NAME
 from repro.testing import CorruptionSpec, corrupt_bytes
@@ -89,8 +89,8 @@ def test_torn_manifest_does_not_strand_good_files(tmp_path):
 
 
 def test_manifest_sha_detects_silent_swap(tmp_path):
-    """A file replaced after manifesting (same length, valid npz) is
-    rejected by the hash check, not trusted."""
+    """A file replaced after manifesting (a valid npz) is rejected by the
+    manifest entry's size or hash check, not trusted."""
     manager = CheckpointManager(tmp_path / "ckpts")
     manager.save(1, _arrays(1), {})
     manager.save(2, _arrays(2), {})
@@ -99,14 +99,15 @@ def test_manifest_sha_detects_silent_swap(tmp_path):
     path2.write_bytes(path1.read_bytes())  # valid npz, wrong bytes
     loaded = manager.load_latest()
     assert loaded.step == 1
-    assert any("sha256" in s for s in manager.last_skipped)
+    assert any("manifest says" in s or "sha256" in s
+               for s in manager.last_skipped)
 
 
 def test_load_step_has_no_fallback(tmp_path):
     manager = CheckpointManager(tmp_path / "ckpts")
     manager.save(5, _arrays(5), {})
     corrupt_bytes(tmp_path / "ckpts" / "ckpt-00000005.npz")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CorruptArtifactError):
         manager.load_step(5)
     with pytest.raises(CheckpointError, match="no checkpoint"):
         manager.load_step(99)

@@ -7,7 +7,8 @@ import pytest
 
 from repro import NeuTraj, NeuTrajConfig
 from repro.core.store import EmbeddingStore
-from repro.serving import BUNDLE_SCHEMA, BundleError, load_bundle, save_bundle
+from repro.exceptions import CorruptArtifactError
+from repro.serving import BUNDLE_SCHEMA, load_bundle, save_bundle
 from repro.serving.bundle import MANIFEST_NAME, MODEL_FILE, STORE_FILE
 
 
@@ -56,7 +57,7 @@ def test_bundle_without_store_loads_empty(serving_world, tmp_path):
 
 
 def test_missing_manifest_rejected(tmp_path):
-    with pytest.raises(BundleError, match="MANIFEST"):
+    with pytest.raises(CorruptArtifactError, match="MANIFEST"):
         load_bundle(tmp_path)
 
 
@@ -67,7 +68,7 @@ def test_unknown_schema_rejected(serving_world, fresh_store, tmp_path):
     manifest = json.loads(manifest_path.read_text())
     manifest["schema"] = "repro.bundle.v999"
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(BundleError, match="schema"):
+    with pytest.raises(CorruptArtifactError, match="schema"):
         load_bundle(path)
 
 
@@ -78,18 +79,7 @@ def test_unknown_model_class_rejected(serving_world, fresh_store, tmp_path):
     manifest = json.loads(manifest_path.read_text())
     manifest["model_class"] = "EvilModel"
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(BundleError, match="model class"):
-        load_bundle(path)
-
-
-def test_corrupted_artifact_detected(serving_world, fresh_store, tmp_path):
-    model, _ = serving_world
-    path = save_bundle(tmp_path / "b", model, fresh_store)
-    store_path = path / STORE_FILE
-    blob = bytearray(store_path.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    store_path.write_bytes(bytes(blob))
-    with pytest.raises(BundleError, match="sha256"):
+    with pytest.raises(CorruptArtifactError, match="model class"):
         load_bundle(path)
 
 
@@ -97,7 +87,7 @@ def test_missing_artifact_detected(serving_world, fresh_store, tmp_path):
     model, _ = serving_world
     path = save_bundle(tmp_path / "b", model, fresh_store)
     (path / MODEL_FILE).unlink()
-    with pytest.raises(BundleError, match="missing"):
+    with pytest.raises(CorruptArtifactError, match="missing"):
         load_bundle(path)
 
 
@@ -118,7 +108,7 @@ def test_save_is_overwrite_safe(serving_world, fresh_store, tmp_path):
     assert bundle.manifest["store"]["count"] == len(fresh_store)
 
 
-# ------------------------------------------------- corruption injection (PR 3)
+# ------------------------------------------------------ corruption injection
 
 @pytest.mark.faults
 @pytest.mark.parametrize("mode", ["flip", "truncate", "zero"])
@@ -130,31 +120,19 @@ def test_verified_load_catches_any_byte_corruption(serving_world, fresh_store,
     model, _ = serving_world
     path = save_bundle(tmp_path / "b", model, fresh_store)
     CorruptionSpec(mode=mode, length=16).apply(path / victim)
-    with pytest.raises(BundleError, match="sha256"):
+    with pytest.raises(CorruptArtifactError, match=victim):
         load_bundle(path)
 
 
-@pytest.mark.faults
-def test_unverified_load_still_fails_closed_on_corrupt_store(
+def test_v1_bundle_is_refused_with_a_re_export_hint(
         serving_world, fresh_store, tmp_path):
-    """Even with hash verification off, a mangled store must raise the
-    typed error, never return a half-parsed store."""
-    from repro.testing import corrupt_bytes
-
+    """A ``repro.bundle.v1`` bundle may hold a pickled model file: it is
+    refused at the manifest, before any payload is opened."""
     model, _ = serving_world
     path = save_bundle(tmp_path / "b", model, fresh_store)
-    corrupt_bytes(path / STORE_FILE, mode="truncate")
-    with pytest.raises(BundleError):
-        load_bundle(path, verify=False)
-
-
-@pytest.mark.faults
-def test_unverified_load_still_fails_closed_on_corrupt_model(
-        serving_world, fresh_store, tmp_path):
-    from repro.testing import corrupt_bytes
-
-    model, _ = serving_world
-    path = save_bundle(tmp_path / "b", model, fresh_store)
-    corrupt_bytes(path / MODEL_FILE, mode="zero", offset=0, length=64)
-    with pytest.raises(BundleError):
-        load_bundle(path, verify=False)
+    manifest_path = path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["schema"] = "repro.bundle.v1"
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CorruptArtifactError, match="re-export"):
+        load_bundle(path)

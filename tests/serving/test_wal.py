@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.exceptions import CorruptArtifactError, WALCorruptionError
+from repro.exceptions import WALCorruptionError
 from repro.serving import wal as wal_module
 from repro.serving.wal import (OP_DELETE, OP_INSERT, DurableLog,
                                ShardDurability, ShardWAL, WALGapError,
@@ -313,16 +313,6 @@ def test_snapshot_commit_cycle_truncates_wal(tmp_path):
     assert dur2.generation == 2
     snaps = list((tmp_path / "d").glob("snapshot-*.npz"))
     assert [p.name for p in snaps] == ["snapshot-000002.npz"]
-
-
-def test_snapshot_sha256_mismatch_is_typed_error(tmp_path):
-    dur = ShardDurability(tmp_path / "d", base_tag="b")
-    dur.commit_snapshot(_save_fn(2), count=2, next_id=2, applied_lsn=0)
-    CorruptionSpec(mode="flip", offset=None).apply(
-        tmp_path / "d" / dur.manifest["file"])
-    fresh = ShardDurability(tmp_path / "d", base_tag="b")
-    with pytest.raises(CorruptArtifactError):
-        fresh.snapshot_path()
 
 
 def test_base_tag_mismatch_resets_primary_but_not_replica(tmp_path):
