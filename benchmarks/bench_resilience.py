@@ -123,7 +123,7 @@ def run_all(config=CONFIG) -> dict:
                       config["faulty_queries"] * 4))
     service = SimilarityService(
         _WrappedModel(model, flaky), store,
-        ServingConfig(max_wait_ms=0.0, cache_capacity=0,
+        ServingConfig(cache_capacity=0,
                       breaker_failure_threshold=config[
                           "breaker_failure_threshold"],
                       breaker_reset_s=config["breaker_reset_s"]),
@@ -166,7 +166,7 @@ def run_all(config=CONFIG) -> dict:
                          latency_s=config["encoder_latency_ms"] / 1000.0)
     service = SimilarityService(
         _WrappedModel(model, slow), store,
-        ServingConfig(max_wait_ms=0.0, cache_capacity=0,
+        ServingConfig(cache_capacity=0,
                       max_inflight=config["max_inflight"]),
         fallback_index=fallback)
     clients = config["shed_clients"]

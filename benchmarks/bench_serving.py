@@ -49,7 +49,6 @@ CONFIG = {
     "queries_per_client": 32,
     "concurrency": [1, 4, 16],
     "max_batch_size": 16,
-    "max_wait_ms": 2.0,
 }
 
 
@@ -156,7 +155,6 @@ def run_all(config=CONFIG) -> dict:
     service = SimilarityService(
         model, store,
         ServingConfig(max_batch_size=config["max_batch_size"],
-                      max_wait_ms=config["max_wait_ms"],
                       cache_capacity=0))
     try:
         for clients in config["concurrency"]:

@@ -210,7 +210,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serving import ServingConfig, SimilarityService, make_server
 
     # One config shape for both tiers; the sharded one adds its own fields.
-    knobs = dict(max_batch_size=args.max_batch, max_wait_ms=args.max_wait_ms,
+    knobs = dict(max_batch_size=args.max_batch,
                  cache_capacity=args.cache_capacity, index=args.index,
                  nlist=args.nlist, nprobe=args.nprobe,
                  fsync_window_ms=args.fsync_window_ms)
@@ -510,8 +510,6 @@ def main(argv=None) -> int:
                        help="start, run a loopback self-test, and exit")
     serve.add_argument("--max-batch", type=int, default=16,
                        help="micro-batch size cap (default 16)")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batch straggler wait (default 2 ms)")
     serve.add_argument("--cache-capacity", type=int, default=1024,
                        help="LRU result-cache entries; 0 disables")
     serve.add_argument("--index", default="exact", choices=["exact", "ivf"],

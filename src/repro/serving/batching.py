@@ -5,10 +5,14 @@ than on single items (the recurrence is vectorised across the batch
 dimension), but online clients arrive one request at a time. The
 :class:`MicroBatcher` bridges the two: callers ``submit()`` individual
 trajectories and immediately get a :class:`~concurrent.futures.Future`;
-a single worker thread coalesces whatever is queued — waiting at most
-``max_wait_s`` after the first item for stragglers, dispatching early the
-moment ``max_batch_size`` items are pending — and resolves each future
-with its own row of the batched encoder output.
+a single worker thread coalesces whatever is queued and resolves each
+future with its own row of the batched encoder output.
+
+The worker is work-conserving: whenever it is free it dispatches
+everything queued, up to ``max_batch_size``, and never waits on a clock
+for stragglers. Requests that arrive during an encode form the next
+batch, so batches grow with load and a lone request pays for its own
+encode only.
 
 Failure isolation: when a batched call raises, the worker retries each
 item of the batch individually so the exception lands only on the
@@ -69,27 +73,21 @@ class MicroBatcher:
         per-item results, order-aligned. For the serving layer this is the
         padded batch encoder returning an (N, d) array.
     max_batch_size:
-        Dispatch immediately once this many items are pending.
-    max_wait_s:
-        After the first item of a batch arrives, wait at most this long
-        for more before dispatching a partial batch. 0 dispatches
-        whatever is queued without waiting.
+        Most items one dispatch takes from the queue; the rest wait for
+        the next one.
     on_batch:
         Optional ``on_batch(batch_size, seconds)`` observer, called after
         every dispatched batch (success or failure) — the metrics hook.
     """
 
     def __init__(self, batch_fn: Callable[[List[Any]], Sequence],
-                 max_batch_size: int = 16, max_wait_s: float = 0.002,
+                 max_batch_size: int = 16,
                  on_batch: Optional[Callable[[int, float], None]] = None,
                  name: str = "micro-batcher"):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
         self._batch_fn = batch_fn
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
         self._on_batch = on_batch
         self._lock = threading.Lock()
         self._has_work = threading.Condition(self._lock)
@@ -178,14 +176,13 @@ class MicroBatcher:
             "items": items,
             "mean_batch_size": (items / batches) if batches else 0.0,
             "max_batch_size": self.max_batch_size,
-            "max_wait_s": self.max_wait_s,
             "deadline_expired": expired,
         }
 
     # ---------------------------------------------------------------- worker
 
     def _collect(self) -> "List[Tuple[Any, Future, Optional[float]]]":
-        """Block until work exists, then gather one batch (deadline-aware).
+        """Block until work exists, then pop up to ``max_batch_size``.
 
         Returns an empty list only when the batcher is closed and fully
         drained.
@@ -193,22 +190,8 @@ class MicroBatcher:
         with self._lock:
             while not self._queue and not self._closed:
                 self._has_work.wait()
-            if not self._queue:
-                return []
-            batch = [self._queue.popleft()]
-            deadline = time.monotonic() + self.max_wait_s
-            while len(batch) < self.max_batch_size:
-                if self._queue:
-                    batch.append(self._queue.popleft())
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._has_work.wait(timeout=remaining)
-                if not self._queue and (self._closed
-                                        or time.monotonic() >= deadline):
-                    break
-            return batch
+            take = min(len(self._queue), self.max_batch_size)
+            return [self._queue.popleft() for _ in range(take)]
 
     def _run(self) -> None:
         while True:

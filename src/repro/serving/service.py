@@ -87,11 +87,8 @@ class ServingConfig:
     ----------
     max_batch_size:
         Encoder micro-batch cap; concurrent requests beyond this start the
-        next batch.
-    max_wait_ms:
-        How long the batcher holds a partial batch for stragglers after
-        its first request arrives. 0 dispatches immediately (lowest
-        latency, least coalescing).
+        next batch. The batcher never holds a batch open: it encodes
+        whatever queued while the previous encode ran.
     cache_capacity:
         LRU result-cache entries; 0 disables caching.
     default_k:
@@ -141,7 +138,6 @@ class ServingConfig:
     """
 
     max_batch_size: int = 16
-    max_wait_ms: float = 2.0
     cache_capacity: int = 1024
     default_k: int = 10
     max_points: int = 100_000
@@ -160,8 +156,6 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ConfigurationError("max_batch_size must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ConfigurationError("max_wait_ms must be >= 0")
         if self.cache_capacity < 0:
             raise ConfigurationError("cache_capacity must be >= 0")
         if self.default_k < 1:
@@ -388,7 +382,6 @@ class SimilarityService:
             self._batcher = MicroBatcher(
                 self._encode_batch,
                 max_batch_size=self.config.max_batch_size,
-                max_wait_s=self.config.max_wait_ms / 1000.0,
                 on_batch=self._record_batch,
                 name="repro-encode-batcher")
 

@@ -272,7 +272,7 @@ class _ShardWorker:
             self.log.close()
 
 
-def _shard_worker_main(conn, shard_id: int, boot: Dict, hook,
+def _shard_worker_main(conn, parent_conn, shard_id: int, boot: Dict, hook,
                        wal_hook=None) -> None:
     """Entry point of one shard worker process.
 
@@ -283,7 +283,13 @@ def _shard_worker_main(conn, shard_id: int, boot: Dict, hook,
     ``hook`` (when given) is triggered before each request — the
     fault-injection seam; ``wal_hook`` fires inside the WAL append path
     (crash-chaos seam).
+
+    ``parent_conn``, the coordinator's end inherited through the fork, is
+    closed first: otherwise this worker, and every worker forked before
+    it (whose coordinator ends it also holds), never sees EOF when the
+    coordinator dies.
     """
+    parent_conn.close()
     try:
         worker = _ShardWorker(shard_id, boot, wal_hook)
     except Exception as exc:

@@ -140,8 +140,8 @@ class _ShardHandle:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_shard_worker_main,
-            args=(child_conn, self.shard_id, self._boot, self._hook,
-                  self._wal_hook),
+            args=(child_conn, parent_conn, self.shard_id, self._boot,
+                  self._hook, self._wal_hook),
             name=f"repro-shard-{self.shard_id}", daemon=True)
         proc.start()
         child_conn.close()

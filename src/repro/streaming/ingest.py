@@ -72,8 +72,8 @@ class StreamConfig:
     ----------
     window:
         Sliding-window shape (lateness, TTL, reorder bound, segment roll).
-    encode_batch_size, encode_max_wait_s:
-        Micro-batcher coalescing for segment re-embeds.
+    encode_batch_size:
+        Micro-batch cap for segment re-embeds.
     max_pending_encodes:
         In-flight re-embed jobs before further dirty segments are
         *deferred* (degraded mode) instead of queued — the bounded-queue
@@ -92,7 +92,6 @@ class StreamConfig:
 
     window: WindowConfig = WindowConfig()
     encode_batch_size: int = 8
-    encode_max_wait_s: float = 0.002
     max_pending_encodes: int = 8
     admission_limit: int = 32
     snapshot_every: int = 0
@@ -202,8 +201,7 @@ class StreamIngestor:
             if not config.sync_encode:
                 self._batcher = MicroBatcher(
                     self._encode_batch, name="stream-encoder",
-                    max_batch_size=config.encode_batch_size,
-                    max_wait_s=config.encode_max_wait_s)
+                    max_batch_size=config.encode_batch_size)
                 with self._lock:
                     self._schedule_locked()
         except BaseException:

@@ -1,8 +1,9 @@
 """Tests for the futures-based micro-batcher.
 
-Covers the ISSUE checklist explicitly: deadline flush, max-size flush,
-exception propagation to the right future, and concurrent-client
-determinism (same results as serial).
+Covers the work-conserving dispatch rule (a lone item goes at once, a
+backlog goes in cap-sized batches), exception propagation to the right
+future, and concurrent-client determinism (same results as serial).
+Batch shapes are pinned with events, never with sleeps.
 """
 
 import threading
@@ -18,43 +19,48 @@ def doubler(items):
 
 
 def test_single_item_roundtrip():
-    with MicroBatcher(doubler, max_batch_size=8, max_wait_s=0.001) as batcher:
+    with MicroBatcher(doubler, max_batch_size=8) as batcher:
         assert batcher.submit(21).result(timeout=5) == 42
         assert batcher(5, timeout=5) == 10
 
 
-def test_max_size_flush_dispatches_before_deadline():
-    """A full batch must dispatch immediately, not wait out max_wait_s."""
-    sizes = []
-    with MicroBatcher(doubler, max_batch_size=4, max_wait_s=30.0,
-                      on_batch=lambda n, s: sizes.append(n)) as batcher:
-        start = time.monotonic()
-        futures = [batcher.submit(i) for i in range(4)]
-        results = [f.result(timeout=5) for f in futures]
-        elapsed = time.monotonic() - start
-    assert results == [0, 2, 4, 6]
-    assert elapsed < 5.0  # nowhere near the 30 s deadline
-    assert sum(sizes) == 4
-    assert max(sizes) <= 4
+def test_lone_submit_dispatches_alone():
+    """A free worker dispatches at once: nothing waits for a second item."""
+    calls = []
+
+    def recording(items):
+        calls.append(list(items))
+        return doubler(items)
+
+    with MicroBatcher(recording, max_batch_size=100) as batcher:
+        assert batcher.submit(7).result(timeout=5) == 14
+    assert calls == [[7]]
 
 
-def test_deadline_flush_dispatches_partial_batch():
-    """A partial batch must dispatch once max_wait_s expires."""
-    sizes = []
-    with MicroBatcher(doubler, max_batch_size=100, max_wait_s=0.05,
-                      on_batch=lambda n, s: sizes.append(n)) as batcher:
-        futures = [batcher.submit(i) for i in range(3)]
-        results = [f.result(timeout=5) for f in futures]
-    assert results == [0, 2, 4]
-    assert sizes and sum(sizes) == 3
-    assert max(sizes) < 100  # flushed by deadline, never filled
+def test_backlog_dispatches_in_cap_sized_batches():
+    """Items queued behind a busy worker form the next batches, each
+    capped at ``max_batch_size``."""
+    cap = 4
+    started, release = threading.Event(), threading.Event()
+    calls = []
 
+    def gated(items):
+        calls.append(list(items))
+        started.set()
+        release.wait(timeout=5)
+        return doubler(items)
 
-def test_zero_wait_dispatches_immediately():
-    with MicroBatcher(doubler, max_batch_size=100, max_wait_s=0.0) as batcher:
-        start = time.monotonic()
-        assert batcher(1, timeout=5) == 2
-        assert time.monotonic() - start < 1.0
+    with MicroBatcher(gated, max_batch_size=cap) as batcher:
+        first = batcher.submit(-1)
+        assert started.wait(timeout=5)
+        queued = [batcher.submit(i) for i in range(2 * cap + 1)]
+        release.set()
+        assert first.result(timeout=5) == -2
+        assert [f.result(timeout=5) for f in queued] == [
+            2 * i for i in range(2 * cap + 1)]
+    assert [len(batch) for batch in calls] == [1, cap, cap, 1]
+    assert [x for batch in calls[1:] for x in batch] == list(
+        range(2 * cap + 1))
 
 
 def failing_on_none(items):
@@ -65,8 +71,7 @@ def failing_on_none(items):
 
 def test_exception_lands_on_the_right_future():
     """A poison item in a batch fails only its own future."""
-    with MicroBatcher(failing_on_none, max_batch_size=8,
-                      max_wait_s=0.2) as batcher:
+    with MicroBatcher(failing_on_none, max_batch_size=8) as batcher:
         good_a = batcher.submit(1)
         poison = batcher.submit(None)
         good_b = batcher.submit(3)
@@ -77,8 +82,7 @@ def test_exception_lands_on_the_right_future():
 
 
 def test_exception_single_item_batch():
-    with MicroBatcher(failing_on_none, max_batch_size=1,
-                      max_wait_s=0.0) as batcher:
+    with MicroBatcher(failing_on_none, max_batch_size=1) as batcher:
         with pytest.raises(ValueError):
             batcher(None, timeout=5)
         # The worker survives a failed batch.
@@ -86,8 +90,7 @@ def test_exception_single_item_batch():
 
 
 def test_wrong_result_count_is_an_error():
-    with MicroBatcher(lambda items: [], max_batch_size=4,
-                      max_wait_s=0.01) as batcher:
+    with MicroBatcher(lambda items: [], max_batch_size=4) as batcher:
         futures = [batcher.submit(i) for i in range(3)]
         for future in futures:
             with pytest.raises(RuntimeError, match="results"):
@@ -105,7 +108,11 @@ def test_concurrent_clients_match_serial():
                for i in range(per_client)]
         results[client_id] = got
 
-    with MicroBatcher(doubler, max_batch_size=16, max_wait_s=0.002) as batcher:
+    def slow_doubler(items):
+        time.sleep(0.002)  # an encode long enough for a backlog to form
+        return doubler(items)
+
+    with MicroBatcher(slow_doubler, max_batch_size=16) as batcher:
         threads = [threading.Thread(target=client, args=(c, batcher))
                    for c in range(clients)]
         for thread in threads:
@@ -118,13 +125,13 @@ def test_concurrent_clients_match_serial():
         expected = [(client_id * 1000 + i) * 2 for i in range(per_client)]
         assert results[client_id] == expected
     assert stats["items"] == clients * per_client
-    # Coalescing actually happened: fewer batches than items.
+    # Requests that queued during an encode shared the next batch.
     assert stats["batches"] < stats["items"]
     assert stats["mean_batch_size"] > 1.0
 
 
 def test_submit_after_close_raises():
-    batcher = MicroBatcher(doubler, max_batch_size=4, max_wait_s=0.001)
+    batcher = MicroBatcher(doubler, max_batch_size=4)
     batcher.close()
     assert batcher.closed
     with pytest.raises(BatcherClosedError):
@@ -140,7 +147,7 @@ def test_close_drains_pending_work():
         time.sleep(0.05)
         return [x * 2 for x in items]
 
-    batcher = MicroBatcher(slow_doubler, max_batch_size=1, max_wait_s=0.0)
+    batcher = MicroBatcher(slow_doubler, max_batch_size=1)
     futures = [batcher.submit(i) for i in range(3)]
     slow_started.wait(timeout=5)
     batcher.close()
@@ -150,8 +157,6 @@ def test_close_drains_pending_work():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         MicroBatcher(doubler, max_batch_size=0)
-    with pytest.raises(ValueError):
-        MicroBatcher(doubler, max_wait_s=-1.0)
 
 
 # ------------------------------------------------- robustness contract (PR 3)
@@ -163,7 +168,7 @@ def test_expired_deadline_fails_future_without_encoding():
         calls.append(list(items))
         return [x * 2 for x in items]
 
-    batcher = MicroBatcher(recording, max_batch_size=4, max_wait_s=0.0)
+    batcher = MicroBatcher(recording, max_batch_size=4)
     try:
         from repro.exceptions import DeadlineExceededError
         future = batcher.submit(7, deadline=time.monotonic() - 1.0)
@@ -179,22 +184,28 @@ def test_expired_deadline_fails_future_without_encoding():
 
 
 def test_mixed_deadlines_only_drop_the_expired_item():
-    blocker = threading.Event()
+    started, release = threading.Event(), threading.Event()
+    calls = []
 
     def gated(items):
-        blocker.wait(timeout=5)
+        calls.append(list(items))
+        started.set()
+        release.wait(timeout=5)
         return [x * 2 for x in items]
 
-    batcher = MicroBatcher(gated, max_batch_size=2, max_wait_s=10.0)
+    batcher = MicroBatcher(gated, max_batch_size=2)
     try:
         from repro.exceptions import DeadlineExceededError
-        dead = batcher.submit(1, deadline=time.monotonic() + 0.01)
-        time.sleep(0.05)  # let the deadline lapse while queued
+        batcher.submit(0)                # occupies the worker
+        assert started.wait(timeout=5)
+        # Both queue behind it and are collected as one batch.
+        dead = batcher.submit(1, deadline=time.monotonic() - 1.0)
         live = batcher.submit(2, deadline=time.monotonic() + 30.0)
-        blocker.set()
+        release.set()
         assert live.result(timeout=5) == 4
         with pytest.raises(DeadlineExceededError):
             dead.result(timeout=5)
+        assert calls == [[0], [2]]
     finally:
         batcher.close()
 
@@ -210,7 +221,7 @@ def test_close_without_drain_fails_pending_futures():
         release.wait(timeout=5)
         return [x * 2 for x in items]
 
-    batcher = MicroBatcher(gated, max_batch_size=1, max_wait_s=0.0)
+    batcher = MicroBatcher(gated, max_batch_size=1)
     first = batcher.submit(0)           # occupies the worker
     started.wait(timeout=5)
     queued = [batcher.submit(i) for i in range(1, 4)]
@@ -238,7 +249,7 @@ def test_close_with_wedged_worker_does_not_strand_futures():
         time.sleep(60.0)
         return [x * 2 for x in items]
 
-    batcher = MicroBatcher(wedged, max_batch_size=1, max_wait_s=0.0)
+    batcher = MicroBatcher(wedged, max_batch_size=1)
     batcher.submit(0)
     stuck.wait(timeout=5)
     queued = batcher.submit(1)

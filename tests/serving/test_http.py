@@ -15,7 +15,7 @@ from repro.serving import ServingConfig, SimilarityService, make_server
 def server(serving_world, fresh_store):
     model, items = serving_world
     service = SimilarityService(model, fresh_store,
-                                ServingConfig(max_wait_ms=0.5),
+                                ServingConfig(),
                                 probes=items[:2])
     srv = make_server(service)  # ephemeral port
     thread = threading.Thread(target=srv.serve_forever, daemon=True)

@@ -35,7 +35,7 @@ def _tear_down(srv, thread, service):
 def strict_server(serving_world, fresh_store):
     model, _ = serving_world
     service = SimilarityService(model, fresh_store,
-                                ServingConfig(max_wait_ms=0.0))
+                                ServingConfig())
     srv, thread = _spin_up(service)
     yield srv
     _tear_down(srv, thread, service)
@@ -45,7 +45,7 @@ def strict_server(serving_world, fresh_store):
 def sanitize_server(serving_world, fresh_store):
     model, _ = serving_world
     service = SimilarityService(
-        model, fresh_store, ServingConfig(max_wait_ms=0.0, sanitize=True))
+        model, fresh_store, ServingConfig(sanitize=True))
     srv, thread = _spin_up(service)
     yield srv
     _tear_down(srv, thread, service)

@@ -35,8 +35,7 @@ def test_serving_config_index_validation():
 def test_service_installs_ivf_backend(serving_world, fresh_store):
     model, items = serving_world
     svc = SimilarityService(model, fresh_store,
-                            ServingConfig(index="ivf", nlist=4, nprobe=4,
-                                          max_wait_ms=0.5))
+                            ServingConfig(index="ivf", nlist=4, nprobe=4))
     try:
         assert fresh_store.backend.name == "ivf"
         # nprobe == nlist: answers match the exact scan
@@ -54,7 +53,7 @@ def test_service_exact_resets_foreign_backend(serving_world, fresh_store):
     model, items = serving_world
     fresh_store.use_backend("ivf", nlist=4, nprobe=2)
     svc = SimilarityService(model, fresh_store,
-                            ServingConfig(index="exact", max_wait_ms=0.5))
+                            ServingConfig(index="exact"))
     try:
         assert fresh_store.backend.name == "exact"
     finally:
@@ -64,7 +63,7 @@ def test_service_exact_resets_foreign_backend(serving_world, fresh_store):
 def test_candidate_metrics_exposed(serving_world, fresh_store, tmp_path):
     model, items = serving_world
     for svc in _every_shape(model, fresh_store, tmp_path, index="ivf",
-                            nlist=4, nprobe=4, max_wait_ms=0.5):
+                            nlist=4, nprobe=4):
         try:
             svc.top_k(items[0], k=3, use_cache=False)
             svc.top_k(items[1], k=3, use_cache=False)
@@ -81,7 +80,7 @@ def test_candidate_metrics_exposed(serving_world, fresh_store, tmp_path):
 def test_stats_reports_search_backend(serving_world, fresh_store, tmp_path):
     model, items = serving_world
     for svc in _every_shape(model, fresh_store, tmp_path, index="ivf",
-                            nlist=4, nprobe=2, max_wait_ms=0.5):
+                            nlist=4, nprobe=2):
         try:
             svc.top_k(items[2], k=3, use_cache=False)
             backend_stats = svc.stats()["store"]["search_backend"]
@@ -97,8 +96,7 @@ def test_mutation_through_service_keeps_ivf_consistent(serving_world,
                                                        fresh_store):
     model, items = serving_world
     svc = SimilarityService(model, fresh_store,
-                            ServingConfig(index="ivf", nlist=4, nprobe=4,
-                                          max_wait_ms=0.5))
+                            ServingConfig(index="ivf", nlist=4, nprobe=4))
     try:
         new_ids = svc.insert(items[16:18])
         result = svc.top_k(items[16], k=1, use_cache=False)

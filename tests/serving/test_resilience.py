@@ -47,7 +47,7 @@ def _make_service(serving_world, fresh_store, config=None, embed=None,
         model = _WrappedModel(model, embed)
     return SimilarityService(
         model, fresh_store,
-        config or ServingConfig(max_wait_ms=0.0),
+        config or ServingConfig(),
         probes=items[:2], fallback_index=fallback)
 
 
@@ -74,7 +74,7 @@ def test_boundary_validation_rejects_garbage(serving_world, fresh_store):
 
 
 def test_max_points_limit(serving_world, fresh_store):
-    config = ServingConfig(max_wait_ms=0.0, max_points=5)
+    config = ServingConfig(max_points=5)
     service = _make_service(serving_world, fresh_store, config=config,
                             with_fallback=False)
     try:
@@ -97,7 +97,7 @@ def test_admission_gate_sheds_excess_load(serving_world, fresh_store):
         assert release.wait(10.0), "test deadlock: release never set"
         return model.embed(trajectories, batch_size=batch_size)
 
-    config = ServingConfig(max_wait_ms=0.0, max_inflight=1)
+    config = ServingConfig(max_inflight=1)
     service = _make_service(serving_world, fresh_store, config=config,
                             embed=slow_embed, with_fallback=False)
     try:
@@ -143,7 +143,7 @@ def test_deadline_exceeded_is_typed_and_counted(serving_world, fresh_store):
 def test_breaker_opens_and_degrades_to_grid_index(serving_world, fresh_store):
     model, items = serving_world
     flaky = FlakyCallable(model.embed, fail_on=range(1, 100))
-    config = ServingConfig(max_wait_ms=0.0, breaker_failure_threshold=3,
+    config = ServingConfig(breaker_failure_threshold=3,
                            breaker_reset_s=60.0)
     service = _make_service(serving_world, fresh_store, config=config,
                             embed=flaky)
@@ -180,7 +180,7 @@ def test_degraded_answers_overlap_real_neighbours(serving_world, fresh_store):
     cell with itself)."""
     model, items = serving_world
     flaky = FlakyCallable(model.embed, fail_on=range(1, 100))
-    config = ServingConfig(max_wait_ms=0.0, breaker_failure_threshold=1)
+    config = ServingConfig(breaker_failure_threshold=1)
     service = _make_service(serving_world, fresh_store, config=config,
                             embed=flaky)
     try:
@@ -198,7 +198,7 @@ def test_breaker_open_without_fallback_is_unavailable(serving_world,
                                                       fresh_store):
     model, items = serving_world
     flaky = FlakyCallable(model.embed, fail_on=range(1, 100))
-    config = ServingConfig(max_wait_ms=0.0, breaker_failure_threshold=1)
+    config = ServingConfig(breaker_failure_threshold=1)
     service = _make_service(serving_world, fresh_store, config=config,
                             embed=flaky, with_fallback=False)
     try:

@@ -29,7 +29,7 @@ def _dirty_variant(points):
 @pytest.fixture
 def sanitizing_service(serving_world, fresh_store):
     model, _ = serving_world
-    config = ServingConfig(max_wait_ms=0.0, sanitize=True)
+    config = ServingConfig(sanitize=True)
     with SimilarityService(model, fresh_store, config=config) as service:
         yield service
 
@@ -38,7 +38,7 @@ def sanitizing_service(serving_world, fresh_store):
 def strict_service(serving_world, fresh_store):
     model, _ = serving_world
     with SimilarityService(model, fresh_store,
-                           config=ServingConfig(max_wait_ms=0.0)) as service:
+                           config=ServingConfig()) as service:
         yield service
 
 
@@ -136,7 +136,7 @@ class TestExplicitConfig:
     def test_custom_sanitize_config_is_used(self, serving_world, fresh_store):
         model, items = serving_world
         config = ServingConfig(
-            max_wait_ms=0.0, sanitize=True,
+            sanitize=True,
             sanitize_config=SanitizeConfig(max_jump=None, dup_epsilon=None))
         with SimilarityService(model, fresh_store, config=config) as service:
             # bbox is grafted from the grid even onto an explicit config.

@@ -15,7 +15,7 @@ from repro.serving import (ServingConfig, ShardedConfig, SimilarityService,
 def service(serving_world, fresh_store):
     model, items = serving_world
     svc = SimilarityService(model, fresh_store,
-                            ServingConfig(max_wait_ms=0.5),
+                            ServingConfig(),
                             probes=items[:2])
     yield svc
     svc.close()
@@ -24,8 +24,6 @@ def service(serving_world, fresh_store):
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         ServingConfig(max_batch_size=0)
-    with pytest.raises(ConfigurationError):
-        ServingConfig(max_wait_ms=-1)
     with pytest.raises(ConfigurationError):
         ServingConfig(cache_capacity=-1)
     with pytest.raises(ConfigurationError):
@@ -187,7 +185,7 @@ def test_insert_encodes_on_the_batcher_thread(serving_world, fresh_store,
     # On the instance, so the store's own reference to the model sees it.
     monkeypatch.setattr(model, "embed", recording_embed)
     svc = SimilarityService(model, fresh_store,
-                            ServingConfig(max_wait_ms=0.5))
+                            ServingConfig())
     try:
         def inserter():
             for traj in items[16:20]:
@@ -216,7 +214,7 @@ def test_concurrent_queries_match_serial_16_clients(serving_world,
                                                     fresh_store):
     """The acceptance-scale determinism check: 16 clients, shared batches."""
     model, items = serving_world
-    svc = SimilarityService(model, fresh_store, ServingConfig(max_wait_ms=2.0))
+    svc = SimilarityService(model, fresh_store, ServingConfig())
     queries = items[:16]
     expected = [fresh_store.query(q, k=5)[0].tolist() for q in queries]
     answers = {}

@@ -6,9 +6,17 @@ so the whole module stays tier-1 friendly. The load-bearing property is
 order) a single-process exact store would, ties included.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.partition import save_partitions
 from repro.core.store import EmbeddingStore
 from repro.exceptions import (NotFittedError, ReloadError, ServiceClosedError,
@@ -302,3 +310,55 @@ def test_closed_service_rejects_queries(partitions):
     svc.close()
     with pytest.raises(ServiceClosedError):
         svc.query_embedding(make_embeddings(1)[0], k=1)
+
+
+# ------------------------------------------------------- coordinator death
+
+_HOLD_SHARDS = """
+import multiprocessing, sys, time
+from repro.serving import ShardedService
+service = ShardedService(sys.argv[1])
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+time.sleep(600)
+"""
+
+
+def _exited(pid):
+    """True once ``pid`` is gone or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.faults
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs procfs")
+def test_workers_exit_when_the_coordinator_is_sigkilled(partitions):
+    """No cleanup code runs on SIGKILL: each worker must see EOF on its
+    pipe, which it only does if no sibling holds the coordinator's end."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        src, env.get("PYTHONPATH")]))
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_SHARDS, str(partitions[0])],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True)
+    pids = []
+    try:
+        pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+    finally:
+        coordinator.send_signal(signal.SIGKILL)
+        coordinator.wait()
+        coordinator.stdout.close()
+    assert len(pids) == 3
+    give_up = time.monotonic() + 5.0
+    try:
+        while time.monotonic() < give_up and not all(map(_exited, pids)):
+            time.sleep(0.05)
+        assert [pid for pid in pids if not _exited(pid)] == []
+    finally:
+        for pid in pids:
+            if not _exited(pid):
+                os.kill(pid, signal.SIGKILL)

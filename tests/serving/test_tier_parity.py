@@ -65,7 +65,6 @@ def world(serving_world, tmp_path_factory):
 def _make(world, tier, request_hooks=None, durable_dir=None, **knobs):
     """The ``tier`` deployment of the one bundle, built with ``knobs``."""
     bundle, partitions, _, _ = world
-    knobs.setdefault("max_wait_ms", 0.0)
     if TIERS[tier] == 0:
         return SimilarityService.from_bundle(bundle, ServingConfig(**knobs),
                                              durable_dir=durable_dir)

@@ -236,8 +236,8 @@ def test_overload_defers_reembeds_and_keeps_serving(tmp_path, encoder):
     """2x encoder overload: shed/defer with bounded memory, still answer."""
     config = StreamConfig(
         window=WindowConfig(lateness_s=1e6, ttl_s=1e9, max_segment_points=4),
-        sync_encode=False, encode_batch_size=2, encode_max_wait_s=0.001,
-        max_pending_encodes=1, admission_limit=32)
+        sync_encode=False, encode_batch_size=2, max_pending_encodes=1,
+        admission_limit=32)
     slow = {"calls": 0}
 
     def slow_encode():

@@ -27,7 +27,7 @@ def _service():
     model.encoder = encoder
     store = EmbeddingStore(None, dim=encoder.config.embedding_dim)
     store.add_embeddings(np.zeros((2, encoder.config.embedding_dim)))
-    return SimilarityService(model, store, ServingConfig(max_wait_ms=0.5))
+    return SimilarityService(model, store, ServingConfig())
 
 
 def _rows(points):

@@ -76,3 +76,12 @@ def test_serve_refuses_replicas_without_shards(bundle, tmp_path, capsys):
                  "--replicas", "1"]) == 2
     assert "--shards" in capsys.readouterr().err
     assert not (tmp_path / "wal").exists()
+
+
+def test_serve_has_no_straggler_wait_option(tmp_path, capsys):
+    """The batcher never waits on a clock, so there is no knob to set."""
+    with pytest.raises(SystemExit) as exited:
+        main(["serve", "--bundle", str(tmp_path), "--once",
+              "--max-wait-ms", "2"])
+    assert exited.value.code == 2
+    assert "--max-wait-ms" in capsys.readouterr().err
