@@ -10,10 +10,11 @@ The recurrence is stated once for both cells: :func:`step_forward` is a
 step's arithmetic on plain arrays and :func:`tape_step` records it on the
 tape as two nodes with its one hand-written backward. :class:`Recurrent`
 unrolls them — ``forward`` for training (input projections of *all*
-timesteps hoisted into one ``(B·T, in) @ W`` matmul per weight),
-``infer`` / ``fold`` tape-free for inference, the same numpy operations
-in the same order, so their float64 outputs are bit-identical to
-``forward``'s.
+timesteps hoisted into one ``(B·T, in) @ W^T + b`` tape node per weight,
+SAM windows re-read in backward through a :class:`~repro.nn.sam.WindowLog`
+instead of taped), ``infer`` / ``fold`` tape-free for inference, the same
+numpy operations in the same order, so their float64 outputs are
+bit-identical to ``forward``'s.
 
 :meth:`LSTMCell.forward` (and :meth:`SAMLSTMCell.forward
 <repro.nn.sam.SAMLSTMCell.forward>` + ``read``) are the paper's equations
@@ -23,6 +24,7 @@ to, to 1e-12. No setting reaches them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Optional, Tuple
 
@@ -49,10 +51,15 @@ def step_forward(x_gates: np.ndarray, x_cand: np.ndarray, h: np.ndarray,
     through ``saved = (slab, cand, attn, cat, c_his, tanh_ct)``; inference
     keeps ``h_t, c_t``. Returns ``(h_t, c_t, saved)``.
     """
+    # In place only on arrays this step allocated: ``x_gates`` / ``x_cand``
+    # are views into a taped projection, and the operand order is kept.
     batch, d = c.shape
-    slab = logistic(x_gates + h @ u_gates_t)
-    cand = np.tanh(x_cand + h @ u_cand_t)
-    c_t = slab[:, :d] * c + slab[:, d:2 * d] * cand
+    pre = h @ u_gates_t
+    slab = logistic(np.add(x_gates, pre, out=pre))
+    cand = h @ u_cand_t
+    np.tanh(np.add(x_cand, cand, out=cand), out=cand)
+    c_t = slab[:, :d] * c
+    c_t += slab[:, d:2 * d] * cand
     attn = cat = c_his = None
     if window is not None:
         scores = (window @ c_t.reshape(batch, d, 1)
@@ -63,11 +70,13 @@ def step_forward(x_gates: np.ndarray, x_cand: np.ndarray, h: np.ndarray,
         mix = (window.transpose(0, 2, 1)
                @ attn.reshape(batch, -1, 1)).reshape(batch, d)
         cat = np.concatenate([c_t, mix], axis=-1)
-        c_his = np.tanh(cat @ w_read_t + b_read)
-        c_t = c_t + slab[:, 2 * d:3 * d] * c_his
+        c_his = cat @ w_read_t
+        c_his += b_read
+        np.tanh(c_his, out=c_his)
+        c_t += slab[:, 2 * d:3 * d] * c_his
     tanh_ct = np.tanh(c_t)
     h_t = slab[:, -d:] * tanh_ct
-    if carry is not None:
+    if carry is not None and carry.any():
         c_t = np.where(carry, c, c_t)
         h_t = np.where(carry, h, h_t)
     return h_t, c_t, (slab, cand, attn, cat, c_his, tanh_ct)
@@ -76,7 +85,8 @@ def step_forward(x_gates: np.ndarray, x_cand: np.ndarray, h: np.ndarray,
 def tape_step(cell: Module, x_gates_t: Tensor, x_cand_t: Tensor,
               h_prev: Tensor, c_prev: Tensor,
               window: Optional[np.ndarray] = None,
-              carry: Optional[np.ndarray] = None
+              carry: Optional[np.ndarray] = None,
+              reread: Optional[Callable[[], np.ndarray]] = None
               ) -> Tuple[Tensor, Tensor, Optional[np.ndarray]]:
     """:func:`step_forward` on the tape, with its one hand-written backward.
 
@@ -84,6 +94,9 @@ def tape_step(cell: Module, x_gates_t: Tensor, x_cand_t: Tensor,
     cell state, the attention read over ``window`` (SAM cell) and the
     output states — is two tape nodes, ``c_t`` and ``h_t``, instead of ~20.
     ``window`` is a constant: reads do not backpropagate into history.
+    Backward takes it back from ``reread()``: an unroll passes a
+    :class:`~repro.nn.sam.WindowLog` re-read, so its tape never holds a
+    window; a lone step may leave ``reread`` out and keep ``window``.
     Rows where ``carry`` (B, 1) is True emit ``h_prev``/``c_prev``
     unchanged and route their gradients straight back to them, as a
     standalone ``where`` carry would.
@@ -92,8 +105,10 @@ def tape_step(cell: Module, x_gates_t: Tensor, x_cand_t: Tensor,
     which the memory write needs (``None`` without a ``window``).
     """
     u_gates, u_cand = cell.u_gates, cell.u_cand
-    read = ((cell.read_proj.weight, cell.read_proj.bias)
-            if window is not None else ())
+    reads = window is not None
+    if reads and reread is None:
+        reread = itertools.repeat(window).__next__
+    read = (cell.read_proj.weight, cell.read_proj.bias) if reads else ()
     batch, d = c_prev.shape
     h_data = h_prev.data
     h_t_data, c_t_data, saved = step_forward(
@@ -101,7 +116,7 @@ def tape_step(cell: Module, x_gates_t: Tensor, x_cand_t: Tensor,
         *cell.weight_views())
     slab, cand, attn, cat, c_his, tanh_ct = saved
     f_t, i_t, o_t = slab[:, :d], slab[:, d:2 * d], slab[:, -d:]
-    s_t = slab[:, 2 * d:3 * d] if window is not None else None
+    s_t = slab[:, 2 * d:3 * d] if reads else None
     n = slab.shape[1] - d  # width of the [f, i, (s)] block of ``pre``
 
     def backward_c(grad: np.ndarray) -> None:
@@ -110,8 +125,8 @@ def tape_step(cell: Module, x_gates_t: Tensor, x_cand_t: Tensor,
                 c_prev._accumulate(np.where(carry, grad, 0.0))
             grad = np.where(carry, 0.0, grad)
         g_c_hat, g_s = grad, []
-        if window is not None:
-            weight, bias = read
+        if reads:
+            window, (weight, bias) = reread(), read
             g_s = [grad * c_his * s_t * (1.0 - s_t)]
             g_read = grad * s_t * (1.0 - c_his * c_his)
             if bias.requires_grad:
@@ -231,10 +246,20 @@ class Recurrent(Module):
         return reads
 
     def _projector(self) -> Callable:
+        """``x -> (x @ W_gates^T + b_gates, x @ W_cand^T + b_cand)``, each
+        bias added in place into the matmul's fresh result."""
         cell = self.cell
         w_gates_t, b_gates = cell.w_gates.data.transpose(), cell.b_gates.data
         w_cand_t, b_cand = cell.w_cand.data.transpose(), cell.b_cand.data
-        return lambda x: (x @ w_gates_t + b_gates, x @ w_cand_t + b_cand)
+
+        def project(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            gates = x @ w_gates_t
+            gates += b_gates
+            cand = x @ w_cand_t
+            cand += b_cand
+            return gates, cand
+
+        return project
 
     def forward(self, inputs: np.ndarray, mask: np.ndarray,
                 cells: Optional[np.ndarray] = None, memory=None,
@@ -250,27 +275,36 @@ class Recurrent(Module):
         inputs = np.asarray(inputs, dtype=np.float64)
         mask = np.asarray(mask, dtype=bool)
         batch, steps, _ = inputs.shape
-        cell, flat = self.cell, Tensor(inputs.reshape(batch * steps, -1))
+        cell, flat = self.cell, inputs.reshape(batch * steps, -1)
 
-        def hoisted(w: Parameter, b: Parameter) -> list:
-            """Per-step (B, ·) slices of one (B·T, in) @ W projection."""
-            return unstack((flat @ w.transpose() + b)
+        def hoisted(data: np.ndarray, w: Parameter, b: Parameter) -> list:
+            """Per-step (B, ·) slices of one (B·T, in) @ W^T + b node."""
+            def backward(grad: np.ndarray) -> None:
+                # The arithmetic of the add, matmul and weight-transpose
+                # nodes this one replaced, so every gradient bit is kept.
+                if b.requires_grad:
+                    b._accumulate(grad.sum(axis=0))
+                if w.requires_grad:
+                    w._accumulate((flat.transpose() @ grad).transpose())
+
+            return unstack(Tensor._make(data, (w, b), backward)
                            .reshape(batch, steps, -1).transpose(1, 0, 2))
 
-        x_gates = hoisted(cell.w_gates, cell.b_gates)
-        x_cand = hoisted(cell.w_cand, cell.b_cand)
+        gates, cand = self._projector()(flat)
+        x_gates = hoisted(gates, cell.w_gates, cell.b_gates)
+        x_cand = hoisted(cand, cell.w_cand, cell.b_cand)
         h = Tensor(np.zeros((batch, self.hidden_size), dtype=np.float64))
         c = Tensor(np.zeros((batch, self.hidden_size), dtype=np.float64))
-        reads, window = self._reads(cells, memory), None
-        if reads:
-            cells = np.asarray(cells, dtype=int)
+        log = (memory.window_log(np.asarray(cells, dtype=int))
+               if self._reads(cells, memory) else None)
         for t in range(steps):
-            if reads:  # gathered step by step: writes land between reads
-                window = memory.gather(cells[:, t, :])
+            window = reread = None
+            if log is not None:  # read step by step: writes land between
+                window, reread = log.read(), functools.partial(log.reread, t)
             h, c, s_t = tape_step(cell, x_gates[t], x_cand[t], h, c, window,
-                                  ~mask[:, t, None])
-            if reads and update_memory:
-                memory.write(cells[:, t, :], c.data, s_t, mask=mask[:, t])
+                                  ~mask[:, t, None], reread)
+            if log is not None and update_memory:
+                log.write(c.data, s_t, mask[:, t])
         return h
 
     def infer(self, inputs: np.ndarray, mask: np.ndarray,

@@ -74,6 +74,10 @@ class SpatialMemory:
         self.bounded = bool(bounded)
         p, q = self.grid_shape
         self.data = np.zeros((p, q, self.hidden_size), dtype=np.float64)
+        #: Bumped by every :meth:`write` that lands and by :meth:`reset`;
+        #: with the identity of ``data`` it tells a :class:`WindowLog`
+        #: whether the memory still is what its forward left behind.
+        self.writes = 0
         offsets = np.arange(-bandwidth, bandwidth + 1, dtype=np.int64)
         ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
         # (K, 2) window offsets in row-major scan order, K = (2w+1)^2.
@@ -86,6 +90,7 @@ class SpatialMemory:
     def reset(self) -> None:
         """Zero the memory (used between training runs / datasets)."""
         self.data[:] = 0.0
+        self.writes += 1
 
     def copy(self) -> "SpatialMemory":
         clone = SpatialMemory(self.grid_shape, self.hidden_size,
@@ -109,12 +114,20 @@ class SpatialMemory:
         outside = (inside_x != gx) | (inside_y != gy)
         return inside_x * q + inside_y, outside
 
-    def take(self, flat: np.ndarray, outside: np.ndarray) -> np.ndarray:
-        """Read the (..., K, d) windows that :meth:`window_index` located."""
+    def table(self) -> np.ndarray:
+        """The memory as a (P·Q, d) view, one row per grid cell."""
         p, q = self.grid_shape
+        return self.data.reshape(p * q, self.hidden_size)
+
+    def take(self, flat: np.ndarray, outside: np.ndarray,
+             table: Optional[np.ndarray] = None) -> np.ndarray:
+        """Read the (..., K, d) windows that :meth:`window_index` located,
+        from :meth:`table` or from a copy of it."""
         # One flat ``take`` instead of a (gx, gy) double fancy index: this
         # runs once per recurrent step and is the read hot spot.
-        window = self.data.reshape(p * q, self.hidden_size).take(flat, axis=0)
+        if table is None:
+            table = self.table()
+        window = table.take(flat, axis=0)
         window[outside] = 0.0
         return window
 
@@ -149,8 +162,13 @@ class SpatialMemory:
                     *self.window_index(cells[start:start + block])):
                 yield self.take(flat, outside)
 
+    def window_log(self, cells: np.ndarray) -> "WindowLog":
+        """A :class:`WindowLog` for a taped unroll over ``cells`` (B, T, 2)."""
+        return WindowLog(self, cells)
+
     def write(self, cells: np.ndarray, values: np.ndarray, gates: np.ndarray,
-              mask: Optional[np.ndarray] = None) -> None:
+              mask: Optional[np.ndarray] = None
+              ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Gated sparse update ``M(g) = sig(s)*c + (1-sig(s))*M(g)`` (Eq. 5).
 
         Writes follow batch order, matching the per-trajectory semantics of
@@ -160,6 +178,11 @@ class SpatialMemory:
         duplicate cells are resolved by last-writer chaining — round ``r``
         applies the ``r``-th writer of every duplicated cell, so the chained
         result is bit-identical to the sequential loop.
+
+        Returns what the write overwrote, ``(rows, old)``: each distinct
+        cell it wrote as a row of :meth:`table` and that row's value before
+        the first of this call's writes to it — assigning ``old`` back
+        undoes the call bit for bit. ``None`` when no row was written.
         """
         cells = np.asarray(cells, dtype=int)
         values = np.asarray(values, dtype=np.float64)
@@ -173,7 +196,7 @@ class SpatialMemory:
             valid &= np.asarray(mask, dtype=bool)
         rows = np.flatnonzero(valid)
         if rows.size == 0:
-            return
+            return None
         gx = cells[rows, 0]
         gy = cells[rows, 1]
         flat = gx * q + gy
@@ -186,17 +209,92 @@ class SpatialMemory:
         group_id = np.cumsum(
             np.concatenate([[True], sorted_flat[1:] != sorted_flat[:-1]])) - 1
         rank = np.arange(len(sorted_flat), dtype=np.intp) - group_start[group_id]
+        written = sorted_flat[group_start]
+        overwritten = self.table()[written]
+        self.writes += 1
         for r in range(int(rank.max()) + 1):
             sel = order[rank == r]  # one writer per cell -> scatter is safe
             g = gate_weight[rows[sel]]
             self.data[gx[sel], gy[sel]] = (
                 g * values[rows[sel]]
                 + (1.0 - g) * self.data[gx[sel], gy[sel]])
+        return written, overwritten
 
     def occupancy(self) -> float:
         """Fraction of grid cells holding a non-zero embedding."""
         nonzero = np.any(self.data != 0.0, axis=-1)
         return float(nonzero.mean())
+
+
+class WindowLog:
+    """What a taped unroll keeps of its memory reads: never a window.
+
+    Forward reads each step's (B, K, d) window through :meth:`read`, which
+    keeps only where it lay (``window_index``), and writes the memory
+    through :meth:`write`, which keeps only the rows the write overwrote.
+    Backward runs the steps newest first (the c/h chain orders it), and
+    each step's :meth:`reread` takes its window again from a private copy
+    of the memory, copied at the first re-read and rewound one step's
+    write at a time — so step ``t`` sees bit for bit the window its forward
+    read, for P·Q·d bytes once plus at most B·d a step, whatever K and
+    however the windows overlap. Inference threads keep reading the live
+    memory; the copy is this log's alone.
+
+    A re-read raises ``RuntimeError`` when the memory was written, reset
+    or replaced since the forward (its windows are gone), and when a step
+    is re-read out of order (the copy only rewinds).
+    """
+
+    def __init__(self, memory: SpatialMemory, cells: np.ndarray):
+        self.memory = memory
+        self._cells = cells  # (B, T, 2)
+        self._index: list = []  # per step: (flat, outside)
+        self._undo: list = []  # per step: what its write overwrote, or None
+        self._state = (memory.writes, memory.data)
+        self._table: Optional[np.ndarray] = None  # the rewound copy
+
+    def read(self) -> np.ndarray:
+        """The next step's window, from the live memory."""
+        flat, outside = self.memory.window_index(
+            self._cells[:, len(self._index)])
+        self._index.append((flat, outside))
+        self._undo.append(None)
+        return self.memory.take(flat, outside)
+
+    def write(self, values: np.ndarray, gates: np.ndarray,
+              mask: np.ndarray) -> None:
+        """The last-read step's memory write (:meth:`SpatialMemory.write`)."""
+        step = len(self._index) - 1
+        self._undo[step] = self.memory.write(self._cells[:, step], values,
+                                             gates, mask=mask)
+        self._state = (self.memory.writes, self.memory.data)
+
+    def reread(self, step: int) -> np.ndarray:
+        """Step ``step``'s window as its forward read it, for backward."""
+        if not 0 <= step < len(self._index):
+            raise RuntimeError(
+                f"window of step {step} re-read out of order: backward "
+                f"re-reads newest step first, and the newest left is step "
+                f"{len(self._index) - 1}")
+        if self._table is None:
+            writes, data = self._state
+            if self.memory.writes != writes or self.memory.data is not data:
+                raise RuntimeError(
+                    "the spatial memory was written, reset or replaced "
+                    "between this unroll's forward and its backward(), so "
+                    "the windows it read are gone; run backward() before "
+                    "the memory changes")
+            self._table = self.memory.table().copy()
+        while len(self._undo) > step:  # rewind to before step's own write
+            undo = self._undo.pop()
+            if undo is not None:
+                written, overwritten = undo
+                self._table[written] = overwritten
+        window = self.memory.take(*self._index[step], table=self._table)
+        del self._index[step:]
+        if not self._index:
+            self._table = None
+        return window
 
 
 class SAMLSTMCell(Module):

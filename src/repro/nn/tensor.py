@@ -62,7 +62,11 @@ def logistic(x: np.ndarray) -> np.ndarray:
     ops, the memory write gate and the inference kernel all call this one."""
     e = np.exp(-np.abs(x))
     pos = 1.0 / (1.0 + e)
-    return np.where(x >= 0, pos, e * pos)
+    # ``pos`` where x >= 0 (the factor is 1.0 there, as e <= 1), ``e * pos``
+    # elsewhere: the two-sided ``np.where`` bit for bit, without its select.
+    np.maximum(e, x >= 0, out=e)
+    e *= pos
+    return e
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

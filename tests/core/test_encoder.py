@@ -1,6 +1,7 @@
 """Tests for the trajectory encoder wrapper."""
 
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,8 +17,8 @@ from repro.datasets import Grid, Trajectory
 from repro.datasets.grid import CoordinateNormalizer
 from repro.nn import rnn, tensor
 from repro.nn.optim import Adam
-from repro.nn.sam import SpatialMemory
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
+from repro.nn.sam import SpatialMemory, WindowLog
+from repro.nn.tensor import Tensor, is_grad_enabled, no_grad, unstack
 
 
 def _encoder(use_sam: bool, seed: int = 0, dim: int = 8):
@@ -275,6 +276,94 @@ def test_training_step_unchanged_by_the_shared_forward(monkeypatch):
     assert np.array_equal(memory, ref_memory)
 
 
+def _parent_forward(self, inputs, mask, cells=None, memory=None,
+                    update_memory=False):
+    """``Recurrent.forward`` as it was before its tape stopped holding the
+    windows — statement for statement: every step's window is taped, and
+    each hoisted projection is a matmul, an add, a reshape, a transpose and
+    a weight transpose."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    batch, steps, _ = inputs.shape
+    cell, flat = self.cell, Tensor(inputs.reshape(batch * steps, -1))
+
+    def hoisted(w, b):
+        """Per-step (B, ·) slices of one (B·T, in) @ W projection."""
+        return unstack((flat @ w.transpose() + b)
+                       .reshape(batch, steps, -1).transpose(1, 0, 2))
+
+    x_gates = hoisted(cell.w_gates, cell.b_gates)
+    x_cand = hoisted(cell.w_cand, cell.b_cand)
+    h = Tensor(np.zeros((batch, self.hidden_size), dtype=np.float64))
+    c = Tensor(np.zeros((batch, self.hidden_size), dtype=np.float64))
+    reads, window = self._reads(cells, memory), None
+    if reads:
+        cells = np.asarray(cells, dtype=int)
+    for t in range(steps):
+        if reads:  # gathered step by step: writes land between reads
+            window = memory.gather(cells[:, t, :])
+        h, c, s_t = rnn.tape_step(cell, x_gates[t], x_cand[t], h, c, window,
+                                  ~mask[:, t, None])
+        if reads and update_memory:
+            memory.write(cells[:, t, :], c.data, s_t, mask=mask[:, t])
+    return h
+
+
+def _seeded_step(use_sam=True, bounded=True, seed=5, dim=8):
+    """Loss, gradients and memory (``None`` without SAM) of one seeded
+    ``training_step`` over ragged trajectories. Each anchor is also its
+    first similar sample, so two rows write the same cell at every step."""
+    rng = np.random.default_rng(seed)
+    enc = _encoder(use_sam, seed=seed, dim=dim)
+    if use_sam:
+        enc.memory.bounded = bounded
+        enc.memory.data[:] = rng.normal(scale=0.5, size=enc.memory.data.shape)
+    seeds = _ragged_batch(seed, 9)
+    batch = [AnchorSamples(anchor=a, similar=np.array([a, rng.integers(9)]),
+                           dissimilar=rng.permutation(9)[:2],
+                           similar_truth=rng.uniform(0.5, 1.0, size=2),
+                           dissimilar_truth=rng.uniform(0.0, 0.5, size=2))
+             for a in (0, 4)]
+    optimizer = Adam(enc.parameters(), lr=0.01)
+    loss = training_step(enc, seeds, batch, optimizer, grad_clip=0.0)
+    grads = {name: p.grad.copy() for name, p in enc.named_parameters()}
+    return loss, grads, enc.memory.data.copy() if use_sam else None
+
+
+@pytest.mark.parametrize("use_sam, bounded",
+                         [(True, True), (True, False), (False, True)])
+def test_training_step_unchanged_by_rereading_the_windows(
+        monkeypatch, use_sam, bounded):
+    loss, grads, memory = _seeded_step(use_sam, bounded)
+    monkeypatch.setattr(rnn.Recurrent, "forward", _parent_forward)
+    ref_loss, ref_grads, ref_memory = _seeded_step(use_sam, bounded)
+    assert loss == ref_loss
+    assert all(np.abs(g).max() > 0.0 for g in grads.values())
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_grads[name]), name
+    if use_sam:
+        assert np.array_equal(memory, ref_memory)
+
+
+def test_a_training_steps_peak_no_longer_holds_the_windows(monkeypatch):
+    """tracemalloc peak of one SAM step (K = 25 cells a window, d = 32)
+    against the same step taping every window: the windows were most of
+    it. A first untraced step keeps one-off allocations out of both."""
+    def peak():
+        _seeded_step(dim=32)
+        tracemalloc.start()
+        try:
+            _seeded_step(dim=32)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    new = peak()
+    monkeypatch.setattr(rnn.Recurrent, "forward", _parent_forward)
+    assert new <= 0.6 * peak()
+
+
 # ------------------------------------------- backward consumes the tape
 
 def _retaining_backward(self, grad=None):
@@ -312,26 +401,78 @@ def test_training_step_unchanged_by_releasing_the_tape(monkeypatch):
     assert np.array_equal(memory, ref_memory)
 
 
-def test_backward_releases_each_steps_window(monkeypatch):
-    windows = []
-    step_forward = rnn.step_forward
+def test_the_tape_never_holds_a_window(monkeypatch):
+    windows, logs, copies, undos = [], [], [], []
+    step_forward, reread = rnn.step_forward, WindowLog.reread
+    window_log, write = SpatialMemory.window_log, SpatialMemory.write
 
-    def recording(x_gates, x_cand, h, c, window, *rest):
+    def recording_step(x_gates, x_cand, h, c, window, *rest):
         windows.append(weakref.ref(window))
         return step_forward(x_gates, x_cand, h, c, window, *rest)
 
-    monkeypatch.setattr(rnn, "step_forward", recording)
+    def recording_log(self, cells):
+        log = window_log(self, cells)
+        logs.append(weakref.ref(log))
+        return log
+
+    def recording_reread(self, step):
+        window = reread(self, step)
+        windows.append(weakref.ref(window))
+        if self._table is not None:
+            copies.append(weakref.ref(self._table))
+        return window
+
+    def recording_write(self, *args, **kwargs):
+        undo = write(self, *args, **kwargs)
+        undos.extend(weakref.ref(part) for part in undo or ())
+        return undo
+
+    monkeypatch.setattr(rnn, "step_forward", recording_step)
+    monkeypatch.setattr(SpatialMemory, "window_log", recording_log)
+    monkeypatch.setattr(WindowLog, "reread", recording_reread)
+    monkeypatch.setattr(SpatialMemory, "write", recording_write)
     enc = _warm_encoder(True)
     embeddings = enc.encode(_ragged_batch(3, 4), update_memory=True)
     loss = (embeddings * embeddings).sum()
-    assert len(windows) >= 2
-    assert all(ref() is not None for ref in windows)  # the tape holds them
+    assert len(windows) >= 2 and undos
+    assert all(ref() is None for ref in windows)  # gone when forward returned
+    assert logs[0]() is not None and all(ref() is not None for ref in undos)
+    forward_windows = len(windows)
     loss.backward()
+    assert len(windows) == 2 * forward_windows and copies
     # ``loss`` and ``embeddings`` are still referenced here: it is the
-    # sweep, not the end of the step, that let the saved activations go.
-    assert all(ref() is None for ref in windows)
+    # sweep that let the re-read windows, the copy and the undo log go.
+    assert all(ref() is None for ref in windows + copies + undos + logs)
     assert embeddings.grad is None and loss.grad is not None
     assert all(p.grad is not None for p in enc.parameters())
+
+
+@pytest.mark.parametrize("change", ["write", "reset", "replace"])
+def test_backward_after_the_memory_changed_raises(change):
+    enc = _warm_encoder(True)
+    embeddings = enc.encode(_ragged_batch(3, 4), update_memory=True)
+    memory = enc.memory
+    if change == "write":
+        memory.write(np.array([[1, 1]]), np.ones((1, 8)), np.zeros((1, 8)))
+    elif change == "reset":
+        memory.reset()
+    else:
+        memory.data = memory.data.copy()
+    with pytest.raises(RuntimeError, match="written, reset or replaced"):
+        (embeddings * embeddings).sum().backward()
+
+
+def test_an_out_of_order_reread_raises():
+    memory = SpatialMemory((5, 5), 4, bandwidth=1)
+    log = memory.window_log(np.zeros((2, 3, 2), dtype=int))
+    for _ in range(3):
+        log.read()
+    log.reread(1)
+    for step in (1, 2):
+        with pytest.raises(RuntimeError, match=f"step {step} re-read out "
+                                               "of order"):
+            log.reread(step)
+    log.reread(0)
 
 
 # ------------------------------------------- inference and the grad flag

@@ -136,16 +136,16 @@ def test_fused_matches_legacy_gradients(rng):
 
 def test_training_tape_is_two_nodes_a_step(rng):
     """2·T step nodes + T·2 projection slices + the two hoisted
-    projections (matmul, add, reshape, transpose and a weight transpose
+    projections (one matmul-plus-bias node, a reshape and a transpose
     each), for either cell."""
     steps = 9
     coords = rng.normal(size=(3, steps, 2))
     mask = np.ones((3, steps), dtype=bool)
-    assert _count_tape_nodes(LSTM(2, 4, rng)(coords, mask)) == 4 * steps + 10
+    assert _count_tape_nodes(LSTM(2, 4, rng)(coords, mask)) == 4 * steps + 6
     sam = SAMLSTM(2, 4, rng)
     out = sam(coords, mask, rng.integers(0, 5, size=(3, steps, 2)),
               SpatialMemory((5, 5), 4, bandwidth=1))
-    assert _count_tape_nodes(out) == 4 * steps + 10
+    assert _count_tape_nodes(out) == 4 * steps + 6
 
 
 @pytest.mark.parametrize("use_sam", [True, False])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.nn.tensor import Tensor, concat, stack, where
+from repro.nn.tensor import Tensor, concat, logistic, stack, where
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False,
                    width=64)
@@ -46,6 +46,31 @@ def test_sigmoid_bounded_and_symmetric(x):
     assert np.all((s >= 0.0) & (s <= 1.0))
     s_neg = Tensor(-x).sigmoid().data
     np.testing.assert_allclose(s + s_neg, 1.0, atol=1e-12)
+
+
+#: Every float64, plus the positions where a one-sided logistic could part
+#: from the two-sided one: signed zeros, infinities, NaNs, |x| >= 745
+#: (where exp(-|x|) underflows) and subnormals.
+edge_floats = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0,
+                     -745.0, 745.2, -745.2, 1e308, -1e308, 5e-324, -5e-324,
+                     2.2250738585072e-308, -2.2250738585072e-308]),
+    st.floats(min_value=745.0, allow_infinity=False),
+    st.floats(max_value=-745.0, allow_infinity=False),
+    st.floats(min_value=-2.2250738585072e-308, max_value=2.2250738585072e-308,
+              allow_subnormal=True))
+
+
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=6),
+              elements=edge_floats))
+@settings(max_examples=200, deadline=None)
+def test_logistic_is_the_two_sided_where_bit_for_bit(x):
+    e = np.exp(-np.abs(x))
+    pos = 1.0 / (1.0 + e)
+    two_sided = np.where(x >= 0, pos, e * pos)
+    assert np.array_equal(logistic(x).view(np.uint64),
+                          two_sided.view(np.uint64))
 
 
 @given(tensors())
