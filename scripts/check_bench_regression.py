@@ -40,10 +40,10 @@ baselines. Exits non-zero when
   breaks its contract — an append acked before its record was fsynced,
   a reopen recovering fewer records than were acked, the widest
   group-commit window never batching fsyncs, snapshot recovery that is
-  not id-identical (or fails to truncate the WAL), a failover that
-  answers partial or loses acked rows — or WAL replay / failover time
-  regresses past the (looser, fsync-noise-tolerant) durability
-  threshold;
+  not id-identical (or fails to truncate the WAL), a killed shard that
+  is not respawned exactly once or whose retried answer is partial or
+  loses acked rows — or WAL replay / restart time regresses past the
+  (looser, fsync-noise-tolerant) durability threshold;
 * the streaming-ingest benchmark (``benchmarks/BENCH_streaming.json``)
   breaks its contract — a reopen that is not fingerprint-identical to
   the acked window (acked-point loss), window counters that do not add
@@ -114,7 +114,7 @@ SHARDING_SPEEDUP_FLOOR = 2.0
 #: latency on shared runners is far noisier than compute kernels, so the
 #: wall-clock comparisons run at this threshold; the durability gates
 #: themselves (acked == durable, id-identical recovery, zero-loss
-#: failover) are hard checks independent of timing.
+#: restart) are hard checks independent of timing.
 DURABILITY_TIME_THRESHOLD = 3.0
 
 #: Timing slack for the streaming-ingest benchmark: its ack latencies
@@ -437,25 +437,25 @@ def compare_durability_reports(baseline: dict, fresh: dict,
             f"{recovery['wal_replay_s'] / base_replay:.2f}x over the "
             f"committed {base_replay:.3f}s (threshold {threshold:.1f}x)")
 
-    failover = results["failover"]
-    if failover["partial"]:
+    restart = results["restart"]
+    if restart["partial"]:
         failures.append(
-            "durability: post-failover answer was partial — the standby "
-            "was not promoted")
-    if failover["failovers"] != 1:
+            "durability: the answer after a shard kill was partial — the "
+            "dead shard was not respawned and retried")
+    if restart["restarts"] != 1:
         failures.append(
-            f"durability: {failover['failovers']} failovers recorded for "
-            f"one primary kill (expected 1)")
-    if failover["acked_lost"] != 0:
+            f"durability: {restart['restarts']} restarts recorded for "
+            f"one shard kill (expected 1)")
+    if restart["acked_lost"] != 0:
         failures.append(
-            f"durability: {failover['acked_lost']} acked rows lost across "
-            f"the failover")
-    base_failover = baseline["results"]["failover"]["failover_s"]
-    if failover["failover_s"] > base_failover * threshold:
+            f"durability: {restart['acked_lost']} acked rows lost across "
+            f"the restart")
+    base_restart = baseline["results"]["restart"]["restart_s"]
+    if restart["restart_s"] > base_restart * threshold:
         failures.append(
-            f"durability: failover took {failover['failover_s']:.3f}s, "
-            f"{failover['failover_s'] / base_failover:.2f}x over the "
-            f"committed {base_failover:.3f}s (threshold {threshold:.1f}x)")
+            f"durability: restart took {restart['restart_s']:.3f}s, "
+            f"{restart['restart_s'] / base_restart:.2f}x over the "
+            f"committed {base_restart:.3f}s (threshold {threshold:.1f}x)")
     return failures
 
 

@@ -19,8 +19,9 @@
 #      throughput floor at 1M rows and id-identity against the exact
 #      single store (BENCH_sharding.json)
 #   7. durability gate  — WAL append acks are fsynced, group commit
-#      batches, snapshot recovery is id-identical, replica failover
-#      loses zero acked writes (BENCH_durability.json)
+#      batches, snapshot recovery is id-identical, a SIGKILLed shard is
+#      respawned once from snapshot + WAL and its retried query answers
+#      complete with zero acked writes lost (BENCH_durability.json)
 #   8. streaming gate   — zero acked-point loss, bit-identical
 #      incremental encoding and reopen, freshness/speedup floors
 #      (BENCH_streaming.json)
@@ -67,7 +68,7 @@ python scripts/check_bench_regression.py --only ann
 echo "==> sharded serving gate (4-shard speedup + id-identity at 1M)"
 python scripts/check_bench_regression.py --only sharding
 
-echo "==> durability gate (WAL acks, recovery identity, failover loss)"
+echo "==> durability gate (WAL acks, recovery identity, restart loss)"
 python scripts/check_bench_regression.py --only durability
 
 echo "==> streaming gate (acked-loss, incremental identity, freshness)"

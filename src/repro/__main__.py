@@ -200,7 +200,7 @@ def _build_sharded_service(args, knobs: dict):
             f"{partition_dir} holds {manifest['num_shards']} partitions but "
             f"--shards {args.shards} was requested; re-split with "
             f"shard-tool split")
-    config = ShardedConfig(**knobs, replicas=args.replicas)
+    config = ShardedConfig(**knobs)
     return ShardedService(partition_dir, bundle_dir=args.bundle,
                           config=config, durable_dir=args.durable_dir)
 
@@ -217,10 +217,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     sharded = bool(args.shards and args.shards > 1)
     if args.partitions and not sharded:
         print("--partitions requires --shards > 1", file=sys.stderr)
-        return 2
-    if args.replicas and not sharded:
-        print("--replicas requires --shards > 1: a standby tails the WAL "
-              "of a forked primary", file=sys.stderr)
         return 2
     try:
         if sharded:
@@ -534,10 +530,6 @@ def main(argv=None) -> int:
     serve.add_argument("--fsync-window-ms", type=float, default=0.0,
                        help="WAL group-commit window; 0 fsyncs every ack "
                             "(default 0)")
-    serve.add_argument("--replicas", type=int, default=0,
-                       help="warm-standby workers per shard tailing the "
-                            "primary's WAL; requires --shards > 1 and "
-                            "--durable-dir (default 0)")
     serve.set_defaults(func=_cmd_serve)
 
     shard_tool = sub.add_parser(

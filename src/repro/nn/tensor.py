@@ -331,8 +331,8 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             a, b = self.data, other.data
-            # Promote to >=2-D following np.matmul semantics, do the math in
-            # the promoted space, then reduce back to the original shapes.
+            # Lift to >=2-D following np.matmul semantics, do the math in
+            # the lifted space, then reduce back to the original shapes.
             a2 = a[None, :] if a.ndim == 1 else a
             b2 = b[:, None] if b.ndim == 1 else b
             g2 = grad

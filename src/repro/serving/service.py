@@ -205,16 +205,12 @@ class ShardedConfig(ServingConfig):
     boot_timeout_s:
         How long to wait for a worker to load its partition at startup,
         restart, and reload-prepare.
-    replicas:
-        Warm-standby workers per shard tailing the primary's acked WAL;
-        requires ``durable_dir`` on the service. 0 disables replication.
     """
 
     breaker_failure_threshold: int = 3
     breaker_reset_s: float = 5.0
     request_timeout_s: float = 30.0
     boot_timeout_s: float = 120.0
-    replicas: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -222,8 +218,6 @@ class ShardedConfig(ServingConfig):
             raise ConfigurationError("request_timeout_s must be positive")
         if self.boot_timeout_s <= 0:
             raise ConfigurationError("boot_timeout_s must be positive")
-        if self.replicas < 0:
-            raise ConfigurationError("replicas must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -304,8 +298,8 @@ class SimilarityService:
         if isinstance(store, _ShardTarget):
             self.target = store
         else:
-            # One in-process shard has no pipe to time out and no
-            # standby: the forked tier's own knobs keep their defaults.
+            # One in-process shard has no pipe to time out and no worker
+            # to respawn: the forked tier's own knobs keep their defaults.
             sharded = (self.config if isinstance(self.config, ShardedConfig)
                        else ShardedConfig(**vars(self.config)))
             self.target = _ShardTarget(store, sharded,
@@ -978,7 +972,7 @@ class ShardedService(SimilarityService):
         partition files.
     wal_hooks:
         ``{shard_id: hook}`` crash-injection hooks fired inside the
-        primary's WAL append path (see
+        shard's WAL append path (see
         :class:`repro.testing.faults.KillAtWALPoint`).
     """
 
@@ -1000,7 +994,7 @@ class ShardedService(SimilarityService):
             super().__init__(_load_encoder(self.bundle_dir, target.dim),
                              target, config)
         except Exception:
-            target.close()  # primaries *and* standbys: nothing survives
+            target.close()  # every forked worker: nothing survives
             raise
         self.num_shards = target.num_shards
 

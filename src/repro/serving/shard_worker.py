@@ -14,9 +14,8 @@ Boot spec (``_ShardTarget._boot_spec`` always sends every key):
 ``partition_dir`` (``None`` for an in-process worker, which is handed
 its store), ``index``/``nlist``/``nprobe`` (the backend the worker
 installs), ``durable_dir`` (``None`` = memory only), ``base_tag`` (the
-fingerprint of the base bytes the log composes with),
-``fsync_window_ms``/``wal_segment_bytes``, and ``role`` (``"primary"``
-appends to the log, ``"replica"`` tails it).
+fingerprint of the base bytes the log composes with) and
+``fsync_window_ms``/``wal_segment_bytes``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from ..core.partition import load_partition
 from ..core.store import EmbeddingStore
 from ..exceptions import ReloadError
-from .wal import OP_DELETE, OP_INSERT, DurableLog, WALGapError
+from .wal import OP_DELETE, OP_INSERT, DurableLog
 
 _LOG = logging.getLogger(__name__)
 
@@ -49,7 +48,7 @@ def _mutate(store: EmbeddingStore, op: int, ids, embeddings=None,
     """The only code that changes a served store; returns the ids changed.
 
     Idempotent by id (an insert keeps the rows not yet present, a delete
-    the ids still present), so a coordinator retry after failover or a
+    the ids still present), so a coordinator retry after a restart or a
     replay overlapping the snapshot never double-applies. Live traffic
     passes ``log`` and those rows are durable *before* the store
     changes; replay passes none — its records are already in the log.
@@ -87,8 +86,7 @@ class _ShardWorker:
         self.boot = dict(boot)
         if store is not None:
             store.use_backend(boot["index"], **_backend_options(boot))
-        self.store, self.log = self._open(self.boot, self.boot["role"],
-                                          base=store)
+        self.store, self.log = self._open(self.boot, base=store)
         self.staged: Optional[Tuple[EmbeddingStore, Dict]] = None
         self.generation = 0
 
@@ -104,8 +102,7 @@ class _ShardWorker:
         return load_partition(boot["partition_dir"], self.shard_id,
                               backend=boot["index"], **options)
 
-    def _open(self, boot: Dict, role: str,
-              base: Optional[EmbeddingStore] = None
+    def _open(self, boot: Dict, base: Optional[EmbeddingStore] = None
               ) -> Tuple[EmbeddingStore, Optional[DurableLog]]:
         """Recover one generation: snapshot (or ``base``, or the
         partition) plus everything the log holds past it. Snapshot + log
@@ -115,8 +112,7 @@ class _ShardWorker:
             return (self._load_store(boot) if base is None else base), None
         log = DurableLog(
             Path(boot["durable_dir"]) / f"shard-{self.shard_id:04d}",
-            boot["base_tag"], role=role,
-            segment_bytes=boot["wal_segment_bytes"],
+            boot["base_tag"], segment_bytes=boot["wal_segment_bytes"],
             fsync_window_ms=boot["fsync_window_ms"], hook=self._wal_hook)
         try:
             if base is None or log.snapshot is not None:
@@ -131,18 +127,6 @@ class _ShardWorker:
     def _replay(store: EmbeddingStore, log: DurableLog) -> None:
         for record in log.replay():
             _mutate(store, record.op, record.ids, record.embeddings)
-
-    def _reopen(self, role: str) -> None:
-        """Rebuild from the shared snapshot + log (the tail this worker
-        followed was truncated past its cursor)."""
-        self.log.close()
-        self.store, self.log = self._open(self.boot, role)
-
-    def _require_primary(self, op: str) -> None:
-        if self.log is not None and self.log.role != "primary":
-            raise ValueError(
-                f"shard {self.shard_id} replica refuses {op!r}: replicas "
-                f"are read-only tailers until promoted")
 
     def report(self, _payload=None) -> Dict:
         """The one status dict: boot message, ``ping`` and ``stats``."""
@@ -180,21 +164,22 @@ class _ShardWorker:
         return sorted(int(i) for i in self.store.ids)
 
     def op_insert(self, payload) -> Dict:
-        self._require_primary("insert")
+        """The rows applied, how many were new, and the shard's size."""
         ids, vectors = payload
         fresh = _mutate(self.store, OP_INSERT, ids, vectors, self.log)
-        return {"applied": [int(i) for i in ids], "count": int(fresh.size)}
+        return {"applied": [int(i) for i in ids], "count": int(fresh.size),
+                "size": len(self.store)}
 
     def op_delete(self, payload) -> Dict:
-        self._require_primary("delete")
+        """The ids removed and the shard's size."""
         gone = _mutate(self.store, OP_DELETE,
                        np.unique(np.asarray(list(payload), dtype=np.int64)),
                        log=self.log)
-        return {"removed": int(gone.size), "ids": [int(i) for i in gone]}
+        return {"removed": int(gone.size), "ids": [int(i) for i in gone],
+                "size": len(self.store)}
 
     def op_compact(self, _payload) -> Dict:
         """Fold the index; on a durable tier also checkpoint the log."""
-        self._require_primary("compact")
         compact = getattr(self.store.backend, "compact", None)
         if compact is not None:
             compact()
@@ -203,40 +188,6 @@ class _ShardWorker:
             next_id=self.store.next_id)
         return {"compacted": compact is not None,
                 "snapshot_generation": manifest.get("generation")}
-
-    def op_catch_up(self, _payload) -> Dict:
-        """Replica: apply newly acked primary records; rebuild on gap."""
-        if self.log is None or self.log.role != "replica":
-            raise ValueError(f"shard {self.shard_id} is not a replica")
-        rebuilt = False
-        try:
-            self._replay(self.store, self.log)
-        except WALGapError:
-            # The primary snapshotted and truncated while we lagged.
-            self._reopen("replica")
-            rebuilt = True
-        return {"applied_lsn": self.log.applied_lsn,
-                "count": len(self.store), "rebuilt": rebuilt}
-
-    def op_promote(self, _payload) -> Dict:
-        """Replica -> primary: drain the log tail, take over for append.
-
-        The coordinator guarantees the old primary is dead before this
-        runs, so opening the log for append (which repairs a torn tail)
-        is safe — there is exactly one appender per shard log.
-        """
-        if self.log is None:
-            raise ValueError(f"shard {self.shard_id} is not durable")
-        if self.log.role == "replica":
-            try:
-                self._replay(self.store, self.log)
-                self.log.promote()
-                # Whatever only the torn-tail repair uncovered
-                # (normally nothing).
-                self._replay(self.store, self.log)
-            except WALGapError:
-                self._reopen("primary")
-        return self.report()
 
     def op_prepare(self, payload) -> Dict:
         # Load the new generation's partition only: the active
@@ -255,7 +206,7 @@ class _ShardWorker:
             # open fails, _open has closed what it opened and this
             # closed log keeps refusing writes: nothing is half-open.
             self.log.close()
-        self.store, self.log = self._open(boot, "primary", base=store)
+        self.store, self.log = self._open(boot, base=store)
         self.boot = boot
         self.generation += 1
         return {"generation": self.generation, "count": len(self.store)}

@@ -25,9 +25,10 @@ shape then behaves the same way:
   :class:`~repro.resilience.CircuitBreaker`, and a dead/slow/tripped
   shard drops out of the scatter — the query still answers from the
   surviving shards, flagged ``partial=True`` — until every shard is
-  unavailable (:class:`~repro.exceptions.ShardUnavailableError`). With
-  ``config.replicas > 0`` a warm standby tailing the primary's acked WAL
-  is promoted instead, and a replacement standby is forked behind it.
+  unavailable (:class:`~repro.exceptions.ShardUnavailableError`). With a
+  ``durable_dir`` a shard whose worker *died* is respawned from snapshot
+  + WAL by the request that found it dead, and that request is re-sent
+  once; a slow or tripped shard is alive and still drops out.
 * **Reload** (forked shards only) is zero-downtime and two-phase:
   ``prepare`` loads the new partition generation in every worker
   *alongside* the old one, then ``activate`` flips each worker; any
@@ -81,6 +82,12 @@ _ADDITIVE_SEARCH_STATS = frozenset({
     "pending", "tombstones"})
 
 
+#: The reply key that carries the shard's row count, for each op whose
+#: reply has one.
+_ROWS_KEY = {"insert": "size", "delete": "size", "activate": "count",
+             "ping": "count", "stats": "count"}
+
+
 class ShardRequestError(ReproError):
     """A shard worker processed the request but raised while doing so.
 
@@ -91,6 +98,16 @@ class ShardRequestError(ReproError):
     """
 
 
+class _WorkerDied(ShardUnavailableError):
+    """The worker process is gone — EOF, its sentinel or a broken pipe —
+    unlike a timeout or an open breaker, which leave it alive.
+    ``generation`` is the spawn that died."""
+
+    def __init__(self, message: str, generation: int):
+        super().__init__(message)
+        self.generation = generation
+
+
 # --------------------------------------------------------------- handles
 
 
@@ -99,10 +116,12 @@ class _ShardHandle:
 
     Thread-safe: ``call`` serialises requests to the worker under the
     handle lock (the worker itself is a serial loop), tracks the
-    worker's cumulative busy time, and converts transport failures
-    (dead worker, timeout) into
+    worker's cumulative busy time and the shard's row count as last
+    reported, and converts transport failures into
     :class:`~repro.exceptions.ShardUnavailableError` while counting
-    them against the shard's circuit breaker.
+    them against the shard's circuit breaker. A worker seen dead is
+    reaped at once and the failure raised as :class:`_WorkerDied`;
+    ``generation`` counts spawns.
     """
 
     def __init__(self, shard_id: int, boot: Dict, config: "ShardedConfig",
@@ -122,6 +141,9 @@ class _ShardHandle:
         self._requests = 0
         self._failures = 0
         self._busy_s = 0.0
+        self._rows = 0
+        self._closed = False
+        self.generation = 0
         self._spawn_locked()
 
     # -------------------------------------------------------------- lifecycle
@@ -137,6 +159,7 @@ class _ShardHandle:
         Caller must hold ``self._lock`` (or be ``__init__``, before the
         handle is shared).
         """
+        self.generation += 1
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_shard_worker_main,
@@ -147,12 +170,17 @@ class _ShardHandle:
         child_conn.close()
         self._conn, self._proc = parent_conn, proc
         self._req_seq = _BOOT_REQ_ID
-        reply = self._recv_locked(
-            time.monotonic() + self._config.boot_timeout_s, _BOOT_REQ_ID)
+        try:
+            reply = self._recv_locked(
+                time.monotonic() + self._config.boot_timeout_s, _BOOT_REQ_ID)
+        except ShardUnavailableError:
+            self._teardown_locked()
+            raise
         if reply[1] != "ok":
             self._teardown_locked()
             raise ShardUnavailableError(
                 f"shard {self.shard_id} failed to boot: {reply[2]}")
+        self._rows = int(reply[2]["count"])
 
     def _teardown_locked(self) -> None:
         """Close the pipe and reap the process. Caller must hold
@@ -169,22 +197,29 @@ class _ShardHandle:
         self._conn = None
         self._proc = None
 
-    def restart(self) -> None:
-        """Respawn the worker from its current boot spec.
+    def restart(self, generation: Optional[int] = None) -> bool:
+        """Respawn the worker from its current boot spec; with
+        ``generation``, only if that spawn is still the current one.
+        Returns whether it respawned.
 
-        An explicit operator action (tests, ``shard-tool``, admin): the
-        circuit breaker is replaced by a fresh closed one, so the first
-        request after a successful restart goes straight through instead
-        of waiting out the open window.
+        The circuit breaker is replaced by a fresh closed one, so the
+        first request after a successful restart goes straight through
+        instead of waiting out the open window. A respawn after the
+        coordinator started threads is safe only because a worker
+        re-execs nothing and takes no coordinator lock.
         """
         with self._lock:
+            if generation is not None and generation != self.generation:
+                return False
             self._teardown_locked()
             self._spawn_locked()
             self.breaker = self._new_breaker()
+            return True
 
     def close(self) -> None:
         """Best-effort graceful shutdown, then teardown."""
         with self._lock:
+            self._closed = True
             if self._conn is not None and self._proc is not None \
                     and self._proc.is_alive():
                 try:
@@ -206,8 +241,9 @@ class _ShardHandle:
         """Wait for the reply to ``want_req_id``, draining stale replies.
 
         Caller must hold ``self._lock``. Raises
-        :class:`ShardUnavailableError` on timeout or a dead worker
-        (without touching the breaker — the caller decides).
+        :class:`ShardUnavailableError` on timeout and :class:`_WorkerDied`
+        on a dead worker (without touching the breaker — the caller
+        decides).
         """
         while True:
             remaining = deadline - time.monotonic()
@@ -222,9 +258,9 @@ class _ShardHandle:
                         raise EOFError("worker process died")
                     continue  # timed out this round; loop re-checks
                 reply = self._conn.recv()
-            except (EOFError, BrokenPipeError, OSError) as exc:
-                raise ShardUnavailableError(
-                    f"shard {self.shard_id} worker died: {exc}") from exc
+            except (EOFError, OSError) as exc:
+                raise _WorkerDied(f"shard {self.shard_id} worker died: {exc}",
+                                  self.generation) from exc
             if reply[0] < want_req_id:
                 continue  # stale reply from a timed-out earlier call
             return reply
@@ -234,13 +270,17 @@ class _ShardHandle:
 
         Raises :class:`ShardUnavailableError` when the worker is down,
         its breaker is open, or the reply misses ``timeout`` — those
-        count as breaker failures. A worker-side exception raises
+        count as breaker failures — and :class:`_WorkerDied` when the
+        worker is dead. A worker-side exception raises
         :class:`ShardRequestError` and does *not* trip the breaker.
         """
         with self._lock:
             if self._conn is None or self._proc is None:
-                raise ShardUnavailableError(
-                    f"shard {self.shard_id} is down")
+                if self._closed:
+                    raise ShardUnavailableError(
+                        f"shard {self.shard_id} is closed")
+                raise _WorkerDied(f"shard {self.shard_id} is down",
+                                  self.generation)
             if not self.breaker.allow():
                 raise ShardUnavailableError(
                     f"shard {self.shard_id} circuit breaker is open")
@@ -249,24 +289,25 @@ class _ShardHandle:
             deadline = time.monotonic() + (timeout if timeout is not None
                                            else 3600.0)
             try:
-                self._conn.send((req_id, op, payload))
+                try:
+                    self._conn.send((req_id, op, payload))
+                except OSError as exc:
+                    raise _WorkerDied(
+                        f"shard {self.shard_id} pipe broke: {exc}",
+                        self.generation) from exc
                 reply = self._recv_locked(deadline, req_id)
-            except ShardUnavailableError:
+            except ShardUnavailableError as exc:
                 self._failures += 1
                 self.breaker.record_failure()
-                if self._proc is not None and not self._proc.is_alive():
+                if isinstance(exc, _WorkerDied):
                     self._teardown_locked()
                 raise
-            except (BrokenPipeError, OSError) as exc:
-                self._failures += 1
-                self.breaker.record_failure()
-                self._teardown_locked()
-                raise ShardUnavailableError(
-                    f"shard {self.shard_id} pipe broke: {exc}") from exc
             _, status, result, busy = reply
             self._requests += 1
             self._busy_s += float(busy)
             self.breaker.record_success()
+            if status == "ok" and op in _ROWS_KEY:
+                self._rows = int(result[_ROWS_KEY[op]])
         if status != "ok":
             raise ShardRequestError(f"shard {self.shard_id}: {result}")
         return result
@@ -285,6 +326,11 @@ class _ShardHandle:
         """Cumulative worker-side busy time (critical-path bench input)."""
         with self._lock:
             return self._busy_s
+
+    def rows(self) -> int:
+        """The shard's row count as its worker last reported it."""
+        with self._lock:
+            return self._rows
 
 
 class _InProcessHandle:
@@ -326,6 +372,10 @@ class _InProcessHandle:
     def busy_seconds(self) -> float:
         return self.stats()["busy_seconds"]
 
+    def rows(self) -> int:
+        with self._lock:
+            return len(self.worker.store)
+
     def stats(self) -> Dict:
         with self._lock:
             return {"shard": self.shard_id, "alive": not self._closed,
@@ -363,11 +413,10 @@ class _ShardTarget:
     one in-process shard whose worker adopts it (``self.store``; a
     ``durable_dir`` then needs the ``base_tag`` of the bytes it was
     loaded from). A partition directory becomes one forked worker per
-    partition, plus ``config.replicas`` standbys each. Owns the global
-    id space, the merge, partial answers, :class:`PartialWriteError`,
-    failover and reload. Constructing a forked target forks every
-    worker, so it must happen before the owning process starts a thread
-    (see ``ShardedService``).
+    partition. Owns the global id space, the merge, partial answers,
+    :class:`PartialWriteError`, restarts and reload. Constructing a
+    forked target forks every worker, so it must happen before the
+    owning process starts a thread (see ``ShardedService``).
     """
 
     def __init__(self, source: Union[EmbeddingStore, PathLike],
@@ -378,12 +427,7 @@ class _ShardTarget:
                  wal_hooks: Optional[Dict] = None):
         self.config = config
         self.durable_dir = None if durable_dir is None else Path(durable_dir)
-        in_process = isinstance(source, EmbeddingStore)
-        if config.replicas > 0 and (in_process or durable_dir is None):
-            raise ConfigurationError(
-                "replicas need forked shards and a durable_dir: a standby "
-                "tails the WAL of a primary in another process")
-        if in_process:
+        if isinstance(source, EmbeddingStore):
             if self.durable_dir is not None and base_tag is None:
                 raise ConfigurationError(
                     "durable_dir needs the base_tag of the on-disk bytes "
@@ -393,35 +437,29 @@ class _ShardTarget:
                                   store=source)
             self.store: Optional[EmbeddingStore] = worker.store
             self._shards: List = [_InProcessHandle(worker)]
-            self._replicas: Dict[int, List[_ShardHandle]] = {0: []}
             dim, vnodes = worker.store.embeddings.shape[1], 1
-            next_id, count = worker.store.next_id, len(worker.store)
+            next_id = worker.store.next_id
         else:
             self.partition_dir = Path(source)
             self.store = None
             manifest = load_partition_manifest(self.partition_dir)
-            self._partition_tags = partition_tags(manifest)
             dim, vnodes = manifest["embedding_dim"], manifest["vnodes"]
-            next_id, count = manifest["next_id"], manifest["total_count"]
+            next_id = manifest["next_id"]
             hooks, wal_hooks = request_hooks or {}, wal_hooks or {}
             # Workers MUST fork before any coordinator thread exists
             # (micro-batcher, scatter pool): forking a threaded process
             # can deadlock the child on locks held by threads that don't
             # exist there.
-            self._ctx = multiprocessing.get_context("fork")
+            ctx = multiprocessing.get_context("fork")
             self._shards = []
-            self._replicas = {s: [] for s in range(len(manifest["shards"]))}
             try:
-                for shard_id in self._replicas:
-                    self._shards.append(self._spawn_handle(
-                        shard_id, "primary", hooks.get(shard_id),
+                for shard_id, tag in enumerate(partition_tags(manifest)):
+                    self._shards.append(_ShardHandle(
+                        shard_id, self._boot_spec(self.partition_dir, tag),
+                        config, ctx, hooks.get(shard_id),
                         wal_hooks.get(shard_id)))
-                for shard_id, standbys in self._replicas.items():
-                    for _ in range(self.config.replicas):
-                        standbys.append(self._spawn_handle(shard_id,
-                                                           "replica"))
             except Exception:
-                for handle in self._all_handles():
+                for handle in self._shards:
                     handle.close()
                 raise
         self.num_shards = len(self._shards)
@@ -429,8 +467,10 @@ class _ShardTarget:
         self._ring = HashRing(self.num_shards, vnodes=int(vnodes))
         self._lock = threading.Lock()
         self._next_id = int(next_id)
-        self._count = int(count)
-        self._failover_lock = threading.Lock()
+        # Serialises restarts with each other and with reload's swap of
+        # the boot specs and partition_dir they respawn from.
+        self._restart_lock = threading.Lock()
+        self._reloading = False
         # One shard is always called inline (see _scatter).
         self._pool = (ThreadPoolExecutor(max_workers=self.num_shards,
                                          thread_name_prefix="repro-scatter")
@@ -450,9 +490,10 @@ class _ShardTarget:
             "Per-shard transport failures (dead worker, timeout).")
         self._m_reloads = reg.counter(
             "repro_reloads_total", "Successful generation flips.")
-        self._m_failovers = reg.counter(
-            "repro_failovers_total",
-            "Replica promotions after a primary failure.")
+        self._m_restarts = reg.counter(
+            "repro_shard_restarts_total",
+            "Dead durable shards respawned from snapshot + WAL by the "
+            "request that found them dead.")
         self._m_candidates = reg.counter(
             "repro_search_candidates_total",
             "Store rows scanned across all top-k searches.")
@@ -474,11 +515,11 @@ class _ShardTarget:
     # ---------------------------------------------------- durability plumbing
 
     def _boot_spec(self, partition_dir: Optional[Path],
-                   base_tag: Optional[str], role: str = "primary") -> Dict:
-        """The boot dict every worker (primary and replica) starts with."""
+                   base_tag: Optional[str]) -> Dict:
+        """The boot dict every worker starts with."""
         return {"partition_dir": (None if partition_dir is None
                                   else str(partition_dir)),
-                "role": role, "base_tag": base_tag,
+                "base_tag": base_tag,
                 "index": self.config.index, "nlist": self.config.nlist,
                 "nprobe": self.config.nprobe,
                 "durable_dir": (None if self.durable_dir is None
@@ -486,125 +527,52 @@ class _ShardTarget:
                 "fsync_window_ms": self.config.fsync_window_ms,
                 "wal_segment_bytes": self.config.wal_segment_bytes}
 
-    def _all_handles(self) -> List[_ShardHandle]:
-        # Runs without _failover_lock on purpose: it is also the cleanup
-        # path of __init__, which can fail before that lock exists.
-        # Promotion swaps list slots atomically (CPython) and handles
-        # close idempotently, so a stale snapshot here is harmless.
-        # repro: disable=lockset
-        handles = list(self._shards)
-        for standby in self._replicas.values():
-            handles.extend(standby)
-        return handles
-
-    def _spawn_handle(self, shard_id: int, role: str, hook=None,
-                      wal_hook=None) -> _ShardHandle:
-        """Fork one worker for ``shard_id``.
-
-        Replacement standbys are forked after coordinator threads
-        exist; that is safe *only* because a worker re-execs nothing and
-        takes no coordinator locks — the initial fleet is still forked
-        before any thread starts, and post-thread spawns reuse the same
-        (fork) path the ``restart_shard`` admin action already exercises.
-        """
-        boot = self._boot_spec(self.partition_dir,
-                               self._partition_tags[shard_id], role)
-        return _ShardHandle(shard_id, boot, self.config, self._ctx, hook,
-                            wal_hook)
-
     def _resync_id_space(self) -> None:
-        """Adopt recovered per-shard state into the coordinator's counters.
+        """Start the global id space past every shard's recovered ids.
 
-        After WAL replay a shard may hold rows (and a ``next_id``
-        high-water mark) the partition manifest has never heard of; the
-        global id space must start past every shard's recovered ids or a
-        fresh insert would collide with a recovered one.
+        After WAL replay a shard may hold ids (and a ``next_id``
+        high-water mark) the partition manifest has never heard of; a
+        fresh insert must not collide with a recovered one.
         """
-        infos: List[Dict] = []
+        next_ids: List[int] = []
         for handle in self._shards:
             try:
-                infos.append(handle.call("ping", None,
-                                         self.config.boot_timeout_s))
+                next_ids.append(int(handle.call(
+                    "ping", None, self.config.boot_timeout_s)["next_id"]))
             except (ShardUnavailableError, ShardRequestError) as exc:
                 _LOG.warning("id-space resync skipped shard %d: %s",
                              handle.shard_id, exc)
         with self._lock:
-            self._next_id = max([self._next_id]
-                                + [int(i["next_id"]) for i in infos])
-            if len(infos) == self.num_shards:
-                self._count = sum(int(i["count"]) for i in infos)
-
-    def _tail_replicas(self, shard_id: int) -> None:
-        """Nudge the shard's standbys to apply newly acked WAL records."""
-        for replica in self._replicas.get(shard_id, ()):
-            try:
-                replica.call("catch_up", None, self.config.request_timeout_s)
-            except (ShardUnavailableError, ShardRequestError) as exc:
-                _LOG.warning("replica catch-up failed on shard %d: %s",
-                             shard_id, exc)
-
-    def _promote(self, shard_id: int, failed: _ShardHandle) -> None:
-        """Promote a standby to primary after the primary failed.
-
-        Serialised under ``_failover_lock``; racing scatter legs that
-        all saw the same dead primary are detected by handle identity —
-        promotion swaps the handle, so a ``failed`` that is no longer
-        installed means another leg already promoted. (Liveness checks
-        race here: right after SIGKILL ``Process.is_alive()`` can still
-        report True, and one failure leaves the breaker closed.) The old
-        primary's handle is closed (worker terminated) *before* the
-        standby takes over the WAL so the log never has two appenders.
-        """
-        with self._failover_lock:
-            current = self._shards[shard_id]
-            if current is not failed:
-                return  # another caller already promoted
-            standbys = self._replicas.get(shard_id, [])
-            if not standbys:
-                raise ShardUnavailableError(
-                    f"shard {shard_id} is down and has no replica")
-            current.close()
-            replica = standbys.pop(0)
-            try:
-                info = replica.call("promote", None,
-                                    self.config.boot_timeout_s)
-            except (ShardUnavailableError, ShardRequestError) as exc:
-                replica.close()
-                raise ShardUnavailableError(
-                    f"shard {shard_id}: replica promotion failed: "
-                    f"{exc}") from exc
-            replica._boot["role"] = "primary"
-            replica._hook = current._hook
-            self._shards[shard_id] = replica
-            self._m_failovers.inc()
-            with self._lock:
-                self._next_id = max(self._next_id, int(info["next_id"]))
-            _LOG.warning(
-                "shard %d: promoted replica (count=%d, applied_lsn=%d)",
-                shard_id, info["count"], info["durability"]["applied_lsn"])
-            try:
-                standbys.append(self._spawn_handle(shard_id, "replica"))
-            except (ShardUnavailableError, OSError) as exc:
-                _LOG.warning("shard %d: could not respawn a replacement "
-                             "replica: %s", shard_id, exc)
+            self._next_id = max([self._next_id] + next_ids)
 
     def _shard_call(self, shard_id: int, op: str, payload,
                     timeout: Optional[float]):
-        """One shard request with transparent failover.
+        """One shard request; on a durable target, a dead worker is
+        respawned from snapshot + WAL and the request re-sent once.
 
-        On a transport failure the coordinator promotes a standby (when
-        one exists) and retries the request exactly once — callers see a
-        complete answer instead of a partial/failed one. Mutation retry
-        is safe because shard mutations are idempotent by id.
+        Only death restarts: a worker that timed out or sits behind an
+        open breaker is alive and the failure propagates. Callers racing
+        on one death restart it once — the first respawns the generation
+        that died, the rest find a newer one and just retry. Re-sending a
+        mutation is safe because shard mutations are idempotent by id.
+        During a reload a death stays a failure: a respawn could boot
+        the old generation and lose the staged one, and reload converges
+        the shards it finds dead itself.
         """
         handle = self._shards[shard_id]
         try:
             return handle.call(op, payload, timeout)
-        except ShardUnavailableError:
-            if not self._replicas.get(shard_id):
+        except _WorkerDied as died:
+            if self.durable_dir is None:
                 raise
-            self._promote(shard_id, handle)
-            return self._shards[shard_id].call(op, payload, timeout)
+            with self._restart_lock:
+                if self._reloading:
+                    raise
+                if handle.restart(died.generation):
+                    self._m_restarts.inc()
+                    _LOG.warning("shard %d died; respawned from snapshot "
+                                 "+ WAL: %s", shard_id, died)
+            return handle.call(op, payload, timeout)
 
     # ------------------------------------------------------------- query path
 
@@ -688,8 +656,7 @@ class _ShardTarget:
 
         ``payload_for(positions)`` builds one shard's payload from its
         positions in ``ids``. Returns ``(worker results, unreachable
-        shards)``; shards that applied their slice have already nudged
-        their standbys.
+        shards)``.
         """
         results: List[Dict] = []
         failed: List[int] = []
@@ -700,8 +667,6 @@ class _ShardTarget:
             except ShardUnavailableError:
                 self._m_shard_failures.inc()
                 failed.append(shard_id)
-                continue
-            self._tail_replicas(shard_id)
         return results, failed
 
     def insert_embeddings(self, embeddings, deadline):
@@ -719,8 +684,6 @@ class _ShardTarget:
                                embeddings[positions]),
             self._call_timeout(deadline))
         inserted = sum(int(r["count"]) for r in results)
-        with self._lock:
-            self._count += inserted
         if failed:
             # Only count durably applied sub-batches; the caller can
             # retry the whole batch — re-sent ids no-op at the shard.
@@ -736,8 +699,6 @@ class _ShardTarget:
             "delete", ids, lambda positions: [ids[p] for p in positions],
             self.config.request_timeout_s)
         removed = sum(int(r["removed"]) for r in results)
-        with self._lock:
-            self._count -= removed
         if failed:
             raise PartialWriteError(
                 f"delete could not reach shard(s) {failed} "
@@ -753,14 +714,8 @@ class _ShardTarget:
         Unavailable shards are omitted (compaction is advisory; they
         compact on restart). On a durable tier this also folds each
         shard's live store into a fresh checksummed snapshot generation
-        and truncates its WAL; replicas are caught up *first* so
-        truncation cannot strand them mid-log (a lagging replica that
-        still misses records rebuilds from the new snapshot via the
-        WAL-gap path).
+        and truncates its WAL.
         """
-        if self.durable_dir is not None:
-            for shard_id in range(self.num_shards):
-                self._tail_replicas(shard_id)
         results, _ = self._scatter("compact", self._to_every_shard(), None)
         return {s: bool(v["compacted"]) for s, v in results.items()}
 
@@ -768,10 +723,19 @@ class _ShardTarget:
         """Two-phase flip of every forked worker onto ``partition_dir``
         (default: re-read the current one); see ``ShardedService.reload``.
         """
-        with self._failover_lock:
+        with self._restart_lock:
             current_partition = self.partition_dir
-        new_partition = (current_partition if partition_dir is None
-                         else Path(partition_dir))
+            self._reloading = True
+        try:
+            return self._flip(current_partition if partition_dir is None
+                              else Path(partition_dir))
+        finally:
+            with self._restart_lock:
+                self._reloading = False
+
+    def _flip(self, new_partition: Path) -> Dict:
+        """Check, prepare everywhere, activate everywhere, then restart
+        the shards that died in between onto the new generation."""
         try:
             manifest = load_partition_manifest(new_partition)
         except CorruptArtifactError as exc:
@@ -799,39 +763,23 @@ class _ShardTarget:
 
         activated, failed = self._scatter("activate",
                                           self._to_every_shard(), None)
-        for shard_id in failed:
-            # A worker that died between prepare and activate: restart
-            # it straight onto the new generation so the tier converges.
-            handle = self._shards[shard_id]
-            handle._boot = boots[shard_id]
-            try:
-                handle.restart()
-                activated[shard_id] = {"restarted": True}
-            except ShardUnavailableError:
-                _LOG.warning("shard %d unavailable after reload; it will "
-                             "serve the new generation once restarted",
-                             shard_id)
-        for shard_id, handle in enumerate(self._shards):
-            handle._boot = dict(boots[shard_id])
-        for shard_id, standbys in self._replicas.items():
-            for replica in standbys:
-                # Standbys tail the old generation's WAL, which the new
-                # base tag just invalidated: restart them onto the new
-                # generation (a standby restart never blocks serving).
-                replica._boot = {**boots[shard_id], "role": "replica"}
-                try:
-                    replica.restart()
-                except ShardUnavailableError as exc:
-                    _LOG.warning("shard %d replica restart after reload "
-                                 "failed: %s", shard_id, exc)
-        with self._failover_lock:
-            # A failover racing the reload must spawn its standby from
-            # the *new* generation's boot spec.
+        with self._restart_lock:
+            # From here on every respawn boots the new generation.
+            for shard_id, handle in enumerate(self._shards):
+                handle._boot = dict(boots[shard_id])
             self.partition_dir = new_partition
-            self._partition_tags = tags
+            for shard_id in failed:
+                # A worker that died between prepare and activate: restart
+                # it straight onto the new generation so the tier converges.
+                try:
+                    self._shards[shard_id].restart()
+                    activated[shard_id] = {"restarted": True}
+                except ShardUnavailableError:
+                    _LOG.warning("shard %d unavailable after reload; it "
+                                 "will serve the new generation once "
+                                 "restarted", shard_id)
         with self._lock:
             self._next_id = max(self._next_id, int(manifest["next_id"]))
-            self._count = int(manifest["total_count"])
         self._m_reloads.inc()
         return {"partition_dir": str(new_partition),
                 "activated": sorted(activated),
@@ -840,7 +788,8 @@ class _ShardTarget:
     def restart_shard(self, shard_id: int) -> Dict:
         if not 0 <= shard_id < self.num_shards:
             raise ValueError(f"no shard {shard_id}")
-        self._shards[shard_id].restart()
+        with self._restart_lock:
+            self._shards[shard_id].restart()
         if self.durable_dir is not None:
             self._resync_id_space()
         return self._shards[shard_id].stats()
@@ -853,16 +802,16 @@ class _ShardTarget:
         return {"all_shards_alive": all(shards.values()), **shards}
 
     def size(self):
-        """Total rows across all shards (coordinator-tracked)."""
-        with self._lock:
-            return self._count
+        """Total rows: the sum of what each shard last reported."""
+        return sum(handle.rows() for handle in self._shards)
 
     def stats(self):
         """The target's sections of ``stats()``: ``store`` and
         ``durability``, with the same keys on every shape."""
         shard_stats = [h.stats() for h in self._shards]
+        size = self.size()
         with self._lock:
-            size, next_id = self._count, self._next_id
+            next_id = self._next_id
         worker_stats, _ = self._scatter("stats", self._to_every_shard(), None)
         return {
             "store": {"size": size, "next_id": next_id,
@@ -881,12 +830,7 @@ class _ShardTarget:
                 "durable_dir": (None if self.durable_dir is None
                                 else str(self.durable_dir)),
                 "fsync_window_ms": self.config.fsync_window_ms,
-                "replicas": self.config.replicas,
-                "failovers": self._m_failovers.value,
-                "replica_handles": {
-                    str(s): [r.stats() for r in standbys]
-                    for s, standbys in sorted(self._replicas.items())
-                    if standbys},
+                "restarts": self._m_restarts.value,
             },
         }
 
@@ -913,8 +857,8 @@ class _ShardTarget:
                                   shard=str(s))
 
     def close(self):
-        """Scatter pool first, then every worker (standbys included)."""
+        """Scatter pool first, then every worker."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        for handle in self._all_handles():
+        for handle in self._shards:
             handle.close()

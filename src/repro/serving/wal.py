@@ -1,4 +1,4 @@
-"""Per-shard write-ahead durability: WAL, snapshots, recovery, tailing.
+"""Per-shard write-ahead durability: WAL, snapshots, recovery.
 
 A durable service — one shard in process or N forked — acknowledges
 ``insert``/``delete`` mutations only after they are *durable*: the shard
@@ -60,8 +60,7 @@ from ..exceptions import ServiceClosedError, WALCorruptionError
 logger = logging.getLogger(__name__)
 
 __all__ = ["crc32c", "encode_record", "decode_payload", "scan_buffer",
-           "WALRecord", "ShardWAL", "WALTailer", "WALGapError",
-           "ShardDurability", "DurableLog",
+           "WALRecord", "ShardWAL", "ShardDurability", "DurableLog",
            "OP_INSERT", "OP_DELETE", "WAL_MAGIC"]
 
 
@@ -563,96 +562,6 @@ class ShardWAL:
 
 
 # --------------------------------------------------------------------------
-# Read-only tailing (replicas)
-
-class WALGapError(LookupError):
-    """The tail being followed was truncated past the reader's position
-    (the primary snapshotted and dropped segments the reader had not
-    applied yet, or repaired a torn tail below bytes the reader had
-    already consumed). The reader must rebuild from the current
-    snapshot. ``last_lsn`` is the last record this reader applied
-    successfully — everything after it must come from the snapshot."""
-
-    def __init__(self, message: str, last_lsn: int = 0):
-        super().__init__(message)
-        self.last_lsn = int(last_lsn)
-
-
-class WALTailer:
-    """Incremental, read-only reader of a WAL another process appends to.
-
-    Never repairs: a torn tail simply ends the poll (the bytes will be
-    complete next time), while mid-log corruption raises. Records are
-    returned in LSN order, each exactly once; an LSN gap — meaning the
-    primary truncated past us — raises :class:`WALGapError`.
-    """
-
-    def __init__(self, directory, applied_lsn: int = 0):
-        self._dir = Path(directory)
-        self._offsets: Dict[str, int] = {}
-        self._last_lsn = int(applied_lsn)
-
-    @property
-    def last_lsn(self) -> int:
-        return self._last_lsn
-
-    def poll(self) -> List[WALRecord]:
-        out: List[WALRecord] = []
-        segments = list_segments(self._dir)
-        names = {segment.name for segment in segments}
-        for name in list(self._offsets):
-            if name not in names:
-                del self._offsets[name]
-        for segment in segments:
-            offset = self._offsets.get(segment.name, 0)
-            try:
-                size = segment.stat().st_size
-                if offset < size:
-                    # Only the unread tail: a poll runs after every
-                    # acked mutation, the segment may be 64 MB.
-                    with open(segment, "rb") as handle:
-                        handle.seek(offset)
-                        data = handle.read()
-            except FileNotFoundError:
-                logger.debug("wal: segment %s vanished during tail", segment)
-                break
-            if offset > size:
-                # The segment shrank below bytes this reader already
-                # consumed: the primary truncated (torn-tail repair or
-                # snapshot) records we may have applied. Surface it the
-                # same way as a clean LSN gap — silence here would let
-                # the reader diverge from the primary.
-                raise WALGapError(
-                    f"wal segment {segment.name} shrank below this "
-                    f"reader's offset ({size} < {offset} bytes): "
-                    f"truncated past records already consumed (last good "
-                    f"lsn {self._last_lsn})", last_lsn=self._last_lsn)
-            if offset == size:
-                continue
-            records, valid_end, damage = scan_buffer(data)
-            if damage == "corrupt":
-                raise WALCorruptionError(
-                    f"mid-log corruption while tailing {segment}")
-            self._offsets[segment.name] = offset + valid_end
-            for record in records:
-                if record.lsn <= self._last_lsn:
-                    continue
-                if record.lsn != self._last_lsn + 1:
-                    raise WALGapError(
-                        f"wal tail jumped from lsn {self._last_lsn} to "
-                        f"{record.lsn}: truncated past this reader (last "
-                        f"good lsn {self._last_lsn})",
-                        last_lsn=self._last_lsn)
-                self._last_lsn = record.lsn
-                out.append(record)
-            if damage == "torn":
-                # Stop here: records in later segments must not be applied
-                # ahead of the bytes still landing in this one.
-                break
-        return out
-
-
-# --------------------------------------------------------------------------
 # Snapshot generations
 
 SNAPSHOT_SCHEMA = "repro.wal.snapshot.v1"
@@ -674,11 +583,10 @@ class ShardDurability:
     segments only — is recognised as foreign too.
     """
 
-    def __init__(self, directory, base_tag: str, read_only: bool = False):
+    def __init__(self, directory, base_tag: str):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.base_tag = str(base_tag)
-        self.read_only = bool(read_only)
         self.manifest = self._load_manifest()
 
     def _load_manifest(self) -> Optional[dict]:
@@ -695,16 +603,11 @@ class ShardDurability:
         if recorded is not None and recorded != self.base_tag:
             logger.warning(
                 "durable state in %s was built for base %s, current base "
-                "is %s: %s (a new base replaces the data wholesale)",
-                self.directory, recorded, self.base_tag,
-                "ignoring" if self.read_only else "resetting")
-            if self.read_only:
-                # A replica must never delete shared state; the primary
-                # owns the reset.
-                return None
+                "is %s: resetting (a new base replaces the data wholesale)",
+                self.directory, recorded, self.base_tag)
             self.reset()
             manifest = None
-        if not self.read_only and not base_path.exists():
+        if not base_path.exists():
             atomic_write_text(base_path, self.base_tag, durable=True)
         return manifest
 
@@ -777,45 +680,32 @@ class ShardDurability:
 # The discipline, once
 
 class DurableLog:
-    """One durable table's snapshot generation + mutation log, by role.
+    """One durable table's snapshot generation + mutation log.
 
     The only code that knows the order of operations its consumers (the
     shard worker, the stream ingester) would otherwise each repeat:
     *open* reads the snapshot manifest first — a foreign base tag
     resets snapshot **and** log before any log file is opened — and only
-    then does a ``"primary"`` open the log for append (repairing a torn
-    tail) or a ``"replica"`` attach a read-only tailer; :meth:`replay`
-    hands over every record past the snapshot; :meth:`append` fsyncs
-    *before* the caller mutates its table; :meth:`checkpoint` snapshots
-    at :attr:`applied_lsn` and truncates behind it; :meth:`promote`
-    turns the tailer into the appender. Calls are serialised by the
-    consumer (a serial worker loop, the ingester's lock).
+    then opens the log for append (repairing a torn tail);
+    :meth:`replay` hands over every record past the snapshot;
+    :meth:`append` fsyncs *before* the caller mutates its table;
+    :meth:`checkpoint` snapshots at :attr:`applied_lsn` and truncates
+    behind it. Calls are serialised by the consumer (a serial worker
+    loop, the ingester's lock).
     """
 
-    def __init__(self, directory, base_tag: str, *, role: str = "primary",
-                 segment_bytes: int, fsync_window_ms: float,
+    def __init__(self, directory, base_tag: str, *, segment_bytes: int,
+                 fsync_window_ms: float,
                  hook: Optional[Callable[[str], None]] = None):
-        self._snap = ShardDurability(directory, base_tag,
-                                     read_only=(role == "replica"))
+        self._snap = ShardDurability(directory, base_tag)
         #: Path of the committed snapshot, or ``None`` (start from the
         #: base). Digest-verified here, before the log opens, so a
         #: corrupt snapshot fails the open with nothing left running.
         self.snapshot: Optional[Path] = self._snap.snapshot_path()
         self._applied_lsn = self._snap.applied_lsn
-        self._wal_options = {"segment_bytes": segment_bytes,
-                             "fsync_window_ms": fsync_window_ms,
-                             "hook": hook}
-        self._wal: Optional[ShardWAL] = None
-        self._tailer: Optional[WALTailer] = None
-        if role == "replica":
-            self._tailer = WALTailer(self._snap.directory,
-                                     applied_lsn=self._applied_lsn)
-        else:
-            self._wal = ShardWAL(self._snap.directory, **self._wal_options)
-
-    @property
-    def role(self) -> str:
-        return "primary" if self._wal is not None else "replica"
+        self._wal = ShardWAL(self._snap.directory,
+                             segment_bytes=segment_bytes,
+                             fsync_window_ms=fsync_window_ms, hook=hook)
 
     @property
     def applied_lsn(self) -> int:
@@ -823,44 +713,23 @@ class DurableLog:
         return self._applied_lsn
 
     def replay(self) -> Iterator[WALRecord]:
-        """Yield each record the table does not reflect yet, in LSN order.
-
-        Primary: what opening the log recovered (once). Replica: the
-        tailer's next poll; :class:`WALGapError` means "reopen from the
-        snapshot". A record counts as applied only when the caller comes
-        back for the next one, so an apply that raises leaves
-        :attr:`applied_lsn` on the last record that landed.
+        """Yield each record the table does not reflect yet, in LSN order:
+        what opening the log recovered, once. A record counts as applied
+        only when the caller comes back for the next one, so an apply
+        that raises leaves :attr:`applied_lsn` on the last record that
+        landed.
         """
-        if self._wal is not None:
-            records = self._wal.drain_recovered()
-        else:
-            records, last = self._tailer.poll(), self._tailer.last_lsn
-            # Truncated to an *empty* log: no record is left for the
-            # tailer to see the jump on, only the segment's name.
-            oldest = [] if records else list_segments(self._snap.directory)
-            if oldest and _segment_first_lsn(oldest[0]) > last + 1:
-                raise WALGapError(
-                    f"wal now starts past this reader, at lsn "
-                    f"{_segment_first_lsn(oldest[0])} (last good lsn "
-                    f"{last})", last_lsn=last)
-        for record in records:
+        for record in self._wal.drain_recovered():
             if record.lsn <= self._applied_lsn:
                 continue  # the snapshot already covers it
             yield record
             self._applied_lsn = record.lsn
 
-    def _appender(self, what: str) -> ShardWAL:
-        if self._wal is None:
-            raise ValueError(f"a replica log cannot {what}: it is a "
-                             f"read-only tailer until promoted")
-        return self._wal
-
     def append(self, op: int, ids, embeddings=None) -> int:
         """Make one mutation durable, then count it applied; returns its
         LSN. If this raises, nothing was acknowledged, :attr:`applied_lsn`
         has not moved and the caller must not mutate."""
-        self._applied_lsn = self._appender("append").append(op, ids,
-                                                            embeddings)
+        self._applied_lsn = self._wal.append(op, ids, embeddings)
         return self._applied_lsn
 
     def checkpoint(self, save_fn: Callable[[str], None], *, count: int,
@@ -869,24 +738,14 @@ class DurableLog:
         and drop the log segments it covers; returns the manifest."""
         manifest = self._snap.commit_snapshot(
             save_fn, count=count, next_id=next_id,
-            applied_lsn=self._applied_lsn, wal=self._appender("checkpoint"))
+            applied_lsn=self._applied_lsn, wal=self._wal)
         self.snapshot = self._snap.directory / manifest["file"]
         return manifest
 
-    def promote(self) -> None:
-        """Replica → primary: take the log over for append. The caller
-        guarantees the old appender is dead, so the open may repair a
-        torn tail; drain :meth:`replay` before (what the tailer can
-        still see) and after (what only the repair uncovered)."""
-        if self._wal is None:
-            self._wal = ShardWAL(self._snap.directory, **self._wal_options)
-            self._tailer = None
-
     def stats(self) -> dict:
-        return {"role": self.role, "applied_lsn": self._applied_lsn,
+        return {"applied_lsn": self._applied_lsn,
                 "snapshot_generation": self._snap.generation,
-                "wal": None if self._wal is None else self._wal.stats()}
+                "wal": self._wal.stats()}
 
     def close(self) -> None:
-        if self._wal is not None:
-            self._wal.close()
+        self._wal.close()

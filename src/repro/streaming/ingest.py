@@ -430,7 +430,7 @@ class StreamIngestor:
         with self._lock:
             return self._degraded_locked()
 
-    def catch_up(self, timeout_s: float = 30.0) -> bool:
+    def wait_until_current(self, timeout_s: float = 30.0) -> bool:
         """Block until every segment's embedding is current (or timeout)."""
         deadline = time.monotonic() + timeout_s
         while True:

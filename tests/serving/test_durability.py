@@ -1,4 +1,4 @@
-"""Crash-chaos and failover tests for the durable sharded tier.
+"""Crash-chaos and restart tests for the durable sharded tier.
 
 The chaos harness runs the same deterministic mutation workload under
 20+ seeded fault schedules — SIGKILL at a chosen point of the WAL
@@ -10,11 +10,16 @@ then recovers and checks the durability contract:
 * an **unacked** per-shard sub-batch is all-or-nothing — the WAL record
   either replays whole or was torn away whole;
 * post-recovery top-k answers are id-identical to a single-process
-  exact oracle built from the surviving id set.
+  exact oracle built from the surviving id set;
+* ``size()`` equals the number of rows present.
+
+A shard whose worker dies is respawned from snapshot + WAL by the request
+that found it dead, and that request is re-sent once.
 """
 
 import os
 import signal
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -227,6 +232,7 @@ def test_chaos_schedule_preserves_acked_writes(tmp_path, seed):
             _restart_dead_shards(service)
 
         present = _check_contract(service, tracker)
+        assert service.size() == len(_present_ids(service))
 
         if sched["double"]:
             # Crash-recover-crash: the reinstalled hook has one kill
@@ -235,22 +241,28 @@ def test_chaos_schedule_preserves_acked_writes(tmp_path, seed):
             assert hook.kills_so_far() == 2
             _restart_dead_shards(service)
             present = _check_contract(service, tracker)
+            assert service.size() == len(_present_ids(service))
 
         # Recovered id space must not collide with surviving rows.
         before = len(present)
         tracker.record_insert(service, make_embeddings(3, seed=999))
         assert len(_present_ids(service)) == before + 3
         _check_contract(service, tracker)
+        assert service.size() == len(_present_ids(service))
     finally:
         service.close()
 
 
-# -------------------------------------------------------- replica failover
+# ------------------------------------------------------ restart and retry
 
 
-def test_replica_failover_mid_stream_keeps_acked_writes(tmp_path):
+def _restarts(service):
+    return service.stats()["durability"]["restarts"]
+
+
+def test_killed_shard_restarts_mid_stream_keeps_acked_writes(tmp_path):
     part_dir, ids, emb = _make_partitions(tmp_path)
-    service = ShardedService(part_dir, config=_config(replicas=1),
+    service = ShardedService(part_dir, config=_config(),
                              durable_dir=tmp_path / "durable")
     tracker = _Tracker(ids, emb)
     try:
@@ -258,32 +270,86 @@ def test_replica_failover_mid_stream_keeps_acked_writes(tmp_path):
         tracker.record_delete(service, sorted(tracker.live_acked())[:3])
         assert not tracker.pending
 
-        primary = service.target._shards[0]
-        pid = primary._proc.pid
+        pid = service.target._shards[0]._proc.pid
         os.kill(pid, signal.SIGKILL)
 
-        # The very next scatter must fail over to the standby and answer
-        # complete — not partial — with zero acked-write loss.
+        # The very next scatter must respawn the shard from snapshot +
+        # WAL and answer complete — not partial — with zero acked-write
+        # loss.
         q = make_embeddings(1, seed=42)[0]
         got = service.query_embedding(q, k=10)
         assert got.partial is False
-        assert service.stats()["durability"]["failovers"] == 1
+        assert _restarts(service) == 1
         assert service.target._shards[0]._proc.pid != pid
         _check_contract(service, tracker)
 
-        # Writes keep flowing through the promoted primary, and a
-        # replacement standby was spawned behind it.
+        # Writes keep flowing through the respawned worker.
         tracker.record_insert(service, make_embeddings(4, seed=301))
         assert not tracker.pending
         _check_contract(service, tracker)
-        assert len(service.target._replicas[0]) == 1
 
-        # Kill the promoted primary too: the replacement takes over.
+        # Kill the respawned worker too: it is respawned again.
         os.kill(service.target._shards[0]._proc.pid, signal.SIGKILL)
         got = service.query_embedding(q, k=10)
         assert got.partial is False
-        assert service.stats()["durability"]["failovers"] == 2
+        assert _restarts(service) == 2
         _check_contract(service, tracker)
+    finally:
+        service.close()
+
+
+def test_killed_shard_acks_the_next_insert_and_size_stays_exact(tmp_path):
+    part_dir, ids, emb = _make_partitions(tmp_path)
+    service = ShardedService(part_dir, config=_config(),
+                             durable_dir=tmp_path / "durable")
+    tracker = _Tracker(ids, emb)
+    try:
+        os.kill(service.target._shards[1]._proc.pid, signal.SIGKILL)
+        rows = make_embeddings(8, seed=310)
+        tracker.record_insert(service, rows)
+        assert not tracker.pending  # every row acked, none partial
+        assert _restarts(service) == 1
+        _check_contract(service, tracker)
+        assert service.size() == len(_present_ids(service)) \
+            == SEED_ROWS + len(rows)
+    finally:
+        service.close()
+
+
+def test_racing_queries_across_a_kill_restart_the_shard_once(tmp_path):
+    part_dir, _, _ = _make_partitions(tmp_path)
+    service = ShardedService(part_dir, config=_config(),
+                             durable_dir=tmp_path / "durable")
+    queries = make_embeddings(6, seed=320)
+    try:
+        want = [service.query_embedding(q, k=10).ids for q in queries]
+        handle = service.target._shards[0]
+        generation = handle.generation
+        barrier = threading.Barrier(len(queries) + 1)
+        answers = [None] * len(queries)
+
+        def query(i):
+            barrier.wait()
+            answers[i] = service.query_embedding(queries[i], k=10)
+
+        threads = [threading.Thread(target=query, args=(i,))
+                   for i in range(len(queries))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the racing callers
+        try:
+            for thread in threads:
+                thread.start()
+            os.kill(handle._proc.pid, signal.SIGKILL)
+            barrier.wait()
+            for thread in threads:
+                thread.join(TIMEOUT)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(a is not None and a.partial is False for a in answers)
+        assert [a.ids for a in answers] == want
+        assert handle.generation == generation + 1
+        assert _restarts(service) == 1
     finally:
         service.close()
 
@@ -293,10 +359,14 @@ def test_replica_failover_mid_stream_keeps_acked_writes(tmp_path):
 
 def test_partial_write_reports_exactly_the_applied_ids(tmp_path):
     part_dir, ids, emb = _make_partitions(tmp_path)
-    service = ShardedService(part_dir, config=_config(),
+    service = ShardedService(part_dir,
+                             config=_config(breaker_failure_threshold=1),
                              durable_dir=tmp_path / "durable")
     try:
-        os.kill(service.target._shards[1]._proc.pid, signal.SIGKILL)
+        # Shard 1 is alive behind an open breaker: it drops out of the
+        # write, and nothing restarts it.
+        pid = service.target._shards[1]._proc.pid
+        service.target._shards[1].breaker.record_failure()
         base = service.target._next_id
         rows = make_embeddings(8, seed=500)
         intended = list(range(base, base + len(rows)))
@@ -307,8 +377,10 @@ def test_partial_write_reports_exactly_the_applied_ids(tmp_path):
         assert sorted(excinfo.value.applied_ids) == live_ids
         present = _present_ids_live(service, shard_ids=(0,))
         assert set(live_ids) <= present
-        # The dead shard's sub-batch never reached a WAL: recovery must
-        # not surface any of it.
+        assert _restarts(service) == 0
+        assert service.target._shards[1]._proc.pid == pid
+        # The unreachable shard's sub-batch never reached a WAL: recovery
+        # must not surface any of it.
         service.restart_shard(1)
         dead_ids = set(intended[p] for p in groups.get(1, []))
         assert not dead_ids & _present_ids(service)
@@ -358,7 +430,7 @@ def test_cold_restart_is_id_identical_including_id_space(tmp_path):
 
 
 def test_failed_constructor_leaves_no_worker_behind(tmp_path, bundle_dir):
-    """A coordinator that fails after forking closes standbys too."""
+    """A coordinator that fails after forking closes every worker."""
     import json
     import multiprocessing
 
@@ -372,7 +444,7 @@ def test_failed_constructor_leaves_no_worker_behind(tmp_path, bundle_dir):
     before = set(multiprocessing.active_children())
     with pytest.raises(ConfigurationError, match="embedding_dim"):
         ShardedService(part_dir, bundle_dir=bundle_dir,
-                       config=_config(replicas=1),
+                       config=_config(),
                        durable_dir=tmp_path / "durable")
     assert set(multiprocessing.active_children()) <= before
 

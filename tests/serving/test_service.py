@@ -244,9 +244,8 @@ def test_durable_dir_needs_a_base_and_refuses_replicas(serving_world,
     model, _ = serving_world
     with pytest.raises(ConfigurationError, match="base_tag"):
         SimilarityService(model, fresh_store, durable_dir=tmp_path / "wal")
-    with pytest.raises(ConfigurationError, match="forked"):
-        SimilarityService(model, fresh_store, ShardedConfig(replicas=1),
-                          durable_dir=tmp_path / "wal", base_tag="b")
+    with pytest.raises(TypeError, match="replicas"):
+        ShardedConfig(replicas=1)  # a dead shard restarts; no standbys
     assert not (tmp_path / "wal").exists()
 
 

@@ -4,9 +4,8 @@
 constructing it directly lets these tests inject WAL faults and compare
 stores without a pipe in the way. The property at the end states the
 durability contract once: whatever sequence of mutations was applied
-live, base + ``DurableLog.replay()`` rebuilds the same store — for a
-primary reopening after a crash and for a replica tailing, then
-promoted.
+live, base + ``DurableLog.replay()`` rebuilds the same store when the
+worker reopens after a crash.
 """
 
 import tempfile
@@ -41,10 +40,9 @@ def _partitions(root: Path, seed=0) -> Path:
     return root / "parts"
 
 
-def _boot(partition_dir, durable_dir=None, role="primary",
-          fsync_window_ms=0.0):
+def _boot(partition_dir, durable_dir=None, fsync_window_ms=0.0):
     base_tag = load_partition_manifest(partition_dir)["shards"][0]["sha256"]
-    return {"partition_dir": str(partition_dir), "role": role,
+    return {"partition_dir": str(partition_dir),
             "index": "exact", "nlist": 0, "nprobe": 8,
             "durable_dir": None if durable_dir is None else str(durable_dir),
             "base_tag": base_tag, "fsync_window_ms": fsync_window_ms,
@@ -81,8 +79,8 @@ def test_unknown_op_is_a_value_error(tmp_path):
 
 
 def test_every_coordinator_op_is_in_the_table():
-    sent = ("ping search insert delete compact catch_up promote ids stats "
-            "prepare activate abort shutdown").split()
+    sent = ("ping search insert delete compact ids stats prepare activate "
+            "abort shutdown").split()
     assert all(callable(getattr(_ShardWorker, f"op_{op}")) for op in sent)
 
 
@@ -92,7 +90,7 @@ def test_one_report_serves_boot_ping_and_stats(tmp_path):
     assert worker.handle("ping", None) == worker.handle("stats", None) \
         == report
     assert report["count"] == SEED_ROWS and report["next_id"] == SEED_ROWS
-    assert report["durability"]["role"] == "primary"
+    assert report["durability"]["applied_lsn"] == 0
     assert report["durability"]["wal"]["appended"] == 0
     worker.close()
     plain = _ShardWorker(0, _boot(_partitions(tmp_path / "plain")))
@@ -123,7 +121,7 @@ def test_failed_fsync_fails_the_insert_and_the_retry_lands_once(tmp_path):
     _assert_same_state(_state(worker), before)
     assert worker.log.applied_lsn == 0
     reply = worker.handle("insert", (ids, _rows(ids)))
-    assert reply == {"applied": ids, "count": 3}
+    assert reply == {"applied": ids, "count": 3, "size": SEED_ROWS + 3}
     assert worker.handle("insert", (ids, _rows(ids)))["count"] == 0
     assert worker.handle("ids", None).count(101) == 1
     live = _state(worker)
@@ -133,21 +131,6 @@ def test_failed_fsync_fails_the_insert_and_the_retry_lands_once(tmp_path):
     reopened = _ShardWorker(0, _boot(parts, tmp_path / "dur"))
     _assert_same_state(_state(reopened), live)
     reopened.close()
-
-
-def test_replica_refuses_every_mutation(tmp_path):
-    parts = _partitions(tmp_path)
-    primary = _ShardWorker(0, _boot(parts, tmp_path / "dur"))
-    replica = _ShardWorker(0, _boot(parts, tmp_path / "dur", "replica"))
-    before = _state(replica)
-    for op, payload in (("insert", ([100], _rows([100]))),
-                        ("delete", [0]), ("compact", None)):
-        with pytest.raises(ValueError, match="replica refuses"):
-            replica.handle(op, payload)
-    _assert_same_state(_state(replica), before)
-    with pytest.raises(ValueError, match="not a replica"):
-        primary.handle("catch_up", None)
-    primary.close()
 
 
 def test_failed_activate_leaves_no_half_open_log(tmp_path):
@@ -206,8 +189,7 @@ _STEP = st.one_of(
               st.lists(st.integers(0, SEED_ROWS + 30), min_size=1,
                        max_size=4)),
     st.tuples(st.just("retry"), st.none()),  # resend the previous request
-    st.tuples(st.just("compact"), st.none()),
-    st.tuples(st.just("catch_up"), st.none()))
+    st.tuples(st.just("compact"), st.none()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -217,7 +199,6 @@ def test_live_state_equals_base_plus_replay(steps):
         root = Path(root)
         parts, dur = _partitions(root), root / "dur"
         primary = _ShardWorker(0, _boot(parts, dur))
-        replica = _ShardWorker(0, _boot(parts, dur, "replica"))
         last = None
         for kind, ids in steps:
             if kind == "retry":
@@ -229,9 +210,7 @@ def test_live_state_equals_base_plus_replay(steps):
             elif kind == "delete":
                 primary.handle("delete", ids)
             else:
-                # A lagging replica rebuilds from the new snapshot.
-                (primary if kind == "compact" else replica).handle(kind,
-                                                                   None)
+                primary.handle("compact", None)
             if kind in ("insert", "delete"):
                 last = (kind, ids)
         live = _state(primary)
@@ -240,8 +219,3 @@ def test_live_state_equals_base_plus_replay(steps):
         _assert_same_state(_state(reopened), live)
         assert reopened.log.applied_lsn == primary.log.applied_lsn
         reopened.close()
-        replica.handle("promote", None)
-        _assert_same_state(_state(replica), live)
-        assert replica.log.role == "primary"
-        replica.handle("insert", ([900], _rows([900])))
-        replica.close()

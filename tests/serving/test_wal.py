@@ -1,4 +1,4 @@
-"""WAL codec, recovery, group-commit, tailer, snapshot and DurableLog tests.
+"""WAL codec, recovery, group-commit, snapshot and DurableLog tests.
 
 The fuzz half enforces the damage contract at every byte: truncation
 anywhere in the log is a *torn tail* (recovered silently to the longest
@@ -8,17 +8,14 @@ record).
 """
 
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.exceptions import WALCorruptionError
-from repro.serving import wal as wal_module
 from repro.serving.wal import (OP_DELETE, OP_INSERT, DurableLog,
-                               ShardDurability, ShardWAL, WALGapError,
-                               WALTailer, crc32c, encode_record,
-                               list_segments, scan_buffer)
+                               ShardDurability, ShardWAL, crc32c,
+                               encode_record, list_segments, scan_buffer)
 from repro.testing.faults import CorruptionSpec
 
 pytestmark = pytest.mark.durability
@@ -200,86 +197,6 @@ def test_wal_group_commit_acks_are_durable(tmp_path):
     reopened.close()
 
 
-# ------------------------------------------------------------------ tailer
-
-
-def test_tailer_polls_incrementally_and_stops_at_torn_tail(tmp_path):
-    wal = ShardWAL(tmp_path / "wal")
-    tailer = WALTailer(tmp_path / "wal")
-    wal.append(OP_DELETE, np.array([1], dtype=np.int64))
-    assert [r.lsn for r in tailer.poll()] == [1]
-    assert tailer.poll() == []  # nothing new
-    wal.append(OP_DELETE, np.array([2], dtype=np.int64))
-    wal.close()
-    # Tear the tail on disk: the tailer just waits, it never repairs.
-    segment = list_segments(tmp_path / "wal")[-1]
-    blob = segment.read_bytes()
-    segment.write_bytes(blob + b"\x57\x41")  # half a magic, mid-write
-    assert [r.lsn for r in tailer.poll()] == [2]
-    assert segment.read_bytes() == blob + b"\x57\x41"  # untouched
-
-
-def test_tailer_raises_gap_after_truncation_past_reader(tmp_path):
-    wal = ShardWAL(tmp_path / "wal")
-    for i in range(1, 4):
-        wal.append(OP_DELETE, np.array([i], dtype=np.int64))
-    tailer = WALTailer(tmp_path / "wal")  # never polled: cursor at 0
-    wal.truncate_through(3)
-    wal.append(OP_DELETE, np.array([9], dtype=np.int64))  # lsn 4
-    with pytest.raises(WALGapError):
-        tailer.poll()
-
-
-def test_tailer_reads_only_the_unread_tail(tmp_path, monkeypatch):
-    """Regression: every poll used to re-read each segment from byte 0,
-    so following N appends cost O(N^2) bytes (a poll runs after every
-    acked mutation, against segments of up to 64 MB)."""
-    read = {"bytes": 0}
-
-    class _Counting:
-        def __init__(self, handle):
-            self._handle = handle
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self._handle.close()
-
-        def seek(self, offset):
-            return self._handle.seek(offset)
-
-        def read(self, *args):
-            data = self._handle.read(*args)
-            read["bytes"] += len(data)
-            return data
-
-    def counting_open(path, mode="r", *args, **kwargs):
-        handle = open(path, mode, *args, **kwargs)
-        return _Counting(handle) if mode == "rb" else handle
-
-    real_read_bytes = Path.read_bytes
-
-    def counting_read_bytes(self):
-        data = real_read_bytes(self)
-        read["bytes"] += len(data)
-        return data
-
-    wal = ShardWAL(tmp_path / "wal")
-    tailer = WALTailer(tmp_path / "wal")
-    monkeypatch.setattr(wal_module, "open", counting_open, raising=False)
-    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
-    seen = []
-    for i in range(200):
-        wal.append(OP_DELETE, np.array([i], dtype=np.int64))
-        seen += [r.lsn for r in tailer.poll()]
-    monkeypatch.undo()
-    wal.close()
-    assert seen == list(range(1, 201))
-    (segment,) = list_segments(tmp_path / "wal")
-    assert read["bytes"] <= 2 * segment.stat().st_size
-
-
 # --------------------------------------------------------------- snapshots
 
 
@@ -321,12 +238,7 @@ def test_base_tag_mismatch_resets_primary_but_not_replica(tmp_path):
     wal.close()
     dur = ShardDurability(tmp_path / "d", base_tag="base-old")
     dur.commit_snapshot(_save_fn(2), count=2, next_id=2, applied_lsn=1)
-    # Replica with a new base tag must leave the shared files alone.
-    replica = ShardDurability(tmp_path / "d", base_tag="base-new",
-                              read_only=True)
-    assert replica.manifest is None
     assert (tmp_path / "d" / "SNAPSHOT.json").exists()
-    # Primary with a new base tag owns the reset.
     primary = ShardDurability(tmp_path / "d", base_tag="base-new")
     assert primary.manifest is None
     assert not (tmp_path / "d" / "SNAPSHOT.json").exists()
@@ -415,51 +327,17 @@ def test_durable_log_counts_a_record_applied_only_once_consumed(tmp_path):
 
 
 def test_durable_log_checkpoint_never_truncates_past_applied(tmp_path):
-    primary = _log(tmp_path / "d")
-    replica = _log(tmp_path / "d", role="replica")
+    log = _log(tmp_path / "d")
     for row_id in (1, 2, 3):
-        _delete(primary, row_id)
-    primary.close()
-    tail = replica.replay()
-    next(tail), next(tail)  # lsn 1 consumed, lsn 2 handed over only
-    assert replica.applied_lsn == 1
-    replica.promote()
-    assert replica.role == "primary"
-    manifest = replica.checkpoint(_save_fn(1), count=1, next_id=1)
-    assert manifest["applied_lsn"] == 1
-    replica.close()
+        _delete(log, row_id)
+    log.close()
     reopened = _log(tmp_path / "d")
-    assert [r.lsn for r in reopened.replay()] == [2, 3]
+    tail = reopened.replay()
+    next(tail), next(tail)  # lsn 1 consumed, lsn 2 handed over only
+    assert reopened.applied_lsn == 1
+    manifest = reopened.checkpoint(_save_fn(1), count=1, next_id=1)
+    assert manifest["applied_lsn"] == 1
     reopened.close()
-
-
-def test_durable_log_replica_is_read_only_until_promoted(tmp_path):
-    primary = _log(tmp_path / "d")
-    _delete(primary, 1)
-    replica = _log(tmp_path / "d", role="replica")
-    assert replica.stats()["wal"] is None
-    with pytest.raises(ValueError):
-        _delete(replica, 2)
-    with pytest.raises(ValueError):
-        replica.checkpoint(_save_fn(1), count=1, next_id=1)
-    assert [r.lsn for r in replica.replay()] == [1]
-    primary.close()
-    replica.promote()
-    assert list(replica.replay()) == []  # nothing the tailer had not seen
-    assert _delete(replica, 2) == 2 and replica.applied_lsn == 2
-    replica.close()
-
-
-def test_durable_log_replica_sees_a_truncation_to_empty_as_a_gap(tmp_path):
-    """Found by the shard-worker property: a checkpoint that leaves the
-    log empty gives the tailer no record to notice the jump on, and a
-    lagging replica promoted then would silently miss the rows."""
-    primary = _log(tmp_path / "d")
-    replica = _log(tmp_path / "d", role="replica")
-    _delete(primary, 1)
-    primary.checkpoint(_save_fn(1), count=1, next_id=1)
-    with pytest.raises(WALGapError):
-        list(replica.replay())
-    primary.close()
-    rebuilt = _log(tmp_path / "d", role="replica")  # from the snapshot
-    assert rebuilt.applied_lsn == 1 and list(rebuilt.replay()) == []
+    again = _log(tmp_path / "d")
+    assert [r.lsn for r in again.replay()] == [2, 3]
+    again.close()

@@ -269,7 +269,7 @@ def test_overload_defers_reembeds_and_keeps_serving(tmp_path, encoder):
     answer = ingestor.query(np.array([[500.0, 500.0], [510.0, 510.0]]), k=1)
     assert answer.segment_ids.shape == (1,)
 
-    assert ingestor.catch_up(timeout_s=30.0)
+    assert ingestor.wait_until_current(timeout_s=30.0)
     assert not ingestor.degraded
     # After catch-up the async path landed on the same bits as sync.
     segments = ingestor.window_segments()

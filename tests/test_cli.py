@@ -70,11 +70,14 @@ def test_serve_without_shards_honours_durable_dir(bundle, tmp_path,
     assert (tmp_path / "wal" / "shard-0000").is_dir()
 
 
-def test_serve_refuses_replicas_without_shards(bundle, tmp_path, capsys):
-    assert main(["serve", "--bundle", str(bundle), "--once",
-                 "--durable-dir", str(tmp_path / "wal"),
-                 "--replicas", "1"]) == 2
-    assert "--shards" in capsys.readouterr().err
+def test_serve_has_no_replicas_option(bundle, tmp_path, capsys):
+    """A dead durable shard is respawned, so there is no standby to ask
+    for."""
+    with pytest.raises(SystemExit) as exited:
+        main(["serve", "--bundle", str(bundle), "--once", "--shards", "2",
+              "--durable-dir", str(tmp_path / "wal"), "--replicas", "1"])
+    assert exited.value.code == 2
+    assert "--replicas" in capsys.readouterr().err
     assert not (tmp_path / "wal").exists()
 
 
