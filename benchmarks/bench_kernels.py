@@ -27,7 +27,13 @@ next to this file:
   (``np.concatenate``, boolean-mask copy, ``np.isin`` sweeps) vs the
   in-place layout. Gated on ``identical`` and on ``flat_in_n``: the
   per-mutation time at 100 000 rows within 3x of the one at 1 000 — the
-  shape of the cost, not a timing floor.
+  shape of the cost, not a timing floor;
+* **ivf_kmeans** — the IVF coarse quantizer's k-means as a shard trains
+  it (65 536 × 32 float32 sample, 283 cells): one GEMM per 16 384-row
+  chunk scaled by −2 afterwards and ``np.add.at`` centroid sums vs
+  2 048-row GEMM blocks on −2·centroids and per-cell sums over a radix
+  sort of the labels. Reports the traced scratch peak of each as well;
+  gated on ``identical`` (centroids and final assignment, bit for bit).
 
 Every pairing also checks that old and new paths agree (bit-identical
 where the rewrite promises it) — a speedup over a wrong answer is not
@@ -44,6 +50,7 @@ import argparse
 import json
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +75,9 @@ CONFIG = {
     "store_rows": [1000, 100_000],
     "store_dim": 32,
     "store_mutations": 200,
+    "ivf_rows": 65536,
+    "ivf_dim": 32,
+    "ivf_nlist": 283,
 }
 
 #: ``store_mutation``: the per-mutation time may grow this much from the
@@ -524,6 +534,81 @@ def bench_store_mutation() -> dict:
     }
 
 
+def _seed_chunked_assign(vectors, centroids):
+    """Pre-optimisation IVF assignment: one GEMM per 16 384-row chunk,
+    the whole (chunk × nlist) product scaled by -2 afterwards."""
+    cent_sq = (centroids * centroids).sum(axis=1)
+    out = np.empty(vectors.shape[0], dtype=np.int64)
+    for start in range(0, vectors.shape[0], 16384):
+        chunk = vectors[start:start + 16384]
+        scores = chunk @ centroids.T
+        scores *= -2.0
+        scores += cent_sq[None, :]
+        out[start:start + 16384] = np.argmin(scores, axis=1)
+    return out
+
+
+def _seed_kmeans(vectors, k, rng, iters=10):
+    """Pre-optimisation IVF k-means: centroid sums by ``np.add.at``."""
+    n = vectors.shape[0]
+    centroids = vectors[rng.choice(n, size=k, replace=False)].copy()
+    for _ in range(iters):
+        assign = _seed_chunked_assign(vectors, centroids)
+        counts = np.bincount(assign, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, vectors)
+        live = counts > 0
+        centroids[live] = sums[live] / counts[live, None]
+        dead = np.flatnonzero(~live)
+        if dead.size:
+            centroids[dead] = vectors[rng.choice(n, size=dead.size,
+                                                 replace=False)]
+    return centroids
+
+
+def _traced_peak_mib(fn) -> float:
+    """Peak traced allocation of one ``fn()`` call, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def bench_ivf_kmeans() -> dict:
+    """IVF k-means: chunk GEMMs + ``np.add.at`` vs GEMM blocks + sorted
+    per-cell sums, on a shard-sized training sample."""
+    from repro.index.ann import _chunked_assign, kmeans
+
+    rng = np.random.default_rng(12)
+    dim, k = CONFIG["ivf_dim"], CONFIG["ivf_nlist"]
+    centers = rng.normal(size=(300, dim)).astype(np.float32)
+    vectors = (centers[rng.integers(0, 300, size=CONFIG["ivf_rows"])]
+               + 0.4 * rng.standard_normal(
+                   size=(CONFIG["ivf_rows"], dim)).astype(np.float32))
+    paths = {"before": (_seed_kmeans, _seed_chunked_assign),
+             "after": (kmeans, _chunked_assign)}
+    row, out = {}, {}
+    for label, (train, assign) in paths.items():
+        def run():
+            centroids = train(vectors, k, np.random.default_rng(0))
+            out[label] = centroids, assign(vectors, centroids)
+        row[f"{label}_s"] = _best_of(run)
+        row[f"{label}_peak_mib"] = _traced_peak_mib(run)
+    (want_c, want_a), (got_c, got_a) = out["before"], out["after"]
+    return {
+        "before": ("one GEMM per 16 384-row chunk, product scaled by -2, "
+                   "np.add.at centroid sums"),
+        "after": ("2 048-row GEMM blocks on -2*centroids, per-cell "
+                  "np.add.reduce over a radix sort of the labels"),
+        **row,
+        "speedup": row["before_s"] / row["after_s"],
+        "identical": bool(want_c.tobytes() == got_c.tobytes()
+                          and np.array_equal(want_a, got_a)),
+    }
+
+
 KERNELS = {
     "pairwise_dtw": bench_pairwise_dtw,
     "samlstm_epoch": bench_samlstm_epoch,
@@ -533,6 +618,7 @@ KERNELS = {
     "extend_prefix_point": bench_extend_prefix_point,
     "embed_batch": bench_embed_batch,
     "store_mutation": bench_store_mutation,
+    "ivf_kmeans": bench_ivf_kmeans,
 }
 
 

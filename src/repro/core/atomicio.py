@@ -39,10 +39,10 @@ from ..exceptions import CorruptArtifactError
 
 PathLike = Union[str, Path]
 
-__all__ = ["atomic_replace", "atomic_write_bytes", "atomic_write_text",
-           "atomic_write_json", "atomic_savez", "fsync_file", "fsync_dir",
-           "sha256_file", "file_entry", "read_manifest", "check_file",
-           "read_npz"]
+__all__ = ["atomic_replace", "atomic_write_bytes", "atomic_write_buffers",
+           "atomic_write_text", "atomic_write_json", "atomic_savez",
+           "fsync_file", "fsync_dir", "sha256_file", "file_entry",
+           "read_manifest", "check_file", "read_npz"]
 
 
 def sha256_file(path: PathLike, chunk_bytes: int = 1 << 20) -> str:
@@ -103,10 +103,21 @@ def _publish(path: PathLike, write, durable: bool) -> None:
         raise
 
 
+def atomic_write_buffers(path: PathLike, buffers: Iterable,
+                         durable: bool = False) -> None:
+    """Write each bytes-like object of ``buffers`` in turn to ``path``
+    via a temp file + atomic rename: an ``ndarray`` is written from its
+    own memory, with no ``tobytes()`` copy."""
+    def write(handle) -> None:
+        for buffer in buffers:
+            handle.write(buffer)
+    _publish(path, write, durable)
+
+
 def atomic_write_bytes(path: PathLike, data: bytes,
                        durable: bool = False) -> None:
     """Write ``data`` to ``path`` via a temp file + atomic rename."""
-    _publish(path, lambda handle: handle.write(data), durable)
+    atomic_write_buffers(path, (data,), durable)
 
 
 def atomic_write_text(path: PathLike, text: str,

@@ -27,15 +27,14 @@ same index and the same answers.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.atomicio import (atomic_replace, atomic_write_json, check_file,
-                             file_entry, read_manifest)
+from ..core.atomicio import (atomic_write_buffers, atomic_write_json,
+                             check_file, file_entry, read_manifest)
 from ..exceptions import ConfigurationError, CorruptArtifactError
 
 PathLike = Union[str, Path]
@@ -46,10 +45,20 @@ MANIFEST_NAME = "MANIFEST.json"
 DATA_NAME = "data.bin"
 IVF_SCHEMA = "repro.ivf.v1"
 
-#: Rows per chunk for blocked centroid-assignment matmuls: bounds the
-#: temporary (chunk × nlist) distance matrix to a few hundred MB even at
-#: nlist=4096.
+#: Every array in ``data.bin`` starts at a multiple of this many bytes,
+#: so its mmap view is aligned for every dtype the index stores.
+_ALIGN = 8
+
+#: Centroid assignment walks the rows in chunks of ``_ASSIGN_CHUNK`` and
+#: scores each chunk in GEMMs of ``_GEMM_BLOCK`` rows; a tail shorter than
+#: one block joins the block before it and no block crosses a chunk
+#: boundary. A row's float32 scores depend on the GEMM's row count (a
+#: product of a few rows rounds differently from one of many), and this
+#: split keeps every row in the row-count class it had when each chunk
+#: was one GEMM, so the assignments are that layout's bit for bit — at an
+#: eighth of the (rows × nlist) scratch.
 _ASSIGN_CHUNK = 16384
+_GEMM_BLOCK = 2048
 
 
 def auto_nlist(count: int) -> int:
@@ -107,23 +116,54 @@ class IVFConfig:
             raise ConfigurationError("kmeans_iters must be >= 1")
 
 
+def _gemm_blocks(count: int):
+    """``(start, stop)`` of each assignment GEMM over ``count`` rows."""
+    for chunk in range(0, count, _ASSIGN_CHUNK):
+        stop = min(chunk + _ASSIGN_CHUNK, count)
+        starts = list(range(chunk, stop, _GEMM_BLOCK))
+        if len(starts) > 1 and stop - starts[-1] < _GEMM_BLOCK:
+            starts.pop()
+        yield from zip(starts, starts[1:] + [stop])
+
+
 def _chunked_assign(vectors: np.ndarray, centroids: np.ndarray
                     ) -> np.ndarray:
-    """Nearest-centroid id per vector, in bounded-memory chunks.
+    """Nearest-centroid id per vector, in bounded-memory GEMM blocks.
 
     Uses the ``|x|^2 + |c|^2 - 2 x·c`` expansion so the inner loop is one
-    GEMM per chunk instead of a broadcasted (N, nlist, d) temporary.
+    GEMM per block instead of a broadcasted (N, nlist, d) temporary. The
+    ``-2`` rides on the centroid operand: scaling by a power of two is
+    exact, so the scores are bit-equal to scaling the product.
     """
     cent_sq = (centroids * centroids).sum(axis=1)
+    neg2_cent_t = (centroids * -2.0).T
     out = np.empty(vectors.shape[0], dtype=np.int64)
-    for start in range(0, vectors.shape[0], _ASSIGN_CHUNK):
-        chunk = vectors[start:start + _ASSIGN_CHUNK]
-        scores = chunk @ centroids.T
-        scores *= -2.0
+    for start, stop in _gemm_blocks(vectors.shape[0]):
+        scores = vectors[start:stop] @ neg2_cent_t
         scores += cent_sq[None, :]
         # |x|^2 is constant per row — argmin does not need it.
-        out[start:start + _ASSIGN_CHUNK] = np.argmin(scores, axis=1)
+        np.argmin(scores, axis=1, out=out[start:stop])
     return out
+
+
+def _cell_sums(vectors: np.ndarray, assign: np.ndarray, k: int
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-cell ``(row counts, float32 row sums)`` of an assignment.
+
+    Each cell's rows are summed one after another in row order, starting
+    from zero — the order an unbuffered scatter-add takes — so the sums
+    are exact replays of it. A stable sort of the labels in the smallest
+    unsigned type (a radix sort) groups every cell's rows.
+    """
+    labels = assign.astype(np.min_scalar_type(k - 1))
+    order = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels, minlength=k)
+    bounds = np.cumsum(counts)
+    sums = np.zeros((k, vectors.shape[1]), dtype=np.float32)
+    for cell in np.flatnonzero(counts):
+        rows = order[bounds[cell] - counts[cell]:bounds[cell]]
+        np.add.reduce(vectors[rows], axis=0, out=sums[cell], initial=0.0)
+    return counts, sums
 
 
 def kmeans(vectors: np.ndarray, k: int, rng: np.random.Generator,
@@ -141,10 +181,8 @@ def kmeans(vectors: np.ndarray, k: int, rng: np.random.Generator,
     k = min(k, n)
     centroids = vectors[rng.choice(n, size=k, replace=False)].copy()
     for _ in range(iters):
-        assign = _chunked_assign(vectors, centroids)
-        counts = np.bincount(assign, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, vectors)
+        counts, sums = _cell_sums(
+            vectors, _chunked_assign(vectors, centroids), k)
         live = counts > 0
         centroids[live] = sums[live] / counts[live, None]
         dead = np.flatnonzero(~live)
@@ -530,28 +568,29 @@ class IVFIndex:
 
         Pending appends and tombstones are compacted first, so a saved
         index is always in contiguous form. Both files are written via
-        temp-file + atomic rename.
+        temp-file + atomic rename; each array in ``data.bin`` is written
+        from its own buffer at an :data:`_ALIGN`-byte offset.
         """
         if self.pending_count or self._tombstones:
             self.compact()
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         data_path = path / DATA_NAME
-        tmp = data_path.with_name(DATA_NAME + f".tmp-{os.getpid()}")
         manifest_arrays = {}
+        buffers = []
         offset = 0
-        with open(tmp, "wb") as handle:
-            for name, array in self._array_plan():
-                array = np.ascontiguousarray(array)
-                raw = array.tobytes()
-                handle.write(raw)
-                manifest_arrays[name] = {
-                    "offset": offset,
-                    "dtype": str(array.dtype),
-                    "shape": list(array.shape),
-                }
-                offset += len(raw)
-        atomic_replace(tmp, data_path)
+        for name, array in self._array_plan():
+            array = np.ascontiguousarray(array)
+            pad = -offset % _ALIGN
+            buffers += [bytes(pad), array]
+            offset += pad
+            manifest_arrays[name] = {
+                "offset": offset,
+                "dtype": str(array.dtype),
+                "shape": list(array.shape),
+            }
+            offset += array.nbytes
+        atomic_write_buffers(data_path, buffers)
         manifest = {
             "schema": IVF_SCHEMA,
             "dim": self.dim,

@@ -284,6 +284,40 @@ def test_failed_write_bytes_leaves_no_temp(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_failed_ivf_save_keeps_the_old_index_and_leaves_no_temp(
+        world, tmp_path, monkeypatch):
+    loader, _ = _ivf(tmp_path, world)
+    before = {name: (tmp_path / name).read_bytes()
+              for name in os.listdir(tmp_path)}
+    index = IVFIndex.load(tmp_path, mmap=False)
+
+    class FullDisk:
+        """A file that takes the first write, then runs out of space."""
+
+        def __init__(self, path, mode):
+            self.handle, self.writes = open(path, mode), 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(28, "No space left on device")
+            return self.handle.write(data)
+
+    monkeypatch.setattr(atomicio, "open", FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        index.save(tmp_path)
+    monkeypatch.undo()
+    assert {name: (tmp_path / name).read_bytes()
+            for name in os.listdir(tmp_path)} == before
+    assert loader() == 8
+
+
 def test_unwritable_matrix_cache_is_only_a_miss(world, tmp_path,
                                                 monkeypatch):
     _, _, trajs = world

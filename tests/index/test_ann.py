@@ -1,9 +1,14 @@
 """Tests for the IVF ANN index (repro.index.ann)."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.atomicio import file_entry
 from repro.exceptions import ConfigurationError, CorruptArtifactError
+from repro.index import ann
 from repro.index.ann import IVFConfig, IVFIndex, auto_nlist, kmeans
 
 
@@ -74,6 +79,127 @@ def test_kmeans_rejects_empty():
     with pytest.raises(ValueError):
         kmeans(np.zeros((0, 4), dtype=np.float32), 4,
                np.random.default_rng(0))
+
+
+# ------------------------------------- bit identity with the scatter-add form
+
+# The k-means and assignment kernels as they were before the GEMM blocks
+# and the sorted per-cell sums, frozen: one GEMM per 16 384-row chunk, the
+# product scaled by -2 afterwards, centroid sums by ``np.add.at``. The
+# current kernels must reproduce them bit for bit.
+
+
+def _frozen_chunked_assign(vectors, centroids):
+    cent_sq = (centroids * centroids).sum(axis=1)
+    out = np.empty(vectors.shape[0], dtype=np.int64)
+    for start in range(0, vectors.shape[0], 16384):
+        chunk = vectors[start:start + 16384]
+        scores = chunk @ centroids.T
+        scores *= -2.0
+        scores += cent_sq[None, :]
+        out[start:start + 16384] = np.argmin(scores, axis=1)
+    return out
+
+
+def _frozen_kmeans(vectors, k, rng, iters=10):
+    vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+    n = vectors.shape[0]
+    k = min(k, n)
+    centroids = vectors[rng.choice(n, size=k, replace=False)].copy()
+    for _ in range(iters):
+        assign = _frozen_chunked_assign(vectors, centroids)
+        counts = np.bincount(assign, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, vectors)
+        live = counts > 0
+        centroids[live] = sums[live] / counts[live, None]
+        dead = np.flatnonzero(~live)
+        if dead.size:
+            centroids[dead] = vectors[rng.choice(n, size=dead.size,
+                                                 replace=False)]
+    return centroids
+
+
+@pytest.fixture(scope="module")
+def wide_vectors():
+    """79 940 clustered 32-d rows: the widths a shard's index works at."""
+    return make_vectors(count=79_940, dim=32, clusters=300, seed=11)
+
+
+@pytest.fixture(scope="module")
+def near_ties():
+    """Centroids in pairs one ulp apart in every coordinate, and rows
+    whose nearest centroid changes when the row is scored in a GEMM of
+    its own instead of one of thousands of rows: each such row changes
+    its assignment if it moves to another GEMM row-count class."""
+    pool = make_vectors(count=4096, dim=32, clusters=300, seed=13)
+    base = pool[::29][:141]
+    centroids = np.concatenate([base, np.nextafter(base, np.float32(1e9))])
+    together = _frozen_chunked_assign(pool, centroids)
+    alone = np.concatenate([_frozen_chunked_assign(row[None, :], centroids)
+                            for row in pool])
+    flipping = pool[alone != together]
+    # A BLAS whose products do not depend on the row count has none.
+    rows = flipping if flipping.size else pool
+    return centroids, np.resize(rows, (79_940, pool.shape[1]))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 2047, 2049, 2050, 16385, 16386,
+                                   16387, 18433, 79940])
+def test_assignment_matches_frozen_kernel_bit_for_bit(near_ties, count):
+    centroids, rows = near_ties
+    vectors = rows[:count]
+    got = ann._chunked_assign(vectors, centroids)
+    want = _frozen_chunked_assign(vectors, centroids)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def _build_arrays(ids, vectors, config):
+    index = IVFIndex.build(ids, vectors, config)
+    return {name: np.asarray(array) for name, array in index._array_plan()}
+
+
+@pytest.mark.parametrize("nlist,count", [(0, 20_000), (64, 20_000),
+                                         (4096, 4_500)])
+def test_build_matches_frozen_kernels_bit_for_bit(wide_vectors, monkeypatch,
+                                                  nlist, count):
+    vectors = wide_vectors[:count]
+    ids = np.arange(count, dtype=np.int64) * 3 + 1
+    config = IVFConfig(nlist=nlist, train_sample=16_000, seed=4)
+    got = _build_arrays(ids, vectors, config)
+    monkeypatch.setattr(ann, "kmeans", _frozen_kmeans)
+    monkeypatch.setattr(ann, "_chunked_assign", _frozen_chunked_assign)
+    want = _build_arrays(ids, vectors, config)
+    assert sorted(got) == ["bounds", "centroids", "codes", "ids", "scales",
+                           "vectors"]
+    assert got["centroids"].shape[0] == (nlist or auto_nlist(count))
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype, name
+        assert got[name].tobytes() == array.tobytes(), name
+
+
+def test_kmeans_reseeding_empty_cells_matches_frozen_kernel():
+    # 8 distinct points for 12 cells: every iteration leaves >= 4 cells
+    # empty and reseeds them from the data.
+    points = make_vectors(count=8, dim=32, seed=2)
+    vectors = np.repeat(points, 50, axis=0)
+    vectors[:, 3] = -0.0  # a zero sum keeps the sign a scatter-add gives it
+    got = kmeans(vectors, 12, np.random.default_rng(9), iters=4)
+    want = _frozen_kmeans(vectors, 12, np.random.default_rng(9), iters=4)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kmeans_scratch_memory_stays_bounded():
+    vectors = make_vectors(count=65_536, dim=32, clusters=300, seed=12)
+    tracemalloc.start()
+    try:
+        kmeans(vectors, 283, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One (16 384 × 283) float32 score matrix alone is 17.7 MiB.
+    assert peak < 12 * 2**20, f"k-means peak {peak / 2**20:.1f} MiB"
 
 
 # ------------------------------------------------------------------ build
@@ -324,3 +450,48 @@ def test_mmap_load_survives_restart_and_mutation(tmp_path):
     fresh = IVFIndex.load(tmp_path / "i", mmap=True)
     got, _ = fresh.search(vectors[17], 5)
     assert got[0] == 17
+
+
+def _odd_nlist_index():
+    vectors = make_vectors(count=600, dim=8)
+    return IVFIndex.build(np.arange(600, dtype=np.int64), vectors,
+                          IVFConfig(nlist=45, seed=0))
+
+
+def test_saved_arrays_sit_at_aligned_offsets(tmp_path):
+    # An odd nlist leaves the float32 scales ending off an 8-byte
+    # boundary: the int64 arrays after them must still start on one.
+    index = _odd_nlist_index()
+    index.save(tmp_path / "ivf")
+    manifest = json.loads((tmp_path / "ivf" / "MANIFEST.json").read_text())
+    offsets = {name: meta["offset"]
+               for name, meta in manifest["arrays"].items()}
+    assert all(offset % 8 == 0 for offset in offsets.values()), offsets
+    for mmap in (True, False):
+        reloaded = IVFIndex.load(tmp_path / "ivf", mmap=mmap)
+        for name, array in index._array_plan():
+            loaded = getattr(reloaded, "_" + name)
+            assert loaded.flags.aligned, name
+            assert loaded.tobytes() == array.tobytes(), name
+
+
+def test_packed_unaligned_directories_still_load(tmp_path):
+    # Earlier releases packed the arrays back to back; the manifest's
+    # offsets say where each one is, so such a directory opens as is.
+    index = _odd_nlist_index()
+    path = index.save(tmp_path / "ivf")
+    manifest = json.loads((path / "MANIFEST.json").read_text())
+    offset, packed = 0, []
+    for name, array in index._array_plan():
+        manifest["arrays"][name]["offset"] = offset
+        packed.append(array.tobytes())
+        offset += array.nbytes
+    (path / "data.bin").write_bytes(b"".join(packed))
+    manifest["data"].update(file_entry(path / "data.bin"))
+    (path / "MANIFEST.json").write_text(json.dumps(manifest))
+    assert manifest["arrays"]["bounds"]["offset"] % 8 != 0
+    reloaded = IVFIndex.load(path)
+    assert not reloaded._bounds.flags.aligned
+    query = make_vectors(count=600, dim=8)[5]
+    for got, want in zip(reloaded.search(query, 10), index.search(query, 10)):
+        np.testing.assert_array_equal(got, want)
