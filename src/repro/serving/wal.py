@@ -383,11 +383,17 @@ class ShardWAL:
             self._hook(point)
 
     def _start_segment_locked(self, first_lsn: int) -> None:
-        """Open a fresh segment. Caller must hold ``self._mu`` (or be
-        the constructor, before the lock is shared)."""
+        """Open a fresh segment and make its directory entry durable.
+
+        Caller must hold ``self._mu`` (or be the constructor, before the
+        lock is shared). The directory fsync comes before any record is
+        appended: fsyncing the file alone does not persist its name, so
+        a power cut could otherwise lose a segment of acked records.
+        """
         self._seg_path = self._dir / _segment_name(first_lsn)
         self._file = open(self._seg_path, "ab")
         self._seg_size = 0
+        fsync_dir(self._dir)
 
     def _maybe_rotate_locked(self, incoming_bytes: int, first_lsn: int) -> None:
         """Rotate to a new segment if the current one is full.
@@ -503,7 +509,6 @@ class ShardWAL:
                 for segment in list_segments(self._dir):
                     segment.unlink()
                 self._start_segment_locked(self._next_lsn)
-                fsync_dir(self._dir)
                 return
             segments = list_segments(self._dir)
             firsts = [_segment_first_lsn(p) for p in segments]

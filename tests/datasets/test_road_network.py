@@ -1,11 +1,18 @@
 """Tests for the road-network zero-shot trajectory simulator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.datasets import (RoadNetworkConfig, build_road_network,
                             generate_zero_shot_seeds, simulate_walks)
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def test_network_is_connected():
@@ -68,3 +75,19 @@ def test_walks_deterministic():
     b = simulate_walks(graph, 6, seed=7)
     for ta, tb in zip(a, b):
         np.testing.assert_array_equal(ta.points, tb.points)
+
+
+def test_repro_processes_do_not_load_networkx():
+    """Only building a road network imports networkx.
+
+    A fresh interpreter imports what the serving, ingest, shard and
+    training processes import; none of them may pay for networkx.
+    """
+    code = ("import sys\n"
+            "import repro, repro.serving, repro.streaming, repro.__main__\n"
+            "print('networkx' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

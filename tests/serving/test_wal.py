@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import WALCorruptionError
+from repro.serving import wal as wal_module
 from repro.serving.wal import (OP_DELETE, OP_INSERT, DurableLog,
                                ShardDurability, ShardWAL, crc32c,
                                encode_record, list_segments, scan_buffer)
@@ -157,6 +158,42 @@ def test_wal_rotation_and_multi_segment_recovery(tmp_path):
     assert [r.lsn for r in reopened.drain_recovered()] == list(range(1, 12))
     assert reopened.append(OP_DELETE, np.array([0], dtype=np.int64)) == 12
     reopened.close()
+
+
+def test_wal_new_segment_entry_is_fsynced_before_first_append_returns(
+        tmp_path, monkeypatch):
+    """A segment's name is durable before any record in it is acked.
+
+    The spy records which segment files existed at each directory fsync;
+    after every append returns, every segment on disk must have been
+    covered by one. The first segment, each rotation and the reset in
+    ``truncate_through`` all create a file.
+    """
+    directory = tmp_path / "wal"
+    synced = set()
+    real_fsync_dir = wal_module.fsync_dir
+
+    def spy(path):
+        real_fsync_dir(path)
+        synced.update(p.name for p in list_segments(directory))
+
+    monkeypatch.setattr(wal_module, "fsync_dir", spy)
+
+    def assert_entries_synced():
+        on_disk = {p.name for p in list_segments(directory)}
+        assert on_disk <= synced, f"unsynced entries: {on_disk - synced}"
+
+    wal = ShardWAL(directory, segment_bytes=4096)
+    rng = np.random.default_rng(0)
+    for i in range(40):
+        ids = np.arange(i * 8, i * 8 + 8, dtype=np.int64)
+        wal.append(OP_INSERT, ids, rng.standard_normal((8, 16)))
+        assert_entries_synced()
+    assert len(list_segments(directory)) > 2
+    wal.truncate_through(wal.durable_lsn)
+    wal.append(OP_DELETE, np.array([1], dtype=np.int64))
+    assert_entries_synced()
+    wal.close()
 
 
 def test_wal_valid_records_after_torn_segment_are_corruption(tmp_path):
