@@ -2,10 +2,9 @@
 # The full local CI gate, in the order that fails fastest:
 #
 #   1. static analysis  — python -m repro check src: the per-file rules
-#      and the whole-program ones (lockset races, tape shape/dtype
-#      abstract interpretation, resource-leak tracking) in one pass;
-#      exit 1 on any non-baselined finding (see DESIGN.md "Static
-#      analysis")
+#      and the whole-program ones (lockset races, resource-leak
+#      tracking) in one pass; exit 1 on any unsuppressed finding (see
+#      DESIGN.md "Static analysis")
 #   2. tier-1 tests     — the default pytest selection (which itself
 #      re-runs the analysis gate via tests/analysis/test_lint_clean.py)
 #   3. fuzz smoke       — metamorphic invariant sweep over every

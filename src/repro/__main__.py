@@ -34,7 +34,7 @@ Commands
 ``check``
     Run the project static analysis (``repro.analysis``) — per-file and
     whole-program rules in one pass — over ``src`` (or given paths);
-    exit 0 means no non-baselined findings. ``--stale-pragmas`` audits
+    exit 0 means no unsuppressed findings. ``--stale-pragmas`` audits
     suppressions instead.
 """
 

@@ -4,12 +4,11 @@ One AST-based engine enforcing the invariants no generic linter knows
 about: tape discipline in the autodiff engine, float64 canonicity in the
 numeric packages, determinism (explicit RNGs, monotonic clocks),
 durability, exception and API hygiene per file, and — across the whole
-program — lockset races in the threaded serving/resilience layers, tape
-shapes and resource leaks. See DESIGN.md "Static analysis" for the rule
-catalogue, pragma syntax and baseline workflow.
+program — lockset races in the threaded serving/resilience layers and
+resource leaks. See DESIGN.md "Static analysis" for the rule catalogue
+and pragma syntax.
 """
 
-from .baseline import load_baseline, split_by_baseline, write_baseline
 from .config import AnalysisConfig, default_config, relaxed_config
 from .engine import (AnalysisResult, check_paths, check_source,
                      iter_python_files)
@@ -29,9 +28,6 @@ __all__ = [
     "default_config",
     "get_rule",
     "iter_python_files",
-    "load_baseline",
     "register",
     "relaxed_config",
-    "split_by_baseline",
-    "write_baseline",
 ]

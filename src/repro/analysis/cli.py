@@ -1,12 +1,10 @@
 """``python -m repro check``: the one entry point of the analyzer.
 
-Exit codes: ``0`` clean (no non-baselined findings), ``1`` findings,
-``2`` usage or I/O error. ``--json`` emits a machine-readable report;
-``--write-baseline`` (re)generates the baseline from the current
-findings, which both grandfathers new debt explicitly and expires stale
-entries. ``--stale-pragmas`` reports the same run the other way round:
-every ``# repro: disable`` pragma and every baseline entry that
-suppressed nothing, exit 1 if there is one.
+Exit codes: ``0`` clean (no unsuppressed findings), ``1`` findings,
+``2`` usage or I/O error. ``--json`` emits a machine-readable report.
+``--stale-pragmas`` reports the same run the other way round: every
+``# repro: disable`` pragma that suppressed nothing, exit 1 if there is
+one.
 
 :func:`add_arguments` / :func:`run` are what ``repro.__main__`` mounts as
 its ``check`` subcommand; :func:`main` is the same parser standing alone.
@@ -19,17 +17,14 @@ import json
 import sys
 from typing import List, Optional
 
-from .baseline import load_baseline, write_baseline
 from .config import default_config, relaxed_config
 from .engine import AnalysisResult, check_paths
 from .rules import all_rules
 
-DEFAULT_BASELINE = "analysis-baseline.json"
-
 DESCRIPTION = ("Project-specific static analysis: tape, dtype, "
                "determinism, durability, exception and API discipline "
-               "per file; lockset races, tape shapes and resource leaks "
-               "across the program.")
+               "per file; lockset races and resource leaks across the "
+               "program.")
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -41,30 +36,20 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--relaxed", action="store_true",
                         help="use the relaxed (benchmarks) profile: "
                              "determinism and dtype rules off")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help=f"baseline file (default: {DEFAULT_BASELINE}; "
-                             f"missing file = empty baseline)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline file entirely")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline from current findings "
-                             "and exit 0")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit a JSON report instead of text")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
     parser.add_argument("--stale-pragmas", action="store_true",
-                        help="audit suppressions: report pragmas and "
-                             "baseline entries that no longer suppress "
-                             "any finding; exit 1 if any are stale")
+                        help="audit suppressions: report pragmas that "
+                             "no longer suppress any finding; exit 1 if "
+                             "any are stale")
 
 
 def _print_report(result: AnalysisResult, as_json: bool) -> None:
     if as_json:
         payload = {
             "findings": [f.to_json() for f in result.findings],
-            "grandfathered": [f.to_json() for f in result.grandfathered],
-            "stale_baseline": result.stale_baseline,
             "suppressed": result.suppressed,
             "files_checked": result.files_checked,
             "clean": result.clean,
@@ -73,15 +58,11 @@ def _print_report(result: AnalysisResult, as_json: bool) -> None:
         return
     for finding in result.findings:
         print(finding.format())
-    for entry in result.stale_baseline:
-        print(f"stale baseline entry ({entry.get('rule')}) for "
-              f"{entry.get('path')}: fixed or moved — regenerate with "
-              f"--write-baseline", file=sys.stderr)
     print(result.summary(), file=sys.stderr)
 
 
 def _print_stale_report(result: AnalysisResult, as_json: bool) -> int:
-    """Pragmas and baseline entries the run did not need; the exit code."""
+    """Pragmas the run did not need; the exit code."""
     stale_pragmas = result.stale_pragmas()
     if as_json:
         payload = {
@@ -89,20 +70,14 @@ def _print_stale_report(result: AnalysisResult, as_json: bool) -> int:
                 {"path": path, "line": entry.source_line,
                  "pragma": entry.text}
                 for path, entry in stale_pragmas],
-            "stale_baseline": result.stale_baseline,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for path, entry in stale_pragmas:
             print(f"{path}:{entry.source_line}: stale pragma "
                   f"`{entry.text}` suppresses nothing")
-        for entry in result.stale_baseline:
-            print(f"stale baseline entry ({entry.get('rule')}) for "
-                  f"{entry.get('path')}: no current finding matches")
-        print(f"{len(stale_pragmas)} stale pragma(s), "
-              f"{len(result.stale_baseline)} stale baseline entr(y/ies)",
-              file=sys.stderr)
-    return 1 if (stale_pragmas or result.stale_baseline) else 0
+        print(f"{len(stale_pragmas)} stale pragma(s)", file=sys.stderr)
+    return 1 if stale_pragmas else 0
 
 
 def run(args: argparse.Namespace) -> int:
@@ -125,24 +100,13 @@ def run(args: argparse.Namespace) -> int:
         config.rules = wanted
 
     try:
-        baseline = {} if args.no_baseline else load_baseline(args.baseline)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        result = check_paths(args.paths, config=config, baseline=baseline)
+        result = check_paths(args.paths, config=config)
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
     if args.stale_pragmas:
         return _print_stale_report(result, args.as_json)
-    if args.write_baseline:
-        count = write_baseline(args.baseline,
-                               result.findings + result.grandfathered)
-        print(f"wrote {count} entr(y/ies) to {args.baseline}",
-              file=sys.stderr)
-        return 0
     _print_report(result, args.as_json)
     return 0 if result.clean else 1
 

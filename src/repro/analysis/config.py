@@ -2,13 +2,14 @@
 
 Two committed profiles exist:
 
-* :func:`default_config` — the full nine-rule set with the project's
+* :func:`default_config` — every registered rule with the project's
   engine-internal allowlists; what ``python -m repro check src`` and the
   tier-1 gate enforce.
 * :func:`relaxed_config` — the profile documented for ``benchmarks/``:
   wall-clock timing and ad-hoc arrays are the whole point of a benchmark
   script, so the determinism and dtype rules are dropped there while the
-  structural rules (tape, locks, leaks, exceptions, API) still apply.
+  structural rules (tape, durability, locks, leaks, exceptions, API)
+  still apply.
 """
 
 from __future__ import annotations
@@ -91,7 +92,4 @@ def relaxed_config() -> AnalysisConfig:
     config = default_config()
     config.path_disables = config.path_disables + (("", RELAXED_DROPS),)
     config.options["api-hygiene"] = {"flag_asserts": False}
-    # Measuring the unsynced append rate is a legitimate bench axis;
-    # the rename bans still hold.
-    config.options["durability-discipline"] = {"flag_unsynced_appends": False}
     return config

@@ -1,18 +1,17 @@
-"""The analyzer: walk files, parse once, run every rule, apply pragmas
-and the baseline.
+"""The analyzer: walk files, parse once, run every rule, apply pragmas.
 
 One :func:`check_paths` call is the whole pipeline behind
 ``python -m repro check``::
 
     files -> ast.parse -> ProgramModel -> enabled rules per module
-          -> pragma filter -> baseline split
+          -> pragma filter
 
 Every file is parsed once into a
 :class:`~repro.analysis.program.ModuleInfo`; the
 :class:`~repro.analysis.program.ProgramModel` holding them all is built
-before any rule runs, so a rule that needs cross-module facts (subclass
-maps, docstring contracts) sees the complete program and a syntactic
-rule just reads its module.
+before any rule runs, so a rule that needs cross-function facts (method
+tables, lock inventories, docstring contracts) sees the complete program
+and a syntactic rule just reads its module.
 
 Unparseable files surface as a ``syntax-error`` finding instead of
 crashing the run, so one bad file cannot hide findings in the rest.
@@ -25,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .baseline import split_by_baseline
 from .config import AnalysisConfig, default_config
 from .findings import Finding
 from .pragmas import PragmaEntry, PragmaIndex
@@ -43,8 +41,6 @@ class AnalysisResult:
     """Outcome of one analyzer run."""
 
     findings: List[Finding] = field(default_factory=list)
-    grandfathered: List[Finding] = field(default_factory=list)
-    stale_baseline: List[Dict] = field(default_factory=list)
     suppressed: int = 0
     files_checked: int = 0
     #: per-file pragma indexes with usage marks (stale-pragma reporting).
@@ -52,15 +48,13 @@ class AnalysisResult:
 
     @property
     def clean(self) -> bool:
-        """No non-baselined findings (the CI gate)."""
+        """No unsuppressed findings (the CI gate)."""
         return not self.findings
 
     def summary(self) -> str:
         return (f"{self.files_checked} file(s) checked: "
                 f"{len(self.findings)} finding(s), "
-                f"{len(self.grandfathered)} baselined, "
-                f"{self.suppressed} pragma-suppressed, "
-                f"{len(self.stale_baseline)} stale baseline entr(y/ies)")
+                f"{self.suppressed} pragma-suppressed")
 
     def stale_pragmas(self) -> List[Tuple[str, PragmaEntry]]:
         """``(path, PragmaEntry)`` pairs that suppressed nothing."""
@@ -85,7 +79,7 @@ def iter_python_files(paths: Iterable[PathLike]) -> Iterator[Path]:
 
 def _check_sources(sources: List[Tuple[str, str]],
                    config: AnalysisConfig) -> AnalysisResult:
-    """Parse, model and check ``(rel_path, source)`` pairs; no baseline."""
+    """Parse, model and check ``(rel_path, source)`` pairs."""
     result = AnalysisResult(files_checked=len(sources))
     program = ProgramModel()
     for rel_path, source in sources:
@@ -125,20 +119,15 @@ def check_source(source: str, rel_path: str,
     """Check one in-memory module; pragma-suppressed findings removed.
 
     The unit used by the rule fixture tests; :func:`check_paths` adds
-    file walking and the baseline on top.
+    file walking on top.
     """
     return _check_sources([(rel_path, source)],
                           config or default_config()).findings
 
 
 def check_paths(paths: Iterable[PathLike],
-                config: Optional[AnalysisConfig] = None,
-                baseline: Optional[Dict[str, Dict]] = None
-                ) -> AnalysisResult:
+                config: Optional[AnalysisConfig] = None) -> AnalysisResult:
     """Run the analyzer over files/directories; the CLI's engine."""
     sources = [(path.as_posix(), path.read_text())
                for path in iter_python_files(paths)]
-    result = _check_sources(sources, config or default_config())
-    result.findings, result.grandfathered, result.stale_baseline = \
-        split_by_baseline(result.findings, baseline or {})
-    return result
+    return _check_sources(sources, config or default_config())

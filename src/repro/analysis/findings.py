@@ -2,9 +2,9 @@
 
 A :class:`Finding` pins one rule violation to a ``file:line:col`` location.
 Its :attr:`~Finding.fingerprint` hashes the rule id, the file path and the
-*text* of the offending line (not its number), so baseline entries survive
-unrelated edits that shift line numbers but expire when the flagged code
-itself changes or disappears.
+*text* of the offending line (not its number), so a finding keeps its
+identity across unrelated edits that shift line numbers: ``--json``
+reports of two checkouts diff exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity used by the baseline (rule + path + line text)."""
+        """Stable identity: rule + path + line text (not line number)."""
         digest = hashlib.sha1()
         for part in (self.rule, self.path, self.line_text.strip()):
             digest.update(part.encode("utf-8", "replace"))

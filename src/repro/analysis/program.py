@@ -1,22 +1,22 @@
-"""The module model every rule runs against: parsed modules, class/field
+"""The module model every rule runs against: parsed modules, class
 database, lock inventory.
 
 ``python -m repro check`` parses each file once into a
 :class:`ModuleInfo`; the syntactic rules need nothing more, while the
-whole-program rules (``lockset``, ``tape-shape``, ``resource-leak``) also
-see *across* files and methods through the :class:`ProgramModel` that
-holds them all:
+whole-program rules (``lockset``, ``resource-leak``) also see *across*
+methods and functions through the :class:`ProgramModel` that holds them
+all:
 
 * :class:`ModuleInfo` — one parsed module with its dotted name, source
   lines and import map; resolves call names through import aliases and
   anchors findings;
 * :class:`ClassInfo` / :class:`FunctionInfo` — a database of every class,
-  method and module-level function, with per-class field and lock
-  inventories (``self._x = threading.Lock()`` and Condition aliases such
-  as ``self._cond = threading.Condition(self._mu)`` canonicalise to the
+  method and module-level function, with per-class lock inventories
+  (``self._x = threading.Lock()`` and Condition aliases such as
+  ``self._cond = threading.Condition(self._mu)`` canonicalise to the
   underlying lock attribute);
-* :class:`ProgramModel` — the container, plus class-name resolution and
-  the subclass map.
+* :class:`ProgramModel` — the container, with every function keyed
+  program-wide.
 
 The model is purely syntactic (no imports are executed) and cheap to
 build — parsing dominates. Every rule derives a module's findings from
@@ -99,7 +99,6 @@ class ModuleInfo:
         self.tree = tree
         self.imports = _import_map(tree)
         self.classes: List["ClassInfo"] = []
-        self.functions: List["FunctionInfo"] = []
 
     def resolve_name(self, node: ast.AST) -> Optional[str]:
         """Dotted name with import aliases canonicalised.
@@ -157,25 +156,17 @@ class FunctionInfo:
 
 
 class ClassInfo:
-    """A class with its method table, field writes and lock inventory."""
+    """A class with its method table and lock inventory."""
 
     def __init__(self, module: ModuleInfo, node: ast.ClassDef):
         self.module = module
         self.node = node
         self.name = node.name
-        self.bases = [b for b in (dotted_name(base) for base in node.bases)
-                      if b]
         self.methods: Dict[str, FunctionInfo] = {}
         #: lock-like attribute -> canonical lock attribute. A plain
         #: ``self._lock = threading.Lock()`` maps to itself; a Condition
         #: built over an existing lock maps to that lock's attribute.
         self.lock_attrs: Dict[str, str] = {}
-        #: attributes assigned anywhere (``self.x = ...`` targets).
-        self.fields: Dict[str, List[ast.AST]] = {}
-
-    @property
-    def key(self) -> str:
-        return f"{self.module.name}:{self.name}"
 
     def canonical_lock(self, attr: str) -> Optional[str]:
         return self.lock_attrs.get(attr)
@@ -185,29 +176,26 @@ class ClassInfo:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.methods[stmt.name] = FunctionInfo(self.module, stmt,
                                                        cls=self)
-        # Field and lock inventory: every `self.<attr> = <value>` in any
+        # Lock inventory: every `self.<attr> = <factory>(...)` in any
         # method (nested defs included — a closure still writes the field).
         pending_conditions: List[Tuple[str, ast.Call]] = []
         for fn in self.methods.values():
             for node in ast.walk(fn.node):
-                if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                if not (isinstance(node, (ast.Assign, ast.AnnAssign))
+                        and isinstance(node.value, ast.Call)):
                     continue
+                factory = self.module.resolve_name(node.value.func)
                 targets = node.targets if isinstance(node, ast.Assign) \
                     else [node.target]
-                value = node.value
                 for target in targets:
                     if not (isinstance(target, ast.Attribute)
                             and isinstance(target.value, ast.Name)
                             and target.value.id == "self"):
                         continue
-                    self.fields.setdefault(target.attr, []).append(node)
-                    if not isinstance(value, ast.Call):
-                        continue
-                    factory = self.module.resolve_name(value.func)
                     if factory in LOCK_FACTORIES:
                         self.lock_attrs[target.attr] = target.attr
                     elif factory in CONDITION_FACTORIES:
-                        pending_conditions.append((target.attr, value))
+                        pending_conditions.append((target.attr, node.value))
         for attr, call in pending_conditions:
             underlying = attr
             if call.args:
@@ -225,60 +213,17 @@ class ProgramModel:
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}      # rel_path -> module
-        self.classes: Dict[str, ClassInfo] = {}       # key -> class
         self.functions: Dict[str, FunctionInfo] = {}  # key -> function
-        #: class name (unqualified) -> ClassInfo list; resolves bases.
-        self._by_class_name: Dict[str, List[ClassInfo]] = {}
-
-    # -------------------------------------------------------------- building
 
     def add_module(self, module: ModuleInfo) -> None:
         self.modules[module.rel_path] = module
         for stmt in module.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 fn = FunctionInfo(module, stmt)
-                module.functions.append(fn)
                 self.functions[fn.key] = fn
             elif isinstance(stmt, ast.ClassDef):
                 info = ClassInfo(module, stmt)
                 info._index()
                 module.classes.append(info)
-                self.classes[info.key] = info
-                self._by_class_name.setdefault(info.name, []).append(info)
                 for method in info.methods.values():
                     self.functions[method.key] = method
-
-    # ------------------------------------------------------------- resolution
-
-    def resolve_class(self, name: str,
-                      from_module: ModuleInfo) -> Optional[ClassInfo]:
-        """A class by (possibly unqualified) name, as seen from a module."""
-        simple = name.rsplit(".", 1)[-1]
-        candidates = self._by_class_name.get(simple, [])
-        if not candidates:
-            return None
-        for candidate in candidates:
-            if candidate.module is from_module:
-                return candidate
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
-
-    def subclasses_of(self, cls: ClassInfo) -> List[ClassInfo]:
-        """Direct and transitive subclasses known to the program."""
-        out: List[ClassInfo] = []
-        frontier = [cls]
-        seen = {cls.key}
-        while frontier:
-            current = frontier.pop()
-            for candidate in self.classes.values():
-                if candidate.key in seen:
-                    continue
-                for base in candidate.bases:
-                    resolved = self.resolve_class(base, candidate.module)
-                    if resolved is current:
-                        seen.add(candidate.key)
-                        out.append(candidate)
-                        frontier.append(candidate)
-                        break
-        return out

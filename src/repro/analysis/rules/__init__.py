@@ -68,6 +68,5 @@ from . import exception_hygiene  # noqa: E402,F401
 from . import leaks  # noqa: E402,F401
 from . import lockset  # noqa: E402,F401
 from . import tape  # noqa: E402,F401
-from . import tape_shape  # noqa: E402,F401
 
 __all__ = ["Rule", "register", "all_rules", "get_rule"]

@@ -1,8 +1,9 @@
 """dtype-discipline: float64 is canonical in the numeric packages.
 
 The autodiff engine, the exact measures and their caches all assume
-float64 (`Tensor.__init__` coerces, cache keys hash float64 bytes, and
-the fused kernels' bit-identical guarantees only hold in one precision).
+float64 (``Parameter`` coerces to it, ``Tensor`` coerces non-float input,
+cache keys hash float64 bytes, and the fused kernels' bit-identical
+guarantees only hold in one precision).
 A stray float32 array entering a kernel would silently change results;
 an array built *without* an explicit dtype inherits whatever its input
 happened to be. Inside the configured packages this rule flags:
@@ -16,6 +17,12 @@ happened to be. Inside the configured packages this rule flags:
 Integer and bool dtypes are fine when explicit (indices and masks are
 legitimate); ``*_like`` constructors are exempt (they deliberately
 inherit their prototype's dtype).
+
+The rule reads one call at a time: a dtype that travels through a
+variable (``compact = np.float32``) is invisible to it. What reaches the
+encoder is held at run time instead: after one training step every
+encoder parameter has float64 data and a nonzero float64 gradient, and
+``embed`` returns float64 (``tests/core/test_encoder.py``).
 """
 
 from __future__ import annotations

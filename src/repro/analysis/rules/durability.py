@@ -1,8 +1,9 @@
-"""durability-discipline: acked state reaches disk through audited paths.
+"""durability-discipline: published state reaches disk through audited paths.
 
 The durable serving tier promises "acked means fsynced, published means
-atomic". That promise is easy to erode one call site at a time, so this
-rule pins the two load-bearing mechanics to their audited homes:
+atomic". The ack half lives in one place (``ShardWAL.append`` always
+fsyncs before it returns); the publication half is easy to erode one call
+site at a time, so this rule pins it to its audited home:
 
 * ``os.rename`` is banned outright: it is not atomic across filesystems
   and — unlike the project's helpers — nothing fsyncs the file before or
@@ -13,18 +14,9 @@ rule pins the two load-bearing mechanics to their audited homes:
   renames through :func:`repro.core.atomicio.atomic_replace` or the
   ``atomic_write_*``/``atomic_savez`` wrappers, which do the fsync dance
   in one place.
-* ``.append(..., sync=False)`` on a WAL is the "ack before fsync"
-  foot-gun: the record is in the page cache, the caller acks the client,
-  the machine dies, the acked write is gone. The keyword exists only so
-  the WAL's own internals and benchmarks can measure the fsync cost
-  delta; mutation handlers must never pass it, so any ``sync=False``
-  keyword outside the WAL module itself is flagged.
 
-Options: ``atomic_write_paths`` — path fragments whose files may call
-``os.replace``; ``wal_paths`` — path fragments whose files may pass
-``sync=False``. Benchmarks run under the relaxed profile, which waives
-the ``sync=False`` check (measuring the unsynced append rate is the
-point there) but keeps the rename bans.
+Option: ``atomic_write_paths`` — path fragments whose files may call
+``os.replace``.
 """
 
 from __future__ import annotations
@@ -38,20 +30,15 @@ from . import Rule, register
 @register
 class DurabilityDiscipline(Rule):
     rule_id = "durability-discipline"
-    description = ("os.rename is banned, os.replace only inside the "
-                   "atomic-write helpers, and WAL appends with sync=False "
-                   "only inside the WAL module")
+    description = ("os.rename is banned and os.replace only inside the "
+                   "atomic-write helpers")
     default_options = {
         "atomic_write_paths": ("repro/core/atomicio.py",),
-        "wal_paths": ("repro/serving/wal.py",),
-        "flag_unsynced_appends": True,
     }
 
     def check(self, module, program, options) -> List:
         in_atomicio = any(fragment in module.rel_path
                           for fragment in options["atomic_write_paths"])
-        in_wal = any(fragment in module.rel_path
-                     for fragment in options["wal_paths"])
         out = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -69,16 +56,4 @@ class DurabilityDiscipline(Rule):
                     "os.replace outside the atomic-write helpers skips the "
                     "fsync-before/fsync-after dance; go through "
                     "repro.core.atomicio"))
-            elif (options.get("flag_unsynced_appends", True) and not in_wal
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "append"):
-                for keyword in node.keywords:
-                    if keyword.arg == "sync" \
-                            and isinstance(keyword.value, ast.Constant) \
-                            and keyword.value.value is False:
-                        out.append(module.finding(
-                            self.rule_id, node,
-                            "append(..., sync=False) acks before the fsync "
-                            "— a crash loses the acknowledged write; only "
-                            "the WAL module may defer its own syncs"))
         return out

@@ -42,7 +42,7 @@ class AnchorHausdorff(ApproximateMeasure):
             raise ValueError("num_anchors must be >= 1")
         xmin, ymin, xmax, ymax = bbox
         rng = np.random.default_rng(seed)
-        # Stratified anchors: a jittered lattice covers the region evenly,
+        # Stratified anchors: a jittered grid covers the region evenly,
         # which keeps the lower bound tight everywhere.
         side = int(np.ceil(np.sqrt(num_anchors)))
         gx, gy = np.meshgrid(np.linspace(xmin, xmax, side),

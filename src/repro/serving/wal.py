@@ -33,10 +33,8 @@ Group commit: with ``fsync_window_ms == 0`` every ``append`` fsyncs
 before returning (concurrent appenders piggyback on each other's
 fsyncs). With a positive window, a committer thread fsyncs the batch
 accumulated over each window and appenders block on a condition until
-their LSN is durable. Either way the ack-after-fsync invariant holds —
-``append(sync=True)`` never returns before its record is on disk; the
-``durability-discipline`` lint rule bans ``sync=False`` outside this
-module.
+their LSN is durable. Either way the ack-after-fsync invariant holds:
+``append`` never returns before its record is on disk.
 """
 
 from __future__ import annotations
@@ -431,14 +429,11 @@ class ShardWAL:
         self._last_fsync_s = elapsed
         self._cond.notify_all()
 
-    def append(self, op: int, ids, embeddings=None, *,
-               sync: bool = True) -> int:
+    def append(self, op: int, ids, embeddings=None) -> int:
         """Append one mutation record; returns its LSN.
 
-        With ``sync=True`` (the only mode mutation handlers may use —
-        enforced by the ``durability-discipline`` lint rule) this blocks
-        until the record is fsynced, directly or via the group-commit
-        window.
+        Blocks until the record is fsynced, directly or via the
+        group-commit window.
         """
         with self._mu:
             if self._closed:
@@ -455,8 +450,6 @@ class ShardWAL:
             self._written_lsn = lsn
             self._appended += 1
             self._fire("after_write")
-        if not sync:
-            return lsn
         if self._window_s <= 0:
             with self._mu:
                 self._fsync_pending_locked(lsn)

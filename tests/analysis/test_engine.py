@@ -1,5 +1,5 @@
-"""Engine, baseline and CLI behaviour: file walking, syntax errors,
-baseline add/expire round-trips, JSON output and exit codes."""
+"""Engine and CLI behaviour: file walking, syntax errors, fingerprints,
+JSON output and exit codes."""
 
 import json
 import os
@@ -9,8 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (Finding, check_paths, check_source,
-                            load_baseline, split_by_baseline, write_baseline)
+from repro.analysis import Finding, check_paths, check_source
 from repro.analysis.cli import main as check_main
 from repro.analysis.engine import SYNTAX_ERROR_RULE
 
@@ -61,64 +60,18 @@ def test_finding_format_and_fingerprint_stability():
     assert finding.fingerprint != edited.fingerprint
 
 
-# ------------------------------------------------------------------ baseline
-
-def test_baseline_round_trip_grandfathers_then_expires(tree, tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    first = check_paths([tree / "pkg"])
-    write_baseline(baseline_path, first.findings)
-
-    # Same findings now ride in the baseline: the run is clean.
-    baseline = load_baseline(baseline_path)
-    second = check_paths([tree / "pkg"], baseline=baseline)
-    assert second.clean
-    assert len(second.grandfathered) == 1
-    assert second.stale_baseline == []
-
-    # Fixing the flagged line expires the entry (reported as stale).
-    (tree / "pkg" / "dirty.py").write_text(CLEAN)
-    third = check_paths([tree / "pkg"], baseline=baseline)
-    assert third.clean and not third.grandfathered
-    assert [e["rule"] for e in third.stale_baseline] == ["determinism"]
-
-
-def test_load_baseline_missing_and_malformed(tmp_path):
-    assert load_baseline(tmp_path / "absent.json") == {}
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"version\": 999}")
-    with pytest.raises(ValueError):
-        load_baseline(bad)
-    bad.write_text("not json")
-    with pytest.raises(ValueError):
-        load_baseline(bad)
-
-
-def test_split_by_baseline_partitions():
-    known = Finding(rule="r", path="a.py", line=1, col=1, message="m",
-                    line_text="known")
-    fresh = Finding(rule="r", path="a.py", line=2, col=1, message="m",
-                    line_text="fresh")
-    baseline = {known.fingerprint: {"rule": "r", "path": "a.py",
-                                    "fingerprint": known.fingerprint},
-                "gone": {"rule": "r", "path": "b.py", "fingerprint": "gone"}}
-    new, grandfathered, stale = split_by_baseline([known, fresh], baseline)
-    assert new == [fresh]
-    assert grandfathered == [known]
-    assert [e["fingerprint"] for e in stale] == ["gone"]
-
-
 # ----------------------------------------------------------------------- CLI
 
 def test_cli_exit_codes_and_json(tree, capsys):
     dirty = str(tree / "pkg" / "dirty.py")
     clean = str(tree / "pkg" / "clean.py")
 
-    assert check_main([clean, "--no-baseline"]) == 0
-    assert check_main([dirty, "--no-baseline"]) == 1
+    assert check_main([clean]) == 0
+    assert check_main([dirty]) == 1
     out = capsys.readouterr().out
     assert "determinism" in out
 
-    assert check_main([dirty, "--no-baseline", "--json"]) == 1
+    assert check_main([dirty, "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["clean"] is False
     assert [f["rule"] for f in payload["findings"]] == ["determinism"]
@@ -129,32 +82,22 @@ def test_cli_exit_codes_and_json(tree, capsys):
     assert check_main([dirty, "--rules", "lockset", "--stale-pragmas"]) == 2
 
 
-def test_cli_write_baseline_then_clean(tree):
-    dirty = str(tree / "pkg" / "dirty.py")
-    baseline = str(tree / "baseline.json")
-    assert check_main([dirty, "--baseline", baseline]) == 1
-    assert check_main([dirty, "--baseline", baseline,
-                       "--write-baseline"]) == 0
-    assert check_main([dirty, "--baseline", baseline]) == 0
-    # --no-baseline sees the debt again.
-    assert check_main([dirty, "--baseline", baseline, "--no-baseline"]) == 1
-
-
 def test_cli_rules_selection_and_relaxed(tree):
     dirty = str(tree / "pkg" / "dirty.py")
     # Only the lock rule: the wall-clock read is out of scope.
-    assert check_main([dirty, "--no-baseline", "--rules", "lockset"]) == 0
+    assert check_main([dirty, "--rules", "lockset"]) == 0
     # The relaxed (benchmarks) profile drops determinism entirely.
-    assert check_main([dirty, "--no-baseline", "--relaxed"]) == 0
+    assert check_main([dirty, "--relaxed"]) == 0
 
 
 def test_cli_list_rules(capsys):
     assert check_main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in ("tape-discipline", "dtype-discipline", "determinism",
-                    "durability-discipline", "exception-hygiene",
-                    "api-hygiene", "lockset", "tape-shape", "resource-leak"):
-        assert rule_id in out
+    listed = [line.split()[0]
+              for line in capsys.readouterr().out.splitlines()]
+    assert listed == sorted([
+        "tape-discipline", "dtype-discipline", "determinism",
+        "durability-discipline", "exception-hygiene", "api-hygiene",
+        "lockset", "resource-leak"])
 
 
 def test_module_cli_takes_flags_before_paths(tree):
@@ -171,6 +114,6 @@ def test_module_cli_takes_flags_before_paths(tree):
     listed = repro_check("--list-rules")
     assert listed.returncode == 0, listed.stderr
     assert "lockset" in listed.stdout and "determinism" in listed.stdout
-    dirty = repro_check("--no-baseline", str(tree / "pkg" / "dirty.py"))
+    dirty = repro_check(str(tree / "pkg" / "dirty.py"))
     assert dirty.returncode == 1, dirty.stderr
     assert "determinism" in dirty.stdout

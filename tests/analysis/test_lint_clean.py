@@ -2,7 +2,7 @@
 
 This is the test that makes the analyzer load-bearing — a PR that
 introduces a tape/dtype/determinism/lock/exception/leak violation
-(without a pragma or a baseline entry) fails the default pytest run.
+(without a pragma) fails the default pytest run.
 Each tree is parsed once per run: the gates share one module-scoped
 ``check_paths`` result.
 """
@@ -14,28 +14,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import check_paths, load_baseline, relaxed_config
-from repro.analysis.cli import DEFAULT_BASELINE
+from repro.analysis import check_paths, relaxed_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
 def src_result():
-    baseline = load_baseline(REPO_ROOT / DEFAULT_BASELINE)
-    return check_paths([REPO_ROOT / "src"], baseline=baseline)
+    return check_paths([REPO_ROOT / "src"])
 
 
 def test_repo_src_is_lint_clean(src_result):
     assert src_result.files_checked > 50
     details = "\n".join(f.format() for f in src_result.findings)
     assert src_result.clean, f"findings in src/:\n{details}"
-
-
-def test_committed_baseline_has_no_stale_entries(src_result):
-    assert src_result.stale_baseline == [], (
-        "baseline entries whose code is gone; regenerate with "
-        "`python -m repro check src --write-baseline`")
 
 
 def test_benchmarks_are_clean_under_relaxed_profile():
@@ -48,8 +40,7 @@ def test_benchmarks_are_clean_under_relaxed_profile():
 def test_module_cli_wiring():
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "check", str(REPO_ROOT / "src"),
-         "--baseline", str(REPO_ROOT / DEFAULT_BASELINE)],
+        [sys.executable, "-m", "repro", "check", str(REPO_ROOT / "src")],
         capture_output=True, text=True, cwd=REPO_ROOT, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 finding(s)" in proc.stderr

@@ -17,11 +17,11 @@ def rules_of(findings):
     return [f.rule for f in findings]
 
 
-def test_registry_has_the_nine_project_rules():
+def test_registry_has_the_eight_project_rules():
     assert set(all_rules()) == {
         "api-hygiene", "determinism", "dtype-discipline",
         "durability-discipline", "exception-hygiene", "tape-discipline",
-        "lockset", "tape-shape", "resource-leak",
+        "lockset", "resource-leak",
     }
     for rule_id, rule_cls in all_rules().items():
         assert rule_cls.rule_id == rule_id
@@ -459,21 +459,6 @@ def test_durability_rule_allows_replace_inside_atomicio():
             os.replace(tmp, dst)
     """
     assert run(source, rel_path="src/repro/core/atomicio.py") == []
-
-
-def test_durability_rule_fires_on_unsynced_append_outside_wal():
-    source = """\
-        def handle(wal, ids):
-            wal.append(1, ids, sync=False)
-    """
-    findings = run(source)
-    assert rules_of(findings) == ["durability-discipline"]
-    assert "sync=False" in findings[0].message
-    # The WAL module itself may defer its own syncs ...
-    assert run(source, rel_path="src/repro/serving/wal.py") == []
-    # ... and the relaxed option waives the check (benchmarks profile).
-    assert run(source, **{"durability-discipline":
-                          {"flag_unsynced_appends": False}}) == []
 
 
 def test_durability_rule_ignores_plain_list_appends():

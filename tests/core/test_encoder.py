@@ -248,10 +248,11 @@ def _parent_step_forward(x_gates, x_cand, h, c, window, carry, u_gates_t,
     return h_t, c_t, (slab, cand, attn, cat, c_his, tanh_ct)
 
 
-def _one_training_step(seed=3):
-    """Loss, gradients and memory of one seeded SAM ``training_step``."""
+def _one_training_step(use_sam=True, seed=3):
+    """Loss, parameters and memory (``None`` without SAM) of one seeded
+    ``training_step``."""
     rng = np.random.default_rng(seed)
-    enc = _warm_encoder(True, seed=seed)
+    enc = _warm_encoder(use_sam, seed=seed)
     seeds = _ragged_batch(seed, 9)
     batch = [AnchorSamples(anchor=a,
                            similar=rng.permutation(9)[:2],
@@ -261,18 +262,34 @@ def _one_training_step(seed=3):
              for a in (0, 4)]
     optimizer = Adam(enc.parameters(), lr=0.01)
     loss = training_step(enc, seeds, batch, optimizer, grad_clip=0.0)
-    grads = {name: p.grad.copy() for name, p in enc.named_parameters()}
-    return loss, grads, enc.memory.data.copy()
+    return (loss, dict(enc.named_parameters()),
+            enc.memory.data.copy() if use_sam else None)
+
+
+@pytest.mark.parametrize("use_sam", [True, False])
+def test_a_training_step_reaches_every_parameter_in_float64(use_sam,
+                                                            trajectories):
+    """The encoder's parameter contract: after one step every parameter
+    is float64 and got a float64, nonzero gradient, so none is dead
+    weight and no narrower float reached the tape; inference stays
+    float64 too."""
+    _, params, _ = _one_training_step(use_sam)
+    for name, param in params.items():
+        assert param.data.dtype == np.float64, name
+        assert param.grad is not None, f"{name} got no gradient"
+        assert param.grad.dtype == np.float64, name
+        assert np.abs(param.grad).max() > 0.0, f"{name}'s gradient is zero"
+    assert _encoder(use_sam).embed(trajectories).dtype == np.float64
 
 
 def test_training_step_unchanged_by_the_shared_forward(monkeypatch):
-    loss, grads, memory = _one_training_step()
+    loss, params, memory = _one_training_step()
     monkeypatch.setattr(rnn, "step_forward", _parent_step_forward)
-    ref_loss, ref_grads, ref_memory = _one_training_step()
+    ref_loss, ref_params, ref_memory = _one_training_step()
     assert loss == ref_loss
-    assert all(np.abs(g).max() > 0.0 for g in grads.values())
-    for name, grad in grads.items():
-        assert np.array_equal(grad, ref_grads[name]), name
+    assert all(np.abs(p.grad).max() > 0.0 for p in params.values())
+    for name, param in params.items():
+        assert np.array_equal(param.grad, ref_params[name].grad), name
     assert np.array_equal(memory, ref_memory)
 
 
@@ -391,13 +408,13 @@ def _retaining_backward(self, grad=None):
 
 
 def test_training_step_unchanged_by_releasing_the_tape(monkeypatch):
-    loss, grads, memory = _one_training_step()
+    loss, params, memory = _one_training_step()
     monkeypatch.setattr(Tensor, "backward", _retaining_backward)
-    ref_loss, ref_grads, ref_memory = _one_training_step()
+    ref_loss, ref_params, ref_memory = _one_training_step()
     assert loss == ref_loss
-    assert all(np.abs(g).max() > 0.0 for g in grads.values())
-    for name, grad in grads.items():
-        assert np.array_equal(grad, ref_grads[name]), name
+    assert all(np.abs(p.grad).max() > 0.0 for p in params.values())
+    for name, param in params.items():
+        assert np.array_equal(param.grad, ref_params[name].grad), name
     assert np.array_equal(memory, ref_memory)
 
 
@@ -547,7 +564,7 @@ def test_overlapping_inference_leaves_autograd_on(trajectories):
             assert not thread.is_alive()
         assert a_done.is_set() and b_inside.is_set()
         assert is_grad_enabled()
-        _, grads, _ = _one_training_step()
-        assert all(np.abs(g).max() > 0.0 for g in grads.values())
+        _, params, _ = _one_training_step()
+        assert all(np.abs(p.grad).max() > 0.0 for p in params.values())
     finally:
         tensor._GRAD_ENABLED = True  # never poison the rest of the suite

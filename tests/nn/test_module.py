@@ -26,6 +26,14 @@ def test_parameter_always_requires_grad():
     assert Parameter(np.zeros(3)).requires_grad
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64])
+def test_parameter_is_float64_whatever_it_is_built_from(dtype):
+    """A narrower dtype handed to the constructor, even through an alias
+    (``compact = np.float32; Parameter(np.zeros(d, dtype=compact))``),
+    never reaches the tape."""
+    assert Parameter(np.zeros(3, dtype=dtype)).data.dtype == np.float64
+
+
 def test_named_parameters_recursive(rng):
     model = _Composite(rng)
     names = dict(model.named_parameters())
