@@ -13,12 +13,6 @@ baselines. Exits non-zero when
   committed ``benchmarks/BENCH_serving.json`` by more than the threshold,
   its micro-batched speedup over serial drops under the 2× acceptance
   floor, or the service stops answering identically to the offline store;
-* the resilience benchmark (``benchmarks/BENCH_resilience.json``) breaks
-  its functional contract — any hard (untyped) failure under encoder
-  faults, a breaker that never opens, shed accounting that doesn't add
-  up, a hang — or its degraded-path p99 top-k latency regresses past the
-  resilience threshold (looser than the kernel one: the degraded path is
-  dominated by tiny absolute timings, so relative noise is larger);
 * the sanitize benchmark (``benchmarks/BENCH_sanitize.json``) blows its
   overhead budget (sanitization must stay under 10% of a per-query
   encode), repairs queries to a *worse* top-k hit rate than leaving them
@@ -77,7 +71,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE = REPO_ROOT / "benchmarks" / "BENCH_kernels.json"
 SERVING_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_serving.json"
-RESILIENCE_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_resilience.json"
 SANITIZE_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_sanitize.json"
 ANN_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_ann.json"
 SHARDING_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_sharding.json"
@@ -87,10 +80,6 @@ DEFAULT_THRESHOLD = 1.5
 
 #: Acceptance floor: 16-client micro-batched throughput over serial.
 SERVING_SPEEDUP_FLOOR = 2.0
-
-#: p99 slack for the resilience benchmark: its latencies are sub-ms, so
-#: scheduler noise dwarfs the kernel threshold on 1-CPU runners.
-RESILIENCE_P99_THRESHOLD = 3.0
 
 #: Absolute hit-rate slack for the sanitize quality guard: tiny workloads
 #: quantise hit rates coarsely (1/(queries*k) per hit).
@@ -212,64 +201,6 @@ def run_serving_check(threshold: float = DEFAULT_THRESHOLD) -> list:
     baseline = json.loads(SERVING_BASELINE.read_text())
     fresh = bench_serving.run_all()
     return compare_serving_reports(baseline, fresh, threshold)
-
-
-# -------------------------------------------------------------- resilience
-
-def compare_resilience_reports(baseline: dict, fresh: dict,
-                               threshold: float = RESILIENCE_P99_THRESHOLD
-                               ) -> list:
-    """Failure strings for the resilience benchmark (empty = pass).
-
-    The functional fields are hard checks independent of timing; only the
-    p99 comparison uses the (loose) threshold.
-    """
-    failures = []
-    faulty = fresh["results"]["faulty_encoder"]
-    shedding = fresh["results"]["load_shedding"]
-    if faulty["failed"] != 0:
-        failures.append(
-            f"resilience: {faulty['failed']} queries died with untyped "
-            "errors under encoder faults")
-    if not faulty["breaker_opened"]:
-        failures.append(
-            "resilience: circuit breaker never opened under a hard "
-            "encoder outage")
-    if faulty["degraded"] == 0:
-        failures.append(
-            "resilience: no degraded answers — the grid-index fallback "
-            "never engaged")
-    if faulty["answered"] + faulty["typed_errors"] != faulty["queries"]:
-        failures.append(
-            "resilience: query accounting does not add up "
-            f"({faulty['answered']} answered + {faulty['typed_errors']} "
-            f"typed != {faulty['queries']})")
-    if not shedding["accounting_exact"]:
-        failures.append(
-            "resilience: shed accounting mismatch (accepted + shed != "
-            "offered)")
-    if shedding["shed"] == 0:
-        failures.append(
-            "resilience: the admission gate never shed under overload")
-    if not fresh["results"]["no_hangs"]:
-        failures.append("resilience: run hung (stuck thread or wall-clock "
-                        "budget blown)")
-    base_p99 = baseline["results"]["faulty_encoder"]["p99_ms"]
-    fresh_p99 = faulty["p99_ms"]
-    if fresh_p99 > base_p99 * threshold:
-        failures.append(
-            f"resilience: faulted-path p99 {fresh_p99:.2f} ms is "
-            f"{fresh_p99 / base_p99:.2f}x the committed {base_p99:.2f} ms "
-            f"(threshold {threshold:.2f}x)")
-    return failures
-
-
-def run_resilience_check(threshold: float = RESILIENCE_P99_THRESHOLD) -> list:
-    """Run the resilience benchmark and compare against the baseline."""
-    bench_resilience = _import_bench("bench_resilience")
-    baseline = json.loads(RESILIENCE_BASELINE.read_text())
-    fresh = bench_resilience.run_all()
-    return compare_resilience_reports(baseline, fresh, threshold)
 
 
 # ---------------------------------------------------------------- sanitize
@@ -536,8 +467,8 @@ def run_streaming_check(threshold: float = STREAMING_TIME_THRESHOLD) -> list:
 
 # -------------------------------------------------------------------- main
 
-KNOWN_SUITES = ("kernels", "serving", "resilience", "sanitize", "ann",
-                "sharding", "durability", "streaming")
+KNOWN_SUITES = ("kernels", "serving", "sanitize", "ann", "sharding",
+                "durability", "streaming")
 
 
 def _parse_only(raw: str) -> set:
@@ -586,12 +517,6 @@ def main(argv=None) -> int:
             print(f"no committed baseline at {SERVING_BASELINE}")
             return 1
         failures += run_serving_check(args.threshold)
-    if "resilience" in selected:
-        if not RESILIENCE_BASELINE.exists():
-            print(f"no committed baseline at {RESILIENCE_BASELINE}")
-            return 1
-        failures += run_resilience_check(
-            max(args.threshold, RESILIENCE_P99_THRESHOLD))
     if "sanitize" in selected:
         if not SANITIZE_BASELINE.exists():
             print(f"no committed baseline at {SANITIZE_BASELINE}")

@@ -48,8 +48,8 @@ class ServiceOverloadedError(ReproError):
 
 
 class ServiceUnavailableError(ReproError):
-    """The service cannot answer right now (e.g. encoder circuit open
-    with no fallback index configured)."""
+    """The service cannot answer right now (e.g. every shard of the
+    sharded tier is unavailable)."""
 
 
 class DeadlineExceededError(ReproError):

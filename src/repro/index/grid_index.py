@@ -45,42 +45,12 @@ class GridInvertedIndex:
             self._cells.setdefault(cell, set()).add(traj_id)
         self.size += 1
 
-    def remove(self, traj_id: int) -> bool:
-        """Drop a trajectory from every cell; returns True if it was indexed."""
-        found = False
-        empty = []
-        for cell, ids in self._cells.items():
-            if traj_id in ids:
-                ids.discard(traj_id)
-                found = True
-                if not ids:
-                    empty.append(cell)
-        for cell in empty:
-            del self._cells[cell]
-        if found:
-            self.size -= 1
-        return found
-
     def query_cells(self, cells: Sequence[Tuple[int, int]]) -> List[int]:
         """Union of ids over the given cells."""
         out: Set[int] = set()
         for cell in cells:
             out |= self._cells.get((int(cell[0]), int(cell[1])), set())
         return sorted(out)
-
-    def match_counts(self, cells: Sequence[Tuple[int, int]]
-                     ) -> Dict[int, int]:
-        """How many of the given cells each candidate id appears in.
-
-        The count is a cheap overlap score: trajectories sharing more
-        cells with the query rank higher. The serving layer's degraded
-        top-k path uses it when the learned encoder is unavailable.
-        """
-        counts: Dict[int, int] = {}
-        for cell in {(int(c[0]), int(c[1])) for c in cells}:
-            for traj_id in self._cells.get(cell, ()):
-                counts[traj_id] = counts.get(traj_id, 0) + 1
-        return counts
 
     def query(self, points: np.ndarray, ring: int = 1) -> List[int]:
         """Candidate ids for a query trajectory.

@@ -12,7 +12,8 @@ machinery they share:
 * :class:`RetryPolicy` — bounded retries with exponential backoff
   (:mod:`repro.resilience.retry`), used by the precompute chunk driver.
 * :class:`CircuitBreaker` — closed/open/half-open breaker
-  (:mod:`repro.resilience.breaker`), guarding the serving encoder.
+  (:mod:`repro.resilience.breaker`), guarding each shard worker of the
+  sharded serving tier.
 * :class:`AdmissionGate` — bounded admission with load shedding
   (:mod:`repro.resilience.admission`), the serving 429 path.
 

@@ -1,38 +1,36 @@
 """Circuit breaker for repeatedly failing dependencies.
 
-Classic three-state breaker (Nygard, *Release It!*), used by the serving
-layer to stop hammering a failing encoder and degrade to the grid-index
-approximate path instead:
+Classic three-state breaker (Nygard, *Release It!*), used by the sharded
+serving tier to stop sending requests to a shard worker that is dead or
+not answering, so the scatter drops it after a few failures:
 
 * **closed** — requests flow; consecutive failures are counted and
   ``failure_threshold`` of them trip the breaker.
 * **open** — requests are refused (``allow()`` is False) until
   ``reset_timeout_s`` has elapsed, then the breaker moves to half-open.
-* **half-open** — up to ``half_open_max`` probe requests are let through;
-  one success closes the breaker, one failure re-opens it (and restarts
-  the timeout).
+* **half-open** — one probe request is let through; its success closes
+  the breaker, its failure re-opens it (and restarts the timeout).
 
 The clock is injectable so state transitions are testable without real
-waiting, and every transition can be observed via ``on_transition`` (the
-serving layer increments a metric there).
+waiting.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..exceptions import ConfigurationError
 
 __all__ = ["CircuitBreaker"]
 
-_LOG = logging.getLogger(__name__)
-
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
+
+#: Probe requests admitted per half-open window.
+_HALF_OPEN_PROBES = 1
 
 
 class CircuitBreaker:
@@ -44,29 +42,20 @@ class CircuitBreaker:
         Consecutive failures (while closed) that trip the breaker.
     reset_timeout_s:
         Seconds the breaker stays open before allowing probe requests.
-    half_open_max:
-        Probe requests admitted per half-open window.
     clock:
         Monotonic time source (injectable for tests).
-    on_transition:
-        Optional ``on_transition(old_state, new_state)`` observer.
     """
 
     def __init__(self, failure_threshold: int = 5,
-                 reset_timeout_s: float = 30.0, half_open_max: int = 1,
-                 clock: Callable[[], float] = time.monotonic,
-                 on_transition: Optional[Callable[[str, str], None]] = None):
+                 reset_timeout_s: float = 30.0,
+                 clock: Callable[[], float] = time.monotonic):
         if failure_threshold < 1:
             raise ConfigurationError("failure_threshold must be >= 1")
         if reset_timeout_s < 0:
             raise ConfigurationError("reset_timeout_s must be >= 0")
-        if half_open_max < 1:
-            raise ConfigurationError("half_open_max must be >= 1")
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
-        self.half_open_max = half_open_max
         self._clock = clock
-        self._on_transition = on_transition
         self._lock = threading.Lock()
         self._state = CLOSED
         self._consecutive_failures = 0
@@ -78,17 +67,10 @@ class CircuitBreaker:
 
     def _set_state(self, new_state: str) -> None:
         """Transition the breaker. Caller must hold ``self._lock``."""
-        old = self._state
-        if old == new_state:
+        if self._state == new_state:
             return
         self._state = new_state
         self._transitions += 1
-        if self._on_transition is not None:
-            try:
-                self._on_transition(old, new_state)
-            except Exception:  # observer bugs must not poison the breaker
-                _LOG.exception("circuit-breaker on_transition observer "
-                               "raised (%s -> %s)", old, new_state)
 
     def _maybe_half_open(self) -> None:
         """Apply a pending open -> half-open move. Caller must hold
@@ -118,7 +100,7 @@ class CircuitBreaker:
             if self._state == CLOSED:
                 return True
             if self._state == HALF_OPEN:
-                if self._probes_in_flight < self.half_open_max:
+                if self._probes_in_flight < _HALF_OPEN_PROBES:
                     self._probes_in_flight += 1
                     return True
                 return False

@@ -1,21 +1,16 @@
-"""Bounded retries with exponential backoff (optionally jittered).
+"""Bounded retries with exponential backoff.
 
-A tiny, dependency-free policy object shared by the precompute driver,
-the streaming source supervisor and anything else that re-attempts flaky
-work. Delays are deterministic by default (no jitter) so fault-injection
-tests can reason about exact schedules; callers that fan many retriers
-out against one dependency (per-source stream reconnects) opt into
-jitter with a *seeded* generator, keeping determinism while decorrelating
-the herd. The ``sleep`` hook is injectable for the same reason.
+A tiny, dependency-free policy object used by the precompute chunk
+driver to re-attempt flaky work. Delays are deterministic so
+fault-injection tests can reason about exact schedules; the ``sleep``
+hook is injectable for the same reason.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable
 
 from ..exceptions import ConfigurationError
 
@@ -35,18 +30,13 @@ class RetryPolicy:
     multiplier:
         Exponential growth factor between consecutive retries.
     max_delay_s:
-        Cap on any single delay, jittered or not.
-    jitter:
-        Fractional spread applied to each delay when an ``rng`` is
-        supplied: the delay is scaled uniformly within ``1 ± jitter``.
-        0 (the default) keeps schedules exact.
+        Cap on any single delay.
     """
 
     max_retries: int = 2
     base_delay_s: float = 0.1
     multiplier: float = 2.0
     max_delay_s: float = 5.0
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -55,36 +45,22 @@ class RetryPolicy:
             raise ConfigurationError("delays must be >= 0")
         if self.multiplier < 1.0:
             raise ConfigurationError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigurationError("jitter must be in [0, 1)")
 
-    def delay(self, attempt: int,
-              rng: Optional[np.random.Generator] = None) -> float:
-        """Backoff before retry number ``attempt`` (1-based).
-
-        With ``jitter > 0`` and an ``rng``, the exponential delay is
-        scaled by a uniform factor in ``[1 - jitter, 1 + jitter]`` and
-        re-clamped, so ``max_delay_s`` caps the *jittered* delay too.
-        """
+    def delay(self, attempt: int) -> float:
+        """Backoff before retry number ``attempt`` (1-based)."""
         if attempt < 1:
             raise ValueError("attempt is 1-based")
-        duration = min(self.base_delay_s * self.multiplier ** (attempt - 1),
-                       self.max_delay_s)
-        if self.jitter and rng is not None:
-            duration = min(
-                duration * (1.0 + self.jitter * (2.0 * rng.random() - 1.0)),
-                self.max_delay_s)
-        return duration
+        return min(self.base_delay_s * self.multiplier ** (attempt - 1),
+                   self.max_delay_s)
 
     def should_retry(self, attempt: int) -> bool:
         """True when retry number ``attempt`` (1-based) is still allowed."""
         return attempt <= self.max_retries
 
     def sleep(self, attempt: int,
-              sleep: Callable[[float], None] = time.sleep,
-              rng: Optional[np.random.Generator] = None) -> float:
+              sleep: Callable[[float], None] = time.sleep) -> float:
         """Sleep out the backoff for ``attempt``; returns the delay used."""
-        duration = self.delay(attempt, rng=rng)
+        duration = self.delay(attempt)
         if duration > 0:
             sleep(duration)
         return duration

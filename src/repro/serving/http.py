@@ -12,8 +12,9 @@ GET         ``/healthz``             liveness: ``{"status": "ok", ...}`` —
                                      200 whenever the process can answer
 GET         ``/readyz``              readiness: 200 when the service can give
                                      good answers (store loaded, warmed up,
-                                     breaker not open), else 503 with the
-                                     failing checks in the body
+                                     accepting work, every shard alive),
+                                     else 503 with the failing checks in
+                                     the body
 GET         ``/metrics``             Prometheus text exposition
 GET         ``/v1/stats``            operational snapshot (JSON)
 GET         ``/v1/stream``           streaming-ingest snapshot: window /
@@ -51,9 +52,9 @@ tier and answer 409 elsewhere.
 
 Errors come back as ``{"error": "..."}`` with 400 (bad request), 404
 (unknown route), 409 (no encoder / unsupported admin op / failed
-reload), 429 (load shed — retry later), 503 (degradation the service
-could not absorb: breaker open with no fallback, every shard down, or
-shut down), 504 (request deadline expired), or 500 (unexpected).
+reload), 429 (load shed — retry later), 503 (every shard down, a write that
+landed on only some shards, or shut down), 504 (request deadline
+expired), or 500 (unexpected).
 """
 
 from __future__ import annotations

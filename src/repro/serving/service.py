@@ -8,7 +8,7 @@ the database embeddings live. It is the only implementation of the
 request path
 
     validate -> sanitize -> admit -> deadline -> cache -> batch-encode
-    (breaker-guarded) -> search -> shape result -> count
+    -> search -> shape result -> count
 
 and it runs over one search target, the shard coordinator of
 :mod:`repro.serving.sharding`. Given an
@@ -23,18 +23,16 @@ drive it in-process.
 Consistency model: every mutation (``insert``/``delete``, a sharded
 ``reload``) lands on the target first and then bumps a generation
 counter that is part of every cache key, so stale cache entries die with
-their generation; partial and degraded answers are never cached.
+their generation; partial answers are never cached.
 
 Robustness model (DESIGN.md "Operational robustness"): requests are
 validated at the boundary (:class:`InvalidTrajectoryError` — never deep
 inside the encoder), admitted through a bounded
 :class:`~repro.resilience.AdmissionGate` (full ⇒ typed
-:class:`ServiceOverloadedError`, the HTTP 429/load-shedding path), carry
-a deadline through the micro-batcher, and encode behind a
-:class:`~repro.resilience.CircuitBreaker`. When the encoder trips the
-breaker, ``top_k`` degrades to grid-cell overlap counts over an
-optional :class:`~repro.index.GridInvertedIndex` kept beside the target
-instead of failing — answers are marked ``degraded`` and counted.
+:class:`ServiceOverloadedError`, the HTTP 429/load-shedding path), and
+carry a deadline through the micro-batcher. An encode that raises
+fails only the request that sent it (the batcher re-encodes a failed
+batch item by item) and is counted; every other request is answered.
 """
 
 from __future__ import annotations
@@ -57,10 +55,8 @@ from ..datasets.trajectory import Trajectory
 from ..exceptions import (ConfigurationError, DeadlineExceededError,
                           InvalidTrajectoryError, NotFittedError,
                           PartialWriteError, ReloadError, ServiceClosedError,
-                          ServiceOverloadedError, ServiceUnavailableError)
-from ..index.grid_index import GridInvertedIndex
+                          ServiceOverloadedError)
 from ..resilience.admission import AdmissionGate
-from ..resilience.breaker import CircuitBreaker
 from .batching import MicroBatcher
 from .bundle import Bundle, load_bundle, load_bundle_model
 from .cache import LRUCache, result_key
@@ -99,9 +95,6 @@ class ServingConfig:
     max_inflight:
         Concurrent ``top_k``/``embed`` requests admitted; the rest are
         shed with :class:`ServiceOverloadedError` (HTTP 429). 0 disables.
-    breaker_failure_threshold / breaker_reset_s:
-        Consecutive encoder failures that open the circuit breaker, and
-        how long it stays open before probing the encoder again.
     default_timeout_s:
         Per-request deadline when the caller does not pass one
         (``None`` disables deadlines by default).
@@ -142,8 +135,6 @@ class ServingConfig:
     default_k: int = 10
     max_points: int = 100_000
     max_inflight: int = 0
-    breaker_failure_threshold: int = 5
-    breaker_reset_s: float = 30.0
     default_timeout_s: Optional[float] = 30.0
     sanitize: bool = False
     sanitize_config: Optional[SanitizeConfig] = None
@@ -164,10 +155,6 @@ class ServingConfig:
             raise ConfigurationError("max_points must be >= 0")
         if self.max_inflight < 0:
             raise ConfigurationError("max_inflight must be >= 0")
-        if self.breaker_failure_threshold < 1:
-            raise ConfigurationError("breaker_failure_threshold must be >= 1")
-        if self.breaker_reset_s < 0:
-            raise ConfigurationError("breaker_reset_s must be >= 0")
         if (self.default_timeout_s is not None
                 and self.default_timeout_s <= 0):
             raise ConfigurationError(
@@ -191,13 +178,15 @@ class ShardedConfig(ServingConfig):
 
     Every inherited field keeps its meaning on the coordinator
     (``index``/``nlist``/``nprobe`` configure each shard's local
-    backend); the breaker pair also configures every per-shard transport
-    breaker, and defaults tighter than the single-process service's
-    because a dead worker should drop out of the scatter after a few
-    requests, not thirty seconds.
+    backend).
 
     Attributes
     ----------
+    breaker_failure_threshold / breaker_reset_s:
+        Consecutive transport failures that open a shard's circuit
+        breaker, and how long it stays open before the shard is probed
+        again: a dead worker drops out of the scatter after a few
+        requests, not thirty seconds.
     request_timeout_s:
         Per-shard call timeout: a shard that does not answer within this
         window is treated as unavailable for that request (and the
@@ -214,6 +203,10 @@ class ShardedConfig(ServingConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.breaker_failure_threshold < 1:
+            raise ConfigurationError("breaker_failure_threshold must be >= 1")
+        if self.breaker_reset_s < 0:
+            raise ConfigurationError("breaker_reset_s must be >= 0")
         if self.request_timeout_s <= 0:
             raise ConfigurationError("request_timeout_s must be positive")
         if self.boot_timeout_s <= 0:
@@ -223,11 +216,6 @@ class ShardedConfig(ServingConfig):
 @dataclass(frozen=True)
 class TopKResult:
     """Answer to one top-k query.
-
-    ``degraded`` marks approximate answers produced by the grid-index
-    fallback while the encoder breaker is open; their ``distances`` are
-    pseudo-distances (``1 / (1 + cell overlap)``), comparable within the
-    answer but not to embedding distances.
 
     ``quality`` is the sanitize-mode boundary report (what was repaired
     in the query before answering); ``None`` in strict mode. It is
@@ -242,14 +230,13 @@ class TopKResult:
     ids: List[int]
     distances: List[float]
     cached: bool = False
-    degraded: bool = False
     quality: Optional[Dict] = None
     partial: bool = False
 
     def to_json(self) -> Dict:
         return {"ids": self.ids, "distances": self.distances,
-                "cached": self.cached, "degraded": self.degraded,
-                "quality": self.quality, "partial": self.partial}
+                "cached": self.cached, "quality": self.quality,
+                "partial": self.partial}
 
 
 class SimilarityService:
@@ -272,11 +259,6 @@ class SimilarityService:
         :class:`ServingConfig`; defaults are sensible for tests.
     probes:
         Representative trajectories for :meth:`warmup` and self-tests.
-    fallback_index:
-        Optional :class:`GridInvertedIndex` over the same ids as the
-        store; enables the degraded ``top_k`` path while the encoder
-        breaker is open. Kept in sync by ``insert``/``delete``. Without
-        it, breaker-open queries raise :class:`ServiceUnavailableError`.
     durable_dir:
         Write-ahead log + snapshot root: every ``insert``/``delete`` is
         fsynced before it is acknowledged and recovered by the next
@@ -290,7 +272,6 @@ class SimilarityService:
                  store: Union[EmbeddingStore, _ShardTarget],
                  config: Optional[ServingConfig] = None,
                  probes: Optional[Sequence[Trajectory]] = None,
-                 fallback_index: Optional[GridInvertedIndex] = None,
                  durable_dir: Optional[PathLike] = None,
                  base_tag: Optional[str] = None):
         self.config = config or ServingConfig()
@@ -306,7 +287,6 @@ class SimilarityService:
                                        durable_dir=durable_dir,
                                        base_tag=base_tag)
         self.store = self.target.store
-        self.fallback_index = fallback_index
         self.probes: List[Trajectory] = list(probes or [])
         self.stream = None  # optional StreamIngestor; see attach_stream()
         self.registry = self.target.registry
@@ -335,9 +315,6 @@ class SimilarityService:
         self._m_shed = reg.counter(
             "repro_shed_requests_total",
             "Requests refused by the admission gate (HTTP 429).")
-        self._m_degraded = reg.counter(
-            "repro_degraded_answers_total",
-            "Top-k answers served by the encoder-free fallback.")
         self._m_validation = reg.counter(
             "repro_validation_errors_total",
             "Requests rejected at input validation.")
@@ -352,9 +329,6 @@ class SimilarityService:
             "Requests dropped because their deadline expired.")
         self._m_encoder_failures = reg.counter(
             "repro_encoder_failures_total", "Batched encoder calls that raised.")
-        self._m_breaker_transitions = reg.counter(
-            "repro_breaker_transitions_total",
-            "Encoder circuit-breaker state transitions.")
         self._h_latency = reg.histogram(
             "repro_topk_latency_seconds", "End-to-end top-k latency.")
         self._h_encode = reg.histogram(
@@ -364,10 +338,6 @@ class SimilarityService:
             buckets=DEFAULT_SIZE_BUCKETS)
 
         self._gate = AdmissionGate(self.config.max_inflight)
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            reset_timeout_s=self.config.breaker_reset_s,
-            on_transition=lambda old, new: self._m_breaker_transitions.inc())
 
         # A target that forks processes has done so before it got here;
         # only then does the batcher's worker thread start.
@@ -384,7 +354,6 @@ class SimilarityService:
     @classmethod
     def from_bundle(cls, bundle: Union[Bundle, PathLike],
                     config: Optional[ServingConfig] = None,
-                    fallback_index: Optional[GridInvertedIndex] = None,
                     durable_dir: Optional[PathLike] = None
                     ) -> "SimilarityService":
         """Build a service from a :class:`Bundle` or a bundle directory.
@@ -400,8 +369,8 @@ class SimilarityService:
         if base_tag is None:  # no tag for rows no manifest vouches for
             base_tag = None if len(bundle.store) else _EMPTY_STORE_BASE
         return cls(bundle.model, bundle.store, config=config,
-                   probes=bundle.probes, fallback_index=fallback_index,
-                   durable_dir=durable_dir, base_tag=base_tag)
+                   probes=bundle.probes, durable_dir=durable_dir,
+                   base_tag=base_tag)
 
     def _adopt_model(self, model: Optional[MetricModel]) -> None:
         """Install the encoder and what derives from it.
@@ -427,17 +396,12 @@ class SimilarityService:
     # ------------------------------------------------------------ encoder path
 
     def _encode_batch(self, trajectories: List[Trajectory]) -> np.ndarray:
-        if not self.breaker.allow():
-            raise ServiceUnavailableError("encoder circuit breaker is open")
         try:
-            out = self.model.embed(trajectories,
-                                   batch_size=self.config.max_batch_size)
+            return self.model.embed(trajectories,
+                                    batch_size=self.config.max_batch_size)
         except Exception:
             self._m_encoder_failures.inc()
-            self.breaker.record_failure()
             raise
-        self.breaker.record_success()
-        return out
 
     def _record_batch(self, batch_size: int, seconds: float) -> None:
         self._h_batch_size.observe(batch_size)
@@ -557,9 +521,8 @@ class SimilarityService:
         neighbours. Over a sharded target the answer is id-identical to
         a single-store exact scan while every shard is healthy, and
         covers the survivors (``partial=True``) when some are not.
-        While the encoder breaker is open, answers come from the
-        target's encoder-free fallback (marked ``degraded=True``) when
-        it has one.
+        An encode that raises fails this request with that error and
+        no other.
         """
         start = time.monotonic()
         timeout, deadline = self._resolve_deadline(timeout)
@@ -616,22 +579,7 @@ class SimilarityService:
                                   distances=list(hit[1]), cached=True,
                                   quality=quality)
             self._m_cache_misses.inc()
-        try:
-            embedding = batcher(query, timeout=timeout, deadline=deadline)
-        except (FuturesTimeoutError, DeadlineExceededError,
-                ServiceClosedError, ServiceOverloadedError):
-            raise
-        except Exception as exc:
-            if (isinstance(exc, ServiceUnavailableError)
-                    or self.breaker.state == "open"):
-                degraded = self._degraded_search(query, k)
-                if degraded is not None:
-                    self._m_queries.inc()
-                    self._m_degraded.inc()
-                    return TopKResult(ids=degraded[0],
-                                      distances=degraded[1], degraded=True,
-                                      quality=quality)
-            raise
+        embedding = batcher(query, timeout=timeout, deadline=deadline)
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceededError(
                 "deadline expired before the store search")
@@ -649,28 +597,6 @@ class SimilarityService:
                           distances=[float(d) for d in distances],
                           quality=quality, partial=partial)
 
-    def _degraded_search(self, query: Trajectory, k: int
-                         ) -> Optional[Tuple[List[int], List[float]]]:
-        """Approximate ``(ids, pseudo-distances)`` by grid-cell overlap,
-        no encoder involved; ``None`` without a fallback index.
-
-        Candidates are ranked by how many of the query's (ring-expanded)
-        cells they share; ties break on id for determinism. The
-        pseudo-distance ``1 / (1 + overlap)`` preserves that ranking.
-        """
-        with self._lock:
-            index = self.fallback_index
-            if index is None:
-                return None
-            cells = index.grid.to_cells(np.asarray(query.points))
-            expanded = {(x + dx, y + dy)
-                        for x, y in {(int(cx), int(cy)) for cx, cy in cells}
-                        for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
-            counts = index.match_counts(sorted(expanded))
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-        return ([int(i) for i, _ in ranked],
-                [1.0 / (1.0 + c) for _, c in ranked])
-
     # --------------------------------------------------------------- mutation
 
     def _bump_generation(self) -> int:
@@ -685,7 +611,7 @@ class SimilarityService:
         """Embed + insert trajectories; returns their assigned ids.
 
         Embeddings are computed through the micro-batcher — on its
-        thread, behind the encoder breaker, never under a target lock —
+        thread, never under a target lock —
         so a bulk insert coalesces with concurrent queries instead of
         stalling them. In sanitize mode, inserted trajectories are
         repaired the same way queries are, so the target only ever
@@ -700,7 +626,7 @@ class SimilarityService:
             futures = [batcher.submit(t, deadline=deadline) for t in items]
             embeddings = np.stack([f.result(timeout=timeout)
                                    for f in futures])
-            return self._insert_rows(embeddings, items, deadline)
+            return self._insert_rows(embeddings, deadline)
 
     def insert_embeddings(self, embeddings: np.ndarray,
                           deadline: Optional[float] = None) -> List[int]:
@@ -713,10 +639,9 @@ class SimilarityService:
                     f"got {embeddings.shape}")
             if embeddings.shape[0] == 0:
                 return []
-            return self._insert_rows(embeddings, None, deadline)
+            return self._insert_rows(embeddings, deadline)
 
     def _insert_rows(self, embeddings: np.ndarray,
-                     trajectories: Optional[List[Trajectory]],
                      deadline: Optional[float]) -> List[int]:
         try:
             assigned = self.target.insert_embeddings(embeddings, deadline)
@@ -726,11 +651,6 @@ class SimilarityService:
         finally:
             self._bump_generation()  # rows that landed are searchable
         self._m_inserts.inc(len(assigned))
-        with self._lock:
-            if self.fallback_index is not None and trajectories is not None:
-                for traj, traj_id in zip(trajectories, assigned):
-                    self.fallback_index.insert(traj_id,
-                                               np.asarray(traj.points))
         return assigned
 
     def delete(self, ids: Sequence[int]) -> int:
@@ -747,10 +667,6 @@ class SimilarityService:
             finally:
                 self._bump_generation()
             self._m_deletes.inc(removed)
-            with self._lock:
-                if self.fallback_index is not None:
-                    for traj_id in id_list:
-                        self.fallback_index.remove(traj_id)
             return removed
 
     # ----------------------------------------------------------- maintenance
@@ -855,7 +771,7 @@ class SimilarityService:
         """Readiness checks for ``/readyz`` (distinct from liveness).
 
         Ready means: the target has data, :meth:`warmup` completed, the
-        encoder breaker is not open, the service is accepting work, and
+        service is accepting work, and
         whatever the target adds (every shard alive) holds too.
         """
         with self._lock:
@@ -864,7 +780,6 @@ class SimilarityService:
         checks = {
             "store_nonempty": self.size() > 0,
             "warmed": warmed,
-            "encoder_breaker_closed": self.breaker.state != "open",
             "accepting_requests": not closed,
             **self.target.readiness_checks(),
         }
@@ -874,8 +789,6 @@ class SimilarityService:
         """JSON-friendly operational snapshot (also the ``/v1/stats`` body)."""
         with self._lock:
             generation = self._generation
-            fallback = (None if self.fallback_index is None
-                        else {"size": self.fallback_index.size})
         stats = self.target.stats()
         stats["store"].update(
             generation=generation, embedding_dim=self.target.dim,
@@ -886,11 +799,7 @@ class SimilarityService:
             "cache": self._cache.stats(),
             "batcher": (None if self._batcher is None
                         else self._batcher.stats()),
-            "resilience": {
-                "breaker": self.breaker.stats(),
-                "admission": self._gate.stats(),
-                "fallback_index": fallback,
-            },
+            "resilience": {"admission": self._gate.stats()},
             "readiness": self.readiness(),
             "stream": None if self.stream is None else self.stream.stats(),
             "uptime_seconds": time.monotonic() - self._started,
@@ -943,7 +852,7 @@ class ShardedService(SimilarityService):
     """:class:`SimilarityService` over N forked shard worker processes.
 
     The whole request path — validation, sanitize mode, admission,
-    deadlines, the result cache, breaker-guarded micro-batched encoding,
+    deadlines, the result cache, micro-batched encoding,
     ``stats``/``readiness``/metrics, ``close`` — is the inherited one;
     this class only builds the target from a partition directory (which
     forks a worker per partition) and adds the operations an in-process

@@ -12,11 +12,8 @@ that pitch into a hardened subsystem:
   incremental (prefix-state) re-embedding through the micro-batcher,
   admission-gated backpressure with a deferred/degraded mode, snapshot +
   replay crash recovery, and online anomaly scores over the live window.
-* :mod:`~repro.streaming.consumer` — per-source reconnect supervision
-  (circuit breaker + jittered retry backoff).
 """
 
-from .consumer import SourceSupervisor
 from .events import STREAM_WAL_DIM, StreamPoint, points_from_record, points_to_record
 from .ingest import IngestResult, StreamConfig, StreamIngestor
 from .window import SlidingWindowStore, WindowConfig
@@ -25,7 +22,6 @@ __all__ = [
     "STREAM_WAL_DIM",
     "IngestResult",
     "SlidingWindowStore",
-    "SourceSupervisor",
     "StreamConfig",
     "StreamIngestor",
     "StreamPoint",

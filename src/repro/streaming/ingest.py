@@ -26,8 +26,7 @@ tier out of existing subsystems:
 * ingest admission is load-shed by an
   :class:`~repro.resilience.admission.AdmissionGate` — under overload
   callers get :class:`~repro.exceptions.ServiceOverloadedError`
-  immediately and retry with backoff (see
-  :class:`~repro.streaming.consumer.SourceSupervisor`).
+  immediately; retrying (with backoff) is the caller's choice.
 
 Crash safety: the constructor loads the log's snapshot, replays the
 accepted points :meth:`DurableLog.replay` yields past it, in LSN order,

@@ -5,7 +5,7 @@ scripted and reproducible:
 
 * :class:`FlakyCallable` / :func:`fail_on_nth_call` — fail (or delay)
   specific 1-based call indices of any callable; the serving tests wrap
-  the encoder with it to trip the circuit breaker on cue.
+  the encoder with it to fail or slow an encode on cue.
 * :func:`corrupt_bytes` / :class:`CorruptionSpec` — bit-flip, truncate or
   zero a file at a deterministic position; the artifact tests feed the
   result to the bundle/store/checkpoint loaders.
@@ -41,7 +41,7 @@ import numpy as np
 PathLike = Union[str, Path]
 
 __all__ = ["CorruptionSpec", "FaultInjected", "FlakyCallable",
-           "FlappingSource", "HangInWorker", "KillAtWALPoint",
+           "HangInWorker", "KillAtWALPoint",
            "KillWorkerOnce", "PoisonOnCalls", "corrupt_bytes",
            "fail_on_nth_call"]
 
@@ -361,47 +361,3 @@ class HangInWorker(_MeasureWrapper):
                 return
             os.close(fd)
         time.sleep(self.sleep_s)
-
-
-class FlappingSource:
-    """A scripted point stream that dies mid-delivery and replays.
-
-    ``connect()`` yields the scripted points in order but raises
-    :class:`FaultInjected` at the scheduled cut positions — one cut per
-    connect attempt, consumed in order. Each reconnect replays from
-    ``rewind`` points before where the previous attempt died (or from
-    the start with ``rewind=None``), modelling a source whose resume
-    cursor is coarse: the ingester sees duplicate deliveries, exactly
-    what its sequence dedup must absorb. After the cut schedule is
-    exhausted, the stream runs to completion.
-
-    Single-threaded (one supervisor drives one source); deterministic.
-    """
-
-    def __init__(self, points: Iterable, cut_after: Iterable[int],
-                 rewind: Optional[int] = None):
-        self.points = list(points)
-        self.cuts = list(cut_after)
-        self.rewind = rewind
-        self.connects = 0
-        self._next_cut = 0
-        self._resume_at = 0
-
-    def connect(self):
-        self.connects += 1
-        start = self._resume_at
-        if self._next_cut < len(self.cuts):
-            cut = self.cuts[self._next_cut]
-            self._next_cut += 1
-            cut = max(min(cut, len(self.points)), start)
-            self._resume_at = (0 if self.rewind is None
-                               else max(cut - self.rewind, 0))
-            return self._yield_then_fail(start, cut)
-        return iter(self.points[start:])
-
-    def _yield_then_fail(self, start: int, cut: int):
-        for point in self.points[start:cut]:
-            yield point
-        raise FaultInjected(
-            f"source flapped after delivering {cut} points "
-            f"(connect #{self.connects})")

@@ -236,20 +236,20 @@ def test_deadline_maps_to_504(server):
     assert "within" in _json(body)["error"]
 
 
-def test_degraded_answer_serialized(server, serving_world):
-    """A breaker-open service with a fallback still answers 200 + degraded."""
+def test_topk_answer_serialized(server):
+    """A top-k answer goes out as exactly these keys (no ``degraded``)."""
     from repro.serving.service import TopKResult
 
-    def degraded(*args, **kwargs):
-        return TopKResult(ids=[3, 1], distances=[0.25, 0.5], degraded=True)
+    def partial(*args, **kwargs):
+        return TopKResult(ids=[3, 1], distances=[0.25, 0.5], partial=True)
 
-    server.service.top_k = degraded
+    server.service.top_k = partial
     status, body = _call(server, "/v1/topk",
                          {"trajectory": [[0.0, 0.0], [1.0, 1.0]]})
     assert status == 200
-    payload = _json(body)
-    assert payload["degraded"] is True
-    assert payload["ids"] == [3, 1]
+    assert _json(body) == {"ids": [3, 1], "distances": [0.25, 0.5],
+                           "cached": False, "quality": None,
+                           "partial": True}
 
 
 def test_admin_compact_single_process(server):

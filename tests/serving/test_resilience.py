@@ -1,24 +1,22 @@
 """Fault-injection tests for the hardened serving layer.
 
 Exercises the robustness contract end to end: boundary validation,
-admission-gate load shedding, deadline propagation, the encoder circuit
-breaker with grid-index degraded answers, half-open re-probing, and
-clean-shutdown semantics. Every fault is injected deterministically via
-:mod:`repro.testing.faults` or a fake clock — no sleeps for luck.
+admission-gate load shedding, deadline propagation, per-request isolation
+of encoder failures, and clean-shutdown semantics. Faults are injected
+by :mod:`repro.testing.faults` or a scripted ``embed``; orderings that
+matter are forced with event gates, not sleeps.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.exceptions import (DeadlineExceededError, InvalidTrajectoryError,
-                              ServiceClosedError, ServiceOverloadedError,
-                              ServiceUnavailableError)
-from repro.index.grid_index import GridInvertedIndex
-from repro.resilience import CircuitBreaker
+                              ServiceClosedError, ServiceOverloadedError)
 from repro.serving import ServingConfig, SimilarityService
-from repro.testing import FaultInjected, FlakyCallable
+from repro.testing import FlakyCallable
 
 pytestmark = pytest.mark.faults
 
@@ -34,27 +32,31 @@ class _WrappedModel:
         return getattr(self._model, name)
 
 
-def _make_service(serving_world, fresh_store, config=None, embed=None,
-                  with_fallback=True):
+def _make_service(serving_world, fresh_store, config=None, embed=None):
     model, items = serving_world
-    fallback = None
-    if with_fallback:
-        grid = model._require_fitted().grid
-        fallback = GridInvertedIndex(grid)
-        for traj_id, traj in zip(fresh_store.ids, items[:16]):
-            fallback.insert(traj_id, np.asarray(traj.points))
     if embed is not None:
         model = _WrappedModel(model, embed)
-    return SimilarityService(
-        model, fresh_store,
-        config or ServingConfig(),
-        probes=items[:2], fallback_index=fallback)
+    return SimilarityService(model, fresh_store, config or ServingConfig(),
+                             probes=items[:2])
+
+
+def _poisoned(embed, poison):
+    """``embed`` that raises ``ValueError`` on any batch holding ``poison``."""
+    def wrapped(trajectories, batch_size=None):
+        if any(np.array_equal(t.points, poison.points) for t in trajectories):
+            raise ValueError("poison trajectory")
+        return embed(trajectories, batch_size=batch_size)
+    return wrapped
+
+
+def _offline_ids(store, query, k):
+    return [int(i) for i in store.query(query, k)[0]]
 
 
 # ----------------------------------------------------------------- validation
 
 def test_boundary_validation_rejects_garbage(serving_world, fresh_store):
-    service = _make_service(serving_world, fresh_store, with_fallback=False)
+    service = _make_service(serving_world, fresh_store)
     try:
         bad_inputs = [
             [],                                # empty
@@ -75,8 +77,7 @@ def test_boundary_validation_rejects_garbage(serving_world, fresh_store):
 
 def test_max_points_limit(serving_world, fresh_store):
     config = ServingConfig(max_points=5)
-    service = _make_service(serving_world, fresh_store, config=config,
-                            with_fallback=False)
+    service = _make_service(serving_world, fresh_store, config=config)
     try:
         too_long = [[float(i), float(i)] for i in range(6)]
         with pytest.raises(InvalidTrajectoryError, match="limit 5"):
@@ -99,7 +100,7 @@ def test_admission_gate_sheds_excess_load(serving_world, fresh_store):
 
     config = ServingConfig(max_inflight=1)
     service = _make_service(serving_world, fresh_store, config=config,
-                            embed=slow_embed, with_fallback=False)
+                            embed=slow_embed)
     try:
         first = threading.Thread(
             target=lambda: service.top_k(items[0], k=3, use_cache=False))
@@ -124,8 +125,7 @@ def test_admission_gate_sheds_excess_load(serving_world, fresh_store):
 def test_deadline_exceeded_is_typed_and_counted(serving_world, fresh_store):
     model, items = serving_world
     slow = FlakyCallable(model.embed, latency_s=0.5, latency_on=(1,))
-    service = _make_service(serving_world, fresh_store, embed=slow,
-                            with_fallback=False)
+    service = _make_service(serving_world, fresh_store, embed=slow)
     try:
         with pytest.raises(DeadlineExceededError):
             service.top_k(items[0], k=3, use_cache=False, timeout=0.05)
@@ -133,123 +133,127 @@ def test_deadline_exceeded_is_typed_and_counted(serving_world, fresh_store):
         assert snap["repro_deadline_exceeded_total"] == 1
         # the service recovers once the slow call is out of the way
         result = service.top_k(items[0], k=3, use_cache=False, timeout=10.0)
-        assert len(result.ids) == 3 and not result.degraded
+        assert len(result.ids) == 3
     finally:
         service.close()
 
 
-# ------------------------------------------------- breaker + degraded answers
+# ------------------------------------------------- per-request isolation
 
-def test_breaker_opens_and_degrades_to_grid_index(serving_world, fresh_store):
+def test_poison_requests_never_fail_good_ones(serving_world, fresh_store):
+    """Repeated encoder failures stay with the requests that caused them:
+    no later good request is refused, and the service stays ready."""
     model, items = serving_world
-    flaky = FlakyCallable(model.embed, fail_on=range(1, 100))
-    config = ServingConfig(breaker_failure_threshold=3,
-                           breaker_reset_s=60.0)
-    service = _make_service(serving_world, fresh_store, config=config,
-                            embed=flaky)
+    poison = items[20]
+    service = _make_service(serving_world, fresh_store,
+                            embed=_poisoned(model.embed, poison))
     try:
-        # below the threshold the raw fault propagates (no silent lies)
-        for _ in range(2):
-            with pytest.raises(FaultInjected):
-                service.top_k(items[0], k=3, use_cache=False)
-        # the tripping request and everything after degrade gracefully
-        for query in (items[0], items[1], items[2]):
-            result = service.top_k(query, k=3, use_cache=False)
-            assert result.degraded
-            assert result.ids, "degraded answer found no candidates"
-            assert result.distances == sorted(result.distances)
-            assert all(0.0 < d <= 1.0 for d in result.distances)
-        assert service.breaker.state == "open"
-        snap = service.registry.snapshot()
-        assert snap["repro_degraded_answers_total"] == 3
-        assert snap["repro_encoder_failures_total"] == 3
-        assert snap["repro_breaker_transitions_total"] >= 1
-        # degraded answers are never cached: a repeat query recomputes
-        again = service.top_k(items[0], k=3)
-        assert again.degraded and not again.cached
-        assert not service.readiness()["ready"]
-        assert not service.readiness()["checks"]["encoder_breaker_closed"]
-    finally:
-        service.close()
-
-
-def test_degraded_answers_overlap_real_neighbours(serving_world, fresh_store):
-    """The fallback is approximate, not random: a database trajectory's
-
-    own id must rank first when it queries for itself (it shares every
-    cell with itself)."""
-    model, items = serving_world
-    flaky = FlakyCallable(model.embed, fail_on=range(1, 100))
-    config = ServingConfig(breaker_failure_threshold=1)
-    service = _make_service(serving_world, fresh_store, config=config,
-                            embed=flaky)
-    try:
-        with service.target._shards[0]._lock:
-            ids = list(fresh_store.ids)
-        for traj_id, traj in list(zip(ids, items[:16]))[:4]:
-            result = service.top_k(traj, k=1, use_cache=False)
-            assert result.degraded
-            assert result.ids[0] == traj_id
-    finally:
-        service.close()
-
-
-def test_breaker_open_without_fallback_is_unavailable(serving_world,
-                                                      fresh_store):
-    model, items = serving_world
-    flaky = FlakyCallable(model.embed, fail_on=range(1, 100))
-    config = ServingConfig(breaker_failure_threshold=1)
-    service = _make_service(serving_world, fresh_store, config=config,
-                            embed=flaky, with_fallback=False)
-    try:
-        with pytest.raises(FaultInjected):
-            service.top_k(items[0], k=3, use_cache=False)
-        with pytest.raises(ServiceUnavailableError):
-            service.top_k(items[0], k=3, use_cache=False)
-    finally:
-        service.close()
-
-
-def test_breaker_reprobes_and_recovers(serving_world, fresh_store):
-    model, items = serving_world
-    flaky = FlakyCallable(model.embed, fail_on=(1, 2))  # then healthy
-    service = _make_service(serving_world, fresh_store, embed=flaky)
-    clock = [0.0]
-    service.breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=5.0,
-                                     clock=lambda: clock[0])
-    try:
-        for _ in range(2):
-            try:
-                service.top_k(items[0], k=3, use_cache=False)
-            except FaultInjected:
-                pass
-        assert service.breaker.state == "open"
-        degraded = service.top_k(items[0], k=3, use_cache=False)
-        assert degraded.degraded
-        # after the reset timeout the half-open probe reaches the (now
-        # healthy) encoder and the breaker closes again
-        clock[0] = 6.0
+        service.warmup(queries=1)
+        for _ in range(8):
+            with pytest.raises(ValueError, match="poison"):
+                service.top_k(poison, k=3, use_cache=False)
         result = service.top_k(items[0], k=3, use_cache=False)
-        assert not result.degraded
-        assert service.breaker.state == "closed"
-        assert result.ids == [int(i) for i in
-                              fresh_store.query(items[0], 3)[0]]
+        assert result.ids == _offline_ids(fresh_store, items[0], 3)
+        assert service.readiness()["ready"]
+        assert service.registry.snapshot()[
+            "repro_encoder_failures_total"] == 8
     finally:
         service.close()
 
 
-def test_insert_delete_keep_fallback_index_in_sync(serving_world,
-                                                   fresh_store):
+def test_poison_in_a_shared_batch_fails_only_its_caller(serving_world,
+                                                        fresh_store):
     model, items = serving_world
-    service = _make_service(serving_world, fresh_store)
+    poison, good = items[20], items[1:4]
+    entered = threading.Event()
+    release = threading.Event()
+    batches = []
+    poisoned = _poisoned(model.embed, poison)
+
+    def gated_embed(trajectories, batch_size=None):
+        batches.append(len(trajectories))
+        entered.set()
+        assert release.wait(10.0), "test deadlock: release never set"
+        return poisoned(trajectories, batch_size=batch_size)
+
+    service = _make_service(serving_world, fresh_store, embed=gated_embed)
+    outcomes = {}
+
+    def ask(name, query):
+        try:
+            outcomes[name] = service.top_k(query, k=3, use_cache=False)
+        except ValueError as exc:
+            outcomes[name] = exc
+
     try:
-        index = service.fallback_index
-        before = index.size
-        new_ids = service.insert(items[16:18])
-        assert index.size == before + 2
-        removed = service.delete(new_ids)
-        assert removed == 2
-        assert index.size == before
+        blocker = threading.Thread(target=ask, args=("blocker", items[0]))
+        blocker.start()
+        assert entered.wait(10.0)
+        # The encoder is busy: these four queue up and form the next batch.
+        askers = [threading.Thread(target=ask, args=(name, query))
+                  for name, query in [("poison", poison)]
+                  + [(f"good{i}", q) for i, q in enumerate(good)]]
+        for thread in askers:
+            thread.start()
+        give_up = time.monotonic() + 10.0
+        while True:
+            with service._batcher._lock:
+                if len(service._batcher._queue) == len(askers):
+                    break
+            assert time.monotonic() < give_up, "requests never queued"
+            time.sleep(0.001)
+        release.set()
+        for thread in [blocker] + askers:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert batches[:2] == [1, len(askers)]
+        assert isinstance(outcomes["poison"], ValueError)
+        for i, query in enumerate(good):
+            assert outcomes[f"good{i}"].ids == _offline_ids(fresh_store,
+                                                            query, 3)
+    finally:
+        release.set()
+        service.close()
+
+
+def test_load_shedding_accounts_for_every_request(serving_world, fresh_store):
+    """6 clients x 10 queries against 2 admission slots: every request is
+    answered or shed (none lost, none hung) and the gate drains."""
+    model, items = serving_world
+    clients, per_client = 6, 10
+    slow = FlakyCallable(model.embed, latency_s=0.002)
+    service = _make_service(serving_world, fresh_store,
+                            config=ServingConfig(cache_capacity=0,
+                                                 max_inflight=2),
+                            embed=slow)
+    accepted = [0] * clients
+    shed = [0] * clients
+    barrier = threading.Barrier(clients)
+
+    def client(idx):
+        barrier.wait()
+        for n in range(per_client):
+            query = items[(idx * per_client + n) % len(items)]
+            try:
+                service.top_k(query, k=3, use_cache=False, timeout=30.0)
+                accepted[idx] += 1
+            except ServiceOverloadedError:
+                shed[idx] += 1
+
+    try:
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(clients)]
+        for thread in threads:
+            thread.start()
+        give_up = time.monotonic() + 60.0
+        for thread in threads:
+            thread.join(timeout=max(0.0, give_up - time.monotonic()))
+        assert not any(t.is_alive() for t in threads), "a client hung"
+        assert sum(accepted) + sum(shed) == clients * per_client
+        assert sum(shed) > 0
+        admission = service.stats()["resilience"]["admission"]
+        assert admission["in_flight"] == 0
+        assert admission["shed"] == sum(shed)
     finally:
         service.close()
 
@@ -258,7 +262,7 @@ def test_insert_delete_keep_fallback_index_in_sync(serving_world,
 
 def test_close_rejects_new_work_with_typed_error(serving_world, fresh_store):
     _, items = serving_world
-    service = _make_service(serving_world, fresh_store, with_fallback=False)
+    service = _make_service(serving_world, fresh_store)
     service.warmup(queries=1)
     service.close()
     with pytest.raises(ServiceClosedError):
@@ -268,7 +272,7 @@ def test_close_rejects_new_work_with_typed_error(serving_world, fresh_store):
 
 
 def test_readiness_lifecycle(serving_world, fresh_store):
-    service = _make_service(serving_world, fresh_store, with_fallback=False)
+    service = _make_service(serving_world, fresh_store)
     try:
         ready = service.readiness()
         assert not ready["ready"]

@@ -1,17 +1,11 @@
-"""Porto timed replay and per-source supervision (flap/shed survival)."""
+"""Porto timed replay: determinism, injected faults, window convergence."""
 
 import numpy as np
 import pytest
 
 from repro.datasets.porto import (PortoConfig, StreamReplayConfig,
                                   generate_porto, replay_stream)
-from repro.exceptions import ServiceOverloadedError
-from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.retry import RetryPolicy
-from repro.streaming import SlidingWindowStore, SourceSupervisor, WindowConfig
-from repro.testing.faults import FlappingSource
-
-from tests.streaming.conftest import in_order_points
+from repro.streaming import SlidingWindowStore, WindowConfig
 
 pytestmark = pytest.mark.streaming
 
@@ -75,112 +69,3 @@ def test_faulty_replay_converges_through_a_window():
         segment = window.segment(sid)
         np.testing.assert_array_equal(segment.points(),
                                       truth[segment.source_id])
-
-
-# --------------------------------------------------------------- supervisor
-
-
-def _noop_sleep(_):
-    pass
-
-
-def test_supervisor_survives_flaps_and_completes():
-    points = in_order_points(7, 40)
-    source = FlappingSource(points, cut_after=[10, 25], rewind=5)
-    delivered = []
-    supervisor = SourceSupervisor(
-        7, source.connect, lambda batch: delivered.extend(batch),
-        batch_size=4, sleep=_noop_sleep)
-    stats = supervisor.run()
-    assert stats["completed"] and stats["flaps"] == 2
-    assert source.connects == 3
-    # Rewind replays points already delivered: at-least-once, never lossy.
-    assert {(p.source_id, p.seq) for p in delivered} == {
-        (p.source_id, p.seq) for p in points}
-    assert len(delivered) > len(points)
-
-
-def test_supervisor_gives_up_after_reconnect_exhaustion():
-    points = in_order_points(7, 20)
-    source = FlappingSource(points, cut_after=[2] * 50, rewind=0)
-    supervisor = SourceSupervisor(
-        7, source.connect, lambda batch: None, batch_size=4,
-        reconnect=RetryPolicy(max_retries=3, base_delay_s=0.0),
-        sleep=_noop_sleep)
-    stats = supervisor.run()
-    assert not stats["completed"]
-    assert stats["flaps"] == 4  # initial try + 3 retries
-
-
-def test_supervisor_retry_budget_is_per_outage_not_per_lifetime():
-    """A long-lived source that flaps more times than max_retries — but
-    makes progress between flaps — must never be abandoned: the retry
-    budget and backoff schedule reset after any connect that delivered
-    points."""
-    points = in_order_points(7, 40)
-    cuts = [4 * (i + 1) for i in range(9)]  # 9 flaps, 4 points each
-    source = FlappingSource(points, cut_after=cuts, rewind=0)
-    delivered = []
-    supervisor = SourceSupervisor(
-        7, source.connect, lambda batch: delivered.extend(batch),
-        batch_size=2,
-        reconnect=RetryPolicy(max_retries=2, base_delay_s=0.0),
-        breaker=CircuitBreaker(failure_threshold=100, reset_timeout_s=0.01),
-        sleep=_noop_sleep)
-    stats = supervisor.run()
-    assert stats["completed"]
-    assert stats["flaps"] == 9  # far past max_retries=2, all survived
-    assert {(p.source_id, p.seq) for p in delivered} == {
-        (p.source_id, p.seq) for p in points}
-
-
-def test_supervisor_retries_admission_sheds():
-    points = in_order_points(7, 8)
-    sheds = {"left": 3}
-
-    def flaky_ingest(batch):
-        if sheds["left"]:
-            sheds["left"] -= 1
-            raise ServiceOverloadedError("gate full")
-
-    supervisor = SourceSupervisor(
-        7, lambda: iter(points), flaky_ingest, batch_size=8,
-        sleep=_noop_sleep)
-    stats = supervisor.run()
-    assert stats["completed"]
-    assert stats["sheds_retried"] == 3
-
-
-def test_supervisor_raises_through_after_overload_exhaustion():
-    points = in_order_points(7, 4)
-
-    def always_shed(batch):
-        raise ServiceOverloadedError("gate full")
-
-    supervisor = SourceSupervisor(
-        7, lambda: iter(points), always_shed, batch_size=4,
-        overload=RetryPolicy(max_retries=2, base_delay_s=0.0),
-        reconnect=RetryPolicy(max_retries=1, base_delay_s=0.0),
-        sleep=_noop_sleep)
-    stats = supervisor.run()
-    # The shed bubbled out of _deliver, counted as flaps until the
-    # reconnect budget also ran out: the supervisor never wedges.
-    assert not stats["completed"]
-    assert stats["sheds_retried"] >= 2
-
-
-def test_jittered_backoff_is_seeded_and_bounded():
-    policy = RetryPolicy(max_retries=5, base_delay_s=0.1, multiplier=2.0,
-                         max_delay_s=1.0, jitter=0.5)
-    rng1 = np.random.default_rng(0)
-    rng2 = np.random.default_rng(0)
-    d1 = [policy.delay(a, rng=rng1) for a in range(1, 6)]
-    d2 = [policy.delay(a, rng=rng2) for a in range(1, 6)]
-    assert d1 == d2  # same seed, same schedule
-    base = [policy.delay(a) for a in range(1, 6)]
-    for got, nominal in zip(d1, base):
-        assert 0.5 * nominal <= got <= 1.5 * nominal
-        # max_delay_s caps the *jittered* delay, not just the nominal one.
-        assert got <= policy.max_delay_s
-    rng3 = np.random.default_rng(1)
-    assert [policy.delay(a, rng=rng3) for a in range(1, 6)] != d1
