@@ -21,6 +21,10 @@ next to this file:
   the tape engine under ``no_grad`` (``encode(update_memory=False)``, and
   one ``tape_step`` on a point projected by itself) vs the tape-free kernel
   behind ``embed`` / ``extend_prefix``. Gated on ``identical`` only;
+* **prefix_fold_batch** — the ingest re-embed of 45 segments with 1-2 new
+  points each: one ``extend_prefix`` per segment vs one
+  ``extend_prefixes`` call folding them all as rows of a padded batch.
+  Gated on ``identical`` only (every row's ``h``, ``c`` and ``length``);
 * **store_mutation** — 200 mixed single-row ``add_embeddings`` /
   ``remove`` / ``upsert_embeddings`` on an ``EmbeddingStore`` of 1 000 and
   of 100 000 rows: the copy-the-table statements the store used to run
@@ -72,6 +76,7 @@ CONFIG = {
     "infer_single_points": 75,
     "infer_batch": 100,
     "infer_batch_points": 30,
+    "fold_segments": 45,
     "store_rows": [1000, 100_000],
     "store_dim": 32,
     "store_mutations": 200,
@@ -423,6 +428,38 @@ def bench_extend_prefix_point() -> dict:
         lambda: encoder.extend_prefix(state, point).h, calls=500)
 
 
+def bench_prefix_fold_batch() -> dict:
+    """The ingest re-embed: per-segment folds vs one batched fold."""
+    encoder = _inference_encoder()
+    rng = np.random.default_rng(7)
+    walks = _walks(CONFIG["fold_segments"], 40, seed=8)
+    states = [encoder.encode_prefix(walk.points[:int(rng.integers(0, 30))])
+              for walk in walks]
+    tails = [walk.points[state.length:state.length + int(rng.integers(1, 3))]
+             for walk, state in zip(walks, states)]
+
+    def per_segment():
+        return [encoder.extend_prefix(state, tail)
+                for state, tail in zip(states, tails)]
+
+    def batched():
+        return encoder.extend_prefixes(states, tails)
+
+    before = _best_of(per_segment, repeats=5)
+    after = _best_of(batched, repeats=5)
+    return {
+        "before": f"{len(states)} extend_prefix calls, one per segment",
+        "after": "one extend_prefixes call, segments as rows of a batch",
+        "before_s": before,
+        "after_s": after,
+        "speedup": before / after,
+        "identical": all(
+            alone.length == row.length and np.array_equal(alone.h, row.h)
+            and np.array_equal(alone.c, row.c)
+            for alone, row in zip(per_segment(), batched())),
+    }
+
+
 class _SeedTable:
     """Pre-optimisation ``EmbeddingStore`` mutation path: every call
     copies the whole table and sweeps every id."""
@@ -617,6 +654,7 @@ KERNELS = {
     "embed_single": bench_embed_single,
     "extend_prefix_point": bench_extend_prefix_point,
     "embed_batch": bench_embed_batch,
+    "prefix_fold_batch": bench_prefix_fold_batch,
     "store_mutation": bench_store_mutation,
     "ivf_kmeans": bench_ivf_kmeans,
 }

@@ -130,7 +130,8 @@ def _import_bench(module_name: str):
 #: at 100 000 rows within 3x of the one at 1 000, both from the fresh
 #: run: the shape of the cost, which no committed number enters.
 IDENTITY_ONLY_KERNELS = ("embed_single", "extend_prefix_point",
-                         "embed_batch", "store_mutation", "ivf_kmeans")
+                         "embed_batch", "prefix_fold_batch",
+                         "store_mutation", "ivf_kmeans")
 
 
 def compare_reports(baseline: dict, fresh: dict,

@@ -15,8 +15,9 @@ It also checks that configured inference entry points (``embed``,
 ``extend_prefix``) cannot start taping by accident: each either enters
 ``no_grad()``, or reaches the engine only through the tape-free kernel —
 every use of an owner in the ``kernel_calls`` option is one of its allowed
-calls (or hands the owner on as an argument), at least one such call is
-made, and the body names neither ``Tensor`` nor ``as_tensor``.
+calls (or hands the owner on as an argument), at least one such call, or
+a ``self.`` call of another entry point of its file, is made, and the
+body names neither ``Tensor`` nor ``as_tensor``.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ class TapeDiscipline(Rule):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                         and node.name in wanted \
                         and not self._enters_no_grad(node):
-                    problem = self._outside_kernel(node, kernel_calls)
+                    problem = self._outside_kernel(node, kernel_calls,
+                                                   wanted - {node.name})
                     if problem:
                         out.append(module.finding(
                             self.rule_id, node,
@@ -137,8 +139,10 @@ class TapeDiscipline(Rule):
         return out
 
     @staticmethod
-    def _outside_kernel(fn: ast.AST, kernel_calls) -> str:
-        """Why ``fn`` is not kernel-only ("" when it is)."""
+    def _outside_kernel(fn: ast.AST, kernel_calls, siblings=frozenset()
+                        ) -> str:
+        """Why ``fn`` is not kernel-only ("" when it is); a ``self.`` call
+        of one of the ``siblings`` entry points counts as a kernel call."""
         nodes = list(ast.walk(fn))
         prefixes = {id(n.value) for n in nodes if isinstance(n, ast.Attribute)}
         # Whole ``a.b.c`` chains only, not the ``a.b`` inside them.
@@ -146,8 +150,9 @@ class TapeDiscipline(Rule):
                   and isinstance(n, (ast.Name, ast.Attribute))} - {None}
         called = {dotted_name(n.func) for n in nodes
                   if isinstance(n, ast.Call)}
-        kernel = {f"{owner}.{call}" for owner, calls in kernel_calls.items()
-                  for call in calls} & called
+        kernel = ({f"{owner}.{call}" for owner, calls in kernel_calls.items()
+                   for call in calls}
+                  | {f"self.{name}" for name in siblings}) & called
         for name in sorted(chains - kernel):
             if name.split(".")[-1] in ("Tensor", "as_tensor"):
                 return f"names {name}"

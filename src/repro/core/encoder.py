@@ -36,7 +36,9 @@ class PrefixState:
 
     Instances are immutable value objects — extending a prefix returns a
     new state, so a caller can keep the old one (e.g. for speculative
-    growth or crash-safe checkpointing).
+    growth or crash-safe checkpointing). States of many trajectories fold
+    together as rows of one batch (:meth:`TrajectoryEncoder.extend_prefixes`)
+    and each lands on the bits it would reach folded alone.
 
     Attributes
     ----------
@@ -128,32 +130,56 @@ class TrajectoryEncoder(Module):
                       points: np.ndarray) -> PrefixState:
         """Fold ``points`` ((n, 2) raw coordinates) into ``state``.
 
-        Runs the recurrence one point at a time with batch size 1, tape-free
-        (``Recurrent.fold``) and the memory read-only. Each point's input
-        projection is computed individually, so the result is invariant
-        to how a growing trajectory is chunked across calls: extending
-        point by point, in bursts, or all at once produces bit-identical
-        states. (The batched :meth:`embed` path hoists all projections
-        into one GEMM whose BLAS kernel may round differently by ~1 ulp;
-        :meth:`encode_prefix` is the canonical full re-encoding to
-        compare incremental growth against.)
+        The one-row case of :meth:`extend_prefixes`: tape-free, the memory
+        read-only, each point's input projection computed by itself, so
+        the result is invariant to how a growing trajectory is chunked
+        across calls — extending point by point, in bursts, or all at
+        once produces bit-identical states. (The batched :meth:`embed`
+        path hoists all projections into one GEMM whose BLAS kernel may
+        round differently by ~1 ulp; :meth:`encode_prefix` is the
+        canonical full re-encoding to compare incremental growth
+        against.)
 
         Returns a new state; ``state`` itself is not mutated.
         """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise ValueError(
-                f"expected points of shape (n, 2), got {points.shape}")
-        if points.shape[0] == 0:
-            return PrefixState(h=state.h.copy(), c=state.c.copy(),
-                               length=state.length)
-        if not np.isfinite(points).all():
+        return self.extend_prefixes([state], [points])[0]
+
+    def extend_prefixes(self, states: Sequence[PrefixState],
+                        tails: Sequence[np.ndarray]) -> List[PrefixState]:
+        """Fold each of ``tails`` ((n_i, 2) raw coordinates) into the
+        matching one of ``states``, in one padded tape-free unroll
+        (``Recurrent.fold``) with the memory read-only.
+
+        Batch-invariant as well as chunk-invariant: the products run row
+        by row, so state ``i`` of the result is bit for bit
+        ``extend_prefix(states[i], tails[i])``, whatever the other rows
+        are. An empty tail returns a copy of its state. No state is
+        mutated.
+        """
+        if len(states) != len(tails):
+            raise ValueError(f"{len(states)} states for {len(tails)} tails")
+        if not states:
+            return []
+        tails = [np.asarray(points, dtype=np.float64) for points in tails]
+        for points in tails:
+            if points.ndim != 2 or points.shape[1] != 2:
+                raise ValueError(
+                    f"expected points of shape (n, 2), got {points.shape}")
+        lengths = [len(points) for points in tails]
+        coords = np.zeros((len(tails), max(lengths, default=0), 2))
+        for row, points in enumerate(tails):
+            coords[row, :len(points)] = points
+        if not np.isfinite(coords).all():
             raise ValueError("points must be finite")
-        inputs = self.normalizer.transform(points)
-        cells = self.grid.to_cells(points) if self.uses_sam else None
-        h, c = self.rnn.fold(state.h, state.c, inputs, cells, self.memory)
-        return PrefixState(h=h, c=c,
-                           length=state.length + int(points.shape[0]))
+        h, c = self.rnn.fold(
+            np.concatenate([state.h for state in states]),
+            np.concatenate([state.c for state in states]),
+            self.normalizer.transform(coords), lengths,
+            self.grid.to_cells(coords) if self.uses_sam else None,
+            self.memory)
+        return [PrefixState(h=h[row:row + 1].copy(), c=c[row:row + 1].copy(),
+                            length=state.length + length)
+                for row, (state, length) in enumerate(zip(states, lengths))]
 
     def encode_prefix(self, points: np.ndarray) -> PrefixState:
         """Full re-encoding through the incremental path (from scratch).

@@ -14,7 +14,9 @@ timesteps hoisted into one ``(B·T, in) @ W^T + b`` tape node per weight,
 SAM windows re-read in backward through a :class:`~repro.nn.sam.WindowLog`
 instead of taped), ``infer`` / ``fold`` tape-free for inference, the same
 numpy operations in the same order, so their float64 outputs are
-bit-identical to ``forward``'s.
+bit-identical to ``forward``'s. ``fold`` (the streaming prefix fold) runs
+every product row by row (:func:`rowwise_matmul`), so each row of its
+batch gets the bits that row would get folded alone.
 
 :meth:`LSTMCell.forward` (and :meth:`SAMLSTMCell.forward
 <repro.nn.sam.SAMLSTMCell.forward>` + ``read``) are the paper's equations
@@ -24,9 +26,10 @@ to, to 1e-12. No setting reaches them.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,11 +38,24 @@ from .module import Module, Parameter
 from .tensor import Tensor, logistic, unstack
 
 
+def rowwise_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` for a C-contiguous (B, k) ``a``, one 1-row product per row.
+
+    A 2-D GEMM's kernel depends on the row count, and it rounds a row
+    differently at B = 1 than at B >= 2. Stacked as (B, 1, k) matrices, the
+    rows go to numpy's matmul loop one at a time, each through the call a
+    lone row makes, so a row's bits never depend on its batch-mates.
+    """
+    rows = a.shape[0]
+    return np.matmul(a.reshape(rows, 1, -1), w).reshape(rows, -1)
+
+
 def step_forward(x_gates: np.ndarray, x_cand: np.ndarray, h: np.ndarray,
                  c: np.ndarray, window: Optional[np.ndarray],
                  carry: Optional[np.ndarray], u_gates_t: np.ndarray,
                  u_cand_t: np.ndarray, w_read_t: Optional[np.ndarray] = None,
-                 b_read: Optional[np.ndarray] = None
+                 b_read: Optional[np.ndarray] = None, *,
+                 _matmul: Callable = np.matmul
                  ) -> Tuple[np.ndarray, np.ndarray, tuple]:
     """One recurrent step on plain arrays — the only statement of its math.
 
@@ -49,14 +65,15 @@ def step_forward(x_gates: np.ndarray, x_cand: np.ndarray, h: np.ndarray,
     c_his``; then ``h_t = o * tanh(c_t)``, rows where ``carry`` (B, 1) is
     True keeping their previous states. :func:`tape_step` differentiates
     through ``saved = (slab, cand, attn, cat, c_his, tanh_ct)``; inference
-    keeps ``h_t, c_t``. Returns ``(h_t, c_t, saved)``.
+    keeps ``h_t, c_t``. Returns ``(h_t, c_t, saved)``. ``_matmul`` is the
+    product of the three weight GEMMs: :func:`rowwise_matmul` in ``fold``.
     """
     # In place only on arrays this step allocated: ``x_gates`` / ``x_cand``
     # are views into a taped projection, and the operand order is kept.
     batch, d = c.shape
-    pre = h @ u_gates_t
+    pre = _matmul(h, u_gates_t)
     slab = logistic(np.add(x_gates, pre, out=pre))
-    cand = h @ u_cand_t
+    cand = _matmul(h, u_cand_t)
     np.tanh(np.add(x_cand, cand, out=cand), out=cand)
     c_t = slab[:, :d] * c
     c_t += slab[:, d:2 * d] * cand
@@ -70,7 +87,7 @@ def step_forward(x_gates: np.ndarray, x_cand: np.ndarray, h: np.ndarray,
         mix = (window.transpose(0, 2, 1)
                @ attn.reshape(batch, -1, 1)).reshape(batch, d)
         cat = np.concatenate([c_t, mix], axis=-1)
-        c_his = cat @ w_read_t
+        c_his = _matmul(cat, w_read_t)
         c_his += b_read
         np.tanh(c_his, out=c_his)
         c_t += slab[:, 2 * d:3 * d] * c_his
@@ -247,15 +264,17 @@ class Recurrent(Module):
 
     def _projector(self) -> Callable:
         """``x -> (x @ W_gates^T + b_gates, x @ W_cand^T + b_cand)``, each
-        bias added in place into the matmul's fresh result."""
+        bias added in place into the product's fresh result; ``matmul``
+        is the product (:func:`rowwise_matmul` in ``fold``)."""
         cell = self.cell
         w_gates_t, b_gates = cell.w_gates.data.transpose(), cell.b_gates.data
         w_cand_t, b_cand = cell.w_cand.data.transpose(), cell.b_cand.data
 
-        def project(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            gates = x @ w_gates_t
+        def project(x: np.ndarray, matmul: Callable = np.matmul
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+            gates = matmul(x, w_gates_t)
             gates += b_gates
-            cand = x @ w_cand_t
+            cand = matmul(x, w_cand_t)
             cand += b_cand
             return gates, cand
 
@@ -328,21 +347,63 @@ class Recurrent(Module):
         return h
 
     def fold(self, h: np.ndarray, c: np.ndarray, inputs: np.ndarray,
-             cells: Optional[np.ndarray] = None, memory=None
-             ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold one sequence's ``inputs`` (n, in) into its (1, d) states,
-        which are not mutated. Each point is projected by itself — a
-        (1, in) GEMV, never one GEMM over the chunk — so the result does
-        not depend on how a growing sequence is chunked across calls.
+             lengths: Sequence[int], cells: Optional[np.ndarray] = None,
+             memory=None) -> Tuple[np.ndarray, np.ndarray]:
+        """Fold each row of a padded batch into the (B, d) states it
+        resumes from, which are not mutated; returns the new ``(h, c)``.
+
+        ``inputs`` (B, T, input_size) and ``cells`` (B, T, 2) hold row
+        ``i``'s points in their first ``lengths[i]`` steps; the padded
+        steps after them carry the row's states through. Every product
+        runs row by row (:func:`rowwise_matmul`) and each point is
+        projected by itself at its own step, so a row's result is bit for
+        bit the result of folding that row alone, however its sequence
+        was chunked across calls. Rows step longest first and a step runs
+        only the rows still valid, so a short row costs its own steps,
+        not the longest's.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
-        windows = (memory.windows(np.asarray(cells, dtype=int)[:, None, :])
-                   if self._reads(cells, memory) else itertools.repeat(None))
+        reads = self._reads(cells, memory)
+        lengths = [int(n) for n in lengths]
+        steps = max(lengths, default=0)
+        if steps > inputs.shape[1]:
+            raise ValueError(f"a length of {steps} exceeds the "
+                             f"{inputs.shape[1]} padded steps")
+        # Longest first, so the rows valid at step t are the first live[t].
+        order = sorted(range(len(lengths)), key=lengths.__getitem__,
+                       reverse=True)
+        ascending = sorted(lengths)
+        live = [len(lengths) - bisect.bisect_right(ascending, t)
+                for t in range(steps)]
+        if reads:
+            cells = np.asarray(cells, dtype=int)
+        # Own copies of the states, longest row first: a step that runs
+        # only some rows writes them in place.
+        permuted = order != list(range(len(order)))
+        if permuted:
+            h, c, inputs = h[order], c[order], inputs[order]
+            cells = cells[order] if reads else None
+        else:
+            h, c = h.copy(), c.copy()
+        inputs = np.ascontiguousarray(inputs.transpose(1, 0, 2),
+                                      dtype=np.float64)
+        windows = (memory.windows(cells.transpose(1, 0, 2), live)
+                   if reads else itertools.repeat(None))
         project, views = self._projector(), self.cell.weight_views()
-        for t, window in zip(range(len(inputs)), windows):
-            h, c, _ = step_forward(*project(inputs[t:t + 1]), h, c, window,
-                                   None, *views)
-        return h, c
+        for x_t, rows, window in zip(inputs, live, windows):
+            # A lone row's plain product is already the call it gets alone.
+            matmul = rowwise_matmul if rows > 1 else np.matmul
+            if rows == len(h):
+                h, c, _ = step_forward(*project(x_t, matmul), h, c, window,
+                                       None, *views, _matmul=matmul)
+            else:
+                h[:rows], c[:rows], _ = step_forward(
+                    *project(x_t[:rows], matmul), h[:rows], c[:rows], window,
+                    None, *views, _matmul=matmul)
+        if not permuted:
+            return h, c
+        back = np.argsort(order)
+        return h[back], c[back]
 
 
 class LSTM(Recurrent):

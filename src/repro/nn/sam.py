@@ -29,7 +29,7 @@ saturating ``tanh`` and costing ~20 HR@10 points on our workloads):
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,20 +146,24 @@ class SpatialMemory:
         """
         return self.take(*self.window_index(cells))
 
-    def windows(self, cells: np.ndarray) -> Iterator[np.ndarray]:
+    def windows(self, cells: np.ndarray,
+                live: Optional[Sequence[int]] = None) -> Iterator[np.ndarray]:
         """Yield each step's (B, K, d) window for time-major ``cells`` (T, B, 2).
 
         For read-only passes: nothing writes between steps, so the index
         arithmetic is hoisted out of the step loop, a block of steps at a
         time. The windows are still taken per step — a (T, B, K, d) block
-        of them costs more to materialise than it saves.
+        of them costs more to materialise than it saves. With ``live``,
+        step ``t`` takes only the windows of its first ``live[t]`` rows.
         """
         cells = np.asarray(cells, dtype=int)
         per_step = cells.shape[1] * self.window_size * cells.itemsize
         block = max(1, _HOIST_BYTES // per_step)
         for start in range(0, len(cells), block):
-            for flat, outside in zip(
-                    *self.window_index(cells[start:start + block])):
+            index = self.window_index(cells[start:start + block])
+            for t, (flat, outside) in enumerate(zip(*index), start):
+                if live is not None and live[t] < len(flat):
+                    flat, outside = flat[:live[t]], outside[:live[t]]
                 yield self.take(flat, outside)
 
     def window_log(self, cells: np.ndarray) -> "WindowLog":

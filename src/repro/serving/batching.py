@@ -14,10 +14,11 @@ for stragglers. Requests that arrive during an encode form the next
 batch, so batches grow with load and a lone request pays for its own
 encode only.
 
-Failure isolation: when a batched call raises, the worker retries each
-item of the batch individually so the exception lands only on the
-future(s) whose input actually caused it; items that succeed alone still
-get results.
+Failure isolation: when a batched call raises, the worker splits the
+batch in halves and retries each, recursing only into halves that fail,
+so the exception lands only on the future(s) whose input actually caused
+it; items that succeed still get results. One bad item in a batch of N
+costs about 2·log2(N) extra calls, not N.
 
 Robustness contract (see DESIGN.md "Operational robustness"):
 
@@ -217,21 +218,8 @@ class MicroBatcher:
         if not live:
             return
         start = time.monotonic()
-        items = [item for item, _ in live]
         try:
-            results = self._batch_fn(items)
-            if len(results) != len(items):
-                raise RuntimeError(
-                    f"batch_fn returned {len(results)} results for "
-                    f"{len(items)} items")
-        except BaseException as exc:  # noqa: BLE001 — forwarded to futures
-            self._resolve_individually(live, exc)
-        else:
-            for (_, fut), result in zip(live, results):
-                try:
-                    fut.set_result(result)
-                except InvalidStateError:  # pragma: no cover - benign race
-                    pass
+            self._resolve(live)
         finally:
             elapsed = time.monotonic() - start
             with self._lock:
@@ -243,19 +231,27 @@ class MicroBatcher:
                 except Exception:  # observer bugs must not kill the worker
                     _LOG.exception("micro-batcher on_batch observer raised")
 
-    def _resolve_individually(self, live: "List[Tuple[Any, Future]]",
-                              batch_exc: BaseException) -> None:
-        """Batched call failed: isolate the failure to the offending items."""
-        if len(live) == 1:
-            live[0][1].set_exception(batch_exc)
+    def _resolve(self, live: "List[Tuple[Any, Future]]") -> None:
+        """Run ``batch_fn`` on ``live`` and resolve its futures; a failed
+        call is split in halves and each half resolved the same way, so
+        an exception reaches only the futures of items that fail alone."""
+        items = [item for item, _ in live]
+        try:
+            results = self._batch_fn(items)
+            if len(results) != len(items):
+                raise RuntimeError(
+                    f"batch_fn returned {len(results)} results for "
+                    f"{len(items)} items")
+        except BaseException as exc:  # noqa: BLE001 — forwarded to futures
+            if len(live) == 1:
+                live[0][1].set_exception(exc)
+                return
+            middle = len(live) // 2
+            self._resolve(live[:middle])
+            self._resolve(live[middle:])
             return
-        for item, fut in live:
+        for (_, fut), result in zip(live, results):
             try:
-                results = self._batch_fn([item])
-                if len(results) != 1:
-                    raise RuntimeError(
-                        f"batch_fn returned {len(results)} results for 1 item")
-            except BaseException as exc:  # noqa: BLE001
-                fut.set_exception(exc)
-            else:
-                fut.set_result(results[0])
+                fut.set_result(result)
+            except InvalidStateError:  # pragma: no cover - benign race
+                pass

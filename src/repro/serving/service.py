@@ -328,7 +328,8 @@ class SimilarityService:
             "repro_deadline_exceeded_total",
             "Requests dropped because their deadline expired.")
         self._m_encoder_failures = reg.counter(
-            "repro_encoder_failures_total", "Batched encoder calls that raised.")
+            "repro_encoder_failures_total",
+            "Trajectories whose encode raised, each counted once.")
         self._h_latency = reg.histogram(
             "repro_topk_latency_seconds", "End-to-end top-k latency.")
         self._h_encode = reg.histogram(
@@ -400,7 +401,12 @@ class SimilarityService:
             return self.model.embed(trajectories,
                                     batch_size=self.config.max_batch_size)
         except Exception:
-            self._m_encoder_failures.inc()
+            # The batcher splits a failed batch until each error comes
+            # from a call of one item, and hands that error to that
+            # item's request alone: counting those calls counts each
+            # request that receives an encode error once.
+            if len(trajectories) == 1:
+                self._m_encoder_failures.inc()
             raise
 
     def _record_batch(self, batch_size: int, seconds: float) -> None:

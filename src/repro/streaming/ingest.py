@@ -14,8 +14,10 @@ tier out of existing subsystems:
   that never became durable;
 * segments touched by applied points are re-embedded *incrementally*
   through the encoder's :class:`~repro.core.encoder.PrefixState` fold —
-  O(new points), bit-identical to re-encoding from scratch — and upserted
-  into an :class:`~repro.core.store.EmbeddingStore` keyed by segment id;
+  O(new points), every segment a batch touched folded together as rows
+  of one padded batch, each bit-identical to re-encoding it alone from
+  scratch — and upserted into an :class:`~repro.core.store.EmbeddingStore`
+  keyed by segment id;
 * re-embedding runs through a :class:`~repro.serving.batching.MicroBatcher`
   with a bounded in-flight budget. When applied points outrun the
   encoder, segments simply stay *dirty* (a set bounded by the number of
@@ -31,9 +33,10 @@ tier out of existing subsystems:
 Crash safety: the constructor loads the log's snapshot, replays the
 accepted points :meth:`DurableLog.replay` yields past it, in LSN order,
 into the window (deterministic by the window's replay contract) and
-re-encodes every live segment from scratch — equal to the pre-crash
-incremental states because the prefix fold is chunk-invariant. A killed
-ingester therefore restarts with zero acknowledged-point loss.
+re-encodes every live segment from scratch, a bounded block of segments
+per batched fold — equal to the pre-crash incremental states because the
+prefix fold is chunk- and batch-invariant. A killed ingester therefore
+restarts with zero acknowledged-point loss.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ __all__ = ["IngestResult", "StreamConfig", "StreamIngestor",
 
 #: ``DurableLog`` base tag: bumping it invalidates old durable state.
 STREAM_BASE_TAG = "stream-v1"
+
+#: Most segments one synchronous re-embed folds at once: recovery folds
+#: the whole window in blocks of this many.
+_FOLD_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -149,8 +156,8 @@ class StreamIngestor:
     wal_hook:
         Fault-injection seam forwarded to the WAL (crash tests).
     encode_hook:
-        Called once per segment re-embed that has new points — the seam
-        the overload tests use to inject encoder latency/failures.
+        Called once per segment that a re-embed folds new points into —
+        the seam the overload tests use to inject encoder latency/failures.
     """
 
     def __init__(self, encoder: TrajectoryEncoder, directory,
@@ -223,11 +230,14 @@ class StreamIngestor:
                 self._recovered_points += int(record.ids.shape[0])
                 self._accepted_total = max(self._accepted_total,
                                            int(record.ids.max()) + 1)
-            # Re-encode every live segment from scratch. The prefix fold
-            # is chunk-invariant, so these states are bit-identical to
-            # the incremental ones the pre-crash process had built.
-            for segment_id in self._window.live_segments():
-                self._sync_segment_locked(segment_id)
+            # Re-encode every live segment from scratch, shortest first so
+            # each block's rows fold for about as many steps. The prefix
+            # fold is chunk- and batch-invariant, so these states are
+            # bit-identical to the incremental ones the pre-crash process
+            # had built.
+            self._reembed_locked(sorted(
+                self._window.live_segments(),
+                key=lambda segment_id: len(self._window.segment(segment_id))))
             self._set_gauges_locked()
 
     # --------------------------------------------------------------- ingest
@@ -303,8 +313,7 @@ class StreamIngestor:
                 self._dirty.update(sid for sid in touched
                                    if sid not in set(evicted))
                 if self.config.sync_encode:
-                    for segment_id in sorted(self._dirty):
-                        self._sync_segment_locked(segment_id)
+                    self._reembed_locked(sorted(self._dirty))
                 else:
                     self._schedule_locked()
                 result.degraded = self._degraded_locked()
@@ -320,79 +329,75 @@ class StreamIngestor:
 
     # -------------------------------------------------------- re-embedding
 
-    def _sync_segment_locked(self, segment_id: int) -> None:
-        """Fold a segment's un-encoded points and upsert its embedding.
+    def _tails_locked(self, segment_ids: Sequence[int]
+                      ) -> List[Tuple[int, PrefixState, np.ndarray]]:
+        """``(segment id, state, new points)`` for each of ``segment_ids``
+        whose embedding lacks some of its points; the points are a copy,
+        safe to fold outside the lock.
 
-        Caller must hold ``self._lock`` — this is the synchronous path
-        (``sync_encode=True`` and recovery), where the caller is the
-        only thread and holding the lock through the encode is free.
-        Evicted segments are cleaned up instead of encoded.
+        Caller must hold ``self._lock``. Evicted segments are cleaned up
+        and current ones marked clean instead.
         """
-        if not self._window.has_segment(segment_id):
-            self._prefix.pop(segment_id, None)
-            self._dirty.discard(segment_id)
-            return
-        segment = self._window.segment(segment_id)
-        state = self._prefix.get(segment_id)
-        if state is None:
-            state = self.encoder.init_prefix()
-        if state.length < len(segment):
-            if self._encode_hook is not None:
-                self._encode_hook()
-            state = self.encoder.extend_prefix(
-                state, segment.points()[state.length:])
-            self._prefix[segment_id] = state
-            self._store.upsert_embeddings(state.embedding[None, :],
-                                          [segment_id])
-        self._dirty.discard(segment_id)
-
-    def _encode_segment(self, segment_id: int) -> None:
-        """Async re-embed of one segment, encoder *outside* the lock.
-
-        The batcher-worker path: snapshot the segment's pending points
-        under the lock, run the prefix fold unlocked (so a slow encode
-        batch never stalls ``ingest()`` or ``query()``), then re-acquire
-        to validate liveness and commit. The segment stays in
-        ``self._inflight`` until the commit, so the scheduler never
-        double-submits it; points that arrive mid-encode leave it dirty
-        for another round.
-        """
-        with self._lock:
+        jobs = []
+        for segment_id in segment_ids:
             if not self._window.has_segment(segment_id):
                 self._prefix.pop(segment_id, None)
                 self._dirty.discard(segment_id)
-                self._inflight.discard(segment_id)
-                return
+                continue
             segment = self._window.segment(segment_id)
             state = self._prefix.get(segment_id)
             if state is None:
                 state = self.encoder.init_prefix()
-            if state.length >= len(segment):
+            if state.length < len(segment):
+                jobs.append((segment_id, state,
+                             segment.points(state.length)))
+            else:
                 self._dirty.discard(segment_id)
-                self._inflight.discard(segment_id)
-                return
-            tail = segment.points()[state.length:]  # copy — safe unlocked
-        try:
-            if self._encode_hook is not None:
+        return jobs
+
+    def _fold(self, jobs: List[Tuple[int, PrefixState, np.ndarray]]
+              ) -> List[PrefixState]:
+        """Every job's new points folded into its state, in one batch."""
+        if self._encode_hook is not None:
+            for _ in jobs:
                 self._encode_hook()
-            state = self.encoder.extend_prefix(state, tail)
-        except BaseException:
-            with self._lock:
-                # Leave the segment dirty so the scheduler retries it.
-                self._inflight.discard(segment_id)
-            raise
-        with self._lock:
-            self._inflight.discard(segment_id)
+        return self.encoder.extend_prefixes([state for _, state, _ in jobs],
+                                            [tail for _, _, tail in jobs])
+
+    def _commit_locked(self, jobs: List[Tuple[int, PrefixState, np.ndarray]],
+                       states: List[PrefixState]) -> None:
+        """Keep the folded states and upsert their embeddings in one call.
+
+        Caller must hold ``self._lock``. A segment evicted since its tail
+        was taken is dropped (its embedding is already gone); one that
+        gained points meanwhile stays dirty for another round.
+        """
+        ids, rows = [], []
+        for (segment_id, _, _), state in zip(jobs, states):
             if not self._window.has_segment(segment_id):
-                # Evicted mid-encode; its embedding is already gone.
                 self._prefix.pop(segment_id, None)
                 self._dirty.discard(segment_id)
-                return
+                continue
             self._prefix[segment_id] = state
-            self._store.upsert_embeddings(state.embedding[None, :],
-                                          [segment_id])
+            ids.append(segment_id)
+            rows.append(state.h)
             if state.length >= len(self._window.segment(segment_id)):
                 self._dirty.discard(segment_id)
+        if ids:
+            self._store.upsert_embeddings(np.concatenate(rows), ids)
+
+    def _reembed_locked(self, segment_ids: Sequence[int]) -> None:
+        """Bring ``segment_ids`` up to date, ``_FOLD_ROWS`` per fold.
+
+        Caller must hold ``self._lock`` — this is the synchronous path
+        (``sync_encode=True``, ``wait_until_current`` and recovery), where
+        the caller is the only thread and holding the lock through the
+        encode is free.
+        """
+        for start in range(0, len(segment_ids), _FOLD_ROWS):
+            jobs = self._tails_locked(segment_ids[start:start + _FOLD_ROWS])
+            if jobs:
+                self._commit_locked(jobs, self._fold(jobs))
 
     def _schedule_locked(self) -> None:
         """Submit dirty segments up to the in-flight budget.
@@ -409,10 +414,27 @@ class StreamIngestor:
             self._batcher.submit(segment_id)
 
     def _encode_batch(self, segment_ids: List[int]) -> List[None]:
-        """Batcher worker: bring each submitted segment up to date."""
-        for segment_id in segment_ids:
-            self._encode_segment(segment_id)
+        """Batcher worker: bring the submitted segments up to date, with
+        the encoder *outside* the lock.
+
+        Snapshot every submitted segment's new points under the lock, fold
+        them all unlocked (so a slow encode never stalls ``ingest()`` or
+        ``query()``), then re-acquire to commit. The segments stay in
+        ``self._inflight`` until then, so the scheduler never
+        double-submits one; points that arrive mid-encode leave a segment
+        dirty for another round, and so does a failed fold.
+        """
         with self._lock:
+            jobs = self._tails_locked(segment_ids)
+        try:
+            states = self._fold(jobs)
+        except BaseException:
+            with self._lock:
+                self._inflight.difference_update(segment_ids)
+            raise
+        with self._lock:
+            self._inflight.difference_update(segment_ids)
+            self._commit_locked(jobs, states)
             self._schedule_locked()
             self._set_gauges_locked()
         return [None] * len(segment_ids)
@@ -437,8 +459,7 @@ class StreamIngestor:
                 if not self._dirty:
                     return True
                 if self.config.sync_encode:
-                    for segment_id in sorted(self._dirty):
-                        self._sync_segment_locked(segment_id)
+                    self._reembed_locked(sorted(self._dirty))
                     continue
                 self._schedule_locked()
             if time.monotonic() >= deadline:

@@ -106,10 +106,12 @@ class Segment:
     def last_t(self) -> float:
         return self.times[-1]
 
-    def points(self) -> np.ndarray:
-        """The (n, 2) coordinate array, in applied order."""
-        return np.stack([np.asarray(self.xs, dtype=np.float64),
-                         np.asarray(self.ys, dtype=np.float64)], axis=1)
+    def points(self, start: int = 0) -> np.ndarray:
+        """The (n - start, 2) coordinates of the points from ``start`` on,
+        in applied order (a copy)."""
+        return np.stack([np.asarray(self.xs[start:], dtype=np.float64),
+                         np.asarray(self.ys[start:], dtype=np.float64)],
+                        axis=1)
 
 
 @dataclass

@@ -99,9 +99,33 @@ def test_tape_rule_accepts_kernel_only_entry_point():
         return self.rnn.infer(batch, mask, cells, self.memory)
     """) == []
     assert _entry_point("""\
-        h, c = self.rnn.fold(state.h, state.c, batch, None, self.memory)
+        h, c = self.rnn.fold(state.h, state.c, batch, lengths, None,
+                             self.memory)
         return h
     """) == []
+
+
+def test_tape_rule_accepts_an_entry_point_that_calls_another():
+    options = {"tape-discipline": {
+        **KERNEL_ENTRY["tape-discipline"],
+        "entry_points": {"repro/core/encoder.py": ("one", "many")}}}
+    source = """\
+        def many(self, batch, lengths):
+            return self.rnn.fold(h, c, batch, lengths, None, self.memory)
+
+        def one(self, point):
+            return self.many([point], [1])[0]
+
+        def other(self, point):
+            return self.one(point)
+    """
+    assert run(source, rel_path="src/repro/core/encoder.py", **options) == []
+    options["tape-discipline"]["entry_points"] = {
+        "repro/core/encoder.py": ("one", "other")}
+    (finding,) = run(source, rel_path="src/repro/core/encoder.py",
+                     **options)
+    assert "one() neither enters no_grad()" in finding.message
+    assert "makes no kernel call" in finding.message
 
 
 @pytest.mark.parametrize("body, culprit", [

@@ -213,6 +213,53 @@ def test_extend_prefix_is_the_tape_fold_bit_for_bit(use_sam, seed, data):
     assert state.length == n
 
 
+@pytest.mark.parametrize("use_sam", [True, False])
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), count=st.integers(1, 64))
+def test_extend_prefixes_is_extend_prefix_row_by_row(use_sam, seed, count):
+    """Batch invariance: each row of one batched fold lands on the bits
+    its segment reaches folded alone, whatever its batch-mates are."""
+    enc = _encoder(use_sam, seed=seed % 5, dim=32)
+    if use_sam:  # the memory as a training pass leaves it
+        enc.encode(_ragged_batch(seed % 5, 8), update_memory=True)
+        assert enc.memory.occupancy() > 0.0
+    rng = np.random.default_rng(seed)
+    states, tails = [], []
+    for _ in range(count):
+        prefix, tail = int(rng.integers(0, 20)), int(rng.integers(1, 13))
+        points = rng.uniform(-150.0, 1150.0, size=(prefix + tail, 2))
+        states.append(enc.encode_prefix(points[:prefix]))
+        tails.append(points[prefix:])
+
+    with _CountTensors() as built:
+        folded = enc.extend_prefixes(states, tails)
+    assert built.count == 0
+    assert len(folded) == count
+    for state, points, got in zip(states, tails, folded):
+        alone = enc.extend_prefix(state, points)
+        assert got.length == alone.length == state.length + len(points)
+        assert np.array_equal(got.h, alone.h)
+        assert np.array_equal(got.c, alone.c)
+
+
+def test_extend_prefixes_edge_cases():
+    enc = _warm_encoder(True)
+    rng = np.random.default_rng(0)
+    state = enc.encode_prefix(rng.uniform(0.0, 1000.0, size=(4, 2)))
+    assert enc.extend_prefixes([], []) == []
+    empty, grown = enc.extend_prefixes(
+        [state, state], [np.zeros((0, 2)), rng.uniform(0.0, 1000.0, (3, 2))])
+    assert empty.length == 4 and np.array_equal(empty.h, state.h)
+    assert empty.h is not state.h  # a copy, never the caller's array
+    assert grown.length == 7
+    with pytest.raises(ValueError, match="2 states for 1 tails"):
+        enc.extend_prefixes([state, state], [np.zeros((1, 2))])
+    with pytest.raises(ValueError, match="shape"):
+        enc.extend_prefixes([state], [np.zeros((3, 3))])
+    with pytest.raises(ValueError, match="finite"):
+        enc.extend_prefixes([state], [np.array([[0.0, np.nan]])])
+
+
 def _parent_step_forward(x_gates, x_cand, h, c, window, carry, u_gates_t,
                          u_cand_t, w_read_t, b_read):
     """The SAM training step's forward as it was written inline before it

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.rnn import LSTM, LSTMCell, lengths_to_mask
+from repro.nn.rnn import LSTM, LSTMCell, lengths_to_mask, rowwise_matmul
 from repro.nn.sam import SAMLSTM, SpatialMemory
 from repro.nn.tensor import Tensor, numerical_gradient
 
@@ -163,13 +163,53 @@ def test_unrolls_refuse_a_cells_memory_mismatch(use_sam, rng):
     for unroll in (
             lambda c, m: rnn(coords, mask, c, m),
             lambda c, m: rnn.infer(coords, mask, c, m),
-            lambda c, m: rnn.fold(state, state, coords[0],
-                                  None if c is None else c[0], m)):
+            lambda c, m: rnn.fold(state, state, coords[:1], [3],
+                                  None if c is None else c[:1], m)):
         unroll(*right)
         with pytest.raises(ValueError, match=f"`cells` {verdict}"):
             unroll(*wrong)
         with pytest.raises(ValueError, match=f"`memory` {verdict}"):
             unroll(right[0], wrong[1])
+
+
+@pytest.mark.parametrize("k, n", [(2, 96), (32, 128), (64, 32)])
+def test_rowwise_matmul_gives_every_row_its_lone_bits(k, n, rng):
+    """Pins the numpy/BLAS behaviour the batched prefix fold rests on:
+    stacked as (B, 1, k) matrices, each row gets bit for bit the product
+    it gets alone, at every row count (a plain 2-D GEMM's kernel, and
+    its rounding, changes with the row count)."""
+    w = rng.normal(size=(n, k)).transpose()  # a weight view, as folded
+    for rows in (1, 2, 3, 9, 16, 33, 64, 100):
+        a = rng.normal(size=(rows, k))
+        lone = np.concatenate([a[i:i + 1] @ w for i in range(rows)])
+        assert np.array_equal(rowwise_matmul(a, w), lone), rows
+
+
+@pytest.mark.parametrize("use_sam", [True, False])
+def test_fold_carries_padded_steps_in_any_row_order(use_sam, rng):
+    """A batched fold equals each row folded alone, rows out of length
+    order and a zero-length row included; the given states are kept."""
+    rnn = (SAMLSTM if use_sam else LSTM)(2, 4, rng)
+    memory = SpatialMemory((5, 5), 4, bandwidth=1) if use_sam else None
+    if use_sam:
+        memory.data[:] = rng.normal(size=memory.data.shape)
+    lengths = [2, 5, 0, 3]
+    inputs = rng.normal(size=(4, 6, 2))
+    cells = rng.integers(0, 5, size=(4, 6, 2)) if use_sam else None
+    h, c = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+    h_given, c_given = h.copy(), c.copy()
+    got_h, got_c = rnn.fold(h, c, inputs, lengths, cells, memory)
+    assert np.array_equal(h, h_given) and np.array_equal(c, c_given)
+    for row, n in enumerate(lengths):
+        alone_h, alone_c = rnn.fold(
+            h[row:row + 1], c[row:row + 1], inputs[row:row + 1, :n], [n],
+            None if cells is None else cells[row:row + 1, :n], memory)
+        assert np.array_equal(got_h[row:row + 1], alone_h)
+        assert np.array_equal(got_c[row:row + 1], alone_c)
+    assert np.array_equal(got_h[2], h[2])
+    with pytest.raises(ValueError, match="exceeds"):
+        rnn.fold(h, c, inputs[:, :4], lengths, None if cells is None
+                 else cells[:, :4], memory)
 
 
 def test_forget_bias_initialised_to_one(rng):

@@ -161,10 +161,10 @@ def test_poison_requests_never_fail_good_ones(serving_world, fresh_store):
         service.close()
 
 
-def test_poison_in_a_shared_batch_fails_only_its_caller(serving_world,
-                                                        fresh_store):
+def _shared_batch(serving_world, fresh_store, poison, good):
+    """Queue ``poison`` and ``good`` behind a blocked encode so they form
+    one batch; returns ``(outcomes, embed call sizes, failure count)``."""
     model, items = serving_world
-    poison, good = items[20], items[1:4]
     entered = threading.Event()
     release = threading.Event()
     batches = []
@@ -189,7 +189,7 @@ def test_poison_in_a_shared_batch_fails_only_its_caller(serving_world,
         blocker = threading.Thread(target=ask, args=("blocker", items[0]))
         blocker.start()
         assert entered.wait(10.0)
-        # The encoder is busy: these four queue up and form the next batch.
+        # The encoder is busy: these queue up and form the next batch.
         askers = [threading.Thread(target=ask, args=(name, query))
                   for name, query in [("poison", poison)]
                   + [(f"good{i}", q) for i, q in enumerate(good)]]
@@ -211,9 +211,34 @@ def test_poison_in_a_shared_batch_fails_only_its_caller(serving_world,
         for i, query in enumerate(good):
             assert outcomes[f"good{i}"].ids == _offline_ids(fresh_store,
                                                             query, 3)
+        failures = service.registry.snapshot()["repro_encoder_failures_total"]
+        return outcomes, batches, failures
     finally:
         release.set()
         service.close()
+
+
+def test_poison_in_a_shared_batch_fails_only_its_caller(serving_world,
+                                                        fresh_store):
+    _, items = serving_world
+    _shared_batch(serving_world, fresh_store, items[20], items[1:4])
+
+
+def test_a_failed_batch_is_bisected_and_its_poison_counted_once(
+        serving_world, fresh_store):
+    """One poison among 8: the failed batch is split in halves, and only
+    the failing halves again, so the embed runs fewer than the 1 + 8
+    calls an item-by-item retry makes; the one bad request is one
+    failure."""
+    _, items = serving_world
+    outcomes, batches, failures = _shared_batch(
+        serving_world, fresh_store, items[20], items[1:8])
+    assert len(outcomes) == 9  # the blocker and the batch of eight
+    assert failures == 1
+    after_blocker = batches[1:]
+    # The batch, its two halves, the failing half's two halves, ...
+    assert sorted(after_blocker, reverse=True) == [8, 4, 4, 2, 2, 1, 1]
+    assert len(after_blocker) < 1 + 8
 
 
 def test_load_shedding_accounts_for_every_request(serving_world, fresh_store):

@@ -12,7 +12,7 @@ from repro.exceptions import (CorruptArtifactError, ServiceClosedError,
                               ServiceOverloadedError)
 from repro.serving.wal import ShardDurability
 from repro.streaming import StreamConfig, StreamIngestor, WindowConfig
-from repro.streaming.ingest import STREAM_BASE_TAG
+from repro.streaming.ingest import _FOLD_ROWS, STREAM_BASE_TAG
 from repro.testing.faults import CorruptionSpec
 
 from tests.streaming.conftest import in_order_points, make_encoder
@@ -151,6 +151,37 @@ def test_wal_replay_recovers_identical_state(tmp_path, encoder):
     assert np.array_equal(ids_before[order_b], ids_after[order_a])
     assert np.array_equal(emb_before[order_b], emb_after[order_a])
     recovered.close()
+
+
+def test_reopen_recovers_every_prefix_state_bit_for_bit(tmp_path):
+    """Recovery re-encodes the whole window in blocks of batched folds;
+    each segment's (h, c) is the one the live ingester had grown batch
+    by batch, with the SAM memory read."""
+    encoder = make_encoder()
+    encoder.memory.data[:] = np.random.default_rng(5).normal(
+        scale=0.5, size=encoder.memory.data.shape)
+    config = StreamConfig(window=WindowConfig(lateness_s=30.0, ttl_s=1e9,
+                                              reorder_buffer=8,
+                                              max_segment_points=4),
+                          sync_encode=True)
+    points = _shuffled_fleet(np.random.default_rng(3), sources=30, n=12)
+    ingestor = StreamIngestor(encoder, tmp_path, config)
+    for start in range(0, len(points), 16):
+        ingestor.ingest(points[start:start + 16])
+    before = dict(ingestor._prefix)
+    assert len(before) > _FOLD_ROWS  # more than one recovery block
+    ingestor.close()
+
+    recovered = StreamIngestor(encoder, tmp_path, config)
+    try:
+        after = recovered._prefix
+        assert sorted(after) == sorted(before)
+        for segment_id, state in before.items():
+            assert after[segment_id].length == state.length
+            assert np.array_equal(after[segment_id].h, state.h)
+            assert np.array_equal(after[segment_id].c, state.c)
+    finally:
+        recovered.close()
 
 
 def test_snapshot_truncates_wal_and_recovers(tmp_path, encoder):
