@@ -143,8 +143,7 @@ def bench_ann_recall(config=ANN_CONFIG) -> dict:
 
     t0 = time.perf_counter()
     index = IVFIndex.build(ids, vectors,
-                           IVFConfig(nlist=section["nlist"], quantize=True,
-                                     seed=0))
+                           IVFConfig(nlist=section["nlist"], seed=0))
     build_s = time.perf_counter() - t0
 
     sweep = []
@@ -191,8 +190,7 @@ def bench_ann_qps(config=ANN_CONFIG) -> dict:
     t0 = time.perf_counter()
     index = IVFIndex.build(ids, vectors,
                            IVFConfig(nlist=section["nlist"],
-                                     nprobe=section["nprobe"], quantize=True,
-                                     seed=0))
+                                     nprobe=section["nprobe"], seed=0))
     build_s = time.perf_counter() - t0
 
     index.search(queries[0], k)  # warmup

@@ -280,7 +280,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
         return 2
     try:
         config = IVFConfig(nlist=args.nlist, nprobe=args.nprobe,
-                           quantize=not args.no_int8, seed=args.seed)
+                           seed=args.seed)
     except ConfigurationError as exc:
         print(f"bad index configuration: {exc}", file=sys.stderr)
         return 2
@@ -293,8 +293,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     stats = index.stats()
     print(f"wrote {args.out}: nlist={stats['nlist']} "
           f"(cells {stats['cell_min']}..{stats['cell_max']}, "
-          f"mean {stats['cell_mean']:.1f}), "
-          f"quantize={stats['quantize']}, rows={stats['ntotal']}")
+          f"mean {stats['cell_mean']:.1f}), rows={stats['ntotal']}")
     return 0
 
 
@@ -314,7 +313,7 @@ def _cmd_index_stats(args: argparse.Namespace) -> int:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
     print(f"IVF index at {args.index}")
-    for key in ("dim", "nlist", "nprobe", "quantize", "ntotal", "live",
+    for key in ("dim", "nlist", "nprobe", "ntotal", "live",
                 "cell_min", "cell_mean", "cell_max"):
         print(f"  {key:<12} {stats[key]}")
     return 0
@@ -572,8 +571,6 @@ def main(argv=None) -> int:
                        help="k-means cells; 0 = auto (~sqrt(N))")
     build.add_argument("--nprobe", type=int, default=8,
                        help="default cells scanned per query")
-    build.add_argument("--no-int8", action="store_true",
-                       help="store float32 vectors only (no int8 codes)")
     build.add_argument("--seed", type=int, default=0,
                        help="k-means RNG seed (default 0)")
     build.set_defaults(func=_cmd_index_build)

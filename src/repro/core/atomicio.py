@@ -20,8 +20,11 @@ manifests with ``durable=True``; cheaper artifacts keep the default.
 The read side is here too: a JSON manifest carries a ``schema`` and,
 per payload file, a :func:`file_entry`; :func:`read_manifest` and
 :func:`check_file` turn any damage into
-:class:`~repro.exceptions.CorruptArtifactError`, and :func:`read_npz`
-opens every ``.npz`` with pickle disabled.
+:class:`~repro.exceptions.CorruptArtifactError`. A standalone ``.npz``
+has no manifest, so :func:`atomic_savez` seals the digest into the
+archive itself — its zip comment holds the sha256 of every byte before
+the comment — and :func:`read_npz` checks that seal before it opens the
+archive with pickle disabled.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import threading
 from pathlib import Path
-from typing import Dict, Iterable, Union
+from typing import Dict, Iterable, Optional, Union
 
 import numpy as np
 
@@ -39,19 +43,37 @@ from ..exceptions import CorruptArtifactError
 
 PathLike = Union[str, Path]
 
+#: A zip archive ends in a 22-byte end record that starts with
+#: ``_ZIP_END`` and whose last two bytes are the length of the comment
+#: after it. :func:`atomic_savez` seals an ``.npz`` with a comment: this
+#: prefix, then the hex sha256 of every byte before the comment.
+_ZIP_END = b"PK\x05\x06"
+_SEAL = b"repro-sha256:"
+_SEAL_BYTES = len(_SEAL) + 64
+
 __all__ = ["atomic_replace", "atomic_write_bytes", "atomic_write_buffers",
            "atomic_write_text", "atomic_write_json", "atomic_savez",
            "fsync_file", "fsync_dir", "sha256_file", "file_entry",
            "read_manifest", "check_file", "read_npz"]
 
 
-def sha256_file(path: PathLike, chunk_bytes: int = 1 << 20) -> str:
-    """Hex sha256 of a file's bytes — the digest every manifest records."""
+def _sha256_stream(handle, limit: Optional[int] = None) -> str:
+    """Hex sha256 of the next ``limit`` bytes of ``handle`` (of all the
+    bytes left when ``limit`` is ``None``)."""
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(chunk_bytes), b""):
-            digest.update(chunk)
+    while limit is None or limit > 0:
+        chunk = handle.read(1 << 20 if limit is None else min(1 << 20, limit))
+        if not chunk:
+            break
+        digest.update(chunk)
+        limit = None if limit is None else limit - len(chunk)
     return digest.hexdigest()
+
+
+def sha256_file(path: PathLike) -> str:
+    """Hex sha256 of a file's bytes — the digest every manifest records."""
+    with open(path, "rb") as handle:
+        return _sha256_stream(handle)
 
 
 def fsync_file(path: PathLike) -> None:
@@ -95,7 +117,7 @@ def _publish(path: PathLike, write, durable: bool) -> None:
     path = Path(path)
     tmp = _tmp_name(path)
     try:
-        with open(tmp, "wb") as handle:
+        with open(tmp, "w+b") as handle:
             write(handle)
         atomic_replace(tmp, path, durable=durable)
     except BaseException:
@@ -131,12 +153,26 @@ def atomic_write_json(path: PathLike, payload,
                       + "\n", durable=durable)
 
 
+def _seal_npz(handle) -> None:
+    """Give the archive ``np.savez`` just wrote to ``handle`` (its end
+    record last, with no comment) the seal as its zip comment."""
+    handle.seek(-2, os.SEEK_END)
+    handle.write(struct.pack("<H", _SEAL_BYTES))
+    handle.seek(0)
+    handle.write(_SEAL + _sha256_stream(handle).encode())
+
+
 def atomic_savez(path: PathLike, compressed: bool = False,
                  durable: bool = False, **arrays) -> None:
     """``np.savez`` to exactly ``path`` via a temp file + atomic rename
-    (written through a handle, so no ``.npz`` suffix is appended)."""
+    (written through a handle, so no ``.npz`` suffix is appended),
+    sealed with the sha256 that :func:`read_npz` checks."""
     save = np.savez_compressed if compressed else np.savez
-    _publish(path, lambda handle: save(handle, **arrays), durable)
+
+    def write(handle) -> None:
+        save(handle, **arrays)
+        _seal_npz(handle)
+    _publish(path, write, durable)
 
 
 # --------------------------------------------------------------- read side
@@ -186,14 +222,40 @@ def check_file(path: PathLike, entry: Dict, verify: bool = True) -> Path:
     return path
 
 
+def _check_npz_seal(path: PathLike) -> None:
+    """Check the sha256 an :func:`atomic_savez` archive is sealed with.
+
+    An archive that ends in a bare zip end record has no seal (it was
+    written before archives carried one) and passes; one that ends in
+    neither that nor a seal whose digest matches is corrupt.
+    """
+    with open(path, "rb") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        handle.seek(max(0, size - 22 - _SEAL_BYTES))
+        tail = handle.read()
+        if tail[-22:-18] == _ZIP_END and tail[-2:] == b"\0\0":
+            return
+        record, seal = tail[:-_SEAL_BYTES], tail[-_SEAL_BYTES:]
+        if (len(record) != 22 or not record.startswith(_ZIP_END)
+                or record[-2:] != struct.pack("<H", _SEAL_BYTES)
+                or not seal.startswith(_SEAL)):
+            raise CorruptArtifactError(f"{path} has no zip end record")
+        handle.seek(0)
+        digest = _sha256_stream(handle, limit=size - _SEAL_BYTES)
+    if digest.encode() != seal[len(_SEAL):]:
+        raise CorruptArtifactError(f"{path} is corrupted (sha256 mismatch)")
+
+
 def read_npz(path: PathLike) -> Dict[str, np.ndarray]:
     """Every member of an ``.npz``, read with pickle off (no bytes can
-    deserialise into objects). Zip, zlib or format damage raises
+    deserialise into objects), after its seal is checked. A seal
+    mismatch, zip, zlib or format damage raises
     :class:`CorruptArtifactError`; ``FileNotFoundError`` passes through."""
     try:
+        _check_npz_seal(path)
         with np.load(path, allow_pickle=False) as data:
             return {key: data[key] for key in data.files}
-    except FileNotFoundError:
+    except (FileNotFoundError, CorruptArtifactError):
         raise
     except Exception as exc:
         raise CorruptArtifactError(f"cannot read {path}: {exc}") from exc

@@ -7,9 +7,9 @@ is fixed; *how* a query finds its neighbours is a backend decision:
   the store's historical behaviour. Always correct, fine up to ~10^5
   rows.
 * :class:`IVFBackend` — the :class:`~repro.index.ann.IVFIndex` ANN
-  path: scans ``nprobe`` of ``nlist`` k-means cells (optionally over
-  int8 codes with exact rerank), trading a little recall for a large
-  constant-factor drop in scanned rows. Can wrap a memory-mapped index
+  path: scans the float32 rows of ``nprobe`` of ``nlist`` k-means
+  cells exactly, trading a little recall (rows in unprobed cells) for a
+  large constant-factor drop in scanned rows. Can wrap a memory-mapped index
   loaded from disk so restarts skip the build.
 
 A backend is bound to one store (:meth:`SearchBackend.bind`) and kept
@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..index.ann import IVFConfig, IVFIndex
+from ..index.ann import IVFConfig, IVFIndex, top_k_order
 
 __all__ = ["SearchBackend", "ExactBackend", "IVFBackend", "make_backend"]
 
@@ -107,18 +107,7 @@ class ExactBackend(SearchBackend):
         self._queries += 1
         self._scanned += int(distances.shape[0])
         ids = self._store._ids
-        k = min(k, distances.shape[0])
-        # Deterministic (distance, id) order, independent of row layout:
-        # pick k rows by distance, then widen to every row tied with the
-        # worst selected distance so the lexsort can break ties by id.
-        # Without this, which tied row wins would depend on argpartition's
-        # internal order — and a sharded store (rows split across
-        # partitions) could disagree with the single-store answer.
-        part = np.argpartition(distances, k - 1)[:k]
-        threshold = distances[part].max()
-        candidates = np.flatnonzero(distances <= threshold)
-        order = candidates[np.lexsort((ids[candidates],
-                                       distances[candidates]))][:k]
+        order = top_k_order(distances, ids, k)
         return ids[order], distances[order]
 
     def search_radius(self, query: np.ndarray, radius: float
@@ -233,7 +222,7 @@ def make_backend(backend: Union[str, SearchBackend, None],
     """Resolve a backend spec: an instance, ``"exact"``, or ``"ivf"``.
 
     Keyword options for ``"ivf"`` are :class:`IVFConfig` fields
-    (``nlist``, ``nprobe``, ``quantize``, ...).
+    (``nlist``, ``nprobe``, ``seed``).
     """
     if backend is None:
         backend = "exact"

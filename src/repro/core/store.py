@@ -59,8 +59,7 @@ class EmbeddingStore:
     backend_options:
         Keyword options forwarded to
         :func:`~repro.core.backends.make_backend` for by-name backends
-        (for ``"ivf"``: ``nlist``, ``nprobe``, ``quantize``, ``seed``,
-        ...).
+        (for ``"ivf"``: ``nlist``, ``nprobe``, ``seed``).
     """
 
     def __init__(self, model: Optional[MetricModel],

@@ -8,26 +8,26 @@ the classic inverted-file (IVF) design from scratch:
   partitions them into ``nlist`` cells; a query ranks the ``nlist``
   centroids (cheap) and scans only the ``nprobe`` nearest cells, so it
   touches roughly ``nprobe/nlist`` of the database;
-* optional **int8 scalar quantization** of cell residuals
-  (``vector - centroid``), shrinking the scanned bytes 4x; the
-  approximate ranking is then repaired by an **exact rerank** of the top
-  candidates against the stored float32 vectors;
+* **one float32 scan** — a query's distances are the exact
+  ``((v - q) ** 2).sum(axis=1)`` over the stored float32 rows of the
+  probed cells, so within those cells the answer is the brute-force
+  top-k, ties broken by id;
 * a **memory-mapped on-disk layout** — one contiguous ``data.bin``
-  (centroids, per-cell offsets, ids, codes, vectors) described by a
+  (centroids, per-cell offsets, ids, vectors) described by a
   sha256-carrying ``MANIFEST.json``, so a million-embedding index opens
   lazily and survives restarts;
 * **incremental maintenance** — inserts append to in-memory per-cell
   overflow lists, deletes tombstone ids, and :meth:`IVFIndex.compact`
   folds both back into the contiguous base arrays.
 
-Determinism: k-means is seeded (``IVFConfig.seed``) and ties in every
-ranking break on row order, so the same build inputs always produce the
+Determinism: k-means is seeded (``IVFConfig.seed``) and answers are
+ordered by (distance, id), so the same build inputs always produce the
 same index and the same answers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -60,6 +60,16 @@ _ALIGN = 8
 _ASSIGN_CHUNK = 16384
 _GEMM_BLOCK = 2048
 
+#: k-means trains on at most this many rows (a seeded sample; the
+#: assignment still covers every row) for this many Lloyd iterations.
+_TRAIN_SAMPLE = 65536
+_KMEANS_ITERS = 10
+
+#: Config keys that directories written before the index kept a single
+#: float32 representation still carry, and that :meth:`IVFIndex.load`
+#: ignores (as it ignores their ``codes`` / ``scales`` arrays).
+_LEGACY_CONFIG_KEYS = ("quantize", "rerank", "train_sample", "kmeans_iters")
+
 
 def auto_nlist(count: int) -> int:
     """Default cell count for a database of ``count`` vectors (~sqrt(N))."""
@@ -80,27 +90,12 @@ class IVFConfig:
     nprobe:
         Cells scanned per query. Recall/latency dial: higher probes more
         of the database.
-    quantize:
-        Store int8 residual codes and scan those instead of the float32
-        vectors (4x fewer scanned bytes); exact rerank repairs the
-        ranking.
-    rerank:
-        With ``quantize``, how many approximate candidates are reranked
-        exactly, as a multiple of ``k`` (floored at 32 candidates).
-    train_sample:
-        Max vectors fed to k-means (assignment still covers everything).
-    kmeans_iters:
-        Lloyd iterations.
     seed:
         RNG seed for k-means init (all randomness flows through it).
     """
 
     nlist: int = 0
     nprobe: int = 8
-    quantize: bool = True
-    rerank: int = 4
-    train_sample: int = 65536
-    kmeans_iters: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -108,12 +103,6 @@ class IVFConfig:
             raise ConfigurationError("nlist must be >= 0 (0 = auto)")
         if self.nprobe < 1:
             raise ConfigurationError("nprobe must be >= 1")
-        if self.rerank < 1:
-            raise ConfigurationError("rerank must be >= 1")
-        if self.train_sample < 1:
-            raise ConfigurationError("train_sample must be >= 1")
-        if self.kmeans_iters < 1:
-            raise ConfigurationError("kmeans_iters must be >= 1")
 
 
 def _gemm_blocks(count: int):
@@ -167,7 +156,7 @@ def _cell_sums(vectors: np.ndarray, assign: np.ndarray, k: int
 
 
 def kmeans(vectors: np.ndarray, k: int, rng: np.random.Generator,
-           iters: int = 10) -> np.ndarray:
+           iters: int = _KMEANS_ITERS) -> np.ndarray:
     """Seeded Lloyd k-means; returns (k, d) float32 centroids.
 
     Initialisation samples ``k`` distinct rows; empty cells are reseeded
@@ -204,23 +193,30 @@ def _as_vectors(vectors: np.ndarray, dim: Optional[int] = None
     return out
 
 
-@dataclass
-class _SearchStats:
-    """Cumulative search-side counters (read via :meth:`IVFIndex.stats`)."""
+def top_k_order(keys: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest ``keys``, ordered by (key, id).
 
-    queries: int = 0
-    candidates_scanned: int = 0
-    cells_probed: int = 0
-    reranked: int = 0
+    Picks ``k`` rows by key, then widens to every row tied with the
+    worst selected key so the lexsort breaks those ties by id: which
+    tied row wins never depends on ``argpartition``'s internal order or
+    on how the rows are laid out (a sharded store answers like a single
+    one).
+    """
+    k = min(k, keys.shape[0])
+    part = np.argpartition(keys, k - 1)[:k]
+    candidates = np.flatnonzero(keys <= keys[part].max())
+    return candidates[np.lexsort((ids[candidates],
+                                  keys[candidates]))][:k]
 
 
 class IVFIndex:
-    """Inverted-file ANN index with int8 residual codes and exact rerank.
+    """Inverted-file ANN index: k-means cells over float32 rows.
 
     Build one with :meth:`build`, reopen a saved one with :meth:`load`.
-    ``search`` answers top-k; ``add``/``remove`` maintain the index
-    incrementally (per-cell append + tombstones) until :meth:`compact`
-    or :meth:`save` folds the deltas back into the contiguous arrays.
+    ``search`` answers top-k exactly over the probed cells;
+    ``add``/``remove`` maintain the index incrementally (per-cell append
+    + tombstones) until :meth:`compact` or :meth:`save` folds the deltas
+    back into the contiguous arrays.
     """
 
     def __init__(self, dim: int, config: Optional[IVFConfig] = None):
@@ -229,13 +225,11 @@ class IVFIndex:
         self.dim = dim
         self.config = config or IVFConfig()
         self._centroids = np.zeros((0, dim), dtype=np.float32)
-        self._scales = np.zeros(0, dtype=np.float32)
         # Contiguous base arrays: rows sorted by cell, bounds[c]:bounds[c+1]
         # is cell c's slice. May be np.memmap views after `load(mmap=True)`.
         self._bounds = np.zeros(1, dtype=np.int64)
         self._ids = np.zeros(0, dtype=np.int64)
         self._vectors = np.zeros((0, dim), dtype=np.float32)
-        self._codes = np.zeros((0, dim), dtype=np.int8)
         # Incremental state. Appends: cell -> {id: vector} in arrival
         # order, the cell of every pending id, and each cell's stacked
         # (ids, vectors) block, kept until that cell next changes.
@@ -247,7 +241,9 @@ class IVFIndex:
         self._blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._dead = np.zeros(0, dtype=bool)
         self._tombstones = 0
-        self._search_stats = _SearchStats()
+        # Cumulative search work, read through :meth:`stats`.
+        self._counters = {"queries": 0, "candidates_scanned": 0,
+                          "cells_probed": 0}
 
     # -------------------------------------------------------------- properties
 
@@ -298,19 +294,18 @@ class IVFIndex:
         nlist = config.nlist or auto_nlist(vectors.shape[0])
         nlist = min(nlist, vectors.shape[0])
         sample = vectors
-        if vectors.shape[0] > config.train_sample:
-            pick = rng.choice(vectors.shape[0], size=config.train_sample,
+        if vectors.shape[0] > _TRAIN_SAMPLE:
+            pick = rng.choice(vectors.shape[0], size=_TRAIN_SAMPLE,
                               replace=False)
             sample = vectors[np.sort(pick)]
-        index._centroids = kmeans(sample, nlist, rng,
-                                  iters=config.kmeans_iters)
+        index._centroids = kmeans(sample, nlist, rng)
         index._install(ids, vectors,
                        _chunked_assign(vectors, index._centroids))
         return index
 
     def _install(self, ids: np.ndarray, vectors: np.ndarray,
                  assign: np.ndarray) -> None:
-        """Lay out rows contiguously by cell and (re)encode residuals."""
+        """Lay out rows contiguously by cell."""
         order = np.argsort(assign, kind="stable")
         assign = assign[order]
         self._ids = np.ascontiguousarray(ids[order])
@@ -320,27 +315,6 @@ class IVFIndex:
         counts = np.bincount(assign, minlength=self.nlist)
         self._bounds = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
-        if self.config.quantize:
-            self._encode_cells()
-        else:
-            self._codes = np.zeros((0, self.dim), dtype=np.int8)
-            self._scales = np.zeros(0, dtype=np.float32)
-
-    def _encode_cells(self) -> None:
-        """Per-cell int8 codes: ``round(residual / scale)``, symmetric."""
-        self._codes = np.empty_like(self._vectors, dtype=np.int8)
-        self._scales = np.ones(self.nlist, dtype=np.float32)
-        for cell in range(self.nlist):
-            lo, hi = self._bounds[cell], self._bounds[cell + 1]
-            if hi <= lo:
-                continue
-            residual = self._vectors[lo:hi] - self._centroids[cell][None, :]
-            peak = float(np.abs(residual).max())
-            scale = (peak / 127.0) if peak > 0 else 1.0
-            self._scales[cell] = scale
-            np.clip(np.rint(residual / scale), -127, 127,
-                    out=residual)
-            self._codes[lo:hi] = residual.astype(np.int8)
 
     # ------------------------------------------------------------------ search
 
@@ -352,35 +326,37 @@ class IVFIndex:
         probe = np.argpartition(cell_d, nprobe - 1)[:nprobe]
         return probe[np.argsort(cell_d[probe], kind="stable")]
 
-    def _cell_candidates(self, cell: int, query: np.ndarray
-                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row ids, approx sq-distances, rows-for-rerank) for one cell.
-
-        With quantization on, distances come from decoded int8 residuals;
-        otherwise they are exact. Pending (not yet compacted) rows are
-        always scanned at full precision.
-        """
-        rows = slice(int(self._bounds[cell]), int(self._bounds[cell + 1]))
-        if self._tombstones and self._dead[rows].any():
-            rows = rows.start + np.flatnonzero(~self._dead[rows])
-        ids = [np.asarray(self._ids[rows])]
-        vectors = [np.asarray(self._vectors[rows])]
-        if self.config.quantize and ids[0].size:
-            decoded = self._codes[rows].astype(np.float32)
-            decoded *= self._scales[cell]
-            decoded += self._centroids[cell][None, :]
-            diffs = decoded - query[None, :]
-        else:
-            diffs = vectors[0] - query[None, :]
-        sq = [(diffs * diffs).sum(axis=1)]
-        if cell in self._pending:
-            pend_ids, pend_vecs = self._pending_block(cell)
-            pend_diffs = pend_vecs - query[None, :]
-            ids.append(pend_ids)
-            sq.append((pend_diffs * pend_diffs).sum(axis=1))
-            vectors.append(pend_vecs)
-        return (np.concatenate(ids), np.concatenate(sq),
-                np.concatenate(vectors))
+    def _scan(self, query: np.ndarray, nprobe: int
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, float32 squared distances)`` of every live row in the
+        ``nprobe`` nearest cells: base rows not tombstoned, then each
+        cell's pending rows."""
+        query = np.ascontiguousarray(query, dtype=np.float32)
+        if query.shape != (self.dim,):
+            raise ValueError(f"expected query of shape ({self.dim},), got "
+                             f"{query.shape}")
+        if not self.is_trained or self.live_count == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, np.float32)
+        probe = self._probe_order(query, nprobe)
+        ids: List[np.ndarray] = []
+        sq: List[np.ndarray] = []
+        for cell in probe.tolist():
+            rows = slice(int(self._bounds[cell]),
+                         int(self._bounds[cell + 1]))
+            if self._tombstones and self._dead[rows].any():
+                rows = rows.start + np.flatnonzero(~self._dead[rows])
+            blocks = [(self._ids[rows], self._vectors[rows])]
+            if cell in self._pending:
+                blocks.append(self._pending_block(cell))
+            for block_ids, vectors in blocks:
+                diffs = vectors - query[None, :]
+                ids.append(np.asarray(block_ids))
+                sq.append((diffs * diffs).sum(axis=1))
+        ids_all = np.concatenate(ids)
+        self._counters["queries"] += 1
+        self._counters["cells_probed"] += probe.size
+        self._counters["candidates_scanned"] += ids_all.size
+        return ids_all, np.concatenate(sq)
 
     def _pending_block(self, cell: int) -> Tuple[np.ndarray, np.ndarray]:
         """Stacked ``(ids, vectors)`` of one cell's pending rows."""
@@ -397,42 +373,15 @@ class IVFIndex:
                ) -> Tuple[np.ndarray, np.ndarray]:
         """Top-k ``(ids, L2 distances)`` over the ``nprobe`` nearest cells.
 
-        Distances are exact (float32 arithmetic) for every returned row:
-        quantized scans rerank the ``config.rerank * k`` best approximate
-        candidates against the stored vectors before answering.
+        Exact over the probed cells: the ``k`` smallest float32
+        ``((v - q) ** 2).sum()`` of their live rows, ties broken by id;
+        a row whose cell is not probed is never seen.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        if query.shape != (self.dim,):
-            raise ValueError(f"expected query of shape ({self.dim},), got "
-                             f"{query.shape}")
-        if not self.is_trained or self.live_count == 0:
-            return (np.zeros(0, dtype=np.int64), np.zeros(0))
-        probe = self._probe_order(query, nprobe or self.config.nprobe)
-        cand_ids, cand_sq, cand_vecs = zip(
-            *(self._cell_candidates(int(c), query) for c in probe))
-        ids = np.concatenate(cand_ids)
-        sq = np.concatenate(cand_sq)
-        vectors = np.concatenate(cand_vecs)
-        stats = self._search_stats
-        stats.queries += 1
-        stats.cells_probed += probe.size
-        stats.candidates_scanned += int(ids.size)
-        if ids.size == 0:
-            return (np.zeros(0, dtype=np.int64), np.zeros(0))
-        if self.config.quantize:
-            keep = min(max(self.config.rerank * k, 32), ids.size)
-            top = np.argpartition(sq, keep - 1)[:keep]
-            diffs = vectors[top] - query[None, :]
-            sq = (diffs * diffs).sum(axis=1)
-            ids = ids[top]
-            stats.reranked += int(keep)
-        k = min(k, ids.size)
-        best = np.argpartition(sq, k - 1)[:k]
-        best = best[np.lexsort((ids[best], sq[best]))]
-        return (ids[best].astype(np.int64),
-                np.sqrt(sq[best].astype(np.float64)))
+        ids, sq = self._scan(query, nprobe or self.config.nprobe)
+        best = top_k_order(sq, ids, k) if ids.size else ids
+        return ids[best], np.sqrt(sq[best].astype(np.float64))
 
     def search_radius(self, query: np.ndarray, radius: float
                       ) -> Tuple[np.ndarray, np.ndarray]:
@@ -443,39 +392,19 @@ class IVFIndex:
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        if not self.is_trained or self.live_count == 0:
-            return (np.zeros(0, dtype=np.int64), np.zeros(0))
-        probe = self._probe_order(query, self.config.nprobe)
-        out_ids: List[np.ndarray] = []
-        out_d: List[np.ndarray] = []
-        stats = self._search_stats
-        stats.queries += 1
-        stats.cells_probed += probe.size
-        for cell in probe:
-            ids, sq, vectors = self._cell_candidates(int(cell), query)
-            stats.candidates_scanned += int(ids.size)
-            if self.config.quantize and ids.size:
-                # Radius answers are exact over the probed cells: always
-                # recompute against the stored vectors.
-                diffs = vectors - query[None, :]
-                sq = (diffs * diffs).sum(axis=1)
-            dist = np.sqrt(sq.astype(np.float64))
-            hit = dist <= radius
-            out_ids.append(ids[hit])
-            out_d.append(dist[hit])
-        ids = np.concatenate(out_ids) if out_ids else np.zeros(0, np.int64)
-        dist = np.concatenate(out_d) if out_d else np.zeros(0)
-        order = np.lexsort((ids, dist))
-        return ids[order].astype(np.int64), dist[order]
+        ids, sq = self._scan(query, self.config.nprobe)
+        dist = np.sqrt(sq.astype(np.float64))
+        hit = np.flatnonzero(dist <= radius)
+        order = hit[np.lexsort((ids[hit], dist[hit]))]
+        return ids[order], dist[order]
 
     # -------------------------------------------------------------- mutation
 
     def add(self, ids: Sequence[int], vectors: np.ndarray) -> None:
         """Append rows to their nearest cells (no retraining).
 
-        New rows live in per-cell overflow blocks (scanned at full
-        precision) until :meth:`compact` folds them into the base
+        New rows live in per-cell overflow blocks (scanned beside the
+        cell's base rows) until :meth:`compact` folds them into the base
         arrays. Ids must not be live in the index already.
         """
         vectors = _as_vectors(vectors, dim=self.dim)
@@ -521,8 +450,8 @@ class IVFIndex:
         """Fold pending appends and tombstones into the base arrays.
 
         Rewrites the contiguous per-cell layout in memory (detaching
-        from any mmap backing) and re-encodes int8 codes; centroids are
-        untouched. Returns ``self``.
+        from any mmap backing); centroids are untouched. Returns
+        ``self``.
         """
         ids, vectors, assign = self._materialise_live()
         self._pending.clear()
@@ -554,14 +483,10 @@ class IVFIndex:
     # ----------------------------------------------------------- persistence
 
     def _array_plan(self) -> List[Tuple[str, np.ndarray]]:
-        arrays = [("centroids", self._centroids),
-                  ("scales", self._scales),
-                  ("bounds", self._bounds),
-                  ("ids", self._ids),
-                  ("vectors", self._vectors)]
-        if self.config.quantize:
-            arrays.append(("codes", self._codes))
-        return arrays
+        return [("centroids", self._centroids),
+                ("bounds", self._bounds),
+                ("ids", self._ids),
+                ("vectors", self._vectors)]
 
     def save(self, path: PathLike) -> Path:
         """Write the index directory (``data.bin`` + ``MANIFEST.json``).
@@ -599,10 +524,6 @@ class IVFIndex:
             "config": {
                 "nlist": self.config.nlist,
                 "nprobe": self.config.nprobe,
-                "quantize": self.config.quantize,
-                "rerank": self.config.rerank,
-                "train_sample": self.config.train_sample,
-                "kmeans_iters": self.config.kmeans_iters,
                 "seed": self.config.seed,
             },
             "data": {"file": DATA_NAME, **file_entry(data_path)},
@@ -626,7 +547,13 @@ class IVFIndex:
         manifest = read_manifest(path / MANIFEST_NAME, IVF_SCHEMA, required=(
             "dim", "count", "config", "data", "arrays"))
         data_path = check_file(path / DATA_NAME, manifest["data"], verify)
-        config = IVFConfig(**manifest["config"])
+        try:
+            config = IVFConfig(**{
+                key: value for key, value in manifest["config"].items()
+                if key not in _LEGACY_CONFIG_KEYS})
+        except (TypeError, ConfigurationError) as exc:
+            raise CorruptArtifactError(
+                f"bad IVF config in {path}: {exc}") from exc
         index = cls(int(manifest["dim"]), config)
 
         def read_array(name: str) -> np.ndarray:
@@ -643,12 +570,9 @@ class IVFIndex:
 
         try:
             index._centroids = read_array("centroids")
-            index._scales = read_array("scales")
             index._bounds = read_array("bounds")
             index._ids = read_array("ids")
             index._vectors = read_array("vectors")
-            if config.quantize:
-                index._codes = read_array("codes")
         except (KeyError, ValueError, OSError) as exc:
             raise CorruptArtifactError(
                 f"cannot map IVF arrays from {path}: {exc}") from exc
@@ -664,13 +588,11 @@ class IVFIndex:
     def stats(self) -> Dict:
         """JSON-friendly snapshot: layout facts + cumulative search work."""
         counts = np.diff(self._bounds) if self.nlist else np.zeros(0)
-        stats = self._search_stats
         return {
             "kind": "ivf",
             "dim": self.dim,
             "nlist": self.nlist,
             "nprobe": self.config.nprobe,
-            "quantize": self.config.quantize,
             "ntotal": self.ntotal,
             "live": self.live_count,
             "pending": self.pending_count,
@@ -678,8 +600,5 @@ class IVFIndex:
             "cell_min": int(counts.min()) if counts.size else 0,
             "cell_mean": float(counts.mean()) if counts.size else 0.0,
             "cell_max": int(counts.max()) if counts.size else 0,
-            "queries": stats.queries,
-            "candidates_scanned": stats.candidates_scanned,
-            "cells_probed": stats.cells_probed,
-            "reranked": stats.reranked,
+            **self._counters,
         }

@@ -78,8 +78,8 @@ _LOG = logging.getLogger(__name__)
 
 #: Search counters that add up across shards (rows held, work done).
 _ADDITIVE_SEARCH_STATS = frozenset({
-    "candidates_scanned", "cells_probed", "reranked", "ntotal", "live",
-    "pending", "tombstones"})
+    "candidates_scanned", "cells_probed", "ntotal", "live", "pending",
+    "tombstones"})
 
 
 #: The reply key that carries the shard's row count, for each op whose

@@ -8,8 +8,10 @@ and recompute for the distance-matrix cache. The contract lives in
 :mod:`repro.core.atomicio`; DESIGN.md "Persisted artifacts" tables it.
 """
 
+import hashlib
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +199,66 @@ def test_damage_is_typed_or_falls_back(world, tmp_path, fmt, victim, mode):
             loader()
     else:
         assert loader() == fallback(intact)
+
+
+#: The ``.npz`` files no manifest covers: the seal is their only digest.
+STANDALONE = ("model", "store", "matrix-cache")
+
+
+def _sweep_offsets(path: Path) -> list:
+    """Evenly spaced offsets over the file, every member's local header
+    and the seal at the end."""
+    size = path.stat().st_size
+    with zipfile.ZipFile(path) as archive:
+        headers = [info.header_offset for info in archive.infolist()]
+    spaced = np.linspace(0, size - 1, 32).astype(int).tolist()
+    return sorted(set(spaced + headers + [size - 40]))
+
+
+@pytest.mark.parametrize("fmt", STANDALONE)
+def test_damage_anywhere_in_a_standalone_npz_is_caught(world, tmp_path, fmt):
+    """Zip's member CRCs never cover a local header; the seal does, so
+    the verdict cannot depend on where the damage falls."""
+    build, (victim,) = FORMATS[fmt]
+    loader, _ = build(tmp_path / fmt, world)
+    intact = loader()
+    (target,) = (tmp_path / fmt).glob(victim)
+    pristine = target.read_bytes()
+    fallback = FALLBACKS.get((fmt, "payload"))
+    for offset in _sweep_offsets(target):
+        target.write_bytes(pristine)
+        CorruptionSpec(mode="flip", offset=offset, length=16).apply(target)
+        if fallback is None:
+            with pytest.raises(CorruptArtifactError):
+                loader()
+        else:
+            assert loader() == fallback(intact), offset
+
+
+def test_atomic_savez_seals_the_archive_with_its_sha256(tmp_path):
+    path = tmp_path / "a.npz"
+    atomicio.atomic_savez(path, compressed=True, x=np.arange(5))
+    blob = path.read_bytes()
+    with zipfile.ZipFile(path) as archive:
+        comment = archive.comment
+    assert comment == b"repro-sha256:" + hashlib.sha256(
+        blob[:-len(comment)]).hexdigest().encode()
+    assert atomicio.read_npz(path)["x"].tolist() == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("fmt", STANDALONE)
+def test_unsealed_npz_files_still_load(world, tmp_path, fmt):
+    """Files written before archives were sealed: plain ``np.savez``."""
+    build, (victim,) = FORMATS[fmt]
+    loader, _ = build(tmp_path / fmt, world)
+    intact = loader()
+    (target,) = (tmp_path / fmt).glob(victim)
+    arrays = atomicio.read_npz(target)
+    with open(target, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+    with zipfile.ZipFile(target) as archive:
+        assert archive.comment == b""
+    assert loader() == intact
 
 
 def test_missing_artifact_directory_is_typed(tmp_path):

@@ -410,7 +410,7 @@ def test_modelless_load_roundtrip(world, tmp_path):
 # ---------------------------------------------------------------- layout
 
 BACKENDS = [{"backend": "exact"},
-            {"backend": "ivf", "nlist": 4, "nprobe": 4, "quantize": False}]
+            {"backend": "ivf", "nlist": 4, "nprobe": 4}]
 
 
 def snapshot(store):

@@ -140,10 +140,9 @@ class StoreMachine(RuleBasedStateMachine):
 
 
 class IVFStoreMachine(StoreMachine):
-    # Every cell probed, no quantisation: the index answers over exactly
-    # its live rows, so a row it lost or kept by mistake shows.
-    options = {"backend": "ivf", "nlist": 3, "nprobe": 3,
-               "quantize": False}
+    # Every cell probed: the index answers over exactly its live rows,
+    # so a row it lost or kept by mistake shows.
+    options = {"backend": "ivf", "nlist": 3, "nprobe": 3}
 
     @rule()
     def compact(self):

@@ -2,9 +2,12 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.atomicio import file_entry
 from repro.exceptions import ConfigurationError, CorruptArtifactError
@@ -33,8 +36,7 @@ def fixture_index():
     vectors = make_vectors()
     ids = np.arange(vectors.shape[0], dtype=np.int64) * 2 + 1
     index = IVFIndex.build(ids, vectors,
-                           IVFConfig(nlist=32, nprobe=8, quantize=True,
-                                     seed=0))
+                           IVFConfig(nlist=32, nprobe=8, seed=0))
     return index, ids, vectors
 
 
@@ -45,10 +47,13 @@ def test_config_validation():
         IVFConfig(nlist=-1)
     with pytest.raises(ConfigurationError):
         IVFConfig(nprobe=0)
-    with pytest.raises(ConfigurationError):
-        IVFConfig(rerank=0)
-    with pytest.raises(ConfigurationError):
-        IVFConfig(kmeans_iters=0)
+
+
+@pytest.mark.parametrize("removed", ["quantize", "rerank", "train_sample",
+                                     "kmeans_iters"])
+def test_config_holds_only_what_a_deployment_sets(removed):
+    with pytest.raises(TypeError):
+        IVFConfig(**{removed: 1})
 
 
 def test_auto_nlist_scales_like_sqrt():
@@ -166,13 +171,13 @@ def test_build_matches_frozen_kernels_bit_for_bit(wide_vectors, monkeypatch,
                                                   nlist, count):
     vectors = wide_vectors[:count]
     ids = np.arange(count, dtype=np.int64) * 3 + 1
-    config = IVFConfig(nlist=nlist, train_sample=16_000, seed=4)
+    monkeypatch.setattr(ann, "_TRAIN_SAMPLE", 16_000)
+    config = IVFConfig(nlist=nlist, seed=4)
     got = _build_arrays(ids, vectors, config)
     monkeypatch.setattr(ann, "kmeans", _frozen_kmeans)
     monkeypatch.setattr(ann, "_chunked_assign", _frozen_chunked_assign)
     want = _build_arrays(ids, vectors, config)
-    assert sorted(got) == ["bounds", "centroids", "codes", "ids", "scales",
-                           "vectors"]
+    assert sorted(got) == ["bounds", "centroids", "ids", "vectors"]
     assert got["centroids"].shape[0] == (nlist or auto_nlist(count))
     for name, array in want.items():
         assert got[name].dtype == array.dtype, name
@@ -272,12 +277,11 @@ def test_search_scans_a_fraction(fixture_index):
     assert 0 < scanned < ids.size  # strictly sub-linear probe
 
 
-def test_quantize_off_matches_exact_on_probed_cells():
+def test_exhaustive_probe_matches_exact_topk():
     vectors = make_vectors(count=400, dim=8)
     ids = np.arange(400, dtype=np.int64)
     index = IVFIndex.build(ids, vectors,
-                           IVFConfig(nlist=4, nprobe=4, quantize=False,
-                                     seed=0))
+                           IVFConfig(nlist=4, nprobe=4, seed=0))
     # nprobe == nlist: every cell probed, so answers are exact.
     for row in (0, 13, 77):
         got, _ = index.search(vectors[row], 10)
@@ -285,12 +289,86 @@ def test_quantize_off_matches_exact_on_probed_cells():
             got, exact_topk(ids, vectors, vectors[row], 10))
 
 
+@st.composite
+def mutated_indexes(draw):
+    """A small IVF index after a drawn history, and its live rows.
+
+    Values sit on a half-integer grid, so duplicate rows and tied
+    distances are common. The history tombstones base rows, adds new
+    rows, re-adds removed base ids with new vectors, removes some
+    pending rows again, and may compact.
+    """
+    grid = st.integers(-3, 3).map(lambda v: v / 2)
+    dim = draw(st.integers(1, 4))
+    rows = st.lists(grid, min_size=dim, max_size=dim)
+    base = draw(st.lists(rows, min_size=1, max_size=50))
+    ids = draw(st.permutations(range(len(base))))
+    nlist = draw(st.integers(1, min(len(base), 6)))
+    index = IVFIndex.build(
+        np.array(ids, dtype=np.int64), np.array(base, dtype=np.float32),
+        IVFConfig(nlist=nlist, nprobe=draw(st.integers(1, nlist + 1)),
+                  seed=draw(st.integers(0, 3))))
+    live = {row_id: np.array(row, dtype=np.float32)
+            for row_id, row in zip(ids, base)}
+    removed = draw(st.lists(st.sampled_from(ids), unique=True))
+    index.remove(removed)
+    for row_id in removed:
+        del live[row_id]
+    readded = draw(st.lists(st.sampled_from(removed), unique=True)
+                   if removed else st.just([]))
+    fresh = list(range(len(base), len(base) + draw(st.integers(0, 10))))
+    added = readded + fresh
+    if added:
+        vectors = np.array([draw(rows) for _ in added], dtype=np.float32)
+        index.add(np.array(added, dtype=np.int64), vectors)
+        live.update(zip(added, vectors))
+        dropped = draw(st.lists(st.sampled_from(added), unique=True))
+        index.remove(dropped)
+        for row_id in dropped:
+            del live[row_id]
+    if draw(st.booleans()):
+        index.compact()
+    queries = draw(st.lists(rows, min_size=1, max_size=3))
+    return index, live, np.array(queries, dtype=np.float32)
+
+
+def _probed_live_rows(index, live, query):
+    """``(ids, float32 squared distances)`` by brute force over the live
+    rows whose cell is one of the query's probed cells."""
+    ids, vectors, cells = index._materialise_live()
+    assert sorted(ids.tolist()) == sorted(live)
+    for row_id, vector in zip(ids.tolist(), vectors):
+        assert vector.tobytes() == live[row_id].tobytes()
+    probed = np.isin(cells, index._probe_order(query, index.config.nprobe))
+    diffs = vectors[probed] - query[None, :]
+    return ids[probed], (diffs * diffs).sum(axis=1)
+
+
+@given(mutated_indexes(), st.integers(1, 70), st.integers(0, 8))
+@settings(max_examples=150, deadline=None)
+def test_search_is_brute_force_over_the_probed_cells(case, k, radius_steps):
+    index, live, queries = case
+    radius = radius_steps / 2
+    for query in queries:
+        ids, sq = _probed_live_rows(index, live, query)
+        dist = np.sqrt(sq.astype(np.float64))
+        order = np.lexsort((ids, sq))[:k]
+        got_ids, got_dist = index.search(query, k)
+        assert got_ids.dtype == np.int64 and got_dist.dtype == np.float64
+        assert got_ids.tolist() == ids[order].tolist()
+        assert got_dist.tobytes() == dist[order].tobytes()
+        hit = np.flatnonzero(dist <= radius)
+        hit = hit[np.lexsort((ids[hit], dist[hit]))]
+        got_ids, got_dist = index.search_radius(query, radius)
+        assert got_ids.tolist() == ids[hit].tolist()
+        assert got_dist.tobytes() == dist[hit].tobytes()
+
+
 def test_nprobe_equals_nlist_is_exhaustive(fixture_index):
     index, ids, vectors = fixture_index
     got, _ = index.search(vectors[3], 10, nprobe=index.nlist)
     truth = exact_topk(ids, vectors, vectors[3], 10)
-    # int8 rerank repairs ranking; exhaustive probe must recall all.
-    assert set(got.tolist()) == set(truth.tolist())
+    np.testing.assert_array_equal(got, truth)
 
 
 def test_search_radius(fixture_index):
@@ -309,8 +387,7 @@ def test_add_remove_compact_roundtrip():
     vectors = make_vectors(count=300, dim=8)
     ids = np.arange(300, dtype=np.int64)
     index = IVFIndex.build(ids, vectors,
-                           IVFConfig(nlist=8, nprobe=8, quantize=True,
-                                     seed=0))
+                           IVFConfig(nlist=8, nprobe=8, seed=0))
     extra = vectors[:3] + np.float32(0.01)
     index.add(np.array([1000, 1001, 1002], dtype=np.int64), extra)
     assert index.ntotal == 303 and index.pending_count == 3
@@ -339,8 +416,7 @@ def test_search_sees_every_add_and_remove():
     must be dropped the moment that cell changes."""
     vectors = make_vectors(count=300, dim=8)
     index = IVFIndex.build(np.arange(300, dtype=np.int64), vectors,
-                           IVFConfig(nlist=8, nprobe=8, quantize=False,
-                                     seed=0))
+                           IVFConfig(nlist=8, nprobe=8, seed=0))
     spot = vectors[7] + np.float32(0.5)
     near = [spot + np.float32(0.001 * step) for step in range(1, 5)]
 
@@ -367,8 +443,7 @@ def test_readding_a_removed_base_row_does_not_revive_it():
     ``add``, so the stale base row answered beside the new one."""
     vectors = make_vectors(count=300, dim=8)
     index = IVFIndex.build(np.arange(300, dtype=np.int64), vectors,
-                           IVFConfig(nlist=8, nprobe=8, quantize=False,
-                                     seed=0))
+                           IVFConfig(nlist=8, nprobe=8, seed=0))
     moved = vectors[5] + np.float32(25.0)
     assert index.remove([5]) == 1
     index.add(np.array([5], dtype=np.int64), moved[None, :])
@@ -452,16 +527,17 @@ def test_mmap_load_survives_restart_and_mutation(tmp_path):
     assert got[0] == 17
 
 
-def _odd_nlist_index():
-    vectors = make_vectors(count=600, dim=8)
+def _odd_shape_index():
+    vectors = make_vectors(count=600, dim=5)
     return IVFIndex.build(np.arange(600, dtype=np.int64), vectors,
                           IVFConfig(nlist=45, seed=0))
 
 
 def test_saved_arrays_sit_at_aligned_offsets(tmp_path):
-    # An odd nlist leaves the float32 scales ending off an 8-byte
-    # boundary: the int64 arrays after them must still start on one.
-    index = _odd_nlist_index()
+    # An odd nlist times an odd dim leaves the float32 centroids ending
+    # off an 8-byte boundary: the int64 arrays after them must still
+    # start on one.
+    index = _odd_shape_index()
     index.save(tmp_path / "ivf")
     manifest = json.loads((tmp_path / "ivf" / "MANIFEST.json").read_text())
     offsets = {name: meta["offset"]
@@ -478,7 +554,7 @@ def test_saved_arrays_sit_at_aligned_offsets(tmp_path):
 def test_packed_unaligned_directories_still_load(tmp_path):
     # Earlier releases packed the arrays back to back; the manifest's
     # offsets say where each one is, so such a directory opens as is.
-    index = _odd_nlist_index()
+    index = _odd_shape_index()
     path = index.save(tmp_path / "ivf")
     manifest = json.loads((path / "MANIFEST.json").read_text())
     offset, packed = 0, []
@@ -492,6 +568,42 @@ def test_packed_unaligned_directories_still_load(tmp_path):
     assert manifest["arrays"]["bounds"]["offset"] % 8 != 0
     reloaded = IVFIndex.load(path)
     assert not reloaded._bounds.flags.aligned
-    query = make_vectors(count=600, dim=8)[5]
+    query = make_vectors(count=600, dim=5)[5]
     for got, want in zip(reloaded.search(query, 10), index.search(query, 10)):
         np.testing.assert_array_equal(got, want)
+
+
+#: Written by the release before the index kept one float32 scan:
+#: ``IVFIndex.build(np.arange(200) * 2 + 1, make_vectors(count=200,
+#: dim=8), IVFConfig(nlist=6, nprobe=3, seed=0)).save(...)``, so it
+#: still carries the quantized ``codes`` / ``scales`` arrays and the
+#: ``quantize`` / ``rerank`` / ``train_sample`` / ``kmeans_iters`` keys.
+PARENT_LAYOUT = Path(__file__).parent / "data" / "ivf_v1_int8"
+
+
+@pytest.mark.parametrize("mmap", [True, False])
+def test_directories_with_quantized_codes_still_load(tmp_path, mmap):
+    manifest = json.loads((PARENT_LAYOUT / "MANIFEST.json").read_text())
+    assert {"codes", "scales"} <= set(manifest["arrays"])
+    assert manifest["config"]["quantize"] is True
+    vectors = make_vectors(count=200, dim=8)
+    ids = np.arange(200, dtype=np.int64) * 2 + 1
+    fresh = IVFIndex.build(ids, vectors, IVFConfig(nlist=6, nprobe=3, seed=0))
+    legacy = IVFIndex.load(PARENT_LAYOUT, mmap=mmap)
+    assert legacy.config == fresh.config
+    for name, array in fresh._array_plan():
+        assert np.asarray(getattr(legacy, "_" + name)).tobytes() == \
+            array.tobytes(), name
+    for row in (0, 3, 77, 199):
+        query = vectors[row] + np.float32(0.05)
+        for got, want in zip(legacy.search(query, 10),
+                             fresh.search(query, 10)):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(legacy.search_radius(query, 1.5),
+                             fresh.search_radius(query, 1.5)):
+            assert got.tobytes() == want.tobytes()
+    legacy.save(tmp_path / "resaved")
+    resaved = json.loads((tmp_path / "resaved" / "MANIFEST.json").read_text())
+    assert sorted(resaved["arrays"]) == ["bounds", "centroids", "ids",
+                                         "vectors"]
+    assert sorted(resaved["config"]) == ["nlist", "nprobe", "seed"]

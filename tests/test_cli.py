@@ -88,3 +88,26 @@ def test_serve_has_no_straggler_wait_option(tmp_path, capsys):
               "--max-wait-ms", "2"])
     assert exited.value.code == 2
     assert "--max-wait-ms" in capsys.readouterr().err
+
+
+def test_index_build_has_no_int8_option(bundle, tmp_path, capsys):
+    """The index keeps one float32 representation: nothing to turn off."""
+    with pytest.raises(SystemExit) as exited:
+        main(["index", "build", "--bundle", str(bundle),
+              "--out", str(tmp_path / "ivf"), "--no-int8"])
+    assert exited.value.code == 2
+    assert "--no-int8" in capsys.readouterr().err
+    assert not (tmp_path / "ivf").exists()
+
+
+def test_index_build_then_stats(bundle, tmp_path, capsys):
+    import json
+
+    assert main(["index", "build", "--bundle", str(bundle),
+                 "--out", str(tmp_path / "ivf"), "--nlist", "2"]) == 0
+    capsys.readouterr()
+    assert main(["index", "stats", "--index", str(tmp_path / "ivf"),
+                 "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["kind"], stats["nlist"], stats["ntotal"]) == ("ivf", 2, 8)
+    assert "quantize" not in stats
