@@ -5,10 +5,9 @@ Three sections, each with functional hard gates (checked by
 numbers for trend-watching:
 
 * **append** — acked-append throughput of one :class:`ShardWAL` under 4
-  concurrent appender threads at fsync windows of 0 / 2 / 8 ms. Hard
-  gates: every acked LSN is durable when ``append`` returns, a reopen
-  recovers exactly the acked records, and the 8 ms group-commit window
-  issues strictly fewer fsyncs than there were appends (it batched).
+  concurrent appender threads. Hard gates: every acked LSN is durable
+  when ``append`` returns, and a reopen recovers exactly the acked
+  records.
 * **recovery** — time to rebuild a shard store from (a) pure WAL replay
   of ``records`` insert batches and (b) a checksummed snapshot plus an
   empty WAL after ``compact``-style truncation. Hard gate: both paths
@@ -45,7 +44,6 @@ CONFIG = {
     "embedding_dim": 16,
     "append_threads": 4,
     "appends_per_thread": 60,
-    "fsync_windows_ms": [0.0, 2.0, 8.0],
     "recovery_records": 400,
     "rows_per_record": 4,
     "restart_rows": 200,
@@ -55,7 +53,7 @@ CONFIG = {
 }
 
 
-def _append_section(wal_dir: Path, window_ms: float, config: dict) -> dict:
+def _append_section(wal_dir: Path, config: dict) -> dict:
     from repro.serving.wal import OP_INSERT, ShardWAL
 
     dim = config["embedding_dim"]
@@ -64,7 +62,7 @@ def _append_section(wal_dir: Path, window_ms: float, config: dict) -> dict:
     rng = np.random.default_rng(config["seed"])
     rows = rng.standard_normal((threads * per_thread, dim))
 
-    wal = ShardWAL(wal_dir, fsync_window_ms=window_ms)
+    wal = ShardWAL(wal_dir, "bench")
     unacked = []
     lock = threading.Lock()
 
@@ -85,16 +83,15 @@ def _append_section(wal_dir: Path, window_ms: float, config: dict) -> dict:
     for worker in workers:
         worker.join()
     elapsed = time.perf_counter() - started
-    stats = wal.stats()
+    stats = wal.stats()["wal"]
     wal.close()
 
-    reopened = ShardWAL(wal_dir)
-    recovered = len(reopened.drain_recovered())
+    reopened = ShardWAL(wal_dir, "bench")
+    recovered = len(list(reopened.replay()))
     reopened.close()
 
     acked = threads * per_thread
     return {
-        "window_ms": window_ms,
         "acked": acked,
         "appends_per_s": acked / elapsed,
         "fsyncs": int(stats["fsyncs"]),
@@ -105,7 +102,7 @@ def _append_section(wal_dir: Path, window_ms: float, config: dict) -> dict:
 
 def _recovery_section(base_dir: Path, config: dict) -> dict:
     from repro.core.store import EmbeddingStore
-    from repro.serving.wal import OP_INSERT, ShardDurability, ShardWAL
+    from repro.serving.wal import OP_INSERT, ShardWAL
 
     dim = config["embedding_dim"]
     records = config["recovery_records"]
@@ -113,7 +110,7 @@ def _recovery_section(base_dir: Path, config: dict) -> dict:
     rng = np.random.default_rng(config["seed"] + 1)
 
     wal_dir = base_dir / "recovery"
-    wal = ShardWAL(wal_dir)
+    wal = ShardWAL(wal_dir, "bench")
     next_id = 0
     for _ in range(records):
         ids = np.arange(next_id, next_id + per_record, dtype=np.int64)
@@ -121,10 +118,10 @@ def _recovery_section(base_dir: Path, config: dict) -> dict:
         next_id += per_record
 
     def replay_into_store() -> "tuple[EmbeddingStore, int]":
-        recovery = ShardWAL(wal_dir)
+        recovery = ShardWAL(wal_dir, "bench")
         store = EmbeddingStore(None, dim=dim)
         replayed = 0
-        for record in recovery.drain_recovered():
+        for record in recovery.replay():
             store.add_embeddings(record.embeddings,
                                  ids=[int(i) for i in record.ids])
             replayed += 1
@@ -136,13 +133,11 @@ def _recovery_section(base_dir: Path, config: dict) -> dict:
     wal_replay_s = time.perf_counter() - started
     reference_ids = sorted(int(i) for i in store.ids)
 
-    dur = ShardDurability(wal_dir, base_tag="bench")
-    dur.commit_snapshot(store.save, count=len(store), next_id=next_id,
-                        applied_lsn=records, wal=wal)
+    wal.checkpoint(store.save, count=len(store), next_id=next_id)
     wal.close()
 
     started = time.perf_counter()
-    snapshot_store = EmbeddingStore.load(dur.snapshot_path(), None)
+    snapshot_store = EmbeddingStore.load(wal.snapshot, None)
     _, post_snapshot_replayed = replay_into_store()
     snapshot_recover_s = time.perf_counter() - started
 
@@ -205,16 +200,12 @@ def _restart_section(base_dir: Path, config: dict) -> dict:
 
 
 def run_all(config=CONFIG) -> dict:
-    results = {"append": {}}
+    results = {}
     with tempfile.TemporaryDirectory(prefix="bench-durability-") as tmp:
         tmp = Path(tmp)
-        for window_ms in config["fsync_windows_ms"]:
-            label = f"window_{window_ms:g}ms"
-            entry = _append_section(tmp / f"append-{window_ms:g}",
-                                    window_ms, config)
-            results["append"][label] = entry
-            print(f"  append {label}: {entry['appends_per_s']:.0f} acked/s, "
-                  f"{entry['fsyncs']} fsyncs for {entry['acked']} appends")
+        entry = results["append"] = _append_section(tmp / "append", config)
+        print(f"  append: {entry['appends_per_s']:.0f} acked/s, "
+              f"{entry['fsyncs']} fsyncs for {entry['acked']} appends")
         results["recovery"] = _recovery_section(tmp, config)
         print(f"  recovery: replay {results['recovery']['wal_replay_s']:.3f}s"
               f" for {results['recovery']['records']} records, snapshot "
@@ -239,8 +230,8 @@ def main(argv=None) -> int:
 
     report = run_all()
     results = report["results"]
-    ok = (all(e["durable_ok"] and e["recovered"] == e["acked"]
-              for e in results["append"].values())
+    append = results["append"]
+    ok = (append["durable_ok"] and append["recovered"] == append["acked"]
           and results["recovery"]["id_identical"]
           and not results["restart"]["partial"]
           and results["restart"]["restarts"] == 1

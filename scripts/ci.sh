@@ -17,10 +17,10 @@
 #   6. sharding gate    — scatter-gather tier: 4-shard-vs-1-shard
 #      throughput floor at 1M rows and id-identity against the exact
 #      single store (BENCH_sharding.json)
-#   7. durability gate  — WAL append acks are fsynced, group commit
-#      batches, snapshot recovery is id-identical, a SIGKILLed shard is
-#      respawned once from snapshot + WAL and its retried query answers
-#      complete with zero acked writes lost (BENCH_durability.json)
+#   7. durability gate  — WAL append acks are fsynced, snapshot
+#      recovery is id-identical, a SIGKILLed shard is respawned once
+#      from snapshot + WAL and its retried query answers complete with
+#      zero acked writes lost (BENCH_durability.json)
 #   8. streaming gate   — zero acked-point loss, bit-identical
 #      incremental encoding and reopen, freshness/speedup floors
 #      (BENCH_streaming.json)

@@ -212,8 +212,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # One config shape for both tiers; the sharded one adds its own fields.
     knobs = dict(max_batch_size=args.max_batch,
                  cache_capacity=args.cache_capacity, index=args.index,
-                 nlist=args.nlist, nprobe=args.nprobe,
-                 fsync_window_ms=args.fsync_window_ms)
+                 nlist=args.nlist, nprobe=args.nprobe)
     sharded = bool(args.shards and args.shards > 1)
     if args.partitions and not sharded:
         print("--partitions requires --shards > 1", file=sys.stderr)
@@ -526,9 +525,6 @@ def main(argv=None) -> int:
                        help="per-shard WAL + snapshot root: mutations are "
                             "fsynced before they are acked and restarts "
                             "recover them")
-    serve.add_argument("--fsync-window-ms", type=float, default=0.0,
-                       help="WAL group-commit window; 0 fsyncs every ack "
-                            "(default 0)")
     serve.set_defaults(func=_cmd_serve)
 
     shard_tool = sub.add_parser(

@@ -121,11 +121,6 @@ class ServingConfig:
     nprobe:
         IVF cells scanned per query (the recall/latency dial). Only
         used when ``index="ivf"``.
-    fsync_window_ms:
-        Group-commit window of a durable service (``durable_dir``): 0
-        fsyncs on every ack; a positive window batches fsyncs, trading
-        up to that much ack latency for amortised disk flushes under
-        concurrent writers.
     wal_segment_bytes:
         WAL log-rotation threshold per shard.
     """
@@ -141,7 +136,6 @@ class ServingConfig:
     index: str = "exact"
     nlist: int = 0
     nprobe: int = 8
-    fsync_window_ms: float = 0.0
     wal_segment_bytes: int = 64 << 20
 
     def __post_init__(self) -> None:
@@ -166,8 +160,6 @@ class ServingConfig:
             raise ConfigurationError("nlist must be >= 0 (0 = auto)")
         if self.nprobe < 1:
             raise ConfigurationError("nprobe must be >= 1")
-        if self.fsync_window_ms < 0:
-            raise ConfigurationError("fsync_window_ms must be >= 0")
         if self.wal_segment_bytes < 4096:
             raise ConfigurationError("wal_segment_bytes must be >= 4096")
 

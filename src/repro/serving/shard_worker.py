@@ -3,7 +3,7 @@
 A shard worker owns one shard of the embedding table as an
 :class:`~repro.core.store.EmbeddingStore` (no encoder: every vector it
 stores or searches was computed by the coordinator) and, on a durable
-tier, the shard's :class:`~repro.serving.wal.DurableLog`.
+tier, the shard's :class:`~repro.serving.wal.ShardWAL`.
 :class:`_ShardWorker` is that state plus one ``op_<name>(payload)``
 method per request the coordinator sends. A local service runs one
 worker in process over the caller's store; the sharded tier forks one
@@ -15,7 +15,7 @@ Boot spec (``_ShardTarget._boot_spec`` always sends every key):
 its store), ``index``/``nlist``/``nprobe`` (the backend the worker
 installs), ``durable_dir`` (``None`` = memory only), ``base_tag`` (the
 fingerprint of the base bytes the log composes with) and
-``fsync_window_ms``/``wal_segment_bytes``.
+``wal_segment_bytes``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from ..core.partition import load_partition
 from ..core.store import EmbeddingStore
 from ..exceptions import ReloadError
-from .wal import OP_DELETE, OP_INSERT, DurableLog
+from .wal import OP_DELETE, OP_INSERT, ShardWAL
 
 _LOG = logging.getLogger(__name__)
 
@@ -44,7 +44,7 @@ def _backend_options(boot: Dict) -> Dict:
 
 
 def _mutate(store: EmbeddingStore, op: int, ids, embeddings=None,
-            log: Optional[DurableLog] = None) -> np.ndarray:
+            log: Optional[ShardWAL] = None) -> np.ndarray:
     """The only code that changes a served store; returns the ids changed.
 
     Idempotent by id (an insert keeps the rows not yet present, a delete
@@ -103,17 +103,17 @@ class _ShardWorker:
                               backend=boot["index"], **options)
 
     def _open(self, boot: Dict, base: Optional[EmbeddingStore] = None
-              ) -> Tuple[EmbeddingStore, Optional[DurableLog]]:
+              ) -> Tuple[EmbeddingStore, Optional[ShardWAL]]:
         """Recover one generation: snapshot (or ``base``, or the
         partition) plus everything the log holds past it. Snapshot + log
         only compose with the exact bytes they were recorded against —
         the boot spec's ``base_tag`` — so new bytes reset them."""
         if boot["durable_dir"] is None:
             return (self._load_store(boot) if base is None else base), None
-        log = DurableLog(
+        log = ShardWAL(
             Path(boot["durable_dir"]) / f"shard-{self.shard_id:04d}",
             boot["base_tag"], segment_bytes=boot["wal_segment_bytes"],
-            fsync_window_ms=boot["fsync_window_ms"], hook=self._wal_hook)
+            hook=self._wal_hook)
         try:
             if base is None or log.snapshot is not None:
                 base = self._load_store(boot, log.snapshot)
@@ -124,7 +124,7 @@ class _ShardWorker:
         return base, log
 
     @staticmethod
-    def _replay(store: EmbeddingStore, log: DurableLog) -> None:
+    def _replay(store: EmbeddingStore, log: ShardWAL) -> None:
         for record in log.replay():
             _mutate(store, record.op, record.ids, record.embeddings)
 

@@ -524,7 +524,6 @@ class _ShardTarget:
                 "nprobe": self.config.nprobe,
                 "durable_dir": (None if self.durable_dir is None
                                 else str(self.durable_dir)),
-                "fsync_window_ms": self.config.fsync_window_ms,
                 "wal_segment_bytes": self.config.wal_segment_bytes}
 
     def _resync_id_space(self) -> None:
@@ -829,7 +828,6 @@ class _ShardTarget:
             "durability": {
                 "durable_dir": (None if self.durable_dir is None
                                 else str(self.durable_dir)),
-                "fsync_window_ms": self.config.fsync_window_ms,
                 "restarts": self._m_restarts.value,
             },
         }

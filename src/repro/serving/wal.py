@@ -1,40 +1,40 @@
-"""Per-shard write-ahead durability: WAL, snapshots, recovery.
+"""Durable tables: one snapshot generation plus a write-ahead log.
 
-A durable service — one shard in process or N forked — acknowledges
-``insert``/``delete`` mutations only after they are *durable*: the shard
-worker appends a checksummed record to its write-ahead log and fsyncs
-before replying. A crash then
-loses nothing acknowledged — recovery replays snapshot + WAL and the
-rebuilt shard is id-identical to the pre-crash state.
+A durable service — one shard in process or N forked — and the stream
+ingester acknowledge a mutation only after it is *durable*: the owner
+appends a checksummed record to its :class:`ShardWAL` and the append
+fsyncs before it returns. A crash then loses nothing acknowledged —
+recovery loads the snapshot, replays the log past it, and the rebuilt
+table is id-identical to the pre-crash state.
 
 Record framing (all little-endian)::
 
-    magic u32 | payload_len u32 | crc32c(payload) u32 | payload
+    magic u32 | payload_len u32 | crc32(payload) u32 | payload
     payload := lsn u64 | opcode u8 | body
     body(insert) := n u32 | dim u32 | ids int64[n] | embeddings f64[n*dim]
     body(delete) := n u32 | ids int64[n]
 
+Records are written with magic ``WAL2`` and the stdlib's CRC-32
+(``zlib.crc32``). Logs written before it hold ``WAL1`` records, whose
+checksum is CRC-32C (Castagnoli); those are still read — by a
+table-driven byte loop kept for that alone — and never written, and the
+first checkpoint that covers them deletes them. The checksum is chosen
+per record by its magic, so one segment may hold WAL1 records followed
+by WAL2 ones.
+
 Damage classification is the load-bearing decision: a scan that hits an
 invalid record searches *forward* for any structurally valid record
-(magic + length + crc + decode all pass). If one exists, the damage is
-mid-log corruption and recovery raises :class:`WALCorruptionError` —
-acknowledged writes would otherwise be silently dropped. If none
-exists, the damage is a torn tail from a crash during append and is
-repaired by truncating to the longest valid prefix.
+(either magic + length + checksum + decode all pass). If one exists, the
+damage is mid-log corruption and recovery raises
+:class:`WALCorruptionError` — acknowledged writes would otherwise be
+silently dropped. If none exists, the damage is a torn tail from a
+crash during append and is repaired by truncating to the longest valid
+prefix.
 
-crc32c (Castagnoli) is implemented here because the C extension package
-is not available in this environment. Small buffers use a table-driven
-byte loop; large buffers split into K blocks CRC'd simultaneously as a
-numpy-vectorized state array, then folded with zero-byte shift tables
-(CRC is linear over GF(2), so ``crc(A||B) = shift(crc(A), |B|) ^
-crc(B)``).
-
-Group commit: with ``fsync_window_ms == 0`` every ``append`` fsyncs
-before returning (concurrent appenders piggyback on each other's
-fsyncs). With a positive window, a committer thread fsyncs the batch
-accumulated over each window and appenders block on a condition until
-their LSN is durable. Either way the ack-after-fsync invariant holds:
-``append`` never returns before its record is on disk.
+``append`` fsyncs under the log's lock before it returns, so each
+acknowledged append pays one fsync; one whose record an earlier fsync
+already covered (possible only if appends run concurrently) returns
+without one.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ import os
 import struct
 import threading
 import time
+import zlib
 from pathlib import Path
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Tuple)
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -58,91 +58,39 @@ from ..exceptions import ServiceClosedError, WALCorruptionError
 logger = logging.getLogger(__name__)
 
 __all__ = ["crc32c", "encode_record", "decode_payload", "scan_buffer",
-           "WALRecord", "ShardWAL", "ShardDurability", "DurableLog",
-           "OP_INSERT", "OP_DELETE", "WAL_MAGIC"]
-
-
-# --------------------------------------------------------------------------
-# crc32c (Castagnoli, reflected polynomial 0x82F63B78)
-
-_CRC_POLY = np.uint32(0x82F63B78)
-_CRC_MASK = 0xFFFFFFFF
-
-
-def _build_crc_table() -> np.ndarray:
-    table = np.arange(256, dtype=np.uint32)
-    for _ in range(8):
-        odd = (table & np.uint32(1)).astype(bool)
-        table >>= np.uint32(1)
-        table[odd] ^= _CRC_POLY
-    return table
-
-
-_CRC_TABLE = _build_crc_table()
-_CRC_TABLE_LIST = [int(x) for x in _CRC_TABLE]
-_SCALAR_CUTOFF = 2048
-_SHIFT_CACHE: Dict[int, List[List[int]]] = {}
-_SHIFT_CACHE_MAX = 32
-
-
-def _crc_update_scalar(crc: int, data) -> int:
-    """Raw register update (no init/final conditioning), one byte at a time."""
-    table = _CRC_TABLE_LIST
-    for byte in data:
-        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-    return crc
-
-
-def _zero_shift_tables(m: int) -> List[List[int]]:
-    """Byte-indexed tables applying the linear map 'feed m zero bytes'.
-
-    ``L_m(v) = T0[v&FF] ^ T1[(v>>8)&FF] ^ T2[(v>>16)&FF] ^ T3[(v>>24)&FF]``
-    holds because the CRC register update is GF(2)-linear in the register.
-    """
-    cached = _SHIFT_CACHE.get(m)
-    if cached is not None:
-        return cached
-    vals = np.arange(256, dtype=np.uint32)
-    states = np.concatenate([vals << np.uint32(8 * j) for j in range(4)])
-    for _ in range(m):
-        states = (states >> np.uint32(8)) ^ _CRC_TABLE[states & np.uint32(0xFF)]
-    tables = [[int(x) for x in states[j * 256:(j + 1) * 256]]
-              for j in range(4)]
-    if len(_SHIFT_CACHE) >= _SHIFT_CACHE_MAX:
-        _SHIFT_CACHE.clear()
-    _SHIFT_CACHE[m] = tables
-    return tables
-
-
-def crc32c(data: bytes, value: int = 0) -> int:
-    """crc32c of ``data``; ``value`` chains a previous result."""
-    crc = (value ^ _CRC_MASK) & _CRC_MASK
-    n = len(data)
-    if n < _SCALAR_CUTOFF:
-        return (_crc_update_scalar(crc, data) ^ _CRC_MASK) & _CRC_MASK
-    blocks = max(8, min(1024, (int(n ** 0.5) // 8) * 8))
-    m = n // blocks
-    body = np.frombuffer(data, dtype=np.uint8,
-                         count=blocks * m).reshape(blocks, m)
-    cols = np.ascontiguousarray(body.T)
-    states = np.zeros(blocks, dtype=np.uint32)
-    for row in cols:
-        states = (states >> np.uint32(8)) ^ _CRC_TABLE[(states ^ row)
-                                                       & np.uint32(0xFF)]
-    t0, t1, t2, t3 = _zero_shift_tables(m)
-    for block_crc in (int(s) for s in states):
-        crc = (t0[crc & 0xFF] ^ t1[(crc >> 8) & 0xFF]
-               ^ t2[(crc >> 16) & 0xFF] ^ t3[crc >> 24]) ^ block_crc
-    crc = _crc_update_scalar(crc, data[blocks * m:])
-    return (crc ^ _CRC_MASK) & _CRC_MASK
+           "list_segments", "WALRecord", "ShardWAL", "OP_INSERT",
+           "OP_DELETE", "WAL_MAGIC"]
 
 
 # --------------------------------------------------------------------------
 # Record codec
 
-WAL_MAGIC = 0x57414C31
-_MAGIC_BYTES = struct.pack("<I", WAL_MAGIC)
-_HEADER = struct.Struct("<III")      # magic, payload length, crc32c(payload)
+
+def _crc32c_table() -> List[int]:
+    table = []
+    for value in range(256):
+        for _ in range(8):
+            value = (value >> 1) ^ (0x82F63B78 if value & 1 else 0)
+        table.append(value)
+    return table
+
+
+_CRC32C_TABLE = _crc32c_table()
+
+
+def crc32c(data: bytes) -> int:
+    """CRC-32C (Castagnoli) of ``data``: the checksum of WAL1 records."""
+    crc = 0xFFFFFFFF
+    for byte in data:
+        crc = (crc >> 8) ^ _CRC32C_TABLE[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
+
+
+WAL_MAGIC = 0x57414C32               # b"2LAW" on disk: zlib.crc32 records
+_WAL1_MAGIC = 0x57414C31             # b"1LAW": crc32c records, read only
+_CHECKSUMS = {WAL_MAGIC: zlib.crc32, _WAL1_MAGIC: crc32c}
+_MAGIC_BYTES = [struct.pack("<I", magic) for magic in _CHECKSUMS]
+_HEADER = struct.Struct("<III")      # magic, payload length, checksum
 _PAYHEAD = struct.Struct("<QB")      # lsn, opcode
 _INS_HEAD = struct.Struct("<II")     # n, dim
 _DEL_HEAD = struct.Struct("<I")      # n
@@ -172,7 +120,7 @@ def encode_record(lsn: int, op: int, ids,
     else:
         raise ValueError(f"unknown WAL opcode {op!r}")
     payload = _PAYHEAD.pack(lsn, op) + body
-    return _HEADER.pack(WAL_MAGIC, len(payload), crc32c(payload)) + payload
+    return _HEADER.pack(WAL_MAGIC, len(payload), zlib.crc32(payload)) + payload
 
 
 def decode_payload(payload: bytes) -> Optional[WALRecord]:
@@ -208,13 +156,14 @@ def _record_at(buf: bytes, off: int) -> Tuple[Optional[WALRecord], int]:
     if len(buf) - off < _HEADER.size:
         return None, off
     magic, length, crc = _HEADER.unpack_from(buf, off)
-    if magic != WAL_MAGIC or length > MAX_RECORD_BYTES:
+    checksum = _CHECKSUMS.get(magic)
+    if checksum is None or length > MAX_RECORD_BYTES:
         return None, off
     end = off + _HEADER.size + length
     if end > len(buf):
         return None, off
     payload = buf[off + _HEADER.size:end]
-    if crc32c(payload) != crc:
+    if checksum(payload) != crc:
         return None, off
     record = decode_payload(payload)
     if record is None:
@@ -224,12 +173,13 @@ def _record_at(buf: bytes, off: int) -> Tuple[Optional[WALRecord], int]:
 
 def _classify_damage(buf: bytes, damage_off: int) -> str:
     """'corrupt' if any valid record starts after the damage, else 'torn'."""
-    idx = buf.find(_MAGIC_BYTES, damage_off + 1)
-    while idx != -1:
-        record, _ = _record_at(buf, idx)
-        if record is not None:
-            return "corrupt"
-        idx = buf.find(_MAGIC_BYTES, idx + 1)
+    for magic in _MAGIC_BYTES:
+        idx = buf.find(magic, damage_off + 1)
+        while idx != -1:
+            record, _ = _record_at(buf, idx)
+            if record is not None:
+                return "corrupt"
+            idx = buf.find(magic, idx + 1)
     return "torn"
 
 
@@ -252,10 +202,14 @@ def scan_buffer(buf: bytes):
 
 
 # --------------------------------------------------------------------------
-# Segment files
+# The durable directory
 
 _SEG_PREFIX = "wal-"
 _SEG_SUFFIX = ".log"
+SNAPSHOT_SCHEMA = "repro.wal.snapshot.v1"
+_MANIFEST_NAME = "SNAPSHOT.json"
+_BASE_NAME = "BASE"
+_SNAP_PREFIX = "snapshot-"
 
 
 def _segment_name(first_lsn: int) -> str:
@@ -271,62 +225,102 @@ def list_segments(directory: Path) -> List[Path]:
 
 
 class ShardWAL:
-    """Append-only, crash-recoverable mutation log for one shard.
+    """One durable table's snapshot generation and mutation log.
 
-    Opening scans every segment: mid-log corruption raises
-    :class:`WALCorruptionError`; a torn tail is truncated away (and
-    fsynced) so the log ends at the longest valid prefix. The records
-    that survived are available once via :meth:`drain_recovered` for
-    replay onto the store.
+    A directory holds at most one *committed* snapshot generation (named
+    by ``SNAPSHOT.json``) plus the log segments appended since it was
+    taken. The object is the one order of operations its owners (the
+    shard worker, the stream ingester) would otherwise each repeat:
+
+    * *open* reads the snapshot manifest first. ``base_tag`` fingerprints
+      the bytes the table booted from (a partition file, a bundle's
+      store); a foreign tag resets snapshot **and** log before any
+      segment is opened, because they no longer compose with the base.
+      The first open records the tag in a ``BASE`` file, so a directory
+      that never took a snapshot is recognised as foreign too. Only then
+      are the segments scanned: mid-log corruption raises
+      :class:`WALCorruptionError`, a torn tail is truncated away (and
+      fsynced), and the tail segment is reopened for append;
+    * :meth:`replay` hands over every recovered record past the snapshot;
+    * :meth:`append` fsyncs *before* the caller mutates its table;
+    * :meth:`checkpoint` snapshots at :attr:`applied_lsn` and drops the
+      segments behind it.
+
+    Calls are serialised by the owner (a serial worker loop, the
+    ingester's lock); concurrent :meth:`append` calls are safe.
 
     ``hook`` is a fault-injection seam: called with ``"after_write"``,
     ``"before_fsync"`` and ``"after_fsync"`` at those points of the
     append path (see ``repro.testing.faults.KillAtWALPoint``).
     """
 
-    def __init__(self, directory, *, segment_bytes: int = 64 << 20,
-                 fsync_window_ms: float = 0.0,
+    def __init__(self, directory, base_tag: str, *,
+                 segment_bytes: int = 64 << 20,
                  hook: Optional[Callable[[str], None]] = None):
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
+        self.base_tag = str(base_tag)
         self._segment_bytes = int(segment_bytes)
-        self._window_s = float(fsync_window_ms) / 1000.0
         self._hook = hook
         self._mu = threading.Lock()
-        self._cond = threading.Condition(self._mu)
         self._closed = False
-        self._commit_error: Optional[BaseException] = None
-        self._fsyncs = 0
-        self._fsync_seconds = 0.0
-        self._last_fsync_s = 0.0
-        self._appended = 0
+        self._fsyncs = self._appended = 0
+        self._fsync_seconds = self._last_fsync_s = 0.0
+        self._manifest = self._load_manifest()
+        #: Path of the committed snapshot, or ``None`` (start from the
+        #: base). Digest-verified here, before the log opens, so a
+        #: corrupt snapshot fails the open with nothing left open.
+        self.snapshot: Optional[Path] = (
+            check_file(self._dir / self._manifest["file"], self._manifest)
+            if self._manifest else None)
+        self._applied_lsn = int(self._manifest.get("applied_lsn", 0))
         self._recovered = self._open_and_repair()
         last = self._recovered[-1].lsn if self._recovered else 0
         segments = list_segments(self._dir)
         if segments:
-            # An empty tail segment (left behind by truncate_through, or
-            # by a tear before its first record) still pins the LSN
-            # sequence via its filename: snapshots reference the LSNs it
-            # stood for, so the sequence must never regress below it.
+            # An empty tail segment (left behind by a checkpoint, or by a
+            # tear before its first record) still pins the LSN sequence
+            # via its filename: snapshots reference the LSNs it stood
+            # for, so the sequence must never regress below it.
             last = max(last, _segment_first_lsn(segments[-1]) - 1)
         self._next_lsn = last + 1
-        self._written_lsn = last
-        self._durable_lsn = last
+        self._written_lsn = self._durable_lsn = last
         if segments:
             self._seg_path = segments[-1]
             self._seg_size = self._seg_path.stat().st_size
             self._file = open(self._seg_path, "ab")
         else:
             self._start_segment_locked(self._next_lsn)
-        self._committer: Optional[threading.Thread] = None
-        self._commit_wake = threading.Event()
-        if self._window_s > 0:
-            self._committer = threading.Thread(
-                target=self._commit_loop,
-                name=f"wal-committer-{self._dir.name}", daemon=True)
-            self._committer.start()
 
-    # -- recovery ----------------------------------------------------------
+    # -- open --------------------------------------------------------------
+
+    def _load_manifest(self) -> dict:
+        """The committed snapshot's manifest (``{}`` if none), after
+        resetting a directory recorded for a foreign base."""
+        path = self._dir / _MANIFEST_NAME
+        base_path = self._dir / _BASE_NAME
+        manifest = {}
+        if path.exists():
+            manifest = read_manifest(path, SNAPSHOT_SCHEMA, required=(
+                "generation", "file", "sha256", "applied_lsn"))
+        # A directory from before the BASE file knows its base only from
+        # its manifest.
+        recorded = (base_path.read_text() if base_path.exists()
+                    else manifest.get("base"))
+        if recorded is not None and recorded != self.base_tag:
+            logger.warning(
+                "durable state in %s was built for base %s, current base "
+                "is %s: resetting (a new base replaces the data wholesale)",
+                self._dir, recorded, self.base_tag)
+            for stale in [*self._dir.glob(_SNAP_PREFIX + "*.npz"),
+                          *list_segments(self._dir),
+                          path, base_path]:
+                stale.unlink(missing_ok=True)
+            fsync_dir(self._dir)
+            manifest = {}
+        if not base_path.exists():
+            atomic_write_text(base_path, self.base_tag, durable=True)
+        return manifest
 
     def _open_and_repair(self) -> List[WALRecord]:
         segments = list_segments(self._dir)
@@ -334,8 +328,7 @@ class ShardWAL:
         last_lsn = 0
         damage_at: Optional[Tuple[int, int]] = None
         for index, segment in enumerate(segments):
-            data = segment.read_bytes()
-            seg_records, valid_end, damage = scan_buffer(data)
+            seg_records, valid_end, damage = scan_buffer(segment.read_bytes())
             if damage == "corrupt":
                 raise WALCorruptionError(
                     f"mid-log corruption in {segment}: a valid record "
@@ -368,13 +361,29 @@ class ShardWAL:
             fsync_dir(self._dir)
         return records
 
-    def drain_recovered(self) -> List[WALRecord]:
-        """Records recovered at open, returned once for replay."""
+    @property
+    def applied_lsn(self) -> int:
+        """LSN of the last record the caller's table reflects."""
+        with self._mu:
+            return self._applied_lsn
+
+    def replay(self) -> Iterator[WALRecord]:
+        """Yield each record the table does not reflect yet, in LSN order:
+        what opening the log recovered, once. A record counts as applied
+        only when the caller comes back for the next one, so an apply
+        that raises leaves :attr:`applied_lsn` on the last record that
+        landed.
+        """
         with self._mu:
             records, self._recovered = self._recovered, []
-        return records
+        for record in records:
+            if record.lsn <= self.applied_lsn:
+                continue  # the snapshot already covers it
+            yield record
+            with self._mu:
+                self._applied_lsn = record.lsn
 
-    # -- append path -------------------------------------------------------
+    # -- append ------------------------------------------------------------
 
     def _fire(self, point: str) -> None:
         if self._hook is not None:
@@ -400,9 +409,8 @@ class ShardWAL:
         segment is fsynced before the switch so a later fsync on the new
         file never strands older records in an unsynced buffer.
         """
-        if self._seg_size == 0:
-            return
-        if self._seg_size + incoming_bytes <= self._segment_bytes:
+        if (self._seg_size == 0
+                or self._seg_size + incoming_bytes <= self._segment_bytes):
             return
         self._fsync_pending_locked()
         self._file.close()
@@ -411,10 +419,9 @@ class ShardWAL:
     def _fsync_pending_locked(self, lsn: Optional[int] = None) -> None:
         """Fsync written-but-not-durable records. Caller must hold
         ``self._mu``. No-op if ``lsn`` (or everything written) is
-        already durable — concurrent appenders piggyback this way."""
-        if lsn is not None and self._durable_lsn >= lsn:
-            return
-        if self._durable_lsn >= self._written_lsn:
+        already durable — an appender whose record an earlier fsync
+        covered returns without one."""
+        if self._durable_lsn >= (self._written_lsn if lsn is None else lsn):
             return
         target = self._written_lsn
         self._fire("before_fsync")
@@ -427,74 +434,78 @@ class ShardWAL:
         self._fsyncs += 1
         self._fsync_seconds += elapsed
         self._last_fsync_s = elapsed
-        self._cond.notify_all()
 
     def append(self, op: int, ids, embeddings=None) -> int:
-        """Append one mutation record; returns its LSN.
-
-        Blocks until the record is fsynced, directly or via the
-        group-commit window.
-        """
+        """Make one mutation durable, then count it applied; returns its
+        LSN. Returns only once the record is fsynced. If this raises,
+        nothing was acknowledged, :attr:`applied_lsn` has not moved and
+        the caller must not mutate."""
         with self._mu:
             if self._closed:
                 raise ServiceClosedError("WAL is closed")
-            if self._commit_error is not None:
-                raise ServiceClosedError(
-                    f"WAL committer failed: {self._commit_error}")
             lsn = self._next_lsn
-            self._next_lsn += 1
             buf = encode_record(lsn, op, ids, embeddings)
+            self._next_lsn += 1
             self._maybe_rotate_locked(len(buf), lsn)
             self._file.write(buf)
             self._seg_size += len(buf)
             self._written_lsn = lsn
             self._appended += 1
             self._fire("after_write")
-        if self._window_s <= 0:
-            with self._mu:
-                self._fsync_pending_locked(lsn)
-            return lsn
-        self._commit_wake.set()
         with self._mu:
-            while self._durable_lsn < lsn:
-                if self._commit_error is not None:
-                    raise ServiceClosedError(
-                        f"WAL committer failed: {self._commit_error}")
-                if self._closed:
-                    raise ServiceClosedError("WAL closed while waiting "
-                                             "for group commit")
-                self._cond.wait(0.5)
+            self._fsync_pending_locked(lsn)
+            self._applied_lsn = max(self._applied_lsn, lsn)
         return lsn
 
-    def _commit_loop(self) -> None:
-        try:
-            while True:
-                triggered = self._commit_wake.wait(
-                    timeout=max(self._window_s, 0.05))
-                if triggered:
-                    # Let the group accumulate for one full window before
-                    # paying for the fsync.
-                    time.sleep(self._window_s)
-                self._commit_wake.clear()
-                with self._mu:
-                    self._fsync_pending_locked()
-                    if self._closed and self._durable_lsn >= self._written_lsn:
-                        return
-        except Exception as exc:  # noqa: BLE001 - committer must not die silently
-            logger.exception("wal: committer thread failed")
-            with self._mu:
-                self._commit_error = exc
-                self._cond.notify_all()
+    @property
+    def durable_lsn(self) -> int:
+        with self._mu:
+            return self._durable_lsn
 
-    # -- maintenance -------------------------------------------------------
+    # -- checkpoint --------------------------------------------------------
 
-    def truncate_through(self, lsn: int) -> None:
-        """Drop segments wholly covered by a snapshot at ``lsn``.
+    def checkpoint(self, save_fn: Callable[[str], None], *, count: int,
+                   next_id: int) -> dict:
+        """Commit a snapshot of the caller's table at :attr:`applied_lsn`
+        and drop the log segments it covers; returns the manifest.
 
-        Records with LSN > ``lsn`` are always retained. Called after a
-        snapshot manifest is durably published, so losing the dropped
-        prefix is safe by construction.
+        ``save_fn(path)`` must atomically produce an ``.npz`` file at
+        ``path`` (the store's own atomic save). The previous generation
+        is kept until the new one has been re-read and digested; only
+        then is the manifest flipped, the old file deleted, and the log
+        truncated through the snapshot's LSN.
         """
+        with self._mu:
+            applied_lsn, previous = self._applied_lsn, self._manifest
+        generation = int(previous.get("generation", 0)) + 1
+        fname = f"{_SNAP_PREFIX}{generation:06d}.npz"
+        fpath = self._dir / fname
+        save_fn(str(fpath))
+        fsync_file(fpath)
+        fsync_dir(self._dir)
+        read_npz(fpath)  # a full decompress/read of every member
+        manifest = {
+            "schema": SNAPSHOT_SCHEMA,
+            "generation": generation,
+            "file": fname,
+            **file_entry(fpath),
+            "count": int(count),
+            "next_id": int(next_id),
+            "applied_lsn": int(applied_lsn),
+            "base": self.base_tag,
+        }
+        atomic_write_json(self._dir / _MANIFEST_NAME, manifest, durable=True)
+        with self._mu:
+            self._manifest = manifest
+        self.snapshot = fpath
+        if previous.get("file", fname) != fname:
+            (self._dir / previous["file"]).unlink(missing_ok=True)
+        self._truncate_through(applied_lsn)
+        return manifest
+
+    def _truncate_through(self, lsn: int) -> None:
+        """Drop segments wholly covered by a published snapshot at
+        ``lsn``; records past ``lsn`` are always retained."""
         with self._mu:
             if self._written_lsn <= lsn:
                 self._fsync_pending_locked()
@@ -510,240 +521,35 @@ class ShardWAL:
                     segment.unlink()
             fsync_dir(self._dir)
 
-    @property
-    def durable_lsn(self) -> int:
-        with self._mu:
-            return self._durable_lsn
-
-    @property
-    def next_lsn(self) -> int:
-        with self._mu:
-            return self._next_lsn
+    # -- status ------------------------------------------------------------
 
     def stats(self) -> dict:
         with self._mu:
             segments = list_segments(self._dir)
-            total = 0
-            for segment in segments:
-                try:
-                    total += segment.stat().st_size
-                except OSError:
-                    logger.debug("wal: segment %s vanished during stats",
-                                 segment)
             return {
-                "next_lsn": self._next_lsn,
-                "durable_lsn": self._durable_lsn,
-                "appended": self._appended,
-                "fsyncs": self._fsyncs,
-                "fsync_seconds": round(self._fsync_seconds, 6),
-                "last_fsync_seconds": round(self._last_fsync_s, 6),
-                "fsync_window_ms": self._window_s * 1000.0,
-                "segments": len(segments),
-                "bytes": total,
+                "applied_lsn": self._applied_lsn,
+                "snapshot_generation": self._manifest.get("generation", 0),
+                "wal": {
+                    "next_lsn": self._next_lsn,
+                    "durable_lsn": self._durable_lsn,
+                    "appended": self._appended,
+                    "fsyncs": self._fsyncs,
+                    "fsync_seconds": round(self._fsync_seconds, 6),
+                    "last_fsync_seconds": round(self._last_fsync_s, 6),
+                    "segments": len(segments),
+                    "bytes": sum(p.stat().st_size for p in segments),
+                },
             }
 
     def close(self) -> None:
+        """Fsync what was written and release the segment. The handle is
+        released even when that fsync fails (the error propagates), so
+        no buffered record can reach the file after this returns."""
         with self._mu:
             if self._closed:
                 return
             self._closed = True
-            if self._committer is None:
-                self._fsync_pending_locked()
-        if self._committer is not None:
-            self._commit_wake.set()
-            self._committer.join(timeout=5.0)
-        with self._mu:
             try:
+                self._fsync_pending_locked()
+            finally:
                 self._file.close()
-            except OSError:
-                logger.exception("wal: close failed for %s", self._seg_path)
-
-
-# --------------------------------------------------------------------------
-# Snapshot generations
-
-SNAPSHOT_SCHEMA = "repro.wal.snapshot.v1"
-_MANIFEST_NAME = "SNAPSHOT.json"
-_BASE_NAME = "BASE"
-_SNAP_PREFIX = "snapshot-"
-
-
-class ShardDurability:
-    """Snapshot-generation bookkeeping for one shard's durable directory.
-
-    A directory holds at most one *committed* generation (named by
-    ``SNAPSHOT.json``) plus the WAL segments appended since it was
-    taken. ``base_tag`` fingerprints the bytes the table booted from (a
-    partition file, a bundle's store): if they change, the durable state
-    no longer composes with the base and is reset rather than replayed
-    onto data it never described. The first open records the tag in a
-    ``BASE`` file, so a directory that never took a snapshot — WAL
-    segments only — is recognised as foreign too.
-    """
-
-    def __init__(self, directory, base_tag: str):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.base_tag = str(base_tag)
-        self.manifest = self._load_manifest()
-
-    def _load_manifest(self) -> Optional[dict]:
-        path = self.directory / _MANIFEST_NAME
-        base_path = self.directory / _BASE_NAME
-        manifest = None
-        if path.exists():
-            manifest = read_manifest(path, SNAPSHOT_SCHEMA, required=(
-                "generation", "file", "sha256", "applied_lsn"))
-        # A directory from before the BASE file knows its base only from
-        # its manifest.
-        recorded = (base_path.read_text() if base_path.exists()
-                    else (manifest or {}).get("base"))
-        if recorded is not None and recorded != self.base_tag:
-            logger.warning(
-                "durable state in %s was built for base %s, current base "
-                "is %s: resetting (a new base replaces the data wholesale)",
-                self.directory, recorded, self.base_tag)
-            self.reset()
-            manifest = None
-        if not base_path.exists():
-            atomic_write_text(base_path, self.base_tag, durable=True)
-        return manifest
-
-    def reset(self) -> None:
-        """Discard snapshot + WAL state (base changed or caller rebuilds)."""
-        for path in self.directory.glob(_SNAP_PREFIX + "*.npz"):
-            path.unlink(missing_ok=True)
-        for path in list_segments(self.directory):
-            path.unlink(missing_ok=True)
-        (self.directory / _MANIFEST_NAME).unlink(missing_ok=True)
-        (self.directory / _BASE_NAME).unlink(missing_ok=True)
-        fsync_dir(self.directory)
-
-    @property
-    def applied_lsn(self) -> int:
-        return int(self.manifest["applied_lsn"]) if self.manifest else 0
-
-    @property
-    def generation(self) -> int:
-        return int(self.manifest["generation"]) if self.manifest else 0
-
-    def snapshot_path(self) -> Optional[Path]:
-        """Path of the committed snapshot, sha256-verified, or ``None``."""
-        if self.manifest is None:
-            return None
-        # The manifest is the snapshot's file entry; one written without
-        # ``bytes`` is checked by sha256 alone.
-        return check_file(self.directory / self.manifest["file"],
-                          self.manifest)
-
-    def commit_snapshot(self, save_fn: Callable[[str], None], *,
-                        count: int, next_id: int, applied_lsn: int,
-                        wal: Optional[ShardWAL] = None) -> dict:
-        """Write, verify and publish a new snapshot generation.
-
-        ``save_fn(path)`` must atomically produce an ``.npz`` file at
-        ``path`` (the store's own atomic save). The previous
-        generation is kept until the new one has been re-read and
-        digested; only then is the manifest flipped, the old file
-        deleted, and the WAL truncated through ``applied_lsn``.
-        """
-        generation = self.generation + 1
-        fname = f"{_SNAP_PREFIX}{generation:06d}.npz"
-        fpath = self.directory / fname
-        save_fn(str(fpath))
-        fsync_file(fpath)
-        fsync_dir(self.directory)
-        read_npz(fpath)  # a full decompress/read of every member
-        previous = (self.manifest or {}).get("file")
-        self.manifest = {
-            "schema": SNAPSHOT_SCHEMA,
-            "generation": generation,
-            "file": fname,
-            **file_entry(fpath),
-            "count": int(count),
-            "next_id": int(next_id),
-            "applied_lsn": int(applied_lsn),
-            "base": self.base_tag,
-        }
-        atomic_write_json(self.directory / _MANIFEST_NAME, self.manifest,
-                          durable=True)
-        if previous and previous != fname:
-            (self.directory / previous).unlink(missing_ok=True)
-        if wal is not None:
-            wal.truncate_through(applied_lsn)
-        return self.manifest
-
-
-# --------------------------------------------------------------------------
-# The discipline, once
-
-class DurableLog:
-    """One durable table's snapshot generation + mutation log.
-
-    The only code that knows the order of operations its consumers (the
-    shard worker, the stream ingester) would otherwise each repeat:
-    *open* reads the snapshot manifest first — a foreign base tag
-    resets snapshot **and** log before any log file is opened — and only
-    then opens the log for append (repairing a torn tail);
-    :meth:`replay` hands over every record past the snapshot;
-    :meth:`append` fsyncs *before* the caller mutates its table;
-    :meth:`checkpoint` snapshots at :attr:`applied_lsn` and truncates
-    behind it. Calls are serialised by the consumer (a serial worker
-    loop, the ingester's lock).
-    """
-
-    def __init__(self, directory, base_tag: str, *, segment_bytes: int,
-                 fsync_window_ms: float,
-                 hook: Optional[Callable[[str], None]] = None):
-        self._snap = ShardDurability(directory, base_tag)
-        #: Path of the committed snapshot, or ``None`` (start from the
-        #: base). Digest-verified here, before the log opens, so a
-        #: corrupt snapshot fails the open with nothing left running.
-        self.snapshot: Optional[Path] = self._snap.snapshot_path()
-        self._applied_lsn = self._snap.applied_lsn
-        self._wal = ShardWAL(self._snap.directory,
-                             segment_bytes=segment_bytes,
-                             fsync_window_ms=fsync_window_ms, hook=hook)
-
-    @property
-    def applied_lsn(self) -> int:
-        """LSN of the last record the caller's table reflects."""
-        return self._applied_lsn
-
-    def replay(self) -> Iterator[WALRecord]:
-        """Yield each record the table does not reflect yet, in LSN order:
-        what opening the log recovered, once. A record counts as applied
-        only when the caller comes back for the next one, so an apply
-        that raises leaves :attr:`applied_lsn` on the last record that
-        landed.
-        """
-        for record in self._wal.drain_recovered():
-            if record.lsn <= self._applied_lsn:
-                continue  # the snapshot already covers it
-            yield record
-            self._applied_lsn = record.lsn
-
-    def append(self, op: int, ids, embeddings=None) -> int:
-        """Make one mutation durable, then count it applied; returns its
-        LSN. If this raises, nothing was acknowledged, :attr:`applied_lsn`
-        has not moved and the caller must not mutate."""
-        self._applied_lsn = self._wal.append(op, ids, embeddings)
-        return self._applied_lsn
-
-    def checkpoint(self, save_fn: Callable[[str], None], *, count: int,
-                   next_id: int) -> dict:
-        """Commit a snapshot of the caller's table at :attr:`applied_lsn`
-        and drop the log segments it covers; returns the manifest."""
-        manifest = self._snap.commit_snapshot(
-            save_fn, count=count, next_id=next_id,
-            applied_lsn=self._applied_lsn, wal=self._wal)
-        self.snapshot = self._snap.directory / manifest["file"]
-        return manifest
-
-    def stats(self) -> dict:
-        return {"applied_lsn": self._applied_lsn,
-                "snapshot_generation": self._snap.generation,
-                "wal": self._wal.stats()}
-
-    def close(self) -> None:
-        self._wal.close()

@@ -6,7 +6,7 @@ tier out of existing subsystems:
 * the :class:`~repro.streaming.window.SlidingWindowStore` decides what
   each offered point *means* (applied / buffered / duplicate / late);
 * every state-changing (accepted) point in a batch is appended to a
-  :class:`~repro.serving.wal.DurableLog` record and **fsynced before the
+  :class:`~repro.serving.wal.ShardWAL` record and **fsynced before the
   window is mutated** (the batch is classified with a dry run first) —
   the ack-after-fsync invariant the durable serving tier already
   enforces, strengthened so a failed append leaves the window untouched
@@ -31,7 +31,7 @@ tier out of existing subsystems:
   immediately; retrying (with backoff) is the caller's choice.
 
 Crash safety: the constructor loads the log's snapshot, replays the
-accepted points :meth:`DurableLog.replay` yields past it, in LSN order,
+accepted points :meth:`ShardWAL.replay` yields past it, in LSN order,
 into the window (deterministic by the window's replay contract) and
 re-encodes every live segment from scratch, a bounded block of segments
 per batched fold — equal to the pre-crash incremental states because the
@@ -55,14 +55,14 @@ from ..exceptions import ServiceClosedError
 from ..resilience.admission import AdmissionGate
 from ..serving.batching import MicroBatcher
 from ..serving.metrics import MetricsRegistry
-from ..serving.wal import OP_INSERT, DurableLog
+from ..serving.wal import OP_INSERT, ShardWAL
 from .events import StreamPoint, points_from_record, points_to_record
 from .window import SlidingWindowStore, WindowConfig
 
 __all__ = ["IngestResult", "StreamConfig", "StreamIngestor",
            "StreamQueryResult", "STREAM_BASE_TAG"]
 
-#: ``DurableLog`` base tag: bumping it invalidates old durable state.
+#: ``ShardWAL`` base tag: bumping it invalidates old durable state.
 STREAM_BASE_TAG = "stream-v1"
 
 #: Most segments one synchronous re-embed folds at once: recovery folds
@@ -92,8 +92,9 @@ class StreamConfig:
         Re-embed inline inside ``ingest`` instead of through the
         batcher. Deterministic and simple — what the chaos tests and the
         recovery path use; production ingest wants the async default.
-    segment_bytes, fsync_window_ms:
-        Passed through to the :class:`~repro.serving.wal.DurableLog`.
+    segment_bytes:
+        WAL rotation threshold, passed to the
+        :class:`~repro.serving.wal.ShardWAL`.
     """
 
     window: WindowConfig = WindowConfig()
@@ -103,7 +104,6 @@ class StreamConfig:
     snapshot_every: int = 0
     sync_encode: bool = False
     segment_bytes: int = 8 << 20
-    fsync_window_ms: float = 0.0
 
 
 @dataclass
@@ -199,9 +199,8 @@ class StreamIngestor:
         self._h_ingest = self.metrics.histogram(
             "stream_ingest_seconds", "ingest batch latency (durable ack)")
         self._batcher: Optional[MicroBatcher] = None
-        self._log = DurableLog(directory, STREAM_BASE_TAG, hook=wal_hook,
-                               segment_bytes=config.segment_bytes,
-                               fsync_window_ms=config.fsync_window_ms)
+        self._log = ShardWAL(directory, STREAM_BASE_TAG, hook=wal_hook,
+                             segment_bytes=config.segment_bytes)
         try:
             self._recover()
             if not config.sync_encode:
@@ -211,7 +210,7 @@ class StreamIngestor:
                 with self._lock:
                     self._schedule_locked()
         except BaseException:
-            self.close()  # or the open segment and its committer leak
+            self.close()  # or the open segment leaks
             raise
 
     # ------------------------------------------------------------- recovery

@@ -13,7 +13,7 @@ scripted and reproducible:
   process evaluating it, exactly once per marker file; exercises the
   precompute driver's dead-worker path.
 * :class:`KillAtWALPoint` — a WAL-append hook that SIGKILLs a shard
-  worker at a chosen point of the group-commit path (after the write,
+  worker at a chosen point of the append path (after the write,
   before the fsync, after the fsync); drives the crash-chaos durability
   property tests.
 * :class:`HangInWorker` — a measure wrapper that sleeps only inside
@@ -280,8 +280,8 @@ class KillAtWALPoint:
     * ``"after_write"`` — the record is in the OS page cache but not
       fsynced and the client was **not** acked: recovery may keep or
       drop it, but must never half-apply it.
-    * ``"before_fsync"`` — same durability state, taken on the
-      group-commit thread: kills mid-commit with appenders parked.
+    * ``"before_fsync"`` — same durability state, taken by the
+      appender just before it fsyncs its record: kills mid-commit.
     * ``"after_fsync"`` — the record is durable; the ack may or may not
       have escaped the worker. An acked write lost here is a bug.
 

@@ -26,3 +26,20 @@ def tiny_trajectories():
     shifted = Trajectory([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]], traj_id=1)
     diagonal = Trajectory([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], traj_id=2)
     return [line, shifted, diagonal]
+
+
+@pytest.fixture
+def wal_handles(monkeypatch):
+    """Every file :mod:`repro.serving.wal` opens, in order, so a test can
+    assert that a failed open or close left none of them open."""
+    from repro.serving import wal
+
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(wal, "open", recording_open, raising=False)
+    return handles

@@ -30,7 +30,7 @@ from repro.index.ann import IVFConfig, IVFIndex
 from repro.measures import get_measure, pairwise_distances
 from repro.resilience import CheckpointManager
 from repro.serving import load_bundle, save_bundle
-from repro.serving.wal import OP_DELETE, DurableLog
+from repro.serving.wal import OP_DELETE, ShardWAL
 from repro.testing import CorruptionSpec
 
 pytestmark = pytest.mark.faults
@@ -61,7 +61,7 @@ def world():
 
 def _open_log(root):
     """What a shard worker (or the stream ingester) does at boot."""
-    log = DurableLog(root, "base", segment_bytes=1 << 20, fsync_window_ms=0)
+    log = ShardWAL(root, "base", segment_bytes=1 << 20)
     replayed = [record.lsn for record in log.replay()]
     log.close()
     return replayed
@@ -105,7 +105,7 @@ def _ivf(root, world):
 
 def _wal_snapshot(root, world):
     _, store, _ = world
-    log = DurableLog(root, "base", segment_bytes=1 << 20, fsync_window_ms=0)
+    log = ShardWAL(root, "base", segment_bytes=1 << 20)
     log.append(OP_DELETE, np.array([0], dtype=np.int64))
     log.checkpoint(store.save, count=len(store), next_id=store.next_id)
     log.append(OP_DELETE, np.array([1], dtype=np.int64))  # replayed on open

@@ -177,8 +177,6 @@ def _schedule(seed):
         "point": point,
         "nth": 1 + (seed // 3) % 3,
         "target": seed % NUM_SHARDS,
-        # Group commit for every before_fsync schedule plus a few others.
-        "window_ms": 2.0 if point == "before_fsync" or seed % 5 == 0 else 0.0,
         # Torn tail: only where the killed record was never fsynced, so
         # cutting bytes off the tail cannot touch an acked record.
         "torn": point != "after_fsync" and seed % 4 == 0,
@@ -195,7 +193,7 @@ def test_chaos_schedule_preserves_acked_writes(tmp_path, seed):
     marker_dir = tmp_path / "markers"
     hook = KillAtWALPoint(sched["point"], marker_dir, nth=sched["nth"],
                           max_kills=2 if sched["double"] else 1)
-    config = _config(fsync_window_ms=sched["window_ms"])
+    config = _config()
     tracker = _Tracker(ids, emb)
     rng = np.random.default_rng(200 + seed)
 

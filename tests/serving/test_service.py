@@ -30,6 +30,14 @@ def test_config_validation():
         ServingConfig(default_k=0)
 
 
+def test_configs_have_no_fsync_window():
+    """Every WAL append fsyncs before it returns; there is no commit
+    window to configure on either tier."""
+    for config in (ServingConfig, ShardedConfig):
+        with pytest.raises(TypeError, match="fsync_window_ms"):
+            config(fsync_window_ms=0)
+
+
 def test_topk_matches_offline_store(service, serving_world, fresh_store):
     _, items = serving_world
     result = service.top_k(items[1], k=5, use_cache=False)

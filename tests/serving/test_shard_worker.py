@@ -4,12 +4,11 @@
 constructing it directly lets these tests inject WAL faults and compare
 stores without a pipe in the way. The property at the end states the
 durability contract once: whatever sequence of mutations was applied
-live, base + ``DurableLog.replay()`` rebuilds the same store when the
+live, base + ``ShardWAL.replay()`` rebuilds the same store when the
 worker reopens after a crash.
 """
 
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -40,13 +39,12 @@ def _partitions(root: Path, seed=0) -> Path:
     return root / "parts"
 
 
-def _boot(partition_dir, durable_dir=None, fsync_window_ms=0.0):
+def _boot(partition_dir, durable_dir=None):
     base_tag = load_partition_manifest(partition_dir)["shards"][0]["sha256"]
     return {"partition_dir": str(partition_dir),
             "index": "exact", "nlist": 0, "nprobe": 8,
             "durable_dir": None if durable_dir is None else str(durable_dir),
-            "base_tag": base_tag, "fsync_window_ms": fsync_window_ms,
-            "wal_segment_bytes": 1 << 20}
+            "base_tag": base_tag, "wal_segment_bytes": 1 << 20}
 
 
 def _state(worker):
@@ -61,11 +59,6 @@ def _assert_same_state(got, want):
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
     assert got[2] == want[2]
-
-
-def _committer_threads():
-    return [t.name for t in threading.enumerate()
-            if t.name.startswith("wal-committer")]
 
 
 # ------------------------------------------------------------------ op table
@@ -133,14 +126,14 @@ def test_failed_fsync_fails_the_insert_and_the_retry_lands_once(tmp_path):
     reopened.close()
 
 
-def test_failed_activate_leaves_no_half_open_log(tmp_path):
+def test_failed_activate_leaves_no_half_open_log(tmp_path, wal_handles):
     """``activate`` closes the old log before the new appender opens the
     same directory; if that open then fails, the log it opened must be
-    closed too, not left with its committer thread running."""
+    closed too, not left holding its segment open."""
     parts = _partitions(tmp_path)
-    boot = _boot(parts, tmp_path / "dur", fsync_window_ms=1.0)
+    boot = _boot(parts, tmp_path / "dur")
     worker = _ShardWorker(0, boot)
-    assert len(_committer_threads()) == 1
+    assert [handle.closed for handle in wal_handles] == [False]
     with pytest.raises(ReloadError):
         worker.handle("activate", None)  # nothing prepared
     worker.handle("prepare", boot)
@@ -149,7 +142,8 @@ def test_failed_activate_leaves_no_half_open_log(tmp_path):
                       np.zeros((1, DIM + 1)))
     with pytest.raises(ValueError):
         worker.handle("activate", None)
-    assert _committer_threads() == []
+    assert len(wal_handles) == 2  # the old generation's and the new one's
+    assert all(handle.closed for handle in wal_handles)
     # The old generation still answers reads and refuses writes.
     ids, _, _ = worker.handle("search", (_rows([3])[0], 1))
     assert ids.tolist() == [3]

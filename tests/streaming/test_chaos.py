@@ -45,7 +45,6 @@ def _schedule(seed):
         "nth": 1 + (seed // 3) % 4,
         "flap": seed % 2 == 0,
         "snapshot_every": 15 if seed % 5 == 0 else 0,
-        "fsync_window_ms": 2.0 if seed % 3 == 1 else 0.0,
         "replay": StreamReplayConfig(
             drop_fraction=0.05 if seed % 4 == 0 else 0.0,
             duplicate_fraction=0.1 if seed % 2 == 1 else 0.0,
@@ -60,7 +59,7 @@ def _config(sched):
         window=WindowConfig(lateness_s=5.0, ttl_s=1e9, reorder_buffer=4,
                             max_segment_points=8),
         sync_encode=True, snapshot_every=sched["snapshot_every"],
-        fsync_window_ms=sched["fsync_window_ms"], admission_limit=64)
+        admission_limit=64)
 
 
 def _offered_batches(sched):

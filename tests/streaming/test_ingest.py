@@ -10,7 +10,7 @@ from repro.applications import detect_online_anomalies
 from repro.core.atomicio import atomic_savez
 from repro.exceptions import (CorruptArtifactError, ServiceClosedError,
                               ServiceOverloadedError)
-from repro.serving.wal import ShardDurability
+from repro.serving.wal import ShardWAL
 from repro.streaming import StreamConfig, StreamIngestor, WindowConfig
 from repro.streaming.ingest import _FOLD_ROWS, STREAM_BASE_TAG
 from repro.testing.faults import CorruptionSpec
@@ -102,34 +102,39 @@ def test_wal_append_failure_leaves_window_unmutated(tmp_path, encoder):
     recovered.close()
 
 
-def _committer_threads():
-    return [t.name for t in threading.enumerate()
-            if t.name.startswith("wal-committer")]
+def test_stream_config_has_no_fsync_window():
+    with pytest.raises(TypeError, match="fsync_window_ms"):
+        StreamConfig(fsync_window_ms=0)
 
 
-def test_failed_recovery_closes_the_log(tmp_path, encoder):
+def test_failed_recovery_closes_the_log(tmp_path, encoder, wal_handles):
     """Regression: the constructor used to open the WAL and *then*
-    recover, so a recovery error left the segment file open and the
-    group-commit thread alive for the life of the process."""
-    config = StreamConfig(window=_SYNC.window, sync_encode=True,
-                          fsync_window_ms=2.0)
+    recover, so a recovery error left the segment file open for the
+    life of the process."""
+    config = StreamConfig(window=_SYNC.window, sync_encode=True)
     ingestor = StreamIngestor(encoder, tmp_path, config)
     ingestor.ingest(in_order_points(1, 10))
     ingestor.snapshot()
     ingestor.close()
     (snapshot,) = tmp_path.glob("snapshot-*.npz")
     CorruptionSpec(mode="flip", offset=None).apply(snapshot)
+    opened = len(wal_handles)
     with pytest.raises(CorruptArtifactError):
         StreamIngestor(encoder, tmp_path, config)
-    assert _committer_threads() == []
+    assert len(wal_handles) == opened  # refused before any segment opened
+    assert all(handle.closed for handle in wal_handles)
     # Same for a failure *after* the log is open: a snapshot whose
     # digest checks out but whose payload is not a window.
-    ShardDurability(tmp_path, STREAM_BASE_TAG).commit_snapshot(
-        lambda path: atomic_savez(path, unrelated=np.zeros(3)),
-        count=0, next_id=0, applied_lsn=0)
+    other = tmp_path / "other"
+    log = ShardWAL(other, STREAM_BASE_TAG)
+    log.checkpoint(lambda path: atomic_savez(path, unrelated=np.zeros(3)),
+                   count=0, next_id=0)
+    log.close()
+    opened = len(wal_handles)
     with pytest.raises(KeyError):
-        StreamIngestor(encoder, tmp_path, config)
-    assert _committer_threads() == []
+        StreamIngestor(encoder, other, config)
+    assert len(wal_handles) > opened
+    assert all(handle.closed for handle in wal_handles)
 
 
 def test_wal_replay_recovers_identical_state(tmp_path, encoder):

@@ -63,10 +63,8 @@ def test_serve_without_shards_honours_durable_dir(bundle, tmp_path,
 
     monkeypatch.setattr(cli, "_self_test", self_test)
     assert main(["serve", "--bundle", str(bundle), "--once",
-                 "--durable-dir", str(tmp_path / "wal"),
-                 "--fsync-window-ms", "1.5"]) == 0
+                 "--durable-dir", str(tmp_path / "wal")]) == 0
     assert seen["durable_dir"] == str(tmp_path / "wal")
-    assert seen["fsync_window_ms"] == 1.5
     assert (tmp_path / "wal" / "shard-0000").is_dir()
 
 
@@ -78,6 +76,18 @@ def test_serve_has_no_replicas_option(bundle, tmp_path, capsys):
               "--durable-dir", str(tmp_path / "wal"), "--replicas", "1"])
     assert exited.value.code == 2
     assert "--replicas" in capsys.readouterr().err
+    assert not (tmp_path / "wal").exists()
+
+
+def test_serve_has_no_fsync_window_option(tmp_path, capsys):
+    """Every WAL append fsyncs before it returns, so there is no commit
+    window to set."""
+    with pytest.raises(SystemExit) as exited:
+        main(["serve", "--bundle", str(tmp_path), "--once",
+              "--durable-dir", str(tmp_path / "wal"),
+              "--fsync-window-ms", "2"])
+    assert exited.value.code == 2
+    assert "--fsync-window-ms" in capsys.readouterr().err
     assert not (tmp_path / "wal").exists()
 
 
