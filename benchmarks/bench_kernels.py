@@ -377,17 +377,38 @@ def _inference_row(before_label, tape, kernel, calls: int) -> dict:
     }
 
 
-def _bench_embed(count: int, points: int, calls: int) -> dict:
-    from repro.nn.tensor import no_grad
+def _tape_fold(encoder, points, h, c):
+    """The fold as the tape engine runs it: one point at a time, each
+    projected by itself, through ``tape_step`` under ``no_grad``, from the
+    (1, d) states ``h``, ``c``; returns the final ``h`` array."""
+    from repro.nn.rnn import tape_step
+    from repro.nn.tensor import Tensor, no_grad
 
+    inputs = encoder.normalizer.transform(points)
+    cells = encoder.grid.to_cells(points)
+    cell = encoder.rnn.cell
+    with no_grad():
+        h, c = Tensor(h.copy()), Tensor(c.copy())
+        for t in range(len(points)):
+            x = Tensor(inputs[t:t + 1])
+            h, c, _ = tape_step(
+                cell, x @ cell.w_gates.transpose() + cell.b_gates,
+                x @ cell.w_cand.transpose() + cell.b_cand, h, c,
+                encoder.memory.gather(cells[t:t + 1]))
+    return h.data
+
+
+def _bench_embed(count: int, points: int, calls: int) -> dict:
     encoder = _inference_encoder()
     batch = _walks(count, points, seed=5)
+    zeros = np.zeros((1, encoder.config.embedding_dim))
 
     def tape():
-        with no_grad():
-            return encoder.encode(batch, update_memory=False).data
+        return np.concatenate([_tape_fold(encoder, t.points, zeros, zeros)
+                               for t in batch])
 
-    return _inference_row("encode(update_memory=False) under no_grad",
+    return _inference_row("per-point tape_step fold from zero states "
+                          "under no_grad, row by row",
                           tape, lambda: encoder.embed(batch), calls)
 
 
@@ -404,27 +425,13 @@ def bench_embed_batch() -> dict:
 
 def bench_extend_prefix_point() -> dict:
     """One-point ``extend_prefix`` (the ingest fold): tape vs kernel."""
-    from repro.nn.rnn import tape_step
-    from repro.nn.tensor import Tensor, no_grad
-
     encoder = _inference_encoder()
     points = _walks(1, 31, seed=6)[0].points
     state = encoder.encode_prefix(points[:30])
     point = points[30:]
-
-    def tape():
-        x = Tensor(encoder.normalizer.transform(point))
-        cell = encoder.rnn.cell
-        with no_grad():
-            h, _, _ = tape_step(
-                cell, x @ cell.w_gates.transpose() + cell.b_gates,
-                x @ cell.w_cand.transpose() + cell.b_cand,
-                Tensor(state.h.copy()), Tensor(state.c.copy()),
-                encoder.memory.gather(encoder.grid.to_cells(point)))
-        return h.data
-
     return _inference_row(
-        "one-point projection + tape_step under no_grad", tape,
+        "one-point projection + tape_step under no_grad",
+        lambda: _tape_fold(encoder, point, state.h, state.c),
         lambda: encoder.extend_prefix(state, point).h, calls=500)
 
 

@@ -20,7 +20,7 @@ def test_table6_training_time(benchmark, table6, porto_workload, report):
     # Kernel: bulk-embedding a batch with the trained full model.
     model = train_variant("neutraj", porto_workload, "frechet")
     batch = porto_workload.database[:64]
-    benchmark(lambda: model.embed(batch, batch_size=64))
+    benchmark(lambda: model.embed(batch))
 
     rows = [[r.method, f"{r.seconds_per_epoch:.1f}s", r.epochs_to_converge,
              f"{r.total_seconds:.1f}s", f"{r.embed_seconds:.1f}s"]

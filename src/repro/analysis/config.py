@@ -67,11 +67,12 @@ def default_config() -> AnalysisConfig:
                 # engine only through kernel_calls (any other use of a
                 # listed owner, e.g. self.rnn.cell.read(), builds Tensors).
                 "entry_points": {
-                    "repro/core/encoder.py": ("embed", "extend_prefix",
+                    "repro/core/encoder.py": ("embed", "_fold",
+                                              "extend_prefix",
                                               "extend_prefixes"),
                 },
                 "kernel_calls": {
-                    "self.rnn": ("infer", "fold"),
+                    "self.rnn": ("fold",),
                     "self.memory": (),
                     "self.encode": (),
                 },

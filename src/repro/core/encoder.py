@@ -5,12 +5,17 @@ d-dimensional embedding: the coordinate normaliser (RNN input scale), the
 spatial grid (SAM addressing), the recurrent network, and — when SAM is
 enabled — the external memory tensor. The final valid hidden state of the
 recurrent pass is the trajectory representation.
+
+Training runs the taped ``forward``; every inference path — :meth:`embed`,
+the prefix folds of the streaming tier — runs the one tape-free
+``Recurrent.fold``, so a trajectory's embedding is a function of that
+trajectory alone, bit for bit, whatever else shares its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +26,10 @@ from ..nn.rnn import LSTM
 from ..nn.sam import SAMLSTM, SpatialMemory
 from ..nn.tensor import Tensor
 from .config import NeuTrajConfig
+
+#: Rows per :meth:`TrajectoryEncoder.embed` fold. Each row's bits are its
+#: own whatever the chunk, so this bounds only the padded batch's size.
+EMBED_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -99,25 +108,41 @@ class TrajectoryEncoder(Module):
         return self.rnn(self.normalizer.transform(coords), mask, cells,
                         self.memory, update_memory=update_memory)
 
-    def embed(self, trajectories: Sequence[Trajectory],
-              batch_size: int = 128) -> np.ndarray:
+    def embed(self, trajectories: Sequence[Trajectory]) -> np.ndarray:
         """Inference embeddings (B, d) as a plain array.
 
-        Tape-free (:meth:`~repro.nn.rnn.Recurrent.infer`) with the memory
-        read-only: no ``Tensor`` is built and the autograd switch is never
-        touched, so any thread may call it. Bit-identical in float64 to
-        ``encode(..., update_memory=False)``.
+        Each trajectory is folded from zero states (:meth:`_fold`, the
+        memory read-only), ``EMBED_CHUNK`` rows at a time: no ``Tensor``
+        is built and the autograd switch is never touched, so any thread
+        may call it. Row ``i`` is bit for bit
+        ``encode_prefix(trajectories[i].points).embedding``, whatever the
+        other rows are.
         """
-        chunks: List[np.ndarray] = []
         items = list(trajectories)
-        for start in range(0, len(items), batch_size):
-            coords, _, mask = pad_batch(items[start:start + batch_size])
-            cells = self.grid.to_cells(coords) if self.uses_sam else None
-            chunks.append(self.rnn.infer(self.normalizer.transform(coords),
-                                         mask, cells, self.memory))
-        if not chunks:
-            return np.zeros((0, self.config.embedding_dim))
-        return np.concatenate(chunks, axis=0)
+        d = self.config.embedding_dim
+        chunks = [np.zeros((0, d))]
+        for start in range(0, len(items), EMBED_CHUNK):
+            tails = [t.points for t in items[start:start + EMBED_CHUNK]]
+            zeros = np.zeros((len(tails), d))
+            chunks.append(self._fold(zeros, zeros, tails)[0])
+        return np.concatenate(chunks)
+
+    def _fold(self, h: np.ndarray, c: np.ndarray,
+              tails: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """Pad ``tails`` ((n_i, 2) raw coordinates, refused unless finite)
+        into one batch and fold row ``i`` into ``h[i]``, ``c[i]`` through
+        ``Recurrent.fold``, the memory read-only; returns the new (B, d)
+        ``(h, c)``."""
+        lengths = [len(points) for points in tails]
+        coords = np.zeros((len(tails), max(lengths, default=0), 2))
+        for row, points in enumerate(tails):
+            coords[row, :len(points)] = points
+        if not np.isfinite(coords).all():
+            raise ValueError("points must be finite")
+        return self.rnn.fold(
+            h, c, self.normalizer.transform(coords), lengths,
+            self.grid.to_cells(coords) if self.uses_sam else None,
+            self.memory)
 
     # -------------------------------------------------- incremental encoding
 
@@ -134,11 +159,8 @@ class TrajectoryEncoder(Module):
         read-only, each point's input projection computed by itself, so
         the result is invariant to how a growing trajectory is chunked
         across calls — extending point by point, in bursts, or all at
-        once produces bit-identical states. (The batched :meth:`embed`
-        path hoists all projections into one GEMM whose BLAS kernel may
-        round differently by ~1 ulp; :meth:`encode_prefix` is the
-        canonical full re-encoding to compare incremental growth
-        against.)
+        once produces bit-identical states, and :meth:`embed` lands on
+        the same bits as the fold from :meth:`init_prefix`.
 
         Returns a new state; ``state`` itself is not mutated.
         """
@@ -165,21 +187,12 @@ class TrajectoryEncoder(Module):
             if points.ndim != 2 or points.shape[1] != 2:
                 raise ValueError(
                     f"expected points of shape (n, 2), got {points.shape}")
-        lengths = [len(points) for points in tails]
-        coords = np.zeros((len(tails), max(lengths, default=0), 2))
-        for row, points in enumerate(tails):
-            coords[row, :len(points)] = points
-        if not np.isfinite(coords).all():
-            raise ValueError("points must be finite")
-        h, c = self.rnn.fold(
-            np.concatenate([state.h for state in states]),
-            np.concatenate([state.c for state in states]),
-            self.normalizer.transform(coords), lengths,
-            self.grid.to_cells(coords) if self.uses_sam else None,
-            self.memory)
+        h, c = self._fold(np.concatenate([state.h for state in states]),
+                          np.concatenate([state.c for state in states]),
+                          tails)
         return [PrefixState(h=h[row:row + 1].copy(), c=c[row:row + 1].copy(),
-                            length=state.length + length)
-                for row, (state, length) in enumerate(zip(states, lengths))]
+                            length=state.length + len(points))
+                for row, (state, points) in enumerate(zip(states, tails))]
 
     def encode_prefix(self, points: np.ndarray) -> PrefixState:
         """Full re-encoding through the incremental path (from scratch).

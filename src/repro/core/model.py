@@ -52,10 +52,9 @@ class MetricModel:
             raise NotFittedError(f"{type(self).__name__} is not fitted yet")
         return self.encoder
 
-    def embed(self, trajectories: Sequence[Trajectory],
-              batch_size: int = 128) -> np.ndarray:
+    def embed(self, trajectories: Sequence[Trajectory]) -> np.ndarray:
         """Embed trajectories -> (B, d) array (O(L) per trajectory)."""
-        return self._require_fitted().embed(trajectories, batch_size=batch_size)
+        return self._require_fitted().embed(trajectories)
 
     def distance(self, a: Trajectory, b: Trajectory) -> float:
         """Embedding-space Euclidean distance between two trajectories."""

@@ -209,13 +209,12 @@ class EmbeddingStore:
                 "add_embeddings/query_embedding with precomputed vectors")
         return self.model
 
-    def add(self, trajectories: Sequence[Trajectory],
-            batch_size: int = 128) -> List[int]:
+    def add(self, trajectories: Sequence[Trajectory]) -> List[int]:
         """Embed and insert trajectories; returns their assigned ids."""
         items = list(trajectories)
         if not items:
             return []
-        new = self._require_model().embed(items, batch_size=batch_size)
+        new = self._require_model().embed(items)
         return self.add_embeddings(new)
 
     def _validate(self, embeddings, ids) -> Tuple[np.ndarray, np.ndarray]:

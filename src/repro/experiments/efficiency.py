@@ -202,7 +202,7 @@ def run_training_time(workload: Workload, measure_name: str = "frechet",
     for variant in ("siamese", "neutraj", "nt_no_sam", "nt_no_ws"):
         model = train_variant(variant, workload, measure_name)
         history = model.history
-        timing = time_call(lambda: model.embed(bulk, batch_size=256))
+        timing = time_call(lambda: model.embed(bulk))
         rows.append(TrainingCost(
             method=variant,
             seconds_per_epoch=history.total_seconds / history.num_epochs,

@@ -9,14 +9,15 @@ and a separate tanh block produces the candidate cell state.
 The recurrence is stated once for both cells: :func:`step_forward` is a
 step's arithmetic on plain arrays and :func:`tape_step` records it on the
 tape as two nodes with its one hand-written backward. :class:`Recurrent`
-unrolls them — ``forward`` for training (input projections of *all*
+unrolls them twice — ``forward`` for training (input projections of *all*
 timesteps hoisted into one ``(B·T, in) @ W^T + b`` tape node per weight,
 SAM windows re-read in backward through a :class:`~repro.nn.sam.WindowLog`
-instead of taped), ``infer`` / ``fold`` tape-free for inference, the same
-numpy operations in the same order, so their float64 outputs are
-bit-identical to ``forward``'s. ``fold`` (the streaming prefix fold) runs
-every product row by row (:func:`rowwise_matmul`), so each row of its
-batch gets the bits that row would get folded alone.
+instead of taped) and ``fold`` tape-free for every inference path. ``fold``
+projects each point by itself at its own step and runs every product row
+by row (:func:`rowwise_matmul`), so each row of its batch gets the bits
+that row would get folded alone: a trajectory's embedding is a function
+of that trajectory only. It is bit for bit the tape engine's per-point
+fold, and agrees with ``forward``'s hoisted GEMMs to rounding.
 
 :meth:`LSTMCell.forward` (and :meth:`SAMLSTMCell.forward
 <repro.nn.sam.SAMLSTMCell.forward>` + ``read``) are the paper's equations
@@ -241,12 +242,12 @@ class LSTMCell(Module):
 
 
 class Recurrent(Module):
-    """The three unrolls of ``self.cell`` — ``forward`` on the tape for
-    training, ``infer`` / ``fold`` tape-free for inference — shared by
-    :class:`LSTM` and :class:`~repro.nn.sam.SAMLSTM`. ``cells`` and
-    ``memory`` are required by a cell with a read projection and refused
-    by one without. ``infer`` / ``fold`` build no :class:`Tensor` and never
-    enter ``no_grad``, so any thread may run them beside a training thread.
+    """The two unrolls of ``self.cell`` — ``forward`` on the tape for
+    training, ``fold`` tape-free for inference — shared by :class:`LSTM`
+    and :class:`~repro.nn.sam.SAMLSTM`. ``cells`` and ``memory`` are
+    required by a cell with a read projection and refused by one without.
+    ``fold`` builds no :class:`Tensor` and never enters ``no_grad``, so any
+    thread may run it beside a training thread.
     """
 
     def _reads(self, cells: Optional[np.ndarray], memory) -> bool:
@@ -324,26 +325,6 @@ class Recurrent(Module):
                                   ~mask[:, t, None], reread)
             if log is not None and update_memory:
                 log.write(c.data, s_t, mask[:, t])
-        return h
-
-    def infer(self, inputs: np.ndarray, mask: np.ndarray,
-              cells: Optional[np.ndarray] = None, memory=None) -> np.ndarray:
-        """``forward`` without the tape or the writes: final (B, d) states
-        as a plain array, bit-identical to ``forward``'s.
-        """
-        inputs = np.asarray(inputs, dtype=np.float64)
-        batch, steps, _ = inputs.shape
-        x_gates, x_cand = (x.reshape(batch, steps, -1) for x in
-                           self._projector()(inputs.reshape(batch * steps, -1)))
-        carry = ~np.asarray(mask, dtype=bool)
-        windows = (memory.windows(np.asarray(cells, dtype=int)
-                                  .transpose(1, 0, 2))
-                   if self._reads(cells, memory) else itertools.repeat(None))
-        views = self.cell.weight_views()
-        h = c = np.zeros((batch, self.hidden_size), dtype=np.float64)
-        for t, window in zip(range(steps), windows):
-            h, c, _ = step_forward(x_gates[:, t], x_cand[:, t], h, c, window,
-                                   carry[:, t, None], *views)
         return h
 
     def fold(self, h: np.ndarray, c: np.ndarray, inputs: np.ndarray,

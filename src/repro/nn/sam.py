@@ -147,14 +147,15 @@ class SpatialMemory:
         return self.take(*self.window_index(cells))
 
     def windows(self, cells: np.ndarray,
-                live: Optional[Sequence[int]] = None) -> Iterator[np.ndarray]:
-        """Yield each step's (B, K, d) window for time-major ``cells`` (T, B, 2).
+                live: Sequence[int]) -> Iterator[np.ndarray]:
+        """Yield each step's (live[t], K, d) window for time-major ``cells``
+        (T, B, 2): step ``t`` takes only the windows of its first
+        ``live[t]`` rows.
 
         For read-only passes: nothing writes between steps, so the index
         arithmetic is hoisted out of the step loop, a block of steps at a
         time. The windows are still taken per step — a (T, B, K, d) block
-        of them costs more to materialise than it saves. With ``live``,
-        step ``t`` takes only the windows of its first ``live[t]`` rows.
+        of them costs more to materialise than it saves.
         """
         cells = np.asarray(cells, dtype=int)
         per_step = cells.shape[1] * self.window_size * cells.itemsize
@@ -162,7 +163,7 @@ class SpatialMemory:
         for start in range(0, len(cells), block):
             index = self.window_index(cells[start:start + block])
             for t, (flat, outside) in enumerate(zip(*index), start):
-                if live is not None and live[t] < len(flat):
+                if live[t] < len(flat):
                     flat, outside = flat[:live[t]], outside[:live[t]]
                 yield self.take(flat, outside)
 
@@ -375,8 +376,8 @@ class SAMLSTMCell(Module):
 class SAMLSTM(Recurrent):
     """A :class:`SAMLSTMCell` unrolled over padded (coords, grid-cells)
     sequences. Memory writes happen only when ``forward`` is given
-    ``update_memory=True`` (training); inference (the tape-free ``infer`` /
-    ``fold``) is read-only so that embeddings are deterministic.
+    ``update_memory=True`` (training); inference (the tape-free ``fold``)
+    is read-only so that embeddings are deterministic.
     """
 
     def __init__(self, input_size: int, hidden_size: int,

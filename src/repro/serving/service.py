@@ -390,8 +390,7 @@ class SimilarityService:
 
     def _encode_batch(self, trajectories: List[Trajectory]) -> np.ndarray:
         try:
-            return self.model.embed(trajectories,
-                                    batch_size=self.config.max_batch_size)
+            return self.model.embed(trajectories)
         except Exception:
             # The batcher splits a failed batch until each error comes
             # from a call of one item, and hands that error to that
@@ -513,10 +512,9 @@ class SimilarityService:
         """Top-k ids + embedding distances for a query trajectory.
 
         Bit-for-bit identical to the offline
-        :meth:`EmbeddingStore.query` path when the request runs alone;
-        under concurrency, padded-batch reduction order may differ by
-        float rounding (~1 ulp), never enough to reorder non-tied
-        neighbours. Over a sharded target the answer is id-identical to
+        :meth:`EmbeddingStore.query` path, whether the request runs alone
+        or shares an encoder batch (a row's embedding never depends on
+        its batch-mates). Over a sharded target the answer is id-identical to
         a single-store exact scan while every shard is healthy, and
         covers the survivors (``partial=True``) when some are not.
         An encode that raises fails this request with that error and

@@ -82,7 +82,7 @@ def test_tape_rule_requires_no_grad_entry_point():
 
 KERNEL_ENTRY = {"tape-discipline": {
     "entry_points": {"repro/core/encoder.py": ("embed",)},
-    "kernel_calls": {"self.rnn": ("infer", "fold"), "self.memory": (),
+    "kernel_calls": {"self.rnn": ("fold",), "self.memory": (),
                      "self.encode": ()},
 }}
 
@@ -96,7 +96,7 @@ def _entry_point(body):
 def test_tape_rule_accepts_kernel_only_entry_point():
     assert _entry_point("""\
         cells = self.grid.to_cells(batch) if self.uses_sam else None
-        return self.rnn.infer(batch, mask, cells, self.memory)
+        return self.rnn.fold(h, c, batch, lengths, cells, self.memory)[0]
     """) == []
     assert _entry_point("""\
         h, c = self.rnn.fold(state.h, state.c, batch, lengths, None,
@@ -132,11 +132,11 @@ def test_tape_rule_accepts_an_entry_point_that_calls_another():
     ("return self.rnn(batch, mask).data", "self.rnn"),
     ("return self.rnn.cell.step(batch, h, c)", "self.rnn.cell.step"),
     ("cell = self.rnn.cell\nreturn cell.step(batch, h, c)", "self.rnn.cell"),
-    ("w = self.memory.gather(cells)\nreturn self.rnn.infer(batch, w)",
+    ("w = self.memory.gather(cells)\nreturn self.rnn.fold(h, c, batch, w)",
      "self.memory.gather"),
     ("return self.encode(batch).data", "self.encode"),
-    ("return self.rnn.infer(Tensor(batch).data, mask)", "Tensor"),
-    ("return self.rnn.infer(nn.as_tensor(batch).data, mask)",
+    ("return self.rnn.fold(h, c, Tensor(batch).data, n)", "Tensor"),
+    ("return self.rnn.fold(h, c, nn.as_tensor(batch).data, n)",
      "nn.as_tensor"),
     ("return self.normalizer.transform(batch)", "no kernel call"),
 ])

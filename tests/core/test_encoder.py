@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import NeuTrajConfig
-from repro.core.encoder import TrajectoryEncoder
+from repro.core.encoder import EMBED_CHUNK, TrajectoryEncoder
 from repro.core.sampling import AnchorSamples
 from repro.core.trainer import training_step
 from repro.datasets import Grid, Trajectory
@@ -50,11 +50,16 @@ def test_embed_matches_encode(use_sam, trajectories):
                                enc.encode(trajectories).data)
 
 
-def test_embed_batching_consistent(trajectories):
+def test_embed_chunks_without_changing_a_bit(rng):
+    """Past ``EMBED_CHUNK`` rows ``embed`` folds chunk by chunk; every row
+    keeps the bits it gets alone, and none is dropped."""
     enc = _encoder(True)
-    full = enc.embed(trajectories, batch_size=128)
-    small = enc.embed(trajectories, batch_size=1)
-    np.testing.assert_allclose(full, small)
+    items = [Trajectory(rng.uniform(0, 1000, size=(int(n), 2)))
+             for n in rng.integers(1, 6, size=EMBED_CHUNK + 3)]
+    out = enc.embed(items)
+    assert out.shape == (len(items), 8)
+    for row in (0, EMBED_CHUNK - 1, EMBED_CHUNK, len(items) - 1):
+        assert np.array_equal(out[row], enc.embed([items[row]])[0])
 
 
 def test_embed_empty_returns_zero_rows():
@@ -97,7 +102,7 @@ def test_embedding_order_independent_when_readonly(trajectories):
     enc = _encoder(True)
     fwd = enc.embed(trajectories)
     rev = enc.embed(list(reversed(trajectories)))
-    np.testing.assert_allclose(fwd, rev[::-1])
+    assert np.array_equal(fwd, rev[::-1])
 
 
 # ------------------------------------------------ the kernel is the tape
@@ -162,7 +167,10 @@ class _CountTensors:
 @pytest.mark.parametrize("use_sam", [True, False])
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), count=st.integers(1, 20))
-def test_embed_is_the_tape_forward_bit_for_bit(use_sam, seed, count):
+def test_embed_is_the_per_point_tape_fold_bit_for_bit(use_sam, seed, count):
+    """Each row of ``embed`` is the tape engine folding that trajectory
+    point by point from zero states; ``embed`` builds no ``Tensor`` and
+    changes neither a parameter nor the memory."""
     enc = _warm_encoder(use_sam, seed=seed % 5)
     batch = _ragged_batch(seed, count)
     frozen = {name: p.data.copy() for name, p in enc.named_parameters()}
@@ -170,19 +178,34 @@ def test_embed_is_the_tape_forward_bit_for_bit(use_sam, seed, count):
 
     with _CountTensors() as built:
         whole = enc.embed(batch)
-        alone = [enc.embed([t]) for t in batch[:3]]
     assert built.count == 0
 
-    with no_grad():
-        assert np.array_equal(
-            whole, enc.encode(batch, update_memory=False).data)
-        for t, single in zip(batch, alone):
-            assert np.array_equal(
-                single, enc.encode([t], update_memory=False).data)
+    zeros = np.zeros((1, enc.config.embedding_dim))
+    for row, t in zip(whole, batch):
+        h, _ = _tape_extend(enc, zeros, zeros, t.points)
+        assert np.array_equal(row, h[0])
     for name, p in enc.named_parameters():
         assert np.array_equal(p.data, frozen[name]), name
     if use_sam:
         assert np.array_equal(enc.memory.data, memory)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), count=st.integers(1, 64),
+       use_sam=st.booleans())
+def test_embed_batching_consistent(seed, count, use_sam):
+    """Batch invariance: a row of a batched ``embed`` is bit for bit the
+    trajectory embedded alone, and its ``encode_prefix`` embedding."""
+    enc = _encoder(use_sam, seed=seed % 5, dim=32)
+    if use_sam:  # the memory as a training pass leaves it
+        enc.encode(_ragged_batch(seed % 5, 8), update_memory=True)
+        assert enc.memory.occupancy() > 0.0
+    batch = _ragged_batch(seed, count)
+    whole = enc.embed(batch)
+    assert whole.shape == (count, 32)
+    for row, t in zip(whole, batch):
+        assert np.array_equal(row, enc.embed([t])[0])
+        assert np.array_equal(row, enc.encode_prefix(t.points).h[0])
 
 
 @pytest.mark.parametrize("use_sam", [True, False])

@@ -162,7 +162,6 @@ def test_unrolls_refuse_a_cells_memory_mismatch(use_sam, rng):
     verdict = "is required" if use_sam else "must be None"
     for unroll in (
             lambda c, m: rnn(coords, mask, c, m),
-            lambda c, m: rnn.infer(coords, mask, c, m),
             lambda c, m: rnn.fold(state, state, coords[:1], [3],
                                   None if c is None else c[:1], m)):
         unroll(*right)

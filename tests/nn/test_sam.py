@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn.sam import SAMLSTM, SAMLSTMCell, SpatialMemory
 from repro.nn.rnn import lengths_to_mask
-from repro.nn.tensor import Tensor, no_grad, numerical_gradient
+from repro.nn.tensor import Tensor, numerical_gradient
 
 from .reference import reference_unroll
 
@@ -305,8 +305,9 @@ class TestSAMLSTM:
         np.testing.assert_allclose(out.data, expected.data)
 
     def test_infer_hoists_window_indices_in_bounded_blocks(self, monkeypatch):
-        """The read-only pass works the window indices out for a block of
-        steps at a time, and a block stays small however much is read."""
+        """The read-only inference fold works the window indices out for a
+        block of steps at a time, and a block stays small however much is
+        read."""
         rng = np.random.default_rng(31)
         batch, steps, d = 128, 120, 32
         sam = SAMLSTM(2, d, rng)
@@ -314,7 +315,9 @@ class TestSAMLSTM:
         mem.data[:] = rng.normal(scale=0.3, size=mem.data.shape)
         coords = rng.normal(size=(batch, steps, 2))
         cells = rng.integers(0, 40, size=(batch, steps, 2))
-        mask = lengths_to_mask(rng.integers(1, steps + 1, size=batch), steps)
+        lengths = rng.integers(1, steps + 1, size=batch)
+        lengths[0] = steps
+        zeros = np.zeros((batch, d))
 
         index_bytes, gathered = [], []
         real_index, real_take = SpatialMemory.window_index, SpatialMemory.take
@@ -331,11 +334,11 @@ class TestSAMLSTM:
 
         monkeypatch.setattr(SpatialMemory, "window_index", window_index)
         monkeypatch.setattr(SpatialMemory, "take", take)
-        out = sam.infer(coords, mask, cells, mem)
+        out, _ = sam.fold(zeros, zeros, coords, lengths, cells, mem)
 
         assert len(gathered) == steps and sum(gathered) > 20 * 2**20
         assert 1 < len(index_bytes) < steps  # hoisted, in more than one block
         assert max(index_bytes) <= 256 * 2**10
         monkeypatch.undo()
-        with no_grad():
-            assert np.array_equal(out, sam(coords, mask, cells, mem).data)
+        ref, _ = sam.fold(zeros, zeros, coords, lengths, cells, mem)
+        assert np.array_equal(out, ref)

@@ -74,8 +74,7 @@ def test_embed(server, serving_world):
                          {"trajectory": items[0].points.tolist()})
     assert status == 200
     embedding = _json(body)["embedding"]
-    np.testing.assert_allclose(embedding, model.embed([items[0]])[0],
-                               atol=1e-12)
+    assert np.array_equal(embedding, model.embed([items[0]])[0])
 
 
 def test_insert_and_delete(server, serving_world):

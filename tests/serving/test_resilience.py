@@ -42,10 +42,10 @@ def _make_service(serving_world, fresh_store, config=None, embed=None):
 
 def _poisoned(embed, poison):
     """``embed`` that raises ``ValueError`` on any batch holding ``poison``."""
-    def wrapped(trajectories, batch_size=None):
+    def wrapped(trajectories):
         if any(np.array_equal(t.points, poison.points) for t in trajectories):
             raise ValueError("poison trajectory")
-        return embed(trajectories, batch_size=batch_size)
+        return embed(trajectories)
     return wrapped
 
 
@@ -93,10 +93,10 @@ def test_admission_gate_sheds_excess_load(serving_world, fresh_store):
     entered = threading.Event()
     release = threading.Event()
 
-    def slow_embed(trajectories, batch_size=None):
+    def slow_embed(trajectories):
         entered.set()
         assert release.wait(10.0), "test deadlock: release never set"
-        return model.embed(trajectories, batch_size=batch_size)
+        return model.embed(trajectories)
 
     config = ServingConfig(max_inflight=1)
     service = _make_service(serving_world, fresh_store, config=config,
@@ -170,11 +170,11 @@ def _shared_batch(serving_world, fresh_store, poison, good):
     batches = []
     poisoned = _poisoned(model.embed, poison)
 
-    def gated_embed(trajectories, batch_size=None):
+    def gated_embed(trajectories):
         batches.append(len(trajectories))
         entered.set()
         assert release.wait(10.0), "test deadlock: release never set"
-        return poisoned(trajectories, batch_size=batch_size)
+        return poisoned(trajectories)
 
     service = _make_service(serving_world, fresh_store, embed=gated_embed)
     outcomes = {}

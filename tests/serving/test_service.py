@@ -186,9 +186,9 @@ def test_insert_encodes_on_the_batcher_thread(serving_world, fresh_store,
     callers = []
     real_embed = model.embed
 
-    def recording_embed(trajectories, batch_size=128):
+    def recording_embed(trajectories):
         callers.append(threading.current_thread().name)
-        return real_embed(trajectories, batch_size=batch_size)
+        return real_embed(trajectories)
 
     # On the instance, so the store's own reference to the model sees it.
     monkeypatch.setattr(model, "embed", recording_embed)

@@ -30,8 +30,11 @@ from repro.core.partition import save_partitions
 from repro.core.store import EmbeddingStore
 from repro.exceptions import (DeadlineExceededError, InvalidTrajectoryError,
                               ServiceClosedError)
+from repro.datasets import Trajectory
 from repro.serving import (ServingConfig, ShardedConfig, ShardedService,
                            SimilarityService, make_server, save_bundle)
+from repro.streaming import (StreamConfig, StreamIngestor, StreamPoint,
+                             WindowConfig)
 from repro.testing.faults import KillWorkerOnce
 
 pytestmark = pytest.mark.sharding
@@ -103,6 +106,109 @@ def test_topk_ids_match_the_offline_store_ties_included(tier, world):
             np.testing.assert_allclose(got.distances, want_dist, rtol=1e-5)
             assert not (got.partial or got.cached)
     assert tier.top_k(items[TIE_ROW], k=3).ids == [TIE_ROW, 16, 17]
+
+
+def test_a_stored_trajectory_is_its_own_nearest_at_zero(tier, world):
+    """The bundle's rows were embedded 16 to a batch, each query is
+    embedded alone: a row's embedding never depends on its batch-mates,
+    so every stored trajectory finds itself at distance exactly 0."""
+    _, _, _, items = world
+    for row in range(16):
+        got = tier.top_k(items[row], k=1, use_cache=False)
+        assert got.ids == [row] and got.distances == [0.0]
+    new_ids = tier.insert(items[18:22])
+    for new_id, item in zip(new_ids, items[18:22]):
+        got = tier.top_k(item, k=1, use_cache=False)
+        assert got.ids == [new_id] and got.distances == [0.0]
+
+
+@pytest.mark.streaming
+def test_a_stream_query_embeds_as_the_service_does(world, tmp_path,
+                                                   monkeypatch):
+    """``StreamIngestor.query`` searches with the bits ``model.embed``
+    gives the same points."""
+    _, _, reference, items = world
+    model = reference.model
+    ingestor = StreamIngestor(model.encoder, tmp_path, StreamConfig(
+        window=WindowConfig(lateness_s=30.0, ttl_s=1e9), sync_encode=True))
+    searched = []
+    query_embedding = ingestor._store.query_embedding
+
+    def recording(embedding, k):
+        searched.append(np.array(embedding))
+        return query_embedding(embedding, k)
+
+    monkeypatch.setattr(ingestor._store, "query_embedding", recording)
+    try:
+        for source, item in enumerate(items[:3], 1):
+            ingestor.ingest([StreamPoint(source_id=source, seq=i + 1,
+                                         t=float(i), x=float(x), y=float(y))
+                             for i, (x, y) in enumerate(item.points)])
+        for segment_id, points in ingestor.window_segments().items():
+            got = ingestor.query(points, k=1)
+            assert got.segment_ids.tolist() == [segment_id]
+            assert got.distances.tolist() == [0.0]
+            want = model.embed([Trajectory(points)])[0]
+            assert np.array_equal(searched[-1], want)
+        assert len(searched) == 3
+    finally:
+        ingestor.close()
+
+
+def test_batched_answers_are_the_lone_answers_bit_for_bit(world,
+                                                          monkeypatch):
+    """Queries that share one encoder batch get the ids and distances
+    each gets alone and uncached, and so does a cache hit one of them
+    filled."""
+    _, _, reference, items = world
+    queries = [items[i] for i in (0, 5, 9, 17, 19, 21)]
+    k = len(reference)
+    with _make(world, "local") as service:
+        lone = [service.top_k(q, k=k, use_cache=False) for q in queries]
+        entered, release, batches = (threading.Event(), threading.Event(),
+                                     [])
+        embed = service.model.embed
+
+        def gated_embed(trajectories):
+            batches.append(len(trajectories))
+            entered.set()
+            assert release.wait(10.0), "test deadlock: release never set"
+            return embed(trajectories)
+
+        monkeypatch.setattr(service.model, "embed", gated_embed)
+        answers = {}
+
+        def ask(name, query, use_cache=False):
+            answers[name] = service.top_k(query, k=k, use_cache=use_cache)
+
+        blocker = threading.Thread(target=ask, args=("blocker", items[12]))
+        askers = [threading.Thread(target=ask, args=(i, q, i == 0))
+                  for i, q in enumerate(queries)]
+        try:
+            blocker.start()
+            assert entered.wait(10.0)
+            for thread in askers:  # queued behind the busy encoder
+                thread.start()
+            give_up = time.monotonic() + 10.0
+            while True:
+                with service._batcher._lock:
+                    if len(service._batcher._queue) == len(askers):
+                        break
+                assert time.monotonic() < give_up, "requests never queued"
+                time.sleep(0.001)
+        finally:
+            release.set()
+            for thread in [blocker] + askers:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+        assert batches == [1, len(queries)]
+        hit = service.top_k(queries[0], k=k)
+        assert hit.cached
+        for i, want in enumerate(lone):
+            assert not answers[i].cached
+            assert answers[i].ids == want.ids
+            assert answers[i].distances == want.distances
+        assert hit.ids == lone[0].ids and hit.distances == lone[0].distances
 
 
 # -------------------------------------------------------------------- cache

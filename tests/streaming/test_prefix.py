@@ -75,13 +75,15 @@ def test_states_are_immutable_values(encoder):
 
 
 @pytest.mark.parametrize("use_sam", [True, False])
-def test_prefix_matches_batched_embed_closely(use_sam):
-    """The batched GEMM path agrees to rounding (not bits) — documented."""
+def test_prefix_is_the_batched_embed_bit_for_bit(use_sam):
+    """``embed`` is the same fold from zero states, so a prefix re-encoded
+    in full lands on its row's bits in a batch of other trajectories."""
     from repro.datasets import Trajectory
     enc = make_encoder(use_sam=use_sam)
     rng = np.random.default_rng(2)
     points = rng.uniform(50.0, 950.0, size=(12, 2))
     prefix = enc.encode_prefix(points)
-    batched = enc.embed([Trajectory(points)])[0]
-    np.testing.assert_allclose(prefix.embedding, batched,
-                               rtol=1e-12, atol=1e-12)
+    others = [Trajectory(rng.uniform(50.0, 950.0, size=(n, 2)))
+              for n in (3, 20, 7)]
+    batched = enc.embed(others[:2] + [Trajectory(points)] + others[2:])[2]
+    assert np.array_equal(prefix.embedding, batched)
